@@ -5,10 +5,20 @@ data-parallel dataflow graph whose operators respond to small input deltas by
 recomputing only the affected parts of their output.  It is what makes the
 Metropolis–Hastings loop in :mod:`repro.inference` fast enough to take many
 thousands of steps: each proposed edge swap is a four-to-eight record delta,
-not a full re-execution of the query.
+not a full re-execution of the query, and a rejected swap is undone from the
+engine's :class:`UndoLog` (``begin`` / ``commit`` / ``rollback``) instead of
+being propagated a second time.
 """
 
-from .delta import Delta, accumulate, apply_delta, delta_from_dataset, negate, prune
+from .delta import (
+    Delta,
+    UndoLog,
+    accumulate,
+    apply_delta,
+    delta_from_dataset,
+    negate,
+    prune,
+)
 from .engine import DataflowEngine
 from .nodes import Node, OutputCollector, SourceNode
 from .operators import (
@@ -27,6 +37,7 @@ from .operators import (
 __all__ = [
     "DataflowEngine",
     "Delta",
+    "UndoLog",
     "accumulate",
     "apply_delta",
     "delta_from_dataset",

@@ -7,6 +7,9 @@ imperative API:
 
 * :meth:`DataflowEngine.initialize` — load the initial (synthetic) datasets;
 * :meth:`DataflowEngine.push` — apply a delta to a source and propagate it;
+* :meth:`DataflowEngine.begin` / :meth:`~DataflowEngine.commit` /
+  :meth:`~DataflowEngine.rollback` — make the pushes in between one
+  speculative step that can be undone exactly;
 * :meth:`DataflowEngine.output` — read the currently materialised output of
   any registered plan.
 
@@ -41,7 +44,7 @@ from ..core.plan import (
     WherePlan,
 )
 from ..exceptions import DataflowError
-from .delta import Delta, prune
+from .delta import Delta, UndoLog, prune
 from .nodes import Node, OutputCollector, SourceNode
 from .operators import (
     ConcatNode,
@@ -62,9 +65,23 @@ __all__ = ["DataflowEngine"]
 
 
 class DataflowEngine:
-    """Incremental evaluator for a set of wPINQ query plans."""
+    """Incremental evaluator for a set of wPINQ query plans.
+
+    **Speculative steps.**  Metropolis–Hastings applies a proposal, reads the
+    score and usually rejects.  Between :meth:`begin` and :meth:`commit` /
+    :meth:`rollback` every state cell a push overwrites — source, collector
+    and operator weights, Join/GroupBy parts (created or dropped), the
+    residual of each listening ``MeasurementScore`` — first records its prior
+    value in the engine's own :class:`~repro.dataflow.delta.UndoLog`.
+    ``rollback()`` puts those values back, newest first: a reject costs one
+    propagation plus a walk over the cells it touched, not two propagations,
+    and the state afterwards is bit-for-bit the state before.  ``commit()``
+    drops the log.  ``initialize()`` and pushes outside an open step record
+    nothing.
+    """
 
     def __init__(self) -> None:
+        self._undo = UndoLog()
         self._sources: dict[str, SourceNode] = {}
         self._nodes: dict[int, Node] = {}
         self._collectors: dict[int, OutputCollector] = {}
@@ -96,12 +113,17 @@ class DataflowEngine:
         collector = OutputCollector(name=f"collector:{type(plan).__name__}")
         node.subscribe(collector, 0)
         self._collectors[id(plan)] = collector
-        self._all_nodes.append(collector)
+        self._adopt(collector)
         return collector
+
+    def _adopt(self, node: Node) -> None:
+        """Add a node to the graph and point it at this engine's undo log."""
+        node.undo = self._undo
+        self._all_nodes.append(node)
 
     def _register(self, plan: Plan, node: Node) -> Node:
         self._nodes[id(plan)] = node
-        self._all_nodes.append(node)
+        self._adopt(node)
         return node
 
     def _compile(self, plan: Plan) -> Node:
@@ -115,7 +137,7 @@ class DataflowEngine:
             if source is None:
                 source = SourceNode(plan.name)
                 self._sources[plan.name] = source
-                self._all_nodes.append(source)
+                self._adopt(source)
             self._nodes[id(plan)] = source
             return source
 
@@ -214,6 +236,21 @@ class DataflowEngine:
         prune(delta)
         if delta:
             source.on_delta(delta, 0)
+
+    # ------------------------------------------------------------------
+    # Speculative steps
+    # ------------------------------------------------------------------
+    def begin(self) -> None:
+        """Open a step: pushes are recorded until ``commit``/``rollback``."""
+        self._undo.begin()
+
+    def commit(self) -> None:
+        """Keep everything pushed since :meth:`begin`."""
+        self._undo.commit()
+
+    def rollback(self) -> None:
+        """Restore the exact state :meth:`begin` saw."""
+        self._undo.rollback()
 
     # ------------------------------------------------------------------
     # Reading outputs

@@ -19,6 +19,12 @@ Nodes follow a simple push protocol:
 Correctness does not depend on delivery order: a node with two inputs fed by
 the same upstream producer (a self-join) simply processes two successive
 correct incremental updates, and downstream consumers sum the emitted deltas.
+
+Every node holds a reference to an :class:`~repro.dataflow.delta.UndoLog`
+(its engine's, once compiled into one).  A node that overwrites a cell of its
+state passes ``self.undo.cells`` to the write, so that a speculative step can
+be rolled back exactly; outside an open step that is ``None`` and nothing is
+recorded.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping
 
 from ..core.dataset import DEFAULT_TOLERANCE, WeightedDataset
-from .delta import Delta, apply_delta, prune
+from .delta import Delta, UndoLog, apply_delta, prune
 
 __all__ = ["Node", "SourceNode", "OutputCollector"]
 
@@ -37,6 +43,8 @@ class Node:
     def __init__(self, name: str = "") -> None:
         self.name = name or type(self).__name__
         self._consumers: list[tuple["Node", int]] = []
+        #: Replaced by the owning engine's log when the node joins a graph.
+        self.undo = UndoLog()
 
     # ------------------------------------------------------------------
     def subscribe(self, consumer: "Node", port: int = 0) -> None:
@@ -44,14 +52,21 @@ class Node:
         self._consumers.append((consumer, port))
 
     def emit(self, delta: Delta) -> None:
-        """Forward an output delta to every subscribed consumer."""
+        """Forward an output delta to every subscribed consumer.
+
+        The caller gives ``delta`` away: the last consumer receives the object
+        itself, the others a copy each (consumers may mutate deltas while
+        folding them into their state).
+        """
         prune(delta)
         if not delta:
             return
-        for consumer, port in self._consumers:
-            # Each consumer gets its own copy: consumers may mutate deltas
-            # while folding them into their state.
+        consumers = self._consumers
+        for consumer, port in consumers[:-1]:
             consumer.on_delta(dict(delta), port)
+        if consumers:
+            consumer, port = consumers[-1]
+            consumer.on_delta(delta, port)
 
     # ------------------------------------------------------------------
     def on_delta(self, delta: Delta, port: int = 0) -> None:
@@ -75,7 +90,7 @@ class SourceNode(Node):
         self.weights: dict[Any, float] = {}
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        apply_delta(self.weights, delta)
+        apply_delta(self.weights, delta, undo=self.undo.cells)
         self.emit(delta)
 
     def current(self) -> WeightedDataset:
@@ -110,8 +125,9 @@ class OutputCollector(Node):
         self._listeners.append(listener)
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        old = {record: self.weights.get(record, 0.0) for record in delta}
-        apply_delta(self.weights, delta, tolerance=self._tolerance)
+        weights = self.weights
+        old = {record: weights.get(record, 0.0) for record in delta}
+        apply_delta(weights, delta, self._tolerance, self.undo.cells)
         for listener in self._listeners:
             listener(old, delta)
 

@@ -17,6 +17,13 @@ changed" strategy the paper describes.
 All mapper/key/reducer functions are assumed to be pure (deterministic,
 side-effect free); the same assumption underlies the eager evaluator and the
 privacy proofs.
+
+These loops run once per changed record on every MCMC step, so they are
+written flat: attribute lookups are hoisted out of them, output deltas are
+accumulated with ``output[r] = output.get(r, 0.0) + w`` in place, and every
+write to operator state goes through ``apply_change`` / ``_apply_to_part``
+(or their inlined equivalent) with the open step's undo cells, so that a
+rejected step can be rolled back exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from ..core import transformations as xf
-from ..core.dataset import WeightedDataset
-from .delta import Delta, accumulate, apply_delta
+from ..core.dataset import DEFAULT_TOLERANCE, WeightedDataset
+from .delta import Delta, apply_change, apply_delta
 from .nodes import Node
 
 __all__ = [
@@ -44,6 +51,44 @@ __all__ = [
 ]
 
 
+def _add_difference(output: Delta, after: dict[Any, float], before: dict[Any, float]) -> None:
+    """Accumulate ``after − before`` into ``output`` (consumes ``before``)."""
+    get = output.get
+    for out_record, weight in after.items():
+        output[out_record] = get(out_record, 0.0) + (weight - before.pop(out_record, 0.0))
+    for out_record, weight in before.items():
+        output[out_record] = get(out_record, 0.0) - weight
+
+
+def _apply_to_part(
+    index: dict[Any, dict[Any, float]], key: Any, key_delta: Delta, undo: list | None
+) -> None:
+    """Fold ``key_delta`` into ``index[key]``, creating or dropping the part."""
+    part = index.get(key)
+    if part is None:
+        part = index[key] = {}
+        if undo is not None:
+            undo.append((index, key, None))
+    apply_delta(part, key_delta, undo=undo)
+    if not part:
+        del index[key]
+        if undo is not None:
+            undo.append((index, key, part))
+
+
+def _group_by_key(delta: Delta, key_func: Callable[[Any], Any]) -> dict[Any, Delta]:
+    """Split a delta into one delta per key."""
+    by_key: dict[Any, Delta] = {}
+    for record, change in delta.items():
+        key = key_func(record)
+        key_delta = by_key.get(key)
+        if key_delta is None:
+            by_key[key] = {record: change}
+        else:
+            key_delta[record] = change
+    return by_key
+
+
 # ----------------------------------------------------------------------
 # Stateless / linear operators
 # ----------------------------------------------------------------------
@@ -55,9 +100,12 @@ class SelectNode(Node):
         self._mapper = mapper
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
+        mapper = self._mapper
         output: Delta = {}
+        get = output.get
         for record, change in delta.items():
-            accumulate(output, [(self._mapper(record), change)])
+            mapped = mapper(record)
+            output[mapped] = get(mapped, 0.0) + change
         self.emit(output)
 
 
@@ -69,10 +117,8 @@ class WhereNode(Node):
         self._predicate = predicate
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        output = {
-            record: change for record, change in delta.items() if self._predicate(record)
-        }
-        self.emit(output)
+        predicate = self._predicate
+        self.emit({record: change for record, change in delta.items() if predicate(record)})
 
 
 class SelectManyNode(Node):
@@ -101,10 +147,12 @@ class SelectManyNode(Node):
         return self._normalized[record]
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
+        normalized = self._normalized_output
         output: Delta = {}
+        get = output.get
         for record, change in delta.items():
-            for out_record, unit_weight in self._normalized_output(record):
-                accumulate(output, [(out_record, unit_weight * change)])
+            for out_record, unit_weight in normalized(record):
+                output[out_record] = get(out_record, 0.0) + unit_weight * change
         self.emit(output)
 
 
@@ -116,7 +164,8 @@ class DownScaleNode(Node):
         self._factor = float(factor)
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        self.emit({record: change * self._factor for record, change in delta.items()})
+        factor = self._factor
+        self.emit({record: change * factor for record, change in delta.items()})
 
 
 class DistinctNode(Node):
@@ -128,13 +177,13 @@ class DistinctNode(Node):
         self._weights: dict[Any, float] = {}
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
+        weights, cap, undo = self._weights, self._cap, self.undo.cells
         output: Delta = {}
         for record, change in delta.items():
-            before = min(self._weights.get(record, 0.0), self._cap)
-            apply_delta(self._weights, {record: change})
-            after = min(self._weights.get(record, 0.0), self._cap)
+            before = min(weights.get(record, 0.0), cap)
+            after = min(apply_change(weights, record, change, undo=undo), cap)
             if after != before:
-                accumulate(output, [(record, after - before)])
+                output[record] = after - before
         self.emit(output)
 
 
@@ -145,7 +194,7 @@ class ConcatNode(Node):
         super().__init__(name)
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        self.emit(dict(delta))
+        self.emit(delta)
 
 
 class ExceptNode(Node):
@@ -156,7 +205,7 @@ class ExceptNode(Node):
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
         if port == 0:
-            self.emit(dict(delta))
+            self.emit(delta)
         else:
             self.emit({record: -change for record, change in delta.items()})
 
@@ -180,15 +229,12 @@ class ShaveNode(Node):
         return xf.shave(single, self._slice_weights).to_dict()
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
+        weights, undo = self._weights, self.undo.cells
         output: Delta = {}
         for record, change in delta.items():
             before = self._slices(record)
-            apply_delta(self._weights, {record: change})
-            after = self._slices(record)
-            for out_record, weight in after.items():
-                accumulate(output, [(out_record, weight - before.pop(out_record, 0.0))])
-            for out_record, weight in before.items():
-                accumulate(output, [(out_record, -weight)])
+            apply_change(weights, record, change, undo=undo)
+            _add_difference(output, self._slices(record), before)
         self.emit(output)
 
 
@@ -201,21 +247,35 @@ class UnionNode(Node):
         super().__init__(name)
         self._weights: tuple[dict[Any, float], dict[Any, float]] = ({}, {})
 
-    def _combined(self, record: Any) -> float:
-        left = self._weights[0].get(record, 0.0)
-        right = self._weights[1].get(record, 0.0)
-        return self.combiner(left, right)
-
     def on_delta(self, delta: Delta, port: int = 0) -> None:
         if port not in (0, 1):
             raise ValueError(f"binary operator has ports 0 and 1, got {port}")
+        mine, other = self._weights[port], self._weights[1 - port]
+        combine, undo, tolerance = self.combiner, self.undo.cells, DEFAULT_TOLERANCE
         output: Delta = {}
+        # ``apply_change`` inlined: this loop sees every changed wedge of a
+        # triangle query.  max/min give the same result for either argument
+        # order, so "mine" may stand first whichever port it is.
         for record, change in delta.items():
-            before = self._combined(record)
-            apply_delta(self._weights[port], {record: change})
-            after = self._combined(record)
+            prior = mine.get(record)
+            theirs = other.get(record, 0.0)
+            if undo is not None:
+                undo.append((mine, record, prior))
+            if prior is None:
+                before = combine(0.0, theirs)
+                updated = change
+            else:
+                before = combine(prior, theirs)
+                updated = prior + change
+            if -tolerance <= updated <= tolerance:
+                if prior is not None:
+                    del mine[record]
+                updated = 0.0
+            else:
+                mine[record] = updated
+            after = combine(updated, theirs)
             if after != before:
-                accumulate(output, [(record, after - before)])
+                output[record] = after - before
         self.emit(output)
 
 
@@ -256,21 +316,12 @@ class GroupByNode(Node):
         return output
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        by_key: dict[Any, Delta] = {}
-        for record, change in delta.items():
-            by_key.setdefault(self._key(record), {})[record] = change
+        groups, undo = self._groups, self.undo.cells
         output: Delta = {}
-        for key, key_delta in by_key.items():
+        for key, key_delta in _group_by_key(delta, self._key).items():
             before = self._group_output(key)
-            part = self._groups.setdefault(key, {})
-            apply_delta(part, key_delta)
-            if not part:
-                self._groups.pop(key, None)
-            after = self._group_output(key)
-            for out_record, weight in after.items():
-                accumulate(output, [(out_record, weight - before.pop(out_record, 0.0))])
-            for out_record, weight in before.items():
-                accumulate(output, [(out_record, -weight)])
+            _apply_to_part(groups, key, key_delta, undo)
+            _add_difference(output, self._group_output(key), before)
         self.emit(output)
 
 
@@ -313,7 +364,7 @@ class JoinNode(Node):
         for index in self._indexes:
             part = index.get(key)
             if part:
-                total += sum(abs(weight) for weight in part.values())
+                total += sum(map(abs, part.values()))
         return total
 
     def _key_output(self, key: Any) -> dict[Any, float]:
@@ -325,13 +376,14 @@ class JoinNode(Node):
         if denominator <= 0.0:
             return {}
         output: dict[Any, float] = {}
+        selector, get = self._result_selector, output.get
         for left_record, left_weight in left_part.items():
             for right_record, right_weight in right_part.items():
                 weight = left_weight * right_weight / denominator
                 if weight == 0.0:
                     continue
-                out_record = self._result_selector(left_record, right_record)
-                output[out_record] = output.get(out_record, 0.0) + weight
+                out_record = selector(left_record, right_record)
+                output[out_record] = get(out_record, 0.0) + weight
         return output
 
     def _cross_with_other_side(
@@ -342,57 +394,45 @@ class JoinNode(Node):
         output: dict[Any, float] = {}
         if not other or denominator <= 0.0:
             return output
+        selector, get = self._result_selector, output.get
         for record, change in key_delta.items():
             for other_record, other_weight in other.items():
                 weight = change * other_weight / denominator
                 if weight == 0.0:
                     continue
                 if port == 0:
-                    out_record = self._result_selector(record, other_record)
+                    out_record = selector(record, other_record)
                 else:
-                    out_record = self._result_selector(other_record, record)
-                output[out_record] = output.get(out_record, 0.0) + weight
+                    out_record = selector(other_record, record)
+                output[out_record] = get(out_record, 0.0) + weight
         return output
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
         if port not in (0, 1):
             raise ValueError(f"binary operator has ports 0 and 1, got {port}")
-        key_func = self._keys[port]
-        index = self._indexes[port]
-        by_key: dict[Any, Delta] = {}
-        for record, change in delta.items():
-            by_key.setdefault(key_func(record), {})[record] = change
+        index, undo = self._indexes[port], self.undo.cells
+        norm_tolerance = self._NORM_TOLERANCE
         output: Delta = {}
-        for key, key_delta in by_key.items():
-            net_change = sum(key_delta.values())
+        get = output.get
+        for key, key_delta in _group_by_key(delta, self._keys[port]).items():
             old_part = index.get(key, {})
             norm_preserved = (
-                abs(net_change) <= self._NORM_TOLERANCE
+                abs(sum(key_delta.values())) <= norm_tolerance
                 and all(old_part.get(record, 0.0) + change >= 0.0 for record, change in key_delta.items())
-                and all(weight >= 0.0 for weight in old_part.values())
+                and (not old_part or min(old_part.values()) >= 0.0)
             )
             if norm_preserved:
                 # Fast path: ‖A_k‖ + ‖B_k‖ is unchanged, so existing output
                 # records keep their scale and only the changed records'
                 # pairings need to be emitted.
                 denominator = self._key_norm(key)
-                part = index.setdefault(key, {})
-                apply_delta(part, key_delta)
-                if not part:
-                    index.pop(key, None)
+                _apply_to_part(index, key, key_delta, undo)
                 for out_record, weight in self._cross_with_other_side(
                     key, key_delta, port, denominator
                 ).items():
-                    accumulate(output, [(out_record, weight)])
+                    output[out_record] = get(out_record, 0.0) + weight
                 continue
             before = self._key_output(key)
-            part = index.setdefault(key, {})
-            apply_delta(part, key_delta)
-            if not part:
-                index.pop(key, None)
-            after = self._key_output(key)
-            for out_record, weight in after.items():
-                accumulate(output, [(out_record, weight - before.pop(out_record, 0.0))])
-            for out_record, weight in before.items():
-                accumulate(output, [(out_record, -weight)])
+            _apply_to_part(index, key, key_delta, undo)
+            _add_difference(output, self._key_output(key), before)
         self.emit(output)

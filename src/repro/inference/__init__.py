@@ -6,7 +6,9 @@ backends drive the chain (selected via
 ``GraphSynthesizer(backend=...)`` / ``synthesize_graph(backend=...)``):
 
 * ``"dataflow"`` — the dict-based incremental engine of Section 4.3: per-step
-  cost proportional to the changed intermediate data.
+  cost proportional to the changed intermediate data, and a rejected step is
+  restored from the engine's undo log rather than propagated a second time.
+  The default, and the fastest backend in both MCMC regimes.
 * ``"vectorized"`` — full-pass columnar scoring: every step re-runs the
   (deduplicated) measurement plans through the NumPy kernels over
   incrementally updated weight vectors.
@@ -15,7 +17,7 @@ backends drive the chain (selected via
   stateful operator DAG of :mod:`repro.columnar.incremental`, per-measurement
   bin vectors keep ``‖Q(A) − m‖₁`` maintained in O(touched bins), and
   ``run(..., proposal_batch=k)`` scores K candidate swaps in one fused
-  kernel pass.  The fastest backend on non-tiny graphs.
+  kernel pass.
 
 ``GraphSynthesizer.run(chains=N)`` (or :func:`repro.inference.parallel
 .run_chains`) runs N independent chains with spawned RNG streams via

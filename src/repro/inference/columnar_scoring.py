@@ -20,8 +20,9 @@ Two columnar scoring engines share the mutable array-backed source state:
 
 Both engines play both roles of the
 :class:`~repro.inference.mcmc.IncrementalMetropolisHastings` pair: they are
-the ``engine`` (``push(source, delta)``) and the ``tracker`` (``log_score()``,
-``distances()``).  The ``backend=`` switch on
+the ``engine`` (``begin()``, ``push(source, delta)``, ``commit()`` /
+``rollback()`` — a rollback pushes the step's deltas back negated) and the
+``tracker`` (``log_score()``, ``distances()``).  The ``backend=`` switch on
 :class:`~repro.inference.synthesizer.GraphSynthesizer` selects between them
 and the dict-based dataflow engine.
 """
@@ -44,6 +45,7 @@ from ..columnar.incremental import (
 from ..columnar.interning import global_interner
 from ..core.aggregation import NoisyCountResult
 from ..core.dataset import WeightedDataset
+from ..dataflow.delta import negate
 from ..exceptions import ReproError
 
 __all__ = [
@@ -228,6 +230,8 @@ class _ColumnarEngineBase:
         self._row_caches: dict[str, dict[Any, int]] = {
             name: {} for name in self._sources
         }
+        #: ``(source, delta)`` of every push of the open step; None outside one.
+        self._step: list[tuple[str, Mapping[Any, float]]] | None = None
 
     # ------------------------------------------------------------------
     def _encode_delta(
@@ -281,8 +285,37 @@ class _ColumnarEngineBase:
     def _measurement_distances(self) -> list[float]:
         raise NotImplementedError
 
+    # ------------------------------------------------------------------
+    # Engine half (what proposals talk to)
+    # ------------------------------------------------------------------
     def push(self, source: str, delta: Mapping[Any, float]) -> None:
+        """Apply a proposal's weight delta to one source."""
+        if self._step is not None:
+            self._step.append((source, delta))
+        self._apply(source, delta)
+
+    def _apply(self, source: str, delta: Mapping[Any, float]) -> None:
         raise NotImplementedError
+
+    def begin(self) -> None:
+        """Open a step: pushes are remembered until ``commit``/``rollback``."""
+        if self._step is not None:
+            raise ReproError("a step is already open")
+        self._step = []
+
+    def commit(self) -> None:
+        """Keep everything pushed since :meth:`begin`."""
+        if self._step is None:
+            raise ReproError("no step is open")
+        self._step = None
+
+    def rollback(self) -> None:
+        """Undo the open step by pushing its deltas back negated."""
+        if self._step is None:
+            raise ReproError("no step is open")
+        pushed, self._step = self._step, None
+        for source, delta in reversed(pushed):
+            self.push(source, negate(delta))
 
     # ------------------------------------------------------------------
     def score_candidates(
@@ -300,13 +333,11 @@ class _ColumnarEngineBase:
     ) -> np.ndarray:
         scores = np.empty(len(deltas), dtype=np.float64)
         for index, candidate in enumerate(deltas):
+            self.begin()
             for source, delta in candidate.items():
                 self.push(source, delta)
             scores[index] = self.log_score()
-            for source, delta in candidate.items():
-                self.push(
-                    source, {record: -change for record, change in delta.items()}
-                )
+            self.rollback()
         return scores
 
 
@@ -348,8 +379,8 @@ class ColumnarScoreEngine(_ColumnarEngineBase):
     # ------------------------------------------------------------------
     # Engine half (what proposals talk to)
     # ------------------------------------------------------------------
-    def push(self, source: str, delta: Mapping[Any, float]) -> None:
-        """Apply a proposal's weight delta to one source vector."""
+    def _apply(self, source: str, delta: Mapping[Any, float]) -> None:
+        """Fold the delta into one source vector."""
         target, rows, changes = self._encode_delta(source, delta)
         target.apply_rows(rows, changes)
 
@@ -521,8 +552,8 @@ class IncrementalColumnarScoreEngine(_ColumnarEngineBase):
     # ------------------------------------------------------------------
     # Engine half (what proposals talk to)
     # ------------------------------------------------------------------
-    def push(self, source: str, delta: Mapping[Any, float]) -> None:
-        """Apply a proposal's delta and propagate it through the DAG."""
+    def _apply(self, source: str, delta: Mapping[Any, float]) -> None:
+        """Fold the delta into the source and propagate it through the DAG."""
         target, rows, changes = self._encode_delta(source, delta)
         target.apply_rows(rows, changes)
         self._graph.push(

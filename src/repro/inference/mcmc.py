@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..dataflow.delta import Delta, negate
+from ..dataflow.delta import Delta
 from ..dataflow.engine import DataflowEngine
 from .scoring import ScoreTracker
 
@@ -64,7 +64,13 @@ class MCMCStepRecord:
 
 @dataclass
 class MCMCResult:
-    """Summary of a finished (or checkpointed) MCMC run."""
+    """Summary of one ``run()`` call.
+
+    ``steps`` and ``accepted`` both count that call alone, so
+    ``acceptance_rate`` stays a rate when a sampler is run in several chunks;
+    the sampler's own ``steps`` / ``accepted`` attributes (and a trajectory's
+    ``accepted_so_far``) are cumulative.
+    """
 
     steps: int
     accepted: int
@@ -137,6 +143,7 @@ class MetropolisHastings:
     ) -> MCMCResult:
         """Run ``steps`` proposals, optionally recording a trajectory."""
         trajectory: list[MCMCStepRecord] = []
+        accepted_before = self.accepted
         started = time.perf_counter()
         for index in range(1, steps + 1):
             self.step()
@@ -152,7 +159,7 @@ class MetropolisHastings:
         elapsed = time.perf_counter() - started
         return MCMCResult(
             steps=steps,
-            accepted=self.accepted,
+            accepted=self.accepted - accepted_before,
             log_score=self.current_log_score,
             elapsed_seconds=elapsed,
             trajectory=trajectory,
@@ -163,10 +170,13 @@ class IncrementalMetropolisHastings:
     """Metropolis–Hastings whose proposals are deltas against a dataflow engine.
 
     The proposal generator returns ``(delta_by_source, on_accept, on_reject)``
-    where ``delta_by_source`` maps source names to weight deltas.  The engine
-    applies the delta, the score tracker reports the new log score, and a
-    rejected proposal is rolled back by pushing the negated delta — the same
-    "apply, evaluate, maybe undo" strategy the paper's engine uses.
+    where ``delta_by_source`` maps source names to weight deltas.  A step is
+    ``engine.begin()``, one ``engine.push`` per source, a read of the
+    tracker's log score, then ``engine.commit()`` or ``engine.rollback()`` —
+    the paper's "apply, evaluate, maybe undo".  How a rollback is done is the
+    engine's business: :class:`~repro.dataflow.engine.DataflowEngine` restores
+    the cells the push overwrote from its undo log (no second propagation),
+    the columnar score engines push the negated delta.
 
     ``propose_batch`` (optional) enables batched proposal evaluation:
     ``propose_batch(rng, k)`` returns ``k`` candidates (each a
@@ -209,18 +219,27 @@ class IncrementalMetropolisHastings:
             # pair cannot be swapped); count it as a rejected step.
             return False
         deltas, on_accept, on_reject = proposal
-        for source, delta in deltas.items():
-            self.engine.push(source, delta)
-        candidate_score = self.tracker.log_score()
+        candidate_score = self._apply(deltas)
         if _accept(candidate_score - self.current_log_score, self._rng):
+            self.engine.commit()
             self.current_log_score = candidate_score
             self.accepted += 1
             on_accept()
             return True
-        for source, delta in deltas.items():
-            self.engine.push(source, negate(delta))
+        self.engine.rollback()
         on_reject()
         return False
+
+    def _apply(self, deltas: dict[str, Delta]) -> float:
+        """Open a step, push ``deltas`` and return the log score they reach.
+
+        The caller closes the step with ``engine.commit()`` or ``rollback()``.
+        """
+        engine = self.engine
+        engine.begin()
+        for source, delta in deltas.items():
+            engine.push(source, delta)
+        return self.tracker.log_score()
 
     # ------------------------------------------------------------------
     # Batched proposal evaluation
@@ -230,18 +249,15 @@ class IncrementalMetropolisHastings:
 
         Engines that implement ``score_candidates`` (the incremental columnar
         backend) answer in one fused pass; any other engine/tracker pair is
-        driven through the generic apply/score/rollback sequence.
+        driven through the same apply/score/rollback sequence as :meth:`step`.
         """
         scorer = getattr(self.engine, "score_candidates", None)
         if scorer is not None:
             return np.asarray(scorer(deltas), dtype=np.float64)
         scores = np.empty(len(deltas), dtype=np.float64)
         for index, candidate in enumerate(deltas):
-            for source, delta in candidate.items():
-                self.engine.push(source, delta)
-            scores[index] = self.tracker.log_score()
-            for source, delta in candidate.items():
-                self.engine.push(source, negate(delta))
+            scores[index] = self._apply(candidate)
+            self.engine.rollback()
         return scores
 
     def step_batch(self, count: int) -> int:
@@ -314,6 +330,7 @@ class IncrementalMetropolisHastings:
         boundaries.
         """
         trajectory: list[MCMCStepRecord] = []
+        accepted_at_start = self.accepted
         started = time.perf_counter()
 
         def record(index: int) -> None:
@@ -361,7 +378,7 @@ class IncrementalMetropolisHastings:
         elapsed = time.perf_counter() - started
         return MCMCResult(
             steps=steps,
-            accepted=self.accepted,
+            accepted=self.accepted - accepted_at_start,
             log_score=self.current_log_score,
             elapsed_seconds=elapsed,
             trajectory=trajectory,

@@ -31,15 +31,20 @@ class EdgeSwapWalk:
     """Degree-preserving edge-swap proposals over a synthetic graph.
 
     The walk owns the synthetic :class:`~repro.graph.graph.Graph` (public
-    data) and keeps an edge list for O(1) sampling.  Proposals are returned as
-    the delta to the *symmetric directed* edge dataset plus accept/reject
-    callbacks that keep the graph and the edge list in sync with the engine.
+    data) and keeps an edge list for O(1) sampling, with an edge → slot map
+    beside it so an accepted swap rewrites its two slots in O(1).  Proposals
+    are returned as the delta to the *symmetric directed* edge dataset plus
+    accept/reject callbacks that keep the graph and the edge list in sync
+    with the engine.
     """
 
     def __init__(self, graph: Graph, rng: np.random.Generator | int | None = None) -> None:
         self.graph = graph
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self._edges: list[tuple[Any, Any]] = graph.edge_list()
+        self._slots: dict[tuple[Any, Any], int] = {
+            edge: slot for slot, edge in enumerate(self._edges)
+        }
 
     @property
     def rng(self) -> np.random.Generator:
@@ -146,11 +151,11 @@ class EdgeSwapWalk:
 
     def _replace_edge(self, old: tuple[Any, Any], new: tuple[Any, Any]) -> None:
         """Swap one entry of the edge list (either orientation of ``old``)."""
-        try:
-            index = self._edges.index(old)
-        except ValueError:
-            index = self._edges.index((old[1], old[0]))
-        self._edges[index] = new
+        slot = self._slots.pop(old, None)
+        if slot is None:
+            slot = self._slots.pop((old[1], old[0]))
+        self._edges[slot] = new
+        self._slots[new] = slot
 
 
 def edge_swap_delta(a: Any, b: Any, c: Any, d: Any) -> Delta:

@@ -66,12 +66,17 @@ class MeasurementScore:
         return total
 
     def _on_change(self, old: Mapping, delta: Mapping) -> None:
+        undo = self._collector.undo.cells
+        if undo is not None:
+            # The distance is state a rejected step must get back exactly: the
+            # attribute is logged as a cell of the instance dict (see UndoLog).
+            undo.append((self.__dict__, "_distance", self._distance))
+        targets, weight = self._targets, self._collector.weight
         for record, old_weight in old.items():
-            target = self._targets.get(record)
+            target = targets.get(record)
             if target is None:
                 continue
-            new_weight = self._collector.weight(record)
-            self._distance += abs(new_weight - target) - abs(old_weight - target)
+            self._distance += abs(weight(record) - target) - abs(old_weight - target)
 
     @property
     def distance(self) -> float:

@@ -8,7 +8,7 @@
 2. the engine is initialised with a public *seed* graph (typically produced by
    :mod:`repro.inference.seed` so it already matches the DP degree sequence);
 3. an edge-swap random walk proposes degree-preserving changes, the engine
-   updates ``Q(synthetic)`` incrementally, and Metropolis–Hastings accepts or
+   updates ``Q(synthetic)`` incrementally, and Metropolis–Hastings commits or
    rolls back each proposal according to
    ``exp(−pow · Σ_i ε_i ‖Q_i(A) − m_i‖₁)``.
 
@@ -47,7 +47,11 @@ class GraphSynthesizer:
 
     * ``"dataflow"`` (default) — the incremental engine of Section 4.3:
       ``Q(A)`` stays materialised per operator and each step costs
-      O(changed intermediate data), all in dict-based Python.
+      O(changed intermediate data), all in dict-based Python.  A rejected
+      proposal is undone from the engine's undo log — the cells the push
+      overwrote are put back — instead of by a second propagation, so a step
+      is one propagation whether it is accepted or not.  The fastest backend
+      in both the accept-heavy and the reject-heavy regime.
     * ``"vectorized"`` — the full-pass columnar path of
       :mod:`repro.inference.columnar_scoring`: the synthetic edge set lives
       as an incrementally updated weight vector and each score re-runs the
@@ -57,8 +61,8 @@ class GraphSynthesizer:
       (:class:`~repro.inference.columnar_scoring
       .IncrementalColumnarScoreEngine`): Section 4.3 asymptotics with array
       kernels, per-measurement cached bin vectors, and fused batched proposal
-      evaluation (``run(..., proposal_batch=k)``).  The fastest backend on
-      non-tiny graphs.
+      evaluation (``run(..., proposal_batch=k)``).  A reject pushes the
+      negated delta, i.e. costs a second propagation.
 
     ``run(chains=N)`` hands the work to the parallel multi-chain driver
     (:mod:`repro.inference.parallel`) and adopts the best-scoring chain.

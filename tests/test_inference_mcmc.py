@@ -52,6 +52,18 @@ class TestPlainMetropolisHastings:
         assert [record.step for record in result.trajectory] == [25, 50, 75, 100]
         assert result.trajectory[-1].metrics["state"] == 100
 
+    def test_second_run_reports_its_own_accepts(self):
+        """``accepted`` is per call, like ``steps``: the rate stays a rate."""
+        sampler = MetropolisHastings(
+            0, lambda state, rng: state + 1, lambda state: float(state), rng=0
+        )
+        sampler.run(30)
+        second = sampler.run(20, record_every=20)
+        assert (second.steps, second.accepted) == (20, 20)
+        assert second.acceptance_rate == 1.0
+        assert sampler.accepted == 50
+        assert second.trajectory[-1].accepted_so_far == 50
+
     def test_result_properties(self):
         result = MCMCResult(steps=100, accepted=40, log_score=-1.0, elapsed_seconds=2.0)
         assert result.acceptance_rate == pytest.approx(0.4)
@@ -121,6 +133,35 @@ class TestIncrementalMetropolisHastings:
         result = sampler.run(10)
         assert result.steps == 10
         assert result.accepted == 0
+
+    @pytest.mark.parametrize("proposal_batch", [None, 4])
+    def test_second_run_reports_its_own_accepts(self, histogram_problem, proposal_batch):
+        """Regression: run() paired this call's steps with cumulative accepts,
+        so a second call could report an acceptance rate above 1."""
+        from repro.inference import BatchProposal
+
+        _, _, measurement = histogram_problem
+        engine = DataflowEngine.from_plans([measurement.plan])
+        engine.initialize({"histogram": WeightedDataset({"a": 0.0, "c": 100.0})})
+        tracker = ScoreTracker(engine, [measurement], pow_=5.0)
+        delta = {"histogram": {"c": -0.01, "a": 0.01}}  # always an improvement
+
+        def propose(rng):
+            return delta, (lambda: None), (lambda: None)
+
+        def propose_batch(rng, count):
+            return [BatchProposal(delta, lambda: None, lambda: None) for _ in range(count)]
+
+        sampler = IncrementalMetropolisHastings(
+            engine, tracker, propose, rng=1, propose_batch=propose_batch
+        )
+        first = sampler.run(40, proposal_batch=proposal_batch)
+        second = sampler.run(10, record_every=10, proposal_batch=proposal_batch)
+        assert (first.steps, first.accepted) == (40, 40)
+        assert (second.steps, second.accepted) == (10, 10)
+        assert second.acceptance_rate == 1.0
+        assert sampler.accepted == 50
+        assert second.trajectory[-1].accepted_so_far == 50
 
     def test_accept_callbacks_fire_only_on_acceptance(self, histogram_problem):
         _, _, measurement = histogram_problem

@@ -156,6 +156,33 @@ class TestEdgeSwapWalk:
         listed = {frozenset(edge) for edge in walk._edges}
         actual = {frozenset(edge) for edge in walk.graph.edges()}
         assert listed == actual
+        assert walk._slots == {edge: slot for slot, edge in enumerate(walk._edges)}
+
+    def test_slot_map_walks_the_same_chain_as_a_list_scan(self):
+        """The edge → slot map replaces ``list.index``; nothing else may move."""
+
+        class ScanningWalk(EdgeSwapWalk):
+            def _replace_edge(self, old, new):
+                try:
+                    index = self._edges.index(old)
+                except ValueError:
+                    index = self._edges.index((old[1], old[0]))
+                self._edges[index] = new
+
+        graph = erdos_renyi(20, 50, rng=8)
+        walks = [EdgeSwapWalk(graph.copy(), rng=9), ScanningWalk(graph.copy(), rng=9)]
+        proposals = []
+        for walk in walks:
+            generate = walk.proposal_for_engine("edges")
+            seen = []
+            for _ in range(300):
+                proposal = generate(None)
+                seen.append(None if proposal is None else proposal[0])
+                if proposal is not None:
+                    proposal[1]()  # on_accept
+            proposals.append(seen)
+        assert proposals[0] == proposals[1]
+        assert walks[0]._edges == walks[1]._edges
 
     def test_rejection_leaves_graph_untouched(self):
         graph = erdos_renyi(15, 35, rng=6)

@@ -4,9 +4,9 @@ The vectorized backend exists for exactly one reason: chains of stable
 transformations dominated by the ``length_two_paths`` self-join (Sections 2.7
 and 3.3) spend their time in per-record Python on the eager evaluator.  This
 benchmark generates an Erdős–Rényi graph of at least 10k edges, takes the
-wedge-centre and Triangles-by-Intersect measurements on the eager and
-vectorized backends, and asserts the vectorized backend is at least 3× faster
-— the acceptance bar for the columnar subsystem.  A structural agreement
+wedge-centre, Triangles-by-Intersect and Triangles-by-Degree measurements on
+the eager and vectorized backends, and asserts the vectorized backend is at
+least 3× faster — the acceptance bar for the columnar subsystem.  A structural agreement
 check (identical released records under the shared seed, weights within
 tolerance) guards against "fast because wrong".
 

@@ -8,16 +8,19 @@ wPINQ query below produces each directed pair ``(d_a, d_b)`` with weight
 proportional to ``2 + 2·d_a + 2·d_b`` after rescaling — the automatic (if
 constant-factor worse) counterpart of the bespoke analysis, with the privacy
 proof for free.
+
+The intermediate record is the flat ``(a, b, d_a)``; an edge meets its reverse
+through the composite keys ``Permute(0, 1)`` / ``Permute(1, 0)``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..columnar.specs import Field
+from ..columnar.specs import Field, JoinFields, Permute
 from ..core.aggregation import NoisyCountResult
 from ..core.queryable import Queryable
-from .common import shared_query, node_degrees, reverse_edge
+from .common import shared_query, node_degrees
 
 __all__ = [
     "joint_degree_query",
@@ -27,37 +30,16 @@ __all__ = [
 ]
 
 
-# Record functions for the nested ``((a, b), d_a)`` records below; module
-# level (never lambdas) so the JDD plan stays portable to shard workers.
-def _attach_edge_degree(record, edge):
-    """``((a, b), d_a)`` — pair a directed edge with its source's degree."""
-    return (edge, record[1])
-
-
-def _edge_of(record):
-    """The edge component of a ``(edge, degree)`` record."""
-    return record[0]
-
-
-def _reversed_edge_of(record):
-    """The reversed edge component — matches ``(a, b)`` with ``(b, a)``."""
-    return reverse_edge(record[0])
-
-
-def _degree_pair(left, right):
-    """``(d_a, d_b)`` from the two matched ``(edge, degree)`` records."""
-    return (left[1], right[1])
-
-
 @shared_query
 def joint_degree_query(edges: Queryable) -> Queryable:
     """The JDD as a wPINQ query over the symmetric directed edge set.
 
-    Pipeline (Section 3.2)::
+    Pipeline (Section 3.2); the degree rides as a third field of the flat
+    edge record, so every step is a structural spec::
 
         degs = edges.GroupBy(src, count)                  # (a, d_a) @ 0.5
-        temp = degs.Join(edges, a, src)                   # ((a, b), d_a)
-        jdd  = temp.Join(temp, edge, reversed edge)       # (d_a, d_b)
+        temp = degs.Join(edges, a, src)                   # (a, b, d_a)
+        jdd  = temp.Join(temp, (a, b), (b, a))            # (d_a, d_b)
 
     Every directed edge ``(a, b)`` contributes the record ``(d_a, d_b)`` with
     weight ``1/(2 + 2·d_a + 2·d_b)``.  The query uses the edge dataset four
@@ -68,13 +50,13 @@ def joint_degree_query(edges: Queryable) -> Queryable:
         edges,
         left_key=Field(0),
         right_key=Field(0),
-        result_selector=_attach_edge_degree,
+        result_selector=JoinFields(("r", 0), ("r", 1), ("l", 1)),
     )
     return edge_with_degree.join(
         edge_with_degree,
-        left_key=_edge_of,
-        right_key=_reversed_edge_of,
-        result_selector=_degree_pair,
+        left_key=Permute(0, 1),
+        right_key=Permute(1, 0),
+        result_selector=JoinFields(("l", 2), ("r", 2)),
     )
 
 

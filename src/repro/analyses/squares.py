@@ -10,19 +10,23 @@ weight ``8 ×`` equation (6)::
     4 / (d_a²(d_d−1) + d_d²(d_a−1) + d_b²(d_c−1) + d_c²(d_b−1))
 
 The query uses the symmetric edge dataset 12 times.
+
+Intermediate records are flat tuples with the degrees as trailing fields —
+``(a, b, c, d_b)``, then ``(a, b, c, d, d_b, d_c)`` — and every step but the
+final sort is a structural spec from :mod:`repro.columnar.specs`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..columnar.specs import Field
+from ..columnar.specs import Field, FieldsDiffer, JoinFields, Permute
 from ..core.aggregation import NoisyCountResult
 from ..core.laplace import LaplaceNoise, validate_epsilon
 from ..core.queryable import Queryable
 from ..graph.graph import Graph
 from ..graph.statistics import squares_by_degree as exact_squares_by_degree
-from .common import shared_query, length_two_paths, node_degrees, rotate, sorted_degrees
+from .common import shared_query, length_two_paths, node_degrees, sorted_degrees
 
 __all__ = [
     "squares_by_degree_query",
@@ -37,90 +41,48 @@ __all__ = [
 SBD_EDGE_USES = 12
 
 
-# Record functions for the nested ``(path, degree...)`` records below; module
-# level (never lambdas) so the SbD plan stays portable to shard workers.
-def _attach_middle_degree(path, record):
-    """``((a, b, c), d_b)`` — pair a path with its middle vertex's degree."""
-    return (path, record[1])
-
-
-def _shared_edge_left(record):
-    """The trailing edge ``(b, c)`` of the left path — the join key."""
-    return (record[0][1], record[0][2])
-
-
-def _shared_edge_right(record):
-    """The leading edge ``(b, c)`` of the right path — the join key."""
-    return (record[0][0], record[0][1])
-
-
-def _extend_path(left, right):
-    """``((a, b, c, d), d_b, d_c)`` from the two overlapping 2-paths."""
-    return (
-        (left[0][0], left[0][1], left[0][2], right[0][2]),
-        left[1],
-        right[1],
-    )
-
-
-def _endpoints_differ(record):
-    """Drop degenerate 3-paths whose endpoints coincide (``a == d``)."""
-    return record[0][0] != record[0][3]
-
-
-def _rotate_path_twice(record):
-    """``((c, d, a, b), d_b, d_c)`` — double rotation of the path component."""
-    return (rotate(rotate(record[0])), record[1], record[2])
-
-
-def _path_of(record):
-    """The path component of a ``(path, ...)`` record (the join key)."""
-    return record[0]
-
-
-def _collect_corner_degrees(left, right):
-    """All four corner degrees ``(d_d, d_b, d_c, d_a)`` for a closed 4-cycle."""
-    return (right[1], left[1], left[2], right[2])
-
-
 @shared_query
 def squares_by_degree_query(edges: Queryable) -> Queryable:
     """The SbD query: sorted degree quadruples of every 4-cycle.
 
-    Pipeline (Section 3.4)::
+    Pipeline (Section 3.4); degree labels ride as extra fields of flat
+    records, so every step but the last is a structural spec::
 
-        abc  = (paths ⋈ degs)                          # ((a,b,c), d_b)
-        abcd = abc ⋈ abc  on (b,c)=(a,b), drop a==d    # ((a,b,c,d), d_b, d_c)
-        cdab = abcd rotated twice                      # ((c,d,a,b), d_b, d_c)
-        sq   = abcd ⋈ cdab on the path                 # all four degrees
+        abc  = (paths ⋈ degs)                          # (a, b, c, d_b)
+        abcd = abc ⋈ abc  on (b,c)=(a,b), drop a==d    # (a, b, c, d, d_b, d_c)
+        cdab = abcd with the path rotated twice        # (c, d, a, b, d_b, d_c)
+        sq   = abcd ⋈ cdab on the path                 # (d_d, d_b, d_c, d_a)
         out  = sq.Select(sorted degrees)
     """
     paths = length_two_paths(edges)
     degrees = node_degrees(edges)
+    path = Permute(0, 1, 2, 3)
 
     path_with_middle_degree = paths.join(
         degrees,
         left_key=Field(1),
         right_key=Field(0),
-        result_selector=_attach_middle_degree,
+        result_selector=JoinFields(("l", 0), ("l", 1), ("l", 2), ("r", 1)),
     )
 
     # Join length-two paths (a,b,c) and (b,c,d) on their shared edge (b,c),
     # carrying the middle degrees d_b (from the left) and d_c (from the right).
     length_three = path_with_middle_degree.join(
         path_with_middle_degree,
-        left_key=_shared_edge_left,
-        right_key=_shared_edge_right,
-        result_selector=_extend_path,
-    ).where(_endpoints_differ)
+        left_key=Permute(1, 2),
+        right_key=Permute(0, 1),
+        result_selector=JoinFields(
+            ("l", 0), ("l", 1), ("l", 2), ("r", 2), ("l", 3), ("r", 3)
+        ),
+    ).where(FieldsDiffer(0, 3))
 
-    rotated_twice = length_three.select(_rotate_path_twice)
+    rotated_twice = length_three.select(Permute(2, 3, 0, 1, 4, 5))
 
     squares = length_three.join(
         rotated_twice,
-        left_key=_path_of,
-        right_key=_path_of,
-        result_selector=_collect_corner_degrees,
+        left_key=path,
+        right_key=path,
+        result_selector=JoinFields(("r", 4), ("l", 4), ("l", 5), ("r", 5)),
     )
     return squares.select(sorted_degrees)
 

@@ -17,6 +17,11 @@ Two very different wPINQ queries about the same structure:
 
 Both queries expect the protected dataset to be the *symmetric directed* edge
 set produced by :func:`repro.analyses.common.protect_graph`.
+
+TbD's intermediate records are flat tuples with the degrees as trailing
+fields — ``(a, b, c, d_b)``, then ``(a, b, c, d_b, d_a)`` — so its rotations,
+join keys and selectors are all structural specs
+(:mod:`repro.columnar.specs`), as TbI's already were.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ from typing import Any
 
 import numpy as np
 
-from ..columnar.specs import Constant, Field, Permute
+from ..columnar.specs import Constant, Field, JoinFields, Permute
 from ..core.aggregation import NoisyCountResult
 from ..core.laplace import LaplaceNoise, validate_epsilon
 from ..core.queryable import Queryable
 from ..graph.graph import Graph
 from ..graph.statistics import triangles_by_degree as exact_triangles_by_degree
-from .common import shared_query, length_two_paths, node_degrees, rotate, sorted_degrees
+from .common import shared_query, length_two_paths, node_degrees, sorted_degrees
 
 __all__ = [
     "triangles_by_degree_query",
@@ -56,46 +61,19 @@ TBI_EDGE_USES = 4
 # ----------------------------------------------------------------------
 # Triangles by Degree (TbD)
 # ----------------------------------------------------------------------
-# Record functions for the nested ``(path, degree...)`` records below.
-# Module-level (never lambdas) so TbD plans stay portable to shard workers
-# (R005); the flat-record steps use structural specs instead.
-def _attach_middle_degree(path, record):
-    """``((a, b, c), d_b)`` — pair a path with its middle vertex's degree."""
-    return (path, record[1])
-
-
-def _rotate_keyed_path(record):
-    """Rotate the path component, carrying the attached degree along."""
-    return (rotate(record[0]), record[1])
-
-
-def _path_of(record):
-    """The path component of a ``(path, ...)`` record (the join key)."""
-    return record[0]
-
-
-def _merge_first_degree(left, right):
-    """``(path, d_b, d_a)`` from ``(path, d_b)`` and the rotated ``(path, d_a)``."""
-    return (left[0], left[1], right[1])
-
-
-def _collect_corner_degrees(left, right):
-    """All three corner degrees ``(d_c, d_b, d_a)`` for a closed path."""
-    return (right[1], left[1], left[2])
-
-
 @shared_query
 def triangles_by_degree_query(edges: Queryable, bucket: int = 1) -> Queryable:
     """The TbD query: sorted degree triples weighted per equation (4).
 
-    Pipeline (Section 3.3)::
+    Pipeline (Section 3.3); degree labels ride as extra fields of flat
+    records, so every step but the last is a structural spec::
 
         paths = edges ⋈ edges  (length-two paths, minus 2-cycles)
         degs  = edges.GroupBy(src, count [/ bucket])
-        abc   = paths ⋈ degs                  # ((a,b,c), d_b)   @ 1/(2 d_b²)
-        bca   = abc.Select(rotate)            # degree of first vertex
-        cab   = bca.Select(rotate)            # degree of third vertex
-        tris  = abc ⋈ bca ⋈ cab  (on the path)  # all three degrees
+        abc   = paths ⋈ degs                  # (a, b, c, d_b)   @ 1/(2 d_b²)
+        bca   = abc.Select(rotate path)       # (b, c, a, d_b): first vertex's
+        cab   = bca.Select(rotate path)       # (c, a, b, d_b): third vertex's
+        tris  = abc ⋈ bca ⋈ cab  (on the path)  # (d_c, d_b, d_a)
         out   = tris.Select(sorted degrees)
 
     Each triangle contributes weight ``1/(2(d_a²+d_b²+d_c²))`` six times (once
@@ -105,27 +83,29 @@ def triangles_by_degree_query(edges: Queryable, bucket: int = 1) -> Queryable:
     """
     paths = length_two_paths(edges)
     degrees = node_degrees(edges, bucket=bucket)
+    path = Permute(0, 1, 2)
+    rotate_path = Permute(1, 2, 0, 3)
 
     path_with_middle_degree = paths.join(
         degrees,
         left_key=Field(1),
         right_key=Field(0),
-        result_selector=_attach_middle_degree,
+        result_selector=JoinFields(("l", 0), ("l", 1), ("l", 2), ("r", 1)),
     )
-    rotated_once = path_with_middle_degree.select(_rotate_keyed_path)
-    rotated_twice = rotated_once.select(_rotate_keyed_path)
+    rotated_once = path_with_middle_degree.select(rotate_path)
+    rotated_twice = rotated_once.select(rotate_path)
 
     first_join = path_with_middle_degree.join(
         rotated_once,
-        left_key=_path_of,
-        right_key=_path_of,
-        result_selector=_merge_first_degree,
+        left_key=path,
+        right_key=path,
+        result_selector=JoinFields(("l", 0), ("l", 1), ("l", 2), ("l", 3), ("r", 3)),
     )
     all_degrees = first_join.join(
         rotated_twice,
-        left_key=_path_of,
-        right_key=_path_of,
-        result_selector=_collect_corner_degrees,
+        left_key=path,
+        right_key=path,
+        result_selector=JoinFields(("r", 3), ("l", 3), ("l", 4)),
     )
     return all_degrees.select(sorted_degrees)
 

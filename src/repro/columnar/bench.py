@@ -1,11 +1,14 @@
 """Backend comparison harness: eager vs dataflow vs vectorized.
 
 One function, :func:`backend_comparison`, drives the same join-heavy
-measurement batch — the wedge-centre histogram and Triangles-by-Intersect,
-both built on the ``length_two_paths`` self-join — through any subset of the
-execution backends over one generated graph, and reports wall-clock seconds
-plus speedups relative to the eager baseline.  It backs both the
-``repro bench`` CLI subcommand (which writes ``BENCH_columnar.json``) and the
+measurement batch — the wedge-centre histogram, Triangles-by-Intersect and
+Triangles-by-Degree, all built on the ``length_two_paths`` self-join —
+through any subset of the execution backends over one generated graph, and
+reports wall-clock seconds plus speedups relative to the eager baseline.
+TbD is in the batch because its path-keyed joins are where a query most
+easily drops to the per-record kernel paths, which then shows in the ratio.
+It backs both the ``repro bench`` CLI subcommand (which writes
+``BENCH_columnar.json``) and the
 ``benchmarks/bench_columnar.py`` regression benchmark (which asserts the
 vectorized backend's ≥3× speedup on ≥10k-edge graphs).
 
@@ -23,6 +26,7 @@ from typing import Sequence
 from ..analyses import (
     length_two_paths,
     protect_graph,
+    triangles_by_degree_query,
     triangles_by_intersect_query,
 )
 from ..core.queryable import PrivacySession
@@ -47,6 +51,7 @@ def _measure_once(backend: str, graph, seed: int) -> tuple[float, int]:
     requests = [
         (paths.select(Field(1)), 0.1, "wedge_centers"),
         (triangles_by_intersect_query(edges), 0.1, "tbi"),
+        (triangles_by_degree_query(edges), 0.1, "tbd"),
     ]
     started = time.perf_counter()
     results = session.measure(*requests)
@@ -75,7 +80,10 @@ def backend_comparison(
     nodes = max(4, edges // 2)
     graph = erdos_renyi(nodes, edges, rng=seed)
     report: dict = {
-        "workload": "length_two_paths -> wedge_centers + triangles_by_intersect",
+        "workload": (
+            "length_two_paths -> wedge_centers + triangles_by_intersect "
+            "+ triangles_by_degree"
+        ),
         "edges": edges,
         "nodes": nodes,
         "rounds": rounds,

@@ -62,8 +62,8 @@ def row_groups(
     ``order`` is the lexsort permutation, ``group_index[i]`` numbers the
     group of sorted row ``i`` and ``representatives`` holds the sorted-row
     position of each group's first row.  This is the one row-merge primitive
-    shared by :func:`consolidate` and the binary kernels, so both agree on
-    row ordering by construction.
+    shared by :func:`consolidate`, the binary kernels and the composite join
+    key, so all agree on row ordering by construction.
     """
     count = columns[0].shape[0]
     order = np.lexsort(tuple(columns)[::-1])
@@ -283,9 +283,16 @@ class ColumnarDataset:
         )
 
     def to_weighted(self) -> WeightedDataset:
-        """Decode back into a dictionary-backed :class:`WeightedDataset`."""
-        return WeightedDataset(
-            zip(self.records(), self.weights.tolist()), tolerance=self.tolerance
+        """Decode back into a dictionary-backed :class:`WeightedDataset`.
+
+        The class invariants (unique rows, ``|w| > tolerance``) are the ones
+        ``WeightedDataset`` would re-establish record by record, so the rows
+        are adopted as they are; only finiteness is checked here.
+        """
+        if not np.isfinite(self.weights).all():
+            raise ValueError("dataset weights must be finite floats")
+        return WeightedDataset._from_unique(
+            self.records(), self.weights.tolist(), self.tolerance
         )
 
     def __repr__(self) -> str:

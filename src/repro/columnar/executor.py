@@ -44,12 +44,72 @@ from ..core.plan import (
 from ..exceptions import PlanError
 from . import kernels
 from .dataset import ColumnarDataset
+from .specs import (
+    Constant,
+    ExplodeFields,
+    Field,
+    FieldIs,
+    FieldsDiffer,
+    GroupSize,
+    JoinFields,
+    Permute,
+)
 
-__all__ = ["VectorizedExecutor", "AutoExecutor", "DEFAULT_AUTO_THRESHOLD"]
+__all__ = [
+    "VectorizedExecutor",
+    "AutoExecutor",
+    "DEFAULT_AUTO_THRESHOLD",
+    "runs_per_record",
+]
 
 #: Total source support (rows) above which ``"auto"`` picks the vectorized
 #: backend.  Overridable per-executor and via ``REPRO_AUTO_THRESHOLD``.
 DEFAULT_AUTO_THRESHOLD = 2048
+
+
+#: Plan type -> for each of its callables, the spec types its kernel runs as
+#: array work.  A type that is absent has no kernel (a partition part runs its
+#: eager rule, closure and all).
+_ARRAY_SPECS: dict[type, dict[str, tuple[type, ...]]] = {
+    SourcePlan: {},
+    SelectPlan: {"mapper": (Permute, Field, Constant)},
+    WherePlan: {"predicate": (FieldsDiffer, FieldIs)},
+    SelectManyPlan: {"mapper": (ExplodeFields,)},
+    GroupByPlan: {"key": (Field,), "reducer": (GroupSize,)},
+    ShavePlan: {"slice_weights": (int, float)},
+    DistinctPlan: {},
+    DownScalePlan: {},
+    JoinPlan: {
+        "left_key": (Field, Permute),
+        "right_key": (Field, Permute),
+        "result_selector": (JoinFields,),
+    },
+    UnionPlan: {},
+    IntersectPlan: {},
+    ConcatPlan: {},
+    ExceptPlan: {},
+}
+
+
+def runs_per_record(plan: Plan) -> bool:
+    """Whether the kernel for ``plan`` calls Python once per record.
+
+    Judged from the node's callables alone, which is all ``explain`` has: a
+    recognised spec takes its kernel's array path on the decomposed datasets
+    the analyses produce, anything else (a plain function, a closure, a join
+    key facing a key of another shape) is called record by record.
+    """
+    accepted = _ARRAY_SPECS.get(type(plan))
+    if accepted is None or not all(
+        isinstance(getattr(plan, name), types) for name, types in accepted.items()
+    ):
+        return True
+    if isinstance(plan, JoinPlan):
+        left, right = plan.left_key, plan.right_key
+        if type(left) is not type(right):
+            return True
+        return isinstance(left, Permute) and len(left.indices) != len(right.indices)
+    return False
 
 
 class _EagerBoundary:

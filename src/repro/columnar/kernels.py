@@ -11,8 +11,9 @@ record function:
 
 * a **fast path** used when the function is a recognised
   :mod:`~repro.columnar.specs` spec and the dataset is decomposed into field
-  columns — pure array work (``np.lexsort`` merges, ``np.bincount`` group
-  sums, fancy-indexed joins), no per-record Python;
+  columns — pure array work (``row_groups`` merges, ``np.bincount`` group
+  sums, fancy-indexed joins keyed on one field or on several at once), no
+  per-record Python;
 * a **generic path** that materialises the record objects once and calls the
   user function per record (or per joined pair), matching what the eager
   backend would do while still vectorizing the weight arithmetic and the
@@ -40,6 +41,7 @@ from .specs import (
     Field,
     FieldIs,
     FieldsDiffer,
+    GroupSize,
     JoinFields,
     Permute,
 )
@@ -246,11 +248,22 @@ def group_by(
 ) -> ColumnarDataset:
     """Keyed grouping via the weighted-prefix construction (see ``xf.group_by``).
 
-    The prefix emission is inherently record-level (it calls the reducer per
-    prefix and orders ties by ``repr``), so this kernel partitions in Python
-    and reuses ``xf.group_prefixes`` verbatim for exact eager agreement; only
-    the final collision accumulation is vectorized.
+    A ``Field`` key with a ``GroupSize`` reducer — the ``(vertex, degree)``
+    dataset every subgraph query starts from — is array work
+    (:func:`_group_sizes`).  In general the prefix emission is record-level
+    (it calls the reducer per prefix and orders ties by ``repr``), so any
+    other key or reducer partitions in Python and reuses
+    ``xf.group_prefixes`` verbatim for exact eager agreement; only the final
+    collision accumulation is vectorized.
     """
+    if (
+        isinstance(key, Field)
+        and isinstance(reducer, GroupSize)
+        and dataset.decomposed
+        and key.index < dataset.arity
+        and not dataset.is_empty()
+    ):
+        return _group_sizes(dataset, dataset.columns[key.index], reducer.bucket)
     parts: dict[Any, dict[Any, float]] = {}
     for record, weight in zip(dataset.records(), dataset.weights.tolist()):
         parts.setdefault(key(record), {})[record] = weight
@@ -261,6 +274,39 @@ def group_by(
             out_records.append((part_key, reducer(list(members))))
             out_weights.append(weight)
     return ColumnarDataset.from_pairs(out_records, out_weights, dataset.tolerance)
+
+
+def _group_sizes(
+    dataset: ColumnarDataset, key_codes: np.ndarray, bucket: int
+) -> ColumnarDataset:
+    """``(key, prefix size // bucket)`` records of a size-reduced GroupBy.
+
+    Rows are sorted by key and then by non-increasing weight; row ``j`` of a
+    key's run closes the prefix of its ``j + 1`` heaviest records, emitted at
+    ``(w_j − w_{j+1}) / 2`` unless that is zero.  The reducer sees only the
+    prefix length, which equal weights cannot change, so the ``repr``
+    tie-break of ``xf.group_prefixes`` is not needed.
+    """
+    order = np.lexsort((-dataset.weights, key_codes))
+    keys = key_codes[order]
+    weights = dataset.weights[order]
+    count = keys.shape[0]
+    starts = np.ones(count, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    following = np.append(np.where(starts[1:], 0.0, weights[1:]), 0.0)
+    prefix_weights = (weights - following) / 2.0
+    sizes = np.arange(count) - np.flatnonzero(starts)[np.cumsum(starts) - 1] + 1
+    if bucket > 1:
+        sizes //= bucket
+    emitted = prefix_weights != 0.0
+    distinct_sizes, size_index = np.unique(sizes[emitted], return_inverse=True)
+    size_codes = global_interner().codes(distinct_sizes.tolist())
+    return ColumnarDataset(
+        (keys[emitted], size_codes[size_index]),
+        prefix_weights[emitted],
+        2,
+        dataset.tolerance,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -329,8 +375,19 @@ def shave(dataset: ColumnarDataset, slice_weights: Any = 1.0) -> ColumnarDataset
 # ----------------------------------------------------------------------
 # Join
 # ----------------------------------------------------------------------
-def _key_codes(dataset: ColumnarDataset, key: Callable[[Any], Any]) -> np.ndarray:
-    """Per-row join-key codes — a column pick for ``Field`` keys."""
+def _key_columns(
+    dataset: ColumnarDataset, key: Callable[[Any], Any]
+) -> tuple[np.ndarray, ...] | None:
+    """The field columns a ``Permute`` key reads, or ``None`` for other keys."""
+    if dataset.decomposed and isinstance(key, Permute):
+        if all(index < dataset.arity for index in key.indices):
+            return tuple(dataset.columns[index] for index in key.indices)
+    return None
+
+
+def _side_key_codes(dataset: ColumnarDataset, key: Callable[[Any], Any]) -> np.ndarray:
+    """One side's join-key codes in interner code space — a column pick for
+    ``Field`` keys, the key called per record and interned otherwise."""
     if (
         isinstance(key, Field)
         and dataset.decomposed
@@ -338,6 +395,37 @@ def _key_codes(dataset: ColumnarDataset, key: Callable[[Any], Any]) -> np.ndarra
     ):
         return dataset.columns[key.index]
     return global_interner().codes([key(record) for record in dataset.records()])
+
+
+def _key_codes(
+    left: ColumnarDataset,
+    right: ColumnarDataset,
+    left_key: Callable[[Any], Any],
+    right_key: Callable[[Any], Any],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row join-key codes of both sides, equal exactly when the keys are.
+
+    A *composite* key — ``Permute`` specs of one width on both sides —
+    numbers the distinct key rows of the two sides together with
+    :func:`row_groups`, never building a key tuple.  Those group numbers mean
+    nothing outside this call, so a ``Permute`` facing any other key is
+    called per record like a plain function and both sides stay in interner
+    code space.
+    """
+    left_columns = _key_columns(left, left_key)
+    right_columns = _key_columns(right, right_key)
+    if (
+        left_columns is not None
+        and right_columns is not None
+        and len(left_columns) == len(right_columns)
+    ):
+        order, _, group, _ = row_groups(
+            [np.concatenate(pair) for pair in zip(left_columns, right_columns)]
+        )
+        codes = np.empty_like(group)
+        codes[order] = group
+        return codes[: len(left)], codes[len(left) :]
+    return _side_key_codes(left, left_key), _side_key_codes(right, right_key)
 
 
 def join(
@@ -359,8 +447,7 @@ def join(
     tolerance = left.tolerance
     if left.is_empty() or right.is_empty():
         return ColumnarDataset.empty(tolerance)
-    left_codes = _key_codes(left, left_key)
-    right_codes = _key_codes(right, right_key)
+    left_codes, right_codes = _key_codes(left, right, left_key, right_key)
     left_order = np.argsort(left_codes, kind="stable")
     right_order = np.argsort(right_codes, kind="stable")
     left_keys, left_starts, left_counts = np.unique(

@@ -21,7 +21,8 @@ between the plan layer and the kernels, not kernels themselves.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "ColumnarSpec",
@@ -37,25 +38,65 @@ __all__ = [
 
 
 class ColumnarSpec:
-    """Marker base class for callables the vectorized kernels understand."""
+    """Marker base class for callables the vectorized kernels understand.
+
+    A spec is a value: ``repr``, equality and hashing read its public slots.
+    ``Permute`` and ``JoinFields`` also declare ``__call__`` as a slot and
+    store a getter compiled from their value there in ``__init__``: the type
+    finds the slot descriptor, the descriptor hands back the instance's
+    getter, and a per-record call by the eager or dataflow backend runs it
+    with no Python frame in between.  They pickle as their constructor call
+    (``__reduce__``), so the wire form holds the value only.
+    """
 
     __slots__ = ()
 
+    def _items(self) -> list[tuple[str, Any]]:
+        return [
+            (name, getattr(self, name)) for name in self.__slots__ if name[0] != "_"
+        ]
+
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._items())
         return f"{type(self).__name__}({fields})"
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and all(
-            getattr(other, name) == getattr(self, name) for name in self.__slots__
-        )
+        return type(other) is type(self) and other._items() == self._items()
 
     def __hash__(self) -> int:
-        return hash(
-            (type(self),) + tuple(getattr(self, name) for name in self.__slots__)
-        )
+        return hash((type(self), *self._items()))
+
+
+def _tuple_getter(indices: tuple[int, ...]) -> Callable[[Any], tuple]:
+    """``record -> tuple(record[i] for i in indices)``, compiled once.
+
+    ``Permute`` and ``JoinFields`` are called per record by the eager and
+    dataflow backends; ``operator.itemgetter`` moves the loop over the
+    indices out of every call.  (It returns a bare field, not a tuple, for a
+    single index, hence the two small cases.)
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (index,) = indices
+        return lambda record: (record[index],)
+    return lambda record: ()
+
+
+def _pair_getter(picks: tuple[tuple[str, int], ...]) -> Callable[[Any, Any], tuple]:
+    """``(left, right) -> tuple of the picked fields``, compiled once.
+
+    Each side's fields are picked in one go and concatenated; only picks
+    that interleave the sides pay a third getter to put them in order.
+    """
+    pick_left = _tuple_getter(tuple(i for side, i in picks if side == "l"))
+    pick_right = _tuple_getter(tuple(i for side, i in picks if side == "r"))
+    # Output positions in the order ``left fields + right fields`` holds them.
+    seated = sorted(range(len(picks)), key=lambda position: picks[position][0])
+    if seated == list(range(len(picks))):
+        return lambda a, b: pick_left(a) + pick_right(b)
+    reorder = _tuple_getter(tuple(seated.index(k) for k in range(len(picks))))
+    return lambda a, b: reorder(pick_left(a) + pick_right(b))
 
 
 class Field(ColumnarSpec):
@@ -77,15 +118,16 @@ class Permute(ColumnarSpec):
     length-two path, ``Permute(0, 2)`` projects a path onto its endpoints.
     """
 
-    __slots__ = ("indices",)
+    __slots__ = ("indices", "__call__")
 
     def __init__(self, *indices: int) -> None:
         if not indices:
             raise ValueError("Permute requires at least one field index")
         self.indices = tuple(int(index) for index in indices)
+        self.__call__ = _tuple_getter(self.indices)
 
-    def __call__(self, record: Any) -> tuple:
-        return tuple(record[index] for index in self.indices)
+    def __reduce__(self) -> tuple:
+        return (Permute, self.indices)
 
     def is_permutation_of(self, arity: int) -> bool:
         """True when the pick is a bijection on ``arity``-tuples."""
@@ -113,7 +155,7 @@ class JoinFields(ColumnarSpec):
     ``JoinFields(("l", 0), ("l", 1), ("r", 1))``.
     """
 
-    __slots__ = ("picks",)
+    __slots__ = ("picks", "__call__")
 
     def __init__(self, *picks: tuple[str, int]) -> None:
         if not picks:
@@ -124,11 +166,10 @@ class JoinFields(ColumnarSpec):
                 raise ValueError(f"pick side must be 'l' or 'r', got {side!r}")
             normalised.append((side, int(index)))
         self.picks = tuple(normalised)
+        self.__call__ = _pair_getter(self.picks)
 
-    def __call__(self, left: Any, right: Any) -> tuple:
-        return tuple(
-            (left if side == "l" else right)[index] for side, index in self.picks
-        )
+    def __reduce__(self) -> tuple:
+        return (JoinFields, self.picks)
 
 
 class FieldsDiffer(ColumnarSpec):

@@ -113,6 +113,24 @@ class WeightedDataset:
         """Return the empty dataset (all weights zero)."""
         return cls(tolerance=tolerance)
 
+    @classmethod
+    def _from_unique(
+        cls, records: list, weights: list[float], tolerance: float
+    ) -> "WeightedDataset":
+        """Adopt aligned rows the caller guarantees already meet the invariants.
+
+        For ``ColumnarDataset.to_weighted`` only, whose rows are distinct
+        records with finite float weights of magnitude above ``tolerance``:
+        the per-row accumulate/validate/filter passes of ``__init__`` would
+        change nothing, so they are skipped.  Insertion order and the norm's
+        summation order are those of ``__init__``.
+        """
+        dataset = cls.__new__(cls)
+        dataset._tolerance = float(tolerance)
+        dataset._weights = dict(zip(records, weights))
+        dataset._norm = sum(abs(weight) for weight in weights)
+        return dataset
+
     # ------------------------------------------------------------------
     # Mapping-style access
     # ------------------------------------------------------------------

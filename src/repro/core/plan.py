@@ -324,7 +324,10 @@ def explain_plan(
 
     ``backend`` (``"eager"``, ``"dataflow"`` or ``"vectorized"``) annotates
     every node with the execution backend that will evaluate it, making the
-    ``"auto"`` executor's routing decisions inspectable.
+    ``"auto"`` executor's routing decisions inspectable.  On ``"vectorized"``
+    a node whose callables are not all structural specs is marked
+    ``(per-record)``: its kernel calls Python once per record instead of
+    running on the field columns.
 
     ``verify=True`` runs the static plan checker of :mod:`repro.lint.plans`:
     every node is annotated with its derived per-source stability bound, and
@@ -335,6 +338,10 @@ def explain_plan(
     if not isinstance(plan, Plan):
         raise PlanError(f"explain_plan expects a Plan, got {type(plan).__name__}")
     suffix = f" @{backend}" if backend else ""
+    per_record = None
+    if backend == "vectorized":
+        # Imported lazily: repro.columnar imports this module.
+        from ..columnar.executor import runs_per_record as per_record
 
     report = None
     if verify:
@@ -370,7 +377,8 @@ def explain_plan(
         bound = ""
         if report is not None:
             bound = f"  [stability: {format_bounds(report.node_bounds[node_id])}]"
-        lines.append(f"{pad}{node._label()}{suffix}{tag}{bound}")
+        slow = " (per-record)" if per_record is not None and per_record(node) else ""
+        lines.append(f"{pad}{node._label()}{suffix}{slow}{tag}{bound}")
         for child in node.children:
             render(child, depth + 1)
 

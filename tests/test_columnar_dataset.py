@@ -146,3 +146,25 @@ class TestColumnarDataset:
         opaque = ColumnarDataset.from_weighted(WeightedDataset({"a": 2.0}))
         assert opaque.weights_for(["a", "b"]).tolist() == pytest.approx([2.0, 0.0])
         assert ColumnarDataset.empty().weights_for(["a"]).tolist() == [0.0]
+
+    def test_to_weighted_adopts_rows_exactly_as_the_validating_constructor(self):
+        """Same insertion order, same norm, same values as ``WeightedDataset(...)``."""
+        records = [(i % 7, i) for i in range(200)]
+        weights = [0.1 * (i % 13) - 0.3 for i in range(200)]  # some zeros, some < 0
+        columnar = ColumnarDataset.from_pairs(records, weights)
+        adopted = columnar.to_weighted()
+        validated = WeightedDataset(
+            zip(columnar.records(), columnar.weights.tolist()), tolerance=columnar.tolerance
+        )
+        assert list(adopted.items()) == list(validated.items())
+        assert adopted.total_weight() == validated.total_weight()
+        assert adopted.tolerance == validated.tolerance
+
+    def test_to_weighted_still_rejects_non_finite_weights(self):
+        import numpy as np
+
+        broken = ColumnarDataset(
+            (np.array([0, 1]),), np.array([1.0, np.inf]), None, assume_unique=True
+        )
+        with pytest.raises(ValueError, match="finite"):
+            broken.to_weighted()

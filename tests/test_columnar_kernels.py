@@ -12,6 +12,7 @@ from repro.columnar import (
     Field,
     FieldIs,
     FieldsDiffer,
+    GroupSize,
     JoinFields,
     Permute,
     kernels,
@@ -115,6 +116,31 @@ class TestUnaryKernels:
             kernels.group_by(encode(data), lambda r: r[0]),
             xf.group_by(data, lambda r: r[0]),
         )
+
+    @pytest.mark.parametrize("bucket", [1, 2, 3])
+    def test_group_sizes_array_path_matches_eager(self, bucket):
+        """``Field`` key + ``GroupSize``: unequal, tied and negative weights."""
+        data = WeightedDataset(
+            {
+                ("a", 1): 3.0, ("a", 2): 1.0, ("a", 3): 1.0, ("a", 4): 0.25,
+                ("b", 9): 2.0, ("b", 8): 2.0,
+                ("c", 5): 0.1 + 0.2, ("c", 6): 0.7, ("c", 7): -0.5,
+                (1, "x"): 1.0, (1.0, "y"): 1.0,
+            }
+        )  # fmt: skip
+        columnar = kernels.group_by(encode(data), Field(0), GroupSize(bucket))
+        eager = xf.group_by(data, Field(0), GroupSize(bucket))
+        assert columnar.arity == 2
+        if bucket == 1:  # no two prefixes share a record: nothing is summed
+            assert columnar.to_weighted().to_dict() == eager.to_dict()
+        assert set(columnar.to_weighted().records()) == set(eager.records())
+        assert_agrees(columnar, eager)
+
+    def test_group_sizes_on_unit_edges_gives_half_weight_degrees(self, edges):
+        degrees = kernels.group_by(encode(edges), Field(0), GroupSize())
+        assert degrees.to_weighted().to_dict() == {
+            (1, 2): 0.5, (2, 2): 0.5, (3, 3): 0.5, (4, 1): 0.5
+        }  # fmt: skip
 
     def test_distinct_and_down_scale(self, edges):
         assert_agrees(kernels.distinct(encode(edges), 0.5), xf.distinct(edges, 0.5))
@@ -242,3 +268,47 @@ class TestBinaryKernels:
         assert_agrees(
             kernel(ColumnarDataset.empty(), encode(edges)), eager(empty_w, edges)
         )
+
+
+# ----------------------------------------------------------------------
+# Specs as plain callables (what the eager and dataflow backends run)
+# ----------------------------------------------------------------------
+class TestSpecCalls:
+    def test_permute_returns_tuples_of_any_width(self):
+        record = ["a", "b", "c"]
+        assert Permute(1)(record) == ("b",)
+        assert Permute(2, 0)(record) == ("c", "a")
+        assert Permute(1, 1, -1)(record) == ("b", "b", "c")
+
+    @pytest.mark.parametrize(
+        "picks",
+        [
+            [("l", 0)],
+            [("r", 1)],
+            [("l", 0), ("r", 1)],
+            [("l", 0), ("l", 1), ("l", 2), ("r", 1)],
+            [("r", 0), ("r", 1), ("l", 1)],
+            [("r", 2), ("l", 0), ("r", 0), ("l", 2), ("l", 0)],
+        ],
+    )
+    def test_join_fields_picks_in_order(self, picks):
+        left, right = ("a", "b", "c"), ["x", "y", "z"]
+        expected = tuple((left if side == "l" else right)[i] for side, i in picks)
+        assert JoinFields(*picks)(left, right) == expected
+
+    def test_value_semantics_survive_the_compiled_getters(self):
+        import copy
+        import pickle
+
+        rotate = Permute(1, 2, 0)
+        corners = JoinFields(("r", 3), ("l", 3), ("l", 4))
+        for spec in (rotate, corners):
+            clone = pickle.loads(pickle.dumps(spec))
+            assert clone == spec and hash(clone) == hash(spec)
+            assert copy.deepcopy(spec) == spec
+            assert pickle.dumps(clone) == pickle.dumps(spec)  # plan fingerprints
+        assert pickle.loads(pickle.dumps(rotate))((0, 1, 2)) == (1, 2, 0)
+        assert pickle.loads(pickle.dumps(corners))((0, 1, 2, 3, 4), (5, 6, 7, 8)) == (8, 3, 4)
+        assert repr(rotate) == "Permute(indices=(1, 2, 0))"
+        assert repr(JoinFields(("l", 0))) == "JoinFields(picks=(('l', 0),))"
+        assert Permute(1, 0) != Permute(0, 1)

@@ -53,6 +53,7 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
+from .core.executor import EXECUTORS
 from .experiments import (
     ExperimentConfig,
     combined_measurements_ablation,
@@ -71,6 +72,7 @@ from .experiments import (
     table2_tbi_triangles,
     table3_barabasi,
 )
+from .inference.synthesizer import SCORING_BACKENDS
 
 __all__ = ["main", "build_parser", "EXPERIMENTS", "EXPLAIN_QUERIES"]
 
@@ -781,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor",
         default="eager",
-        choices=["eager", "eager-warm", "dataflow", "vectorized", "auto", "sharded"],
+        choices=list(EXECUTORS),
         help=(
             "backend annotated by 'explain' (auto routes by input size); "
             "also the in-process session backend for 'chaos'"
@@ -890,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend",
         default="incremental",
-        choices=["dataflow", "vectorized", "incremental"],
+        choices=list(SCORING_BACKENDS),
         help="for 'synth': MCMC scoring backend",
     )
     parser.add_argument(

@@ -24,23 +24,7 @@ from typing import Any, Mapping, Sequence
 
 from ..core.dataset import WeightedDataset
 from ..core.executor import EagerExecutor
-from ..core.partition import PartitionPlan
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    GroupByPlan,
-    IntersectPlan,
-    JoinPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    UnionPlan,
-    WherePlan,
-)
+from ..core.plan import Plan
 from ..exceptions import PlanError
 from . import kernels
 from .dataset import ColumnarDataset
@@ -67,68 +51,37 @@ __all__ = [
 DEFAULT_AUTO_THRESHOLD = 2048
 
 
-#: Plan type -> for each of its callables, the spec types its kernel runs as
-#: array work.  A type that is absent has no kernel (a partition part runs its
-#: eager rule, closure and all).
-_ARRAY_SPECS: dict[type, dict[str, tuple[type, ...]]] = {
-    SourcePlan: {},
-    SelectPlan: {"mapper": (Permute, Field, Constant)},
-    WherePlan: {"predicate": (FieldsDiffer, FieldIs)},
-    SelectManyPlan: {"mapper": (ExplodeFields,)},
-    GroupByPlan: {"key": (Field,), "reducer": (GroupSize,)},
-    ShavePlan: {"slice_weights": (int, float)},
-    DistinctPlan: {},
-    DownScalePlan: {},
-    JoinPlan: {
-        "left_key": (Field, Permute),
-        "right_key": (Field, Permute),
-        "result_selector": (JoinFields,),
-    },
-    UnionPlan: {},
-    IntersectPlan: {},
-    ConcatPlan: {},
-    ExceptPlan: {},
+#: Plan ``op`` -> for each operand its kernel can take as array work, in
+#: operand order, the spec types that qualify.  Ops that are absent have no
+#: such operand (a cap, a factor, nothing at all) and never run per record.
+_ARRAY_SPECS: dict[str, tuple[tuple[type, ...], ...]] = {
+    "select": ((Permute, Field, Constant),),
+    "where": ((FieldsDiffer, FieldIs),),
+    "select_many": ((ExplodeFields,),),
+    "group_by": ((Field,), (GroupSize,)),
+    "shave": ((int, float),),
+    "join": ((Field, Permute), (Field, Permute), (JoinFields,)),
 }
 
 
 def runs_per_record(plan: Plan) -> bool:
     """Whether the kernel for ``plan`` calls Python once per record.
 
-    Judged from the node's callables alone, which is all ``explain`` has: a
+    Judged from the node's operands alone, which is all ``explain`` has: a
     recognised spec takes its kernel's array path on the decomposed datasets
-    the analyses produce, anything else (a plain function, a closure, a join
-    key facing a key of another shape) is called record by record.
+    the analyses produce, anything else (a plain function, a closure such as
+    a partition part's predicate, a join key facing a key of another shape)
+    is called record by record.
     """
-    accepted = _ARRAY_SPECS.get(type(plan))
-    if accepted is None or not all(
-        isinstance(getattr(plan, name), types) for name, types in accepted.items()
-    ):
+    operands = plan.operands()
+    if not all(map(isinstance, operands, _ARRAY_SPECS.get(plan.op, ()))):
         return True
-    if isinstance(plan, JoinPlan):
-        left, right = plan.left_key, plan.right_key
+    if plan.op == "join":
+        left, right = operands[:2]
         if type(left) is not type(right):
             return True
         return isinstance(left, Permute) and len(left.indices) != len(right.indices)
     return False
-
-
-class _EagerBoundary:
-    """Adapter letting plan nodes without a kernel run their eager rule.
-
-    ``recurse``/``dataset`` decode columnar children to weighted datasets, the
-    node's ``_evaluate`` runs eagerly, and the caller re-encodes the result —
-    a per-node escape hatch that keeps the backend total over any future plan
-    type without silently changing semantics.
-    """
-
-    def __init__(self, outer: "VectorizedExecutor") -> None:
-        self._outer = outer
-
-    def recurse(self, plan: Plan) -> WeightedDataset:
-        return self._outer.recurse(plan).to_weighted()
-
-    def dataset(self, name: str) -> WeightedDataset:
-        return self._outer.dataset(name).to_weighted()
 
 
 class VectorizedExecutor(EagerExecutor):
@@ -136,16 +89,18 @@ class VectorizedExecutor(EagerExecutor):
 
     Subclasses :class:`~repro.core.executor.EagerExecutor` to inherit all of
     its batch machinery — the id-keyed memo table, the plan pinning that
-    keeps ids unique, warm/cold scoping and ``evaluation_count`` — and
-    overrides only what differs: sources encode to
-    :class:`~repro.columnar.dataset.ColumnarDataset`, nodes compute through
-    the vectorized kernels, and batch results decode to
+    keeps ids unique, warm/cold scoping, ``evaluation_count`` and the one
+    evaluation rule — and overrides only what differs: sources encode to
+    :class:`~repro.columnar.dataset.ColumnarDataset`, a node's ``op`` is
+    looked up among the vectorized kernels, and batch results decode to
     :class:`WeightedDataset` at the measurement boundary.  Environment
     values may be :class:`WeightedDataset` (encoded once and cached per
     registered object) or already-columnar :class:`ColumnarDataset` values —
     the latter is how the MCMC scorer feeds its incrementally updated weight
     vectors straight to the kernels.
     """
+
+    rules = kernels
 
     def __init__(
         self,
@@ -184,47 +139,6 @@ class VectorizedExecutor(EagerExecutor):
         return cached[1]
 
     # ------------------------------------------------------------------
-    def _compute(self, plan: Plan) -> ColumnarDataset:
-        """Produce one node's value in columnar form (the memo-hook override)."""
-        if isinstance(plan, SourcePlan):
-            return self.dataset(plan.name)
-        if isinstance(plan, SelectPlan):
-            return kernels.select(self.recurse(plan.child), plan.mapper)
-        if isinstance(plan, PartitionPlan):
-            # Before WherePlan: a partition part is a Where with a dedicated
-            # node type, and its predicate closes over the partition key.
-            return kernels.where(self.recurse(plan.child), plan.part_predicate)
-        if isinstance(plan, WherePlan):
-            return kernels.where(self.recurse(plan.child), plan.predicate)
-        if isinstance(plan, SelectManyPlan):
-            return kernels.select_many(self.recurse(plan.child), plan.mapper)
-        if isinstance(plan, GroupByPlan):
-            return kernels.group_by(self.recurse(plan.child), plan.key, plan.reducer)
-        if isinstance(plan, ShavePlan):
-            return kernels.shave(self.recurse(plan.child), plan.slice_weights)
-        if isinstance(plan, DistinctPlan):
-            return kernels.distinct(self.recurse(plan.child), plan.cap)
-        if isinstance(plan, DownScalePlan):
-            return kernels.down_scale(self.recurse(plan.child), plan.factor)
-        if isinstance(plan, JoinPlan):
-            return kernels.join(
-                self.recurse(plan.left),
-                self.recurse(plan.right),
-                plan.left_key,
-                plan.right_key,
-                plan.result_selector,
-            )
-        if isinstance(plan, UnionPlan):
-            return kernels.union(self.recurse(plan.left), self.recurse(plan.right))
-        if isinstance(plan, IntersectPlan):
-            return kernels.intersect(self.recurse(plan.left), self.recurse(plan.right))
-        if isinstance(plan, ConcatPlan):
-            return kernels.concat(self.recurse(plan.left), self.recurse(plan.right))
-        if isinstance(plan, ExceptPlan):
-            return kernels.except_(self.recurse(plan.left), self.recurse(plan.right))
-        return ColumnarDataset.from_weighted(plan._evaluate(_EagerBoundary(self)))
-
-    # ------------------------------------------------------------------
     def evaluate_many(self, plans: Sequence[Plan]) -> list[WeightedDataset]:
         """Evaluate a batch; shared sub-plans are evaluated once, columnar."""
         return [dataset.to_weighted() for dataset in self.evaluate_columnar(plans)]
@@ -233,7 +147,7 @@ class VectorizedExecutor(EagerExecutor):
         """Like :meth:`evaluate_many` but without the boundary decode.
 
         This is the inherited batch evaluation — memo scoping included —
-        whose values are columnar because :meth:`_compute` is.
+        whose values are columnar because the sources and :attr:`rules` are.
         """
         return super().evaluate_many(plans)
 

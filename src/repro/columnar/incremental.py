@@ -38,23 +38,7 @@ import numpy as np
 
 from ..core import transformations as xf
 from ..core.dataset import DEFAULT_TOLERANCE, WeightedDataset
-from ..core.partition import PartitionPlan
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    GroupByPlan,
-    IntersectPlan,
-    JoinPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    UnionPlan,
-    WherePlan,
-)
+from ..core.plan import Plan
 from ..exceptions import DataflowError
 from . import kernels
 from .dataset import ColumnarDataset
@@ -66,6 +50,7 @@ __all__ = [
     "ProbeFallback",
     "DeltaNode",
     "SourceDeltaNode",
+    "NODE_FOR_OP",
     "IncrementalGraph",
 ]
 
@@ -1334,6 +1319,25 @@ class JoinDeltaNode(DeltaNode):
 # ----------------------------------------------------------------------
 # Graph compiler
 # ----------------------------------------------------------------------
+#: Plan ``op`` -> the delta node class implementing it, constructed as
+#: ``NODE_FOR_OP[plan.op](*plan.operands())``.  Sources are the graph's own
+#: :class:`SourceDeltaNode`, one per name.
+NODE_FOR_OP: dict[str, type[DeltaNode]] = {
+    "select": SelectDeltaNode,
+    "where": WhereDeltaNode,
+    "select_many": SelectManyDeltaNode,
+    "group_by": GroupByDeltaNode,
+    "shave": ShaveDeltaNode,
+    "distinct": DistinctDeltaNode,
+    "down_scale": DownScaleDeltaNode,
+    "join": JoinDeltaNode,
+    "union": UnionDeltaNode,
+    "intersect": IntersectDeltaNode,
+    "concat": ConcatDeltaNode,
+    "except_": ExceptDeltaNode,
+}
+
+
 class IncrementalGraph:
     """Compile wPINQ plans into a shared incremental columnar node DAG.
 
@@ -1356,49 +1360,24 @@ class IncrementalGraph:
             return existing
         self._plans[id(plan)] = plan
 
-        if isinstance(plan, SourcePlan):
+        op = getattr(plan, "op", None)  # None (not a Plan): refused below
+        if op == "source":
             source = self._sources.get(plan.name)
             if source is None:
-                source = SourceDeltaNode(plan.name)
-                self._sources[plan.name] = source
+                source = self._sources[plan.name] = SourceDeltaNode(plan.name)
                 self._all_nodes.append(source)
             self._nodes[id(plan)] = source
             return source
-
-        node: DeltaNode
-        if isinstance(plan, SelectPlan):
-            node = SelectDeltaNode(plan.mapper)
-        elif isinstance(plan, PartitionPlan):
-            node = WhereDeltaNode(plan.part_predicate, name="partition")
-        elif isinstance(plan, WherePlan):
-            node = WhereDeltaNode(plan.predicate)
-        elif isinstance(plan, SelectManyPlan):
-            node = SelectManyDeltaNode(plan.mapper)
-        elif isinstance(plan, GroupByPlan):
-            node = GroupByDeltaNode(plan.key, plan.reducer)
-        elif isinstance(plan, ShavePlan):
-            node = ShaveDeltaNode(plan.slice_weights)
-        elif isinstance(plan, DistinctPlan):
-            node = DistinctDeltaNode(plan.cap)
-        elif isinstance(plan, DownScalePlan):
-            node = DownScaleDeltaNode(plan.factor)
-        elif isinstance(plan, JoinPlan):
-            node = JoinDeltaNode(plan.left_key, plan.right_key, plan.result_selector)
-        elif isinstance(plan, UnionPlan):
-            node = UnionDeltaNode()
-        elif isinstance(plan, IntersectPlan):
-            node = IntersectDeltaNode()
-        elif isinstance(plan, ConcatPlan):
-            node = ConcatDeltaNode()
-        elif isinstance(plan, ExceptPlan):
-            node = ExceptDeltaNode()
-        else:
+        node_type = NODE_FOR_OP.get(op)
+        if node_type is None:
             raise DataflowError(
                 f"cannot compile plan node of type {type(plan).__name__} "
                 f"for incremental columnar execution"
             )
-        self._nodes[id(plan)] = node
+        node = self._nodes[id(plan)] = node_type(*plan.operands())
         self._all_nodes.append(node)
+        # Not a Plan.fold: subscribing to child k before child k+1 is
+        # compiled fixes the propagation order (see the class docstring).
         for port, child in enumerate(plan.children):
             self.compile(child).subscribe(node, port)
         return node

@@ -39,13 +39,21 @@ property-style for every operator.
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..exceptions import PlanError
+from . import transformations
 from .dataset import WeightedDataset
 from .plan import Plan
 
-__all__ = ["Executor", "EagerExecutor", "DataflowExecutor", "create_executor"]
+__all__ = [
+    "Executor",
+    "EagerExecutor",
+    "DataflowExecutor",
+    "EXECUTORS",
+    "create_executor",
+]
 
 
 @runtime_checkable
@@ -109,7 +117,7 @@ class EagerExecutor:
         return "eager"
 
     def dataset(self, name: str) -> WeightedDataset:
-        """Resolve a source name against the environment (used by SourcePlan)."""
+        """Resolve a source name against the environment (the ``source`` rule)."""
         try:
             dataset = self._environment[name]
         except KeyError as exc:
@@ -122,15 +130,24 @@ class EagerExecutor:
         return dataset
 
     # ------------------------------------------------------------------
-    def _compute(self, plan: Plan) -> WeightedDataset:
-        """Produce one node's value; the hook subclasses override.
+    #: Where a node's ``op`` is looked up: a namespace with one function per
+    #: transformation, called as ``op(*child values, *operands)``.  The
+    #: columnar :class:`~repro.columnar.executor.VectorizedExecutor` reuses
+    #: all of this class's memoisation/pinning machinery and swaps only this
+    #: (and :meth:`dataset`, hence the value type) out.
+    rules = transformations
 
-        The base implementation runs the node's own eager rule; the columnar
-        :class:`~repro.columnar.executor.VectorizedExecutor` reuses all of
-        this class's memoisation/pinning machinery and swaps only this hook
-        (and the value type) out.
-        """
-        return plan._evaluate(self)
+    def _compute(self, plan: Plan) -> WeightedDataset:
+        """Produce one node's value: the single evaluation rule."""
+        if plan.op == "source":
+            return self.dataset(*plan.operands())
+        rule = getattr(self.rules, plan.op, None)
+        if rule is None:
+            raise PlanError(
+                f"cannot evaluate plan node of type {type(plan).__name__}: "
+                f"no transformation named {plan.op!r} in {self.rules.__name__}"
+            )
+        return rule(*map(self.recurse, plan.children), *plan.operands())
 
     def recurse(self, plan: Plan) -> WeightedDataset:
         """Evaluate ``plan`` within the current batch's memo scope.
@@ -246,47 +263,46 @@ class DataflowExecutor:
         self._plans = {}
 
 
+#: Executor name -> (module relative to this package, class, constructor
+#: options): the one list of names ``create_executor``, ``repro --executor``
+#: and the docs go by.  The columnar and sharded modules import this one,
+#: hence the import by name at creation time.
+EXECUTORS: dict[str, tuple[str, str, dict]] = {
+    "eager": (".executor", "EagerExecutor", {}),
+    "eager-warm": (".executor", "EagerExecutor", {"warm": True}),
+    "dataflow": (".executor", "DataflowExecutor", {}),
+    "vectorized": ("..columnar.executor", "VectorizedExecutor", {}),
+    "auto": ("..columnar.executor", "AutoExecutor", {}),
+    "sharded": ("..shard.executor", "ShardedExecutor", {}),
+}
+
+
 def create_executor(
     spec,
     environment: Mapping[str, WeightedDataset],
 ) -> Executor:
     """Resolve an executor specification to a backend bound to ``environment``.
 
-    ``spec`` may be one of the names ``"eager"`` (fresh memo per batch),
-    ``"eager-warm"`` (memo kept across batches), ``"dataflow"`` (warm
-    incremental engine), ``"vectorized"`` (the columnar NumPy-kernel
-    backend), ``"auto"`` (eager for tiny inputs, vectorized for large
-    ones) and ``"sharded"`` (process-parallel sharded execution with a
-    vectorized fallback), or a *factory* — a callable taking the environment mapping and
-    returning an :class:`Executor`.  A pre-built executor instance is
-    rejected: it would be bound to some other environment and silently
-    measure the wrong data (the session's dataset registry only exists once
-    the session does).
+    ``spec`` may be one of the names in :data:`EXECUTORS` — ``"eager"``
+    (fresh memo per batch), ``"eager-warm"`` (memo kept across batches),
+    ``"dataflow"`` (warm incremental engine), ``"vectorized"`` (the columnar
+    NumPy-kernel backend), ``"auto"`` (eager for tiny inputs, vectorized for
+    large ones) and ``"sharded"`` (process-parallel sharded execution with a
+    vectorized fallback) — or a *factory*: a callable taking the environment
+    mapping and returning an :class:`Executor`.  A pre-built executor
+    instance is rejected: it would be bound to some other environment and
+    silently measure the wrong data (the session's dataset registry only
+    exists once the session does).
     """
     if isinstance(spec, str):
-        if spec == "eager":
-            return EagerExecutor(environment)
-        if spec == "eager-warm":
-            return EagerExecutor(environment, warm=True)
-        if spec == "dataflow":
-            return DataflowExecutor(environment)
-        if spec == "vectorized":
-            from ..columnar.executor import VectorizedExecutor
-
-            return VectorizedExecutor(environment)
-        if spec == "auto":
-            from ..columnar.executor import AutoExecutor
-
-            return AutoExecutor(environment)
-        if spec == "sharded":
-            from ..shard.executor import ShardedExecutor
-
-            return ShardedExecutor(environment)
-        raise PlanError(
-            f"unknown executor {spec!r}; expected 'eager', 'eager-warm', "
-            f"'dataflow', 'vectorized', 'auto', 'sharded', or a factory "
-            f"callable taking the environment"
-        )
+        if spec not in EXECUTORS:
+            names = ", ".join(repr(name) for name in EXECUTORS)
+            raise PlanError(
+                f"unknown executor {spec!r}; expected {names}, or a factory "
+                f"callable taking the environment"
+            )
+        module, name, options = EXECUTORS[spec]
+        return getattr(import_module(module, __package__), name)(environment, **options)
     # Classes count as factories (EagerExecutor itself is "a callable taking
     # the environment"); runtime_checkable isinstance is hasattr-based, so an
     # executor *class* would otherwise be mistaken for an instance here.

@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..exceptions import PlanError
 from .laplace import validate_epsilon
-from .plan import Plan, SourcePlan
+from .plan import Plan, sum_by_key
 
 __all__ = ["Partition", "PartitionPlan", "PartitionGroup"]
 
@@ -45,10 +45,15 @@ __all__ = ["Partition", "PartitionPlan", "PartitionGroup"]
 class PartitionPlan(Plan):
     """Restriction of a parent plan to the records of one partition key.
 
-    Semantically identical to ``Where(parent, key(x) == part_key)``; the
-    dedicated node type exists so measurement-time accounting can recognise
-    which partition group (and which part) a use of the parent flows through.
+    Semantically identical to ``Where(parent, key(x) == part_key)`` — which
+    is all any backend sees (``op``, with the part predicate as the operand);
+    the dedicated node type exists so measurement-time accounting can
+    recognise which partition group (and which part) a use of the parent
+    flows through.
     """
+
+    op = "where"
+    params = ("part_predicate",)
 
     def __init__(
         self,
@@ -71,11 +76,6 @@ class PartitionPlan(Plan):
         key = self.key
         part_key = self.part_key
         return lambda record: key(record) == part_key
-
-    def _evaluate(self, executor):
-        from . import transformations as xf
-
-        return xf.where(executor.recurse(self.child), self.part_predicate)
 
     def _label(self) -> str:
         return f"Partition(part={self.part_key!r})"
@@ -201,29 +201,27 @@ class PartitionGroup:
         return {name: cost for name, cost in costs.items() if cost > 0.0}
 
     # ------------------------------------------------------------------
-    def _attribute(self, plan: Plan) -> tuple[Counter, Counter]:
+    def _attribute(self, plan: Plan) -> tuple[dict, dict]:
         """Split root-to-source paths into direct uses and per-part arrivals.
 
-        Traversal stops at this group's partition nodes (each arrival is
-        recorded against the node's part); partition nodes of other groups are
-        descended through like any other transformation, so their sources end
-        up in the direct (fully charged) bucket.
+        Paths end at this group's partition nodes (each arrival is recorded
+        against the node's part); partition nodes of other groups are
+        transformations like any other, so their sources end up in the direct
+        (fully charged) bucket.  Path counts are summed per node, as in
+        :meth:`Plan.source_multiplicities`.
         """
-        direct: Counter = Counter()
-        arrivals: Counter = Counter()
 
-        def visit(node: Plan) -> None:
+        def visit(node: Plan, children: list) -> tuple[dict, dict]:
             if isinstance(node, PartitionPlan) and node.group is self:
-                arrivals[node.part_key] += 1
-                return
-            if isinstance(node, SourcePlan):
-                direct[node.name] += 1
-                return
-            for child in node.children:
-                visit(child)
+                return {}, {node.part_key: 1}
+            if node.op == "source":
+                return {node.name: 1}, {}
+            return (
+                sum_by_key([direct for direct, _ in children]),
+                sum_by_key([arrivals for _, arrivals in children]),
+            )
 
-        visit(plan)
-        return direct, arrivals
+        return plan.fold(visit)
 
 
 class Partition:

@@ -18,6 +18,16 @@ Plans are shared, immutable, and compared by identity: the expression
 every backend exploits — the eager executor via memoisation, the dataflow
 compiler via node reuse.  :meth:`Plan.evaluate` remains as a thin
 compatibility wrapper over a one-shot eager executor.
+
+**What a transformation is.**  Each plan type declares, once, the two facts
+every layer needs: ``op``, the transformation's name — the function of that
+name in :mod:`repro.core.transformations` and in
+:mod:`repro.columnar.kernels`, the key of both incremental engines' node
+tables and of the static checker's stability rules, and the node's kind on
+the shard wire — and ``params``, the attribute names of its operands in the
+order all of those take them after the child datasets.  Nothing outside this
+module dispatches on a plan's *type*; analyses of a plan are ``visit``
+functions handed to the one traversal, :meth:`Plan.fold`.
 """
 
 from __future__ import annotations
@@ -27,10 +37,11 @@ from typing import Any, Callable, Sequence
 
 from ..exceptions import PlanError
 from .dataset import WeightedDataset
-from . import transformations as xf
 
 __all__ = [
     "Plan",
+    "PLAN_FOR_OP",
+    "sum_by_key",
     "explain_plan",
     "SourcePlan",
     "SelectPlan",
@@ -48,12 +59,54 @@ __all__ = [
 ]
 
 
+def sum_by_key(children: list[dict]) -> dict:
+    """Add up the children's ``key -> number`` results of a :meth:`Plan.fold`.
+
+    How per-source quantities (path counts, stability bounds) combine at any
+    transformation.  An only child's mapping is passed through as is, so
+    results must be treated as read-only.
+    """
+    if len(children) == 1:
+        return children[0]
+    total: dict = {}
+    for child in children:
+        for key, value in child.items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
 class Plan:
     """Base class for logical plan nodes."""
 
+    #: The transformation this node applies (see the module docstring).
+    op: str = ""
+    #: Attribute names of the node's operands, in call order.
+    params: tuple[str, ...] = ()
     #: Child plans, in evaluation order.  Binary operators have two entries
     #: (which may be the same object for self-joins).
     children: tuple["Plan", ...] = ()
+
+    def operands(self) -> tuple[Any, ...]:
+        """The operand values :attr:`params` names, in call order."""
+        return tuple(getattr(self, name) for name in self.params)
+
+    def fold(self, visit: Callable[["Plan", list], Any]) -> Any:
+        """Reduce the DAG bottom-up: the one plan traversal.
+
+        ``visit(node, child_results)`` is called exactly once per distinct
+        node (shared sub-plans are memoised by identity), children before
+        parents and left before right; a node reached through several edges
+        hands the same result to each of them.  Returns the root's result.
+        """
+        results: dict[int, Any] = {}
+
+        def reduce(node: Plan) -> Any:
+            key = id(node)
+            if key not in results:
+                results[key] = visit(node, list(map(reduce, node.children)))
+            return results[key]
+
+        return reduce(self)
 
     def evaluate(
         self,
@@ -72,14 +125,6 @@ class Plan:
 
         return EagerExecutor(environment, memo=memo).recurse(self)
 
-    def _evaluate(self, executor) -> WeightedDataset:
-        """Compute this node's output given an eager execution context.
-
-        ``executor`` provides ``recurse(child)`` for memoised child evaluation
-        and ``dataset(name)`` for source resolution.
-        """
-        raise NotImplementedError
-
     def source_multiplicities(self) -> Counter:
         """Count how many times each protected source appears in the plan.
 
@@ -88,15 +133,14 @@ class Plan:
         source appearing ``k`` times.  Note that this intentionally counts
         *paths* from the root to each source leaf, not distinct leaf objects:
         reusing the same intermediate queryable twice reveals its source
-        twice.
+        twice.  The path counts are summed per node, so the cost is linear in
+        the number of nodes however many paths there are.
         """
-        counts: Counter = Counter()
-        self._accumulate_sources(counts)
-        return counts
 
-    def _accumulate_sources(self, counts: Counter) -> None:
-        for child in self.children:
-            child._accumulate_sources(counts)
+        def visit(node: Plan, children: list[dict[str, int]]) -> dict[str, int]:
+            return {node.name: 1} if node.op == "source" else sum_by_key(children)
+
+        return Counter(self.fold(visit))
 
     def source_names(self) -> set[str]:
         """The set of protected source names referenced by the plan."""
@@ -122,16 +166,13 @@ class Plan:
 class SourcePlan(Plan):
     """A leaf referring to a named protected dataset."""
 
+    op = "source"
+    params = ("name",)
+
     def __init__(self, name: str) -> None:
         if not isinstance(name, str) or not name:
             raise PlanError("source name must be a non-empty string")
         self.name = name
-
-    def _evaluate(self, executor):
-        return executor.dataset(self.name)
-
-    def _accumulate_sources(self, counts: Counter) -> None:
-        counts[self.name] += 1
 
     def _label(self) -> str:
         return f"Source({self.name})"
@@ -150,38 +191,41 @@ class _UnaryPlan(Plan):
 class SelectPlan(_UnaryPlan):
     """Per-record mapping with weight accumulation (Section 2.4)."""
 
+    op = "select"
+    params = ("mapper",)
+
     def __init__(self, child: Plan, mapper: Callable[[Any], Any]) -> None:
         super().__init__(child)
         self.mapper = mapper
-
-    def _evaluate(self, executor):
-        return xf.select(executor.recurse(self.child), self.mapper)
 
 
 class WherePlan(_UnaryPlan):
     """Per-record filtering (Section 2.4)."""
 
+    op = "where"
+    params = ("predicate",)
+
     def __init__(self, child: Plan, predicate: Callable[[Any], bool]) -> None:
         super().__init__(child)
         self.predicate = predicate
-
-    def _evaluate(self, executor):
-        return xf.where(executor.recurse(self.child), self.predicate)
 
 
 class SelectManyPlan(_UnaryPlan):
     """One-to-many mapping with data-dependent rescaling (Section 2.4)."""
 
+    op = "select_many"
+    params = ("mapper",)
+
     def __init__(self, child: Plan, mapper: Callable[[Any], Any]) -> None:
         super().__init__(child)
         self.mapper = mapper
 
-    def _evaluate(self, executor):
-        return xf.select_many(executor.recurse(self.child), self.mapper)
-
 
 class GroupByPlan(_UnaryPlan):
     """Keyed grouping and reduction (Section 2.5)."""
+
+    op = "group_by"
+    params = ("key", "reducer")
 
     def __init__(
         self,
@@ -193,23 +237,23 @@ class GroupByPlan(_UnaryPlan):
         self.key = key
         self.reducer = reducer
 
-    def _evaluate(self, executor):
-        return xf.group_by(executor.recurse(self.child), self.key, self.reducer)
-
 
 class ShavePlan(_UnaryPlan):
     """Decompose heavy records into indexed unit slices (Section 2.8)."""
+
+    op = "shave"
+    params = ("slice_weights",)
 
     def __init__(self, child: Plan, slice_weights: Any = 1.0) -> None:
         super().__init__(child)
         self.slice_weights = slice_weights
 
-    def _evaluate(self, executor):
-        return xf.shave(executor.recurse(self.child), self.slice_weights)
-
 
 class DistinctPlan(_UnaryPlan):
     """Cap every record's weight at a constant (PINQ's ``Distinct``)."""
+
+    op = "distinct"
+    params = ("cap",)
 
     def __init__(self, child: Plan, cap: float = 1.0) -> None:
         super().__init__(child)
@@ -218,9 +262,6 @@ class DistinctPlan(_UnaryPlan):
             raise PlanError("Distinct cap must be positive")
         self.cap = cap
 
-    def _evaluate(self, executor):
-        return xf.distinct(executor.recurse(self.child), self.cap)
-
     def _label(self) -> str:
         return f"Distinct(cap={self.cap:g})"
 
@@ -228,15 +269,15 @@ class DistinctPlan(_UnaryPlan):
 class DownScalePlan(_UnaryPlan):
     """Uniformly scale every weight down by a constant in ``(0, 1]``."""
 
+    op = "down_scale"
+    params = ("factor",)
+
     def __init__(self, child: Plan, factor: float) -> None:
         super().__init__(child)
         factor = float(factor)
         if not 0.0 < factor <= 1.0:
             raise PlanError("DownScale factor must satisfy 0 < factor <= 1")
         self.factor = factor
-
-    def _evaluate(self, executor):
-        return xf.down_scale(executor.recurse(self.child), self.factor)
 
     def _label(self) -> str:
         return f"DownScale(factor={self.factor:g})"
@@ -257,6 +298,9 @@ class _BinaryPlan(Plan):
 class JoinPlan(_BinaryPlan):
     """wPINQ's weight-rescaling equi-join (Section 2.7)."""
 
+    op = "join"
+    params = ("left_key", "right_key", "result_selector")
+
     def __init__(
         self,
         left: Plan,
@@ -270,42 +314,53 @@ class JoinPlan(_BinaryPlan):
         self.right_key = right_key
         self.result_selector = result_selector
 
-    def _evaluate(self, executor):
-        return xf.join(
-            executor.recurse(self.left),
-            executor.recurse(self.right),
-            self.left_key,
-            self.right_key,
-            self.result_selector,
-        )
-
 
 class UnionPlan(_BinaryPlan):
     """Element-wise maximum of weights (Section 2.6)."""
 
-    def _evaluate(self, executor):
-        return xf.union(executor.recurse(self.left), executor.recurse(self.right))
+    op = "union"
 
 
 class IntersectPlan(_BinaryPlan):
     """Element-wise minimum of weights (Section 2.6)."""
 
-    def _evaluate(self, executor):
-        return xf.intersect(executor.recurse(self.left), executor.recurse(self.right))
+    op = "intersect"
 
 
 class ConcatPlan(_BinaryPlan):
     """Element-wise sum of weights (Section 2.6)."""
 
-    def _evaluate(self, executor):
-        return xf.concat(executor.recurse(self.left), executor.recurse(self.right))
+    op = "concat"
 
 
 class ExceptPlan(_BinaryPlan):
     """Element-wise difference of weights (Section 2.6)."""
 
-    def _evaluate(self, executor):
-        return xf.except_(executor.recurse(self.left), executor.recurse(self.right))
+    op = "except_"
+
+
+#: ``op`` -> the plan type that ``type(*children, *operands)`` rebuilds, which
+#: is what the shard codec does with a wire row.  A plan type that borrows
+#: another's ``op`` (a partition part is a ``where``) is not listed and so has
+#: no portable encoding.
+PLAN_FOR_OP: dict[str, type[Plan]] = {
+    plan_type.op: plan_type
+    for plan_type in (
+        SourcePlan,
+        SelectPlan,
+        WherePlan,
+        SelectManyPlan,
+        GroupByPlan,
+        ShavePlan,
+        DistinctPlan,
+        DownScalePlan,
+        JoinPlan,
+        UnionPlan,
+        IntersectPlan,
+        ConcatPlan,
+        ExceptPlan,
+    )
+}
 
 
 def explain_plan(
@@ -322,9 +377,10 @@ def explain_plan(
     source, the Section 2.3 multiplicity — and, when ``epsilon`` is supplied,
     the concrete charge ``k·ε`` a measurement at that ε would incur.
 
-    ``backend`` (``"eager"``, ``"dataflow"`` or ``"vectorized"``) annotates
-    every node with the execution backend that will evaluate it, making the
-    ``"auto"`` executor's routing decisions inspectable.  On ``"vectorized"``
+    ``backend`` (``"eager"``, ``"dataflow"``, ``"vectorized"`` or
+    ``"sharded"``) annotates every node with the execution backend that will
+    evaluate it, making the ``"auto"`` and ``"sharded"`` executors' routing
+    decisions inspectable.  On ``"vectorized"``
     a node whose callables are not all structural specs is marked
     ``(per-record)``: its kernel calls Python once per record instead of
     running on the field columns.
@@ -352,13 +408,11 @@ def explain_plan(
 
     references: Counter = Counter()
 
-    def count(node: Plan) -> None:
-        references[id(node)] += 1
-        if references[id(node)] == 1:
-            for child in node.children:
-                count(child)
+    def count(node: Plan, _children: list) -> None:
+        for child in node.children:
+            references[id(child)] += 1
 
-    count(plan)
+    plan.fold(count)
     shared_ids = {node_id for node_id, uses in references.items() if uses > 1}
 
     lines: list[str] = []

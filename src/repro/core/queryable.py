@@ -84,13 +84,11 @@ class PrivacySession:
         the seed makes experiments reproducible without weakening the privacy
         semantics of the mechanism itself.
     executor:
-        The execution backend evaluating every measurement: ``"eager"`` (the
-        default — fresh memoisation per batch), ``"eager-warm"`` (results kept
-        across batches), ``"dataflow"`` (the incremental engine, compiled
-        plans kept warm across measurements), ``"vectorized"`` (the columnar
-        NumPy-kernel backend of :mod:`repro.columnar`), ``"auto"`` (eager for
-        tiny inputs, vectorized for large ones), or a factory callable taking
-        the session's environment mapping and returning an
+        The execution backend evaluating every measurement: a name from
+        :data:`repro.core.executor.EXECUTORS` (``"eager"``, the default, is
+        fresh memoisation per batch; :func:`~repro.core.executor
+        .create_executor` describes each), or a factory callable taking the
+        session's environment mapping and returning an
         :class:`~repro.core.executor.Executor`.
     ledger:
         Optional budget ledger to charge against instead of a fresh

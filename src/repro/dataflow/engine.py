@@ -26,40 +26,11 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping
 
 from ..core.dataset import WeightedDataset
-from ..core.partition import PartitionPlan
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    GroupByPlan,
-    IntersectPlan,
-    JoinPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    UnionPlan,
-    WherePlan,
-)
+from ..core.plan import Plan
 from ..exceptions import DataflowError
 from .delta import Delta, UndoLog, prune
 from .nodes import Node, OutputCollector, SourceNode
-from .operators import (
-    ConcatNode,
-    DistinctNode,
-    DownScaleNode,
-    ExceptNode,
-    GroupByNode,
-    IntersectNode,
-    JoinNode,
-    SelectManyNode,
-    SelectNode,
-    ShaveNode,
-    UnionNode,
-    WhereNode,
-)
+from .operators import NODE_FOR_OP
 
 __all__ = ["DataflowEngine"]
 
@@ -121,78 +92,31 @@ class DataflowEngine:
         node.undo = self._undo
         self._all_nodes.append(node)
 
-    def _register(self, plan: Plan, node: Node) -> Node:
-        self._nodes[id(plan)] = node
-        self._adopt(node)
-        return node
-
     def _compile(self, plan: Plan) -> Node:
-        """Recursively compile a plan into nodes, sharing repeated sub-plans."""
+        """Recursively compile a plan into nodes, sharing repeated sub-plans.
+
+        Not a :meth:`Plan.fold`: a node subscribes to child *k* as soon as
+        child *k* is compiled, before child *k+1* is, and that order is the
+        order deltas propagate in.
+        """
         existing = self._nodes.get(id(plan))
         if existing is not None:
             return existing
-
-        if isinstance(plan, SourcePlan):
-            source = self._sources.get(plan.name)
-            if source is None:
-                source = SourceNode(plan.name)
-                self._sources[plan.name] = source
-                self._adopt(source)
-            self._nodes[id(plan)] = source
-            return source
-
-        if isinstance(plan, SelectPlan):
-            node = self._register(plan, SelectNode(plan.mapper))
-            self._compile(plan.child).subscribe(node, 0)
+        op = getattr(plan, "op", None)  # None (not a Plan): refused below
+        if op == "source":
+            node = self._sources.get(plan.name)
+            if node is None:
+                node = self._sources[plan.name] = SourceNode(plan.name)
+                self._adopt(node)
+            self._nodes[id(plan)] = node
             return node
-        if isinstance(plan, WherePlan):
-            node = self._register(plan, WhereNode(plan.predicate))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, PartitionPlan):
-            # A partition part is exactly a Where restriction to one key value.
-            node = self._register(plan, WhereNode(plan.part_predicate, name="partition"))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, DistinctPlan):
-            node = self._register(plan, DistinctNode(plan.cap))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, DownScalePlan):
-            node = self._register(plan, DownScaleNode(plan.factor))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, SelectManyPlan):
-            node = self._register(plan, SelectManyNode(plan.mapper))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, GroupByPlan):
-            node = self._register(plan, GroupByNode(plan.key, plan.reducer))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, ShavePlan):
-            node = self._register(plan, ShaveNode(plan.slice_weights))
-            self._compile(plan.child).subscribe(node, 0)
-            return node
-        if isinstance(plan, JoinPlan):
-            node = self._register(
-                plan, JoinNode(plan.left_key, plan.right_key, plan.result_selector)
-            )
-            self._compile(plan.left).subscribe(node, 0)
-            self._compile(plan.right).subscribe(node, 1)
-            return node
-        if isinstance(plan, UnionPlan):
-            node = self._register(plan, UnionNode())
-        elif isinstance(plan, IntersectPlan):
-            node = self._register(plan, IntersectNode())
-        elif isinstance(plan, ConcatPlan):
-            node = self._register(plan, ConcatNode())
-        elif isinstance(plan, ExceptPlan):
-            node = self._register(plan, ExceptNode())
-        else:
+        node_type = NODE_FOR_OP.get(op)
+        if node_type is None:
             raise DataflowError(f"cannot compile plan node of type {type(plan).__name__}")
-        self._compile(plan.left).subscribe(node, 0)
-        self._compile(plan.right).subscribe(node, 1)
+        node = self._nodes[id(plan)] = node_type(*plan.operands())
+        self._adopt(node)
+        for port, child in enumerate(plan.children):
+            self._compile(child).subscribe(node, port)
         return node
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .delta import Delta, apply_change, apply_delta
 from .nodes import Node
 
 __all__ = [
+    "NODE_FOR_OP",
     "SelectNode",
     "WhereNode",
     "SelectManyNode",
@@ -436,3 +437,22 @@ class JoinNode(Node):
             _apply_to_part(index, key, key_delta, undo)
             _add_difference(output, self._key_output(key), before)
         self.emit(output)
+
+
+#: Plan ``op`` -> the node class implementing it incrementally, constructed
+#: as ``NODE_FOR_OP[plan.op](*plan.operands())``.  Sources are the engine's
+#: own :class:`~repro.dataflow.nodes.SourceNode`, one per name.
+NODE_FOR_OP: dict[str, type[Node]] = {
+    "select": SelectNode,
+    "where": WhereNode,
+    "select_many": SelectManyNode,
+    "group_by": GroupByNode,
+    "shave": ShaveNode,
+    "distinct": DistinctNode,
+    "down_scale": DownScaleNode,
+    "join": JoinNode,
+    "union": UnionNode,
+    "intersect": IntersectNode,
+    "concat": ConcatNode,
+    "except_": ExceptNode,
+}

@@ -34,7 +34,7 @@ from ..columnar.interning import global_interner
 from ..core.queryable import PrivacySession
 from ..graph.generators import erdos_renyi, random_twin
 from .random_walks import EdgeSwapWalk
-from .synthesizer import GraphSynthesizer
+from .synthesizer import SCORING_BACKENDS, GraphSynthesizer
 
 __all__ = [
     "MCMC_BACKENDS",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Backends the comparison knows how to drive, in report order.
-MCMC_BACKENDS = ("dataflow", "vectorized", "incremental")
+MCMC_BACKENDS = tuple(SCORING_BACKENDS)
 
 
 def _run_backend(

@@ -34,10 +34,21 @@ from .random_walks import EdgeSwapWalk
 from .scoring import ScoreTracker
 from .seed import DegreeSequenceMeasurements, seed_graph_from_edges
 
-__all__ = ["GraphSynthesizer", "SynthesisOutcome", "synthesize_graph"]
+__all__ = ["GraphSynthesizer", "SCORING_BACKENDS", "SynthesisOutcome", "synthesize_graph"]
 
 #: Default sharpening exponent used in the paper's experiments.
 DEFAULT_POW = 10_000.0
+
+#: MCMC scoring backend name -> the class in
+#: :mod:`repro.inference.columnar_scoring` that plays both engine and tracker
+#: for it (``None``: the dict-based dataflow engine with a ``ScoreTracker``).
+#: The one list of names ``GraphSynthesizer``, ``repro synth --backend`` and
+#: the MCMC benchmark go by.
+SCORING_BACKENDS: dict[str, str | None] = {
+    "dataflow": None,
+    "vectorized": "ColumnarScoreEngine",
+    "incremental": "IncrementalColumnarScoreEngine",
+}
 
 
 class GraphSynthesizer:
@@ -89,7 +100,14 @@ class GraphSynthesizer:
         initial_records = WeightedDataset.from_records(
             self.graph.to_edge_records(symmetric=True)
         )
-        if backend == "dataflow":
+        if backend not in SCORING_BACKENDS:
+            *names, last = map(repr, SCORING_BACKENDS)
+            raise ValueError(
+                f"unknown synthesis backend {backend!r}; "
+                f"expected {', '.join(names)} or {last}"
+            )
+        engine_class = SCORING_BACKENDS[backend]
+        if engine_class is None:
             # The synthetic graph is public, so the executor's environment is
             # the seed edge set; compiling all measurement plans into one warm
             # engine shares every common sub-plan (and its operator state)
@@ -101,27 +119,15 @@ class GraphSynthesizer:
                 [measurement.plan for measurement in self.measurements]
             )
             self.tracker = ScoreTracker(self.engine, self.measurements, pow_=pow_)
-        elif backend == "vectorized":
-            from .columnar_scoring import ColumnarScoreEngine
-
-            # One object plays engine (weight-vector deltas) and tracker
-            # (vectorized re-scoring) on the columnar path.
-            self.engine = ColumnarScoreEngine(
-                self.measurements, {source_name: initial_records}, pow_=pow_
-            )
-            self.tracker = self.engine
-        elif backend == "incremental":
-            from .columnar_scoring import IncrementalColumnarScoreEngine
-
-            self.engine = IncrementalColumnarScoreEngine(
-                self.measurements, {source_name: initial_records}, pow_=pow_
-            )
-            self.tracker = self.engine
         else:
-            raise ValueError(
-                f"unknown synthesis backend {backend!r}; "
-                f"expected 'dataflow', 'vectorized' or 'incremental'"
+            from . import columnar_scoring
+
+            # One object plays engine (weight-vector deltas or incremental
+            # columnar state) and tracker (re-scoring) on the columnar paths.
+            self.engine = getattr(columnar_scoring, engine_class)(
+                self.measurements, {source_name: initial_records}, pow_=pow_
             )
+            self.tracker = self.engine
         self.walk = EdgeSwapWalk(self.graph, rng=self._rng)
         self.sampler = IncrementalMetropolisHastings(
             engine=self.engine,

@@ -59,9 +59,7 @@ from .plans import (
     verify_plan,
 )
 from .portability import (
-    PLAN_PARAMS,
     UnportablePlanError,
-    check_portable,
     plan_portability_issues,
     portability_error,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "LintError",
     "LintIssue",
     "ModuleSource",
-    "PLAN_PARAMS",
     "PlanIssue",
     "RELEASE_PACKAGES",
     "Rule",
@@ -84,7 +81,6 @@ __all__ = [
     "analyze_flow",
     "build_concurrency_analysis",
     "check_portability",
-    "check_portable",
     "find_cycles",
     "format_bounds",
     "format_issues",

@@ -15,6 +15,10 @@ a static per-source bound computed bottom-up:
   them element-wise (a source reached through both operands of a self-join
   counts twice, matching Section 2.3's path-counting multiplicity).
 
+Each of those cases is one row of :data:`STABILITY_RULES`, keyed by the
+transformation's name (a plan node's ``op``), and the walk itself is
+:meth:`repro.core.plan.Plan.fold`.
+
 The derived bound is what a measurement's ε must be multiplied by for the
 release to be ``bound·ε``-differentially private with respect to each
 source.  :func:`verify_epsilon` checks the charge actually levied by the
@@ -32,23 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.partition import PartitionPlan
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    GroupByPlan,
-    IntersectPlan,
-    JoinPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    UnionPlan,
-    WherePlan,
-)
+from ..core.plan import Plan, sum_by_key
 from ..exceptions import PlanError
 from .portability import plan_portability_issues
 
@@ -67,19 +55,40 @@ __all__ = [
 #: the bounds themselves are exact sums and products of plan constants).
 EPSILON_TOLERANCE = 1e-9
 
-#: Unary nodes that pass their child's bound through unchanged (1-stable).
-_UNIT_UNARY = (
-    SelectPlan,
-    WherePlan,
-    SelectManyPlan,
-    GroupByPlan,
-    ShavePlan,
-    DistinctPlan,
-    PartitionPlan,
-)
+Bounds = dict[str, float]
 
-#: Binary nodes bounded by the sum of their operands' distances.
-_SUM_BINARY = (JoinPlan, UnionPlan, IntersectPlan, ConcatPlan, ExceptPlan)
+
+def _source(node: Plan, _children: list[Bounds]) -> Bounds:
+    return {node.name: 1.0}
+
+
+def _sum(_node: Plan, children: list[Bounds]) -> Bounds:
+    return sum_by_key(children)
+
+
+def _scaled(node: Plan, children: list[Bounds]) -> Bounds:
+    return {name: value * node.factor for name, value in _sum(node, children).items()}
+
+
+#: Plan ``op`` -> how the node's per-source bound follows from its
+#: children's (see the module docstring): a 1-stable transformation's output
+#: distance is at most the sum of its input distances, whatever its arity.
+#: An op without a row has no proven stability constant.
+STABILITY_RULES = {
+    "source": _source,
+    "select": _sum,
+    "where": _sum,
+    "select_many": _sum,
+    "group_by": _sum,
+    "shave": _sum,
+    "distinct": _sum,
+    "down_scale": _scaled,
+    "join": _sum,
+    "union": _sum,
+    "intersect": _sum,
+    "concat": _sum,
+    "except_": _sum,
+}
 
 
 @dataclass(frozen=True)
@@ -114,36 +123,25 @@ def node_stability_bounds(plan: Plan) -> dict[int, dict[str, float]]:
 
     Returns ``id(node) -> {source name -> bound}``; shared sub-plans are
     computed once.  Raises :class:`~repro.exceptions.PlanError` for a node
-    type without a proven stability constant — an unknown node could amplify
-    distances arbitrarily, so the checker refuses to guess.
+    whose ``op`` has no row in :data:`STABILITY_RULES` — an unknown
+    transformation could amplify distances arbitrarily, so the checker
+    refuses to guess.
     """
-    bounds: dict[int, dict[str, float]] = {}
+    if not isinstance(plan, Plan):
+        raise PlanError(f"expected a Plan, got {type(plan).__name__}")
+    bounds: dict[int, Bounds] = {}
 
-    def visit(node: Plan) -> dict[str, float]:
-        key = id(node)
-        cached = bounds.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, SourcePlan):
-            bound = {node.name: 1.0}
-        elif isinstance(node, DownScalePlan):
-            child = visit(node.child)
-            bound = {name: value * node.factor for name, value in child.items()}
-        elif isinstance(node, _UNIT_UNARY):
-            bound = dict(visit(node.children[0]))
-        elif isinstance(node, _SUM_BINARY):
-            bound = dict(visit(node.left))
-            for name, value in visit(node.right).items():
-                bound[name] = bound.get(name, 0.0) + value
-        else:
+    def visit(node: Plan, children: list[Bounds]) -> Bounds:
+        rule = STABILITY_RULES.get(node.op)
+        if rule is None:
             raise PlanError(
                 f"no static stability bound is known for plan node "
                 f"{type(node).__name__}"
             )
-        bounds[key] = bound
+        bound = bounds[id(node)] = rule(node, children)
         return bound
 
-    visit(plan)
+    plan.fold(visit)
     return bounds
 
 

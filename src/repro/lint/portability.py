@@ -8,11 +8,12 @@ bound methods are not — they either fail to pickle outright or drag
 unpicklable state with them.
 
 This module is the single source of truth for that judgement.  The shard
-wire codec (:mod:`repro.shard.plan`) calls :func:`check_portable` at encode
-time; the static plan checker (:mod:`repro.lint.plans`) calls
-:func:`plan_portability_issues` to surface the same findings *before* a plan
-ever reaches a worker.  Both read :data:`PLAN_PARAMS` for the per-node
-parameter lists, so the checker and the codec cannot drift apart.
+wire codec (:mod:`repro.shard.plan`) raises the first of
+:func:`node_portability_issues` at encode time; the static plan checker
+(:mod:`repro.lint.plans`) calls :func:`plan_portability_issues` to surface
+the same findings *before* a plan ever reaches a worker.  Which attributes of
+a node are its wire parameters is the node's own ``params`` declaration
+(:mod:`repro.core.plan`), so the checker and the codec cannot drift apart.
 """
 
 from __future__ import annotations
@@ -21,28 +22,12 @@ import pickle
 from typing import Any
 
 from ..columnar.specs import ColumnarSpec
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    GroupByPlan,
-    IntersectPlan,
-    JoinPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    UnionPlan,
-    WherePlan,
-)
+from ..core.plan import PLAN_FOR_OP, Plan
 from ..exceptions import PlanError
 
 __all__ = [
-    "PLAN_PARAMS",
     "UnportablePlanError",
-    "check_portable",
+    "node_portability_issues",
     "plan_portability_issues",
     "portability_error",
 ]
@@ -50,27 +35,6 @@ __all__ = [
 
 class UnportablePlanError(PlanError):
     """A plan parameter cannot cross a process boundary."""
-
-
-#: Plan node type -> the attribute names of its wire parameters, in
-#: constructor order after the children.  The shard codec encodes exactly
-#: these attributes and the static checker validates exactly these
-#: attributes; extending a plan node means extending this table once.
-PLAN_PARAMS: dict[type, tuple[str, ...]] = {
-    SourcePlan: ("name",),
-    SelectPlan: ("mapper",),
-    WherePlan: ("predicate",),
-    SelectManyPlan: ("mapper",),
-    GroupByPlan: ("key", "reducer"),
-    ShavePlan: ("slice_weights",),
-    DistinctPlan: ("cap",),
-    DownScalePlan: ("factor",),
-    JoinPlan: ("left_key", "right_key", "result_selector"),
-    UnionPlan: (),
-    IntersectPlan: (),
-    ConcatPlan: (),
-    ExceptPlan: (),
-}
 
 
 def portability_error(value: Any, node: str, role: str) -> str | None:
@@ -96,53 +60,38 @@ def portability_error(value: Any, node: str, role: str) -> str | None:
     return None
 
 
-def check_portable(value: Any, node: str, role: str) -> Any:
-    """Validate one plan parameter for the wire; returns it unchanged.
+def node_portability_issues(node: Plan) -> list[tuple[str, str]]:
+    """``(parameter role, message)`` for everything keeping one node off the wire.
 
-    Raises :class:`UnportablePlanError` with the offending node and role
-    named — the error the shard codec surfaces at encode time instead of a
-    cryptic pickling failure inside a worker.
+    A wire row rebuilds as ``PLAN_FOR_OP[op](*children, *operands)``, so a
+    node of any other type (for example a
+    :class:`~repro.core.partition.PartitionPlan`, whose closure predicate
+    never ships to workers) has no portable encoding at all; otherwise every
+    operand must pass :func:`portability_error`.
     """
-    message = portability_error(value, node, role)
-    if message is not None:
-        raise UnportablePlanError(message)
-    return value
+    if PLAN_FOR_OP.get(node.op) is not type(node):
+        return [("node", f"plan node {type(node).__name__} has no portable encoding")]
+    issues = []
+    for role, value in zip(node.params, node.operands()):
+        message = portability_error(value, node._label(), role)
+        if message is not None:
+            issues.append((role, message))
+    return issues
 
 
 def plan_portability_issues(plan: Plan) -> list[tuple[str, str, str]]:
     """Collect every portability problem in a plan DAG.
 
     Returns ``(node label, parameter role, message)`` triples in first-visit
-    order, one per offending parameter.  Unlike :func:`check_portable` this
-    does not stop at the first failure — the static checker reports them
-    all.  Shared sub-plans are visited once (plan identity), matching the
-    codec's flattening.  A node type outside :data:`PLAN_PARAMS` (for
-    example a :class:`~repro.core.partition.PartitionPlan`, whose closure
-    predicate never ships to workers) is itself reported as unportable.
+    order, one per offending parameter — the static checker reports them all,
+    where the codec stops at the first.  Shared sub-plans are visited once
+    (plan identity), matching the codec's flattening.
     """
     issues: list[tuple[str, str, str]] = []
-    seen: set[int] = set()
 
-    def visit(node: Plan) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        for child in node.children:
-            visit(child)
-        attributes = PLAN_PARAMS.get(type(node))
-        if attributes is None:
-            issues.append(
-                (
-                    node._label(),
-                    "node",
-                    f"plan node {type(node).__name__} has no portable encoding",
-                )
-            )
-            return
-        for attribute in attributes:
-            message = portability_error(getattr(node, attribute), node._label(), attribute)
-            if message is not None:
-                issues.append((node._label(), attribute, message))
+    def visit(node: Plan, _children: list) -> None:
+        for role, message in node_portability_issues(node):
+            issues.append((node._label(), role, message))
 
-    visit(plan)
+    plan.fold(visit)
     return issues

@@ -60,18 +60,7 @@ from ..columnar.executor import VectorizedExecutor
 from ..columnar.interning import global_interner, use_interner
 from ..columnar.specs import Permute
 from ..core.dataset import WeightedDataset
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    WherePlan,
-)
+from ..core.plan import PLAN_FOR_OP, Plan
 from ..resilience.deadline import current_deadline
 from ..resilience.policy import CircuitBreaker
 from .dataset import ShardedColumnarDataset, concat_merge, sum_merge
@@ -207,60 +196,40 @@ class ShardedExecutor:
             return self._vectorized.dataset(name).arity
         return None
 
-    def _analyze(self, plan: Plan, memo: dict[int, _ChainInfo] | None = None) -> _ChainInfo:
-        if memo is None:
-            memo = {}
-        cached = memo.get(id(plan))
-        if cached is not None:
-            return cached
-        info = self._analyze_node(plan, memo)
-        memo[id(plan)] = info
-        return info
-
-    def _analyze_node(self, plan: Plan, memo: dict[int, _ChainInfo]) -> _ChainInfo:
-        if isinstance(plan, SourcePlan):
-            return _ChainInfo(True, True, self._source_arity(plan.name))
-        if isinstance(plan, (WherePlan, DownScalePlan)):
-            child = self._analyze(plan.child, memo)
-            return _ChainInfo(child.shardable, child.disjoint, child.arity)
-        if isinstance(plan, SelectPlan):
-            child = self._analyze(plan.child, memo)
-            if not child.shardable:
-                return _NOT_SHARDABLE
-            mapper = plan.mapper
+    def _analyze(self, node: Plan, children: list[_ChainInfo]) -> _ChainInfo:
+        """One node's sharding contract (module docstring), as a ``Plan.fold`` visit."""
+        op = node.op
+        if PLAN_FOR_OP.get(op) is not type(node):
+            # No wire form (a partition part's closure never ships to workers).
+            return _NOT_SHARDABLE
+        if op == "source":
+            return _ChainInfo(True, True, self._source_arity(node.name))
+        if not all(child.shardable for child in children):
+            return _NOT_SHARDABLE
+        first = children[0]
+        if op in ("where", "down_scale"):
+            return first
+        if op == "select":
             if (
-                isinstance(mapper, Permute)
-                and child.arity is not None
-                and mapper.is_permutation_of(child.arity)
+                isinstance(node.mapper, Permute)
+                and first.arity is not None
+                and node.mapper.is_permutation_of(first.arity)
             ):
                 # A bijection on records: disjointness survives.
-                return _ChainInfo(True, child.disjoint, child.arity)
+                return first
             return _ChainInfo(True, False, None)
-        if isinstance(plan, SelectManyPlan):
-            child = self._analyze(plan.child, memo)
-            return _ChainInfo(child.shardable, False, None)
-        if isinstance(plan, ShavePlan):
-            child = self._analyze(plan.child, memo)
-            # Shave slices a record's *total* weight: sound only while the
-            # record's weight is wholly within one shard.
-            if child.shardable and child.disjoint:
-                return _ChainInfo(True, True, 2)
-            return _NOT_SHARDABLE
-        if isinstance(plan, DistinctPlan):
-            child = self._analyze(plan.child, memo)
-            # min(w, cap) of the total weight: same disjointness requirement.
-            if child.shardable and child.disjoint:
-                return _ChainInfo(True, True, child.arity)
-            return _NOT_SHARDABLE
-        if isinstance(plan, (ConcatPlan, ExceptPlan)):
-            left = self._analyze(plan.left, memo)
-            right = self._analyze(plan.right, memo)
-            if left.shardable and right.shardable:
-                arity = left.arity if left.arity == right.arity else None
-                return _ChainInfo(True, False, arity)
-            return _NOT_SHARDABLE
-        # GroupBy, Join, Union, Intersect, PartitionPlan and any future node
-        # type: no sharding contract — vectorized fallback.
+        if op == "select_many":
+            return _ChainInfo(True, False, None)
+        if op in ("shave", "distinct") and first.disjoint:
+            # Both are functions of a record's *total* weight: sound only
+            # while that weight is wholly within one shard.
+            return _ChainInfo(True, True, 2 if op == "shave" else first.arity)
+        if op in ("concat", "except_"):
+            second = children[1]
+            arity = first.arity if first.arity == second.arity else None
+            return _ChainInfo(True, False, arity)
+        # GroupBy, Join, Union, Intersect and any future transformation: no
+        # sharding contract — vectorized fallback.
         return _NOT_SHARDABLE
 
     def _should_shard(self, plan: Plan) -> _ChainInfo | None:
@@ -269,7 +238,7 @@ class ShardedExecutor:
         names = plan.source_names()
         if not names:
             return None
-        info = self._analyze(plan)
+        info = plan.fold(self._analyze)
         if not info.shardable:
             return None
         total_rows = 0

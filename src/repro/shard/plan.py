@@ -9,7 +9,9 @@ pickles).  This module defines the wire form the workers rebuild from:
 * :func:`encode_plan` flattens a plan DAG into a :class:`PortablePlan` —
   a list of ``(kind, params, child indices)`` node rows in first-visit
   order, with sharing captured as indices, so :func:`decode_plan` restores
-  an identity-shared DAG on the other side.
+  an identity-shared DAG on the other side.  A row's kind is the node's
+  ``op`` and its params are the node's operands, both as declared in
+  :mod:`repro.core.plan`; there is no codec-side table to extend.
 * Callable parameters must be *portable*: a structural
   :class:`~repro.columnar.specs.ColumnarSpec` (pickled by value) or a
   module-level function (pickled by reference).  Anything else —
@@ -43,32 +45,13 @@ import pickle
 from typing import Any
 
 from ..core.aggregation import NoisyCountResult
-from ..core.plan import (
-    ConcatPlan,
-    DistinctPlan,
-    DownScalePlan,
-    ExceptPlan,
-    GroupByPlan,
-    IntersectPlan,
-    JoinPlan,
-    Plan,
-    SelectManyPlan,
-    SelectPlan,
-    ShavePlan,
-    SourcePlan,
-    UnionPlan,
-    WherePlan,
-)
+from ..core.plan import PLAN_FOR_OP, Plan
 
-# The portability judgement (what may cross a process boundary, and the
-# per-node parameter lists) lives in repro.lint.portability so the static
-# plan checker and this runtime codec can never disagree.
-# UnportablePlanError is re-exported here for compatibility.
-from ..lint.portability import (
-    PLAN_PARAMS,
-    UnportablePlanError,
-    check_portable as _check_portable,
-)
+# The portability judgement (what may cross a process boundary) lives in
+# repro.lint.portability so the static plan checker and this runtime codec
+# can never disagree.  UnportablePlanError is re-exported here for
+# compatibility.
+from ..lint.portability import UnportablePlanError, node_portability_issues
 
 __all__ = [
     "UnportablePlanError",
@@ -118,51 +101,19 @@ class PortablePlan:
         return f"PortablePlan(nodes={len(self.nodes)}, root={self.nodes[-1][0]})"
 
 
-#: kind -> plan type; parameter attribute names come from the shared
-#: PLAN_PARAMS table, the same one the static checker validates against.
-_NODE_KINDS: dict[str, type] = {
-    "source": SourcePlan,
-    "select": SelectPlan,
-    "where": WherePlan,
-    "select_many": SelectManyPlan,
-    "group_by": GroupByPlan,
-    "shave": ShavePlan,
-    "distinct": DistinctPlan,
-    "down_scale": DownScalePlan,
-    "join": JoinPlan,
-    "union": UnionPlan,
-    "intersect": IntersectPlan,
-    "concat": ConcatPlan,
-    "except": ExceptPlan,
-}
-_KIND_BY_TYPE = {plan_type: kind for kind, plan_type in _NODE_KINDS.items()}
-
-
 def encode_plan(plan: Plan) -> PortablePlan:
     """Flatten a plan DAG into its portable form, validating every parameter."""
     rows: list[tuple] = []
-    index_of: dict[int, int] = {}
 
-    def visit(node: Plan) -> int:
-        key = id(node)
-        if key in index_of:
-            return index_of[key]
-        kind = _KIND_BY_TYPE.get(type(node))
-        if kind is None:
-            raise UnportablePlanError(
-                f"plan node {type(node).__name__} has no portable encoding"
-            )
-        children = tuple(visit(child) for child in node.children)
-        attributes = PLAN_PARAMS[type(node)]
-        params = tuple(
-            _check_portable(getattr(node, attribute), node._label(), attribute)
-            for attribute in attributes
-        )
-        rows.append((kind, params, children))
-        index_of[key] = len(rows) - 1
-        return index_of[key]
+    def visit(node: Plan, children: list[int]) -> int:
+        issues = node_portability_issues(node)
+        if issues:
+            # Named here, not as a cryptic pickling failure inside a worker.
+            raise UnportablePlanError(issues[0][1])
+        rows.append((node.op, node.operands(), tuple(children)))
+        return len(rows) - 1
 
-    visit(plan)
+    plan.fold(visit)
     return PortablePlan(tuple(rows))
 
 
@@ -170,8 +121,7 @@ def decode_plan(portable: PortablePlan) -> Plan:
     """Rebuild an identity-shared plan DAG from its portable form."""
     built: list[Plan] = []
     for kind, params, children in portable.nodes:
-        plan_type = _NODE_KINDS[kind]
-        built.append(plan_type(*(built[child] for child in children), *params))
+        built.append(PLAN_FOR_OP[kind](*(built[child] for child in children), *params))
     return built[-1]
 
 

@@ -50,8 +50,12 @@ def _record_and_reverse(record):
 
 
 def _first_component(records):
-    """GroupBy reducer: a deterministic, order-insensitive digest."""
-    return min(records)
+    """GroupBy reducer: a deterministic, order-insensitive digest.
+
+    Ordered by ``repr``: a second ``group_by`` sees ``(key, digest)`` records
+    next to plain pairs, which do not compare with ``<``.
+    """
+    return min(records, key=repr)
 
 
 # Each op takes (current plan, source plan) and returns the next plan; all

@@ -9,17 +9,12 @@ degree correlations — constraints reinforce rather than interfere.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import combined_measurements_ablation, format_table
 
 
-@pytest.mark.benchmark(group="ablation-combined")
-def test_combining_tbi_with_jdd(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: combined_measurements_ablation(config), rounds=1, iterations=1
-    )
+def test_combining_tbi_with_jdd(config):
+    rows = combined_measurements_ablation(config)
     emit(
         format_table(
             ["configuration", "seed triangles", "final triangles", "true triangles"],

@@ -8,19 +8,12 @@ and, unlike Hay et al., does not require the number of nodes to be public.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import degree_sequence_ablation, format_table
 
 
-@pytest.mark.benchmark(group="ablation-degrees")
-def test_degree_sequence_postprocessing(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: degree_sequence_ablation(config, epsilon=max(config.epsilon, 0.2)),
-        rounds=1,
-        iterations=1,
-    )
+def test_degree_sequence_postprocessing(config):
+    rows = degree_sequence_ablation(config, epsilon=max(config.epsilon, 0.2))
     emit(
         format_table(
             ["approach", "mean |error| per rank"],

@@ -9,23 +9,16 @@ right) with constant noise.  Neither mechanism helps on the adversarial graph
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import figure1_comparison, format_table
 
 
-@pytest.mark.benchmark(group="figure1")
-def test_figure1_worst_vs_best_case(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: figure1_comparison(
-            nodes=max(100, int(400 * config.graph_scale)),
-            epsilon=config.epsilon,
-            trials=25,
-            seed=config.seed,
-        ),
-        rounds=1,
-        iterations=1,
+def test_figure1_worst_vs_best_case(config):
+    rows = figure1_comparison(
+        nodes=max(100, int(400 * config.graph_scale)),
+        epsilon=config.epsilon,
+        trials=25,
+        seed=config.seed,
     )
     emit(
         format_table(

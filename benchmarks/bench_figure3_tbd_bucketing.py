@@ -15,11 +15,8 @@ from conftest import emit
 from repro.experiments import figure3_tbd_bucketing, format_series, format_table
 
 
-@pytest.mark.benchmark(group="figure3")
-def test_figure3_tbd_with_and_without_bucketing(benchmark, config):
-    results = benchmark.pedantic(
-        lambda: figure3_tbd_bucketing(config), rounds=1, iterations=1
-    )
+def test_figure3_tbd_with_and_without_bucketing(config):
+    results = figure3_tbd_bucketing(config)
     emit(
         format_table(
             ["configuration", "true triangles", "true r", "seed triangles", "final triangles", "final r", "privacy cost (eps)"],

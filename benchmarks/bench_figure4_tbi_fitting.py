@@ -13,9 +13,8 @@ from conftest import emit
 from repro.experiments import figure4_tbi_fitting, format_series, format_table
 
 
-@pytest.mark.benchmark(group="figure4")
-def test_figure4_real_vs_random_trajectories(benchmark, config):
-    results = benchmark.pedantic(lambda: figure4_tbi_fitting(config), rounds=1, iterations=1)
+def test_figure4_real_vs_random_trajectories(config):
+    results = figure4_tbi_fitting(config)
     emit(
         format_table(
             ["configuration", "true triangles", "seed triangles", "final triangles", "steps/sec"],

@@ -8,17 +8,12 @@ enough to dominate the noise at every tested ε; variability grows as ε shrinks
 from __future__ import annotations
 
 import numpy as np
-import pytest
-
 from conftest import emit
 from repro.experiments import figure5_epsilon_sensitivity, format_table
 
 
-@pytest.mark.benchmark(group="figure5")
-def test_figure5_epsilon_sweep(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: figure5_epsilon_sensitivity(config), rounds=1, iterations=1
-    )
+def test_figure5_epsilon_sweep(config):
+    rows = figure5_epsilon_sensitivity(config)
     emit(
         format_table(
             ["epsilon", "mean final triangles", "std final triangles", "true triangles"],

@@ -7,19 +7,12 @@ bespoke mechanism, in exchange for an automatic privacy proof.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import format_table, jdd_accuracy_ablation
 
 
-@pytest.mark.benchmark(group="ablation-jdd")
-def test_jdd_accuracy_vs_sala(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: jdd_accuracy_ablation(config, epsilon=max(config.epsilon, 0.5)),
-        rounds=1,
-        iterations=1,
-    )
+def test_jdd_accuracy_vs_sala(config):
+    rows = jdd_accuracy_ablation(config, epsilon=max(config.epsilon, 0.5))
     emit(
         format_table(
             ["approach", "mean |error| per occupied degree pair"],

@@ -9,24 +9,17 @@ suppress only the troublesome half and keep constant noise on the rest.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import format_table, smooth_sensitivity_ablation
 
 
-@pytest.mark.benchmark(group="ablation-smooth")
-def test_smooth_sensitivity_vs_weighted_records(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: smooth_sensitivity_ablation(
-            nodes=max(200, int(400 * config.graph_scale)),
-            epsilon=0.5,
-            delta=0.01,
-            trials=25,
-            seed=config.seed,
-        ),
-        rounds=1,
-        iterations=1,
+def test_smooth_sensitivity_vs_weighted_records(config):
+    rows = smooth_sensitivity_ablation(
+        nodes=max(200, int(400 * config.graph_scale)),
+        epsilon=0.5,
+        delta=0.01,
+        trials=25,
+        seed=config.seed,
     )
     emit(
         format_table(

@@ -9,18 +9,13 @@ here are scaled-down synthetic stand-ins (see DESIGN.md, substitutions).
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import format_table, table1_graph_statistics
 from repro.graph import PAPER_REPORTED_STATISTICS
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_graph_statistics(benchmark, config):
-    rows = benchmark.pedantic(
-        lambda: table1_graph_statistics(config), rounds=1, iterations=1
-    )
+def test_table1_graph_statistics(config):
+    rows = table1_graph_statistics(config)
     emit(
         format_table(
             ["graph", "nodes", "edges", "dmax", "triangles", "assortativity r"],

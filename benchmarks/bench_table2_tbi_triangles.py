@@ -8,15 +8,12 @@ graph's triangle count, for all four evaluation graphs.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import format_table, table2_tbi_triangles
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_seed_mcmc_truth(benchmark, config):
-    rows = benchmark.pedantic(lambda: table2_tbi_triangles(config), rounds=1, iterations=1)
+def test_table2_seed_mcmc_truth(config):
+    rows = table2_tbi_triangles(config)
     emit(
         format_table(
             ["graph", "seed triangles", "after TbI MCMC", "true triangles"],

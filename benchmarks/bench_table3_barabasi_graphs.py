@@ -7,15 +7,12 @@ drives the incremental engine's memory and per-step cost in Figure 6.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import emit
 from repro.experiments import format_table, table3_barabasi
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_barabasi_sweep(benchmark, config):
-    rows = benchmark.pedantic(lambda: table3_barabasi(config), rounds=1, iterations=1)
+def test_table3_barabasi_sweep(config):
+    rows = table3_barabasi(config)
     emit(
         format_table(
             ["beta", "nodes", "edges", "dmax", "triangles", "sum d^2"],

@@ -1,14 +1,15 @@
-"""Shared configuration for the benchmark suite.
+"""Shared configuration for the paper suite (``benchmarks/bench_*.py``).
 
-Every benchmark regenerates one of the paper's tables or figures on the
-scaled-down synthetic stand-ins, prints the rows/series (so the captured
-``bench_output.txt`` doubles as the reproduction record), and asserts the
-qualitative *shape* the paper reports.  Scale and MCMC length can be raised
-via the ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_STEPS`` environment variables.
+One file per entry of ``repro.cli.EXPERIMENTS``: each regenerates one of the
+paper's tables, figures or ablations on the scaled-down synthetic stand-ins,
+prints the rows/series, and asserts the qualitative *shape* the paper reports.
+Nothing here times the platform — that is ``benchmarks/e2e/`` — and no file
+needs a plugin beyond pytest itself.  Scale and MCMC length can be raised via
+the ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_STEPS`` environment variables.
 
 Because pytest captures stdout of passing tests, the tables produced by each
 benchmark are (a) accumulated and echoed in the terminal summary at the end of
-the run, and (b) appended to ``benchmarks/results/latest_report.txt``.
+the run, and (b) written to ``benchmarks/results/latest_report.txt``.
 """
 
 from __future__ import annotations

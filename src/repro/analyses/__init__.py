@@ -74,7 +74,26 @@ from .triangles import (
     triangles_by_intersect_query,
 )
 
+#: The named graph analyses, name -> (description, builder over the protected
+#: edges queryable): what ``repro explain`` and ``repro lint --plans`` list and
+#: what every hosted session of ``repro serve`` answers.
+NAMED_QUERIES = {
+    "degree-ccdf": ("degree CCDF (Section 3.1)", degree_ccdf_query),
+    "degree-sequence": (
+        "non-increasing degree sequence (Section 3.1)",
+        degree_sequence_query,
+    ),
+    "node-count": ("half node count (Section 2.8)", node_count_query),
+    "jdd": ("joint degree distribution (Section 3.2)", joint_degree_query),
+    "tbd": ("triangles by degree (Section 3.3)", triangles_by_degree_query),
+    "tbi": ("triangles by intersect (Section 5.3)", triangles_by_intersect_query),
+    "wedges": ("wedge count", wedges_query),
+    "sbd": ("squares by degree", squares_by_degree_query),
+    "stars": ("star degree histogram", star_degree_query),
+}
+
 __all__ = [
+    "NAMED_QUERIES",
     "protect_graph",
     "symmetrize",
     "reverse_edge",

@@ -28,11 +28,6 @@ invariants")::
     python -m repro lint --plans                # verify every named query plan
     python -m repro lint --baseline lint-baseline.json --write-baseline
 
-and the execution-backend comparison harness::
-
-    python -m repro bench                       # eager vs dataflow vs vectorized
-    python -m repro bench --edges 10000 --out BENCH_columnar.json
-
 as well as the concurrent measurement service (see README "Serving
 measurements")::
 
@@ -53,6 +48,7 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
+from .analyses import NAMED_QUERIES
 from .core.executor import EXECUTORS
 from .experiments import (
     ExperimentConfig,
@@ -72,9 +68,9 @@ from .experiments import (
     table2_tbi_triangles,
     table3_barabasi,
 )
-from .inference.synthesizer import SCORING_BACKENDS
+from .inference.synthesizer import DEFAULT_BACKEND, SCORING_BACKENDS
 
-__all__ = ["main", "build_parser", "EXPERIMENTS", "EXPLAIN_QUERIES"]
+__all__ = ["main", "build_parser", "EXPERIMENTS"]
 
 
 def _run_figure1(config: ExperimentConfig) -> str:
@@ -228,34 +224,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
 }
 
 
-#: Named queries available to ``repro explain``: name -> (description, builder).
-EXPLAIN_QUERIES: dict[str, tuple[str, Callable]] = {}
-
-
-def _register_explain_queries() -> None:
-    """Populate EXPLAIN_QUERIES lazily (analyses import graph machinery)."""
-    if EXPLAIN_QUERIES:
-        return
-    from . import analyses
-
-    EXPLAIN_QUERIES.update(
-        {
-            "degree-ccdf": ("degree CCDF (Section 3.1)", analyses.degree_ccdf_query),
-            "degree-sequence": (
-                "non-increasing degree sequence (Section 3.1)",
-                analyses.degree_sequence_query,
-            ),
-            "node-count": ("half node count (Section 2.8)", analyses.node_count_query),
-            "jdd": ("joint degree distribution (Section 3.2)", analyses.joint_degree_query),
-            "tbd": ("triangles by degree (Section 3.3)", analyses.triangles_by_degree_query),
-            "tbi": ("triangles by intersect (Section 5.3)", analyses.triangles_by_intersect_query),
-            "wedges": ("wedge count", analyses.wedges_query),
-            "sbd": ("squares by degree", analyses.squares_by_degree_query),
-            "stars": ("star degree histogram", analyses.star_degree_query),
-        }
-    )
-
-
 def _run_explain(
     query: str | None,
     epsilon: float | None,
@@ -273,24 +241,23 @@ def _run_explain(
     """
     from .core import PrivacySession
 
-    _register_explain_queries()
     if query is None:
-        width = max(len(name) for name in EXPLAIN_QUERIES)
+        width = max(len(name) for name in NAMED_QUERIES)
         print(
             "usage: repro explain <query> [--epsilon E] [--executor NAME] "
             "[--rows N] [--verify]\n\navailable queries:"
         )
-        for name in sorted(EXPLAIN_QUERIES):
-            description, _ = EXPLAIN_QUERIES[name]
+        for name in sorted(NAMED_QUERIES):
+            description, _ = NAMED_QUERIES[name]
             print(f"  {name.ljust(width)}  {description}")
         return 0
-    if query not in EXPLAIN_QUERIES:
+    if query not in NAMED_QUERIES:
         print(
             f"unknown query {query!r}; run 'repro explain' for the list",
             file=sys.stderr,
         )
         return 2
-    description, builder = EXPLAIN_QUERIES[query]
+    description, builder = NAMED_QUERIES[query]
     # The plan is data-independent; --rows only sizes the synthetic dataset
     # that drives the auto executor's routing decision.
     session = PrivacySession(executor=executor)
@@ -304,21 +271,20 @@ def _run_explain(
 def _lint_plans() -> int:
     """Statically verify every named query plan (``repro lint --plans``).
 
-    For each query in :data:`EXPLAIN_QUERIES`: derive the stability bounds,
-    check them against the multiplicity-based ε-charge at a nominal ε, and
-    confirm the plan is portable to shard workers.  Returns the number of
-    error-severity findings.
+    For each query in :data:`repro.analyses.NAMED_QUERIES`: derive the
+    stability bounds, check them against the multiplicity-based ε-charge at a
+    nominal ε, and confirm the plan is portable to shard workers.  Returns the
+    number of error-severity findings.
     """
     from .core import PrivacySession
     from .lint import format_bounds, verify_plan
 
-    _register_explain_queries()
     session = PrivacySession()
     edges = session.protect("edges", [])
     errors = 0
-    width = max(len(name) for name in EXPLAIN_QUERIES)
-    for name in sorted(EXPLAIN_QUERIES):
-        _, builder = EXPLAIN_QUERIES[name]
+    width = max(len(name) for name in NAMED_QUERIES)
+    for name in sorted(NAMED_QUERIES):
+        _, builder = NAMED_QUERIES[name]
         report = verify_plan(builder(edges).plan, epsilon=0.1)
         problems = [issue for issue in report.issues if issue.severity == "error"]
         warnings = [issue for issue in report.issues if issue.severity != "error"]
@@ -489,61 +455,13 @@ def _run_locks(args: argparse.Namespace) -> int:
     return 1 if any(issue.rule == "R007" for issue in analysis.issues) else 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """Run a backend comparison and write its JSON report.
-
-    Default: the one-shot measurement workload (``BENCH_columnar.json``).
-    With ``--mcmc``: the MCMC scoring-backend comparison — dataflow vs
-    full-pass columnar vs incremental columnar steps/second
-    (``BENCH_mcmc.json``).
-    """
-    import json
-
-    if args.mcmc:
-        from .inference.bench import mcmc_backend_comparison, format_mcmc_comparison
-
-        report = mcmc_backend_comparison(
-            edge_counts=(args.edges,),
-            steps=int(2000 * (args.steps if args.steps is not None else 1.0)),
-            seed=args.seed if args.seed is not None else 0,
-            # 0 means "default": keep the fused-scoring micro-entry at the
-            # comparison's standard batch size so the written report matches
-            # the committed BENCH_mcmc.json.
-            proposal_batch=args.batch if args.batch else 16,
-            processes=args.processes,
-        )
-        output = format_mcmc_comparison(report)
-        out_path = args.out
-        if out_path == "BENCH_columnar.json":
-            out_path = "BENCH_mcmc.json"
-    else:
-        from .columnar.bench import backend_comparison, format_comparison
-
-        backends = [name.strip() for name in args.backends.split(",") if name.strip()]
-        report = backend_comparison(
-            edges=args.edges,
-            seed=args.seed if args.seed is not None else 0,
-            rounds=args.rounds,
-            backends=backends,
-        )
-        output = format_comparison(report)
-        out_path = args.out
-    print(output)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nreport written to {out_path}")
-    return 0
-
-
 def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
     """End-to-end synthesis demo: ``repro synth`` (Section 5.1 workflow).
 
     Generates an Erdős–Rényi graph, measures TbI, seeds a degree-matched
     graph, and fits it with MCMC on the chosen scoring backend — optionally
-    with batched proposal evaluation (``--batch``) and parallel multi-chain
-    search (``--chains``).
+    with batched proposal evaluation (``--batch``) and multi-chain search
+    (``--chains``, on several cores with ``--processes``).
     """
     import numpy as np
 
@@ -745,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
             "explain",
             "lint",
             "locks",
-            "bench",
             "synth",
             "serve",
             "chaos",
@@ -754,9 +671,8 @@ def build_parser() -> argparse.ArgumentParser:
             "which experiment to run ('list' to enumerate, 'all' for "
             "everything, 'explain' to print a query plan, 'lint' to run the "
             "privacy-invariant static analyzer, 'locks' to print the "
-            "declared lock hierarchy and lock-order graph, 'bench' to "
-            "compare the execution backends, 'synth' to run MCMC graph "
-            "synthesis, 'serve' to run the HTTP measurement service, "
+            "declared lock hierarchy and lock-order graph, 'synth' to run "
+            "MCMC graph synthesis, 'serve' to run the HTTP measurement service, "
             "'chaos' to run the randomized fault-injection harness)"
         ),
     )
@@ -840,34 +756,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="for 'lint': record the current findings into --baseline and exit 0",
     )
     parser.add_argument(
-        "--edges", type=int, default=2000, help="benchmark graph edges for 'bench'"
-    )
-    parser.add_argument(
-        "--rounds", type=int, default=3, help="timing rounds per backend for 'bench'"
-    )
-    parser.add_argument(
-        "--backends",
-        default="eager,dataflow,vectorized",
-        help="comma-separated backends for 'bench'",
-    )
-    parser.add_argument(
-        "--out",
-        default="BENCH_columnar.json",
-        help=(
-            "JSON report path for 'bench' (empty string to skip writing; "
-            "defaults to BENCH_mcmc.json with --mcmc)"
-        ),
-    )
-    parser.add_argument(
-        "--mcmc",
-        action="store_true",
-        help="for 'bench': compare the MCMC scoring backends instead",
+        "--edges", type=int, default=2000, help="for 'synth': edges of the input graph"
     )
     parser.add_argument(
         "--chains",
         type=int,
         default=1,
-        help="for 'synth': parallel independent MCMC chains (best one wins)",
+        help="for 'synth': independent MCMC chains (best one wins)",
     )
     parser.add_argument(
         "--processes",
@@ -875,23 +770,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "for 'synth': run the --chains chains in N worker processes "
-            "(bit-identical to threads, but GIL-free); for 'bench --mcmc': "
-            "add a process-parallel chain-scaling section at 1 and N workers"
+            "(the same chains as in-process, on more than one core)"
         ),
     )
     parser.add_argument(
         "--batch",
         type=int,
         default=0,
-        help=(
-            "for 'synth': proposals scored per fused batch (0 = sequential); "
-            "for 'bench --mcmc': batch size of the fused-scoring micro-entry "
-            "(0 = the default 16)"
-        ),
+        help="for 'synth': proposals scored per fused batch (0 = sequential)",
     )
     parser.add_argument(
         "--backend",
-        default="incremental",
+        default=DEFAULT_BACKEND,
         choices=list(SCORING_BACKENDS),
         help="for 'synth': MCMC scoring backend",
     )
@@ -1016,8 +906,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"unexpected argument {args.query!r} "
             "(only 'explain', 'lint' and 'locks' take one)"
         )
-    if args.experiment == "bench":
-        return _run_bench(args)
     if args.experiment == "synth":
         return _run_synth(args, _configure(args))
     if args.experiment == "serve":

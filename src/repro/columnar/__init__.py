@@ -15,9 +15,7 @@ evaluator and the incremental dataflow engine:
   stable transformations with eager-identical semantics;
 * :mod:`~repro.columnar.executor` — :class:`VectorizedExecutor` (select it
   with ``PrivacySession(executor="vectorized")``) and :class:`AutoExecutor`
-  (``executor="auto"``), which routes each plan by input size;
-* :mod:`~repro.columnar.bench` — the eager/dataflow/vectorized comparison
-  harness behind ``repro bench`` and ``benchmarks/bench_columnar.py``.
+  (``executor="auto"``), which routes each plan by input size.
 """
 
 from .interning import Interner, global_interner, set_global_interner, use_interner
@@ -45,7 +43,6 @@ _LAZY = {
     "AutoExecutor": ("executor", "AutoExecutor"),
     "DEFAULT_AUTO_THRESHOLD": ("executor", "DEFAULT_AUTO_THRESHOLD"),
     "kernels": ("kernels", None),
-    "bench": ("bench", None),
 }
 
 

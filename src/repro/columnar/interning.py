@@ -84,7 +84,7 @@ class Interner:
         estimate of the resident encoding state — the dict and list overhead,
         not the atoms' own payloads.  Sampling this before/after a workload
         turns "the interner grows monotonically" from a docstring warning into
-        a number (``repro bench --mcmc`` reports it per backend).
+        a number (the end-to-end benchmark reports ``columnar.interner.atoms``).
         """
         return {
             "atoms": len(self._atoms),

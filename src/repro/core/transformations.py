@@ -311,20 +311,34 @@ def join(
 # ----------------------------------------------------------------------
 # Set-like binary operators
 # ----------------------------------------------------------------------
+def _elementwise(
+    left: WeightedDataset, right: WeightedDataset, pick: Callable[[float, float], float]
+) -> WeightedDataset:
+    """``pick`` of the two weights per record of either input.
+
+    Output order is left's records in left's order, then right's unseen
+    records in right's order — never ``set`` iteration order, which for
+    records holding strings changes with ``PYTHONHASHSEED`` and would carry
+    into the norm and every downstream float sum (hence into releases).
+    Weights may be negative, so a one-sided record still meets ``pick``.
+    """
+    output = {
+        record: pick(weight, right.weight(record)) for record, weight in left.items()
+    }
+    for record, weight in right.items():
+        if record not in output:
+            output[record] = pick(0.0, weight)
+    return WeightedDataset(output, tolerance=left.tolerance)
+
+
 def union(left: WeightedDataset, right: WeightedDataset) -> WeightedDataset:
     """Element-wise maximum of weights: ``Union(A, B)(x) = max(A(x), B(x))``."""
-    output: dict[Any, float] = {}
-    for record in set(left.records()) | set(right.records()):
-        output[record] = max(left.weight(record), right.weight(record))
-    return WeightedDataset(output, tolerance=left.tolerance)
+    return _elementwise(left, right, max)
 
 
 def intersect(left: WeightedDataset, right: WeightedDataset) -> WeightedDataset:
     """Element-wise minimum of weights: ``Intersect(A, B)(x) = min(A(x), B(x))``."""
-    output: dict[Any, float] = {}
-    for record in set(left.records()) | set(right.records()):
-        output[record] = min(left.weight(record), right.weight(record))
-    return WeightedDataset(output, tolerance=left.tolerance)
+    return _elementwise(left, right, min)
 
 
 def concat(left: WeightedDataset, right: WeightedDataset) -> WeightedDataset:

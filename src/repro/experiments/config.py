@@ -1,4 +1,5 @@
-"""Configuration shared by the benchmark harness.
+"""Configuration shared by the paper experiments (``repro <experiment>`` and
+the ``benchmarks/bench_*.py`` suite that asserts their shapes).
 
 The paper's experiments run on graphs with up to a million edges and MCMC
 chains of 5×10⁵–5×10⁶ steps on a 64 GB machine.  The reproduction targets a
@@ -10,8 +11,11 @@ variables below are set:
   per-experiment default scale).
 * ``REPRO_BENCH_STEPS`` — multiplier on MCMC step counts.
 * ``REPRO_BENCH_SEED`` — base random seed.
+* ``REPRO_BENCH_EPSILON`` / ``REPRO_BENCH_POW`` — ε per measurement and the
+  MCMC score-sharpening exponent.
 
-``EXPERIMENTS.md`` records which settings produced the committed numbers.
+These five are the only ``REPRO_BENCH_*`` variables; nothing here times the
+platform (that is ``benchmarks/e2e/``).
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ backends drive the chain (selected via
   kernel pass.
 
 ``GraphSynthesizer.run(chains=N)`` (or :func:`repro.inference.parallel
-.run_chains`) runs N independent chains with spawned RNG streams via
-``concurrent.futures`` and adopts the best-scoring graph.
+.run_chains`) runs N independent chains with spawned RNG streams — in turn,
+or in ``processes=N`` worker processes — and adopts the best-scoring graph.
 """
 
 from .mcmc import (
@@ -31,6 +31,7 @@ from .mcmc import (
     MCMCStepRecord,
     MetropolisHastings,
 )
+from .parallel import ChainOutcome, ParallelSynthesisResult, run_chains
 from .random_walks import EdgeSwapWalk, RecordReplacementWalk, edge_swap_delta
 from .scoring import MeasurementScore, ScoreTracker
 from .seed import (
@@ -79,9 +80,8 @@ __all__ = [
 
 def __getattr__(name: str):
     # Lazy re-exports: the columnar scorers pull in the whole vectorized
-    # backend (kernels, interner), and the parallel driver pulls in the
-    # executor pool — eager/dataflow-only users (every CLI experiment by
-    # default) should not pay to import either.
+    # backend (kernels, interner) — eager/dataflow-only users (every CLI
+    # experiment by default) should not pay to import it.
     if name in (
         "ColumnarScoreEngine",
         "IncrementalColumnarScoreEngine",
@@ -91,8 +91,4 @@ def __getattr__(name: str):
         from . import columnar_scoring
 
         return getattr(columnar_scoring, name)
-    if name in ("ChainOutcome", "ParallelSynthesisResult", "run_chains"):
-        from . import parallel
-
-        return getattr(parallel, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,18 +1,17 @@
-"""Parallel multi-chain graph synthesis.
+"""Multi-chain graph synthesis.
 
 MCMC synthesis is embarrassingly parallel across restarts: the paper's
 workflow is a single long chain, but running N independent chains from the
-same seed graph and keeping the best-scoring result both exploits multi-core
-hardware and hedges against a chain stuck in a poor mode.  This module
-provides that driver:
+same seed graph and keeping the best-scoring result hedges against a chain
+stuck in a poor mode.  This module provides that driver:
 
 * every chain gets an independent, reproducible RNG stream spawned from one
   :class:`numpy.random.SeedSequence` (so ``chains=4, rng=0`` is deterministic
   and no two chains share a stream);
-* chains run through :class:`concurrent.futures.ThreadPoolExecutor`.  The
-  hot loops hold the GIL for their Python portions, but the columnar
-  backends spend their time in NumPy kernels (which release it), and the
-  process-wide interner is thread-safe, so chains genuinely overlap;
+* in-process chains run one after the other: the proposal loop holds the GIL,
+  so threads only add contention (two thread chains measured 0.8-0.9x of the
+  same two chains run in turn).  ``processes=N`` is the one way to use more
+  than one core — whole chains move into worker processes;
 * the result keeps every chain's trajectory and exposes the best chain — the
   quantity :meth:`~repro.inference.synthesizer.GraphSynthesizer.run` adopts
   when called with ``chains=N``.
@@ -20,19 +19,15 @@ provides that driver:
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ..core.aggregation import NoisyCountResult
 from ..graph.graph import Graph
 from .mcmc import MCMCResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (synthesizer imports us)
-    from .synthesizer import GraphSynthesizer
+from .synthesizer import DEFAULT_BACKEND, DEFAULT_POW, GraphSynthesizer
 
 __all__ = ["ChainOutcome", "ParallelSynthesisResult", "run_chains", "spawn_generators"]
 
@@ -89,17 +84,6 @@ class ParallelSynthesisResult:
         """The highest-scoring chain."""
         return self.chains[self.best_index]
 
-    def steps_per_second(self) -> float:
-        """Aggregate throughput over all chains (total steps / wall window).
-
-        Chains overlap, so this is steps divided by the *slowest* chain's
-        elapsed time — the figure a wall-clock observer sees.
-        """
-        slowest = max(chain.result.elapsed_seconds for chain in self.chains)
-        if slowest <= 0:
-            return float("inf")
-        return sum(chain.result.steps for chain in self.chains) / slowest
-
 
 def run_chains(
     measurements: Iterable[NoisyCountResult],
@@ -107,13 +91,12 @@ def run_chains(
     steps: int,
     chains: int,
     pow_: float | None = None,
-    backend: str = "incremental",
+    backend: str = DEFAULT_BACKEND,
     rng: np.random.Generator | int | None = None,
     source_name: str = "edges",
     record_every: int | None = None,
     metrics: dict[str, Callable[[], float]] | None = None,
     proposal_batch: int | None = None,
-    max_workers: int | None = None,
     processes: int | None = None,
     start_method: str | None = None,
 ) -> ParallelSynthesisResult:
@@ -122,22 +105,17 @@ def run_chains(
     Each chain builds its own :class:`~repro.inference.synthesizer
     .GraphSynthesizer` (own engine, own copy of the seed graph) with a
     spawned RNG stream and runs ``steps`` proposals — batched by
-    ``proposal_batch`` where the backend supports it.  Construction happens
-    inside the worker threads too, so the expensive engine initialisation of
-    N chains also overlaps.
+    ``proposal_batch`` where the backend supports it.  Chains run in turn.
 
     ``processes=N`` moves whole chains into N worker *processes* (a
-    :class:`~repro.shard.pool.ProcessPool`) instead of threads — the GIL
-    stops mattering, so N chains genuinely use N cores.  Results are
-    bit-identical to the thread path: each chain receives the very same
-    spawned :class:`numpy.random.Generator` (pickled with its state) and
-    the same released measurement values.  Constraints: measurement plans
-    must be portable (:mod:`repro.shard.plan`) and live ``metrics``
-    callables cannot cross the boundary; process outcomes carry
+    :class:`~repro.shard.pool.ProcessPool`), so N chains use N cores.
+    Results are bit-identical to the in-process path: each chain receives
+    the very same spawned :class:`numpy.random.Generator` (pickled with its
+    state) and the same released measurement values.  Constraints:
+    measurement plans must be portable (:mod:`repro.shard.plan`) and live
+    ``metrics`` callables cannot cross the boundary; process outcomes carry
     ``synthesizer=None``.
     """
-    from .synthesizer import DEFAULT_POW, GraphSynthesizer
-
     if chains < 1:
         raise ValueError("chains must be a positive integer")
     if processes is not None and processes < 1:
@@ -151,7 +129,7 @@ def run_chains(
             raise ValueError(
                 "metrics callables cannot cross a process boundary; run with "
                 "record_every and compute metrics from the returned graphs, "
-                "or use thread chains"
+                "or run the chains in-process"
             )
         return _run_chains_processes(
             measurements,
@@ -192,12 +170,7 @@ def run_chains(
             synthesizer=synthesizer,
         )
 
-    if chains == 1:
-        return ParallelSynthesisResult([run_one(0)])
-    workers = max_workers or min(chains, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        outcomes = list(executor.map(run_one, range(chains)))
-    return ParallelSynthesisResult(outcomes)
+    return ParallelSynthesisResult([run_one(index) for index in range(chains)])
 
 
 def _run_chains_processes(

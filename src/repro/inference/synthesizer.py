@@ -42,13 +42,17 @@ DEFAULT_POW = 10_000.0
 #: MCMC scoring backend name -> the class in
 #: :mod:`repro.inference.columnar_scoring` that plays both engine and tracker
 #: for it (``None``: the dict-based dataflow engine with a ``ScoreTracker``).
-#: The one list of names ``GraphSynthesizer``, ``repro synth --backend`` and
-#: the MCMC benchmark go by.
+#: The one list of names ``GraphSynthesizer`` and ``repro synth --backend``
+#: go by.
 SCORING_BACKENDS: dict[str, str | None] = {
     "dataflow": None,
     "vectorized": "ColumnarScoreEngine",
     "incremental": "IncrementalColumnarScoreEngine",
 }
+
+#: The backend ``GraphSynthesizer``, ``synthesize_graph``, ``run_chains`` and
+#: ``repro synth`` use unless told otherwise: the fastest in both MCMC regimes.
+DEFAULT_BACKEND = "dataflow"
 
 
 class GraphSynthesizer:
@@ -75,7 +79,7 @@ class GraphSynthesizer:
       evaluation (``run(..., proposal_batch=k)``).  A reject pushes the
       negated delta, i.e. costs a second propagation.
 
-    ``run(chains=N)`` hands the work to the parallel multi-chain driver
+    ``run(chains=N)`` hands the work to the multi-chain driver
     (:mod:`repro.inference.parallel`) and adopts the best-scoring chain.
     """
 
@@ -86,7 +90,7 @@ class GraphSynthesizer:
         pow_: float = DEFAULT_POW,
         rng: np.random.Generator | int | None = None,
         source_name: str = "edges",
-        backend: str = "dataflow",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.measurements = list(measurements)
         if not self.measurements:
@@ -173,7 +177,6 @@ class GraphSynthesizer:
         metrics: dict[str, Callable[[], float]] | None = None,
         proposal_batch: int | None = None,
         chains: int = 1,
-        max_workers: int | None = None,
         processes: int | None = None,
     ) -> MCMCResult:
         """Run ``steps`` proposals, recording graph metrics along the way.
@@ -184,13 +187,14 @@ class GraphSynthesizer:
 
         ``proposal_batch=k`` scores proposals in batches of ``k`` (one fused
         kernel pass on the incremental backend).  ``chains=N`` runs N
-        independent chains from the current graph through the parallel driver
-        (:func:`repro.inference.parallel.run_chains`), adopts the
+        independent chains from the current graph, one after the other,
+        through :func:`repro.inference.parallel.run_chains`, adopts the
         best-scoring chain into this synthesizer, stores the full per-chain
         report on :attr:`last_parallel_result`, and returns the best chain's
-        result.  ``processes=N`` additionally moves those chains into worker
-        processes (escaping the GIL); the winning chain comes back as a
-        graph, from which a fresh synthesizer is rebuilt and adopted.
+        result.  ``processes=N`` moves those chains into worker processes
+        (the one way to use more than one core); the winning chain comes
+        back as a graph, from which a fresh synthesizer is rebuilt and
+        adopted.
         """
         if chains > 1 or processes is not None:
             from .parallel import run_chains
@@ -207,7 +211,6 @@ class GraphSynthesizer:
                 record_every=record_every,
                 metrics=metrics,
                 proposal_batch=proposal_batch,
-                max_workers=max_workers,
                 processes=processes,
             )
             self.last_parallel_result = outcome
@@ -284,7 +287,7 @@ def synthesize_graph(
     pow_: float = DEFAULT_POW,
     record_every: int | None = None,
     rng: np.random.Generator | int | None = None,
-    backend: str = "dataflow",
+    backend: str = DEFAULT_BACKEND,
     proposal_batch: int | None = None,
     chains: int = 1,
 ) -> SynthesisOutcome:
@@ -312,8 +315,8 @@ def synthesize_graph(
         ``"incremental"`` (incremental columnar scoring); see
         :class:`GraphSynthesizer`.
     proposal_batch, chains:
-        Batched proposal evaluation and parallel multi-chain synthesis,
-        forwarded to :meth:`GraphSynthesizer.run`.
+        Batched proposal evaluation and multi-chain synthesis, forwarded to
+        :meth:`GraphSynthesizer.run`.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 

@@ -49,22 +49,12 @@ __all__ = [
 def default_query_builders() -> dict[str, Callable[[Queryable], Queryable]]:
     """The named graph analyses every hosted edge dataset serves by default.
 
-    Matches the queries ``repro explain`` knows about; each builder takes the
-    protected edges queryable and returns the measurement target.
+    Each builder takes the protected edges queryable and returns the
+    measurement target.
     """
-    from .. import analyses
+    from ..analyses import NAMED_QUERIES
 
-    return {
-        "degree-ccdf": analyses.degree_ccdf_query,
-        "degree-sequence": analyses.degree_sequence_query,
-        "node-count": analyses.node_count_query,
-        "jdd": analyses.joint_degree_query,
-        "tbd": analyses.triangles_by_degree_query,
-        "tbi": analyses.triangles_by_intersect_query,
-        "wedges": analyses.wedges_query,
-        "sbd": analyses.squares_by_degree_query,
-        "stars": analyses.star_degree_query,
-    }
+    return {name: builder for name, (_, builder) in NAMED_QUERIES.items()}
 
 
 @dataclass(frozen=True)

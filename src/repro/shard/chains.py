@@ -1,15 +1,15 @@
 """Process-parallel MCMC chains: the worker-side task and its wire format.
 
-Thread chains (:mod:`repro.inference.parallel`) overlap only as far as
-NumPy releases the GIL; the proposal loop's Python portion serialises.
-Process chains move the *entire* chain — synthesizer construction, scoring
-engine, proposal loop — into a pool worker, so N chains use N cores.
+In-process chains (:mod:`repro.inference.parallel`) run one after the other:
+the proposal loop holds the GIL.  Process chains move the *entire* chain —
+synthesizer construction, scoring engine, proposal loop — into a pool worker,
+so N chains use N cores.
 
-Bit-identical to thread chains by construction:
+Bit-identical to in-process chains by construction:
 
 * each chain receives the same :class:`numpy.random.Generator` object the
-  thread path would have used (``spawn_generators`` output pickles with its
-  full state), so every proposal and acceptance draw matches;
+  in-process path would have used (``spawn_generators`` output pickles with
+  its full state), so every proposal and acceptance draw matches;
 * measurements travel as *released values* via
   :func:`~repro.shard.plan.encode_measurement` — the fixed targets every
   scoring backend reads — so worker-side scores equal coordinator-side

@@ -156,7 +156,7 @@ def encode_measurement(measurement: NoisyCountResult) -> PortableMeasurement:
     MCMC scoring backends read (their targets are fixed at construction).
     A worker-side rehydrated result drawing fresh noise for never-released
     records would diverge from the coordinator, so the scorers' fixed-target
-    contract is what makes process chains bit-identical to thread chains.
+    contract is what makes process chains bit-identical to in-process ones.
     """
     plan = measurement.plan
     return PortableMeasurement(

@@ -16,7 +16,7 @@ import functools
 
 import pytest
 
-from repro import analyses, cli
+from repro import analyses
 from repro.analyses import protect_graph
 from repro.analyses.common import sorted_degrees
 from repro.columnar import ColumnarDataset
@@ -29,8 +29,7 @@ from repro.graph.graph import Graph
 from repro.shard.executor import ShardedExecutor
 from repro.shard.plan import decode_plan, encode_plan
 
-cli._register_explain_queries()
-NAMED_QUERIES = {name: builder for name, (_, builder) in cli.EXPLAIN_QUERIES.items()}
+NAMED_QUERIES = {name: builder for name, (_, builder) in analyses.NAMED_QUERIES.items()}
 
 #: The guard's graph.  Per-record work shows as a decode or an interning of
 #: more atoms than the graph has vertices (1200 edge rows, thousands of paths);

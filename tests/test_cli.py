@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -23,6 +28,19 @@ class TestParser:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["figure99"])
+
+    def test_bench_subcommand_and_its_flags_are_gone(self):
+        parser = build_parser()
+        for argv in (
+            ["bench"],
+            ["list", "--rounds", "1"],
+            ["list", "--backends", "eager"],
+            ["list", "--out", "report.json"],
+            ["list", "--mcmc"],
+        ):
+            with pytest.raises(SystemExit) as refused:
+                parser.parse_args(argv)
+            assert refused.value.code == 2, argv
 
     def test_option_parsing(self):
         args = build_parser().parse_args(
@@ -74,3 +92,27 @@ class TestMain:
         for name, (description, runner) in EXPERIMENTS.items():
             assert isinstance(description, str) and description
             assert callable(runner)
+
+
+class TestPaperSuite:
+    @pytest.mark.parametrize("extra", [[], ["-p", "no:benchmark"]])
+    def test_benchmarks_directory_collects_one_test_per_experiment(self, extra):
+        command = [sys.executable, "-m", "pytest", "benchmarks", "--co", "-q"]
+        listing = subprocess.run(
+            [*command, "-p", "no:cacheprovider", *extra],
+            cwd=Path(__file__).resolve().parent.parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        collected = [line for line in listing.splitlines() if "::" in line]
+        paper = [line for line in collected if line.startswith("benchmarks/bench_")]
+        assert len(paper) == len(EXPERIMENTS) == 12
+        for name in EXPERIMENTS:
+            # figure1 -> bench_figure1_*.py, jdd-ablation -> bench_jdd_*.py, ...
+            pattern = rf"bench_{re.escape(name.split('-')[0])}\w*\.py::"
+            assert sum(bool(re.search(pattern, line)) for line in paper) == 1, name
+        harness = [line for line in collected if line not in paper]
+        assert harness and all(
+            line.startswith("benchmarks/e2e/test_harness.py::") for line in harness
+        )

@@ -1,8 +1,6 @@
-"""Tests for the vectorized/auto executors, explain routing and `repro bench`."""
+"""Tests for the vectorized/auto executors and explain routing."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -271,62 +269,3 @@ class TestExplainBackends:
         assert "@vectorized" in capsys.readouterr().out
         assert main(["explain", "tbi", "--executor", "auto"]) == 0
         assert "@eager" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# repro bench
-# ----------------------------------------------------------------------
-class TestBenchCommand:
-    def test_bench_writes_comparison_report(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_columnar.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--edges",
-                    "120",
-                    "--rounds",
-                    "1",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        printed = capsys.readouterr().out
-        assert "vectorized" in printed and "eager" in printed
-        report = json.loads(out.read_text())
-        assert set(report["backends"]) == {"eager", "dataflow", "vectorized"}
-        assert report["edges"] == 120
-        assert all(stats["seconds"] > 0 for stats in report["backends"].values())
-        assert "vectorized" in report["speedups"]
-        # Identical released record counts: all backends measured the same data.
-        counts = {
-            stats["released_records"] for stats in report["backends"].values()
-        }
-        assert len(counts) == 1
-
-    def test_bench_backend_subset(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--edges",
-                    "80",
-                    "--rounds",
-                    "1",
-                    "--backends",
-                    "eager,vectorized",
-                    "--out",
-                    str(out),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(out.read_text())
-        assert set(report["backends"]) == {"eager", "vectorized"}

@@ -1,6 +1,8 @@
-"""Tests for batched proposal evaluation and the parallel multi-chain driver."""
+"""Tests for batched proposal evaluation and the multi-chain driver."""
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from repro.analyses import protect_graph, triangles_by_intersect_query
 from repro.core import PrivacySession, WeightedDataset
 from repro.graph.generators import erdos_renyi
-from repro.inference import GraphSynthesizer
+from repro.inference import GraphSynthesizer, synthesize_graph
 from repro.inference.columnar_scoring import IncrementalColumnarScoreEngine
 from repro.inference.parallel import (
     ParallelSynthesisResult,
@@ -172,12 +174,27 @@ class TestRunChains:
         # The adopted sampler keeps working.
         synthesizer.run(10)
 
-    def test_steps_per_second_aggregate(self, fitted):
+    def test_chains_are_single_runs_on_the_spawned_generators(self, fitted):
         measurements, seed_graph = fitted
         outcome = run_chains(
-            measurements, seed_graph, steps=30, chains=2, pow_=50.0, rng=4
+            measurements, seed_graph, steps=80, chains=3, pow_=50.0, rng=4
         )
-        assert outcome.steps_per_second() > 0
+        for chain, generator in zip(outcome.chains, spawn_generators(4, 3)):
+            single = GraphSynthesizer(measurements, seed_graph, pow_=50.0, rng=generator)
+            result = single.run(80)
+            assert chain.result.accepted == result.accepted
+            assert chain.log_score == single.log_score
+            assert sorted(chain.graph.to_edge_records()) == sorted(
+                single.graph.to_edge_records()
+            )
+
+    def test_one_default_backend(self):
+        from repro.cli import build_parser
+
+        default = inspect.signature(GraphSynthesizer).parameters["backend"].default
+        assert inspect.signature(run_chains).parameters["backend"].default == default
+        assert inspect.signature(synthesize_graph).parameters["backend"].default == default
+        assert build_parser().parse_args(["synth"]).backend == default
 
 
 class TestCLI:
@@ -207,20 +224,3 @@ class TestCLI:
         )
         assert code == 0
         assert "backend=dataflow" in capsys.readouterr().out
-
-    def test_bench_mcmc_command(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out_path = tmp_path / "BENCH_mcmc.json"
-        code = main(
-            [
-                "bench",
-                "--mcmc",
-                "--edges", "120",
-                "--steps", "0.02",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        assert out_path.exists()
-        assert "MCMC scoring backends" in capsys.readouterr().out

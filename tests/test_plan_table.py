@@ -252,17 +252,7 @@ def test_partition_attribution_is_linear_in_nodes():
 # ----------------------------------------------------------------------
 # (c) Propagation order is behaviour
 # ----------------------------------------------------------------------
-_QUERIES = {
-    "degree-ccdf": analyses.degree_ccdf_query,
-    "degree-sequence": analyses.degree_sequence_query,
-    "node-count": analyses.node_count_query,
-    "jdd": analyses.joint_degree_query,
-    "tbd": analyses.triangles_by_degree_query,
-    "tbi": analyses.triangles_by_intersect_query,
-    "wedges": analyses.wedges_query,
-    "sbd": analyses.squares_by_degree_query,
-    "stars": analyses.star_degree_query,
-}
+_QUERIES = {name: builder for name, (_, builder) in analyses.NAMED_QUERIES.items()}
 
 #: query -> (source uses, [(shared plan node, [(consumer, port), ...])]) in
 #: fold order; a consumer is named by its transformation on either engine.

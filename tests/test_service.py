@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.analyses import NAMED_QUERIES
 from repro.exceptions import (
     BudgetExceededError,
     ServiceError,
@@ -33,8 +34,8 @@ def service():
 class TestSessionRegistry:
     def test_create_hosts_default_queries(self, service):
         hosted = service.create_session("demo", EDGES, total_epsilon=1.0, seed=0)
-        assert "degree-ccdf" in hosted.query_names()
-        assert "tbi" in hosted.query_names()
+        assert hosted.query_names() == sorted(NAMED_QUERIES)
+        assert {"degree-ccdf", "tbi"} <= set(NAMED_QUERIES)
         assert service.budget_report("demo")["edges"]["total"] == 1.0
 
     def test_duplicate_session_name_rejected(self, service):

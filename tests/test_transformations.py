@@ -6,6 +6,10 @@ against hand-computed weights.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import WeightedDataset
@@ -267,3 +271,44 @@ class TestSetOperators:
 
     def test_union_with_empty_is_identity(self, a):
         assert xf.union(a, WeightedDataset.empty()).distance(a) == 0.0
+
+    def test_one_sided_negative_weights_survive(self):
+        left = WeightedDataset({"x": 1.0, "y": -2.0})
+        right = WeightedDataset({"z": -3.0, "w": 4.0})
+        assert xf.intersect(left, right).to_dict() == {"y": -2.0, "z": -3.0}
+        assert xf.union(left, right).to_dict() == {"x": 1.0, "w": 4.0}
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # String records hash differently in every process; neither the order
+        # nor one bit of a norm or a released value may follow.
+        probe = """
+import random
+
+from repro.core import PrivacySession, WeightedDataset
+from repro.core import transformations as xf
+
+draw = random.Random(5)
+a = WeightedDataset({f"r{i}": draw.uniform(0.1, 2.0) for i in range(40)})
+b = WeightedDataset({f"r{i}": draw.uniform(-0.5, 2.0) for i in range(20, 60)})
+for op in (xf.union, xf.intersect):
+    out = op(a, b)
+    print(repr(list(out.items())), repr(out.total_weight()))
+session = PrivacySession(seed=11)
+left, right = session.protect("a", a), session.protect("b", b)
+joined = left.union(right).join(
+    right, lambda r: r[-1], lambda r: r[-1], lambda l, r: l[-1]
+)
+print(repr(list(joined.noisy_count(0.5).items())))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("0", "1")
+        }
+        assert len(outputs) == 1 and outputs.pop().count("\n") == 3

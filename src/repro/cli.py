@@ -604,7 +604,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"executor={args.executor}{durable})"
     )
 
-    class _ShutdownRequested(Exception):
+    # Not an Exception: socketserver swallows those when one is raised while
+    # the accept loop hands a connection to its thread (see service/workers.py).
+    class _ShutdownRequested(BaseException):
         pass
 
     def _handle(signum: int, frame: object) -> None:

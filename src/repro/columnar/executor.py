@@ -88,8 +88,8 @@ class VectorizedExecutor(EagerExecutor):
     """Plan evaluation over columnar datasets and NumPy kernels.
 
     Subclasses :class:`~repro.core.executor.EagerExecutor` to inherit all of
-    its batch machinery — the id-keyed memo table, the plan pinning that
-    keeps ids unique, warm/cold scoping, ``evaluation_count`` and the one
+    its batch machinery — the id-keyed memo table scoped to one batch, the
+    plan pinning that keeps ids unique, ``evaluation_count`` and the one
     evaluation rule — and overrides only what differs: sources encode to
     :class:`~repro.columnar.dataset.ColumnarDataset`, a node's ``op`` is
     looked up among the vectorized kernels, and batch results decode to
@@ -102,12 +102,8 @@ class VectorizedExecutor(EagerExecutor):
 
     rules = kernels
 
-    def __init__(
-        self,
-        environment: Mapping[str, Any],
-        warm: bool = False,
-    ) -> None:
-        super().__init__(environment, warm=warm)
+    def __init__(self, environment: Mapping[str, Any]) -> None:
+        super().__init__(environment)
         # name -> (the registered WeightedDataset, its encoding).  The dataset
         # object itself is held (and compared by identity) rather than its
         # id(): a strong reference keeps the address from being reused by a

@@ -30,6 +30,7 @@ from .dataset import WeightedDataset
 from .laplace import LaplaceNoise, validate_epsilon
 
 __all__ = [
+    "ExactAnswer",
     "NoisyCountResult",
     "noisy_sum",
     "noisy_average",
@@ -87,6 +88,40 @@ def _canonical_sort_key(item: tuple[Any, float]) -> str:
     return _canonical_token(item[0])
 
 
+class ExactAnswer:
+    """An exact output ``Q(A)`` in release-ready form, and nothing else of it.
+
+    A measurement is ``Q(A) + noise`` and only the noise depends on ε, so this
+    is everything a release needs of the evaluation: :attr:`records`, the
+    support of ``Q(A)`` in the canonical noise-draw order, and
+    :attr:`weights`, the aligned exact weights as one float vector.  It is
+    what :meth:`~repro.core.queryable.PrivacySession.hold` retains per held
+    plan — protected data, so it never leaves the session and its repr shows
+    a record count only.
+    """
+
+    __slots__ = ("records", "weights")
+
+    def __init__(self, exact: WeightedDataset) -> None:
+        # Noise is drawn in a canonical (repr-sorted) record order rather than
+        # the dataset's iteration order.  Iteration order is an artifact of
+        # how a backend materialised Q(A) — eager dict insertion vs columnar
+        # code order — so sorting makes the record→noise assignment a function
+        # of the record *set* alone: under a fixed seed every execution
+        # backend releases identical measurements.
+        ordered = sorted(exact.items(), key=_canonical_sort_key)
+        self.records = tuple(record for record, _ in ordered)
+        self.weights = np.fromiter(
+            (weight for _, weight in ordered), dtype=float, count=len(ordered)
+        )
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __repr__(self) -> str:
+        return f"<ExactAnswer records={len(self.records)}>"
+
+
 class NoisyCountResult:
     """Released noisy weights for a wPINQ query.
 
@@ -100,7 +135,8 @@ class NoisyCountResult:
     ----------
     exact:
         The exact transformed dataset ``Q(A)`` (only consulted at
-        construction).
+        construction), or the :class:`ExactAnswer` already made of it — the
+        released values are the same either way.
     epsilon:
         Noise parameter; each value receives ``Laplace(1/ε)`` noise.
     noise:
@@ -110,9 +146,11 @@ class NoisyCountResult:
         can re-evaluate the same query on synthetic data.
     """
 
+    __slots__ = ("_epsilon", "_noise", "_plan", "query_name", "_values")
+
     def __init__(
         self,
-        exact: WeightedDataset,
+        exact: "WeightedDataset | ExactAnswer",
         epsilon: float,
         noise: LaplaceNoise | None = None,
         plan=None,
@@ -122,16 +160,14 @@ class NoisyCountResult:
         self._noise = noise if noise is not None else LaplaceNoise()
         self._plan = plan
         self.query_name = query_name
-        self._values: dict[Any, float] = {}
-        # Draw noise in a canonical (repr-sorted) record order rather than the
-        # dataset's iteration order.  Iteration order is an artifact of how a
-        # backend materialised Q(A) — eager dict insertion vs columnar code
-        # order — so sorting makes the record→noise assignment a function of
-        # the record *set* alone: under a fixed seed every execution backend
-        # releases identical measurements.
-        for record, weight in sorted(exact.items(), key=_canonical_sort_key):
-            self._values[record] = weight + self._noise.sample(self._epsilon)
-        self._observed = set(self._values)
+        if not isinstance(exact, ExactAnswer):
+            exact = ExactAnswer(exact)
+        # One vector draw: the same values, and the same generator state
+        # afterwards, as one scalar draw per record in this order.
+        draws = self._noise.sample_many(self._epsilon, len(exact))
+        self._values: dict[Any, float] = dict(
+            zip(exact.records, (exact.weights + draws).tolist())
+        )
 
     @classmethod
     def from_released(
@@ -156,7 +192,6 @@ class NoisyCountResult:
         result._plan = plan
         result.query_name = query_name
         result._values = dict(values)
-        result._observed = set(result._values)
         return result
 
     # ------------------------------------------------------------------

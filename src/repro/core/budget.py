@@ -44,7 +44,7 @@ from .laplace import validate_epsilon
 __all__ = ["BudgetLedger", "PrivacyBudget"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Charge:
     """One recorded budget expenditure (kept for auditing/reporting)."""
 

@@ -119,10 +119,12 @@ class WeightedDataset:
     ) -> "WeightedDataset":
         """Adopt aligned rows the caller guarantees already meet the invariants.
 
-        For ``ColumnarDataset.to_weighted`` only, whose rows are distinct
-        records with finite float weights of magnitude above ``tolerance``:
-        the per-row accumulate/validate/filter passes of ``__init__`` would
-        change nothing, so they are skipped.  Insertion order and the norm's
+        For rows that are distinct records with finite float weights of
+        magnitude above ``tolerance`` — the decoded rows of
+        ``ColumnarDataset.to_weighted``, or rows taken out of a dataset of the
+        same tolerance (:meth:`partition_by`): the per-row
+        accumulate/validate/filter passes of ``__init__`` would change
+        nothing, so they are skipped.  Insertion order and the norm's
         summation order are those of ``__init__``.
         """
         dataset = cls.__new__(cls)
@@ -268,12 +270,18 @@ class WeightedDataset:
         self, key: Callable[[Any], Any]
     ) -> dict[Any, "WeightedDataset"]:
         """Partition the dataset by a key function: ``A = Σ_k A_k``."""
-        parts: dict[Any, dict[Any, float]] = {}
+        parts: dict[Any, tuple[list, list[float]]] = {}
         for record, weight in self._weights.items():
-            parts.setdefault(key(record), {})[record] = weight
+            part_key = key(record)
+            part = parts.get(part_key)
+            if part is None:
+                part = parts[part_key] = ([], [])
+            part[0].append(record)
+            part[1].append(weight)
+        # Every part's rows already satisfy this dataset's invariants.
         return {
-            part_key: WeightedDataset(part, tolerance=self._tolerance)
-            for part_key, part in parts.items()
+            part_key: WeightedDataset._from_unique(records, weights, self._tolerance)
+            for part_key, (records, weights) in parts.items()
         }
 
     def top(self, count: int) -> list[tuple[Any, float]]:

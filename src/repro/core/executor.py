@@ -10,7 +10,7 @@ conforming backends are provided:
     the plan DAG once per batch, memoising results by plan-node *identity* so
     a sub-plan shared by several measurements (``length_two_paths``, the
     symmetric edge set, a degree table) is evaluated exactly once no matter
-    how many roots reference it.
+    how many roots reference it.  Nothing survives the batch.
 
 :class:`DataflowExecutor`
     The incremental engine (:mod:`repro.dataflow`) wrapped behind the same
@@ -35,6 +35,17 @@ Executors only *evaluate*; privacy accounting stays in
 :mod:`repro.core.aggregation`, so neither backend can weaken the privacy
 semantics — they must merely agree on ``Q(A)``, which the test suite checks
 property-style for every operator.
+
+Keeping a re-measured plan's answer is not an executor's job: the eager and
+vectorized evaluators keep nothing from one batch for the next, because
+neither can know that its environment will not change (the vectorized one
+also serves the MCMC scorer's mutable sources), and the dataflow executor's
+compiled graph — there for the MCMC loop's delta pushes — survives only until
+a batch names an unknown plan.  The layer that does know is the session,
+whose protected datasets cannot be rebound:
+:meth:`PrivacySession.hold <repro.core.queryable.PrivacySession.hold>` keeps
+a plan's final output, above and for every backend alike, and measurements of
+it never reach the executor again.
 """
 
 from __future__ import annotations
@@ -85,21 +96,17 @@ class EagerExecutor:
     memo:
         Optional pre-seeded memo table (``id(plan) -> dataset``), used by the
         ``Plan.evaluate`` compatibility wrapper.
-    warm:
-        When True the memo table survives across :meth:`evaluate_many` calls,
-        so repeated measurements of the same plan objects are free.  This is
-        sound because protected datasets are immutable once registered, but it
-        retains every intermediate result, so it is opt-in.
+
+    The memo table lives for one :meth:`evaluate_many` call, so no
+    intermediate dataset outlives the batch.
     """
 
     def __init__(
         self,
         environment: Mapping[str, WeightedDataset],
         memo: dict[int, WeightedDataset] | None = None,
-        warm: bool = False,
     ) -> None:
         self._environment = environment
-        self._warm = warm
         self._memo: dict[int, WeightedDataset] = memo if memo is not None else {}
         # Strong references to every memoised plan: ids are only unique among
         # *live* objects, so the memo pins its keys' plans to keep ids stable.
@@ -107,11 +114,6 @@ class EagerExecutor:
         self._last_counts: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def warm(self) -> bool:
-        """Whether results are retained across batches."""
-        return self._warm
-
     def backend_for(self, plan: Plan) -> str:
         """Every plan handed to this executor evaluates eagerly."""
         return "eager"
@@ -154,7 +156,7 @@ class EagerExecutor:
 
         This is the entry point plan nodes call for their children; use
         :meth:`evaluate` / :meth:`evaluate_many` from application code so the
-        memo table is scoped (or kept warm) correctly.
+        memo table is scoped to the batch.
         """
         key = id(plan)
         if key not in self._memo:
@@ -173,14 +175,13 @@ class EagerExecutor:
         try:
             return [self.recurse(plan) for plan in plans]
         finally:
-            # A cold executor must not keep intermediate datasets alive past
-            # the batch; only the (tiny) per-batch statistics survive.
-            if not self._warm:
-                self._memo = {}
-                self._pinned = {}
+            # No intermediate dataset stays alive past the batch; only the
+            # (tiny) per-batch statistics survive.
+            self._memo = {}
+            self._pinned = {}
 
     def reset(self) -> None:
-        """Drop all memoised results."""
+        """Drop the memo table and the last batch's statistics."""
         self._memo = {}
         self._pinned = {}
         self._last_counts = {}
@@ -189,8 +190,9 @@ class EagerExecutor:
     def evaluation_count(self, plan: Plan) -> int:
         """How many times ``plan`` was *computed* by the last batch.
 
-        A plan shared by several roots reports 1; a plan served from a warm
-        cache reports 0.  Used by tests and benchmarks to verify the
+        A plan shared by several roots reports 1; a plan the batch never
+        reached — such as one the session holds and did not hand over —
+        reports 0.  Used by tests and benchmarks to verify the
         shared-sub-plan guarantee.
         """
         return self._last_counts.get(id(plan), 0)
@@ -263,17 +265,16 @@ class DataflowExecutor:
         self._plans = {}
 
 
-#: Executor name -> (module relative to this package, class, constructor
-#: options): the one list of names ``create_executor``, ``repro --executor``
-#: and the docs go by.  The columnar and sharded modules import this one,
-#: hence the import by name at creation time.
-EXECUTORS: dict[str, tuple[str, str, dict]] = {
-    "eager": (".executor", "EagerExecutor", {}),
-    "eager-warm": (".executor", "EagerExecutor", {"warm": True}),
-    "dataflow": (".executor", "DataflowExecutor", {}),
-    "vectorized": ("..columnar.executor", "VectorizedExecutor", {}),
-    "auto": ("..columnar.executor", "AutoExecutor", {}),
-    "sharded": ("..shard.executor", "ShardedExecutor", {}),
+#: Executor name -> (module relative to this package, class): the one list of
+#: names ``create_executor``, ``repro --executor`` and the docs go by.  The
+#: columnar and sharded modules import this one, hence the import by name at
+#: creation time.
+EXECUTORS: dict[str, tuple[str, str]] = {
+    "eager": (".executor", "EagerExecutor"),
+    "dataflow": (".executor", "DataflowExecutor"),
+    "vectorized": ("..columnar.executor", "VectorizedExecutor"),
+    "auto": ("..columnar.executor", "AutoExecutor"),
+    "sharded": ("..shard.executor", "ShardedExecutor"),
 }
 
 
@@ -284,15 +285,15 @@ def create_executor(
     """Resolve an executor specification to a backend bound to ``environment``.
 
     ``spec`` may be one of the names in :data:`EXECUTORS` — ``"eager"``
-    (fresh memo per batch), ``"eager-warm"`` (memo kept across batches),
-    ``"dataflow"`` (warm incremental engine), ``"vectorized"`` (the columnar
-    NumPy-kernel backend), ``"auto"`` (eager for tiny inputs, vectorized for
-    large ones) and ``"sharded"`` (process-parallel sharded execution with a
-    vectorized fallback) — or a *factory*: a callable taking the environment
-    mapping and returning an :class:`Executor`.  A pre-built executor
-    instance is rejected: it would be bound to some other environment and
-    silently measure the wrong data (the session's dataset registry only
-    exists once the session does).
+    (the reference evaluator, fresh memo per batch), ``"dataflow"`` (the
+    incremental engine, last compiled batch kept), ``"vectorized"`` (the
+    columnar NumPy-kernel backend), ``"auto"`` (eager for tiny inputs,
+    vectorized for large ones) and ``"sharded"`` (process-parallel sharded
+    execution with a vectorized fallback) — or a *factory*: a callable taking
+    the environment mapping and returning an :class:`Executor`.  A pre-built
+    executor instance is rejected: it would be bound to some other
+    environment and silently measure the wrong data (the session's dataset
+    registry only exists once the session does).
     """
     if isinstance(spec, str):
         if spec not in EXECUTORS:
@@ -301,8 +302,8 @@ def create_executor(
                 f"unknown executor {spec!r}; expected {names}, or a factory "
                 f"callable taking the environment"
             )
-        module, name, options = EXECUTORS[spec]
-        return getattr(import_module(module, __package__), name)(environment, **options)
+        module, name = EXECUTORS[spec]
+        return getattr(import_module(module, __package__), name)(environment)
     # Classes count as factories (EagerExecutor itself is "a callable taking
     # the environment"); runtime_checkable isinstance is hasattr-based, so an
     # executor *class* would otherwise be mistaken for an instance here.

@@ -16,12 +16,17 @@ through which measurements reach the protected data.  It accepts any number of
    :class:`~repro.core.executor.Executor` as one batch, so a sub-plan shared
    by several requests (``length_two_paths``, a degree table, the symmetric
    edge set) is evaluated exactly once per batch regardless of how many
-   measurements reference it.
+   measurements reference it.  Plans the session holds
+   (:meth:`PrivacySession.hold`) whose exact output an earlier batch already
+   computed are left out of that batch — ``Q(A)`` is a constant of a session,
+   only the charge above and the noise below depend on ε — so a batch made
+   of such plans alone never reaches the executor.
 
 3. **Noise.**  Each request's exact output is released through an independent
    :class:`~repro.core.aggregation.NoisyCountResult`, in request order, so a
    batch is distributionally identical to the same measurements taken one by
-   one (and bit-for-bit identical under a fixed seed with the eager backend).
+   one (and bit-for-bit identical under a fixed seed with the eager backend),
+   whether the exact output was just evaluated or was held.
 
 ``Queryable.noisy_count`` is a one-element batch, so all existing analyst code
 keeps its exact semantics.
@@ -209,10 +214,10 @@ def execute_batch(session, items: Sequence[Any]) -> MeasurementSet:
         groups[group_id].commit_pending(pending, group_costs[group_id])
 
     # ------------------------------------------------------------------
-    # 3. Evaluate every plan in one executor batch (shared sub-plans once),
-    #    then draw noise per request, in request order.
+    # 3. Evaluate every plan not already held in one executor batch (shared
+    #    sub-plans once), then draw noise per request, in request order.
     # ------------------------------------------------------------------
-    exacts = session.executor.evaluate_many(
+    exacts = session._exact_outputs(
         [request.queryable.plan for request in requests]
     )
     results = [

@@ -19,7 +19,8 @@ submitted through :meth:`PrivacySession.measure` — go through the pipeline of
 2. every budget is charged atomically up front — refusing the entire batch,
    charging nothing, if any budget would be exceeded — and
 3. all plans are evaluated in one executor batch (shared sub-plans evaluate
-   exactly once) and released as
+   exactly once; a plan under :meth:`PrivacySession.hold` is evaluated once
+   in the session's life) and released as
    :class:`~repro.core.aggregation.NoisyCountResult` values.
 
 A typical graph analysis looks like::
@@ -47,7 +48,7 @@ import numpy as np
 from ..exceptions import PlanError
 from ..resilience.deadline import check_deadline
 from ..sanitize import ordered_rlock
-from .aggregation import NoisyCountResult, noisy_sum
+from .aggregation import ExactAnswer, NoisyCountResult, noisy_sum
 from .budget import BudgetLedger
 from .dataset import WeightedDataset
 from .executor import Executor, create_executor
@@ -116,6 +117,13 @@ class PrivacySession:
         # measurements of one session take turns.  Re-entrant because a
         # locked caller (the measurement service) may itself call measure().
         self._measure_lock = ordered_rlock("core.measure", 40, io_ok=True)  # lock-order: 40 io-ok
+        # Held plan -> its exact output, release-ready, once first measured
+        # (see hold()).  Keyed by the plan object: plans hash by identity, and
+        # the key keeps a held plan alive as long as the session.  Written
+        # under the measure lock only; the counters are plain ints so that a
+        # stats poll reads them without queueing behind an evaluation.
+        self._held: dict[Plan, ExactAnswer | None] = {}
+        self._held_reused = 0
 
     # ------------------------------------------------------------------
     def protect(
@@ -150,6 +158,71 @@ class PrivacySession:
             raise PlanError(f"plan references unregistered sources: {sorted(missing)}")
         return Queryable(self, plan)
 
+    def hold(self, queryable: "Queryable") -> "Queryable":
+        """Evaluate ``queryable``'s plan at most once in this session's life.
+
+        A measurement is ``Q(A) + noise``; a protected dataset cannot be
+        rebound (:meth:`protect` refuses), so ``Q(A)`` is a constant of the
+        session and only the charge and the noise depend on ε.  Holding a
+        plan makes :meth:`measure` keep its exact output the first time a
+        batch evaluates it — lazily, so a held plan nobody measures costs
+        nothing — as one :class:`~repro.core.aggregation.ExactAnswer`: the
+        records in noise-draw order and their weights, no intermediate
+        result, no sub-plan.  Every later measurement of the plan, at any ε,
+        is charged in full and draws fresh noise exactly as before (the
+        released values and the noise stream are those of an unheld plan),
+        but does not reach the executor.  The retained answers are protected
+        data: they live and die with the session.
+
+        For a plan that is re-measured (a hosted query, a per-ε sweep); the
+        measurement service holds every query it hosts.  Returns
+        ``queryable``.  ``noisy_sum`` does not go through :meth:`measure` and
+        evaluates its plan on every call.
+        """
+        if queryable.session is not self:
+            raise PlanError("cannot hold a queryable from a different privacy session")
+        with self._measure_lock:
+            self._held.setdefault(queryable.plan, None)
+        return queryable
+
+    def holds_exact(self, queryable: "Queryable") -> bool:
+        """Whether ``queryable`` is held and its exact output already computed."""
+        return self._held.get(queryable.plan) is not None
+
+    def exact_stats(self) -> dict[str, int]:
+        """Counts of held plans, of those computed, and of evaluations saved.
+
+        ``computed`` stops growing once every held plan has been measured;
+        ``reused`` then grows by one per measurement.  Lock-free reads of
+        counts only.
+        """
+        answers = list(self._held.values())
+        return {
+            "held": len(answers),
+            "computed": sum(answer is not None for answer in answers),
+            "reused": self._held_reused,
+        }
+
+    def _exact_outputs(self, plans: Sequence[Plan]) -> list:
+        """``Q(A)`` for each plan of a batch (measure lock held).
+
+        Held plans already computed are reused; all the others go to the
+        executor in **one** call, so sub-plans shared among them are still
+        evaluated once — and a batch of nothing but hits never enters the
+        executor (nor, on the sharded backend, its pool and breaker).
+        """
+        held = self._held
+        # None marks a plan to evaluate: not held, or held and never measured.
+        outputs: dict[Plan, Any] = {plan: held.get(plan) for plan in plans}
+        self._held_reused += sum(outputs[plan] is not None for plan in plans)
+        missing = [plan for plan, output in outputs.items() if output is None]
+        if missing:
+            for plan, exact in zip(missing, self._executor.evaluate_many(missing)):
+                if plan in held:
+                    exact = held[plan] = ExactAnswer(exact)
+                outputs[plan] = exact
+        return [outputs[plan] for plan in plans]
+
     # ------------------------------------------------------------------
     @property
     def executor(self) -> Executor:
@@ -180,7 +253,8 @@ class PrivacySession:
         ``Partition`` parts — and refused entirely (charging nothing) if any
         source's budget is insufficient.  All plans are then evaluated in one
         executor batch, so sub-plans shared between requests are evaluated
-        exactly once, and the results are returned in request order as a
+        exactly once (plans under :meth:`hold` once per session), and the
+        results are returned in request order as a
         :class:`~repro.core.measurement.MeasurementSet`.
 
         A single iterable of requests may also be passed as the only

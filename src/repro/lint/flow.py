@@ -2,8 +2,9 @@
 
 R004 pattern-matches *names*: a weight-ish identifier inside a log call.
 This pass tracks *values*.  A taint origin is protected data — the record
-keys and weight values held by ``WeightedDataset`` (``core/dataset.py``)
-and ``ColumnarDataset`` (``columnar/dataset.py``) — and taint propagates
+keys and weight values held by ``WeightedDataset`` (``core/dataset.py``),
+``ColumnarDataset`` (``columnar/dataset.py``) and the exact answers a session
+holds, ``ExactAnswer`` (``core/aggregation.py``) — and taint propagates
 through assignments, arithmetic, f-strings, containers and calls until it
 either dies in a **sanctioned release** or reaches a **sink**:
 
@@ -51,8 +52,8 @@ from .rules import RELEASE_PACKAGES
 __all__ = ["analyze_flow"]
 
 #: The protected classes and what on them constitutes raw protected data.
-_SOURCE_TYPES = frozenset({"WeightedDataset", "ColumnarDataset"})
-_SOURCE_ATTRS = frozenset({"_weights", "weights", "columns"})
+_SOURCE_TYPES = frozenset({"WeightedDataset", "ColumnarDataset", "ExactAnswer"})
+_SOURCE_ATTRS = frozenset({"_weights", "weights", "columns", "records"})
 _SOURCE_METHODS = frozenset(
     {
         "items",

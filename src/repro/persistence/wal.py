@@ -172,7 +172,7 @@ class LedgerStore:
             path, timeout=timeout, isolation_level=None, check_same_thread=False
         )
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._enter_wal_mode(timeout)
         # FULL makes a COMMIT an fsync barrier: a charge acknowledged to the
         # caller is on disk even across power loss, which is what lets replay
         # treat unresolved intents as exactly-not-released.
@@ -183,6 +183,24 @@ class LedgerStore:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def _enter_wal_mode(self, timeout: float) -> None:
+        """``PRAGMA journal_mode=WAL``, waiting out a sibling's open.
+
+        Turning a new file into a WAL database takes an exclusive lock that
+        sqlite does not wait for (the connection's busy timeout does not
+        apply to it), so two workers opening one fresh ledger at the same
+        moment would have one of them fail with "database is locked".
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
+
     def close(self) -> None:
         """Compact the log one final time and close the connection."""
         with self._mutex:

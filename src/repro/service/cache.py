@@ -9,11 +9,13 @@ budget under repeated questions and makes the service idempotent under client
 retries (a timed-out client that resends its request gets the bit-identical
 answer without a second charge).
 
-Plan *identity* (``id``) is the right key because hosted queries are built
-exactly once per session (see :mod:`repro.service.registry`) and live as long
-as the session does, so every client naming the same query hits the same plan
-object; scoping keys by session name means a closed session's entries can be
-evicted (and a recreated same-name session can never collide with them).
+Plan *identity* is the right key because hosted queries are built exactly
+once per session (see :mod:`repro.service.registry`) and live as long as the
+session does, so every client naming the same query hits the same plan
+object; plans hash by identity, so the key holds the plan itself and thereby
+keeps it alive as long as the entry.  Scoping keys by session name means a
+closed session's entries can be evicted (and a recreated same-name session
+can never collide with them).
 
 Two boundedness properties keep the cache an optimisation rather than a
 liability:
@@ -23,6 +25,16 @@ liability:
   an evicted answer is simply re-measured (a *fresh* release at fresh budget
   cost, which is always sound; only the free replay is lost);
 * :meth:`drop_scope` removes a closed session's entries outright.
+
+``max_entries`` counts *fresh releases*, so what it buys is time: a retry
+replays for free only while fewer than ``max_entries`` newer releases have
+been made.  ε is not renewable, so that window must not quietly shrink as
+the server gets faster.  The default of 65 536 is about 70 s of fresh
+releases at 900 requests/s — the rate one process serves hosted queries at
+now that their exact answers are computed once (4 096, the former default,
+was under 5 s of it) — and, at the ≈ 0.7 KB a small hosted answer retains,
+about 45 MB when full.  The exact answers the sessions hold are *not* in this
+cache: they are never released, only noised.
 
 Only answers actually *released* may be reused: entries are inserted by the
 scheduler after the ledger accepted the batch charge, never speculatively.
@@ -45,22 +57,20 @@ __all__ = ["AnswerCache"]
 class AnswerCache:
     """Thread-safe LRU map of ``(session, plan identity, ε)`` to released answers."""
 
-    def __init__(self, max_entries: int = 4096) -> None:
+    def __init__(self, max_entries: int = 65536) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be a positive integer")
         self._lock = ordered_lock("service.cache", 18)  # lock-order: 18
-        # Entries hold the plan alongside the answer, so a cached plan's id
-        # stays pinned exactly as long as its entries live.
         self._answers: OrderedDict[
-            tuple[str, int, float], tuple["Plan", "NoisyCountResult"]
+            tuple[str, "Plan", float], "NoisyCountResult"
         ] = OrderedDict()
         self._max_entries = max_entries
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
-    def _key(self, scope: str, plan: "Plan", epsilon: float) -> tuple[str, int, float]:
-        return (scope, id(plan), float(epsilon))
+    def _key(self, scope: str, plan: "Plan", epsilon: float) -> tuple[str, "Plan", float]:
+        return (scope, plan, float(epsilon))
 
     def get(
         self, scope: str, plan: "Plan", epsilon: float
@@ -68,13 +78,13 @@ class AnswerCache:
         """The previously released answer for this measurement, if any."""
         with self._lock:
             key = self._key(scope, plan, epsilon)
-            entry = self._answers.get(key)
-            if entry is None:
+            answer = self._answers.get(key)
+            if answer is None:
                 self._misses += 1
                 return None
             self._answers.move_to_end(key)
             self._hits += 1
-            return entry[1]
+            return answer
 
     def put(
         self, scope: str, plan: "Plan", epsilon: float, answer: "NoisyCountResult"
@@ -90,7 +100,7 @@ class AnswerCache:
             key = self._key(scope, plan, epsilon)
             if key in self._answers:
                 return
-            self._answers[key] = (plan, answer)
+            self._answers[key] = answer
             while len(self._answers) > self._max_entries:
                 self._answers.popitem(last=False)
                 self._evictions += 1

@@ -225,8 +225,14 @@ class MeasurementService:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """Scheduler and cache counters plus the hosted session names."""
+        """Scheduler, cache and exact-answer counters plus the session names.
+
+        ``exact`` is how an operator sees that plan executions do not grow
+        with requests: ``computed`` is bounded by ``held`` (the hosted
+        queries), ``reused`` counts the measurements that skipped evaluation.
+        """
         stats: dict[str, Any] = self.scheduler.stats()
+        stats["exact"] = self.registry.exact_stats()
         stats["sessions"] = self.registry.names()
         if self.store is not None:
             stats["store"] = self.store.stats()

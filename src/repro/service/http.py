@@ -18,7 +18,7 @@ Endpoints (all JSON)::
     GET    /v1/sessions/NAME/audit       that session's audit events
     POST   /v1/sessions/NAME/measure     {query, epsilon} -> released values
     GET    /v1/audit                     the full audit log
-    GET    /v1/stats                     scheduler + cache counters
+    GET    /v1/stats                     scheduler, cache + exact-answer counters
 
 Records travel as JSON arrays and are converted to tuples on the way in
 (graph edges ``[u, v]`` become ``(u, v)``); released values come back as

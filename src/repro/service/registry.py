@@ -17,6 +17,15 @@ plans exist, analysts only pick one and an ε, so nothing executable ever
 crosses the service boundary — and because each named query is built exactly
 once, its plan object is a stable identity for the answer-reuse cache and for
 shared-sub-plan fusion across concurrent clients.
+
+It is also why a hosted query's exact answer is computed once:
+:meth:`HostedSession.register_query` puts every hosted plan under
+:meth:`PrivacySession.hold <repro.core.queryable.PrivacySession.hold>`, so the
+first measurement of a query evaluates its plan and every later one — at
+whatever ε, on whatever executor the session was created with — costs a
+charge, the noise draws and a reply.  The retained answers are one released
+answer's worth of memory per measured query and go when the session is
+closed (or its stale replica evicted) and the ``PrivacySession`` with it.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ def default_query_builders() -> dict[str, Callable[[Queryable], Queryable]]:
     return {name: builder for name, (_, builder) in NAMED_QUERIES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     """One privacy-relevant event recorded by the registry.
 
@@ -117,7 +126,12 @@ class HostedSession:
         return self._lock
 
     def register_query(self, name: str, queryable: Queryable) -> None:
-        """Expose ``queryable`` to clients under ``name``."""
+        """Expose ``queryable`` to clients under ``name``.
+
+        The session holds the query's plan from here on: its exact answer is
+        computed by the first measurement that asks for it (never here) and
+        reused by all the others.
+        """
         if queryable.session is not self.session:
             raise ServiceError(
                 f"query {name!r} belongs to a different privacy session"
@@ -127,7 +141,7 @@ class HostedSession:
                 raise ServiceError(
                     f"session {self.name!r} already hosts a query named {name!r}"
                 )
-            self._queries[name] = queryable
+            self._queries[name] = self.session.hold(queryable)
 
     def queryable(self, name: str) -> Queryable:
         """The hosted query registered under ``name``."""
@@ -145,6 +159,14 @@ class HostedSession:
         with self._lock:
             return sorted(self._queries)
 
+    def computed_queries(self) -> list[str]:
+        """The hosted queries whose exact answer has been computed (names only)."""
+        with self._lock:
+            queries = sorted(self._queries.items())
+        return [
+            name for name, queryable in queries if self.session.holds_exact(queryable)
+        ]
+
     def budget_report(self) -> dict[str, dict[str, float]]:
         """Per-source budget summary for this session."""
         return self.session.budget_report()
@@ -156,6 +178,7 @@ class HostedSession:
             "source": self.source,
             "created_at": self.created_at,
             "queries": self.query_names(),
+            "computed": self.computed_queries(),
             "budget": self.budget_report(),
         }
 
@@ -196,8 +219,13 @@ class SessionRegistry:
         # racing duplicate create fails fast instead of building a whole
         # session (dataset protection + nine query plans) only to discard it.
         self._reserved: set[str] = set()
-        self._audit: list[AuditEvent] = []
-        self._sequence = 0
+        # The in-memory audit log, one row per event in the durable store's
+        # form — (timestamp, session, action, detail as JSON, worker), the
+        # sequence number being the row's position + 1 — and decoded on read
+        # like the store's rows.  Every request adds a row for good, and the
+        # JSON text of a ``detail`` is about a quarter the size of the dict,
+        # lists and floats it is made of.
+        self._audit: list[tuple[float, str, str, str, int]] = []
 
     @property
     def store(self) -> "LedgerStore | None":
@@ -367,6 +395,20 @@ class SessionRegistry:
             self._store.drop_releases(name)
         self.record(name, "close-session")
 
+    def exact_stats(self) -> dict[str, int]:
+        """Exact answers held / computed / reused, summed over sessions in memory.
+
+        Counts only, read without any session's measure lock: a stats poll
+        never waits for a plan evaluation.
+        """
+        with self._lock:
+            sessions = list(self._sessions.values())
+        totals = {"held": 0, "computed": 0, "reused": 0}
+        for hosted in sessions:
+            for key, count in hosted.session.exact_stats().items():
+                totals[key] += count
+        return totals
+
     def describe(self) -> list[dict[str, Any]]:
         """JSON-friendly summaries of every hosted session."""
         summaries = []
@@ -500,33 +542,29 @@ class SessionRegistry:
 
         With a durable store the sequence number and timestamp are allocated
         by the store's append, so events are totally ordered across restarts
-        and across worker processes; in-memory mode keeps a local counter.
+        and across worker processes; in-memory mode numbers events by their
+        position in the log and keeps each ``detail`` as the store would, as
+        JSON text, so :meth:`audit` returns what a durable registry returns.
         """
         worker = os.getpid()
         if self._store is not None:
             sequence, timestamp = self._store.append_audit(
                 session, action, detail, worker
             )
-            return AuditEvent(
-                sequence=sequence,
-                timestamp=timestamp,
-                session=session,
-                action=action,
-                detail=detail,
-                worker=worker,
-            )
-        with self._lock:
-            self._sequence += 1
-            event = AuditEvent(
-                sequence=self._sequence,
-                timestamp=time.time(),
-                session=session,
-                action=action,
-                detail=detail,
-                worker=worker,
-            )
-            self._audit.append(event)
-            return event
+        else:
+            encoded = json.dumps(detail, default=str)
+            with self._lock:
+                timestamp = time.time()
+                self._audit.append((timestamp, session, action, encoded, worker))
+                sequence = len(self._audit)
+        return AuditEvent(
+            sequence=sequence,
+            timestamp=timestamp,
+            session=session,
+            action=action,
+            detail=detail,
+            worker=worker,
+        )
 
     def audit(self, session: str | None = None) -> list[AuditEvent]:
         """The audit log, optionally filtered to one session's events.
@@ -536,19 +574,20 @@ class SessionRegistry:
         sequence order.
         """
         if self._store is not None:
-            return [
-                AuditEvent(
-                    sequence=row["seq"],
-                    timestamp=row["timestamp"],
-                    session=row["session"],
-                    action=row["action"],
-                    detail=json.loads(row["detail"]),
-                    worker=row["worker"],
-                )
+            rows = (
+                (row["seq"], row["timestamp"], row["session"], row["action"],
+                 row["detail"], row["worker"])
                 for row in self._store.audit_rows(session)
-            ]
-        with self._lock:
-            events = list(self._audit)
-        if session is None:
-            return events
-        return [event for event in events if event.session == session]
+            )
+        else:
+            with self._lock:
+                log = list(self._audit)
+            rows = (
+                (position, *row)
+                for position, row in enumerate(log, 1)
+                if session is None or row[1] == session
+            )
+        return [
+            AuditEvent(sequence, timestamp, name, action, json.loads(detail), worker)
+            for sequence, timestamp, name, action, detail, worker in rows
+        ]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import sys
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -208,6 +209,11 @@ class BatchingScheduler:
         """
         hosted = self._registry.get(session_name)
         queryable = hosted.queryable(query)
+        # Every fresh release keeps both names for good (audit log, ledger
+        # history, answer-cache key, the answer itself): make them the
+        # session's own name object and one interned query name rather than
+        # this request's private copies off the wire.
+        session_name, query = hosted.name, sys.intern(str(query))
         if deadline is not None and deadline.expired():
             raise DeadlineExceededError(
                 f"deadline expired before admission of {query!r} "

@@ -33,7 +33,9 @@ converge on one answer.
 
 Graceful shutdown: SIGTERM/SIGINT to the parent is forwarded to every
 worker; each worker stops accepting, drains its scheduler, takes a final
-ledger snapshot and closes its connection before exiting.
+ledger snapshot and closes its connection before exiting.  The forks are made
+with both signals blocked and each process unblocks them once its handler is
+in place, so a fleet stopped while its workers are still starting exits 0 too.
 """
 
 from __future__ import annotations
@@ -48,40 +50,58 @@ from ..exceptions import PersistenceError
 
 __all__ = ["run_workers"]
 
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
-class _ShutdownRequested(Exception):
-    """Raised by the worker's signal handler to unwind ``serve_forever``."""
+
+class _ShutdownRequested(BaseException):
+    """Raised by the worker's signal handler to unwind ``serve_forever``.
+
+    Not an :class:`Exception`, for the reason ``KeyboardInterrupt`` is not:
+    the signal may land while the accept loop is handing a connection to its
+    thread, and ``socketserver`` reports and swallows every ``Exception``
+    raised there — the worker would go on serving and the fleet never stop.
+    """
 
 
 def _worker_main(listen_socket: socket.socket, service_kwargs: dict[str, Any],
                  verbose: bool) -> None:
     """Body of one forked worker; never returns (``os._exit``)."""
-    from .core import MeasurementService
-    from .http import ServiceHTTPServer
+
+    def _handle(signum: int, frame: Any) -> None:
+        raise _ShutdownRequested()
 
     exit_code = 0
+    service = None
     try:
-        service = MeasurementService(**service_kwargs)
-        server = ServiceHTTPServer(
-            listen_socket.getsockname(),
-            service,
-            verbose=verbose,
-            listen_socket=listen_socket,
-        )
-
-        def _handle(signum: int, frame: Any) -> None:
-            raise _ShutdownRequested()
-
-        signal.signal(signal.SIGTERM, _handle)
-        signal.signal(signal.SIGINT, _handle)
         try:
+            # First thing after the fork, which ``run_workers`` makes with
+            # the stop signals blocked: a fleet told to stop while this
+            # worker is still importing or opening the ledger unwinds like a
+            # serving one (exit 0) instead of dying of the signal's default
+            # action.
+            signal.signal(signal.SIGTERM, _handle)
+            signal.signal(signal.SIGINT, _handle)
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+            from .core import MeasurementService
+            from .http import ServiceHTTPServer
+
+            service = MeasurementService(**service_kwargs)
+            server = ServiceHTTPServer(
+                listen_socket.getsockname(),
+                service,
+                verbose=verbose,
+                listen_socket=listen_socket,
+            )
             server.serve_forever()
         except (_ShutdownRequested, KeyboardInterrupt):
             pass
         finally:
-            # Orderly: stop accepting, drain queued batches, flush the WAL
-            # (final snapshot) and close the sqlite connection.
-            server.stop()
+            # Orderly: the accept loop ran on this thread and has unwound (or
+            # never started, so there is nothing for ``server.stop()`` to wait
+            # for); drain queued batches, flush the WAL (final snapshot) and
+            # close the sqlite connection.
+            if service is not None:
+                service.shutdown()
     except BaseException:  # pragma: no cover - crash path
         import traceback
 
@@ -126,6 +146,10 @@ def run_workers(
     listen_socket.listen(backlog)
     bound_host, bound_port = listen_socket.getsockname()[:2]
 
+    # The stop signals stay blocked (pending, not lost) from before the first
+    # fork until each process has its handler: no worker is ever killed by a
+    # SIGTERM it had no chance to catch, and none is missed by ``_forward``.
+    signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
     pids: list[int] = []
     for _ in range(workers):
         pid = os.fork()
@@ -147,6 +171,7 @@ def run_workers(
 
     signal.signal(signal.SIGTERM, _forward)
     signal.signal(signal.SIGINT, _forward)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
     print(
         f"repro serve — {workers} workers on http://{bound_host}:{bound_port} "
         f"(pids {pids}, ledger {service_kwargs['ledger_path']})",

@@ -12,7 +12,11 @@ from repro.core import (
     noisy_average,
     noisy_sum,
 )
-from repro.core.aggregation import NoisyCountResult
+from repro.core.aggregation import (
+    ExactAnswer,
+    NoisyCountResult,
+    _canonical_sort_key,
+)
 
 
 @pytest.fixture()
@@ -83,6 +87,69 @@ class TestNoisyCountResult:
 
         with pytest.raises(InvalidEpsilonError):
             NoisyCountResult(dataset, epsilon=-1.0)
+
+
+class Opaque:
+    """A record whose repr is address-based: it contributes no sort content."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        self.tag = tag
+
+
+def per_record_release(exact, epsilon, seed):
+    """The release as it was first written: one scalar draw per record."""
+    noise = LaplaceNoise(seed)
+    values = {}
+    for record, weight in sorted(exact.items(), key=_canonical_sort_key):
+        values[record] = weight + noise.sample(epsilon)
+    return values, noise.rng.bit_generator.state
+
+
+class TestVectorDrawEqualsPerRecordDraws:
+    """One ``sample_many`` call releases what n ``sample`` calls did."""
+
+    @staticmethod
+    def _check(exact, epsilon=0.37, seed=8):
+        expected, state = per_record_release(exact, epsilon, seed)
+        for source in (exact, ExactAnswer(exact)):  # evaluated now, or held
+            noise = LaplaceNoise(seed)
+            result = NoisyCountResult(source, epsilon, noise=noise)
+            assert list(result.items()) == list(expected.items())  # order and bits
+            assert all(type(value) is float for value in result.to_dict().values())
+            assert noise.rng.bit_generator.state == state
+        return expected
+
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_same_order_values_and_generator_state(self, size):
+        rng = np.random.default_rng(size)
+        exact = WeightedDataset(
+            {(index % 37, index): float(w) for index, w in enumerate(rng.random(size) * 50)}
+        )
+        assert len(exact) == size
+        assert len(self._check(exact)) == size
+
+    def test_address_based_reprs_keep_their_iteration_order(self):
+        records = [Opaque(index) for index in range(50)]
+        exact = WeightedDataset({record: 1.0 + record.tag for record in reversed(records)})
+        expected = self._check(exact)
+        # All tokens tie, the sort is stable: dataset order, whatever the addresses.
+        assert [record.tag for record in expected] == list(range(49, -1, -1))
+
+    @pytest.mark.parametrize("one", [1, 1.0, True, np.int64(1)])
+    def test_equal_numbers_sort_alike_whichever_representative_is_kept(self, one):
+        exact = WeightedDataset({"b": 1.0, (one, 2): 2.0, 10: 3.0, one: 4.0, 2: 5.0})
+        reference = WeightedDataset({"b": 1.0, (1, 2): 2.0, 10: 3.0, 1: 4.0, 2: 5.0})
+        assert self._check(exact) == self._check(reference)
+        assert list(self._check(exact)) == list(self._check(reference))
+
+    def test_exact_answer_shows_a_count_only(self, dataset):
+        answer = ExactAnswer(dataset)
+        assert answer.records == ("1", "2", "3")
+        assert answer.weights.tolist() == [0.75, 2.0, 1.0]
+        assert len(answer) == 3
+        assert repr(answer) == "<ExactAnswer records=3>"
 
 
 class TestNoisySum:

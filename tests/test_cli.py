@@ -42,6 +42,18 @@ class TestParser:
                 parser.parse_args(argv)
             assert refused.value.code == 2, argv
 
+    def test_executor_choices_are_the_five_executors(self, capsys):
+        from repro.core.executor import EXECUTORS
+
+        parser = build_parser()
+        for name in EXECUTORS:
+            assert parser.parse_args(["serve", "--executor", name]).executor == name
+        assert parser.parse_args(["serve"]).executor == "eager"
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args(["serve", "--executor", "eager-warm"])
+        assert refused.value.code == 2
+        assert "invalid choice: 'eager-warm'" in capsys.readouterr().err
+
     def test_option_parsing(self):
         args = build_parser().parse_args(
             ["table1", "--scale", "0.5", "--steps", "2", "--epsilon", "0.3", "--pow", "99", "--seed", "7"]

@@ -22,6 +22,7 @@ from repro.core import (
     WeightedDataset,
     create_executor,
 )
+from repro.core.executor import EXECUTORS
 from repro.exceptions import BudgetExceededError, PlanError
 from repro.graph import Graph
 
@@ -70,15 +71,19 @@ class TestEagerExecutor:
         # The default eager executor is cold per batch.
         assert mapper.calls == 2 * len(EDGES)
 
-    def test_warm_executor_reuses_results_across_batches(self):
-        session = PrivacySession(seed=1, executor="eager-warm")
+    def test_held_plan_reuses_its_result_across_batches(self):
+        session = PrivacySession(seed=1)
         edges = session.protect("edges", EDGES, total_epsilon=100.0)
         mapper = CountingMapper()
-        shared = edges.select(mapper)
+        shared = session.hold(edges.select(mapper))
         shared.noisy_count(0.1)
+        assert session.executor.evaluation_count(shared.plan) == 1
         shared.noisy_count(0.1)
         assert mapper.calls == len(EDGES)
-        assert session.executor.evaluation_count(shared.plan) == 0
+        # The second batch never reached the executor: its last batch is
+        # still the first one.
+        assert session.executor.evaluation_count(shared.plan) == 1
+        assert session.exact_stats() == {"held": 1, "computed": 1, "reused": 1}
 
     def test_evaluation_count_reports_last_batch(self, protected):
         session, edges = protected
@@ -86,24 +91,18 @@ class TestEagerExecutor:
         session.measure((shared, 0.1), (shared.where(lambda e: True), 0.1))
         assert session.executor.evaluation_count(shared.plan) == 1
 
-    def test_reset_clears_warm_cache(self):
-        executor = EagerExecutor(
-            {"src": WeightedDataset({"a": 1.0})}, warm=True
-        )
-        from repro.core import SelectPlan, SourcePlan
-
-        mapper = CountingMapper()
-        plan = SelectPlan(SourcePlan("src"), mapper)
-        executor.evaluate(plan)
-        executor.reset()
-        executor.evaluate(plan)
-        assert mapper.calls == 2
-
     def test_unknown_executor_spec_rejected(self):
         with pytest.raises(PlanError):
             PrivacySession(executor="mystery")
         with pytest.raises(PlanError):
             create_executor(42, {})
+
+    def test_eager_warm_is_no_longer_an_executor(self):
+        assert list(EXECUTORS) == ["eager", "dataflow", "vectorized", "auto", "sharded"]
+        with pytest.raises(PlanError) as refused:
+            create_executor("eager-warm", {})
+        for name in EXECUTORS:
+            assert repr(name) in str(refused.value)
 
     def test_prebuilt_executor_instance_rejected(self):
         # An instance is bound to some other environment; only factories are
@@ -121,7 +120,7 @@ class TestEagerExecutor:
         captured = {}
 
         def factory(environment):
-            captured["executor"] = EagerExecutor(environment, warm=True)
+            captured["executor"] = EagerExecutor(environment)
             return captured["executor"]
 
         session = PrivacySession(seed=0, executor=factory)

@@ -100,6 +100,21 @@ def test_sanctioned_release_kills_taint(tmp_path):
     ) == []
 
 
+def test_held_exact_answer_is_protected_but_its_count_is_not(tmp_path):
+    assert _analyze(
+        tmp_path,
+        """
+        class ExactAnswer:
+            pass
+
+        def stats(answer: ExactAnswer, log):
+            log.info("%d held records", len(answer.records))
+            log.info("%r", answer.records)
+            log.info("%r", answer.weights)
+        """,
+    ) == [7, 8]
+
+
 def test_dataset_object_at_sink_is_flagged(tmp_path):
     assert _analyze(
         tmp_path,

@@ -9,7 +9,11 @@ thread-storm no-overspend guarantee, and a hypothesis property proving that
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import subprocess
+import sys
+import textwrap
 import threading
 
 import pytest
@@ -21,6 +25,9 @@ from repro.exceptions import BudgetExceededError, InvalidEpsilonError
 from repro.persistence import DurableLedger, LedgerStore, replay
 from repro.persistence.snapshot import LedgerState, state_from_json, state_to_json
 from repro.persistence.wal import decode_record, encode_record
+
+
+_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture()
@@ -211,6 +218,49 @@ class TestCrossConnection:
         assert len(refusals) == 60
         with LedgerStore(tmp_path / "ledger.db") as reopened:
             assert reopened.spent("acme")["edges"] == pytest.approx(1.0)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+    def test_siblings_opening_one_new_file_together_all_succeed(self, tmp_path):
+        # A fleet's workers all open the fresh ledger at the same moment, and
+        # sqlite does not wait for the lock that the switch to WAL needs: one
+        # of them used to fail with "database is locked".  Forked openers in
+        # a child interpreter, released together, a dozen fresh files.
+        script = """
+            import multiprocessing, os, sys, time
+            from repro.persistence import LedgerStore
+
+            def opener(path, start, outcomes):
+                while time.time() < start:
+                    pass
+                try:
+                    LedgerStore(path).close()
+                    outcomes.put("ok")
+                except Exception as exc:
+                    outcomes.put(repr(exc))
+
+            context = multiprocessing.get_context("fork")
+            for round_ in range(12):
+                path = os.path.join(sys.argv[1], f"ledger-{round_}.db")
+                outcomes, start = context.Queue(), time.time() + 0.05
+                openers = [
+                    context.Process(target=opener, args=(path, start, outcomes))
+                    for _ in range(3)
+                ]
+                for process in openers:
+                    process.start()
+                print([outcomes.get() for _ in openers])
+                for process in openers:
+                    process.join()
+            """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [str(["ok"] * 3)] * 12
 
 
 # ----------------------------------------------------------------------

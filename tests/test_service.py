@@ -127,6 +127,26 @@ class TestAnswerReuse:
         refreshed = service.measure("demo", "node-count", 0.01)
         assert not refreshed.cached
 
+    def test_a_release_stays_replayable_behind_5000_newer_ones(self, service):
+        """ε is not renewable: the free replay must not lapse after a few
+        seconds of traffic (4 096 entries were ≈ 5 s at 900 requests/s)."""
+        assert service.cache.stats()["max_entries"] == 65536
+        service.create_session("demo", EDGES, seed=0)
+        epsilons = [0.01 + 1e-6 * index for index in range(5000)]
+        first = service.measure("demo", "node-count", epsilons[0])
+        for epsilon in epsilons[1:]:
+            assert not service.measure("demo", "node-count", epsilon).cached
+        stats = service.cache.stats()
+        assert (stats["size"], stats["evictions"]) == (5000, 0)
+        spent = service.budget_report("demo")["edges"]["spent"]
+
+        replay = service.measure("demo", "node-count", epsilons[0])
+        assert replay.cached is True
+        assert replay.charged == {}
+        assert list(replay.result.items()) == list(first.result.items())
+        assert service.budget_report("demo")["edges"]["spent"] == spent
+        assert service.stats()["exact"]["computed"] == 1
+
     def test_exhausted_budget_still_replays_released_answers(self, service):
         service.create_session("tiny", EDGES, total_epsilon=0.1, seed=0)
         first = service.measure("tiny", "node-count", 0.1)
@@ -139,6 +159,42 @@ class TestAnswerReuse:
 # ----------------------------------------------------------------------
 # Fusion
 # ----------------------------------------------------------------------
+class TestRetainedPerRequest:
+    def test_a_fresh_request_leaves_little_behind(self, service):
+        """What a fresh-ε request leaves behind — the released answer, its
+        cache entry, an audit row (whose JSON text the ``json`` module
+        allocates), a ledger history line — is all the server's memory that
+        grows with requests, now that none of them evaluates anything.
+        Measured ≈ 800 B here (≈ 1 900 B before); the ceiling is loose."""
+        import gc
+        import tracemalloc
+
+        service.create_session("demo", EDGES, seed=0)
+        queries = ["degree-ccdf", "node-count", "wedges"]
+        sent = iter(range(1, 10**6))
+
+        def run(count):
+            for _, index in zip(range(count), sent):
+                service.measure("demo", queries[index % 3], 0.01 + 1e-6 * index)
+
+        run(200)  # first touches, cache and table growth
+        only_repro = [
+            tracemalloc.Filter(True, "*/src/repro/*"),
+            tracemalloc.Filter(True, "*/json/*"),
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(only_repro)
+            run(2000)
+            gc.collect()
+            after = tracemalloc.take_snapshot().filter_traces(only_repro)
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+        assert 0 < retained / 2000 <= 1300
+
+
 class TestFusion:
     def _forced_batch(self, service, session_name, requests):
         """Submit ``requests`` while draining is held, so they all land in

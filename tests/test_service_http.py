@@ -69,6 +69,23 @@ def test_session_lifecycle_and_measurements(client):
         client.session("lifecycle")
 
 
+def test_stats_show_that_plan_executions_stop_growing(client):
+    """Counts only cross the wire: how many exact answers are held, computed
+    and reused, and which hosted queries are computed."""
+    before = client.stats()["exact"]
+    created = client.create_session("held", EDGES, seed=0)
+    assert created["computed"] == []
+    for epsilon in (0.1, 0.2, 0.3):
+        assert client.measure("held", "wedges", epsilon)["cached"] is False
+    after = client.stats()["exact"]
+    assert after["held"] - before["held"] == len(created["queries"])
+    assert after["computed"] - before["computed"] == 1
+    assert after["reused"] - before["reused"] == 2
+    assert client.session("held")["computed"] == ["wedges"]
+    client.close_session("held")
+    assert client.stats()["exact"] == before
+
+
 def test_error_mapping(client):
     # Unknown session -> ServiceError (404).
     with pytest.raises(ServiceError, match="no session"):

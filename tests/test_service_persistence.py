@@ -470,6 +470,50 @@ class TestServeDurability:
                 proc.kill()
                 proc.wait(timeout=120)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+    def test_fleet_stopped_while_workers_start_exits_cleanly(self, ledger_path):
+        # SIGTERM straight after the banner: the workers are still importing
+        # and opening the ledger.  They must unwind (exit 0), not die of the
+        # signal's default action and fail the fleet.
+        proc = _spawn_serve(
+            "--port", "0", "--ledger", ledger_path, "--workers", "2"
+        )
+        try:
+            self._port_of(proc)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=120) == 0
+        finally:
+            if proc.poll() is None:  # pragma: no cover
+                proc.kill()
+                proc.wait(timeout=120)
+
+    def test_shutdown_signal_is_not_swallowed_by_the_accept_loop(self):
+        # socketserver reports and swallows any Exception raised while the
+        # accept loop hands a connection to its thread; a shutdown request
+        # that lands there must still unwind serve_forever.
+        import socket
+        import threading
+
+        from repro.service.http import ServiceHTTPServer
+        from repro.service.workers import _ShutdownRequested
+
+        def interrupted(request, client_address):
+            raise _ShutdownRequested()
+
+        server = ServiceHTTPServer(("127.0.0.1", 0), MeasurementService())
+        server.process_request = interrupted
+        # Were the request swallowed, the loop would serve on: end it from
+        # outside so the test fails instead of hanging.
+        watchdog = threading.Timer(10.0, server.shutdown)
+        watchdog.start()
+        try:
+            with socket.create_connection(server.server_address[:2]):
+                with pytest.raises(_ShutdownRequested):
+                    server.serve_forever(poll_interval=0.05)
+        finally:
+            watchdog.cancel()
+            server.stop()
+
     def test_workers_without_ledger_is_refused(self, tmp_path):
         proc = _spawn_serve("--port", "0", "--workers", "2")
         out, _ = proc.communicate(timeout=120)

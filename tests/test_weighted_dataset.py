@@ -181,3 +181,38 @@ class TestHelpers:
         assert sum(p.total_weight() for p in parts.values()) == pytest.approx(
             dataset.total_weight()
         )
+
+    @given(
+        weights=st.dictionaries(
+            st.integers(-20, 20),
+            st.one_of(
+                st.floats(-8.0, 8.0, allow_nan=False),
+                # Around the tolerance: some of these the dataset drops.
+                st.sampled_from([1e-3, -1e-3, 0.999e-3, 1.001e-3, -1.001e-3, 0.0]),
+            ),
+            max_size=24,
+        ),
+        tolerance=st.sampled_from([1e-12, 1e-3]),
+    )
+    def test_partition_parts_equal_constructor_built_parts(self, weights, tolerance):
+        """Parts are adopted, not re-validated — and come out as ``__init__``
+        would have built them: same key order, rows, norm bits and tolerance."""
+        dataset = WeightedDataset(weights, tolerance=tolerance)
+        key = lambda record: record % 3  # noqa: E731
+
+        expected: dict = {}
+        for record, weight in dataset.items():
+            expected.setdefault(key(record), {})[record] = weight
+        expected = {
+            part_key: WeightedDataset(part, tolerance=tolerance)
+            for part_key, part in expected.items()
+        }
+
+        parts = dataset.partition_by(key)
+        assert list(parts) == list(expected)
+        for part_key, part in parts.items():
+            reference = expected[part_key]
+            assert list(part.items()) == list(reference.items())
+            assert part.total_weight() == reference.total_weight()
+            assert part.tolerance == reference.tolerance == tolerance
+            assert len(part) > 0

@@ -53,27 +53,106 @@ def encode_query_rows(
     return queries
 
 
+#: Packed row keys, and sort keys carrying a row number, stay below this.
+_WORD = 1 << 63
+
+
+def packing_plan(spans: Sequence[int], rows: int) -> tuple[list[list[int]], bool]:
+    """How columns whose values span ``spans`` pack into ``int64`` words.
+
+    Returns each word's column indices, most significant first (a column
+    joins the current word while the product of its spans stays below 2⁶³),
+    and whether a row number fits too: one word, its product × ``rows`` < 2⁶³.
+    """
+    words: list[list[int]] = []
+    product = _WORD  # no word open yet: the first column starts one
+    for index, span in enumerate(spans):
+        if product * span < _WORD:
+            words[-1].append(index)
+            product *= span
+        else:
+            words.append([index])
+            product = span
+    return words, len(words) == 1 and product * rows < _WORD
+
+
+def pack_rows(*sides: Sequence[np.ndarray]) -> tuple[list[list[np.ndarray]], bool]:
+    """Pack each of the aligned, non-empty column tuples ``sides`` into the
+    words of one :func:`packing_plan`; its row verdict comes back with them.
+
+    Columns are shifted to zero by their minimum over *all* sides and
+    combined most significant first, so rows' words order and compare as the
+    rows do, within a side and across sides.  Codes lie within ±2⁶² (interner
+    codes are far below), so no shift wraps.
+    """
+    width = range(len(sides[0]))
+    lows = [min(int(side[index].min()) for side in sides) for index in width]
+    spans = [
+        max(int(side[index].max()) for side in sides) - lows[index] + 1
+        for index in width
+    ]
+    plan, fits_rows = packing_plan(spans, max(side[0].shape[0] for side in sides))
+
+    def pack(columns: Sequence[np.ndarray], first: int, *rest: int) -> np.ndarray:
+        word = columns[first] - lows[first]
+        for index in rest:
+            word *= spans[index]
+            word += columns[index] - lows[index]
+        return word
+
+    return [[pack(side, *indices) for indices in plan] for side in sides], fits_rows
+
+
+def sorted_runs(
+    words: Sequence[np.ndarray], fits_rows: bool
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Sort rows held as ``int64`` words, most significant first: their stable
+    lexicographic order, where each run of equal rows starts in it, and the
+    words sorted.
+
+    ``fits_rows`` (from :func:`pack_rows`) promises one word with ``word × rows
+    + row`` in ``[0, 2⁶³)``.  Those keys are all distinct, so *any* sort of
+    them is the stable order of ``word`` and ``divmod`` returns both answers:
+    NumPy's vectorised sort instead of a merge sort per word and a gather.
+    """
+    if fits_rows:
+        count = words[0].shape[0]
+        word, order = np.divmod(np.sort(words[0] * count + np.arange(count)), count)
+        words = [word]
+    else:
+        order = np.lexsort(words[::-1])
+        words = [word[order] for word in words]
+    boundary = np.ones(order.shape[0], dtype=bool)
+    boundary[1:] = np.logical_or.reduce([word[1:] != word[:-1] for word in words])
+    return order, np.flatnonzero(boundary), words
+
+
 def row_groups(
     columns: Sequence[np.ndarray],
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lexicographically sort rows and detect equal-row groups.
 
-    Returns ``(order, sorted_columns, group_index, representatives)`` where
-    ``order`` is the lexsort permutation, ``group_index[i]`` numbers the
-    group of sorted row ``i`` and ``representatives`` holds the sorted-row
-    position of each group's first row.  This is the one row-merge primitive
-    shared by :func:`consolidate`, the binary kernels and the composite join
-    key, so all agree on row ordering by construction.
+    Returns ``(order, group_index, representatives)``: ``order`` is the
+    lexsort permutation (stable, first column most significant),
+    ``group_index[i]`` numbers the group of sorted row ``i`` and
+    ``representatives`` holds the sorted-row position of each group's first
+    row, so ``column[order[representatives]]`` is one row per group.  Zero
+    rows give three empty arrays.
+
+    Rows are packed into one ``int64`` word each (:func:`pack_rows`), whose
+    stable order *is* that permutation; only ranges that overflow a word —
+    two or more columns mixing snapshot codes with worker-namespace ones
+    ``≥ 1 << 40`` — take several.  :func:`consolidate`, the binary kernels and
+    an overflowing composite join key share this one row-merge primitive, so
+    all agree on row ordering by construction.
     """
     count = columns[0].shape[0]
-    order = np.lexsort(tuple(columns)[::-1])
-    sorted_columns = [column[order] for column in columns]
-    boundary = np.zeros(count, dtype=bool)
-    boundary[0] = True
-    for column in sorted_columns:
-        np.logical_or(boundary[1:], column[1:] != column[:-1], out=boundary[1:])
-    group_index = np.cumsum(boundary) - 1
-    return order, sorted_columns, group_index, np.flatnonzero(boundary)
+    if count == 0:
+        return (np.empty(0, dtype=np.int64),) * 3
+    (words,), fits_rows = pack_rows(columns)
+    order, starts, _ = sorted_runs(words, fits_rows)
+    sizes = np.diff(starts, append=count)
+    return order, np.repeat(np.arange(starts.shape[0]), sizes), starts
 
 
 def consolidate(
@@ -84,16 +163,18 @@ def consolidate(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Merge duplicate rows (summing weights) and drop sub-tolerance dust.
 
-    The row order of the result is the lexicographic code order, which is
-    deterministic for a fixed interner state.  ``assume_unique`` skips the
-    sort/merge when the caller guarantees rows are already distinct.
+    The row order of the result is the lexicographic code order and a merged
+    row adds its duplicates in input order (:func:`row_groups` sorts stably):
+    both deterministic for a fixed interner state.  ``assume_unique`` skips
+    the sort/merge when the caller guarantees rows are already distinct.
     """
+    if not assume_unique:
+        order, group_index, representatives = row_groups(columns)
+        weights = np.bincount(group_index, weights=np.asarray(weights)[order])
+        rows = order[representatives]
+        columns = [column[rows] for column in columns]
+    # After the merge: the bincount of zero rows is an empty *int64* array.
     weights = np.asarray(weights, dtype=np.float64)
-    count = weights.shape[0]
-    if count and not assume_unique:
-        order, columns, group_index, representatives = row_groups(columns)
-        weights = np.bincount(group_index, weights=weights[order])
-        columns = [column[representatives] for column in columns]
     keep = np.abs(weights) > tolerance
     if not keep.all():
         columns = [column[keep] for column in columns]

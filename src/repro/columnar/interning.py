@@ -6,7 +6,7 @@ whole record) is assigned a small integer once, and from then on all
 comparisons, sorts, joins and group-bys operate on ``int64`` arrays.  Because
 the encoding is injective, code equality is record equality — which is what
 lets :mod:`repro.columnar.kernels` replace per-record Python loops with
-``np.lexsort`` / ``np.bincount`` / fancy indexing.
+packed-word sorts / ``np.bincount`` / fancy indexing.
 
 A single process-wide :class:`Interner` is shared by every
 :class:`~repro.columnar.dataset.ColumnarDataset`, so codes produced by one
@@ -105,16 +105,17 @@ class Interner:
         return code
 
     def codes(self, atoms: Iterable[Any]) -> np.ndarray:
-        """Encode an iterable of atoms as an ``int64`` array."""
-        lookup = self._codes
+        """Encode an iterable of atoms as an ``int64`` array: one lock-free
+        pass when every atom is known, else :meth:`code` atom by atom, in order
+        (so an unhashable atom raises after those before it got their codes)."""
         atoms = list(atoms)
-        out = np.empty(len(atoms), dtype=np.int64)
-        for index, atom in enumerate(atoms):
-            code = lookup.get(atom)
-            if code is None:
-                code = self.code(atom)
-            out[index] = code
-        return out
+        try:
+            codes = list(map(self._codes.get, atoms))
+        except TypeError:  # unhashable: let the ordered walk raise it in place
+            codes = [None]
+        if None in codes:
+            codes = [self.code(atom) for atom in atoms]
+        return np.array(codes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def atom(self, code: int) -> Any:

@@ -11,9 +11,9 @@ record function:
 
 * a **fast path** used when the function is a recognised
   :mod:`~repro.columnar.specs` spec and the dataset is decomposed into field
-  columns — pure array work (``row_groups`` merges, ``np.bincount`` group
-  sums, fancy-indexed joins keyed on one field or on several at once), no
-  per-record Python;
+  columns — pure array work (``row_groups`` merges on one packed word per
+  row, ``np.bincount`` group sums, fancy-indexed joins keyed on one field or
+  on several at once, one sort per side), no per-record Python;
 * a **generic path** that materialises the record objects once and calls the
   user function per record (or per joined pair), matching what the eager
   backend would do while still vectorizing the weight arithmetic and the
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..core import transformations as xf
 from ..core.transformations import _weight_sequence, normalize_weighted_output
-from .dataset import ColumnarDataset, row_groups
+from .dataset import ColumnarDataset, pack_rows, row_groups, sorted_runs
 from .interning import global_interner
 from .specs import (
     Constant,
@@ -85,31 +85,21 @@ def _merge_sides(
 
     Returns the unique rows of the union of supports plus each side's weight
     vector over those rows (zero where a side lacks the record — exactly the
-    ``A(x) = 0`` convention of the eager operators).
+    ``A(x) = 0`` convention of the eager operators): one :func:`row_groups`
+    sort of the stacked rows, the left's being those from before ``len(left)``.
     """
     left, right = _aligned(left, right)
     columns = tuple(
         np.concatenate([lcol, rcol])
         for lcol, rcol in zip(left.columns, right.columns)
     )
-    count = columns[0].shape[0] if columns else 0
-    if count == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return columns, empty, empty.copy(), left.arity
-    left_mask = np.zeros(count, dtype=bool)
-    left_mask[: len(left)] = True
-    stacked = np.concatenate([left.weights, right.weights])
-    order, sorted_columns, group, representatives = row_groups(columns)
-    stacked = stacked[order]
-    left_mask = left_mask[order]
-    groups = int(group[-1]) + 1
-    left_weights = np.bincount(
-        group, weights=np.where(left_mask, stacked, 0.0), minlength=groups
-    )
-    right_weights = np.bincount(
-        group, weights=np.where(left_mask, 0.0, stacked), minlength=groups
-    )
-    columns = tuple(column[representatives] for column in sorted_columns)
+    order, group, representatives = row_groups(columns)
+    stacked = np.concatenate([left.weights, right.weights])[order]
+    from_left = order < len(left)
+    left_weights = np.bincount(group, weights=np.where(from_left, stacked, 0.0))
+    right_weights = np.bincount(group, weights=np.where(from_left, 0.0, stacked))
+    rows = order[representatives]
+    columns = tuple(column[rows] for column in columns)
     return columns, left_weights, right_weights, left.arity
 
 
@@ -402,30 +392,37 @@ def _key_codes(
     right: ColumnarDataset,
     left_key: Callable[[Any], Any],
     right_key: Callable[[Any], Any],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row join-key codes of both sides, equal exactly when the keys are.
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One ``int64`` key word per row of each side, equal and ordered alike
+    exactly when the keys are, plus :func:`sorted_runs`' ``fits_rows``.
 
-    A *composite* key — ``Permute`` specs of one width on both sides —
-    numbers the distinct key rows of the two sides together with
-    :func:`row_groups`, never building a key tuple.  Those group numbers mean
-    nothing outside this call, so a ``Permute`` facing any other key is
-    called per record like a plain function and both sides stay in interner
-    code space.
+    A *composite* key — ``Permute`` specs of one width on both sides — packs
+    its field columns with minima and spans taken over *both* sides
+    (:func:`pack_rows`), so the sides' words compare directly and no key tuple
+    is ever built; only a range too wide for one word has :func:`row_groups`
+    number the distinct key rows of the two sides together.  Such words mean
+    nothing outside this call, so a ``Permute`` facing any other key is called
+    per record like a plain function, both sides starting from interner codes
+    as a ``Field`` column pick does.
     """
     left_columns = _key_columns(left, left_key)
     right_columns = _key_columns(right, right_key)
     if (
-        left_columns is not None
-        and right_columns is not None
-        and len(left_columns) == len(right_columns)
+        left_columns is None
+        or right_columns is None
+        or len(left_columns) != len(right_columns)
     ):
-        order, _, group, _ = row_groups(
-            [np.concatenate(pair) for pair in zip(left_columns, right_columns)]
-        )
-        codes = np.empty_like(group)
-        codes[order] = group
-        return codes[: len(left)], codes[len(left) :]
-    return _side_key_codes(left, left_key), _side_key_codes(right, right_key)
+        left_columns = (_side_key_codes(left, left_key),)
+        right_columns = (_side_key_codes(right, right_key),)
+    (left_words, right_words), fits_rows = pack_rows(left_columns, right_columns)
+    if len(left_words) == 1:
+        return left_words[0], right_words[0], fits_rows
+    order, group, _ = row_groups(
+        [np.concatenate(pair) for pair in zip(left_words, right_words)]
+    )
+    codes = np.empty_like(group)
+    codes[order] = group
+    return codes[: len(left)], codes[len(left) :], False
 
 
 def join(
@@ -438,27 +435,28 @@ def join(
     """wPINQ's weight-normalised equi-join, fully vectorized (see ``xf.join``).
 
     Per join key ``k`` every pair ``(a, b) ∈ A_k × B_k`` is emitted with
-    weight ``A_k(a) · B_k(b) / (‖A_k‖ + ‖B_k‖)``.  Key matching, the
-    per-key norms, the Cartesian pair index arrays and the output weights are
-    all array operations; the output records are assembled by fancy-indexing
+    weight ``A_k(a) · B_k(b) / (‖A_k‖ + ‖B_k‖)``.  Each side's key words
+    (:func:`_key_codes`) are sorted once: the per-key runs, the norms over
+    them and the match between the sides' distinct keys (one ``searchsorted``)
+    all read that order, and pairs come out by ascending key, left-major, a
+    key's rows in input order.  The pair index arrays and the output weights
+    are array operations; the output records are assembled by fancy-indexing
     the field columns when the selector is a :class:`JoinFields` spec, and by
     per-pair Python calls otherwise.
     """
     tolerance = left.tolerance
     if left.is_empty() or right.is_empty():
         return ColumnarDataset.empty(tolerance)
-    left_codes, right_codes = _key_codes(left, right, left_key, right_key)
-    left_order = np.argsort(left_codes, kind="stable")
-    right_order = np.argsort(right_codes, kind="stable")
-    left_keys, left_starts, left_counts = np.unique(
-        left_codes[left_order], return_index=True, return_counts=True
-    )
-    right_keys, right_starts, right_counts = np.unique(
-        right_codes[right_order], return_index=True, return_counts=True
-    )
-    _, left_hit, right_hit = np.intersect1d(
-        left_keys, right_keys, assume_unique=True, return_indices=True
-    )
+    left_words, right_words, fits_rows = _key_codes(left, right, left_key, right_key)
+    left_order, left_starts, (left_keys,) = sorted_runs([left_words], fits_rows)
+    right_order, right_starts, (right_keys,) = sorted_runs([right_words], fits_rows)
+    left_keys, right_keys = left_keys[left_starts], right_keys[right_starts]
+    left_counts = np.diff(left_starts, append=len(left))
+    right_counts = np.diff(right_starts, append=len(right))
+    right_hit = np.searchsorted(right_keys, left_keys)
+    right_hit[right_hit == right_keys.shape[0]] = 0
+    left_hit = np.flatnonzero(right_keys[right_hit] == left_keys)
+    right_hit = right_hit[left_hit]
     if left_hit.size == 0:
         return ColumnarDataset.empty(tolerance)
     left_norms = np.add.reduceat(np.abs(left.weights[left_order]), left_starts)

@@ -166,9 +166,9 @@ def sum_merge(shards: Iterable[ColumnarDataset]) -> ColumnarDataset:
     """Merge overlapping shard outputs by summing per-record partial weights.
 
     Shard-order concatenation followed by one consolidation pass: equal rows
-    group via lexsort and their weights accumulate via ``np.bincount`` —
-    the same primitive the flat kernels consolidate with, so row order
-    (lexicographic) and grouping semantics match the unsharded result.
+    group via ``row_groups`` (a stable sort of the packed rows) and their
+    weights accumulate in shard order via ``np.bincount`` — the primitive the
+    flat kernels consolidate with, so row order and grouping match theirs.
     """
     shards = _live_shards(list(shards))
     arity, tolerance = _common_layout(shards)

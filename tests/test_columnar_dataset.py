@@ -168,3 +168,57 @@ class TestColumnarDataset:
         )
         with pytest.raises(ValueError, match="finite"):
             broken.to_weighted()
+
+
+class TestInternerBulkCodes:
+    """``Interner.codes`` against interning the same atoms one at a time."""
+
+    @staticmethod
+    def both(known):
+        """Two interners that already know ``known``."""
+        bulk, single = Interner(), Interner()
+        for interner in (bulk, single):
+            for atom in known:
+                interner.code(atom)
+        return bulk, single
+
+    @staticmethod
+    def assert_same_state(bulk, single):
+        assert len(bulk) == len(single)
+        ours, theirs = bulk.atoms(range(len(bulk))), single.atoms(range(len(single)))
+        assert ours == theirs
+        assert [type(atom) for atom in ours] == [type(atom) for atom in theirs]
+
+    @pytest.mark.parametrize(
+        "known, atoms",
+        [
+            ((), ["a", "b", "a", "c", "b", "a"]),  # repeats, all new
+            (("b", "x"), ["a", "b", "c", "x", "d", "b"]),  # new between known
+            (("a", "b"), ["b", "a", "a", "b"]),  # all known: the one-pass path
+            ((), [1, 1.0, True, 2, 2.0]),  # ==-equal atoms share the first's code
+            ((1.0,), [True, 1, 0, False]),
+            ((), [None, "a", None]),  # None is an atom, not "missing"
+            ((None,), [None, None]),
+            ((), []),
+            ((), [(1, 2), (1.0, 2), ((3,), "x")]),
+        ],
+    )
+    def test_codes_and_state_match_per_atom_interning(self, known, atoms):
+        bulk, single = self.both(known)
+        codes = bulk.codes(iter(atoms))
+        assert codes.dtype == np.int64 and codes.shape == (len(atoms),)
+        assert codes.tolist() == [single.code(atom) for atom in atoms]
+        self.assert_same_state(bulk, single)
+
+    @pytest.mark.parametrize("known", [(), ("a", "b")])
+    def test_unhashable_atom_raises_where_it_stands(self, known):
+        bulk, single = self.both(known)
+        atoms = ["a", "new", "b", ["unhashable"], "later"]
+        with pytest.raises(TypeError):
+            bulk.codes(atoms)
+        with pytest.raises(TypeError):
+            for atom in atoms:
+                single.code(atom)
+        # The atoms before it keep the codes they were given; "later" got none.
+        self.assert_same_state(bulk, single)
+        assert bulk.atoms(range(len(bulk)))[-1] == ("b" if not known else "new")

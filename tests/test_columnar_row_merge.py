@@ -1,0 +1,379 @@
+"""The row-merge primitive and the join built on it, against the code they
+replaced.
+
+``row_groups`` packs the columns of a row into ``int64`` words and sorts
+those; the join sorts each side's key words once.  Both must be *exactly* what
+``np.lexsort`` and the ``argsort`` / ``np.unique`` / ``np.intersect1d`` join
+tail gave — same permutation, same groups, same pair order — because every
+float sum downstream adds its terms in that order.  The references below are
+in-test copies of the replaced code; the last test pins released values
+recorded before the replacement.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import analyses
+from repro.analyses import protect_graph
+from repro.columnar import ColumnarDataset, Field, JoinFields, Permute, kernels
+from repro.columnar.dataset import packing_plan, row_groups
+from repro.columnar.interning import Interner, global_interner, use_interner
+from repro.core.queryable import PrivacySession
+from repro.graph.generators import social_graph
+from repro.shard.executor import ShardedExecutor
+
+WORD = 1 << 63
+
+
+def worker_code(worker: int, index: int) -> int:
+    """A code from shard worker ``worker``'s private namespace."""
+    return (1 << 40) + worker * (1 << 32) + index
+
+
+#: Value pools a column draws its codes from; rows index into a pool, so
+#: duplication is heavy whatever the pool.
+POOLS = {
+    "small": [0, 1, 2, 3],
+    "constant": [7],
+    "negative": [-1, -5, 0, 2, -(1 << 20)],
+    "near_2_62": [(1 << 62) - 1, (1 << 62) - 2, 1 << 61, 3],
+    "both_ends": [-(1 << 62), (1 << 62) - 1, 0],
+    "worker": [worker_code(w, i) for w in range(4) for i in (0, 1, 5)] + [0, 1, 9],
+}
+
+
+def draw_columns(pools: list[str], rows: int, seed: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [
+        np.array(POOLS[pool], dtype=np.int64)[rng.integers(len(POOLS[pool]), size=rows)]
+        for pool in pools
+    ]
+
+
+def regime(columns: list[np.ndarray]) -> str:
+    """Which of the three sorts ``row_groups`` runs on these columns."""
+    spans = [int(column.max()) - int(column.min()) + 1 for column in columns]
+    plan, fits_rows = packing_plan(spans, columns[0].shape[0])
+    if len(plan) > 1:
+        return "several words"
+    return "word and row" if fits_rows else "word only"
+
+
+# ----------------------------------------------------------------------
+# The replaced code, kept as the reference
+# ----------------------------------------------------------------------
+def reference_row_groups(columns):
+    """``row_groups`` as it was: one ``np.lexsort``, one ``!=`` per column."""
+    count = columns[0].shape[0]
+    order = np.lexsort(tuple(columns)[::-1])
+    boundary = np.zeros(count, dtype=bool)
+    boundary[:1] = True
+    for column in columns:
+        column = column[order]
+        boundary[1:] |= column[1:] != column[:-1]
+    return order, np.cumsum(boundary) - 1, np.flatnonzero(boundary)
+
+
+def reference_consolidate(columns, weights, tolerance):
+    order, group_index, representatives = reference_row_groups(columns)
+    weights = np.bincount(group_index, weights=weights[order])
+    columns = [column[order][representatives] for column in columns]
+    keep = np.abs(weights) > tolerance
+    return [column[keep] for column in columns], weights[keep]
+
+
+def reference_key_codes(left, right, left_key, right_key):
+    """Composite keys numbered together by the lexsort; anything else called
+    per record and interned."""
+    if (
+        isinstance(left_key, Permute)
+        and isinstance(right_key, Permute)
+        and len(left_key.indices) == len(right_key.indices)
+    ):
+        order, group, _ = reference_row_groups(
+            [
+                np.concatenate([left.columns[l], right.columns[r]])
+                for l, r in zip(left_key.indices, right_key.indices)
+            ]
+        )
+        codes = np.empty_like(group)
+        codes[order] = group
+        return codes[: len(left)], codes[len(left) :]
+    if isinstance(left_key, Field) and isinstance(right_key, Field):
+        return left.columns[left_key.index], right.columns[right_key.index]
+    interner = global_interner()
+    return (
+        interner.codes([left_key(record) for record in left.records()]),
+        interner.codes([right_key(record) for record in right.records()]),
+    )
+
+
+def reference_join(left, right, left_key, right_key, selector):
+    """The join tail as it was (five sorts), down to consolidated columns."""
+    left_codes, right_codes = reference_key_codes(left, right, left_key, right_key)
+    left_order = np.argsort(left_codes, kind="stable")
+    right_order = np.argsort(right_codes, kind="stable")
+    left_keys, left_starts, left_counts = np.unique(
+        left_codes[left_order], return_index=True, return_counts=True
+    )
+    right_keys, right_starts, right_counts = np.unique(
+        right_codes[right_order], return_index=True, return_counts=True
+    )
+    _, left_hit, right_hit = np.intersect1d(
+        left_keys, right_keys, assume_unique=True, return_indices=True
+    )
+    if left_hit.size == 0:
+        return None  # no pair at all: the kernel answers with the opaque empty dataset
+    left_norms = np.add.reduceat(np.abs(left.weights[left_order]), left_starts)
+    right_norms = np.add.reduceat(np.abs(right.weights[right_order]), right_starts)
+    denominators = left_norms[left_hit] + right_norms[right_hit]
+    feasible = denominators > 0
+    left_hit, right_hit = left_hit[feasible], right_hit[feasible]
+    denominators = denominators[feasible]
+    pair_counts = left_counts[left_hit] * right_counts[right_hit]
+    total = int(pair_counts.sum())
+    if total == 0:
+        return None
+    key_of_pair = np.repeat(np.arange(pair_counts.shape[0]), pair_counts)
+    offsets = np.concatenate(([0], np.cumsum(pair_counts)[:-1]))
+    local = np.arange(total) - offsets[key_of_pair]
+    fanout = right_counts[right_hit][key_of_pair]
+    left_rows = left_order[left_starts[left_hit][key_of_pair] + local // fanout]
+    right_rows = right_order[right_starts[right_hit][key_of_pair] + local % fanout]
+    weights = (
+        left.weights[left_rows] * right.weights[right_rows] / denominators[key_of_pair]
+    )
+    columns = [
+        (left.columns[index][left_rows] if side == "l" else right.columns[index][right_rows])
+        for side, index in selector.picks
+    ]
+    return reference_consolidate(columns, weights, left.tolerance)
+
+
+def assert_same_rows(dataset: ColumnarDataset, columns, weights):
+    assert len(dataset.columns) == len(columns)
+    for ours, theirs in zip(dataset.columns, columns):
+        assert ours.tolist() == theirs.tolist()
+    assert dataset.weights.tolist() == weights.tolist()  # ==, not approx
+
+
+# ----------------------------------------------------------------------
+# (a) row_groups
+# ----------------------------------------------------------------------
+def assert_row_groups_match(columns):
+    order, group_index, representatives = row_groups(columns)
+    expected = reference_row_groups(columns)
+    for ours, theirs in zip((order, group_index, representatives), expected):
+        assert ours.dtype == np.int64
+        assert ours.tolist() == theirs.tolist()
+
+
+@given(
+    pools=st.lists(st.sampled_from(sorted(POOLS)), min_size=1, max_size=6),
+    rows=st.one_of(st.integers(0, 5), st.integers(0, 400)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(deadline=None, max_examples=300)
+def test_row_groups_is_the_lexsort_with_its_groups(pools, rows, seed):
+    assert_row_groups_match(draw_columns(pools, rows, seed))
+
+
+@pytest.mark.parametrize(
+    "pools, rows, expected",
+    [
+        (["small", "small", "small"], 400, "word and row"),
+        (["worker"], 400, "word and row"),  # span ≈ 2⁴⁰, × 400 rows fits
+        (["worker", "small", "negative"], 400, "word only"),  # ≈ 2⁶² × rows does not
+        (["near_2_62"], 400, "word only"),
+        (["both_ends"], 400, "word only"),  # a span of 2⁶³ itself still shifts to zero
+        (["worker", "worker"], 400, "several words"),  # ≈ 2⁸⁰
+        (["worker", "small", "worker", "worker", "small"], 400, "several words"),
+        (["near_2_62", "negative", "constant", "both_ends", "worker", "small"], 57, "several words"),
+        (["worker"], 1, "word and row"),
+    ],
+)
+def test_every_regime_runs_and_matches(pools, rows, expected):
+    for seed in range(5):
+        columns = draw_columns(pools, rows, seed)
+        assert regime(columns) == expected
+        assert_row_groups_match(columns)
+
+
+def test_packing_plan_is_greedy_and_never_overflows():
+    assert packing_plan([4, 5, 6], 10) == ([[0, 1, 2]], True)
+    assert packing_plan([4, 5, 6], WORD // 120) == ([[0, 1, 2]], True)
+    assert packing_plan([4, 5, 6], WORD // 120 + 1) == ([[0, 1, 2]], False)
+    assert packing_plan([1 << 62, 2], 1) == ([[0], [1]], False)  # 2⁶³ is too much
+    assert packing_plan([1 << 62, 1, 1], 1) == ([[0, 1, 2]], True)
+    wide = (1 << 40) + 3 * (1 << 32)
+    assert packing_plan([wide, 4, wide, wide, 4], 9) == ([[0, 1], [2], [3, 4]], False)
+    assert packing_plan([3, WORD, 3], 1) == ([[0], [1], [2]], False)
+
+
+def test_zero_rows_give_three_empty_arrays():
+    for width in (1, 3):
+        result = row_groups([np.empty(0, dtype=np.int64)] * width)
+        assert [part.tolist() for part in result] == [[], [], []]
+        assert all(part.dtype == np.int64 for part in result)
+    merged = ColumnarDataset((np.empty(0, dtype=np.int64),), np.empty(0), None)
+    assert len(merged) == 0 and merged.weights.dtype == np.float64
+
+
+def test_one_row_is_one_group():
+    assert_row_groups_match([np.array([-1], dtype=np.int64), np.array([1 << 62])])
+
+
+# ----------------------------------------------------------------------
+# (b) join
+# ----------------------------------------------------------------------
+JOIN_POOLS = {
+    "small": [0, 1, 2, 3, 4],
+    "hub": [2] * 12 + [0, 1, 3],  # one key holds most rows
+    "wide": [worker_code(w, i) for w in range(3) for i in (0, 1)] + [0, 1],
+}
+
+
+def code_dataset(pools: list[str], rows: int, seed: int) -> ColumnarDataset:
+    """A decomposed dataset built straight from codes (never decoded), with
+    weights of both signs."""
+    rng = np.random.default_rng(seed)
+    columns = [
+        np.array(JOIN_POOLS[pool], dtype=np.int64)[rng.integers(len(JOIN_POOLS[pool]), size=rows)]
+        for pool in pools
+    ]
+    weights = rng.choice([-2.0, -0.3, 0.1, 0.7, 1.0, 3.0], size=rows)
+    return ColumnarDataset(columns, weights, len(pools))
+
+
+@st.composite
+def code_joins(draw):
+    """Two code-level datasets and one structural key shape for both."""
+    pool = st.sampled_from(sorted(JOIN_POOLS))
+    left_pools = draw(st.lists(pool, min_size=1, max_size=3))
+    right_pools = draw(st.lists(pool, min_size=1, max_size=3))
+    left = code_dataset(left_pools, draw(st.integers(1, 40)), draw(st.integers(0, 10**6)))
+    right = code_dataset(right_pools, draw(st.integers(1, 40)), draw(st.integers(0, 10**6)))
+    index = lambda dataset: st.integers(0, dataset.arity - 1)
+    if draw(st.booleans()):
+        keys = Field(draw(index(left))), Field(draw(index(right)))
+    else:  # same width, any indices: reversed and repeated ones included
+        width = draw(st.integers(1, 3))
+        indices = lambda dataset: draw(st.lists(index(dataset), min_size=width, max_size=width))
+        keys = Permute(*indices(left)), Permute(*indices(right))
+    return left, right, keys
+
+
+def selectors(left: ColumnarDataset, right: ColumnarDataset):
+    """Every field (pairs stay distinct) and the first of each side (pairs
+    collide, so the consolidated sums depend on the pair order)."""
+    everything = JoinFields(
+        *[("l", i) for i in range(left.arity)], *[("r", i) for i in range(right.arity)]
+    )
+    return everything, JoinFields(("l", 0), ("r", 0))
+
+
+def assert_join_matches(left, right, left_key, right_key):
+    for selector in selectors(left, right):
+        ours = kernels.join(left, right, left_key, right_key, selector)
+        expected = reference_join(left, right, left_key, right_key, selector)
+        if expected is None:
+            assert len(ours) == 0
+        else:
+            assert_same_rows(ours, *expected)
+
+
+@given(case=code_joins())
+@settings(deadline=None, max_examples=300)
+def test_join_on_structural_keys_is_the_replaced_join(case):
+    left, right, (left_key, right_key) = case
+    assert_join_matches(left, right, left_key, right_key)
+
+
+@given(
+    left_rows=st.integers(1, 25),
+    right_rows=st.integers(1, 25),
+    seed=st.integers(0, 10**6),
+    shape=st.sampled_from(["permute-field", "functions", "function-permute"]),
+)
+@settings(deadline=None, max_examples=100)
+def test_join_on_called_keys_is_the_replaced_join(left_rows, right_rows, seed, shape):
+    rng = np.random.default_rng(seed)
+    weights = lambda rows: rng.choice([-1.5, 0.25, 1.0, 2.0], size=rows)
+    # The right side's first field is itself a pair, so a Permute on the left
+    # can meet a Field on the right.
+    left_records = [(int(a), int(b), int(c)) for a, b, c in rng.integers(4, size=(left_rows, 3))]
+    right_records = [((int(a), int(b)), int(c)) for a, b, c in rng.integers(4, size=(right_rows, 3))]
+    left = ColumnarDataset.from_pairs(left_records, weights(left_rows))
+    right = ColumnarDataset.from_pairs(right_records, weights(right_rows))
+    left_key, right_key = {
+        "permute-field": (Permute(0, 1), Field(0)),
+        "functions": (lambda r: r[2], lambda r: r[1]),
+        "function-permute": (lambda r: (r[2],), Permute(1)),
+    }[shape]
+    assert_join_matches(left, right, left_key, right_key)
+
+
+def test_join_edge_shapes():
+    two = lambda rows: ColumnarDataset(
+        [np.array([r[0] for r in rows]), np.array([r[1] for r in rows])],
+        np.array([r[2] for r in rows], dtype=np.float64),
+        2,
+    )
+    hub = two([(2, i, 1.0 + i) for i in range(30)] + [(0, 0, -1.0), (5, 1, 2.0)])
+    one_row = two([(2, 9, -4.0)])
+    strangers = two([(7, 0, 1.0), (8, 0, 1.0), (9, 1, 1.0)])  # keys on one side only
+    # Snapshot codes beside worker-namespace ones: each column spans ≈ 2⁴⁰.
+    mixed = [3, worker_code(1, 0), worker_code(2, 1)]
+    wide = two([(mixed[i % 3], mixed[i % 2], 0.5 + i) for i in range(12)])
+    for left, right in [(hub, one_row), (one_row, hub), (hub, hub), (hub, strangers), (wide, wide)]:
+        assert_join_matches(left, right, Field(0), Field(0))
+        assert_join_matches(left, right, Permute(0, 1), Permute(0, 1))
+        assert_join_matches(left, right, Permute(0, 1), Permute(1, 0))
+        assert_join_matches(left, right, Permute(0, 0, 1), Permute(1, 0, 0))
+    assert len(kernels.join(hub, strangers, Field(0), Field(0), JoinFields(("l", 0)))) == 0
+    # Two wide key columns do not fit one word: the keys are numbered together.
+    assert regime([np.concatenate([wide.columns[i]] * 2) for i in (0, 1)]) == "several words"
+
+
+# ----------------------------------------------------------------------
+# (c) pinned releases
+# ----------------------------------------------------------------------
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "analyst_batch_releases.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        "vectorized",
+        lambda environment: ShardedExecutor(environment, shards=2, pool=None, min_rows=0),
+    ],
+    ids=["vectorized", "sharded-inline"],
+)
+def test_analyst_batch_releases_are_pinned_to_the_bit(executor):
+    """The five ``analyst_batch`` queries over ``social_graph(300, 4, rng=5)``
+    at seed 7, ε = 0.1, as ``float.hex`` recorded at PR 18's commit (lexsort
+    ``row_groups``, five-sort join).  A kernel change that reorders one float
+    sum moves a last digit here.  Row order — hence summation order — follows
+    interner code order, so the batch runs against a fresh interner."""
+    with use_interner(Interner()):
+        session = PrivacySession(seed=7, executor=executor)
+        protected = protect_graph(session, social_graph(300, 4, rng=5), total_epsilon=float("inf"))
+        results = session.measure(
+            (analyses.degree_ccdf_query(protected), 0.1, "degree-ccdf"),
+            (analyses.wedges_query(protected), 0.1, "wedges"),
+            (analyses.triangles_by_intersect_query(protected), 0.1, "tbi"),
+            (analyses.joint_degree_query(protected), 0.1, "jdd"),
+            (analyses.triangles_by_degree_query(protected), 0.1, "tbd"),
+        )
+    assert list(PINNED) == ["degree-ccdf", "wedges", "tbi", "jdd", "tbd"]
+    for name, result in zip(PINNED, results):
+        released = [[repr(record), value.hex()] for record, value in result.items()]
+        assert released == PINNED[name], name

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ..core.dataset import DEFAULT_TOLERANCE, WeightedDataset
-from .interning import global_interner
+from .interning import Interner, global_interner
 
 __all__ = ["ColumnarDataset", "consolidate", "row_groups", "encode_query_rows"]
 
@@ -182,6 +182,14 @@ def consolidate(
     return tuple(columns), weights
 
 
+def decode_rows(
+    interner: Interner, columns: Sequence[np.ndarray], arity: int | None
+) -> list[Any]:
+    """The records that the code ``columns`` of one layout stand for."""
+    fields = [interner.atoms(column) for column in columns]
+    return fields[0] if arity is None else list(zip(*fields))
+
+
 class ColumnarDataset:
     """An immutable weighted dataset in columnar, dictionary-encoded form."""
 
@@ -311,13 +319,7 @@ class ColumnarDataset:
     def records(self) -> list[Any]:
         """The record objects, row-aligned with :attr:`weights` (cached)."""
         if self._records is None:
-            interner = global_interner()
-            if self.arity is None:
-                self._records = interner.atoms(self.columns[0])
-            else:
-                self._records = list(
-                    zip(*(interner.atoms(column) for column in self.columns))
-                )
+            self._records = decode_rows(global_interner(), self.columns, self.arity)
         return self._records
 
     def weights_for(self, records: Sequence[Any]) -> np.ndarray:
@@ -364,17 +366,19 @@ class ColumnarDataset:
         )
 
     def to_weighted(self) -> WeightedDataset:
-        """Decode back into a dictionary-backed :class:`WeightedDataset`.
+        """This dataset as a :class:`WeightedDataset`, decoded when first read.
 
         The class invariants (unique rows, ``|w| > tolerance``) are the ones
         ``WeightedDataset`` would re-establish record by record, so the rows
-        are adopted as they are; only finiteness is checked here.
+        are adopted as they are; only finiteness is checked, here and now.
+        The result (:class:`ColumnBackedDataset`) keeps these columns and the
+        interner installed at this moment: a release is ordered and weighed
+        from them, and the record dict is built only for a caller that reads
+        it.
         """
         if not np.isfinite(self.weights).all():
             raise ValueError("dataset weights must be finite floats")
-        return WeightedDataset._from_unique(
-            self.records(), self.weights.tolist(), self.tolerance
-        )
+        return ColumnBackedDataset(self, global_interner())
 
     def __repr__(self) -> str:
         # Sanctioned debug affordance (as in WeightedDataset.__repr__): the
@@ -384,3 +388,77 @@ class ColumnarDataset:
             f"ColumnarDataset(rows={len(self)}, {layout}, "  # lint: disable=R004
             f"norm={self.total_weight():.6g})"
         )
+
+
+class ColumnBackedDataset(WeightedDataset):
+    """A :class:`WeightedDataset` still held as the columns it was computed in.
+
+    What :meth:`ColumnarDataset.to_weighted` returns.  Most query outputs are
+    read by nothing but the release, and a release is ordered and weighed
+    from the code columns (:meth:`in_canonical_order`), so the record dict is
+    built on the first read of ``_weights`` / ``_norm`` — the two slots every
+    inherited method goes through — and is then exactly the dict and norm
+    ``_from_unique`` builds of the decoded rows.  Unlocked: a session
+    serialises its measurements, and two racing builds store equal values.
+
+    Codes mean nothing apart from the interner that assigned them, so the one
+    installed when the dataset was made is kept and decodes it ever after;
+    a pickle or copy is a plain ``WeightedDataset`` of the rows, never codes.
+    """
+
+    __slots__ = ("_columnar", "_interner")
+
+    def __init__(self, columnar: ColumnarDataset, interner: Interner) -> None:
+        self._tolerance = columnar.tolerance
+        self._columnar = columnar
+        self._interner = interner
+
+    def __getattr__(self, name: str) -> Any:
+        # Python asks only while the slot is unset: build the dict, once.
+        if name not in ("_weights", "_norm"):
+            raise AttributeError(name)
+        columnar = self._columnar
+        decoded = WeightedDataset._from_unique(
+            decode_rows(self._interner, columnar.columns, columnar.arity),
+            columnar.weights.tolist(),
+            self._tolerance,
+        )
+        self._weights, self._norm = decoded._weights, decoded._norm
+        return getattr(decoded, name)
+
+    def __len__(self) -> int:
+        return len(self._columnar)
+
+    def is_empty(self) -> bool:
+        return self._columnar.is_empty()
+
+    def in_canonical_order(self) -> tuple[tuple, np.ndarray]:
+        """The base class's order, from per-code tokens and without the dict.
+
+        A row's key is assembled from its fields' memoised tokens exactly as
+        ``_canonical_token`` renders a plain tuple (an opaque row's is its
+        record's own token), and the same stable sort runs over rows in row
+        order — the dict's insertion order — so ties fall the same way.  Only
+        the sorted rows are decoded.
+        """
+        columnar, interner = self._columnar, self._interner
+        tokens = [interner.tokens(column) for column in columnar.columns]
+        if columnar.arity is None:
+            keys = tokens[0]
+        else:
+            keys = ["(" + ",".join(row) + ")" for row in zip(*tokens)]
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+        records = decode_rows(
+            interner, [column[order] for column in columnar.columns], columnar.arity
+        )
+        return tuple(records), columnar.weights[order]
+
+    def __reduce__(self) -> tuple:
+        return WeightedDataset, (self.to_dict(), self._tolerance)
+
+    def __repr__(self) -> str:
+        try:
+            object.__getattribute__(self, "_weights")
+        except AttributeError:  # still columns: nothing decoded to preview
+            return f"<ColumnBackedDataset rows={len(self)}>"
+        return super().__repr__()

@@ -5,9 +5,12 @@ Executor` protocol over the columnar kernels: plans are walked exactly like
 the eager backend (memoised by node identity, so shared sub-plans evaluate
 once per batch), but every intermediate result is a
 :class:`~repro.columnar.dataset.ColumnarDataset` and every operator runs its
-NumPy kernel.  Results are decoded to :class:`~repro.core.dataset.
-WeightedDataset` only at the measurement boundary, so a chain of joins and
-filters never leaves array form.
+NumPy kernel.  Results cross the executor boundary still in columns (a
+:class:`~repro.columnar.dataset.ColumnBackedDataset`, which *is* a
+:class:`~repro.core.dataset.WeightedDataset`): a release is ordered from
+per-code tokens and decodes only the records it releases, and the record dict
+is built only for a caller that reads the dataset itself — so a chain of joins
+and filters never leaves array form, and a measurement never builds a dict.
 
 :class:`AutoExecutor` fronts an eager and a vectorized backend and routes
 each plan by the support size of the protected sources it references: tiny
@@ -92,8 +95,8 @@ class VectorizedExecutor(EagerExecutor):
     plan pinning that keeps ids unique, ``evaluation_count`` and the one
     evaluation rule — and overrides only what differs: sources encode to
     :class:`~repro.columnar.dataset.ColumnarDataset`, a node's ``op`` is
-    looked up among the vectorized kernels, and batch results decode to
-    :class:`WeightedDataset` at the measurement boundary.  Environment
+    looked up among the vectorized kernels, and batch results are handed
+    over as column-backed :class:`WeightedDataset` values.  Environment
     values may be :class:`WeightedDataset` (encoded once and cached per
     registered object) or already-columnar :class:`ColumnarDataset` values —
     the latter is how the MCMC scorer feeds its incrementally updated weight
@@ -136,11 +139,16 @@ class VectorizedExecutor(EagerExecutor):
 
     # ------------------------------------------------------------------
     def evaluate_many(self, plans: Sequence[Plan]) -> list[WeightedDataset]:
-        """Evaluate a batch; shared sub-plans are evaluated once, columnar."""
+        """Evaluate a batch; shared sub-plans are evaluated once, columnar.
+
+        The results are still columns (:meth:`ColumnarDataset.to_weighted`):
+        ``session.measure`` releases them without a record dict, and a direct
+        caller pays for the decode on its first read, once per result.
+        """
         return [dataset.to_weighted() for dataset in self.evaluate_columnar(plans)]
 
     def evaluate_columnar(self, plans: Sequence[Plan]) -> list[ColumnarDataset]:
-        """Like :meth:`evaluate_many` but without the boundary decode.
+        """Like :meth:`evaluate_many`, as the bare :class:`ColumnarDataset`.
 
         This is the inherited batch evaluation — memo scoping included —
         whose values are columnar because the sources and :attr:`rules` are.

@@ -39,6 +39,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..core.aggregation import _canonical_token
 from ..sanitize import ordered_lock
 
 __all__ = [
@@ -59,13 +60,20 @@ class Interner:
     keeps columnar record matching (joins, intersections, ``FieldIs``)
     agreeing with the eager backend.  See the module docstring for the
     representative caveat on mixed-type data.
+
+    The interner also owns the memo of its atoms' canonical release-order
+    tokens (:meth:`tokens`), one per code and filled as releases ask: a code
+    never changes its atom, so a token never goes stale, and a release renders
+    each distinct atom once however many rows carry it.  The tokens are
+    ``repr`` text of protected atoms and are as protected as the atoms.
     """
 
-    __slots__ = ("_codes", "_atoms", "_lock")
+    __slots__ = ("_codes", "_atoms", "_tokens", "_lock")
 
     def __init__(self) -> None:
         self._codes: dict[Any, int] = {}
         self._atoms: list[Any] = []
+        self._tokens: dict[int, str] = {}
         # Assigning a fresh code is a read-len/write-dict/append sequence; the
         # lock keeps it atomic so parallel synthesis chains (repro.inference
         # .parallel runs N chains in threads) cannot assign one code to two
@@ -80,14 +88,17 @@ class Interner:
         """Observability for the documented monotonic-growth trade-off.
 
         ``atoms`` is the vocabulary size (every distinct atom ever seen,
-        including intermediates the kernels produce) and ``table_bytes`` an
-        estimate of the resident encoding state — the dict and list overhead,
-        not the atoms' own payloads.  Sampling this before/after a workload
+        including intermediates the kernels produce), ``tokens`` how many of
+        them a release has rendered and memoised (:meth:`tokens`, ≈ 50 B of
+        text each) and ``table_bytes`` an estimate of the resident encoding
+        state — the dict and list overhead, not the atoms' own payloads.
+        Sampling this before/after a workload
         turns "the interner grows monotonically" from a docstring warning into
         a number (the end-to-end benchmark reports ``columnar.interner.atoms``).
         """
         return {
             "atoms": len(self._atoms),
+            "tokens": len(self._tokens),
             "table_bytes": sys.getsizeof(self._codes) + sys.getsizeof(self._atoms),
         }
 
@@ -128,6 +139,17 @@ class Interner:
         if isinstance(codes, np.ndarray):
             codes = codes.tolist()
         return [table[code] for code in codes]
+
+    def tokens(self, codes: np.ndarray) -> list[str]:
+        """The canonical release-order token of each code's atom, memoised.
+
+        Unlocked: two racing fills store equal strings under equal keys.
+        """
+        memo = self._tokens
+        codes = codes.tolist()
+        for code in set(codes).difference(memo):
+            memo[code] = _canonical_token(self._atoms[code])
+        return list(map(memo.__getitem__, codes))
 
 
 #: The process-wide interner every ColumnarDataset encodes against.

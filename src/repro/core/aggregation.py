@@ -94,7 +94,10 @@ class ExactAnswer:
     A measurement is ``Q(A) + noise`` and only the noise depends on ε, so this
     is everything a release needs of the evaluation: :attr:`records`, the
     support of ``Q(A)`` in the canonical noise-draw order, and
-    :attr:`weights`, the aligned exact weights as one float vector.  It is
+    :attr:`weights`, the aligned exact weights as one float vector.  The
+    dataset says what that order is (:meth:`~repro.core.dataset
+    .WeightedDataset.in_canonical_order`), so an output still held as code
+    columns is ordered and weighed from them and never becomes a dict.  It is
     what :meth:`~repro.core.queryable.PrivacySession.hold` retains per held
     plan — protected data, so it never leaves the session and its repr shows
     a record count only.
@@ -109,11 +112,8 @@ class ExactAnswer:
         # code order — so sorting makes the record→noise assignment a function
         # of the record *set* alone: under a fixed seed every execution
         # backend releases identical measurements.
-        ordered = sorted(exact.items(), key=_canonical_sort_key)
-        self.records = tuple(record for record, _ in ordered)
-        self.weights = np.fromiter(
-            (weight for _, weight in ordered), dtype=float, count=len(ordered)
-        )
+        self.records, weights = exact.in_canonical_order()
+        self.weights = np.asarray(weights, dtype=float)
 
     def __len__(self) -> int:
         return len(self.records)

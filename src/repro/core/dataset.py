@@ -24,7 +24,7 @@ evaluation in :mod:`repro.dataflow`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any, Callable
 
 __all__ = ["WeightedDataset", "DEFAULT_TOLERANCE"]
@@ -130,7 +130,7 @@ class WeightedDataset:
         dataset = cls.__new__(cls)
         dataset._tolerance = float(tolerance)
         dataset._weights = dict(zip(records, weights))
-        dataset._norm = sum(abs(weight) for weight in weights)
+        dataset._norm = sum(map(abs, weights))
         return dataset
 
     # ------------------------------------------------------------------
@@ -164,6 +164,22 @@ class WeightedDataset:
     def to_dict(self) -> dict[Any, float]:
         """Return a copy of the underlying ``record -> weight`` mapping."""
         return dict(self._weights)
+
+    def in_canonical_order(self) -> tuple[tuple, Sequence[float]]:
+        """The records sorted by canonical token, and their weights aligned.
+
+        The noise-draw order of a release (:class:`~repro.core.aggregation
+        .ExactAnswer`): a stable sort of the iteration order, so records whose
+        tokens tie keep it.  A subclass that holds its rows in another form
+        must return this same order.
+        """
+        from .aggregation import _canonical_sort_key  # it imports this module
+
+        ordered = sorted(self._weights.items(), key=_canonical_sort_key)
+        return (
+            tuple(record for record, _ in ordered),
+            [weight for _, weight in ordered],
+        )
 
     @property
     def tolerance(self) -> float:

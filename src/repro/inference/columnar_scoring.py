@@ -29,6 +29,7 @@ and the dict-based dataflow engine.
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -187,7 +188,9 @@ class MutableColumnarSource:
 
     def to_weighted(self) -> WeightedDataset:
         """Decode the current state (tests and diagnostics)."""
-        return self.snapshot().to_weighted()
+        # Decoded here and now (a copy is a plain dataset of the rows): the
+        # snapshot's arrays are views that the next push writes through.
+        return copy.copy(self.snapshot().to_weighted())
 
 
 class _ColumnarEngineBase:

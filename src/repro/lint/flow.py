@@ -3,8 +3,10 @@
 R004 pattern-matches *names*: a weight-ish identifier inside a log call.
 This pass tracks *values*.  A taint origin is protected data — the record
 keys and weight values held by ``WeightedDataset`` (``core/dataset.py``),
-``ColumnarDataset`` (``columnar/dataset.py``) and the exact answers a session
-holds, ``ExactAnswer`` (``core/aggregation.py``) — and taint propagates
+``ColumnarDataset`` and the ``ColumnBackedDataset`` its ``to_weighted`` returns
+(``columnar/dataset.py``), the exact answers a session holds, ``ExactAnswer``
+(``core/aggregation.py``), and the ``repr`` tokens of protected atoms an
+``Interner`` memoises (``columnar/interning.py``) — and taint propagates
 through assignments, arithmetic, f-strings, containers and calls until it
 either dies in a **sanctioned release** or reaches a **sink**:
 
@@ -52,8 +54,14 @@ from .rules import RELEASE_PACKAGES
 __all__ = ["analyze_flow"]
 
 #: The protected classes and what on them constitutes raw protected data.
-_SOURCE_TYPES = frozenset({"WeightedDataset", "ColumnarDataset", "ExactAnswer"})
-_SOURCE_ATTRS = frozenset({"_weights", "weights", "columns", "records"})
+_SOURCE_TYPES = frozenset(
+    {"WeightedDataset", "ColumnarDataset", "ColumnBackedDataset", "ExactAnswer"}
+    # An interner's token memo (_tokens, tokens()) is reprs of protected atoms.
+    | {"Interner", "ShardInterner"}
+)
+_SOURCE_ATTRS = frozenset(
+    {"_weights", "weights", "columns", "records", "_columnar", "_tokens"}
+)
 _SOURCE_METHODS = frozenset(
     {
         "items",
@@ -65,6 +73,8 @@ _SOURCE_METHODS = frozenset(
         "record_codes",
         "total_weight",
         "distance",
+        "in_canonical_order",
+        "tokens",
     }
 )
 

@@ -298,6 +298,9 @@ class ShardedExecutor:
         }
 
     def _evaluate_sharded(self, plan: Plan, info: _ChainInfo) -> WeightedDataset:
+        """Partition, run the shards (pool or inline), merge.  The output is in
+        the coordinator's codes and returned still in columns, like the
+        fallback's: nothing is decoded here, in any mode or degrade path."""
         partitions = self._partitions(plan)
         if self.inline:
             shard_outputs = self._run_inline(plan, partitions)

@@ -40,6 +40,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ..columnar.interning import Interner
+from ..core.aggregation import _canonical_token
 
 __all__ = [
     "EXTENSION_OFFSET",
@@ -141,6 +142,10 @@ class ShardInterner(Interner):
         if isinstance(codes, np.ndarray):
             codes = codes.tolist()
         return [self.atom(code) for code in codes]
+
+    def tokens(self, codes: np.ndarray) -> list[str]:
+        # Not memoised: take_extensions() hands extension codes out again.
+        return [_canonical_token(atom) for atom in self.atoms(codes)]
 
     # ------------------------------------------------------------------
     def extend_frozen(self, atoms: Sequence[Any]) -> None:

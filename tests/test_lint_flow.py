@@ -157,3 +157,23 @@ def test_suppression_comment_is_honoured(tmp_path):
             log.info(dataset.total_weight())  # lint: disable=R010
         """,
     ) == []
+
+
+def test_column_backed_results_and_the_token_memo_are_protected(tmp_path):
+    assert _analyze(
+        tmp_path,
+        """
+        class ColumnBackedDataset:
+            pass
+
+        class Interner:
+            pass
+
+        def debug(result: ColumnBackedDataset, interner: Interner, codes, log):
+            log.info("%d rows", len(result))
+            log.info("%r", result._columnar)
+            log.info("%r", result.in_canonical_order())
+            log.info("%r", interner.tokens(codes))
+            raise ValueError(f"bad token {interner._tokens[0]}")
+        """,
+    ) == [10, 11, 12, 13]

@@ -15,7 +15,7 @@ and ``--seed`` override the corresponding experiment parameters.
 The introspection half of the query API is also exposed::
 
     python -m repro explain            # list the named queries
-    python -m repro explain tbd        # plan tree + per-source multiplicities
+    python -m repro explain tbd        # plan tree + per-source stability bounds
     python -m repro explain jdd --epsilon 0.1
     python -m repro explain tbi --executor auto --rows 5000   # backend routing
     python -m repro explain tbd --verify --epsilon 0.1        # static stability check
@@ -236,8 +236,8 @@ def _run_explain(
     Every node is annotated with the backend the chosen ``--executor`` would
     evaluate the plan on; ``--rows`` registers that many synthetic edge
     records so the size-based routing of ``--executor auto`` is visible.
-    ``--verify`` appends the static stability bounds, the ε-consistency
-    verdict and the shard-portability check from :mod:`repro.lint.plans`.
+    ``--verify`` annotates every node with its static stability bound and
+    appends the shard-portability check from :mod:`repro.lint.plans`.
     """
     from .core import PrivacySession
 
@@ -272,9 +272,9 @@ def _lint_plans() -> int:
     """Statically verify every named query plan (``repro lint --plans``).
 
     For each query in :data:`repro.analyses.NAMED_QUERIES`: derive the
-    stability bounds, check them against the multiplicity-based ε-charge at a
-    nominal ε, and confirm the plan is portable to shard workers.  Returns the
-    number of error-severity findings.
+    stability bounds (every node must declare a stability constant) and
+    confirm the plan is portable to shard workers.  Returns the number of
+    error-severity findings.
     """
     from .core import PrivacySession
     from .lint import format_bounds, verify_plan
@@ -285,20 +285,15 @@ def _lint_plans() -> int:
     width = max(len(name) for name in NAMED_QUERIES)
     for name in sorted(NAMED_QUERIES):
         _, builder = NAMED_QUERIES[name]
-        report = verify_plan(builder(edges).plan, epsilon=0.1)
+        report = verify_plan(builder(edges).plan)
         problems = [issue for issue in report.issues if issue.severity == "error"]
-        warnings = [issue for issue in report.issues if issue.severity != "error"]
         if problems:
             errors += len(problems)
             print(f"plan {name.ljust(width)}  FAIL  {format_bounds(report.bounds)}")
             for issue in problems:
                 print(f"  error [{issue.kind}] {issue.node}: {issue.message}")
         else:
-            note = " (conservative charge)" if warnings else ""
-            print(
-                f"plan {name.ljust(width)}  OK    "
-                f"{format_bounds(report.bounds)}{note}"
-            )
+            print(f"plan {name.ljust(width)}  OK    {format_bounds(report.bounds)}")
     return errors
 
 
@@ -717,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help=(
-            "for 'explain': append static stability bounds, the ε-consistency "
-            "verdict and the shard-portability check"
+            "for 'explain': annotate every node with its static stability "
+            "bound and append the shard-portability check"
         ),
     )
     parser.add_argument(

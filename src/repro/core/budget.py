@@ -7,8 +7,10 @@ any measurement that would push a protected dataset past its budget.
 
 A subtlety from Section 2.3: when a protected dataset appears ``k`` times in a
 query plan (e.g. both sides of a self-join), an ``ε``-DP aggregation of the
-plan's output is ``k·ε``-DP *for that dataset*.  The plan machinery counts
-source multiplicities statically and the ledger here charges the multiple.
+plan's output is ``k·ε``-DP *for that dataset*.  The plan machinery derives
+that ``k`` statically (the plan's stability bound, see
+:func:`repro.core.plan.stability_bounds`) and the ledger here charges the
+multiple.
 
 Thread safety
 -------------

@@ -5,11 +5,12 @@ through which measurements reach the protected data.  It accepts any number of
 ``(queryable, epsilon)`` requests and processes them as a single unit:
 
 1. **Atomic budget charging.**  The per-source cost of the whole batch is
-   computed up front — sequential composition (``Σ εᵢ × multiplicity``,
-   Section 2.3) for ordinary queryables, parallel composition (the increase of
-   the per-group running maximum, Section 2.3 / PINQ's ``Partition``) for
-   requests over partition parts — and charged against every budget in one
-   atomic ledger transaction.  If *any* source cannot afford the batch,
+   computed up front — sequential composition (``Σ εᵢ × bound``, the plan's
+   stability bound of Theorem 1, which is Section 2.3's multiplicity unless
+   a ``DownScale`` tightens it) for ordinary queryables, parallel
+   composition (the increase of the per-group running maximum, Section 2.3
+   / PINQ's ``Partition``) for requests over partition parts — and charged
+   against every budget in one atomic ledger transaction.  If *any* source cannot afford the batch,
    nothing is charged and no data is touched.
 
 2. **Shared-sub-plan evaluation.**  All plans are handed to the session's
@@ -29,7 +30,8 @@ through which measurements reach the protected data.  It accepts any number of
    whether the exact output was just evaluated or was held.
 
 ``Queryable.noisy_count`` is a one-element batch, so all existing analyst code
-keeps its exact semantics.
+keeps its exact semantics; ``Queryable.noisy_sum`` is priced and charged by
+the same :func:`charge_requests`.
 
 :func:`execute_batch` always runs under the session's
 :attr:`~repro.core.queryable.PrivacySession.measure_lock` (taken by
@@ -47,11 +49,12 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence
 from ..exceptions import PlanError
 from .aggregation import NoisyCountResult
 from .laplace import validate_epsilon
+from .plan import stability_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .queryable import Queryable
 
-__all__ = ["MeasurementRequest", "MeasurementSet", "execute_batch"]
+__all__ = ["MeasurementRequest", "MeasurementSet", "charge_requests", "execute_batch"]
 
 
 @dataclass(frozen=True)
@@ -147,29 +150,21 @@ class MeasurementSet(Sequence[NoisyCountResult]):
         return f"<MeasurementSet n={len(self._results)} [{names}]>"
 
 
-def execute_batch(session, items: Sequence[Any]) -> MeasurementSet:
-    """Charge, evaluate and release a batch of measurements for ``session``.
+def charge_requests(
+    session, requests: Sequence[MeasurementRequest], description: str
+) -> dict[str, float]:
+    """Price a batch of requests and charge it as one ledger transaction.
 
-    This is the implementation behind :meth:`PrivacySession.measure`; see the
-    module docstring for the composition rules.
+    Sequential composition for ordinary queryables — each request costs
+    ``bound[s]·ε`` per source, the plan's
+    :func:`~repro.core.plan.stability_bounds` — and parallel (max)
+    composition per partition group for requests over partition parts.  If
+    any source cannot afford the batch the ledger refuses it and nothing is
+    charged or committed.  Returns the per-source amounts charged.
     """
     from .partition import PartQueryable
 
-    requests = [as_request(item) for item in items]
-    for request in requests:
-        if request.queryable.session is not session:
-            raise PlanError(
-                "cannot measure a queryable from a different privacy session"
-            )
-    if not requests:
-        return MeasurementSet([], [], {})
-
-    # ------------------------------------------------------------------
-    # 1. Cost the whole batch: sequential composition for direct requests,
-    #    parallel (max) composition per partition group.
-    # ------------------------------------------------------------------
     costs: dict[str, float] = {}
-    group_pending: dict[int, dict[Any, float]] = {}
     group_requests: dict[int, list[tuple[Any, float]]] = {}
     groups: dict[int, Any] = {}
 
@@ -182,9 +177,10 @@ def execute_batch(session, items: Sequence[Any]) -> MeasurementSet:
                 (queryable.plan, request.epsilon)
             )
         else:
-            for name, uses in queryable.plan.source_multiplicities().items():
-                costs[name] = costs.get(name, 0.0) + uses * request.epsilon
+            for name, bound in stability_bounds(queryable.plan).items():
+                costs[name] = costs.get(name, 0.0) + bound * request.epsilon
 
+    group_pending: dict[int, dict[Any, float]] = {}
     group_costs: dict[int, dict[str, float]] = {}
     for group_id, measured in group_requests.items():
         group = groups[group_id]
@@ -197,10 +193,30 @@ def execute_batch(session, items: Sequence[Any]) -> MeasurementSet:
             costs[name] = costs.get(name, 0.0) + cost
 
     costs = {name: cost for name, cost in costs.items() if cost > 0.0}
+    if costs:
+        session.ledger.charge(costs, description=description)
+    # Only commit part totals once the ledger accepted the charge.
+    for group_id, pending in group_pending.items():
+        groups[group_id].commit_pending(pending, group_costs[group_id])
+    return costs
 
-    # ------------------------------------------------------------------
-    # 2. One atomic ledger transaction for the whole batch.
-    # ------------------------------------------------------------------
+
+def execute_batch(session, items: Sequence[Any]) -> MeasurementSet:
+    """Charge, evaluate and release a batch of measurements for ``session``.
+
+    This is the implementation behind :meth:`PrivacySession.measure`; see the
+    module docstring for the composition rules.
+    """
+    requests = [as_request(item) for item in items]
+    for request in requests:
+        if request.queryable.session is not session:
+            raise PlanError(
+                "cannot measure a queryable from a different privacy session"
+            )
+    if not requests:
+        return MeasurementSet([], [], {})
+
+    # 1. Cost the whole batch and charge it in one atomic ledger transaction.
     if len(requests) == 1:
         description = requests[0].label
     else:
@@ -208,15 +224,10 @@ def execute_batch(session, items: Sequence[Any]) -> MeasurementSet:
             f"measure[{len(requests)}]: "
             + ", ".join(request.label for request in requests)
         )
-    if costs:
-        session.ledger.charge(costs, description=description)
-    for group_id, pending in group_pending.items():
-        groups[group_id].commit_pending(pending, group_costs[group_id])
+    costs = charge_requests(session, requests, description)
 
-    # ------------------------------------------------------------------
-    # 3. Evaluate every plan not already held in one executor batch (shared
+    # 2. Evaluate every plan not already held in one executor batch (shared
     #    sub-plans once), then draw noise per request, in request order.
-    # ------------------------------------------------------------------
     exacts = session._exact_outputs(
         [request.queryable.plan for request in requests]
     )

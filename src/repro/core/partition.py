@@ -8,14 +8,15 @@ between neighbouring datasets decomposes additively across parts,
     Σ_k ‖Q_k(A) − Q_k(A')‖  ≤  ‖Q(A) − Q(A')‖  ≤  k · ‖A − A'‖ ,
 
 so measuring *every* part with parameter ``ε`` costs the protected sources the
-same ``k·ε`` a single measurement of the whole query would (``k`` being the
-source multiplicity of Section 2.3).  wPINQ generalises PINQ, and the argument
-above only uses stability and the decomposition of ``‖·‖`` over disjoint
-supports, so the operator carries over to weighted datasets unchanged.
+same ``k·ε`` a single measurement of the whole query would (``k`` being its
+stability bound, Section 2.3's source multiplicity).  wPINQ generalises PINQ,
+and the argument above only uses stability and the decomposition of ``‖·‖``
+over disjoint supports, so the operator carries over to weighted datasets
+unchanged.
 
 The accounting rule implemented here is the PINQ one: for each protected
 source, a partition group charges the running **maximum** over its parts of
-the ε accumulated on that part (times the parent query's source multiplicity),
+the ε accumulated on that part (times the parent query's stability bound),
 rather than the sum.  Parts may be transformed further and measured repeatedly
 and at different ε; every measurement only pays for the amount by which it
 raises the group's maximum.
@@ -23,9 +24,9 @@ raises the group's maximum.
 Two conservative simplifications keep the accounting simple and sound:
 
 * parts of *other* partition groups appearing inside a part's plan are treated
-  as ordinary transformations (they are charged at their full multiplicity
-  rather than enjoying their own max-accounting), and
-* the group's parent multiplicities are taken from the parent plan as built;
+  as ordinary transformations (they are charged at their full bound rather
+  than enjoying their own max-accounting), and
+* the group's parent bounds are taken from the parent plan as built;
   re-joining a part with the raw protected source is charged separately, as a
   direct use.
 """
@@ -37,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from ..exceptions import PlanError
 from .laplace import validate_epsilon
-from .plan import Plan, sum_by_key
+from .plan import Plan, stability_bounds
 
 __all__ = ["Partition", "PartitionPlan", "PartitionGroup"]
 
@@ -54,6 +55,7 @@ class PartitionPlan(Plan):
 
     op = "where"
     params = ("part_predicate",)
+    stability = 1.0
 
     def __init__(
         self,
@@ -84,24 +86,25 @@ class PartitionPlan(Plan):
 class PartitionGroup:
     """Budget bookkeeping shared by all parts of one ``partition`` call.
 
-    For every part the group tracks the cumulative ``ε × (paths through this
-    part's partition node)`` spent by measurements.  The amount owed to each
-    protected source is ``max over parts × parent multiplicity``; each new
-    measurement is charged only the increase of that bound.
+    For every part the group tracks the cumulative ``ε × (stability bound of
+    the measured plan with respect to this part's partition node)`` spent by
+    measurements.  The amount owed to each protected source is ``max over
+    parts × parent bound``; each new measurement is charged only the increase
+    of that amount.
     """
 
     def __init__(self, session, parent_plan: Plan) -> None:
         self._session = session
         self._parent_plan = parent_plan
-        self._parent_multiplicities = Counter(parent_plan.source_multiplicities())
+        self._parent_bounds = dict(stability_bounds(parent_plan))
         self._part_epsilon: dict[Any, float] = {}
         self._charged: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     @property
-    def parent_multiplicities(self) -> Counter:
-        """Source multiplicities of the partitioned parent query."""
-        return Counter(self._parent_multiplicities)
+    def parent_multiplicities(self) -> dict[str, float]:
+        """Per-source stability bounds of the partitioned parent query."""
+        return dict(self._parent_bounds)
 
     def part_epsilon(self, part_key: Any) -> float:
         """Cumulative ε accumulated on one part so far."""
@@ -116,33 +119,6 @@ class PartitionGroup:
         return dict(self._charged)
 
     # ------------------------------------------------------------------
-    def charge_measurement(
-        self,
-        plan: Plan,
-        epsilon: float,
-        description: str = "",
-    ) -> dict[str, float]:
-        """Charge the ledger for a measurement of ``plan`` at ``epsilon``.
-
-        Splits the plan's source uses into *direct* uses (paths from the
-        measurement root to a source that do not pass through this group's
-        partition nodes) and uses routed *through* the group's parts.  Direct
-        uses are charged at full ``ε × multiplicity``; routed uses only pay
-        for the increase in ``max over parts × parent multiplicity``.
-
-        The combined charge is applied atomically: if any source's budget is
-        insufficient, nothing is charged and nothing is recorded.  Returns the
-        per-source amounts actually charged.
-        """
-        direct, pending, group_costs = self.pending_batch([(plan, epsilon)])
-        costs = self._merge_costs(direct, group_costs)
-        if costs:
-            self._session.ledger.charge(costs, description=description)
-        # Only commit part totals once the ledger accepted the charge.
-        self.commit_pending(pending, costs)
-        return costs
-
-    # ------------------------------------------------------------------
     def pending_batch(
         self,
         measurements: Iterable[tuple[Plan, float]],
@@ -150,7 +126,7 @@ class PartitionGroup:
         """Cost a batch of measurements over this group without charging.
 
         Returns ``(direct_costs, pending_part_epsilon, group_costs)``: the
-        summed ``ε × direct uses`` charges, the part-ε totals the batch would
+        summed ``ε × direct bound`` charges, the part-ε totals the batch would
         leave behind, and the per-source charge for the resulting increase of
         the group maximum.  Nothing is committed; the caller charges the
         ledger atomically and then hands ``pending_part_epsilon`` (plus the
@@ -161,17 +137,17 @@ class PartitionGroup:
         for plan, epsilon in measurements:
             epsilon = validate_epsilon(epsilon)
             direct, arrivals = self._attribute(plan)
-            for name, count in direct.items():
-                direct_total[name] += count * epsilon
-            for part_key, paths in arrivals.items():
-                pending[part_key] = pending.get(part_key, 0.0) + paths * epsilon
+            for name, bound in direct.items():
+                direct_total[name] += bound * epsilon
+            for part_key, weight in arrivals.items():
+                pending[part_key] = pending.get(part_key, 0.0) + weight * epsilon
         old_max = max(self._part_epsilon.values(), default=0.0)
         new_max = max(pending.values(), default=0.0)
         increase = max(0.0, new_max - old_max)
         group_costs: dict[str, float] = {}
         if increase > 0.0:
-            for name, multiplicity in self._parent_multiplicities.items():
-                group_costs[name] = increase * multiplicity
+            for name, bound in self._parent_bounds.items():
+                group_costs[name] = increase * bound
         return direct_total, pending, group_costs
 
     def commit_pending(
@@ -202,26 +178,28 @@ class PartitionGroup:
 
     # ------------------------------------------------------------------
     def _attribute(self, plan: Plan) -> tuple[dict, dict]:
-        """Split root-to-source paths into direct uses and per-part arrivals.
+        """Split ``plan``'s stability bound into direct and per-part weights.
 
-        Paths end at this group's partition nodes (each arrival is recorded
-        against the node's part); partition nodes of other groups are
-        transformations like any other, so their sources end up in the direct
-        (fully charged) bucket.  Path counts are summed per node, as in
-        :meth:`Plan.source_multiplicities`.
+        :func:`~repro.core.plan.stability_bounds` with this group's partition
+        nodes as leaves: a path ends at one of them (its weight recorded
+        against the node's part) or at a source, and is scaled by every
+        stability constant on the way, exactly as the measurement's charge
+        would be.  Partition nodes of other groups are transformations like
+        any other, so their sources end up in the direct (fully charged)
+        bucket.
         """
 
-        def visit(node: Plan, children: list) -> tuple[dict, dict]:
-            if isinstance(node, PartitionPlan) and node.group is self:
-                return {}, {node.part_key: 1}
-            if node.op == "source":
-                return {node.name: 1}, {}
-            return (
-                sum_by_key([direct for direct, _ in children]),
-                sum_by_key([arrivals for _, arrivals in children]),
-            )
+        def own_part(node: Plan) -> Plan | None:
+            return node if isinstance(node, PartitionPlan) and node.group is self else None
 
-        return plan.fold(visit)
+        direct: dict[str, float] = {}
+        arrivals: dict[Any, float] = {}
+        for key, weight in stability_bounds(plan, leaf=own_part).items():
+            if isinstance(key, PartitionPlan):
+                arrivals[key.part_key] = arrivals.get(key.part_key, 0.0) + weight
+            else:
+                direct[key] = weight
+        return direct, arrivals
 
 
 class Partition:
@@ -300,7 +278,6 @@ class Partition:
 
 # Imported late so that PartQueryable can subclass Queryable without creating
 # an import cycle at module load time.
-from .aggregation import NoisyCountResult, noisy_sum as _noisy_sum  # noqa: E402
 from .queryable import Queryable  # noqa: E402
 
 
@@ -309,7 +286,8 @@ class PartQueryable(Queryable):
 
     Behaves exactly like a :class:`Queryable` — every stable transformation is
     available and further derived queryables stay attached to the same
-    partition group — except that measurements are charged through the group's
+    partition group — except that measurements (``noisy_count``, ``noisy_sum``,
+    :meth:`PrivacySession.measure`) are charged through the group's
     parallel-composition accounting instead of plain sequential composition.
     """
 
@@ -333,29 +311,3 @@ class PartQueryable(Queryable):
         been raised by one part, sibling parts can often measure for free.
         """
         return self._group.preview_cost(self._plan, epsilon)
-
-    def noisy_count(self, epsilon: float, query_name: str = "") -> NoisyCountResult:
-        """Release every record's weight with ``Laplace(1/ε)`` noise.
-
-        Charged through the partition group's max-accounting; like every
-        measurement this is a one-element :meth:`PrivacySession.measure`
-        batch, which recognises part queryables and applies parallel
-        composition.
-        """
-        return self._session.measure((self, epsilon, query_name))[0]
-
-    def noisy_sum(
-        self,
-        epsilon: float,
-        value_selector: Callable[[Any], float] = lambda record: 1.0,
-        clamp: float = 1.0,
-        query_name: str = "",
-    ) -> float:
-        """Release a single clamped, weighted sum with Laplace noise."""
-        label = query_name or f"partition noisy_sum(eps={epsilon:g})"
-        with self._session.measure_lock:
-            self._group.charge_measurement(self._plan, epsilon, description=label)
-            exact = self._session.executor.evaluate(self._plan)
-            return _noisy_sum(
-                exact, epsilon, value_selector, clamp=clamp, noise=self._session.noise
-            )

@@ -6,10 +6,10 @@ protected sources.  :class:`Plan` nodes capture that DAG so the platform can
 * be evaluated by an execution backend (:mod:`repro.core.executor`) — either
   the eager :class:`~repro.core.executor.EagerExecutor` or the incremental
   dataflow engine (:mod:`repro.dataflow.engine`),
-* count how many times each protected source appears in the query
-  (:meth:`Plan.source_multiplicities`) — the static analysis from Section 2.3
-  that turns an ``ε``-DP aggregation into a ``k·ε`` charge for a source used
-  ``k`` times, and
+* price a measurement (:func:`stability_bounds`) — the per-source stability
+  bound of Theorem 1, folded from each node's declared stability constant; it
+  is Section 2.3's path count ``k`` when every constant is 1, and a
+  measurement at ``ε`` is charged exactly ``bound·ε`` per source, and
 * render itself for introspection (:meth:`Plan.describe`,
   :func:`explain_plan`).
 
@@ -19,15 +19,16 @@ every backend exploits — the eager executor via memoisation, the dataflow
 compiler via node reuse.  :meth:`Plan.evaluate` remains as a thin
 compatibility wrapper over a one-shot eager executor.
 
-**What a transformation is.**  Each plan type declares, once, the two facts
+**What a transformation is.**  Each plan type declares, once, the facts
 every layer needs: ``op``, the transformation's name — the function of that
 name in :mod:`repro.core.transformations` and in
 :mod:`repro.columnar.kernels`, the key of both incremental engines' node
-tables and of the static checker's stability rules, and the node's kind on
-the shard wire — and ``params``, the attribute names of its operands in the
-order all of those take them after the child datasets.  Nothing outside this
-module dispatches on a plan's *type*; analyses of a plan are ``visit``
-functions handed to the one traversal, :meth:`Plan.fold`.
+tables, and the node's kind on the shard wire — ``params``, the attribute
+names of its operands in the order all of those take them after the child
+datasets, and ``stability``, its proven stability constant, which is all the
+privacy accounting knows about it.  Nothing outside this module dispatches
+on a plan's *type*; analyses of a plan are ``visit`` functions handed to the
+one traversal, :meth:`Plan.fold`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "Plan",
     "PLAN_FOR_OP",
     "sum_by_key",
+    "stability_bounds",
     "explain_plan",
     "SourcePlan",
     "SelectPlan",
@@ -62,9 +64,9 @@ __all__ = [
 def sum_by_key(children: list[dict]) -> dict:
     """Add up the children's ``key -> number`` results of a :meth:`Plan.fold`.
 
-    How per-source quantities (path counts, stability bounds) combine at any
-    transformation.  An only child's mapping is passed through as is, so
-    results must be treated as read-only.
+    How per-source stability bounds combine at any transformation.  An only
+    child's mapping is passed through as is, so results must be treated as
+    read-only.
     """
     if len(children) == 1:
         return children[0]
@@ -82,6 +84,10 @@ class Plan:
     op: str = ""
     #: Attribute names of the node's operands, in call order.
     params: tuple[str, ...] = ()
+    #: Stability constant ``c`` (Definition 2, Theorems 1/4/5): the node's
+    #: output moves by at most ``c`` times the sum of its inputs' distances.
+    #: Every concrete type declares one; a node without it cannot be priced.
+    stability: float | None = None
     #: Child plans, in evaluation order.  Binary operators have two entries
     #: (which may be the same object for self-joins).
     children: tuple["Plan", ...] = ()
@@ -125,26 +131,13 @@ class Plan:
 
         return EagerExecutor(environment, memo=memo).recurse(self)
 
-    def source_multiplicities(self) -> Counter:
-        """Count how many times each protected source appears in the plan.
-
-        This is the quantity ``k`` of Section 2.3: a measurement with
-        parameter ``ε`` over this plan is ``k·ε``-differentially private for a
-        source appearing ``k`` times.  Note that this intentionally counts
-        *paths* from the root to each source leaf, not distinct leaf objects:
-        reusing the same intermediate queryable twice reveals its source
-        twice.  The path counts are summed per node, so the cost is linear in
-        the number of nodes however many paths there are.
-        """
-
-        def visit(node: Plan, children: list[dict[str, int]]) -> dict[str, int]:
-            return {node.name: 1} if node.op == "source" else sum_by_key(children)
-
-        return Counter(self.fold(visit))
-
     def source_names(self) -> set[str]:
         """The set of protected source names referenced by the plan."""
-        return set(self.source_multiplicities())
+
+        def visit(node: Plan, children: list[set[str]]) -> set[str]:
+            return {node.name} if node.op == "source" else set().union(*children)
+
+        return self.fold(visit)
 
     # Human-readable plan rendering (handy in error messages and docs).
     def describe(self, indent: int = 0) -> str:
@@ -168,6 +161,7 @@ class SourcePlan(Plan):
 
     op = "source"
     params = ("name",)
+    stability = 1.0
 
     def __init__(self, name: str) -> None:
         if not isinstance(name, str) or not name:
@@ -193,6 +187,7 @@ class SelectPlan(_UnaryPlan):
 
     op = "select"
     params = ("mapper",)
+    stability = 1.0
 
     def __init__(self, child: Plan, mapper: Callable[[Any], Any]) -> None:
         super().__init__(child)
@@ -204,6 +199,7 @@ class WherePlan(_UnaryPlan):
 
     op = "where"
     params = ("predicate",)
+    stability = 1.0
 
     def __init__(self, child: Plan, predicate: Callable[[Any], bool]) -> None:
         super().__init__(child)
@@ -215,6 +211,7 @@ class SelectManyPlan(_UnaryPlan):
 
     op = "select_many"
     params = ("mapper",)
+    stability = 1.0
 
     def __init__(self, child: Plan, mapper: Callable[[Any], Any]) -> None:
         super().__init__(child)
@@ -226,6 +223,7 @@ class GroupByPlan(_UnaryPlan):
 
     op = "group_by"
     params = ("key", "reducer")
+    stability = 1.0
 
     def __init__(
         self,
@@ -243,8 +241,11 @@ class ShavePlan(_UnaryPlan):
 
     op = "shave"
     params = ("slice_weights",)
+    stability = 1.0
 
-    def __init__(self, child: Plan, slice_weights: Any = 1.0) -> None:
+    def __init__(
+        self, child: Plan, slice_weights: float | Sequence[float] | Callable[[Any], Any] = 1.0
+    ) -> None:
         super().__init__(child)
         self.slice_weights = slice_weights
 
@@ -254,6 +255,7 @@ class DistinctPlan(_UnaryPlan):
 
     op = "distinct"
     params = ("cap",)
+    stability = 1.0
 
     def __init__(self, child: Plan, cap: float = 1.0) -> None:
         super().__init__(child)
@@ -271,6 +273,11 @@ class DownScalePlan(_UnaryPlan):
 
     op = "down_scale"
     params = ("factor",)
+
+    @property
+    def stability(self) -> float:
+        """Scaling every weight by ``factor`` scales every distance by it."""
+        return self.factor
 
     def __init__(self, child: Plan, factor: float) -> None:
         super().__init__(child)
@@ -300,6 +307,7 @@ class JoinPlan(_BinaryPlan):
 
     op = "join"
     params = ("left_key", "right_key", "result_selector")
+    stability = 1.0
 
     def __init__(
         self,
@@ -319,24 +327,28 @@ class UnionPlan(_BinaryPlan):
     """Element-wise maximum of weights (Section 2.6)."""
 
     op = "union"
+    stability = 1.0
 
 
 class IntersectPlan(_BinaryPlan):
     """Element-wise minimum of weights (Section 2.6)."""
 
     op = "intersect"
+    stability = 1.0
 
 
 class ConcatPlan(_BinaryPlan):
     """Element-wise sum of weights (Section 2.6)."""
 
     op = "concat"
+    stability = 1.0
 
 
 class ExceptPlan(_BinaryPlan):
     """Element-wise difference of weights (Section 2.6)."""
 
     op = "except_"
+    stability = 1.0
 
 
 #: ``op`` -> the plan type that ``type(*children, *operands)`` rebuilds, which
@@ -363,19 +375,72 @@ PLAN_FOR_OP: dict[str, type[Plan]] = {
 }
 
 
+def stability_bounds(
+    plan: Plan,
+    nodes: dict[int, dict] | None = None,
+    leaf: Callable[[Plan], Any] | None = None,
+) -> dict:
+    """The per-source stability bound of ``plan``: what a measurement costs.
+
+    ``‖Q(A) − Q(A')‖ ≤ bound[s] · ‖A − A'‖`` when only source ``s`` changes
+    (Theorem 1), so a measurement of ``plan`` at ``ε`` is
+    ``bound[s]·ε``-differentially private for ``s`` — and that is exactly what
+    the budget machinery charges.  A source leaf's bound is its own constant
+    (1); any other node adds up its children's bounds per source and
+    multiplies the sum by its :attr:`Plan.stability`.  A source reached along
+    several paths therefore counts once per path (Section 2.3's multiplicity
+    ``k``, which is the bound whenever every constant is 1, as an
+    integer-valued float), and ``DownScale(f)`` scales everything below it by
+    ``f``.  Cost is linear in the number of distinct nodes.
+
+    ``nodes``, when given, receives every node's bound keyed by ``id(node)``
+    (the ``explain --verify`` annotations).  ``leaf(node)``, when given, may
+    return a key at which the fold stops as it does at a source, with the
+    node's constant as the bound: a partition group ends paths at its parts.
+    Returned mappings may be shared between nodes and are read-only.  Raises
+    :class:`~repro.exceptions.PlanError` naming the type of a node that
+    declares no stability constant — an unknown transformation could amplify
+    distances arbitrarily, so nothing is charged for it.
+    """
+    if not isinstance(plan, Plan):
+        raise PlanError(f"expected a Plan, got {type(plan).__name__}")
+
+    def visit(node: Plan, children: list[dict]) -> dict:
+        constant = node.stability
+        if constant is None:
+            raise PlanError(
+                f"no stability constant is declared for plan node {type(node).__name__}"
+            )
+        key = None if leaf is None else leaf(node)
+        if key is not None:
+            bound = {key: constant}
+        elif node.op == "source":
+            bound = {node.name: constant}
+        else:
+            bound = sum_by_key(children)
+            if constant != 1.0:
+                bound = {name: value * constant for name, value in bound.items()}
+        if nodes is not None:
+            nodes[id(node)] = bound
+        return bound
+
+    return plan.fold(visit)
+
+
 def explain_plan(
     plan: Plan,
     epsilon: float | None = None,
     backend: str | None = None,
     verify: bool = False,
 ) -> str:
-    """Render a plan as a readable tree annotated with privacy multiplicities.
+    """Render a plan as a readable tree annotated with what it costs.
 
     Sub-plans referenced more than once (the shared DAG nodes every execution
     backend evaluates a single time) are tagged ``#n`` on first appearance and
     rendered as a back-reference afterwards.  The footer lists, per protected
-    source, the Section 2.3 multiplicity — and, when ``epsilon`` is supplied,
-    the concrete charge ``k·ε`` a measurement at that ε would incur.
+    source, the stability bound of :func:`stability_bounds` — and, when
+    ``epsilon`` is supplied, the charge ``bound·ε`` a measurement at that ε
+    incurs.
 
     ``backend`` (``"eager"``, ``"dataflow"``, ``"vectorized"`` or
     ``"sharded"``) annotates every node with the execution backend that will
@@ -385,11 +450,10 @@ def explain_plan(
     ``(per-record)``: its kernel calls Python once per record instead of
     running on the field columns.
 
-    ``verify=True`` runs the static plan checker of :mod:`repro.lint.plans`:
-    every node is annotated with its derived per-source stability bound, and
-    a footer compares the ε the budget machinery would charge against what
-    the bound requires, plus the portability verdict of the shard codec's
-    analysis.  The default output is byte-identical to ``verify=False``.
+    ``verify=True`` annotates every node with its own per-source stability
+    bound and appends the portability verdict of the shard codec's analysis
+    (:mod:`repro.lint.plans`).  The default output is byte-identical to
+    ``verify=False``.
     """
     if not isinstance(plan, Plan):
         raise PlanError(f"explain_plan expects a Plan, got {type(plan).__name__}")
@@ -399,12 +463,11 @@ def explain_plan(
         # Imported lazily: repro.columnar imports this module.
         from ..columnar.executor import runs_per_record as per_record
 
-    report = None
+    node_bounds: dict[int, dict] | None = {} if verify else None
+    bounds = stability_bounds(plan, node_bounds)
     if verify:
         # Imported lazily: repro.lint.plans imports this module.
-        from ..lint.plans import format_bounds, verify_plan
-
-        report = verify_plan(plan, epsilon)
+        from ..lint.plans import check_portability, format_bounds
 
     references: Counter = Counter()
 
@@ -429,8 +492,8 @@ def explain_plan(
             tags[node_id] = len(tags) + 1
             tag = f"  [#{tags[node_id]}]"
         bound = ""
-        if report is not None:
-            bound = f"  [stability: {format_bounds(report.node_bounds[node_id])}]"
+        if node_bounds is not None:
+            bound = f"  [stability: {format_bounds(node_bounds[node_id])}]"
         slow = " (per-record)" if per_record is not None and per_record(node) else ""
         lines.append(f"{pad}{node._label()}{suffix}{slow}{tag}{bound}")
         for child in node.children:
@@ -439,52 +502,23 @@ def explain_plan(
     render(plan, 0)
 
     lines.append("")
-    multiplicities = plan.source_multiplicities()
-    if not multiplicities:
+    if not bounds:
         lines.append("sources: (none)")
     else:
         lines.append("sources:")
-        for name, uses in sorted(multiplicities.items()):
-            note = f"  {name}: x{uses}"
+        for name, bound in sorted(bounds.items()):
+            note = f"  {name}: x{bound:g}"
             if epsilon is not None:
-                note += f"  (measurement at eps={epsilon:g} charges {uses * epsilon:g})"
+                note += f"  (measurement at eps={epsilon:g} charges {bound * epsilon:g})"
             else:
-                note += f"  (a measurement at eps charges {uses}*eps)"
+                note += f"  (a measurement at eps charges {bound:g}*eps)"
             lines.append(note)
 
-    if report is not None:
+    if verify:
         lines.append("")
         lines.append("static verification:")
-        lines.append(f"  stability bound: {format_bounds(report.bounds) or '(no sources)'}")
-        for name, bound in sorted(report.bounds.items()):
-            uses = multiplicities.get(name, 0)
-            if epsilon is None:
-                lines.append(
-                    f"  {name}: a measurement at eps must charge >= {bound:g}*eps "
-                    f"(the budget machinery charges {uses}*eps)"
-                )
-                continue
-            charged = uses * epsilon
-            required = bound * epsilon
-            issue = next(
-                (
-                    item
-                    for item in report.issues
-                    if item.kind.startswith("epsilon") and item.node == name
-                ),
-                None,
-            )
-            if issue is None:
-                status = "OK"
-            elif issue.kind == "epsilon-overcharge":
-                status = "OK (conservative: DownScale tightens the bound)"
-            else:
-                status = "MISMATCH (under-protected)"
-            lines.append(
-                f"  {name}: charged {charged:g}, bound requires {required:g}"
-                f"  -> {status}"
-            )
-        portability = [item for item in report.issues if item.kind == "unportable"]
+        lines.append(f"  stability bound: {format_bounds(bounds) or '(no sources)'}")
+        portability = check_portability(plan)
         if not portability:
             lines.append("  portability: OK (plan can ship to shard workers)")
         else:

@@ -69,6 +69,7 @@ from .plan import (
     UnionPlan,
     WherePlan,
     explain_plan,
+    stability_bounds,
 )
 
 __all__ = ["PrivacySession", "Queryable"]
@@ -234,7 +235,7 @@ class PrivacySession:
         """The re-entrant lock serialising this session's measurements.
 
         Every measurement entry point (:meth:`measure`, and through it
-        ``noisy_count``; the ``noisy_sum`` paths) runs under this lock, so a
+        ``noisy_count``; ``noisy_sum``) runs under this lock, so a
         session may be shared between threads: concurrent measurements are
         totally ordered, the budget accounting stays exact, and under a fixed
         seed the released values are those of *some* sequential ordering of
@@ -436,28 +437,34 @@ class Queryable:
     # ------------------------------------------------------------------
     # Privacy accounting
     # ------------------------------------------------------------------
-    def source_uses(self) -> dict[str, int]:
-        """How many times each protected source appears in the plan."""
-        return dict(self._plan.source_multiplicities())
+    def source_uses(self) -> dict[str, float]:
+        """Each protected source's stability bound in the plan.
+
+        How many times the source appears (Section 2.3, counted per path),
+        scaled by any ``DownScale`` on the way: see
+        :func:`~repro.core.plan.stability_bounds`.
+        """
+        return dict(stability_bounds(self._plan))
 
     def privacy_cost(self, epsilon: float) -> dict[str, float]:
         """ε charged to each protected source by a measurement at ``epsilon``.
 
-        A source used ``k`` times is charged ``k·ε`` (Section 2.3).
+        A source whose stability bound is ``k`` — used ``k`` times, unless a
+        ``DownScale`` tightens it — is charged ``k·ε`` (Section 2.3).
         """
         epsilon = validate_epsilon(epsilon)
-        return {name: count * epsilon for name, count in self.source_uses().items()}
+        return {name: bound * epsilon for name, bound in stability_bounds(self._plan).items()}
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def explain(self, epsilon: float | None = None, verify: bool = False) -> str:
-        """Render the plan as a readable tree with per-source multiplicities.
+        """Render the plan as a readable tree with per-source stability bounds.
 
         Shared sub-plans (evaluated once per batch by every backend) are
-        tagged and back-referenced; the footer lists the ε multiplicity each
-        protected source would be charged at — with the concrete ``k·ε``
-        amounts when ``epsilon`` is given.  Every node is annotated with the
+        tagged and back-referenced; the footer lists the bound each protected
+        source would be charged at — with the concrete ``bound·ε`` amounts
+        when ``epsilon`` is given.  Every node is annotated with the
         backend the session's executor will evaluate this plan on (``@eager``
         / ``@dataflow`` / ``@vectorized``), so the ``"auto"`` executor's
         size-based routing is inspectable.  ``verify=True`` adds the static
@@ -475,8 +482,8 @@ class Queryable:
     def noisy_count(self, epsilon: float, query_name: str = "") -> NoisyCountResult:
         """Release every record's weight with ``Laplace(1/ε)`` noise.
 
-        Charges ``ε × multiplicity`` to every protected source used by the
-        plan before touching any data; raises
+        Charges ``ε × bound`` (:meth:`privacy_cost`) to every protected
+        source used by the plan before touching any data; raises
         :class:`~repro.exceptions.BudgetExceededError` (charging nothing) if
         any budget is insufficient.  Implemented as a one-element
         :meth:`PrivacySession.measure` batch.
@@ -490,14 +497,22 @@ class Queryable:
         clamp: float = 1.0,
         query_name: str = "",
     ) -> float:
-        """Release a single clamped, weighted sum with Laplace noise."""
-        costs = self.privacy_cost(epsilon)
-        label = query_name or f"noisy_sum(eps={epsilon:g})"
+        """Release a single clamped, weighted sum with Laplace noise.
+
+        Priced and charged exactly like a one-element :meth:`~PrivacySession
+        .measure` batch (a partition part through its group's
+        max-accounting), behind the same pre-charge deadline check.
+        """
+        from .measurement import as_request, charge_requests
+
+        request = as_request((self, epsilon))
+        label = query_name or f"noisy_sum(eps={request.epsilon:g})"
         with self._session.measure_lock:
-            self._session.ledger.charge(costs, description=label)
+            check_deadline("measurement admission (pre-charge)")
+            charge_requests(self._session, [request], label)
             exact = self._session.executor.evaluate(self._plan)
             return noisy_sum(
-                exact, epsilon, value_selector, clamp=clamp, noise=self._session.noise
+                exact, request.epsilon, value_selector, clamp=clamp, noise=self._session.noise
             )
 
     # ------------------------------------------------------------------
@@ -513,5 +528,5 @@ class Queryable:
         return self._session.executor.evaluate(self._plan)
 
     def __repr__(self) -> str:
-        uses = ", ".join(f"{name}×{count}" for name, count in sorted(self.source_uses().items()))
+        uses = ", ".join(f"{name}×{bound:g}" for name, bound in sorted(self.source_uses().items()))
         return f"<Queryable uses=[{uses}]>"

@@ -2,13 +2,13 @@
 
 Two analyzers live here:
 
-* :mod:`repro.lint.plans` — walks a :class:`~repro.core.plan.Plan` DAG and
-  derives a static per-source stability bound from the transformation
-  constants of :mod:`repro.core.transformations` (every unary transformation
-  is 1-stable, binary operators are bounded by the sum of their input
-  distances per Theorem 4, ``DownScale`` tightens by its factor), verifies
-  that a measurement's charged ε matches the derived sensitivity, and
-  detects unportable closures before the shard codec hits them at runtime.
+* :mod:`repro.lint.plans` — checks a charge computed outside the budget
+  machinery (a partition group's max-accounting, a hand-built figure)
+  against the per-source stability bound of a
+  :class:`~repro.core.plan.Plan` DAG — the same fold,
+  :func:`repro.core.plan.stability_bounds`, that prices every measurement —
+  and detects unportable closures before the shard codec hits them at
+  runtime.
 * :mod:`repro.lint.rules` + :mod:`repro.lint.engine` — an AST linter over
   the source tree enforcing the repo-wide privacy/concurrency invariants
   (rules R001–R006; run it with ``repro lint``).
@@ -54,7 +54,6 @@ from .plans import (
     StabilityReport,
     check_portability,
     format_bounds,
-    stability_bounds,
     verify_epsilon,
     verify_plan,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "render_lock_report",
     "plan_portability_issues",
     "portability_error",
-    "stability_bounds",
     "verify_epsilon",
     "verify_plan",
 ]

@@ -35,6 +35,7 @@ import ast
 import re
 from typing import Iterator
 
+from ..core.plan import PLAN_FOR_OP
 from .engine import LintIssue, ModuleSource, Rule
 
 __all__ = [
@@ -436,19 +437,19 @@ class ModuleLevelSpecRule(Rule):
         "or module-level functions, never lambdas/closures"
     )
 
-    _PLAN_METHODS = frozenset(
-        {"select", "where", "select_many", "group_by", "join", "shave"}
-    )
-    _PLAN_CTORS = frozenset(
-        {
-            "SelectPlan",
-            "WherePlan",
-            "SelectManyPlan",
-            "GroupByPlan",
-            "JoinPlan",
-            "ShavePlan",
-        }
-    )
+    # The plan types an operand of which may be a record function (its
+    # ``__init__`` annotation names a ``Callable``), watched by constructor
+    # name and as the ``Queryable`` method named after the type's ``op``.
+    _PLAN_TYPES = [
+        plan_type
+        for plan_type in PLAN_FOR_OP.values()
+        if any(
+            "Callable" in str(plan_type.__init__.__annotations__.get(name))
+            for name in plan_type.params
+        )
+    ]
+    _PLAN_METHODS = frozenset(plan_type.op for plan_type in _PLAN_TYPES)
+    _PLAN_CTORS = frozenset(plan_type.__name__ for plan_type in _PLAN_TYPES)
 
     def check(self, module: ModuleSource) -> Iterator[LintIssue]:
         for node in ast.walk(module.tree):

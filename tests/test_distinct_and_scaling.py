@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from repro.core import PrivacySession, WeightedDataset
 from repro.core import transformations as xf
-from repro.core.plan import DistinctPlan, DownScalePlan, SelectPlan, SourcePlan
+from repro.core.plan import (
+    DistinctPlan,
+    DownScalePlan,
+    SelectPlan,
+    SourcePlan,
+    stability_bounds,
+)
 from repro.dataflow import DataflowEngine
 from repro.exceptions import PlanError
 
@@ -124,8 +130,10 @@ class TestPlanNodes:
         assert "0.25" in DownScalePlan(SourcePlan("x"), factor=0.25).describe()
 
     def test_source_multiplicity_passes_through(self):
+        # Distinct is 1-stable; DownScale's constant is its factor.
+        assert stability_bounds(DistinctPlan(SourcePlan("edges"))) == {"edges": 1}
         plan = DownScalePlan(DistinctPlan(SourcePlan("edges")), 0.5)
-        assert plan.source_multiplicities() == {"edges": 1}
+        assert stability_bounds(plan) == {"edges": 0.5}
 
 
 class TestQueryableIntegration:
@@ -139,12 +147,13 @@ class TestQueryableIntegration:
         result = queryable.down_scale(0.5).evaluate_unprotected()
         assert result.to_dict() == pytest.approx({"a": 1.5, "b": 0.25})
 
-    def test_measurement_cost_is_unchanged_by_scaling(self, session):
+    def test_measurement_cost_is_scaled_by_the_factor(self, session):
         queryable = session.protect("items", {"a": 3.0}, total_epsilon=10.0)
         scaled = queryable.down_scale(0.5).distinct()
-        assert scaled.privacy_cost(0.1) == {"items": pytest.approx(0.1)}
+        assert scaled.privacy_cost(0.1) == {"items": 0.05}
         scaled.noisy_count(0.1)
-        assert session.spent_budget("items") == pytest.approx(0.1)
+        assert session.spent_budget("items") == 0.05
+        assert repr(scaled) == "<Queryable uses=[items×0.5]>"
 
     def test_distinct_then_sum_bounds_per_record_influence(self, session):
         # A record with huge weight contributes at most the cap to the sum.

@@ -1,5 +1,5 @@
-"""Tests for the static plan checker: stability bounds, ε-verification,
-portability, the ``explain(..., verify=True)`` rendering — and the
+"""Tests for the static plan checker: stability bounds (the core fold every
+charge reads), ε-verification of explicit charges, portability, the ``explain(..., verify=True)`` rendering — and the
 repo-is-clean sweep the CI lint job depends on."""
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from repro.analyses import (
 )
 from repro.columnar.specs import Field
 from repro.core import PrivacySession
+from repro.core.plan import stability_bounds
 from repro.exceptions import PlanError
 from repro.lint import (
     DEFAULT_RULES,
     check_portability,
     format_bounds,
     lint_paths,
-    stability_bounds,
     verify_epsilon,
     verify_plan,
 )
@@ -81,9 +81,8 @@ def test_binary_sums_across_distinct_sources():
     ],
 )
 def test_paper_query_bounds_match_the_stated_edge_uses(builder, expected):
-    # The paper states these edge-use counts (Sections 3.2-3.4, 5.3); the
-    # static bound must agree with the runtime multiplicity for plans with
-    # no DownScale.
+    # The paper states these edge-use counts (Sections 3.2-3.4, 5.3); with
+    # no DownScale the bound is exactly the path-counting multiplicity.
     query = builder(_edges())
     assert stability_bounds(query.plan) == {"edges": expected}
     assert query.source_uses() == {"edges": int(expected)}
@@ -109,7 +108,7 @@ def test_format_bounds():
 
 def test_default_charge_matches_for_plain_plans():
     query = triangles_by_degree_query(_edges())
-    assert verify_epsilon(query.plan, 0.1) == []
+    assert verify_epsilon(query.plan, 0.1, charged=query.privacy_cost(0.1)) == []
 
 
 def test_undercharge_is_an_error():
@@ -121,13 +120,14 @@ def test_undercharge_is_an_error():
     assert "under-protected" in issues[0].message
 
 
-def test_down_scale_overcharge_is_a_warning():
+def test_down_scale_charge_is_the_tightened_bound():
     edges = _edges()
     query = edges.join(edges, left_key=Field(0), right_key=Field(0)).down_scale(0.5)
-    # The runtime charges multiplicity (2) * eps; the bound only needs 1*eps.
-    issues = verify_epsilon(query.plan, 0.1)
-    assert [issue.kind for issue in issues] == ["epsilon-overcharge"]
-    assert issues[0].severity == "warning"
+    # Two paths to the source, halved: the runtime charges 1*eps, not 2*eps.
+    assert query.privacy_cost(0.1) == {"edges": 0.1}
+    assert verify_epsilon(query.plan, 0.1, charged=query.privacy_cost(0.1)) == []
+    # A bigger charge is sound and not flagged.
+    assert verify_epsilon(query.plan, 0.1, charged={"edges": 0.2}) == []
 
 
 def test_charge_against_absent_source_is_flagged():
@@ -190,15 +190,18 @@ def test_explain_verify_annotates_nodes_and_footer():
     text = query.explain(0.1, verify=True)
     assert "[stability: edges<=9]" in text
     assert "static verification:" in text
-    assert "charged 0.9, bound requires 0.9  -> OK" in text
+    assert "  edges: x9  (measurement at eps=0.1 charges 0.9)" in text
+    assert "charged 0.9" not in text
     assert "portability: OK" in text
 
 
-def test_explain_verify_reports_conservative_down_scale():
+def test_explain_verify_footer_charges_the_down_scaled_bound():
     edges = _edges()
-    query = edges.join(edges, left_key=Field(0), right_key=Field(0)).down_scale(0.5)
+    query = edges.join(edges, left_key=Field(0), right_key=Field(0)).down_scale(0.25)
     text = query.explain(0.1, verify=True)
-    assert "OK (conservative" in text
+    assert "  edges: x0.5  (measurement at eps=0.1 charges 0.05)" in text
+    assert "DownScale(factor=0.25) @eager  [stability: edges<=0.5]" in text
+    assert "conservative" not in text
 
 
 def test_explain_verify_reports_unportable_lambda():

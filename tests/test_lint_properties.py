@@ -1,15 +1,17 @@
-"""Property test: the static stability bound dominates observed stability.
+"""Property test: the stability bound — and so the charge — dominates
+observed stability.
 
 For random plan DAGs built from the platform's transformations and random
-pairs of input datasets ``A, A'``, the checker's per-source bound must
-satisfy Definition 2 end to end::
+pairs of input datasets ``A, A'``, the per-source bound must satisfy
+Definition 2 end to end::
 
-    ‖Q(A) − Q(A')‖  ≤  bound(Q) · ‖A − A'‖
+    ‖Q(A) − Q(A')‖  ≤  bound(Q) · ‖A − A'‖  =  privacy_cost(1.0) · ‖A − A'‖
 
-If any transformation were less stable than the constant the checker
-assumes (or a plan combinator composed bounds incorrectly), hypothesis
-finds a counterexample here — this is the guarantee that makes the
-ε-verification of ``repro explain --verify`` sound.
+If any transformation were less stable than the constant its plan type
+declares (or the fold composed bounds incorrectly), hypothesis finds a
+counterexample here — this is the guarantee that makes every charge sound.
+The partition case checks the group's max-accounting against the parent
+plan's bound at the largest per-part ε.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.columnar.specs import Field, FieldsDiffer, JoinFields, Permute
+from repro.core import PrivacySession
 from repro.core.dataset import WeightedDataset
 from repro.core.executor import EagerExecutor
 from repro.core.plan import (
@@ -33,8 +36,9 @@ from repro.core.plan import (
     SourcePlan,
     UnionPlan,
     WherePlan,
+    stability_bounds,
 )
-from repro.lint import stability_bounds
+from repro.lint import verify_epsilon
 
 
 def _record_and_reverse(record):
@@ -111,6 +115,9 @@ _DATASETS = st.dictionaries(_RECORDS, _WEIGHTS, max_size=8)
 def test_static_bound_dominates_observed_stability(op_names, base, perturbed):
     plan = build_plan(op_names)
     bound = stability_bounds(plan)["edges"]
+    session = PrivacySession()
+    session.protect("edges", [])
+    charged = session.from_plan(plan).privacy_cost(1.0)["edges"]
 
     dataset_a = WeightedDataset(base)
     dataset_b = WeightedDataset(perturbed)
@@ -124,6 +131,7 @@ def test_static_bound_dominates_observed_stability(op_names, base, perturbed):
         f"plan {' -> '.join(op_names) or 'source'} claims bound {bound} but "
         f"moved {output_distance:g} on an input change of {input_distance:g}"
     )
+    assert output_distance <= charged * input_distance + 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,7 +140,6 @@ def test_paper_queries_respect_their_bounds(base, perturbed):
     # The real analyses (nested records, rotations, degree joins) get the
     # same treatment as the random plans above.
     from repro.analyses import triangles_by_intersect_query, wedges_query
-    from repro.core import PrivacySession
 
     session = PrivacySession()
     edges = session.protect("edges", [])
@@ -147,3 +154,56 @@ def test_paper_queries_respect_their_bounds(base, perturbed):
             output_a.distance(output_b)
             <= bound * dataset_a.distance(dataset_b) + 1e-6
         )
+
+
+def _self_join(queryable):
+    return queryable.join(
+        queryable,
+        left_key=Field(0),
+        right_key=Field(0),
+        result_selector=JoinFields(("l", 1), ("r", 1)),
+    )
+
+
+#: name -> (how a queryable is reshaped, the stability constant of that shape)
+_SHAPES = {
+    "plain": (lambda queryable: queryable, 1.0),
+    "down_scale": (lambda queryable: queryable.down_scale(0.5), 0.5),
+    "self_join": (_self_join, 2.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parent_shape=st.sampled_from(sorted(_SHAPES)),
+    measurements=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(sorted(_SHAPES)),
+            st.floats(0.01, 1.0),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_partition_max_accounting_covers_the_parent_bound(parent_shape, measurements):
+    session = PrivacySession(seed=0)
+    edges = session.protect("edges", [(0, 1), (1, 2), (2, 0), (0, 2)])
+    parent = _SHAPES[parent_shape][0](edges)
+    parts = parent.partition(Field(0), [0, 1, 2])
+    spent: dict[int, float] = {}
+    for part_key, shape, epsilon, as_sum in measurements:
+        reshape, constant = _SHAPES[shape]
+        measured = reshape(parts[part_key])
+        if as_sum:
+            measured.noisy_sum(epsilon)
+        else:
+            measured.noisy_count(epsilon)
+        spent[part_key] = spent.get(part_key, 0.0) + constant * epsilon
+    max_part_epsilon = max(spent.values())
+    group = parts.group
+    assert group.max_epsilon() == max_part_epsilon
+    issues = verify_epsilon(parent.plan, max_part_epsilon, charged=group.charged())
+    assert [issue for issue in issues if issue.severity == "error"] == []
+    assert session.spent_budget("edges") == sum(group.charged().values())

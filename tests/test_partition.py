@@ -105,6 +105,18 @@ class TestParallelComposition:
         parts[1].noisy_count(0.5)
         assert session.spent_budget("edges") == pytest.approx(0.5)
 
+    def test_noisy_sum_shares_the_group_maximum(self, protected_edges):
+        session, edges = protected_edges
+        parts = edges.partition(lambda e: e[0] % 2, [0, 1])
+        parts[0].noisy_count(0.5)
+        parts[1].noisy_sum(0.5, query_name="odd total")
+        assert session.spent_budget("edges") == 0.5
+        assert parts.group.charged() == {"edges": 0.5}
+        # A down-scaled part only raises its part's ε by half the request.
+        parts[1].down_scale(0.5).noisy_sum(0.4)
+        assert parts.group.part_epsilon(1) == pytest.approx(0.7)
+        assert session.spent_budget("edges") == pytest.approx(0.7)
+
     def test_noisy_counts_sweep_costs_one_epsilon(self, protected_edges):
         session, edges = protected_edges
         parts = edges.partition(lambda e: e[0], [1, 2, 3, 4, 5])

@@ -17,6 +17,7 @@ from repro.core.plan import (
     SourcePlan,
     UnionPlan,
     WherePlan,
+    stability_bounds,
 )
 from repro.exceptions import PlanError
 
@@ -47,7 +48,7 @@ class TestSourcePlan:
             SourcePlan("")
 
     def test_multiplicity(self):
-        assert SourcePlan("left").source_multiplicities() == {"left": 1}
+        assert stability_bounds(SourcePlan("left")) == {"left": 1}
 
 
 class TestUnaryPlans:
@@ -106,11 +107,11 @@ class TestSharingAndCounting:
     def test_shared_subplan_counts_twice(self):
         base = SelectPlan(SourcePlan("left"), lambda record: record)
         join = JoinPlan(base, base, lambda x: x, lambda y: y)
-        assert join.source_multiplicities() == {"left": 2}
+        assert stability_bounds(join) == {"left": 2}
 
     def test_two_distinct_sources(self):
         join = JoinPlan(SourcePlan("left"), SourcePlan("right"), lambda x: x, lambda y: y)
-        assert join.source_multiplicities() == {"left": 1, "right": 1}
+        assert stability_bounds(join) == {"left": 1, "right": 1}
         assert join.source_names() == {"left", "right"}
 
     def test_shared_subplan_evaluated_once(self, environment):

@@ -2,8 +2,8 @@
 
 A plan type declares ``op`` and ``params`` in :mod:`repro.core.plan`; every
 layer keys its behaviour by ``op`` — the eager rules, the columnar kernels,
-the two incremental engines' node tables, the static checker's stability
-rules, the shard wire codec.  These tests police that arrangement:
+the two incremental engines' node tables, the shard wire codec — and the
+privacy accounting reads the type's ``stability`` constant and nothing else.  These tests police that arrangement:
 
 (a) completeness — a plan type added in one place only fails here;
 (b) ``Plan.fold`` — once per node, children first, shared children shared;
@@ -53,6 +53,7 @@ from repro.core.plan import (
     SourcePlan,
     UnionPlan,
     WherePlan,
+    stability_bounds,
 )
 from repro.dataflow.engine import DataflowEngine
 from repro.dataflow.operators import NODE_FOR_OP
@@ -60,7 +61,6 @@ from repro.exceptions import DataflowError, PlanError
 from repro.graph.generators import erdos_renyi
 from repro.inference import GraphSynthesizer
 from repro.inference.seed import seed_graph_from_edges
-from repro.lint.plans import STABILITY_RULES, stability_bounds
 from repro.shard.plan import UnportablePlanError, decode_plan, encode_plan
 from strategies import plans
 
@@ -119,16 +119,25 @@ def test_op_resolves_in_every_layer(sample):
             assert callable(getattr(layer, op)), f"{layer.__name__} has no {op}"
         for table in (NODE_FOR_OP, DELTA_NODE_FOR_OP):
             assert op in table
-    assert op in STABILITY_RULES
+    assert "stability" in vars(type(sample)), f"{type(sample).__name__} declares no stability"
     for name in sample.params:
         assert hasattr(sample, name), f"{type(sample).__name__}.params names {name!r}"
     assert len(_ARRAY_SPECS.get(op, ())) <= len(sample.params)
 
 
+def test_stability_is_one_except_down_scale_which_is_its_factor():
+    for sample in _samples():
+        expected = sample.factor if isinstance(sample, DownScalePlan) else 1.0
+        assert sample.stability == expected, type(sample).__name__
+    assert Plan.stability is None
+    scaled = DownScalePlan(JoinPlan(SourcePlan("s"), SourcePlan("s"), Field(0), Field(0)), 0.25)
+    assert stability_bounds(scaled) == {"s": 0.5}
+
+
 def test_tables_name_no_unknown_transformation():
     ops = {sample.op for sample in _samples()}
     assert set(NODE_FOR_OP) == set(DELTA_NODE_FOR_OP) == ops - {"source"}
-    assert set(STABILITY_RULES) == set(PLAN_FOR_OP) == ops
+    assert set(PLAN_FOR_OP) == ops
     assert set(_ARRAY_SPECS) <= ops
 
 
@@ -233,7 +242,7 @@ def test_source_multiplicities_is_linear_in_nodes():
     for _ in range(60):
         plan = ConcatPlan(plan, plan)
     started = time.perf_counter()
-    assert plan.source_multiplicities() == {"s": 2**60}
+    assert stability_bounds(plan) == {"s": 2**60}
     assert time.perf_counter() - started < 0.01
 
 
@@ -319,7 +328,7 @@ def _shared_consumers(plan: Plan, node_of) -> list:
 def test_consumer_lists_are_the_parent_commits(name):
     plan = _QUERIES[name](PrivacySession().protect("edges", [])).plan
     uses, consumers = _PINNED[name]
-    assert plan.source_multiplicities() == {"edges": uses}
+    assert stability_bounds(plan) == {"edges": uses}
     engine = DataflowEngine.from_plans([plan])
     assert _shared_consumers(plan, lambda node: engine._nodes[id(node)]) == consumers
     graph = IncrementalGraph()

@@ -8,6 +8,8 @@ import urllib.request
 
 import pytest
 
+from repro.columnar.specs import Field
+from repro.core import PrivacySession
 from repro.exceptions import DeadlineExceededError
 from repro.resilience.deadline import (
     Deadline,
@@ -54,6 +56,23 @@ class TestDeadlineUnits:
         with deadline_scope(Deadline.after(0.0)):
             with pytest.raises(DeadlineExceededError):
                 check_deadline("drain")
+
+
+class TestSessionDeadlines:
+    def test_expired_deadline_refuses_noisy_sum_before_the_charge(self):
+        session = PrivacySession(seed=0)
+        edges = session.protect("edges", EDGES, total_epsilon=10.0)
+        part = edges.partition(Field(0), [0, 1])[0]
+        with deadline_scope(Deadline.after(0.0)):
+            for queryable in (edges, part):
+                with pytest.raises(DeadlineExceededError, match="pre-charge"):
+                    queryable.noisy_sum(0.5)
+        assert session.spent_budget("edges") == 0.0
+        assert part.partition_group.charged() == {}
+        # Outside the expired scope both are charged as usual.
+        edges.noisy_sum(0.5)
+        part.noisy_sum(0.5)
+        assert session.spent_budget("edges") == 1.0
 
 
 class TestServiceDeadlines:

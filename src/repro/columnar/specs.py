@@ -207,9 +207,14 @@ class GroupSize(ColumnarSpec):
     is picklable, so group-by plans built from it — ``node_degrees`` feeds
     every MCMC fitting workload — can cross process boundaries
     (:mod:`repro.shard`) without shipping closures.
+
+    ``size_only`` declares that the output reads only the length of the group
+    it is handed, so the incremental GroupBy may skip a key whose sorted
+    weights a delta leaves unchanged (:mod:`repro.dataflow.operators`).
     """
 
     __slots__ = ("bucket",)
+    size_only = True
 
     def __init__(self, bucket: int = 1) -> None:
         bucket = int(bucket)

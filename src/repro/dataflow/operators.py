@@ -14,6 +14,14 @@ the part's old and new output.  Because every wPINQ transformation is
 data-parallel over those parts, this is exactly the "only recompute what
 changed" strategy the paper describes.
 
+GroupBy has one shortcut.  A *size-only* reducer (builtin ``len``, or any
+callable declaring ``size_only = True`` such as ``GroupSize``) reads nothing
+but the length of each prefix, so a key's output is a function of the key's
+sorted weight multiset alone.  When a delta leaves that multiset unchanged —
+an edge swap moves an edge between two vertices without changing any degree
+— the node folds the delta into the part and emits nothing, at O(k log k) in
+the changed records instead of a re-sort of the whole (hub-sized) group.
+
 All mapper/key/reducer functions are assumed to be pure (deterministic,
 side-effect free); the same assumption underlies the eager evaluator and the
 privacy proofs.
@@ -88,6 +96,23 @@ def _group_by_key(delta: Delta, key_func: Callable[[Any], Any]) -> dict[Any, Del
         else:
             key_delta[record] = change
     return by_key
+
+
+def _sorted_weights_unchanged(part: dict[Any, float], key_delta: Delta) -> bool:
+    """Whether folding ``key_delta`` into ``part`` keeps its sorted weights.
+
+    Compares, one entry per touched record, the stored weight with the one
+    :func:`apply_change` would store, ``0.0`` standing for an absent record.
+    """
+    before, after = [], []
+    for record, change in key_delta.items():
+        prior = part.get(record)
+        updated = change if prior is None else prior + change
+        before.append(0.0 if prior is None else prior)
+        after.append(0.0 if abs(updated) <= DEFAULT_TOLERANCE else updated)
+    before.sort()
+    after.sort()
+    return before == after
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +267,8 @@ class ShaveNode(Node):
 class UnionNode(Node):
     """Incremental ``Union`` (element-wise max over two inputs)."""
 
-    combiner = staticmethod(max)
+    #: Keep the larger of the two weights (``max``); Intersect keeps the smaller.
+    _keeps_max = True
 
     def __init__(self, name: str = "union") -> None:
         super().__init__(name)
@@ -252,21 +278,21 @@ class UnionNode(Node):
         if port not in (0, 1):
             raise ValueError(f"binary operator has ports 0 and 1, got {port}")
         mine, other = self._weights[port], self._weights[1 - port]
-        combine, undo, tolerance = self.combiner, self.undo.cells, DEFAULT_TOLERANCE
+        keeps_max, undo, tolerance = self._keeps_max, self.undo.cells, DEFAULT_TOLERANCE
         output: Delta = {}
-        # ``apply_change`` inlined: this loop sees every changed wedge of a
-        # triangle query.  max/min give the same result for either argument
-        # order, so "mine" may stand first whichever port it is.
+        # ``apply_change`` and max/min inlined: this loop sees every changed
+        # wedge of a triangle query.  Like the builtins, a comparison keeps
+        # "mine" (the first operand) on ties, so max(0.0, -0.0) is 0.0.
         for record, change in delta.items():
             prior = mine.get(record)
             theirs = other.get(record, 0.0)
             if undo is not None:
                 undo.append((mine, record, prior))
             if prior is None:
-                before = combine(0.0, theirs)
+                before = 0.0
                 updated = change
             else:
-                before = combine(prior, theirs)
+                before = prior
                 updated = prior + change
             if -tolerance <= updated <= tolerance:
                 if prior is not None:
@@ -274,7 +300,14 @@ class UnionNode(Node):
                 updated = 0.0
             else:
                 mine[record] = updated
-            after = combine(updated, theirs)
+            if keeps_max:
+                if theirs > before:
+                    before = theirs
+                after = theirs if theirs > updated else updated
+            else:
+                if theirs < before:
+                    before = theirs
+                after = theirs if theirs < updated else updated
             if after != before:
                 output[record] = after - before
         self.emit(output)
@@ -283,7 +316,7 @@ class UnionNode(Node):
 class IntersectNode(UnionNode):
     """Incremental ``Intersect`` (element-wise min over two inputs)."""
 
-    combiner = staticmethod(min)
+    _keeps_max = False
 
     def __init__(self, name: str = "intersect") -> None:
         super().__init__(name)
@@ -304,6 +337,7 @@ class GroupByNode(Node):
         super().__init__(name)
         self._key = key
         self._reducer = reducer
+        self._size_only = reducer is len or getattr(reducer, "size_only", False) is True
         self._groups: dict[Any, dict[Any, float]] = {}
 
     def _group_output(self, key: Any) -> dict[Any, float]:
@@ -317,9 +351,13 @@ class GroupByNode(Node):
         return output
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        groups, undo = self._groups, self.undo.cells
+        groups, undo, size_only = self._groups, self.undo.cells, self._size_only
         output: Delta = {}
         for key, key_delta in _group_by_key(delta, self._key).items():
+            if size_only and _sorted_weights_unchanged(groups.get(key, {}), key_delta):
+                # Same multiset, same output: only the members changed.
+                _apply_to_part(groups, key, key_delta, undo)
+                continue
             before = self._group_output(key)
             _apply_to_part(groups, key, key_delta, undo)
             _add_difference(output, self._group_output(key), before)
@@ -342,7 +380,8 @@ class JoinNode(Node):
       correctly rescales every output record of that key.
     """
 
-    #: Relative tolerance used to decide that a key's normaliser is unchanged.
+    #: Absolute tolerance on ``|Σ change|`` of a key's delta, under which (with
+    #: every weight staying non-negative) the key's normaliser is unchanged.
     _NORM_TOLERANCE = 1e-9
 
     def __init__(
@@ -387,31 +426,11 @@ class JoinNode(Node):
                 output[out_record] = get(out_record, 0.0) + weight
         return output
 
-    def _cross_with_other_side(
-        self, key: Any, key_delta: Delta, port: int, denominator: float
-    ) -> dict[Any, float]:
-        """The contribution of changed records against the other (fixed) side."""
-        other = self._indexes[1 - port].get(key)
-        output: dict[Any, float] = {}
-        if not other or denominator <= 0.0:
-            return output
-        selector, get = self._result_selector, output.get
-        for record, change in key_delta.items():
-            for other_record, other_weight in other.items():
-                weight = change * other_weight / denominator
-                if weight == 0.0:
-                    continue
-                if port == 0:
-                    out_record = selector(record, other_record)
-                else:
-                    out_record = selector(other_record, record)
-                output[out_record] = get(out_record, 0.0) + weight
-        return output
-
     def on_delta(self, delta: Delta, port: int = 0) -> None:
         if port not in (0, 1):
             raise ValueError(f"binary operator has ports 0 and 1, got {port}")
-        index, undo = self._indexes[port], self.undo.cells
+        index, other_index = self._indexes[port], self._indexes[1 - port]
+        selector, undo = self._result_selector, self.undo.cells
         norm_tolerance = self._NORM_TOLERANCE
         output: Delta = {}
         get = output.get
@@ -425,13 +444,25 @@ class JoinNode(Node):
             if norm_preserved:
                 # Fast path: ‖A_k‖ + ‖B_k‖ is unchanged, so existing output
                 # records keep their scale and only the changed records'
-                # pairings need to be emitted.
+                # pairings against the other (fixed) side are emitted.
                 denominator = self._key_norm(key)
                 _apply_to_part(index, key, key_delta, undo)
-                for out_record, weight in self._cross_with_other_side(
-                    key, key_delta, port, denominator
-                ).items():
-                    output[out_record] = get(out_record, 0.0) + weight
+                other = other_index.get(key)
+                if not other or denominator <= 0.0:
+                    continue
+                for record, change in key_delta.items():
+                    if port == 0:
+                        for other_record, other_weight in other.items():
+                            weight = change * other_weight / denominator
+                            if weight != 0.0:
+                                out_record = selector(record, other_record)
+                                output[out_record] = get(out_record, 0.0) + weight
+                    else:
+                        for other_record, other_weight in other.items():
+                            weight = change * other_weight / denominator
+                            if weight != 0.0:
+                                out_record = selector(other_record, record)
+                                output[out_record] = get(out_record, 0.0) + weight
                 continue
             before = self._key_output(key)
             _apply_to_part(index, key, key_delta, undo)

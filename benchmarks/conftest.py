@@ -1,11 +1,13 @@
-"""Shared configuration for the paper suite (``benchmarks/bench_*.py``).
+"""Shared configuration for the paper suite (``benchmarks/test_paper.py``).
 
-One file per entry of ``repro.cli.EXPERIMENTS``: each regenerates one of the
-paper's tables, figures or ablations on the scaled-down synthetic stand-ins,
-prints the rows/series, and asserts the qualitative *shape* the paper reports.
-Nothing here times the platform — that is ``benchmarks/e2e/`` — and no file
-needs a plugin beyond pytest itself.  Scale and MCMC length can be raised via
-the ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_STEPS`` environment variables.
+One test per record of ``repro.experiments.EXPERIMENTS``: each regenerates one
+of the paper's tables, figures or ablations on the scaled-down synthetic
+stand-ins, prints the rows/series, and fails on any of the record's claims (the
+qualitative *shape* the paper reports).  Nothing here times the platform —
+that is ``benchmarks/e2e/`` — and nothing needs a plugin beyond pytest itself.
+Graph size and MCMC length scale with the ``REPRO_BENCH_SCALE`` /
+``REPRO_BENCH_STEPS`` environment variables (CI runs 0.5 / 0.25, and
+``figure4`` at full size).
 
 Because pytest captures stdout of passing tests, the tables produced by each
 benchmark are (a) accumulated and echoed in the terminal summary at the end of
@@ -14,25 +16,10 @@ the run, and (b) written to ``benchmarks/results/latest_report.txt``.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
-
-import pytest
-
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
 
 _RESULTS_DIR = Path(__file__).resolve().parent / "results"
 _REPORT_BLOCKS: list[str] = []
-
-
-@pytest.fixture(scope="session")
-def config():
-    """The experiment configuration selected by the environment."""
-    from repro.experiments import default_config
-
-    return default_config()
 
 
 def emit(text: str) -> None:

@@ -37,8 +37,8 @@ The package is organised as follows:
     distributions, Sala et al. joint degree distribution, worst-case
     sensitivity triangle counting).
 ``repro.experiments``
-    Shared harness used by the benchmark suite to regenerate the paper's
-    tables and figures.
+    The paper's tables and figures, one ``EXPERIMENTS`` record each (run,
+    render, claims), read by ``repro <experiment>`` and the paper suite.
 ``repro.service``
     The interactive measurement service: multi-tenant session hosting,
     group-commit request batching, answer replay, an HTTP/JSON transport

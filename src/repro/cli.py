@@ -1,16 +1,22 @@
 """Command-line interface for regenerating the paper's experiments.
 
-Every table and figure of the evaluation (plus the two ablations) can be
-produced from the shell without writing any Python::
+Every table, figure and ablation of the evaluation — the twelve records of
+:data:`repro.experiments.EXPERIMENTS` — can be produced from the shell without
+writing any Python::
 
+    python -m repro list
     python -m repro table1
     python -m repro figure4 --scale 0.5 --steps 2.0
-    python -m repro list
+    python -m repro all
 
+``repro <experiment>`` runs the record's ``run`` (the same parametrisation the
+paper suite ``benchmarks/test_paper.py`` asserts on), prints its table, then
+prints every paper claim that does not hold to stderr: the exit code is 1 if
+any claim failed, 0 otherwise (``repro all``: 1 if any experiment failed).
 ``--scale`` and ``--steps`` multiply the per-experiment default graph sizes
 and MCMC lengths exactly like the ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_STEPS``
-environment variables used by the benchmark suite; ``--epsilon``, ``--pow``
-and ``--seed`` override the corresponding experiment parameters.
+environment variables; ``--epsilon``, ``--pow`` and ``--seed`` override the
+corresponding experiment parameters.
 
 The introspection half of the query API is also exposed::
 
@@ -46,182 +52,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .analyses import NAMED_QUERIES
 from .core.executor import EXECUTORS
-from .experiments import (
-    ExperimentConfig,
-    combined_measurements_ablation,
-    default_config,
-    degree_sequence_ablation,
-    figure1_comparison,
-    figure3_tbd_bucketing,
-    figure4_tbi_fitting,
-    figure5_epsilon_sensitivity,
-    figure6_scalability,
-    format_series,
-    format_table,
-    jdd_accuracy_ablation,
-    smooth_sensitivity_ablation,
-    table1_graph_statistics,
-    table2_tbi_triangles,
-    table3_barabasi,
-)
+from .experiments import EXPERIMENTS, ExperimentConfig, default_config, format_table
 from .inference.synthesizer import DEFAULT_BACKEND, SCORING_BACKENDS
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
-
-
-def _run_figure1(config: ExperimentConfig) -> str:
-    rows = figure1_comparison(epsilon=config.epsilon, seed=config.seed)
-    return format_table(
-        ["graph", "mechanism", "true triangles", "mean estimate", "mean |error|"],
-        rows,
-        title="Figure 1 — worst-case noise vs weighted records",
-    )
-
-
-def _run_table1(config: ExperimentConfig) -> str:
-    rows = table1_graph_statistics(config)
-    return format_table(
-        ["graph", "nodes", "edges", "dmax", "triangles", "assortativity r"],
-        rows,
-        title="Table 1 — stand-in graph statistics",
-    )
-
-
-def _run_figure3(config: ExperimentConfig) -> str:
-    results = figure3_tbd_bucketing(config)
-    blocks = [
-        format_table(
-            ["configuration", "true triangles", "seed", "final", "final r"],
-            [
-                (r.label, r.true_triangles, r.seed_triangles, r.final_triangles, r.final_assortativity)
-                for r in results
-            ],
-            title="Figure 3 — TbD-driven MCMC with/without bucketing",
-        )
-    ]
-    blocks.extend(
-        format_series(f"{r.label}: triangles", zip(r.steps, r.triangles)) for r in results
-    )
-    return "\n\n".join(blocks)
-
-
-def _run_table2(config: ExperimentConfig) -> str:
-    rows = table2_tbi_triangles(config)
-    return format_table(
-        ["graph", "seed triangles", "after TbI MCMC", "true triangles"],
-        rows,
-        title="Table 2 — TbI-driven synthesis",
-    )
-
-
-def _run_figure4(config: ExperimentConfig) -> str:
-    results = figure4_tbi_fitting(config)
-    blocks = [
-        format_table(
-            ["configuration", "true triangles", "seed", "final"],
-            [(r.label, r.true_triangles, r.seed_triangles, r.final_triangles) for r in results],
-            title="Figure 4 — TbI-driven MCMC, real vs random",
-        )
-    ]
-    blocks.extend(
-        format_series(f"{r.label}: triangles", zip(r.steps, r.triangles)) for r in results
-    )
-    return "\n\n".join(blocks)
-
-
-def _run_figure5(config: ExperimentConfig) -> str:
-    rows = figure5_epsilon_sensitivity(config)
-    return format_table(
-        ["epsilon", "mean final triangles", "std", "true triangles"],
-        rows,
-        title="Figure 5 — sensitivity to epsilon",
-    )
-
-
-def _run_table3(config: ExperimentConfig) -> str:
-    rows = table3_barabasi(config)
-    return format_table(
-        ["beta", "nodes", "edges", "dmax", "triangles", "sum d^2"],
-        rows,
-        title="Table 3 — Barabasi-Albert sweep",
-    )
-
-
-def _run_figure6(config: ExperimentConfig) -> str:
-    results = figure6_scalability(config)
-    return format_table(
-        ["workload", "sum d^2", "state entries", "peak MB", "MCMC steps/s"],
-        [
-            (
-                r["label"],
-                int(r["degree_sum_of_squares"]),
-                int(r["state_entries"]),
-                r["peak_memory_mb"],
-                r["steps_per_second"],
-            )
-            for r in results
-        ],
-        title="Figure 6 — scalability of the incremental engine",
-    )
-
-
-def _run_jdd_ablation(config: ExperimentConfig) -> str:
-    rows = jdd_accuracy_ablation(config)
-    return format_table(
-        ["approach", "mean |error| per occupied pair"],
-        rows,
-        title="Section 3.2 ablation — JDD accuracy",
-    )
-
-
-def _run_degree_ablation(config: ExperimentConfig) -> str:
-    rows = degree_sequence_ablation(config)
-    return format_table(
-        ["approach", "mean |error| per rank"],
-        rows,
-        title="Section 3.1 ablation — degree sequence accuracy",
-    )
-
-
-def _run_smooth_ablation(config: ExperimentConfig) -> str:
-    rows = smooth_sensitivity_ablation(
-        nodes=max(200, int(400 * config.graph_scale)), seed=config.seed
-    )
-    return format_table(
-        ["graph", "mechanism", "target value", "noise scale", "mean relative error"],
-        rows,
-        title="Section 1.1 ablation — smooth sensitivity vs weighted records",
-    )
-
-
-def _run_combined_ablation(config: ExperimentConfig) -> str:
-    rows = combined_measurements_ablation(config)
-    return format_table(
-        ["configuration", "seed triangles", "final triangles", "true triangles"],
-        rows,
-        title="Section 1.2 ablation — combining TbI with the JDD",
-    )
-
-
-#: Experiment name -> (description, runner).
-EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], str]]] = {
-    "figure1": ("worst-case vs weighted triangle counting", _run_figure1),
-    "table1": ("evaluation graph statistics", _run_table1),
-    "figure3": ("TbD-driven MCMC with/without bucketing", _run_figure3),
-    "table2": ("triangles: seed / after TbI MCMC / truth", _run_table2),
-    "figure4": ("TbI-driven MCMC trajectories, real vs random", _run_figure4),
-    "figure5": ("sensitivity of TbI synthesis to epsilon", _run_figure5),
-    "table3": ("Barabasi-Albert graphs for the scaling study", _run_table3),
-    "figure6": ("memory and throughput vs sum of squared degrees", _run_figure6),
-    "jdd-ablation": ("wPINQ JDD query vs Sala et al.", _run_jdd_ablation),
-    "degree-ablation": ("degree-sequence post-processing comparison", _run_degree_ablation),
-    "smooth-ablation": ("smooth sensitivity vs weighted records (Section 1.1)", _run_smooth_ablation),
-    "combined-ablation": ("fitting TbI together with the JDD (Section 1.2)", _run_combined_ablation),
-}
+__all__ = ["main", "build_parser"]
 
 
 def _run_explain(
@@ -913,17 +751,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.experiment == "list":
         width = max(len(name) for name in EXPERIMENTS)
         for name in sorted(EXPERIMENTS):
-            description, _ = EXPERIMENTS[name]
-            print(f"{name.ljust(width)}  {description}")
+            print(f"{name.ljust(width)}  {EXPERIMENTS[name].description}")
         return 0
 
     config = _configure(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    failed = False
     for name in names:
-        _, runner = EXPERIMENTS[name]
-        print(runner(config))
+        experiment = EXPERIMENTS[name]
+        result = experiment.run(config)
+        print(experiment.render(result))
         print()
-    return 0
+        for claim in experiment.claims(result, config):
+            print(f"{name}: claim failed: {claim}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -1,7 +1,9 @@
-"""Experiment harness used by the benchmark suite to regenerate the paper's
-tables and figures."""
+"""The paper's experiments: one function per table or figure
+(:mod:`.workflows`) and one table, :data:`EXPERIMENTS`, that the CLI and the
+paper suite read (:mod:`.paper`)."""
 
 from .config import ExperimentConfig, default_config
+from .paper import EXPERIMENTS, Experiment
 from .report import format_series, format_table, format_value
 from .workflows import (
     TrajectoryResult,
@@ -22,6 +24,8 @@ from .workflows import (
 )
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentConfig",
     "default_config",
     "format_table",

@@ -1,5 +1,5 @@
 """Configuration shared by the paper experiments (``repro <experiment>`` and
-the ``benchmarks/bench_*.py`` suite that asserts their shapes).
+the ``benchmarks/test_paper.py`` suite, which run the same records).
 
 The paper's experiments run on graphs with up to a million edges and MCMC
 chains of 5×10⁵–5×10⁶ steps on a 64 GB machine.  The reproduction targets a
@@ -14,8 +14,9 @@ variables below are set:
 * ``REPRO_BENCH_EPSILON`` / ``REPRO_BENCH_POW`` — ε per measurement and the
   MCMC score-sharpening exponent.
 
-These five are the only ``REPRO_BENCH_*`` variables; nothing here times the
-platform (that is ``benchmarks/e2e/``).
+These five are the only ``REPRO_BENCH_*`` variables; a value that does not
+parse raises ``ValueError``.  Nothing here times the platform (that is
+``benchmarks/e2e/``).
 """
 
 from __future__ import annotations
@@ -26,24 +27,21 @@ from dataclasses import dataclass, replace
 __all__ = ["ExperimentConfig", "default_config"]
 
 
-def _env_float(name: str, default: float) -> float:
+def _env(name: str, default: float | int) -> float | int:
+    """``name`` parsed as the type of ``default``; ``default`` when unset.
+
+    A malformed value raises instead of falling back: ``REPRO_BENCH_SCALE=0,5``
+    silently running the full-size suite is the failure this prevents.
+    """
     value = os.environ.get(name)
     if value is None:
         return default
     try:
-        return float(value)
+        return type(default)(value)
     except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        return default
+        raise ValueError(
+            f"{name}={value!r} is not a valid {type(default).__name__}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -77,9 +75,9 @@ class ExperimentConfig:
 def default_config() -> ExperimentConfig:
     """The configuration selected by the current environment variables."""
     return ExperimentConfig(
-        graph_scale=_env_float("REPRO_BENCH_SCALE", 1.0),
-        step_scale=_env_float("REPRO_BENCH_STEPS", 1.0),
-        epsilon=_env_float("REPRO_BENCH_EPSILON", 0.1),
-        pow_=_env_float("REPRO_BENCH_POW", 10_000.0),
-        seed=_env_int("REPRO_BENCH_SEED", 20140506),
+        graph_scale=_env("REPRO_BENCH_SCALE", 1.0),
+        step_scale=_env("REPRO_BENCH_STEPS", 1.0),
+        epsilon=_env("REPRO_BENCH_EPSILON", 0.1),
+        pow_=_env("REPRO_BENCH_POW", 10_000.0),
+        seed=_env("REPRO_BENCH_SEED", 20140506),
     )

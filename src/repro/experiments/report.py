@@ -1,9 +1,9 @@
 """Plain-text rendering of experiment results.
 
-The benchmarks print the same rows/series the paper's tables and figures
-report; these helpers keep that output readable and consistent so
-``bench_output.txt`` doubles as the reproduction record summarised in
-``EXPERIMENTS.md``.
+Every experiment's ``render`` (:data:`repro.experiments.EXPERIMENTS`) prints
+the same rows/series the paper's tables and figures report; these helpers keep
+that output readable and consistent, on the terminal and in the paper suite's
+``benchmarks/results/latest_report.txt``.
 """
 
 from __future__ import annotations

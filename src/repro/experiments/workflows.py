@@ -3,13 +3,14 @@
 Each function takes an :class:`~repro.experiments.config.ExperimentConfig`,
 runs the corresponding experiment on the synthetic stand-in graphs, and
 returns plain data structures (lists of row tuples, or per-configuration
-trajectories) that the benchmark files print and assert on.  Keeping these
-here — rather than inside the benchmark files — makes them importable from
-examples and tests as well.
+trajectories).  The experiment table (:data:`repro.experiments.EXPERIMENTS`)
+calls each one with the parametrisation the CLI and the paper suite share,
+renders its result and checks its claims; the functions stay importable from
+examples and tests at other sizes.
 
-Graph sizes and MCMC step counts are scaled down from the paper (see
-``EXPERIMENTS.md`` for the exact factors); the assertions in the benchmark
-suite check the *shapes* the paper reports, not its absolute numbers.
+Graph sizes and MCMC step counts are scaled down from the paper (the base
+scales and step counts are the defaults below); the claims check the *shapes*
+the paper reports, not its absolute numbers.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ..graph.statistics import (
 )
 from ..inference import GraphSynthesizer, SynthesisOutcome, synthesize_graph
 from ..postprocess import fit_degree_sequence, isotonic_regression
-from .config import ExperimentConfig, default_config
+from .config import ExperimentConfig
 
 __all__ = [
     "figure1_comparison",
@@ -91,7 +92,6 @@ class TrajectoryResult:
     final_assortativity: float
     steps: list[int] = field(default_factory=list)
     triangles: list[float] = field(default_factory=list)
-    assortativity: list[float] = field(default_factory=list)
     steps_per_second: float = 0.0
     privacy_cost: float = 0.0
 
@@ -107,7 +107,6 @@ def _outcome_to_trajectory(label: str, graph: Graph, outcome: SynthesisOutcome) 
         final_assortativity=assortativity(outcome.synthetic_graph),
         steps=[record.step for record in trajectory],
         triangles=[record.metrics.get("triangles", 0.0) for record in trajectory],
-        assortativity=[record.metrics.get("assortativity", 0.0) for record in trajectory],
         steps_per_second=outcome.mcmc_result.steps_per_second,
         privacy_cost=outcome.privacy_cost.get("edges", 0.0),
     )
@@ -185,10 +184,7 @@ def figure1_comparison(
 
     Returns rows ``(graph, mechanism, true count, mean estimate, mean |error|)``
     for the worst-case graph (left of Figure 1) and the bounded-degree graph
-    (right).  The shape to reproduce: on the right-hand graph the weighted
-    mechanism's error is orders of magnitude below the worst-case mechanism's,
-    while on the left-hand graph neither mechanism is accurate (and neither
-    needs to be — there is nothing to measure).
+    (right).
     """
     noise = LaplaceNoise(seed)
     rows: list[tuple[str, str, float, float, float]] = []
@@ -224,7 +220,7 @@ def figure1_comparison(
 # Table 1: evaluation graph statistics
 # ----------------------------------------------------------------------
 def table1_graph_statistics(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     names: Sequence[str] = ("CA-GrQc", "CA-HepPh", "CA-HepTh", "Caltech", "Epinions"),
     base_scales: dict[str, float] | None = None,
 ) -> list[tuple[str, int, int, int, int, float]]:
@@ -234,7 +230,6 @@ def table1_graph_statistics(
     each stand-in followed by its ``Random(·)`` twin — the same columns as
     Table 1.
     """
-    config = config or default_config()
     base_scales = base_scales or {
         "CA-GrQc": 0.2,
         "CA-HepPh": 0.1,
@@ -265,20 +260,15 @@ def table1_graph_statistics(
 # Figure 3: TbD with and without bucketing
 # ----------------------------------------------------------------------
 def figure3_tbd_bucketing(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     base_scale: float = 0.06,
     base_steps: int = 3000,
     bucket: int = 5,
 ) -> list[TrajectoryResult]:
     """TbD-driven MCMC on CA-GrQc and Random(GrQc), with/without bucketing.
 
-    The paper's observation (Figure 3): without bucketing the TbD measurement
-    is noise-dominated and MCMC cannot distinguish the real graph from its
-    randomised twin; with bucketing the signal concentrates and the real
-    graph's fit pulls ahead (though it still under-shoots the true triangle
-    count).  The per-degree bucket size is scaled down along with the graphs.
+    The per-degree bucket size is scaled down along with the graphs.
     """
-    config = config or default_config()
     scale = config.scaled_graph(base_scale)
     steps = config.scaled_steps(base_steps)
     graph, twin = paper_graph_with_twin("CA-GrQc", scale=scale)
@@ -306,8 +296,12 @@ def figure3_tbd_bucketing(
 # ----------------------------------------------------------------------
 # Table 2 and Figure 4: TbI-driven synthesis
 # ----------------------------------------------------------------------
+#: Stand-in scale per graph for the TbI fits of Table 2 and Figure 4.
+_TBI_BASE_SCALES = {"CA-GrQc": 0.08, "CA-HepPh": 0.05, "CA-HepTh": 0.08, "Caltech": 0.25}
+
+
 def table2_tbi_triangles(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     names: Sequence[str] = ("CA-GrQc", "CA-HepPh", "CA-HepTh", "Caltech"),
     base_scales: dict[str, float] | None = None,
     base_steps: int = 6000,
@@ -315,17 +309,9 @@ def table2_tbi_triangles(
     """Triangles in the seed graph, after TbI-driven MCMC, and in the truth.
 
     Returns rows ``(graph, seed Δ, MCMC Δ, true Δ)`` — the three rows of
-    Table 2.  The shape to reproduce: MCMC moves the triangle count from the
-    seed's (near the random twin's) value a substantial fraction of the way
-    towards the real graph's.
+    Table 2.
     """
-    config = config or default_config()
-    base_scales = base_scales or {
-        "CA-GrQc": 0.08,
-        "CA-HepPh": 0.05,
-        "CA-HepTh": 0.08,
-        "Caltech": 0.25,
-    }
+    base_scales = base_scales or _TBI_BASE_SCALES
     rows: list[tuple[str, int, int, int]] = []
     for name in names:
         graph = load_paper_graph(name, scale=config.scaled_graph(base_scales[name]))
@@ -342,23 +328,13 @@ def table2_tbi_triangles(
 
 
 def figure4_tbi_fitting(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     names: Sequence[str] = ("CA-GrQc", "CA-HepPh", "CA-HepTh", "Caltech"),
     base_scales: dict[str, float] | None = None,
     base_steps: int = 4000,
 ) -> list[TrajectoryResult]:
-    """TbI-driven MCMC trajectories for real graphs and their random twins.
-
-    The shape to reproduce (Figure 4): the chains fitting real graphs climb to
-    substantially more triangles than the chains fitting the randomised twins.
-    """
-    config = config or default_config()
-    base_scales = base_scales or {
-        "CA-GrQc": 0.08,
-        "CA-HepPh": 0.05,
-        "CA-HepTh": 0.08,
-        "Caltech": 0.25,
-    }
+    """TbI-driven MCMC trajectories for real graphs and their random twins."""
+    base_scales = base_scales or _TBI_BASE_SCALES
     results: list[TrajectoryResult] = []
     for name in names:
         scale = config.scaled_graph(base_scales[name])
@@ -381,7 +357,7 @@ def figure4_tbi_fitting(
 # Figure 5: sensitivity to epsilon
 # ----------------------------------------------------------------------
 def figure5_epsilon_sensitivity(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     epsilons: Sequence[float] = (0.01, 0.1, 1.0, 10.0),
     repeats: int = 3,
     base_scale: float = 0.08,
@@ -390,11 +366,8 @@ def figure5_epsilon_sensitivity(
     """Final triangle counts of TbI-driven synthesis across ε values.
 
     Returns rows ``(epsilon, mean Δ, std Δ, true Δ)`` for the CA-GrQc
-    stand-in.  The shape to reproduce (Figure 5): the attained triangle count
-    is roughly flat across four orders of magnitude of ε, with variability
-    growing as ε shrinks (noisier measurements).
+    stand-in.
     """
-    config = config or default_config()
     scale = config.scaled_graph(base_scale)
     steps = config.scaled_steps(base_steps)
     graph = load_paper_graph("CA-GrQc", scale=scale)
@@ -420,18 +393,15 @@ def figure5_epsilon_sensitivity(
 # Table 3 and Figure 6: Barabási–Albert scalability sweep
 # ----------------------------------------------------------------------
 def table3_barabasi(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     nodes: int = 2500,
     edges_per_node: int = 8,
     betas: Sequence[float] = (0.5, 0.55, 0.6, 0.65, 0.7),
 ) -> list[tuple[float, int, int, int, int, int]]:
     """Statistics of the Barabási–Albert graphs used for the scaling study.
 
-    Returns rows ``(beta, nodes, edges, dmax, triangles, Σd²)``.  The shape to
-    reproduce (Table 3): as the dynamical exponent β grows, the maximum degree,
-    the triangle count and Σd² all grow while nodes and edges stay fixed.
+    Returns rows ``(beta, nodes, edges, dmax, triangles, Σd²)``.
     """
-    config = config or default_config()
     nodes = max(200, int(round(nodes * config.graph_scale)))
     rows: list[tuple[float, int, int, int, int, int]] = []
     for index, beta in enumerate(betas):
@@ -451,28 +421,23 @@ def table3_barabasi(
 
 
 def figure6_scalability(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     nodes: int = 1500,
     edges_per_node: int = 6,
     betas: Sequence[float] = (0.5, 0.6, 0.7),
     base_steps: int = 400,
-    include_epinions: bool = True,
     epinions_scale: float = 0.02,
 ) -> list[dict[str, float]]:
     """Memory and throughput of TbI-driven MCMC as Σd² grows.
 
-    For each Barabási–Albert graph (and optionally the Epinions stand-in) a
+    For each Barabási–Albert graph and the Epinions stand-in a
     TbI synthesiser is built and run for a few hundred steps while tracking
 
     * ``state_entries`` — weighted entries held by the incremental operators
       (the platform-independent memory proxy),
     * ``peak_memory_mb`` — tracemalloc peak during construction + run,
     * ``steps_per_second`` — MCMC throughput.
-
-    The shape to reproduce (Figure 6): memory grows and throughput falls as
-    Σd² grows.
     """
-    config = config or default_config()
     nodes = max(200, int(round(nodes * config.graph_scale)))
     steps = config.scaled_steps(base_steps)
     workloads: list[tuple[str, Graph]] = []
@@ -483,10 +448,9 @@ def figure6_scalability(
                 barabasi_albert(nodes, edges_per_node, beta=beta, rng=config.seed + index),
             )
         )
-    if include_epinions:
-        workloads.append(
-            ("Epinions", load_paper_graph("Epinions", scale=config.scaled_graph(epinions_scale)))
-        )
+    workloads.append(
+        ("Epinions", load_paper_graph("Epinions", scale=config.scaled_graph(epinions_scale)))
+    )
 
     results: list[dict[str, float]] = []
     for label, graph in workloads:
@@ -517,7 +481,6 @@ def figure6_scalability(
                 "peak_memory_mb": peak_bytes / 1e6,
                 "build_seconds": build_seconds,
                 "steps_per_second": run_result.steps_per_second,
-                "final_triangles": float(synthesizer.triangle_count()),
             }
         )
     return results
@@ -527,18 +490,14 @@ def figure6_scalability(
 # Ablations: bespoke baselines vs wPINQ queries
 # ----------------------------------------------------------------------
 def jdd_accuracy_ablation(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     base_scale: float = 0.1,
     epsilon: float | None = None,
 ) -> list[tuple[str, float]]:
     """Mean absolute JDD error: Sala et al. versus the wPINQ JDD query.
 
-    Returns rows ``(approach, mean |error| per occupied degree pair)``.  The
-    paper's analysis (Section 3.2) predicts the automatic wPINQ query loses a
-    factor of roughly two to four to the bespoke (corrected) Sala mechanism —
-    the price of a free privacy proof.
+    Returns rows ``(approach, mean |error| per occupied degree pair)``.
     """
-    config = config or default_config()
     epsilon = epsilon if epsilon is not None else config.epsilon
     graph = load_paper_graph("CA-GrQc", scale=config.scaled_graph(base_scale))
     noise = LaplaceNoise(config.seed)
@@ -567,20 +526,15 @@ def jdd_accuracy_ablation(
 
 
 def combined_measurements_ablation(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     base_scale: float = 0.06,
     base_steps: int = 3000,
 ) -> list[tuple[str, int, int, int]]:
     """Fitting several measurements at once (Section 1.2, benefit #2).
 
-    The posterior combines the constraints of every released measurement, so
-    adding the joint-degree-distribution query alongside TbI should produce a
-    synthetic graph that fits the triangle statistic at least as well while
-    additionally matching second-order degree structure.  Returns rows
-    ``(configuration, seed Δ, final Δ, true Δ)`` for the TbI-only and
-    TbI + JDD fits of the CA-GrQc stand-in.
+    Returns rows ``(configuration, seed Δ, final Δ, true Δ)`` for the TbI-only
+    and TbI + JDD fits of the CA-GrQc stand-in.
     """
-    config = config or default_config()
     graph = load_paper_graph("CA-GrQc", scale=config.scaled_graph(base_scale))
     steps = config.scaled_steps(base_steps)
     truth = triangle_count(graph)
@@ -610,18 +564,14 @@ def combined_measurements_ablation(
 
 
 def degree_sequence_ablation(
-    config: ExperimentConfig | None = None,
+    config: ExperimentConfig,
     base_scale: float = 0.1,
     epsilon: float | None = None,
 ) -> list[tuple[str, float]]:
     """Degree-sequence error: Hay et al. versus wPINQ CCDF+sequence path fit.
 
-    Returns rows ``(approach, mean |error| per rank)``.  The shape the paper's
-    Section 3.1 claims: the joint fit of the two wPINQ measurements is
-    competitive with (or better than) plain isotonic regression, without
-    needing the number of nodes to be public.
+    Returns rows ``(approach, mean |error| per rank)``.
     """
-    config = config or default_config()
     epsilon = epsilon if epsilon is not None else config.epsilon
     graph = load_paper_graph("CA-GrQc", scale=config.scaled_graph(base_scale))
     noise = LaplaceNoise(config.seed)
@@ -666,12 +616,6 @@ def smooth_sensitivity_ablation(
     seed: int = 1,
 ) -> list[tuple[str, str, float, float, float]]:
     """Worst-case vs smooth-sensitivity vs weighted triangle counting.
-
-    The paper's Section 1.1 argues that smooth sensitivity adapts to benign
-    graphs but still pays for worst-case structure *anywhere* in the graph: on
-    the union of Figure 1's left and right graphs it must add Θ(|V|)-scale
-    noise, whereas weighted datasets suppress only the (triangle-free) left
-    half and measure the right half with constant noise.
 
     Each mechanism targets the statistic it can actually release — the raw
     triangle count for the worst-case and smooth mechanisms, the weighted

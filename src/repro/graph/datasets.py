@@ -18,7 +18,8 @@ properties the experiments rely on:
 Every stand-in is deterministic given its seed, and
 :func:`paper_graphs` / :func:`paper_graph_with_twin` expose the same names
 the paper uses so benchmark code reads like the original evaluation.  The
-real-vs-stand-in statistics are recorded in ``EXPERIMENTS.md``.
+real-vs-stand-in statistics are printed side by side by ``repro table1`` (the
+``table1`` record of :data:`repro.experiments.EXPERIMENTS`).
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class GraphSpec:
 
 #: Full-scale recipes chosen so that, at scale 1.0, node and edge counts are
 #: comparable to the originals in Table 1.  The default scale used by the
-#: benchmarks is considerably smaller (see ``repro.experiments.harness``).
+#: experiments is considerably smaller (see the per-graph base scales in
+#: ``repro.experiments.workflows``).
 PAPER_GRAPH_SPECS: dict[str, GraphSpec] = {
     "CA-GrQc": GraphSpec(
         name="CA-GrQc",
@@ -126,7 +128,7 @@ PAPER_GRAPH_SPECS: dict[str, GraphSpec] = {
 }
 
 #: The statistics the paper reports for the real datasets (Table 1), kept for
-#: side-by-side comparison in EXPERIMENTS.md and in the Table 1 benchmark.
+#: side-by-side comparison in ``repro table1`` (README "Reproducing the paper").
 PAPER_REPORTED_STATISTICS: dict[str, dict[str, float]] = {
     "CA-GrQc": {"nodes": 5242, "edges": 28980, "dmax": 81, "triangles": 48260, "assortativity": 0.66},
     "CA-HepPh": {"nodes": 12008, "edges": 237010, "dmax": 491, "triangles": 3358499, "assortativity": 0.63},

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-import re
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro import cli
+from repro.cli import build_parser, main
+from repro.experiments import EXPERIMENTS, default_config
 
 
 class TestParser:
@@ -69,16 +71,36 @@ class TestMain:
     def test_list_prints_every_experiment(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
-        for name, (description, _) in EXPERIMENTS.items():
+        for name, experiment in EXPERIMENTS.items():
             assert name in output
-            assert description in output
+            assert experiment.description in output
 
     def test_table3_runs_quickly_and_prints_table(self, capsys):
-        exit_code = main(["table3", "--scale", "0.2", "--seed", "3"])
+        # The CLI prints exactly the record's rendering of the record's run:
+        # the same parametrisation the paper suite asserts on.
+        exit_code = main(["table3", "--scale", "0.2"])
+        captured = capsys.readouterr()
         assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "Table 3" in output
-        assert "beta" in output
+        table3 = EXPERIMENTS["table3"]
+        config = default_config().with_overrides(graph_scale=0.2)
+        assert captured.out == table3.render(table3.run(config)) + "\n\n"
+        assert "Table 3" in captured.out and captured.err == ""
+
+    def test_a_failed_claim_exits_one(self, capsys, monkeypatch):
+        table3 = EXPERIMENTS["table3"]
+        broken = dataclasses.replace(table3, claims=lambda result, config: ["sum d^2 shrinks"])
+        monkeypatch.setitem(EXPERIMENTS, "table3", broken)
+        assert main(["table3", "--scale", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert "Table 3" in captured.out
+        assert captured.err == "table3: claim failed: sum d^2 shrinks\n"
+
+        # 'all' runs every experiment and fails if any one did.
+        monkeypatch.setattr(cli, "EXPERIMENTS", {"table3": table3, "broken": broken})
+        assert main(["all", "--scale", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("Table 3") == 2
+        assert captured.err == "broken: claim failed: sum d^2 shrinks\n"
 
     def test_figure1_with_overrides(self, capsys):
         exit_code = main(["figure1", "--epsilon", "0.5", "--seed", "1"])
@@ -101,12 +123,17 @@ class TestMain:
         assert "weighted records" in output
 
     def test_every_experiment_has_description_and_runner(self):
-        for name, (description, runner) in EXPERIMENTS.items():
-            assert isinstance(description, str) and description
-            assert callable(runner)
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.name == name
+            assert isinstance(experiment.description, str) and experiment.description
+            assert callable(experiment.run)
+            assert callable(experiment.render)
+            assert callable(experiment.claims)
 
 
 class TestPaperSuite:
+    # The paper suite must collect the same way with or without the
+    # pytest-benchmark plugin loaded.
     @pytest.mark.parametrize("extra", [[], ["-p", "no:benchmark"]])
     def test_benchmarks_directory_collects_one_test_per_experiment(self, extra):
         command = [sys.executable, "-m", "pytest", "benchmarks", "--co", "-q"]
@@ -118,12 +145,9 @@ class TestPaperSuite:
             check=True,
         ).stdout
         collected = [line for line in listing.splitlines() if "::" in line]
-        paper = [line for line in collected if line.startswith("benchmarks/bench_")]
-        assert len(paper) == len(EXPERIMENTS) == 12
-        for name in EXPERIMENTS:
-            # figure1 -> bench_figure1_*.py, jdd-ablation -> bench_jdd_*.py, ...
-            pattern = rf"bench_{re.escape(name.split('-')[0])}\w*\.py::"
-            assert sum(bool(re.search(pattern, line)) for line in paper) == 1, name
+        paper = [line for line in collected if line.startswith("benchmarks/test_paper.py::")]
+        assert paper == [f"benchmarks/test_paper.py::test_paper[{name}]" for name in sorted(EXPERIMENTS)]
+        assert len(paper) == 12
         harness = [line for line in collected if line not in paper]
         assert harness and all(
             line.startswith("benchmarks/e2e/test_harness.py::") for line in harness

@@ -40,9 +40,14 @@ class TestConfig:
         assert config.step_scale == 0.5
         assert config.seed == 77
 
-    def test_default_config_ignores_malformed_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "not-a-number")
-        assert default_config().graph_scale == 1.0
+    def test_default_config_rejects_malformed_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0,5")
+        with pytest.raises(ValueError, match="REPRO_BENCH_SCALE='0,5'"):
+            default_config()
+        monkeypatch.delenv("REPRO_BENCH_SCALE")
+        monkeypatch.setenv("REPRO_BENCH_SEED", "1.5")
+        with pytest.raises(ValueError, match="REPRO_BENCH_SEED='1.5' is not a valid int"):
+            default_config()
 
     def test_scaling_helpers(self, tiny_config):
         config = tiny_config.with_overrides(graph_scale=0.5, step_scale=2.0)

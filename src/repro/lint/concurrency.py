@@ -26,8 +26,8 @@ Findings:
   a lock-like acquisition the analyzer cannot resolve (add an inline
   ``# lock: <key>`` comment to resolve ambiguity).
 * **R009 blocking-under-lock** — a blocking operation (sleep, sqlite I/O,
-  pipe/socket I/O, pool dispatch, ``wait()`` without timeout, process
-  join) performed, directly or via calls, while holding a lock that is
+  pipe/socket I/O, an HTTP round trip, pool dispatch, ``wait()`` without
+  timeout, process join) performed, directly or via calls, while holding a lock that is
   not declared ``io-ok``.
 
 The annotation grammar, checked at definition sites::
@@ -501,6 +501,8 @@ def _classify_blocking(call: ast.Call, bindings: dict[str, str]) -> str | None:
     if attr in ("recv", "recv_bytes", "send", "send_bytes"):
         if any(token in receiver for token in _PIPE_RECEIVERS):
             return f"pipe {attr}()"
+    if attr in ("request", "getresponse") and "conn" in receiver:
+        return f"http {attr}()"  # an http.client connection round trip
     if attr == "join" and not _has_timeout(call):
         if any(token in receiver for token in _PROC_RECEIVERS):
             return "join() without timeout"

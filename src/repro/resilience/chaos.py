@@ -488,8 +488,6 @@ def _subprocess_faults(rng: random.Random, cycle_seed: int) -> str:
 def _run_subprocess(
     seed: int, steps: int, workers: int, verbose: bool
 ) -> ChaosReport:
-    from urllib.error import URLError
-
     from ..service.http import ServiceClient
     from ..service.registry import default_query_builders
 
@@ -513,7 +511,7 @@ def _run_subprocess(
     }
     accounting = _Accounting(unit_costs)
 
-    connection_errors = (URLError, ConnectionError, TimeoutError, OSError)
+    connection_errors = OSError  # refused, reset, dropped or timed out
     cycles = max(2, min(4, steps // 10))
     per_cycle = -(-steps // cycles)
     proc = None
@@ -598,6 +596,10 @@ def _run_subprocess(
                         report.acked += 1
                     accounting.record_ack(query, epsilon, payload["charged"])
                     break
+                # A kept connection keeps its worker: each op opens a fresh
+                # one, so the kernel spreads ops across the fleet and a
+                # release is replayed, and a session rebuilt, by a sibling.
+                client.close()
                 if verbose and done % 10 == 0:
                     print(
                         f"chaos cycle {cycle}: {done}/{steps} ops",
@@ -614,18 +616,42 @@ def _run_subprocess(
         accounting.check_bounds(
             _spent_by_source(budget), report, "after kill-cycle recovery"
         )
-        for (query, epsilon), values in accounting.answers.items():
-            payload = client.measure("chaos", query, epsilon)
-            if payload["values"] != values:
-                report.violations.append(
-                    f"replay: ({query}, ε={epsilon}) not bit-identical after "
-                    f"crash recovery"
-                )
-            if payload["charged"]:
-                report.violations.append(
-                    f"phantom ε: replay of ({query}, ε={epsilon}) charged "
-                    f"again after crash recovery"
-                )
+        # Replay every acknowledged answer, one connection each, in passes
+        # until every worker has answered some replay: workers come up one
+        # by one, and the kernel picks which one accepts a connection.
+        answered_by: set[int] = set()
+        passes = 0
+        violations_before = len(report.violations)
+        deadline = time.monotonic() + _LIVENESS_TIMEOUT
+        while accounting.answers and len(report.violations) == violations_before:
+            passes += 1
+            for (query, epsilon), values in accounting.answers.items():
+                payload = client.measure("chaos", query, epsilon)
+                # Same connection, so same worker as the replay.
+                answered_by.add(client.stats()["http"]["pid"])
+                client.close()
+                if payload["values"] != values:
+                    report.violations.append(
+                        f"replay: ({query}, ε={epsilon}) not bit-identical "
+                        f"after crash recovery"
+                    )
+                if payload["charged"]:
+                    report.violations.append(
+                        f"phantom ε: replay of ({query}, ε={epsilon}) charged "
+                        f"again after crash recovery"
+                    )
+            if len(answered_by) == workers or time.monotonic() > deadline:
+                break
+        report.notes.append(
+            f"{len(accounting.answers)} answers replayed after recovery in "
+            f"{passes} pass(es), by {len(answered_by)} of {workers} workers"
+        )
+        replays_held = len(report.violations) == violations_before
+        if passes and replays_held and len(answered_by) < workers:
+            report.violations.append(
+                f"coverage: only {len(answered_by)} of {workers} workers "
+                f"answered a replay within {_LIVENESS_TIMEOUT:g}s"
+            )
         budget_after = client.budget("chaos")
         if _spent_by_source(budget_after) != _spent_by_source(budget):
             report.violations.append(

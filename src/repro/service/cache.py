@@ -29,12 +29,14 @@ liability:
 ``max_entries`` counts *fresh releases*, so what it buys is time: a retry
 replays for free only while fewer than ``max_entries`` newer releases have
 been made.  ε is not renewable, so that window must not quietly shrink as
-the server gets faster.  The default of 65 536 is about 70 s of fresh
-releases at 900 requests/s — the rate one process serves hosted queries at
-now that their exact answers are computed once (4 096, the former default,
-was under 5 s of it) — and, at the ≈ 0.7 KB a small hosted answer retains,
-about 45 MB when full.  The exact answers the sessions hold are *not* in this
-cache: they are never released, only noised.
+the server gets faster, and it must outlast the client's 60 s default
+timeout, after which a client gives up and may retry.  The default of
+131 072 is about 110 s of fresh releases at ≈ 1 170 per second — the rate
+one process serves hosted queries at over keep-alive connections (65 536,
+the former default, was ≈ 56 s of it, and 4 096 before that under 5 s) —
+and, at the ≈ 0.7 KB a small hosted answer retains, about 90 MB when full.
+The exact answers the sessions hold are *not* in this cache: they are never
+released, only noised.
 
 Only answers actually *released* may be reused: entries are inserted by the
 scheduler after the ledger accepted the batch charge, never speculatively.
@@ -57,7 +59,7 @@ __all__ = ["AnswerCache"]
 class AnswerCache:
     """Thread-safe LRU map of ``(session, plan identity, ε)`` to released answers."""
 
-    def __init__(self, max_entries: int = 65536) -> None:
+    def __init__(self, max_entries: int = 131072) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be a positive integer")
         self._lock = ordered_lock("service.cache", 18)  # lock-order: 18

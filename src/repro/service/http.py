@@ -4,7 +4,14 @@ No third-party dependencies: the server is a
 :class:`http.server.ThreadingHTTPServer` (one handler thread per connection —
 exactly what the batching scheduler wants, since concurrent handler threads
 submitting against one session are fused into one executor pass), and
-:class:`ServiceClient` speaks the same JSON over :mod:`urllib`.
+:class:`ServiceClient` speaks the same JSON over :mod:`http.client`.
+
+Connections are HTTP/1.1 keep-alive: a client holds one persistent
+connection per calling thread, so an analyst's requests after the first pay
+no TCP connect and no new handler thread.  A request is sent at most once —
+any error on a connection closes it and re-raises, and the next call opens a
+fresh one.  ``/v1/stats`` counts ``http.connections`` (accepted) and
+``http.requests`` (handled), so an operator can see the reuse.
 
 Endpoints (all JSON)::
 
@@ -18,7 +25,8 @@ Endpoints (all JSON)::
     GET    /v1/sessions/NAME/audit       that session's audit events
     POST   /v1/sessions/NAME/measure     {query, epsilon} -> released values
     GET    /v1/audit                     the full audit log
-    GET    /v1/stats                     scheduler, cache + exact-answer counters
+    GET    /v1/stats                     scheduler, cache, exact-answer and
+                                         connection counters
 
 Records travel as JSON arrays and are converted to tuples on the way in
 (graph edges ``[u, v]`` become ``(u, v)``); released values come back as
@@ -33,10 +41,13 @@ second charge.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import select
+import socket
 import threading
-import urllib.error
-import urllib.request
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -44,6 +55,7 @@ from ..exceptions import (
     BudgetExceededError,
     CircuitOpenError,
     DeadlineExceededError,
+    FaultInjectedError,
     InvalidEpsilonError,
     PlanError,
     RateLimitedError,
@@ -54,6 +66,7 @@ from ..exceptions import (
 )
 from ..resilience.deadline import Deadline
 from ..resilience.faults import inject
+from ..sanitize import ordered_lock
 from .core import MeasurementService
 from .scheduler import MeasurementAnswer
 
@@ -140,9 +153,28 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests onto the server's :class:`MeasurementService`."""
 
     protocol_version = "HTTP/1.1"
+    # A reply is two writes (headers, then body); with Nagle's algorithm the
+    # second waits for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
     server: "ServiceHTTPServer"
 
     # ------------------------------------------------------------------
+    def setup(self) -> None:
+        super().setup()
+        self.server._track(self.connection)
+
+    def parse_request(self) -> bool:
+        self._body_read = False
+        if self.server._stopping:
+            # Data that reached a connection after stop() shut its read side
+            # is still readable: drop it rather than serve it.
+            self.close_connection = True
+            return False
+        if not super().parse_request():
+            return False
+        self.server._count_request()
+        return True
+
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:  # pragma: no cover - debugging aid
             super().log_message(format, *args)
@@ -156,6 +188,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if not self._body_read and (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            # The request body is still in the socket, where it would be
+            # parsed as the next request line: end the connection instead.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -172,16 +211,22 @@ class _Handler(BaseHTTPRequestHandler):
             payload["requested"] = exc.requested
             payload["remaining"] = exc.remaining
             payload["source"] = exc.source
+        if isinstance(exc, FaultInjectedError):
+            payload["point"] = exc.point
         self._reply(payload, status=_status_for(exc))
 
     def _payload(self) -> dict[str, Any]:
         # Fault point: a request lost mid-read (client vanished, socket
         # reset) before the service layer ever sees it.
         inject("http.read")
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
+        raw = self.headers.get("Content-Length") or "0"
+        if not raw.isdecimal() or "Transfer-Encoding" in self.headers:
+            raise PlanError("a request body needs a plain Content-Length header")
+        body = self.rfile.read(int(raw))
+        self._body_read = True
+        if not body:
             return {}
-        decoded = json.loads(self.rfile.read(length).decode("utf-8"))
+        decoded = json.loads(body.decode("utf-8"))
         if not isinstance(decoded, dict):
             raise PlanError("request body must be a JSON object")
         return decoded
@@ -213,7 +258,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif route == ("v1", "sessions"):
                 self._reply({"sessions": service.sessions()})
             elif route == ("v1", "stats"):
-                self._reply(service.stats())
+                self._reply({**service.stats(), "http": self.server.http_stats()})
             elif route == ("v1", "audit"):
                 self._reply({"events": [event.to_dict() for event in service.audit()]})
             elif len(route) == 3 and route[:2] == ("v1", "sessions"):
@@ -338,6 +383,45 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.verbose = verbose
         self.measure_timeout = measure_timeout
+        self._connections_lock = ordered_lock("service.http", 8)  # lock-order: 8
+        self._open: set[socket.socket] = set()
+        self._closed_all = threading.Event()  # set by the last close after stop()
+        self._accepted = 0
+        self._handled = 0
+        self._stopping = False
+
+    def _track(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._accepted += 1
+            self._open.add(connection)
+            stopping = self._stopping
+        if stopping:  # accepted just before stop(), which missed it
+            _shut_read(connection)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        # Called on the handler's thread once it is done with the connection.
+        super().shutdown_request(request)
+        with self._connections_lock:
+            self._open.discard(request)
+            if self._stopping and not self._open:
+                self._closed_all.set()
+
+    def _count_request(self) -> None:
+        with self._connections_lock:
+            self._handled += 1
+
+    def http_stats(self) -> dict[str, int]:
+        """Connections accepted and requests handled since the server started.
+
+        ``pid`` names the process the counts belong to: each worker of a
+        ``repro serve --workers N`` fleet keeps its own.
+        """
+        with self._connections_lock:
+            return {
+                "pid": os.getpid(),
+                "connections": self._accepted,
+                "requests": self._handled,
+            }
 
     @property
     def url(self) -> str:
@@ -352,10 +436,36 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         return thread
 
     def stop(self) -> None:
-        """Shut the listener and the service's worker pool down."""
+        """Shut the listener, the open connections and the worker pool down."""
         self.shutdown()
+        self.stop_serving()
+
+    def stop_serving(self) -> None:
+        """Everything :meth:`stop` does once the accept loop has ended.
+
+        Every open connection's read side is shut: an idle one reads EOF and
+        closes, a reply in flight is still written, and no further request
+        is served.  Then the listener closes and the service drains.
+        Returns when every connection is closed, or after a few seconds if
+        a client is not reading its reply.  A forked worker, whose accept
+        loop unwinds on a signal, calls this directly.
+        """
+        with self._connections_lock:
+            self._stopping = True
+            open_connections = list(self._open)
+        for connection in open_connections:
+            _shut_read(connection)
         self.server_close()
         self.service.shutdown()
+        if open_connections:
+            self._closed_all.wait(timeout=5.0)
+
+
+def _shut_read(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:  # already closed by its handler
+        pass
 
 
 def serve(
@@ -406,18 +516,61 @@ def serve(
     )
 
 
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has data, EOF or an error to report right now.
+
+    ``poll``, not ``select``: ``select`` refuses descriptors past
+    ``FD_SETSIZE``, which a busy process reaches.
+    """
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class ServiceClient:
     """Python client for the measurement service's HTTP/JSON API.
 
     Raises the library's own exceptions on errors: a 503 becomes
     :class:`ServiceOverloadedError` (retry with backoff), a 403 becomes
     :class:`BudgetExceededError` with the requested/remaining amounts, other
-    service failures raise :class:`ServiceError`.
+    service failures raise :class:`ServiceError`.  A failed connection raises
+    an :class:`OSError` subclass.
+
+    Each calling thread keeps one persistent connection, so a client shared
+    by N threads still sends N requests at once.  A request is never re-sent:
+    any error on a connection closes it and re-raises.  An idle connection
+    the server has since closed is noticed before anything is written to it
+    and replaced by a fresh one.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http":
+            raise ValueError(f"ServiceClient needs an http:// URL, got {base_url!r}")
+        self._host, self._port, self._prefix = parts.hostname, parts.port, parts.path
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next call reconnects."""
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        if connection is not None:
+            connection.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout
+            )
+            self._local.connection = connection
+        elif connection.sock is not None and _readable(connection.sock):
+            # An idle connection has nothing to read unless the server has
+            # closed it: reconnect before writing anything.
+            connection.close()
+        return connection
 
     # ------------------------------------------------------------------
     def _request(
@@ -428,21 +581,32 @@ class ServiceClient:
         headers: dict[str, str] | None = None,
     ) -> dict[str, Any]:
         body = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                error = json.loads(exc.read().decode("utf-8"))
-            except Exception:  # noqa: BLE001 - malformed error body
-                error = {"error": str(exc), "type": "ServiceError"}
-            raise self._exception_for(exc.code, error) from exc
+            connection.request(
+                method,
+                self._prefix + path,
+                body=body,
+                headers={"Content-Type": "application/json", **(headers or {})},
+            )
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException as exc:
+            self.close()
+            if isinstance(exc, http.client.HTTPException) and not isinstance(
+                exc, OSError
+            ):
+                raise ConnectionError(f"malformed HTTP response: {exc!r}") from exc
+            raise
+        if response.will_close:
+            self.close()
+        if response.status < 400:
+            return json.loads(data.decode("utf-8"))
+        try:
+            error = json.loads(data.decode("utf-8"))
+        except Exception:  # noqa: BLE001 - malformed error body
+            error = {"error": f"HTTP {response.status}", "type": "ServiceError"}
+        raise self._exception_for(response.status, error)
 
     @staticmethod
     def _exception_for(status: int, error: dict[str, Any]) -> ReproError:
@@ -479,6 +643,10 @@ class ServiceClient:
             return InvalidEpsilonError(message)
         if code == "invalid_plan" or kind == "PlanError":
             return PlanError(message)
+        if code == "fault_injected" or kind == "FaultInjectedError":
+            # Not a ServiceError: an ``http.write`` fault fires after the
+            # work, so the call may have charged.
+            return FaultInjectedError(error.get("point", "unknown"), message)
         return ServiceError(message)
 
     # ------------------------------------------------------------------

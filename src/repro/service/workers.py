@@ -32,8 +32,10 @@ noise draws; the store's first-release-wins rule makes all later replays
 converge on one answer.
 
 Graceful shutdown: SIGTERM/SIGINT to the parent is forwarded to every
-worker; each worker stops accepting, drains its scheduler, takes a final
-ledger snapshot and closes its connection before exiting.  The forks are made
+worker; each worker stops accepting, ends its open keep-alive connections
+(an idle one closes, a reply in flight is still written, no further request
+is served), drains its scheduler, takes a final ledger snapshot and closes
+its sqlite connection before exiting.  The forks are made
 with both signals blocked and each process unblocks them once its handler is
 in place, so a fleet stopped while its workers are still starting exits 0 too.
 """
@@ -71,7 +73,7 @@ def _worker_main(listen_socket: socket.socket, service_kwargs: dict[str, Any],
         raise _ShutdownRequested()
 
     exit_code = 0
-    service = None
+    service = server = None
     try:
         try:
             # First thing after the fork, which ``run_workers`` makes with
@@ -98,9 +100,12 @@ def _worker_main(listen_socket: socket.socket, service_kwargs: dict[str, Any],
         finally:
             # Orderly: the accept loop ran on this thread and has unwound (or
             # never started, so there is nothing for ``server.stop()`` to wait
-            # for); drain queued batches, flush the WAL (final snapshot) and
-            # close the sqlite connection.
-            if service is not None:
+            # for).  End the open keep-alive connections, so no request is
+            # served from here on, then drain queued batches, flush the WAL
+            # (final snapshot) and close the sqlite connection.
+            if server is not None:
+                server.stop_serving()
+            elif service is not None:
                 service.shutdown()
     except BaseException:  # pragma: no cover - crash path
         import traceback

@@ -1,10 +1,11 @@
 """R009 fixture: blocking calls under a lock not declared ``io-ok``.
 
-Expected findings: exactly two R009 — the direct ``time.sleep`` in
-``slow_direct`` and the transitive one reached through ``_pause`` in
-``slow_indirect``.
+Expected findings: exactly three R009 — the direct ``time.sleep`` in
+``slow_direct``, the transitive one reached through ``_pause`` in
+``slow_indirect``, and the HTTP reply awaited in ``reply_under_lock``.
 """
 
+import http.client
 import threading
 import time
 
@@ -23,3 +24,8 @@ def slow_direct():
 def slow_indirect():
     with state_lock:
         _pause()
+
+
+def reply_under_lock(connection: http.client.HTTPConnection):
+    with state_lock:
+        return connection.getresponse()

@@ -1,10 +1,11 @@
 """Clean twin of ``bad_blocking.py``.
 
-The sleep either happens outside the lock or under a lock declared
-``io-ok`` (blocking by design, like the WAL mutex).  Expected findings:
-none.
+The sleep and the HTTP reply either happen outside the lock or under a lock
+declared ``io-ok`` (blocking by design, like the WAL mutex).  Expected
+findings: none.
 """
 
+import http.client
 import threading
 import time
 
@@ -20,3 +21,10 @@ def sleep_outside():
 def sleep_under_io_ok():
     with io_lock:
         time.sleep(0.1)
+
+
+def reply_outside_lock(connection: http.client.HTTPConnection):
+    response = connection.getresponse()
+    with io_lock:
+        pass
+    return response

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import os
 import threading
 
 import pytest
 
 from repro.exceptions import (
     BudgetExceededError,
+    FaultInjectedError,
     InvalidEpsilonError,
     ServiceError,
 )
+from repro.resilience.faults import FaultPlan, FaultRule, active_plan
 from repro.service import ServiceClient, serve
 
 EDGES = [[i, i + 1] for i in range(30)] + [[0, 2], [1, 3]]
@@ -26,7 +31,9 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return ServiceClient(server.url, timeout=30.0)
+    client = ServiceClient(server.url, timeout=30.0)
+    yield client
+    client.close()
 
 
 def test_health(client):
@@ -127,6 +134,8 @@ def test_concurrent_http_clients_fuse_and_stay_exact(server, client):
                 local.measure("swarm", "degree-ccdf", eps)
         except BaseException as exc:  # pragma: no cover
             errors.append(exc)
+        finally:
+            local.close()
 
     pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
     for thread in pool:
@@ -149,3 +158,176 @@ def test_concurrent_http_clients_fuse_and_stay_exact(server, client):
     # strict guarantee per run, but with 8 threads × 4 requests against one
     # session it has never been observed to stay at 1.)
     assert stats["largest_batch"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Keep-alive: one persistent connection per client thread
+# ----------------------------------------------------------------------
+def _spent(client, name):
+    return client.budget(name)["edges"]["spent"]
+
+
+def _raw_connection(server):
+    host, port = server.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=30.0)
+
+
+def test_sequential_calls_share_one_connection(server, client):
+    before = server.http_stats()
+    client.create_session("keepalive", EDGES, seed=0)
+    for step in range(49):
+        client.measure("keepalive", "node-count", 0.001 * (step + 1))
+    # The stats request is the 51st on the same connection.
+    after = client.stats()["http"]
+    assert after["connections"] - before["connections"] == 1
+    assert after["requests"] - before["requests"] == 51
+
+
+def test_read_fault_leaves_the_next_call_on_the_connection_answered(client):
+    client.create_session("readfault", EDGES, total_epsilon=1.0, seed=0)
+    # The fault fires before the body is read; that body must not be parsed
+    # as the connection's next request.
+    with active_plan(FaultPlan(rules=[FaultRule("http.read", "fail", limit=1)])):
+        with pytest.raises(FaultInjectedError) as info:
+            client.measure("readfault", "node-count", 0.1)
+        assert info.value.point == "http.read"
+        answer = client.measure("readfault", "node-count", 0.2)
+    assert answer["query"] == "node-count" and answer["epsilon"] == 0.2
+    assert answer["cached"] is False and answer["values"]
+    assert answer["charged"] == {"edges": pytest.approx(0.2)}
+    assert _spent(client, "readfault") == pytest.approx(0.2)
+    actions = [event["action"] for event in client.audit("readfault")]
+    assert actions == ["create-session", "measure"]
+
+
+def test_bad_content_length_closes_the_connection(server):
+    raw = _raw_connection(server)
+    raw.putrequest("POST", "/v1/sessions/readfault/measure")
+    raw.putheader("Content-Length", "2x")
+    raw.endheaders(b"{}")
+    response = raw.getresponse()
+    assert response.status == 400
+    assert json.loads(response.read())["code"] == "invalid_plan"
+    assert response.will_close
+    raw.close()
+
+
+def test_write_fault_drops_the_connection_and_the_next_call_reconnects(server, client):
+    client.create_session("writefault", EDGES, total_epsilon=1.0, seed=0)
+    acknowledged = client.measure("writefault", "node-count", 0.1)["charged"]["edges"]
+    before = server.http_stats()
+    # Two firings: the reply, then the error reply that replaces it.
+    with active_plan(FaultPlan(rules=[FaultRule("http.write", "fail", limit=2)])):
+        with pytest.raises(OSError):
+            client.measure("writefault", "node-count", 0.2)
+    answer = client.measure("writefault", "node-count", 0.3)
+    acknowledged += answer["charged"]["edges"]
+    assert answer["cached"] is False and answer["epsilon"] == 0.3
+    assert server.http_stats()["connections"] - before["connections"] == 1
+    # The failed call may have charged (its work was done), but only once.
+    spent = _spent(client, "writefault")
+    assert acknowledged - 1e-9 <= spent <= acknowledged + 0.2 + 1e-9
+
+
+def test_stop_ends_idle_connections_and_serves_nothing_more():
+    server = serve(port=0, workers=2)
+    server.serve_in_background()
+    client = ServiceClient(server.url, timeout=30.0)
+    client.create_session("stopped", EDGES, seed=0)
+    client.measure("stopped", "node-count", 0.1)
+    raw = _raw_connection(server)
+    raw.request("GET", "/healthz")
+    assert raw.getresponse().read()
+    rows = len(server.service.audit())
+    server.stop()
+    # A repeat would be a cache hit, which writes an audit row.
+    with pytest.raises(OSError):
+        client.measure("stopped", "node-count", 0.1)
+    body = json.dumps({"query": "node-count", "epsilon": 0.1})
+    with pytest.raises(OSError):
+        raw.request("POST", "/v1/sessions/stopped/measure", body=body)
+        raw.getresponse()
+    assert len(server.service.audit()) == rows
+    raw.close()
+
+
+def test_a_restarted_server_is_reached_on_the_first_call():
+    first = serve(port=0)
+    first.serve_in_background()
+    port = first.server_address[1]
+    client = ServiceClient(first.url, timeout=30.0)
+    assert client.health()["status"] == "ok"
+    first.stop()
+    second = serve(port=port)
+    second.serve_in_background()
+    try:
+        assert client.health()["status"] == "ok"
+        assert second.http_stats() == {
+            "pid": os.getpid(),
+            "connections": 1,
+            "requests": 1,
+        }
+    finally:
+        client.close()
+        second.stop()
+
+
+def test_a_connection_past_fd_setsize_is_reused(server):
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    wanted = 1200
+    if hard != resource.RLIM_INFINITY and hard < wanted:
+        pytest.skip(f"RLIMIT_NOFILE hard limit {hard} < {wanted}")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, wanted), hard))
+    filler: list[int] = []
+    client = ServiceClient(server.url, timeout=30.0)
+    try:
+        # Take every descriptor below 1100, so the client's socket is one
+        # that select() refuses.
+        while not filler or filler[-1] < 1100:
+            filler.append(os.open(os.devnull, os.O_RDONLY))
+        before = server.http_stats()
+        assert client.health()["status"] == "ok"
+        assert client._local.connection.sock.fileno() >= 1024
+        assert client.health()["status"] == "ok"
+        after = client.stats()["http"]
+        assert after["connections"] - before["connections"] == 1
+    finally:
+        client.close()
+        for fd in filler:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+def test_one_client_shared_by_four_threads(server):
+    shared = ServiceClient(server.url, timeout=60.0)
+    shared.create_session("shared", EDGES, total_epsilon=10.0, seed=0)
+    threads, per_thread = 4, 10
+    barrier = threading.Barrier(threads)
+    errors: list[BaseException] = []
+    before = server.http_stats()
+
+    def work(index: int) -> None:
+        barrier.wait()
+        try:
+            for step in range(per_thread):
+                epsilon = 0.001 * (1 + index * per_thread + step)
+                reply = shared.measure("shared", "degree-ccdf", epsilon)
+                assert reply["epsilon"] == epsilon
+                assert reply["charged"] == {"edges": pytest.approx(epsilon)}
+        except BaseException as exc:  # pragma: no cover
+            errors.append(exc)
+        finally:
+            shared.close()
+
+    pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    assert not errors, f"client raised: {errors[0]!r}"
+    assert server.http_stats()["connections"] - before["connections"] == threads
+    expected = sum(0.001 * (1 + i) for i in range(threads * per_thread))
+    assert _spent(shared, "shared") == pytest.approx(expected)
+    shared.close()

@@ -347,22 +347,22 @@ class TestAdmissionControl:
 # repro serve --ledger: graceful shutdown and multi-process workers
 # ----------------------------------------------------------------------
 def _wait_for_server(client, proc, deadline=180.0):
-    from urllib.error import URLError
-
     end = time.monotonic() + deadline
     while True:
         try:
             return client.sessions()
-        except (URLError, ConnectionError, OSError):
+        except OSError:
             if proc.poll() is not None or time.monotonic() > end:
                 out = proc.stdout.read() if proc.stdout else ""
                 raise AssertionError(f"server did not come up: {out}")
             time.sleep(0.1)
 
 
-def _spawn_serve(*args: str) -> subprocess.Popen:
+def _spawn_serve(*args: str, faults: str | None = None) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    if faults is not None:
+        env["REPRO_FAULTS"] = faults
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", *args],
         env=env,
@@ -456,12 +456,23 @@ class TestServeDurability:
             _wait_for_server(client, proc)
             client.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
             first = client.measure("acme", "node-count", 0.25)
-            # Enough repeats to land on both workers: all must replay the
-            # persisted release identically with no additional charge.
-            for _ in range(6):
-                replay = client.measure("acme", "node-count", 0.25)
+            # Repeats until both workers have answered one: all must replay
+            # the persisted release identically with no additional charge.
+            # A client keeps its connection, and so its worker: each repeat
+            # opens a fresh one, and asks that worker for its pid.
+            answered_by = set()
+            for _ in range(50):
+                fresh = ServiceClient(f"http://127.0.0.1:{port}")
+                try:
+                    replay = fresh.measure("acme", "node-count", 0.25)
+                    answered_by.add(fresh.stats()["http"]["pid"])
+                finally:
+                    fresh.close()
                 assert replay["cached"]
                 assert replay["values"] == first["values"]
+                if len(answered_by) == 2:
+                    break
+            assert len(answered_by) == 2
             assert client.budget("acme")["edges"]["spent"] == pytest.approx(0.25)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=120) == 0
@@ -469,6 +480,70 @@ class TestServeDurability:
             if proc.poll() is None:  # pragma: no cover
                 proc.kill()
                 proc.wait(timeout=120)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
+    def test_fleet_stop_serves_nothing_on_an_idle_connection(self, ledger_path):
+        import http.client
+        import json
+        import threading
+
+        from repro.resilience.faults import FaultPlan, FaultRule
+        from repro.service import ServiceClient
+
+        # Every charge sleeps 2 s, so a worker stopped with a charge in
+        # flight is still draining when the idle connection's next request
+        # arrives.
+        delay = FaultRule("wal.intent_commit", "delay", value=2.0)
+        proc = _spawn_serve(
+            "--port", "0", "--ledger", ledger_path, "--workers", "2",
+            faults=FaultPlan(rules=[delay]).to_env(),
+        )
+        try:
+            port = self._port_of(proc)
+            client = ServiceClient(f"http://127.0.0.1:{port}")
+            _wait_for_server(client, proc)
+            client.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
+            client.measure("acme", "node-count", 0.25)
+            rows = len(client.audit("acme"))
+            pid = client.stats()["http"]["pid"]
+            # A second connection to the client's worker carries the charge.
+            for _ in range(50):
+                busy = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+                busy.request("GET", "/v1/stats")
+                if json.loads(busy.getresponse().read())["http"]["pid"] == pid:
+                    break
+                busy.close()
+            else:  # pragma: no cover
+                pytest.fail("no second connection reached the client's worker")
+            replies = []
+
+            def charge():
+                body = json.dumps({"query": "node-count", "epsilon": 0.1})
+                busy.request("POST", "/v1/sessions/acme/measure", body=body)
+                response = busy.getresponse()
+                replies.append((response.status, json.loads(response.read())))
+
+            in_flight = threading.Thread(target=charge)
+            in_flight.start()
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.5)
+            # The worker is draining the charge.  A repeat on the idle
+            # connection would be a cache hit, which writes an audit row.
+            with pytest.raises(OSError):
+                client.measure("acme", "node-count", 0.25)
+            in_flight.join(timeout=60)
+            busy.close()
+            # The reply in flight was still written.
+            assert replies and replies[0][0] == 200
+            assert replies[0][1]["charged"] == {"edges": pytest.approx(0.1)}
+            assert proc.wait(timeout=120) == 0
+        finally:
+            if proc.poll() is None:  # pragma: no cover
+                proc.kill()
+                proc.wait(timeout=120)
+        with LedgerStore(ledger_path) as store:
+            assert len(list(store.audit_rows("acme"))) == rows + 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
     def test_fleet_stopped_while_workers_start_exits_cleanly(self, ledger_path):

@@ -26,6 +26,11 @@ folded rows, so ``replay(snapshot, remaining rows)`` is an invariant of
 compaction: unresolved intents survive in the log until their commit or abort
 arrives (possibly from another worker process), no matter how many snapshots
 are taken in between.
+
+A store resumes its own fold rather than starting over
+(:meth:`repro.persistence.wal.LedgerStore.load_state`): the state it last
+folded and the intents still open in it go back into :func:`replay` in front
+of the rows appended since.
 """
 
 from __future__ import annotations
@@ -58,6 +63,15 @@ class LedgerState:
     def budget(self, scope: str, source: str) -> BudgetState | None:
         """The recovered budget for ``(scope, source)``, if registered."""
         return self.budgets.get(scope, {}).get(source)
+
+    def copy(self) -> "LedgerState":
+        """An independent copy (no :class:`BudgetState` is shared)."""
+        return LedgerState(
+            budgets={
+                scope: {source: BudgetState(b.total, b.spent) for source, b in sources.items()}
+                for scope, sources in self.budgets.items()
+            }
+        )
 
     def ensure(self, scope: str, source: str, total: float) -> BudgetState:
         """Fetch-or-create the budget for ``(scope, source)``."""
@@ -118,7 +132,7 @@ def state_from_json(payload: str | None) -> LedgerState:
 def replay(
     snapshot: LedgerState,
     rows: Iterable[Mapping[str, Any]],
-    unresolved: dict[str, list[Mapping[str, Any]]] | None = None,
+    pending: dict[str, list[Mapping[str, Any]]] | None = None,
 ) -> LedgerState:
     """Apply write-ahead-log rows on top of a snapshot, in log order.
 
@@ -126,18 +140,16 @@ def replay(
     ``amount`` keys (sqlite rows from the ``wal`` table).  Transactions are
     resolved by their ``commit`` or ``abort`` row; intents of transactions
     that never resolve within ``rows`` are dropped (see the module docstring
-    for why that is exact).  When ``unresolved`` is provided, those dropped
-    intents are collected into it keyed by transaction id — compaction uses
-    this to keep them in the log for a resolution row that may still arrive
-    from a concurrent worker.
+    for why that is exact).  ``pending``, when given, maps transaction id to
+    intents read before ``rows`` and still unresolved, and is updated in
+    place: on return it holds the intents left unresolved after ``rows``.
+    Compaction keeps those in the log for a resolution row that may still
+    arrive from a concurrent worker, and a store resuming its fold hands them
+    back in front of the next rows.
     """
-    state = LedgerState(
-        budgets={
-            scope: {source: BudgetState(b.total, b.spent) for source, b in sources.items()}
-            for scope, sources in snapshot.budgets.items()
-        }
-    )
-    pending: dict[str, list[Mapping[str, Any]]] = {}
+    state = snapshot.copy()
+    if pending is None:
+        pending = {}
     for row in rows:
         kind = row["kind"]
         if kind == "register":
@@ -156,6 +168,4 @@ def replay(
                 budget.spent += float(intent["amount"])
         elif kind == "abort":
             pending.pop(row["txn"], None)
-    if unresolved is not None:
-        unresolved.update(pending)
     return state

@@ -26,6 +26,8 @@ Tables
 ``sessions``
     Hosted-session definitions (records, total ε, seed, executor, source) so
     a restarted or sibling worker can re-materialise a tenant's session.
+    Each definition's ``generation`` stamp also has a column of its own, so
+    a lookup compares one value without decoding the records.
 ``incarnations``
     A monotonic per-scope counter advanced on every re-materialisation: each
     incarnation of a seeded session derives a distinct noise stream, so no
@@ -103,7 +105,8 @@ CREATE TABLE IF NOT EXISTS releases (
 CREATE TABLE IF NOT EXISTS sessions (
     name TEXT PRIMARY KEY,
     created_at REAL NOT NULL,
-    payload TEXT NOT NULL
+    payload TEXT NOT NULL,
+    generation TEXT NOT NULL DEFAULT ''
 );
 CREATE TABLE IF NOT EXISTS incarnations (
     scope TEXT PRIMARY KEY,
@@ -165,6 +168,12 @@ class LedgerStore:
         self._mutex = ordered_rlock("persistence.wal", 70, io_ok=True)  # lock-order: 70 io-ok
         self._commits_since_snapshot = 0
         self._closed = False
+        # The ledger state this store last folded, the intents still
+        # unresolved in it and the highest ``wal.id`` it read: the next read
+        # folds only what was appended since (see _load_state_locked).
+        self._folded = LedgerState()
+        self._folded_intents: dict[str, list[Any]] = {}
+        self._folded_id = 0
         # One connection, shared across threads under ``_mutex``; explicit
         # transaction control (isolation_level=None) because the charge
         # protocol needs precisely-placed BEGIN IMMEDIATE/COMMIT boundaries.
@@ -179,6 +188,7 @@ class LedgerStore:
         self._conn.execute("PRAGMA synchronous=FULL")
         with self._mutex:
             self._conn.executescript(_SCHEMA)
+            self._add_generation_column()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -222,11 +232,20 @@ class LedgerStore:
     # Budget write-ahead log
     # ------------------------------------------------------------------
     def load_state(self) -> LedgerState:
-        """Rebuild the current durable ledger state (snapshot + log replay)."""
+        """The current durable ledger state (snapshot + log replay).
+
+        One read transaction, so a sibling compacting between the read of the
+        snapshot and the read of the log cannot hide rows from both.
+        """
         with self._mutex:
-            snapshot = self._latest_snapshot()
-            rows = self._conn.execute("SELECT * FROM wal ORDER BY id").fetchall()
-        return replay(snapshot, rows)
+            self._conn.execute("BEGIN")
+            try:
+                state = self._load_state_locked()
+                self._conn.execute("COMMIT")
+            except BaseException:
+                self._rollback()
+                raise
+        return state
 
     def register(self, scope: str, source: str, total: float) -> tuple[float, float]:
         """Durably register ``(scope, source)`` at ``total`` ε.
@@ -351,16 +370,15 @@ class LedgerStore:
         with self._mutex:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                snapshot = self._latest_snapshot()
-                rows = self._conn.execute("SELECT * FROM wal ORDER BY id").fetchall()
-                if not rows:
+                state = self._load_state_locked()
+                keep = [row["id"] for rows in self._folded_intents.values() for row in rows]
+                if self._conn.execute("SELECT COUNT(*) FROM wal").fetchone()[0] == len(keep):
+                    # Nothing was resolved since the newest snapshot, which
+                    # therefore already holds this state.
                     self._conn.execute("COMMIT")
                     self._commits_since_snapshot = 0
                     return
-                unresolved: dict[str, list[Any]] = {}
-                state = replay(snapshot, rows, unresolved)
-                keep = {row["id"] for intents in unresolved.values() for row in intents}
-                max_id = rows[-1]["id"]
+                max_id = self._folded_id
                 self._conn.execute(
                     "INSERT INTO snapshots (wal_id, created_at, state) VALUES (?, ?, ?)",
                     (max_id, time.time(), state_to_json(state)),
@@ -479,8 +497,9 @@ class LedgerStore:
         """
         with self._mutex:
             self._conn.execute(
-                "INSERT INTO sessions (name, created_at, payload) VALUES (?, ?, ?)",
-                (name, time.time(), json.dumps(payload)),
+                "INSERT INTO sessions (name, created_at, payload, generation) "
+                "VALUES (?, ?, ?, ?)",
+                (name, time.time(), json.dumps(payload), payload.get("generation") or ""),
             )
 
     def next_incarnation(self, scope: str) -> int:
@@ -521,6 +540,18 @@ class LedgerStore:
             ).fetchone()
         return None if row is None else json.loads(row["payload"])
 
+    def session_generation(self, name: str) -> str | None:
+        """A persisted session's ``generation`` stamp, or ``None`` if absent.
+
+        One column, so a lookup never decodes the session's records; a
+        definition stored without a stamp reads ``""``.
+        """
+        with self._mutex:
+            row = self._conn.execute(
+                "SELECT generation FROM sessions WHERE name = ?", (name,)
+            ).fetchone()
+        return None if row is None else row["generation"]
+
     def session_names(self) -> list[str]:
         """Every persisted session name."""
         with self._mutex:
@@ -554,16 +585,61 @@ class LedgerStore:
         return counts
 
     # ------------------------------------------------------------------
-    def _latest_snapshot(self) -> LedgerState:
+    def _add_generation_column(self) -> None:
+        """Give a ledger file written without ``sessions.generation`` the column.
+
+        Backfilled from each stored payload.  Checked under the write lock:
+        the workers of a fleet opening one such file race to migrate it.
+        """
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            columns = [row["name"] for row in self._conn.execute("PRAGMA table_info(sessions)")]
+            if "generation" not in columns:
+                self._conn.execute(
+                    "ALTER TABLE sessions ADD COLUMN generation TEXT NOT NULL DEFAULT ''"
+                )
+                for row in self._conn.execute("SELECT name, payload FROM sessions").fetchall():
+                    self._conn.execute(
+                        "UPDATE sessions SET generation = ? WHERE name = ?",
+                        (json.loads(row["payload"]).get("generation") or "", row["name"]),
+                    )
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._rollback()
+            raise
+
+    def _latest_snapshot(self) -> tuple[int, str | None]:
+        """The newest snapshot's ``wal_id`` and JSON state (``0, None`` if none)."""
         row = self._conn.execute(
-            "SELECT state FROM snapshots ORDER BY id DESC LIMIT 1"
+            "SELECT wal_id, state FROM snapshots ORDER BY id DESC LIMIT 1"
         ).fetchone()
-        return state_from_json(row["state"] if row is not None else None)
+        return (0, None) if row is None else (row["wal_id"], row["state"])
 
     def _load_state_locked(self) -> LedgerState:
-        snapshot = self._latest_snapshot()
-        rows = self._conn.execute("SELECT * FROM wal ORDER BY id").fetchall()
-        return replay(snapshot, rows)
+        """The durable state, folding only the log this store has not read.
+
+        Called with the mutex held, inside a transaction and before it
+        writes, so every read sees one committed state.  ``wal.id`` is
+        AUTOINCREMENT: a row this store has not folded has an id above
+        ``_folded_id``, unless a sibling's compaction moved it into a snapshot
+        past that id, and then the fold restarts from that snapshot.  Both are
+        the one :func:`replay` and both give what a full replay gives, float
+        for float: a snapshot round-trips its floats exactly, and the
+        additions run in log order either way.
+        """
+        compacted, payload = self._latest_snapshot()
+        if compacted > self._folded_id:
+            base, pending, after = state_from_json(payload), {}, 0
+        else:
+            base, after = self._folded, self._folded_id
+            pending = {txn: list(rows) for txn, rows in self._folded_intents.items()}
+        rows = self._conn.execute(
+            "SELECT * FROM wal WHERE id > ? ORDER BY id", (after,)
+        ).fetchall()
+        self._folded = replay(base, rows, pending)
+        self._folded_intents = pending
+        self._folded_id = max(compacted, after, rows[-1]["id"] if rows else 0)
+        return self._folded.copy()
 
     def _rollback(self) -> None:
         try:

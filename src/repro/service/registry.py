@@ -262,22 +262,21 @@ class SessionRegistry:
         """
         with self._lock:
             hosted = self._sessions.get(name)
+            stamp = None if self._store is None else self._store.session_generation(name)
             if (
                 hosted is not None
-                and self._store is not None
                 and hosted.generation is not None
+                and stamp != hosted.generation
             ):
-                stamped = self._store.get_session(name)
-                if stamped is None or stamped.get("generation") != hosted.generation:
-                    # Stale replica: a sibling worker closed (or replaced)
-                    # this session after we materialised it.  Drop it so the
-                    # durable store alone decides whether the name is taken.
-                    self._sessions.pop(name, None)
-                    if self._on_evict is not None:
-                        self._on_evict(name)
+                # Stale replica: a sibling worker closed (or replaced) this
+                # session after we materialised it.  Drop it so the durable
+                # store alone decides whether the name is taken.
+                self._sessions.pop(name, None)
+                if self._on_evict is not None:
+                    self._on_evict(name)
             if name in self._sessions or name in self._reserved:
                 raise SessionExistsError(f"a session named {name!r} already exists")
-            if self._store is not None and self._store.get_session(name) is not None:
+            if stamp is not None:
                 raise SessionExistsError(
                     f"a session named {name!r} already exists (persisted)"
                 )
@@ -335,12 +334,8 @@ class SessionRegistry:
                 if hosted is not None:
                     return hosted
                 raise ServiceError(f"no session named {name!r}")
-            payload = self._store.get_session(name)
             if hosted is not None:
-                if (
-                    payload is not None
-                    and payload.get("generation") == hosted.generation
-                ):
+                if self._store.session_generation(name) == hosted.generation:
                     return hosted
                 # Stale replica: a sibling worker closed this session, or
                 # re-created it under a new definition.  Drop the replica
@@ -348,6 +343,7 @@ class SessionRegistry:
                 self._sessions.pop(name, None)
                 if self._on_evict is not None:
                     self._on_evict(name)
+            payload = self._store.get_session(name)
             if payload is not None:
                 return self._materialize_locked(name, payload)
             raise ServiceError(f"no session named {name!r}")
@@ -386,7 +382,7 @@ class SessionRegistry:
         with self._lock:
             known = name in self._sessions
             if self._store is not None and not known:
-                known = self._store.get_session(name) is not None
+                known = self._store.session_generation(name) is not None
             if not known:
                 raise ServiceError(f"no session named {name!r}")
             self._sessions.pop(name, None)

@@ -192,6 +192,29 @@ class TestCrossConnection:
                 b.charge("acme", {"edges": 0.75})
             assert a.spent("acme") == {"edges": 0.75}
 
+    def test_load_state_reads_one_state_while_a_sibling_compacts(
+        self, tmp_path, monkeypatch
+    ):
+        # The snapshot and the log used to be two autocommit reads: a sibling
+        # compacting between them moved the log into a snapshot this reader
+        # had already passed, and the spend vanished.
+        path = tmp_path / "ledger.db"
+        with LedgerStore(path) as a, LedgerStore(path) as b:
+            b.register("acme", "edges", 5.0)
+            b.charge("acme", {"edges": 2.0})
+            read_snapshot = a._latest_snapshot
+
+            def compact_after_read():
+                head = read_snapshot()
+                b.snapshot()
+                return head
+
+            monkeypatch.setattr(a, "_latest_snapshot", compact_after_read)
+            assert a.spent("acme") == {"edges": 2.0}
+            monkeypatch.undo()
+            assert b.stats()["wal"] == 0  # the sibling did compact
+            assert a.spent("acme") == {"edges": 2.0}
+
     def test_thread_storm_never_overspends(self, tmp_path):
         store = LedgerStore(tmp_path / "ledger.db", snapshot_every=10)
         store.register("acme", "edges", 1.0)
@@ -334,14 +357,30 @@ def test_record_codec_round_trips(record):
 # ----------------------------------------------------------------------
 _SOURCES = ("edges", "nodes")
 
-_charge_steps = st.lists(
+_ledger_steps = st.lists(
     st.tuples(
+        st.sampled_from((0, 1)),  # which of the two stores on one file acts
+        st.sampled_from(("charge", "crash", "snapshot")),
         st.sampled_from(_SOURCES),
         st.floats(min_value=0.01, max_value=1.5, allow_nan=False),
-        st.booleans(),  # take a snapshot after this step?
     ),
     max_size=25,
 )
+
+
+def _crash_between_intent_and_commit() -> None:
+    raise RuntimeError("crash between intent and commit")
+
+
+def _replayed_from_file(path) -> LedgerState:
+    """What a store that has folded nothing reads: a full replay."""
+    fresh = LedgerStore(path)
+    try:
+        return fresh.load_state()
+    finally:
+        # Not close(): its final compaction would make it one more writer.
+        fresh._closed = True
+        fresh._conn.close()
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,43 +389,58 @@ _charge_steps = st.lists(
         st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
         st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
     ),
-    steps=_charge_steps,
+    steps=_ledger_steps,
 )
 def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
     """Durable replay is extensionally equal to the in-memory ledger.
 
-    The same random charge sequence is applied to a plain BudgetLedger and
-    to a LedgerStore (with snapshots interleaved at random points); both
-    must grant/refuse identically and end at identical spends — including
-    after closing and reopening the store, i.e. after a full recovery.
+    The same random charge sequence is applied to a plain BudgetLedger and,
+    each charge on either one, to two LedgerStores on one file, with
+    snapshots on either store and crashes between intent and commit
+    interleaved.  The stores must grant/refuse as the ledger does; after
+    every step each store's resumed fold must equal, float for float, a full
+    replay by a store that has read nothing; and the spends must match the
+    ledger's, including after closing and reopening, i.e. after a full
+    recovery.
     """
     path = tmp_path_factory.mktemp("wal") / "ledger.db"
     memory = BudgetLedger()
-    store = LedgerStore(path, snapshot_every=1000)
+    stores = [LedgerStore(path, snapshot_every=1000) for _ in range(2)]
     try:
         for source, total in zip(_SOURCES, totals):
             memory.register(source, total)
-            store.register("scope", source, total)
-        for source, amount, snap in steps:
-            try:
-                memory.charge({source: amount})
-                memory_granted = True
-            except BudgetExceededError:
-                memory_granted = False
-            try:
-                store.charge("scope", {source: amount})
-                store_granted = True
-            except BudgetExceededError:
-                store_granted = False
-            assert memory_granted == store_granted
-            if snap:
+            for store in stores:
+                store.register("scope", source, total)
+        for which, action, source, amount in steps:
+            store = stores[which]
+            if action == "snapshot":
                 store.snapshot()
+            elif action == "crash":
+                store.fault_after_intent = _crash_between_intent_and_commit
+                with pytest.raises(RuntimeError):
+                    store.charge("scope", {source: amount})
+                store.fault_after_intent = None
+            else:
+                try:
+                    memory.charge({source: amount})
+                    memory_granted = True
+                except BudgetExceededError:
+                    memory_granted = False
+                try:
+                    store.charge("scope", {source: amount})
+                    store_granted = True
+                except BudgetExceededError:
+                    store_granted = False
+                assert memory_granted == store_granted
+            replayed = _replayed_from_file(path)
+            assert [store.load_state() for store in stores] == [replayed, replayed]
         expected = {
             source: report["spent"] for source, report in memory.report().items()
         }
-        assert store.spent("scope") == pytest.approx(expected)
+        assert stores[0].spent("scope") == pytest.approx(expected)
     finally:
-        store.close()
+        for store in stores:
+            store.close()
     with LedgerStore(path) as reopened:
         assert reopened.spent("scope") == pytest.approx(expected)
 

@@ -9,8 +9,10 @@ on SIGTERM (subprocess test, including the ``--workers N`` fork path).
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -207,6 +209,54 @@ class TestServiceRestart:
             assert len(b.session("acme").session.dataset("edges")) == 5
             # Spent ε resumed across the close: 0.25 before + 0.25 after.
             assert b.budget_report("acme")["edges"]["spent"] == pytest.approx(0.5)
+        finally:
+            a.shutdown()
+            b.shutdown()
+
+    def test_ledger_without_generation_column_still_evicts(self, ledger_path):
+        """A ledger file written before ``sessions`` had a ``generation``
+        column gains it on open, backfilled from each payload, and a sibling
+        still keeps its replica while the definition stands and evicts it
+        after a close and re-create."""
+        legacy = sqlite3.connect(ledger_path)
+        legacy.execute(
+            "CREATE TABLE sessions (name TEXT PRIMARY KEY, "
+            "created_at REAL NOT NULL, payload TEXT NOT NULL)"
+        )
+        payload = {
+            "records": [[list(edge), 1.0] for edge in EDGES],
+            "total_epsilon": 1.0,
+            "seed": 7,
+            "executor": "eager",
+            "source": "edges",
+            "generation": "stamped-before-the-column",
+        }
+        legacy.execute(
+            "INSERT INTO sessions VALUES ('acme', 0.0, ?)", (json.dumps(payload),)
+        )
+        legacy.commit()
+        legacy.close()
+        with LedgerStore(ledger_path) as store:
+            assert store.session_generation("acme") == "stamped-before-the-column"
+            assert store.session_generation("nobody") is None
+
+        a = _service(ledger_path)
+        b = _service(ledger_path)
+        try:
+            replica = b.session("acme")
+            assert not b.measure("acme", "node-count", 0.25).cached
+            assert b.session("acme") is replica
+
+            a.close_session("acme")
+            with pytest.raises(ServiceError, match="no session"):
+                b.measure("acme", "node-count", 0.25)
+            a.create_session(
+                "acme", [(i, i + 1) for i in range(5)], total_epsilon=1.0, seed=7
+            )
+            answer = b.measure("acme", "node-count", 0.25)
+            assert not answer.cached
+            assert answer.charged
+            assert len(b.session("acme").session.dataset("edges")) == 5
         finally:
             a.shutdown()
             b.shutdown()

@@ -44,10 +44,10 @@ The package is organised as follows:
     group-commit request batching, answer replay, an HTTP/JSON transport
     (``repro serve``) and fork-based multi-process workers.
 ``repro.persistence``
-    Durability under the service: a write-ahead-logged sqlite ledger store
-    with snapshot compaction and exact crash recovery, the ``DurableLedger``
-    drop-in for ``BudgetLedger``, and per-tenant rate limiting / load
-    shedding.
+    Durability under the service: a sqlite ledger store whose budgets are
+    a table (a charge is one transaction) with exact crash recovery, the
+    ``DurableLedger`` drop-in for ``BudgetLedger``, and per-tenant rate
+    limiting / load shedding.
 """
 
 from .core import (

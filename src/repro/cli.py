@@ -386,7 +386,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     log, and released answers survive crashes and restarts) and enables
     ``--workers N`` multi-process serving over one shared ledger.  SIGINT
     and SIGTERM shut down gracefully: stop accepting, drain queued batches,
-    take a final ledger snapshot, close the sqlite connection.
+    close the sqlite connection.
     """
     import signal
     import threading
@@ -403,7 +403,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 "max_pending": args.max_pending,
                 "default_executor": args.executor,
                 "ledger_path": args.ledger,
-                "snapshot_every": args.snapshot_every,
                 "rate_limit": args.rate,
                 "rate_burst": args.burst,
                 "max_total_pending": args.max_total_pending,
@@ -423,7 +422,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         verbose=args.verbose,
         ledger=args.ledger,
-        snapshot_every=args.snapshot_every,
         rate_limit=args.rate,
         rate_burst=args.burst,
         max_total_pending=args.max_total_pending,
@@ -455,8 +453,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     except (_ShutdownRequested, KeyboardInterrupt):
         pass
     finally:
-        # stop() drains the scheduler, flushes the WAL (final snapshot) and
-        # closes the sqlite connection before the process exits.
+        # stop() drains the scheduler and closes the sqlite connection
+        # before the process exits.
         server.stop()
     return 0
 
@@ -660,12 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
             "for 'serve': forked HTTP worker processes sharing one socket "
             "and one --ledger file (default 1 = single process)"
         ),
-    )
-    parser.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=64,
-        help="for 'serve': ledger-log compaction cadence (commits between snapshots)",
     )
     parser.add_argument(
         "--rate",

@@ -152,10 +152,12 @@ class PrivacyBudget:
         in-memory view track the durable store — which may include charges
         committed by other worker processes, or spend recovered from a
         previous incarnation.  Not part of the public API: callers must have
-        durably committed the spend they are syncing to.
+        durably committed the spend they are syncing to.  Durable spend only
+        grows, so a total older than the one already adopted (two threads'
+        charges returning out of order) is ignored.
         """
         with self._lock:
-            self._spent = float(spent)
+            self._spent = max(self._spent, float(spent))
 
     def _record_charge(self, epsilon: float, description: str) -> None:
         """Append a history entry without debiting (the debit came via

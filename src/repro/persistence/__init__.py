@@ -7,18 +7,14 @@ death, and provides the admission controls a durable multi-process service
 needs:
 
 :mod:`repro.persistence.wal`
-    :class:`LedgerStore` — a WAL-mode sqlite file holding the budget
-    write-ahead log (intent/commit charge transactions), snapshots, the
-    append-only audit log, released answers, and hosted-session definitions.
-    Safe to share between worker processes (serialized write transactions).
-:mod:`repro.persistence.snapshot`
-    Snapshot state model and :func:`replay` — rebuilds the exact pre-crash
-    ledger state from snapshot + log tail, dropping unresolved charge intents
-    (which, by the commit protocol, never correspond to released answers).
+    :class:`LedgerStore` — a WAL-mode sqlite file holding the budgets table
+    (a charge is one write transaction), the append-only audit log, released
+    answers, and hosted-session definitions.  Safe to share between worker
+    processes (serialized write transactions).
 :mod:`repro.persistence.ledger`
     :class:`DurableLedger` — the drop-in
-    :class:`~repro.core.budget.BudgetLedger` that writes through the store,
-    recovers spend on registration, and checks affordability against durable
+    :class:`~repro.core.budget.BudgetLedger` that charges through the store,
+    recovers spend on registration, and reads budgets from the durable
     cross-process state.
 :mod:`repro.persistence.ratelimit`
     Per-tenant :class:`TokenBucket`/:class:`RateLimiter` admission control
@@ -28,16 +24,12 @@ needs:
 
 from .ledger import DurableLedger
 from .ratelimit import LoadShedder, RateLimiter, TokenBucket
-from .snapshot import BudgetState, LedgerState, replay
 from .wal import LedgerStore
 
 __all__ = [
-    "BudgetState",
     "DurableLedger",
-    "LedgerState",
     "LedgerStore",
     "LoadShedder",
     "RateLimiter",
     "TokenBucket",
-    "replay",
 ]

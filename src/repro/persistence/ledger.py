@@ -1,35 +1,31 @@
 """A :class:`~repro.core.budget.BudgetLedger` backed by the durable store.
 
 ``DurableLedger`` is a drop-in replacement for the in-memory ledger that a
-:class:`~repro.core.queryable.PrivacySession` charges against, with three
-additional guarantees:
+:class:`~repro.core.queryable.PrivacySession` charges against.  Its budgets
+live in the store's ``budgets`` table (:mod:`repro.persistence.wal`), which
+gives three guarantees on top of the base class:
 
-* **Durability** — every registration and every charge is written to the
-  write-ahead log (:mod:`repro.persistence.wal`) *before* it is acknowledged;
-  a charge is only applied in memory after its commit record is on disk, so
-  the in-memory state is always a replica of durable state, never ahead of it.
+* **Durability** — a charge is the store's one write transaction, and it
+  returns only once the debit is committed, so nothing is acknowledged that
+  is not on disk.
 * **Crash recovery** — :meth:`register` adopts the spend recovered from the
   store, so re-opening a ledger (or re-creating a hosted session after a
   restart) resumes from the exact committed pre-crash spend: no released ε is
   ever forgotten.
 * **Cross-process exactness** — the affordability check of a charge runs
-  inside the store's serialized write transaction against *durable* spends,
-  so workers in different processes sharing one ledger file can never jointly
-  overspend a budget; in-memory copies are re-synced from the store on every
-  charge and on :meth:`report`.
+  inside that transaction against the table, so workers in different
+  processes sharing one ledger file can never jointly overspend a budget;
+  :meth:`spent`, :meth:`remaining` and :meth:`report` read the table, so
+  they include every sibling's charges.
 
-The in-memory two-phase locking of the base class is retained for
-thread-level atomicity within one process; the store's single-writer
-transaction provides the process-level serialization on top.
+A source's in-memory :class:`~repro.core.budget.PrivacyBudget` keeps its
+total and this process's charge history.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-
 from ..core.budget import BudgetLedger, PrivacyBudget
 from ..core.laplace import validate_epsilon
-from ..exceptions import BudgetExceededError
 from .wal import LedgerStore
 
 __all__ = ["DurableLedger"]
@@ -87,70 +83,39 @@ class DurableLedger(BudgetLedger):
         return budget
 
     def charge(self, costs: dict[str, float], description: str = "") -> None:
-        """Charge through the write-ahead log, then mirror in memory.
+        """Charge every source in the store's one transaction, or none.
 
-        Order of operations: in-memory pre-check (cheap, catches the common
-        refusal without touching disk) → durable intent append → durable
-        affordability check + commit record → in-memory debit synced to the
-        authoritative durable spends.  On a durable refusal — possible even
-        after the pre-check passed, when another worker spent concurrently —
-        the in-memory budgets are refreshed so reads reflect the spends that
-        caused it, and :class:`BudgetExceededError` propagates with nothing
-        charged (an ``abort`` record resolves the intents).
+        The store checks affordability against the table, so a refusal is
+        exact even when a sibling worker spent since this process last read
+        it; :class:`BudgetExceededError` then propagates with nothing
+        charged.  On success each budget records the charge in its history.
         """
         validated = {name: validate_epsilon(cost) for name, cost in costs.items()}
         budgets = {name: self.budget_for(name) for name in validated}
-        with ExitStack() as stack:
-            for name in sorted(budgets):
-                stack.enter_context(budgets[name].lock)
-            for name, cost in validated.items():
-                if not budgets[name].can_afford(cost):
-                    raise BudgetExceededError(
-                        cost, budgets[name].remaining, source=name
-                    )
-            try:
-                # The WAL write happens under the budget locks on purpose:
-                # the two-phase durable charge is only atomic if no sibling
-                # thread can read or charge these scopes between the store
-                # commit and the in-memory sync below.  The sqlite write is
-                # a bounded single-row WAL append, and the locks are
-                # per-scope, so unrelated tenants are unaffected.
-                spent_after = self._store.charge(  # lint: disable=R009
-                    self._scope, validated, description
-                )
-            except BudgetExceededError:
-                # Re-sync before surfacing: same atomicity argument.
-                self._refresh_locked(budgets)  # lint: disable=R009
-                raise
-            for name, cost in validated.items():
-                budgets[name]._sync_spent(spent_after[name])
-                budgets[name]._record_charge(cost, description)
+        spent_after = self._store.charge(self._scope, validated, description)
+        for name, cost in validated.items():
+            budgets[name]._sync_spent(spent_after[name])
+            budgets[name]._record_charge(cost, description)
+
+    def spent(self, name: str) -> float:
+        """Durable ε consumed so far by the named source."""
+        self.budget_for(name)
+        return self._store.spent(self._scope)[name]
+
+    def remaining(self, name: str) -> float:
+        """Durable ε still available for the named source."""
+        return self.budget_for(name).total - self.spent(name)
 
     def report(self) -> dict[str, dict[str, float]]:
-        """Budget summary, re-synced from the durable store first.
-
-        The refresh makes the report exact in multi-worker deployments:
-        charges committed by sibling processes since this worker's last
-        charge become visible.
-        """
-        self.refresh()
-        return super().report()
-
-    def refresh(self) -> None:
-        """Re-sync every in-memory budget to the durable committed spends."""
+        """Summary of every registered source, read from the table."""
         with self._lock:
-            budgets = dict(self._budgets)
-        with ExitStack() as stack:
-            for name in sorted(budgets):
-                stack.enter_context(budgets[name].lock)
-            # Reading durable spends under the budget locks keeps the
-            # refresh exact: no charge can interleave between the store
-            # read and the in-memory sync.  Bounded single-scope read.
-            self._refresh_locked(budgets)  # lint: disable=R009
-
-    def _refresh_locked(self, budgets: dict[str, PrivacyBudget]) -> None:
+            totals = {name: budget.total for name, budget in self._budgets.items()}
         durable = self._store.spent(self._scope)
-        for name, budget in budgets.items():
-            spent = durable.get(name)
-            if spent is not None and spent != budget.spent:
-                budget._sync_spent(spent)
+        return {
+            name: {
+                "total": total,
+                "spent": durable[name],
+                "remaining": total - durable[name],
+            }
+            for name, total in totals.items()
+        }

@@ -5,18 +5,13 @@ file.  Several stores — in other threads, or in other *processes* (the
 multi-worker server of :mod:`repro.service.workers`) — may point at the same
 file: sqlite's WAL journal plus ``BEGIN IMMEDIATE`` write transactions give a
 single serialized writer, which is exactly the concurrency model the privacy
-ledger needs, since the affordability check and the commit record of a charge
-must be atomic against every other worker's charges.
+ledger needs, since the affordability check and the debit of a charge must be
+atomic against every other worker's charges.
 
 Tables
 ------
-``wal``
-    The budget write-ahead log: ``register`` rows plus charge transactions
-    (``intent`` rows, one per involved source, resolved by one ``commit`` or
-    ``abort`` row sharing their transaction id).  Compacted into ``snapshots``
-    every ``snapshot_every`` commits.
-``snapshots``
-    Folded ledger state (JSON) as of a log prefix; the latest row wins.
+``budgets``
+    One row per ``(scope, source)``: its ``total`` and committed ``spent`` ε.
 ``audit``
     The append-only audit log.  ``seq`` is allocated by sqlite, so events are
     totally ordered across restarts and across worker processes.
@@ -34,21 +29,20 @@ Tables
     two released measurements can ever share Laplace draws (sharing a draw
     would let an analyst difference two releases and cancel the noise).
 
-The charge protocol (:meth:`LedgerStore.charge`) is deliberately two
-transactions, not one:
+A charge (:meth:`LedgerStore.charge`) is one ``BEGIN IMMEDIATE``
+transaction: read the involved ``budgets`` rows, check each source's
+affordability, then set ``spent = spent + ?`` per source (a source never
+registered gets a row at total ∞) and ``COMMIT`` — or ``ROLLBACK`` and raise
+:class:`BudgetExceededError`.  The caller releases the
+noisy answer only after the commit returns, so a crash anywhere before it
+leaves a ledger that neither charged nor released anything.  Each
+``spent`` is the sum of its committed charges added one IEEE addition at a
+time, in commit order.  ``fault_after_intent`` is a test hook invoked inside
+the transaction, before the affordability check, so crash-recovery tests can
+kill the process with the write lock held.
 
-1. append every ``intent`` row and commit — the intents are durable;
-2. in a second write transaction, re-read the durable spends (which now
-   include any charges other workers committed in between), check
-   affordability, and append the ``commit`` record — or an ``abort`` record
-   when some source cannot afford its cost.
-
-A crash between the two leaves durable intents with no resolution row;
-:func:`repro.persistence.snapshot.replay` drops them, which is exact because
-the caller is only told the charge succeeded — and only then releases the
-noisy answer — after step 2 returns.  ``fault_after_intent`` is a test hook
-invoked between the steps so crash-recovery tests can kill the process at
-precisely this point.
+A file written by an older version kept the budgets as a log of charge
+transactions plus snapshots; it is folded into ``budgets`` once, on open.
 """
 
 from __future__ import annotations
@@ -57,13 +51,11 @@ import json
 import os
 import sqlite3
 import time
-import uuid
 from typing import Any, Callable, Iterator
 
 from ..exceptions import BudgetExceededError, InvalidEpsilonError
 from ..resilience.faults import inject
 from ..sanitize import ordered_rlock
-from .snapshot import LedgerState, replay, state_from_json, state_to_json
 
 __all__ = ["LedgerStore", "decode_record", "encode_record"]
 
@@ -71,21 +63,12 @@ __all__ = ["LedgerStore", "decode_record", "encode_record"]
 _SLACK = 1e-12
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS wal (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    txn TEXT NOT NULL DEFAULT '',
-    kind TEXT NOT NULL,
-    scope TEXT NOT NULL DEFAULT '',
-    source TEXT NOT NULL DEFAULT '',
-    amount REAL NOT NULL DEFAULT 0.0,
-    description TEXT NOT NULL DEFAULT ''
-);
-CREATE INDEX IF NOT EXISTS wal_txn ON wal(txn);
-CREATE TABLE IF NOT EXISTS snapshots (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    wal_id INTEGER NOT NULL,
-    created_at REAL NOT NULL,
-    state TEXT NOT NULL
+CREATE TABLE IF NOT EXISTS budgets (
+    scope TEXT NOT NULL,
+    source TEXT NOT NULL,
+    total REAL NOT NULL,
+    spent REAL NOT NULL DEFAULT 0.0,
+    PRIMARY KEY (scope, source)
 );
 CREATE TABLE IF NOT EXISTS audit (
     seq INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -135,7 +118,7 @@ def decode_record(record: Any) -> Any:
 
 
 class LedgerStore:
-    """Durable WAL + snapshot store for budgets, audit, answers and sessions.
+    """Durable store for budgets, audit, answers and sessions.
 
     Parameters
     ----------
@@ -143,15 +126,11 @@ class LedgerStore:
         The sqlite file (created if missing).  ``":memory:"`` is rejected —
         an in-memory store would silently defeat the durability guarantee;
         use the plain in-memory service instead.
-    snapshot_every:
-        Commit count between automatic log compactions.
     timeout:
         Seconds a write transaction waits for another worker's writer lock.
     """
 
-    def __init__(
-        self, path: str | os.PathLike, snapshot_every: int = 64, timeout: float = 30.0
-    ) -> None:
+    def __init__(self, path: str | os.PathLike, timeout: float = 30.0) -> None:
         path = os.fspath(path)
         if path == ":memory:":
             raise ValueError(
@@ -159,36 +138,25 @@ class LedgerStore:
                 "survive a restart (use MeasurementService without a ledger "
                 "path for ephemeral serving)"
             )
-        if snapshot_every < 1:
-            raise ValueError("snapshot_every must be a positive integer")
         self.path = path
-        self.snapshot_every = snapshot_every
-        # Invoked between the intent append and the commit record (tests).
+        # Invoked inside a charge's transaction, before its check (tests).
         self.fault_after_intent: Callable[[], None] | None = None
         self._mutex = ordered_rlock("persistence.wal", 70, io_ok=True)  # lock-order: 70 io-ok
-        self._commits_since_snapshot = 0
         self._closed = False
-        # The ledger state this store last folded, the intents still
-        # unresolved in it and the highest ``wal.id`` it read: the next read
-        # folds only what was appended since (see _load_state_locked).
-        self._folded = LedgerState()
-        self._folded_intents: dict[str, list[Any]] = {}
-        self._folded_id = 0
         # One connection, shared across threads under ``_mutex``; explicit
-        # transaction control (isolation_level=None) because the charge
-        # protocol needs precisely-placed BEGIN IMMEDIATE/COMMIT boundaries.
+        # transaction control (isolation_level=None) because a charge needs
+        # precisely-placed BEGIN IMMEDIATE/COMMIT boundaries.
         self._conn = sqlite3.connect(
             path, timeout=timeout, isolation_level=None, check_same_thread=False
         )
         self._conn.row_factory = sqlite3.Row
         self._enter_wal_mode(timeout)
         # FULL makes a COMMIT an fsync barrier: a charge acknowledged to the
-        # caller is on disk even across power loss, which is what lets replay
-        # treat unresolved intents as exactly-not-released.
+        # caller is on disk even across power loss.
         self._conn.execute("PRAGMA synchronous=FULL")
         with self._mutex:
             self._conn.executescript(_SCHEMA)
-            self._add_generation_column()
+            self._migrate()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -212,13 +180,9 @@ class LedgerStore:
                 time.sleep(0.01)
 
     def close(self) -> None:
-        """Compact the log one final time and close the connection."""
+        """Close the connection (idempotent)."""
         with self._mutex:
-            if self._closed:
-                return
-            try:
-                self.snapshot()
-            finally:
+            if not self._closed:
                 self._closed = True
                 self._conn.close()
 
@@ -229,22 +193,15 @@ class LedgerStore:
         self.close()
 
     # ------------------------------------------------------------------
-    # Budget write-ahead log
+    # Budgets
     # ------------------------------------------------------------------
-    def load_state(self) -> LedgerState:
-        """The current durable ledger state (snapshot + log replay).
-
-        One read transaction, so a sibling compacting between the read of the
-        snapshot and the read of the log cannot hide rows from both.
-        """
+    def load_state(self) -> dict[str, dict[str, tuple[float, float]]]:
+        """Every durable budget: ``{scope: {source: (total, spent)}}``."""
         with self._mutex:
-            self._conn.execute("BEGIN")
-            try:
-                state = self._load_state_locked()
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._rollback()
-                raise
+            rows = self._conn.execute("SELECT * FROM budgets").fetchall()
+        state: dict[str, dict[str, tuple[float, float]]] = {}
+        for row in rows:
+            state.setdefault(row["scope"], {})[row["source"]] = (row["total"], row["spent"])
         return state
 
     def register(self, scope: str, source: str, total: float) -> tuple[float, float]:
@@ -258,148 +215,75 @@ class LedgerStore:
         :meth:`repro.core.budget.BudgetLedger.register`.
         """
         with self._mutex:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                state = self._load_state_locked()
-                budget = state.budget(scope, source)
-                if budget is not None:
-                    if budget.total != total:
-                        raise InvalidEpsilonError(
-                            f"source {source!r} of session {scope!r} is durably "
-                            f"registered with total epsilon {budget.total:g}, "
-                            f"refusing conflicting re-registration at {total:g}"
-                        )
-                    self._conn.execute("COMMIT")
-                    return budget.total, budget.spent
-                self._conn.execute(
-                    "INSERT INTO wal (txn, kind, scope, source, amount) "
-                    "VALUES ('', 'register', ?, ?, ?)",
-                    (scope, source, total),
-                )
-                self._conn.execute("COMMIT")
-                return total, 0.0
-            except BaseException:
-                self._rollback()
-                raise
+            self._conn.execute(
+                "INSERT INTO budgets (scope, source, total) VALUES (?, ?, ?) "
+                "ON CONFLICT DO NOTHING",
+                (scope, source, total),
+            )
+            row = self._conn.execute(
+                "SELECT total, spent FROM budgets WHERE scope = ? AND source = ?",
+                (scope, source),
+            ).fetchone()
+        if row["total"] != total:
+            raise InvalidEpsilonError(
+                f"source {source!r} of session {scope!r} is durably "
+                f"registered with total epsilon {row['total']:g}, "
+                f"refusing conflicting re-registration at {total:g}"
+            )
+        return row["total"], row["spent"]
 
     def charge(
         self, scope: str, costs: dict[str, float], description: str = ""
     ) -> dict[str, float]:
-        """Durably charge every source of ``scope``, or record an abort.
+        """Durably charge every source of ``scope``, or charge nothing.
 
-        Implements the two-step intent/commit protocol described in the
-        module docstring.  Returns the authoritative per-source ``spent``
-        totals *after* the charge (which include spends committed by other
-        workers); raises :class:`BudgetExceededError` — after durably
-        aborting the transaction — when any source cannot afford its cost
-        against the durable state.
+        One write transaction, described in the module docstring.  A source
+        never registered is charged against a total of ∞.  Returns the
+        per-source ``spent`` totals *after* the charge (which include spends
+        committed by other workers); raises :class:`BudgetExceededError`,
+        with nothing written, when any source cannot afford its cost.
+        ``description`` is for the caller's history; the audit log is its
+        durable record.
         """
-        txn = uuid.uuid4().hex
         with self._mutex:
-            # Step 1: durable intents.
             self._conn.execute("BEGIN IMMEDIATE")
             try:
+                if self.fault_after_intent is not None:
+                    self.fault_after_intent()
+                inject("wal.intent_commit")
+                current = self._budgets(scope)
+                spent_after: dict[str, float] = {}
+                for source, amount in sorted(costs.items()):
+                    total, spent = current.get(source, (float("inf"), 0.0))
+                    if amount > total - spent + _SLACK:
+                        raise BudgetExceededError(amount, total - spent, source=source)
+                    spent_after[source] = spent + amount
                 for source, amount in sorted(costs.items()):
                     self._conn.execute(
-                        "INSERT INTO wal (txn, kind, scope, source, amount, description) "
-                        "VALUES (?, 'intent', ?, ?, ?, ?)",
-                        (txn, scope, source, amount, description),
+                        "INSERT INTO budgets (scope, source, total, spent) "
+                        "VALUES (?, ?, ?, ?) "
+                        "ON CONFLICT (scope, source) DO UPDATE SET spent = spent + ?",
+                        (scope, source, float("inf"), amount, amount),
                     )
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._rollback()
-                raise
-
-            if self.fault_after_intent is not None:
-                self.fault_after_intent()
-            # Crash window the recovery protocol exists for: durable intents,
-            # no resolution row yet.  Replay drops them.
-            inject("wal.intent_commit")
-
-            # Step 2: affordability against the durable state, then the
-            # commit record — one write transaction, so the check and the
-            # commit are atomic against every other worker.
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                state = self._load_state_locked()
-                refusal: BudgetExceededError | None = None
-                for source, amount in sorted(costs.items()):
-                    budget = state.budget(scope, source)
-                    total = budget.total if budget is not None else float("inf")
-                    spent = budget.spent if budget is not None else 0.0
-                    if amount > total - spent + _SLACK:
-                        refusal = BudgetExceededError(
-                            amount, total - spent, source=source
-                        )
-                        break
-                kind = "abort" if refusal is not None else "commit"
-                self._conn.execute(
-                    "INSERT INTO wal (txn, kind) VALUES (?, ?)", (txn, kind)
-                )
                 inject("wal.pre_commit")
                 self._conn.execute("COMMIT")
                 inject("wal.post_commit")
             except BaseException:
                 self._rollback()
                 raise
-            if refusal is not None:
-                raise refusal
-            self._commits_since_snapshot += 1
-            if self._commits_since_snapshot >= self.snapshot_every:
-                self.snapshot()
-        spent_after: dict[str, float] = {}
-        for source, amount in costs.items():
-            budget = state.budget(scope, source)
-            base = budget.spent if budget is not None else 0.0
-            spent_after[source] = base + amount
         return spent_after
 
     def spent(self, scope: str) -> dict[str, float]:
         """Durable per-source committed spends of one scope."""
-        sources = self.load_state().budgets.get(scope, {})
-        return {source: budget.spent for source, budget in sources.items()}
+        return {source: spent for source, (_, spent) in self._budgets(scope).items()}
 
-    def snapshot(self) -> None:
-        """Fold the resolved log prefix into a snapshot row and prune it.
-
-        Unresolved intents (a transaction another worker has started but not
-        yet committed or aborted — or that a crashed worker will never
-        resolve) are kept in the log: they are not part of the folded state,
-        and a commit record arriving later must still find them.
-        """
+    def _budgets(self, scope: str) -> dict[str, tuple[float, float]]:
+        """One scope's budgets, ``{source: (total, spent)}``."""
         with self._mutex:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                state = self._load_state_locked()
-                keep = [row["id"] for rows in self._folded_intents.values() for row in rows]
-                if self._conn.execute("SELECT COUNT(*) FROM wal").fetchone()[0] == len(keep):
-                    # Nothing was resolved since the newest snapshot, which
-                    # therefore already holds this state.
-                    self._conn.execute("COMMIT")
-                    self._commits_since_snapshot = 0
-                    return
-                max_id = self._folded_id
-                self._conn.execute(
-                    "INSERT INTO snapshots (wal_id, created_at, state) VALUES (?, ?, ?)",
-                    (max_id, time.time(), state_to_json(state)),
-                )
-                if keep:
-                    placeholders = ",".join("?" * len(keep))
-                    self._conn.execute(
-                        f"DELETE FROM wal WHERE id NOT IN ({placeholders})",
-                        tuple(keep),
-                    )
-                else:
-                    self._conn.execute("DELETE FROM wal")
-                # Only the newest snapshot is ever read; drop the older rows.
-                self._conn.execute(
-                    "DELETE FROM snapshots WHERE wal_id < ?", (max_id,)
-                )
-                self._conn.execute("COMMIT")
-                self._commits_since_snapshot = 0
-            except BaseException:
-                self._rollback()
-                raise
+            rows = self._conn.execute(
+                "SELECT source, total, spent FROM budgets WHERE scope = ?", (scope,)
+            ).fetchall()
+        return {row["source"]: (row["total"], row["spent"]) for row in rows}
 
     # ------------------------------------------------------------------
     # Audit log
@@ -575,21 +459,22 @@ class LedgerStore:
         with self._mutex:
             counts = {
                 table: self._conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in (
-                    "wal", "snapshots", "audit", "releases", "sessions",
-                    "incarnations",
-                )
+                for table in ("budgets", "audit", "releases", "sessions", "incarnations")
             }
         counts["path"] = self.path
-        counts["snapshot_every"] = self.snapshot_every
         return counts
 
     # ------------------------------------------------------------------
-    def _add_generation_column(self) -> None:
-        """Give a ledger file written without ``sessions.generation`` the column.
+    def _migrate(self) -> None:
+        """Bring a ledger file written by an older version to this schema.
 
-        Backfilled from each stored payload.  Checked under the write lock:
-        the workers of a fleet opening one such file race to migrate it.
+        Checked under the write lock: the workers of a fleet opening one such
+        file race to migrate it, and the first to take the lock does it.
+
+        * ``sessions.generation`` is added, backfilled from each payload.
+        * The budget log (``wal`` plus its newest ``snapshots`` row) is folded
+          into ``budgets`` and dropped.  Old files hold spent ε, so they
+          must never just be ignored.
         """
         self._conn.execute("BEGIN IMMEDIATE")
         try:
@@ -603,43 +488,53 @@ class LedgerStore:
                         "UPDATE sessions SET generation = ? WHERE name = ?",
                         (json.loads(row["payload"]).get("generation") or "", row["name"]),
                     )
+            if self._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'wal'"
+            ).fetchone():
+                self._fold_log()
             self._conn.execute("COMMIT")
         except BaseException:
             self._rollback()
             raise
 
-    def _latest_snapshot(self) -> tuple[int, str | None]:
-        """The newest snapshot's ``wal_id`` and JSON state (``0, None`` if none)."""
-        row = self._conn.execute(
-            "SELECT wal_id, state FROM snapshots ORDER BY id DESC LIMIT 1"
-        ).fetchone()
-        return (0, None) if row is None else (row["wal_id"], row["state"])
+    def _fold_log(self) -> None:
+        """Move the older format's budget log into ``budgets``.
 
-    def _load_state_locked(self) -> LedgerState:
-        """The durable state, folding only the log this store has not read.
-
-        Called with the mutex held, inside a transaction and before it
-        writes, so every read sees one committed state.  ``wal.id`` is
-        AUTOINCREMENT: a row this store has not folded has an id above
-        ``_folded_id``, unless a sibling's compaction moved it into a snapshot
-        past that id, and then the fold restarts from that snapshot.  Both are
-        the one :func:`replay` and both give what a full replay gives, float
-        for float: a snapshot round-trips its floats exactly, and the
-        additions run in log order either way.
+        The newest snapshot row, then every log row in ``wal.id`` order: a
+        ``register`` row creates its budget, a ``commit`` row adds each of
+        its transaction's ``intent`` amounts to ``spent`` (a source never
+        registered gets a total of ∞), and an ``abort`` drops them.  Intents
+        never resolved are dropped: that version acknowledged a charge, and
+        released its answer, only after the commit row was on disk.  These
+        are the additions that version made when it read the log, in the
+        same order, so every ``spent`` keeps its bits.
         """
-        compacted, payload = self._latest_snapshot()
-        if compacted > self._folded_id:
-            base, pending, after = state_from_json(payload), {}, 0
-        else:
-            base, after = self._folded, self._folded_id
-            pending = {txn: list(rows) for txn, rows in self._folded_intents.items()}
-        rows = self._conn.execute(
-            "SELECT * FROM wal WHERE id > ? ORDER BY id", (after,)
-        ).fetchall()
-        self._folded = replay(base, rows, pending)
-        self._folded_intents = pending
-        self._folded_id = max(compacted, after, rows[-1]["id"] if rows else 0)
-        return self._folded.copy()
+        budgets: dict[tuple[str, str], list[float]] = {}
+        snapshot = self._conn.execute(
+            "SELECT state FROM snapshots ORDER BY id DESC LIMIT 1"
+        ).fetchone()
+        if snapshot is not None:
+            for scope, sources in json.loads(snapshot["state"]).items():
+                for source, entry in sources.items():
+                    budgets[scope, source] = [float(entry["total"]), float(entry["spent"])]
+        pending: dict[str, list[sqlite3.Row]] = {}
+        for row in self._conn.execute("SELECT * FROM wal ORDER BY id").fetchall():
+            if row["kind"] == "register":
+                budgets.setdefault((row["scope"], row["source"]), [float(row["amount"]), 0.0])
+            elif row["kind"] == "intent":
+                pending.setdefault(row["txn"], []).append(row)
+            elif row["kind"] == "commit":
+                for intent in pending.pop(row["txn"], []):
+                    key = (intent["scope"], intent["source"])
+                    budgets.setdefault(key, [float("inf"), 0.0])[1] += float(intent["amount"])
+            elif row["kind"] == "abort":
+                pending.pop(row["txn"], None)
+        self._conn.executemany(
+            "INSERT INTO budgets (scope, source, total, spent) VALUES (?, ?, ?, ?)",
+            [(scope, source, total, spent) for (scope, source), (total, spent) in budgets.items()],
+        )
+        self._conn.execute("DROP TABLE wal")
+        self._conn.execute("DROP TABLE IF EXISTS snapshots")
 
     def _rollback(self) -> None:
         try:

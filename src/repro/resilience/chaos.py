@@ -4,7 +4,7 @@
 under a *different* randomized (but seed-deterministic) fault schedule, and
 checks the four resilience invariants after every run:
 
-1. **No lost or phantom ε** — after the final ledger replay, the durable
+1. **No lost or phantom ε** — after the final ledger reopen, the durable
    spend of every protected source lies in
    ``[Σ acknowledged charges, Σ acknowledged + Σ failed-attempt charges]``:
    every answer the client acknowledged is durably paid for, and no failed
@@ -26,9 +26,10 @@ Two modes:
   segment *by construction*).
 * **subprocess kill-cycles** (``workers >= 2``): ``repro serve --workers N
   --ledger`` is spawned with a randomized ``REPRO_FAULTS`` schedule that may
-  include ``kill`` actions inside the WAL charge window; the driver measures
-  over HTTP, SIGKILLs the whole process group between cycles, restarts on
-  the same ledger, and verifies the same invariants at the end.
+  include ``kill`` actions inside the ledger's charge transaction; the
+  harness measures over HTTP, SIGKILLs the whole process group between
+  cycles, restarts on the same ledger, and verifies the same invariants at
+  the end.
 
 Shell entry point: ``python -m repro chaos --seed 1234 --steps 50``
 (non-zero exit status when any invariant is violated).
@@ -343,14 +344,13 @@ def _run_inprocess(
         service.shutdown()
         service = None
 
-        # Reopen: the WAL replay must drop unresolved intents, keep every
-        # committed charge, and warm the answer cache from persisted
-        # releases.
+        # Reopen: the ledger must hold every committed charge and nothing
+        # else, and warm the answer cache from persisted releases.
         reopened = MeasurementService(workers=2, ledger_path=ledger)
         service = reopened
         budget = reopened.session("chaos").budget_report()
         accounting.check_bounds(
-            _spent_by_source(budget), report, "after ledger replay"
+            _spent_by_source(budget), report, "after ledger reopen"
         )
         for (query, epsilon), values in accounting.answers.items():
             answer = reopened.measure(
@@ -458,9 +458,9 @@ def _kill_group(proc: subprocess.Popen) -> None:
 def _subprocess_faults(rng: random.Random, cycle_seed: int) -> str:
     """A randomized ``REPRO_FAULTS`` value for one serve incarnation.
 
-    May include a ``kill`` inside the WAL charge window — the sharpest
-    crash-consistency probe there is — plus transient WAL failures and a
-    dropped HTTP response (charge committed, ack lost)."""
+    May include a ``kill`` inside the ledger's charge transaction — the
+    sharpest crash-consistency probe there is — plus transient ledger
+    failures and a dropped HTTP response (charge committed, ack lost)."""
     rules = []
     if rng.random() < 0.5:
         point = rng.choice(["wal.intent_commit", "wal.pre_commit"])
@@ -658,7 +658,7 @@ def _run_subprocess(
                 "phantom ε: replaying acknowledged answers changed the "
                 "durable spend"
             )
-        # Graceful shutdown this time: SIGTERM drains and snapshots.
+        # Graceful shutdown this time: SIGTERM drains and closes the ledger.
         try:
             os.killpg(proc.pid, signal.SIGTERM)
         except (ProcessLookupError, PermissionError):

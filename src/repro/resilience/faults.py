@@ -2,9 +2,9 @@
 
 The production code is threaded with *injection points* — named call sites
 (``inject("wal.pre_commit")``) at the places where real deployments fail:
-around fsyncs, between the ledger's intent and commit transactions, in the
-shard pool's dispatch/heartbeat/worker paths, around shared-memory attach and
-unlink, and on HTTP socket reads/writes.  With no plan installed an injection
+around fsyncs, inside the ledger's charge transaction, in the shard pool's
+dispatch/heartbeat/worker paths, around shared-memory attach and unlink, and
+on HTTP socket reads/writes.  With no plan installed an injection
 point is a single module-global load plus a ``None`` check — free on hot
 paths.
 
@@ -66,7 +66,7 @@ ENV_VAR = "REPRO_FAULTS"
 #: may only name points listed here — a typo'd point is a configuration error,
 #: not a silently dead schedule.
 INJECTION_POINTS = {
-    "wal.intent_commit": "between the ledger intent and commit transactions",
+    "wal.intent_commit": "inside the charge transaction, before the affordability check",
     "wal.pre_commit": "before the commit transaction's fsync",
     "wal.post_commit": "after the commit transaction's fsync",
     "pool.dispatch": "before a task frame is written to a pool worker",

@@ -29,8 +29,8 @@ layer, built on the thread-safe budget accounting of :mod:`repro.core.budget`:
 
 With a durable ledger (``repro serve --ledger FILE``) the service is
 restart-safe: budgets, sessions, audit events, and released answers are
-write-ahead logged and recovered exactly on the next boot — see README
-"Durability & operations".
+committed to sqlite before they are acknowledged and recovered exactly on
+the next boot — see README "Durability & operations".
 """
 
 from .cache import AnswerCache

@@ -40,12 +40,11 @@ class MeasurementService:
     ledger_path:
         Optional path to a durable ledger file (sqlite, created if missing).
         When given, the service becomes restart-safe: budgets charge through
-        a write-ahead-logged :class:`~repro.persistence.ledger.DurableLedger`,
+        a :class:`~repro.persistence.ledger.DurableLedger` over the store's
+        budgets table,
         sessions / audit events / released answers persist, everything
         recorded before a crash is recovered on the next open, and several
         worker *processes* may share the file (``repro serve --workers N``).
-    snapshot_every:
-        Ledger-log compaction cadence (commits between snapshots).
     rate_limit / rate_burst:
         Per-tenant token-bucket admission: sustained requests/second and
         burst capacity per session (None disables rate limiting).
@@ -67,7 +66,6 @@ class MeasurementService:
         max_pending: int = 128,
         default_executor: str = "eager",
         ledger_path: str | None = None,
-        snapshot_every: int = 64,
         rate_limit: float | None = None,
         rate_burst: float | None = None,
         max_total_pending: int | None = None,
@@ -79,7 +77,7 @@ class MeasurementService:
         if ledger_path is not None:
             from ..persistence.wal import LedgerStore
 
-            self.store = LedgerStore(ledger_path, snapshot_every=snapshot_every)
+            self.store = LedgerStore(ledger_path)
         rate_limiter = None
         if rate_limit is not None:
             from ..persistence.ratelimit import RateLimiter
@@ -239,12 +237,11 @@ class MeasurementService:
         return stats
 
     def shutdown(self, wait: bool = True) -> None:
-        """Drain the scheduler's worker pool, then flush and close the store.
+        """Drain the scheduler's worker pool, then close the store.
 
         With ``wait=True`` (the default, and what ``repro serve`` uses on
         SIGINT/SIGTERM) every queued batch drains before the durable ledger
-        takes its final snapshot and closes — an orderly shutdown leaves no
-        unresolved intents in the write-ahead log.
+        closes, so every charge that started is committed or rolled back.
         """
         self.scheduler.shutdown(wait=wait)
         if self.store is not None:

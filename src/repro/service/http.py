@@ -477,7 +477,6 @@ def serve(
     executor: str = "eager",
     verbose: bool = False,
     ledger: str | None = None,
-    snapshot_every: int = 64,
     rate_limit: float | None = None,
     rate_burst: float | None = None,
     max_total_pending: int | None = None,
@@ -503,7 +502,6 @@ def serve(
             max_pending=max_pending,
             default_executor=executor,
             ledger_path=ledger,
-            snapshot_every=snapshot_every,
             rate_limit=rate_limit,
             rate_burst=rate_burst,
             max_total_pending=max_total_pending,

@@ -118,7 +118,7 @@ class BatchingScheduler:
         # The durable-ledger circuit breaker: repeated ledger failures trip
         # it and subsequent submissions fail fast (503 + retry_after) instead
         # of queueing behind a broken sqlite file.  Transient ledger errors
-        # in the retry-safe window (before the commit record is durable) are
+        # in the retry-safe window (before the charge commits) are
         # retried with seeded backoff first.
         self._ledger_breaker: CircuitBreaker | None = None
         self._ledger_retry: RetryPolicy | None = None
@@ -463,8 +463,8 @@ class BatchingScheduler:
         pre-charge check in ``PrivacySession.measure`` and to the sharded
         executor's pool task timeouts (the drain thread evaluates
         synchronously, so the context variable propagates).  Retry-safe
-        ledger failures — those that strike before the charge's commit
-        record is durable, so replay drops the intents — are retried with
+        ledger failures — those that strike before the charge's transaction
+        commits, so it rolls back with nothing charged — are retried with
         seeded backoff; every ledger failure charges the circuit breaker.
         """
         def attempt():
@@ -505,10 +505,11 @@ class BatchingScheduler:
     def _ledger_retryable(exc: BaseException) -> bool:
         """Whether retrying a failed charge is double-charge-safe.
 
-        Safe while the failure strikes *before* the commit record is durable
-        (busy/locked sqlite writers; injected faults up to ``wal.pre_commit``)
-        — replay drops the unresolved intents, so the retry is the first
-        effective charge.  A failure *after* the commit fsync
+        Safe while the failure strikes *before* the charge's transaction
+        commits (busy/locked sqlite writers; injected faults up to
+        ``wal.pre_commit``) — the transaction rolls back with nothing
+        charged, so the retry is the first effective charge.  A failure
+        *after* the commit fsync
         (``wal.post_commit``) means the ledger already charged: an automatic
         retry would charge a second time, so it propagates instead — the
         same contract as a crash in that window, where the spent ε is

@@ -11,7 +11,7 @@ What makes this sound without any cross-worker RPC is that every piece of
 
 * budget charges run through the store's serialized write transactions, so
   two workers charging one tenant concurrently can never jointly overspend —
-  the affordability check and the commit record are atomic file-wide;
+  the affordability check and the debit are atomic file-wide;
 * sessions created on one worker are persisted and re-materialised lazily by
   any sibling that is asked about them, with recovered spend — each seeded
   re-materialisation drawing from its own incarnation-derived noise stream
@@ -34,8 +34,8 @@ converge on one answer.
 Graceful shutdown: SIGTERM/SIGINT to the parent is forwarded to every
 worker; each worker stops accepting, ends its open keep-alive connections
 (an idle one closes, a reply in flight is still written, no further request
-is served), drains its scheduler, takes a final ledger snapshot and closes
-its sqlite connection before exiting.  The forks are made
+is served), drains its scheduler and closes its sqlite connection before
+exiting.  The forks are made
 with both signals blocked and each process unblocks them once its handler is
 in place, so a fleet stopped while its workers are still starting exits 0 too.
 """
@@ -101,8 +101,8 @@ def _worker_main(listen_socket: socket.socket, service_kwargs: dict[str, Any],
             # Orderly: the accept loop ran on this thread and has unwound (or
             # never started, so there is nothing for ``server.stop()`` to wait
             # for).  End the open keep-alive connections, so no request is
-            # served from here on, then drain queued batches, flush the WAL
-            # (final snapshot) and close the sqlite connection.
+            # served from here on, then drain queued batches and close the
+            # sqlite connection.
             if server is not None:
                 server.stop_serving()
             elif service is not None:

@@ -3,7 +3,7 @@
 Each ``run_chaos`` campaign drives a live service under seed-deterministic
 fault schedules and asserts, per run:
 
-* no lost or phantom epsilon after ledger replay,
+* no lost or phantom epsilon after the ledger is reopened,
 * zero orphaned /dev/shm segments,
 * the scheduler and pool never wedge (liveness),
 * every acknowledged answer replays bit-identically without a second charge.

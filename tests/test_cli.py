@@ -44,6 +44,14 @@ class TestParser:
                 parser.parse_args(argv)
             assert refused.value.code == 2, argv
 
+    def test_snapshot_every_flag_is_gone(self):
+        # The ledger is a table: there is no log left to compact.
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--ledger", "ledger.db"]).ledger == "ledger.db"
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args(["serve", "--ledger", "ledger.db", "--snapshot-every", "8"])
+        assert refused.value.code == 2
+
     def test_executor_choices_are_the_five_executors(self, capsys):
         from repro.core.executor import EXECUTORS
 

@@ -1,14 +1,16 @@
-"""Unit and property tests for the durable WAL-backed privacy ledger.
+"""Unit and property tests for the durable sqlite-backed privacy ledger.
 
-Covers the store primitives (register / charge / abort / snapshot), the
+Covers the store primitives (register / charge / refusal), the
 cross-connection visibility that makes multi-process serving sound, the
-thread-storm no-overspend guarantee, and a hypothesis property proving that
-``replay(snapshot + WAL)`` is extensionally equal to an in-memory
+thread-storm no-overspend guarantee, the one-time migration of a ledger file
+written in the older log format, and a hypothesis property proving that the
+``budgets`` table is exactly a plain-Python model and an in-memory
 :class:`~repro.core.budget.BudgetLedger` driven by the same charge sequence.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 import subprocess
@@ -22,8 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.budget import BudgetLedger
 from repro.exceptions import BudgetExceededError, InvalidEpsilonError
-from repro.persistence import DurableLedger, LedgerStore, replay
-from repro.persistence.snapshot import LedgerState, state_from_json, state_to_json
+from repro.persistence import DurableLedger, LedgerStore
 from repro.persistence.wal import decode_record, encode_record
 
 
@@ -68,10 +69,25 @@ class TestLedgerStore:
         with pytest.raises(BudgetExceededError):
             store.charge("acme", {"edges": 1.5})
         assert store.spent("acme") == {"edges": 0.0}
-        # The intents were resolved by an abort row, not left dangling.
-        unresolved: dict = {}
-        replay(LedgerState(), _wal_rows(store), unresolved)
-        assert unresolved == {}
+        # The charge's transaction was rolled back, not left open.
+        assert not store._conn.in_transaction
+
+    def test_a_charge_is_one_write_transaction(self, store):
+        # Read off the statements sqlite runs: a granted charge and a refused
+        # one each begin exactly one transaction, through DurableLedger too.
+        ledger = DurableLedger(store, "acme")
+        ledger.register("edges", 1.0)
+        statements: list[str] = []
+        store._conn.set_trace_callback(statements.append)
+        store.charge("acme", {"edges": 0.25})
+        ledger.charge({"edges": 0.25})
+        with pytest.raises(BudgetExceededError):
+            store.charge("acme", {"edges": 0.75})
+        store._conn.set_trace_callback(None)
+        verbs = [statement.split()[0] for statement in statements]
+        assert [verb for verb in verbs if verb in ("BEGIN", "COMMIT", "ROLLBACK")] == [
+            "BEGIN", "COMMIT", "BEGIN", "COMMIT", "BEGIN", "ROLLBACK",
+        ]
 
     def test_multi_source_charge_is_atomic(self, store):
         store.register("acme", "edges", 1.0)
@@ -92,10 +108,9 @@ class TestLedgerStore:
     def test_infinite_total_round_trips(self, store):
         store.register("acme", "edges", float("inf"))
         store.charge("acme", {"edges": 123.0})
-        store.snapshot()
         assert store.spent("acme") == {"edges": 123.0}
-        state = store.load_state()
-        assert state.budget("acme", "edges").total == float("inf")
+        with LedgerStore(store.path) as reopened:
+            assert reopened.load_state() == {"acme": {"edges": (float("inf"), 123.0)}}
 
     def test_reopen_recovers_exact_state(self, tmp_path):
         path = tmp_path / "ledger.db"
@@ -107,64 +122,6 @@ class TestLedgerStore:
             assert reopened.spent("acme") == {"edges": 0.75}
             total, spent = reopened.register("acme", "edges", 2.0)
             assert (total, spent) == (2.0, 0.75)
-
-
-# ----------------------------------------------------------------------
-# Snapshots and compaction
-# ----------------------------------------------------------------------
-def _wal_rows(store: LedgerStore):
-    with store._mutex:
-        return store._conn.execute("SELECT * FROM wal ORDER BY id").fetchall()
-
-
-class TestSnapshotCompaction:
-    def test_compaction_preserves_state(self, store):
-        store.register("acme", "edges", 5.0)
-        for _ in range(7):
-            store.charge("acme", {"edges": 0.25})
-        before = store.load_state().report()
-        store.snapshot()
-        assert store.load_state().report() == before
-        # The resolved log prefix was folded away.
-        assert store.stats()["wal"] == 0
-        assert store.stats()["snapshots"] == 1
-
-    def test_automatic_snapshot_cadence(self, tmp_path):
-        with LedgerStore(tmp_path / "ledger.db", snapshot_every=3) as store:
-            store.register("acme", "edges", 10.0)
-            for _ in range(3):
-                store.charge("acme", {"edges": 0.1})
-            assert store.stats()["snapshots"] >= 1
-            assert store.spent("acme")["edges"] == pytest.approx(0.3)
-
-    def test_compaction_keeps_unresolved_intents(self, store):
-        store.register("acme", "edges", 5.0)
-        store.charge("acme", {"edges": 1.0})
-
-        # Crash between intent and commit: the intent stays unresolved.
-        store.fault_after_intent = lambda: (_ for _ in ()).throw(RuntimeError("boom"))
-        with pytest.raises(RuntimeError):
-            store.charge("acme", {"edges": 2.0})
-        store.fault_after_intent = None
-
-        store.snapshot()
-        rows = _wal_rows(store)
-        assert [row["kind"] for row in rows] == ["intent"]
-        assert store.spent("acme") == {"edges": 1.0}
-
-        # A resolution row arriving later (e.g. from a sibling worker that
-        # survived) must still find the intent and apply it.
-        with store._mutex:
-            store._conn.execute(
-                "INSERT INTO wal (txn, kind) VALUES (?, 'commit')", (rows[0]["txn"],)
-            )
-        assert store.spent("acme") == {"edges": 3.0}
-
-    def test_state_json_round_trip(self):
-        state = LedgerState()
-        state.ensure("a", "edges", float("inf")).spent = 1.5
-        state.ensure("b", "nodes", 2.0).spent = 0.25
-        assert state_from_json(state_to_json(state)).report() == state.report()
 
 
 # ----------------------------------------------------------------------
@@ -192,31 +149,8 @@ class TestCrossConnection:
                 b.charge("acme", {"edges": 0.75})
             assert a.spent("acme") == {"edges": 0.75}
 
-    def test_load_state_reads_one_state_while_a_sibling_compacts(
-        self, tmp_path, monkeypatch
-    ):
-        # The snapshot and the log used to be two autocommit reads: a sibling
-        # compacting between them moved the log into a snapshot this reader
-        # had already passed, and the spend vanished.
-        path = tmp_path / "ledger.db"
-        with LedgerStore(path) as a, LedgerStore(path) as b:
-            b.register("acme", "edges", 5.0)
-            b.charge("acme", {"edges": 2.0})
-            read_snapshot = a._latest_snapshot
-
-            def compact_after_read():
-                head = read_snapshot()
-                b.snapshot()
-                return head
-
-            monkeypatch.setattr(a, "_latest_snapshot", compact_after_read)
-            assert a.spent("acme") == {"edges": 2.0}
-            monkeypatch.undo()
-            assert b.stats()["wal"] == 0  # the sibling did compact
-            assert a.spent("acme") == {"edges": 2.0}
-
     def test_thread_storm_never_overspends(self, tmp_path):
-        store = LedgerStore(tmp_path / "ledger.db", snapshot_every=10)
+        store = LedgerStore(tmp_path / "ledger.db")
         store.register("acme", "edges", 1.0)
         successes, refusals = [], []
 
@@ -352,15 +286,17 @@ def test_record_codec_round_trips(record):
     assert decode_record(encode_record(record)) == record
 
 
+
+
 # ----------------------------------------------------------------------
-# Property: replay(snapshot + WAL) == in-memory ledger
+# Property: the budgets table == a plain-Python model == in-memory ledger
 # ----------------------------------------------------------------------
 _SOURCES = ("edges", "nodes")
 
 _ledger_steps = st.lists(
     st.tuples(
         st.sampled_from((0, 1)),  # which of the two stores on one file acts
-        st.sampled_from(("charge", "crash", "snapshot")),
+        st.sampled_from(("charge", "crash", "reopen")),
         st.sampled_from(_SOURCES),
         st.floats(min_value=0.01, max_value=1.5, allow_nan=False),
     ),
@@ -368,19 +304,12 @@ _ledger_steps = st.lists(
 )
 
 
-def _crash_between_intent_and_commit() -> None:
-    raise RuntimeError("crash between intent and commit")
+def _crash_inside_the_charge() -> None:
+    raise RuntimeError("crash inside the charge transaction")
 
 
-def _replayed_from_file(path) -> LedgerState:
-    """What a store that has folded nothing reads: a full replay."""
-    fresh = LedgerStore(path)
-    try:
-        return fresh.load_state()
-    finally:
-        # Not close(): its final compaction would make it one more writer.
-        fresh._closed = True
-        fresh._conn.close()
+def _hex(spent: dict[str, float]) -> dict[str, str]:
+    return {source: value.hex() for source, value in spent.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,20 +321,20 @@ def _replayed_from_file(path) -> LedgerState:
     steps=_ledger_steps,
 )
 def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
-    """Durable replay is extensionally equal to the in-memory ledger.
+    """The durable spends are exactly the acknowledged charges, added in order.
 
     The same random charge sequence is applied to a plain BudgetLedger and,
-    each charge on either one, to two LedgerStores on one file, with
-    snapshots on either store and crashes between intent and commit
-    interleaved.  The stores must grant/refuse as the ledger does; after
-    every step each store's resumed fold must equal, float for float, a full
-    replay by a store that has read nothing; and the spends must match the
-    ledger's, including after closing and reopening, i.e. after a full
-    recovery.
+    each charge on either one, to two LedgerStores on one file, with crashes
+    inside the charge transaction (``fault_after_intent``) and reopens of
+    either store interleaved.  The stores must grant/refuse as the ledger
+    does; after every step each store's ``spent`` must equal, ``float.hex``
+    for ``float.hex``, a dict that adds each acknowledged charge in commit
+    order — and so must the ledger's, and a store reopened at the end.
     """
-    path = tmp_path_factory.mktemp("wal") / "ledger.db"
+    path = tmp_path_factory.mktemp("ledger") / "ledger.db"
     memory = BudgetLedger()
-    stores = [LedgerStore(path, snapshot_every=1000) for _ in range(2)]
+    model = {source: 0.0 for source in _SOURCES}
+    stores = [LedgerStore(path) for _ in range(2)]
     try:
         for source, total in zip(_SOURCES, totals):
             memory.register(source, total)
@@ -413,10 +342,11 @@ def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
                 store.register("scope", source, total)
         for which, action, source, amount in steps:
             store = stores[which]
-            if action == "snapshot":
-                store.snapshot()
+            if action == "reopen":
+                store.close()
+                store = stores[which] = LedgerStore(path)
             elif action == "crash":
-                store.fault_after_intent = _crash_between_intent_and_commit
+                store.fault_after_intent = _crash_inside_the_charge
                 with pytest.raises(RuntimeError):
                     store.charge("scope", {source: amount})
                 store.fault_after_intent = None
@@ -432,31 +362,177 @@ def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
                 except BudgetExceededError:
                     store_granted = False
                 assert memory_granted == store_granted
-            replayed = _replayed_from_file(path)
-            assert [store.load_state() for store in stores] == [replayed, replayed]
-        expected = {
-            source: report["spent"] for source, report in memory.report().items()
-        }
-        assert stores[0].spent("scope") == pytest.approx(expected)
+                if store_granted:
+                    model[source] += amount
+            assert [_hex(store.spent("scope")) for store in stores] == [_hex(model)] * 2
+        assert _hex({source: memory.spent(source) for source in _SOURCES}) == _hex(model)
     finally:
         for store in stores:
             store.close()
     with LedgerStore(path) as reopened:
-        assert reopened.spent("scope") == pytest.approx(expected)
+        assert _hex(reopened.spent("scope")) == _hex(model)
 
 
-def test_replay_handles_interleaved_transactions():
-    """Interleaved rows from two workers replay to the committed subset."""
-    rows = [
-        {"kind": "register", "txn": "", "scope": "s", "source": "edges", "amount": 10.0},
-        {"kind": "intent", "txn": "t1", "scope": "s", "source": "edges", "amount": 1.0},
-        {"kind": "intent", "txn": "t2", "scope": "s", "source": "edges", "amount": 2.0},
-        {"kind": "commit", "txn": "t2", "scope": "", "source": "", "amount": 0.0},
-        {"kind": "intent", "txn": "t3", "scope": "s", "source": "edges", "amount": 4.0},
-        {"kind": "abort", "txn": "t1", "scope": "", "source": "", "amount": 0.0},
-        # t3 never resolves: the worker died between intent and commit.
-    ]
-    unresolved: dict = {}
-    state = replay(LedgerState(), rows, unresolved)
-    assert state.budget("s", "edges").spent == pytest.approx(2.0)
-    assert set(unresolved) == {"t3"}
+# ----------------------------------------------------------------------
+# Migration from the older log format
+# ----------------------------------------------------------------------
+# The tables that format kept the budgets in, as it created them.
+_LOG_SCHEMA = """
+CREATE TABLE wal (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    txn TEXT NOT NULL DEFAULT '',
+    kind TEXT NOT NULL,
+    scope TEXT NOT NULL DEFAULT '',
+    source TEXT NOT NULL DEFAULT '',
+    amount REAL NOT NULL DEFAULT 0.0,
+    description TEXT NOT NULL DEFAULT ''
+);
+CREATE INDEX wal_txn ON wal(txn);
+CREATE TABLE snapshots (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    wal_id INTEGER NOT NULL,
+    created_at REAL NOT NULL,
+    state TEXT NOT NULL
+);
+"""
+
+
+def _old_ledger(path, rows, snapshot=None, wal_id=0) -> None:
+    """Write a ledger file in the log format: a snapshot row and a log tail."""
+    conn = sqlite3.connect(path)
+    conn.executescript(_LOG_SCHEMA)
+    if snapshot is not None:
+        conn.execute(
+            "INSERT INTO snapshots (wal_id, created_at, state) VALUES (?, 0.0, ?)",
+            (wal_id, json.dumps(snapshot)),
+        )
+    conn.executemany(
+        "INSERT INTO wal (id, txn, kind, scope, source, amount) VALUES (?, ?, ?, ?, ?, ?)",
+        rows,
+    )
+    conn.commit()
+    conn.close()
+
+
+def _tables(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        return {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+    finally:
+        conn.close()
+
+
+_SNAPSHOT = {
+    "acme": {
+        "edges": {"total": 2.0, "spent": 0.1 + 0.2},
+        "nodes": {"total": 1.0, "spent": 0.1},
+    },
+    "beta": {"edges": {"total": float("inf"), "spent": 0.7}},
+}
+_LOG_TAIL = [
+    # Unresolved when the snapshot was taken, so kept below its wal_id.
+    (5, "t0", "intent", "acme", "edges", 0.1),
+    (7, "", "register", "beta", "nodes", 1.5),
+    (8, "t1", "intent", "acme", "edges", 0.2),
+    (9, "t1", "intent", "acme", "nodes", 0.05),
+    (10, "t1", "commit", "", "", 0.0),
+    (11, "t2", "intent", "acme", "edges", 5.0),
+    (12, "t2", "abort", "", "", 0.0),
+    (13, "t0", "commit", "", "", 0.0),
+    (14, "t3", "intent", "beta", "nodes", 0.7),  # never resolved: a crash
+    (15, "t4", "intent", "acme", "ghost", 0.25),  # a source never registered
+    (16, "t4", "commit", "", "", 0.0),
+    (17, "t5", "intent", "beta", "nodes", 0.3),
+    (18, "t6", "intent", "acme", "edges", 0.1),
+    (19, "t6", "commit", "", "", 0.0),
+    (20, "t5", "commit", "", "", 0.0),
+]
+# What the log format's own replay read from this file.  acme/edges depends
+# on the order of its additions: adding t0's 0.1 before t1's 0.2, or a
+# compensated sum, gives 0x1.6666666666667p-1.
+_MIGRATED = {
+    "acme": {
+        "edges": (2.0, "0x1.6666666666666p-1"),
+        "ghost": (float("inf"), "0x1.0000000000000p-2"),
+        "nodes": (1.0, "0x1.3333333333334p-3"),
+    },
+    "beta": {
+        "edges": (float("inf"), "0x1.6666666666666p-1"),
+        "nodes": (1.5, "0x1.3333333333333p-2"),
+    },
+}
+
+
+def _hex_state(state):
+    return {
+        scope: {source: (total, spent.hex()) for source, (total, spent) in sources.items()}
+        for scope, sources in state.items()
+    }
+
+
+class TestMigration:
+    def test_log_format_file_is_folded_into_budgets(self, tmp_path):
+        path = tmp_path / "ledger.db"
+        _old_ledger(path, _LOG_TAIL, _SNAPSHOT, wal_id=6)
+        with LedgerStore(path) as store:
+            assert _hex_state(store.load_state()) == _MIGRATED
+            # The recovered budgets are enforced: 2.0 - 0.7 = 1.3 is left.
+            with pytest.raises(BudgetExceededError):
+                store.charge("acme", {"edges": 1.5})
+            assert store.register("beta", "nodes", 1.5) == (1.5, 0.3)
+        assert "wal" not in _tables(path) and "snapshots" not in _tables(path)
+        with LedgerStore(path) as reopened:
+            assert _hex_state(reopened.load_state()) == _MIGRATED
+
+    def test_two_stores_opening_one_old_file_migrate_it_once(self, tmp_path, monkeypatch):
+        folds = []
+        fold = LedgerStore._fold_log
+
+        def counted(self):
+            folds.append(self)
+            fold(self)
+
+        monkeypatch.setattr(LedgerStore, "_fold_log", counted)
+        for attempt in range(5):
+            path = tmp_path / f"ledger-{attempt}.db"
+            _old_ledger(path, _LOG_TAIL, _SNAPSHOT, wal_id=6)
+            start = threading.Barrier(2)
+            stores, errors = [], []
+
+            def open_store():
+                start.wait()
+                try:
+                    stores.append(LedgerStore(path))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_store) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            try:
+                assert errors == []
+                assert len(folds) == attempt + 1
+                assert [_hex_state(store.load_state()) for store in stores] == [_MIGRATED] * 2
+            finally:
+                for store in stores:
+                    store.close()
+
+    def test_migration_folds_interleaved_transactions(self, tmp_path):
+        """Interleaved rows from two workers fold to the committed subset."""
+        path = tmp_path / "ledger.db"
+        _old_ledger(
+            path,
+            [
+                (1, "", "register", "s", "edges", 10.0),
+                (2, "t1", "intent", "s", "edges", 1.0),
+                (3, "t2", "intent", "s", "edges", 2.0),
+                (4, "t2", "commit", "", "", 0.0),
+                (5, "t3", "intent", "s", "edges", 4.0),
+                (6, "t1", "abort", "", "", 0.0),
+                # t3 never resolves: the worker died between intent and commit.
+            ],
+        )
+        with LedgerStore(path) as store:
+            assert store.load_state() == {"s": {"edges": (10.0, 2.0)}}

@@ -408,6 +408,39 @@ def _wait_for_server(client, proc, deadline=180.0):
             time.sleep(0.1)
 
 
+def _wait_until(predicate, what: str, deadline: float = 60.0) -> None:
+    end = time.monotonic() + deadline
+    while not predicate():
+        assert time.monotonic() < end, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def _write_locked(path: str) -> bool:
+    """Whether some connection holds the ledger file's write lock."""
+    conn = sqlite3.connect(path, timeout=0, isolation_level=None)
+    try:
+        conn.execute("BEGIN IMMEDIATE")
+        conn.execute("ROLLBACK")
+        return False
+    except sqlite3.OperationalError as exc:
+        if "locked" not in str(exc):
+            raise
+        return True
+    finally:
+        conn.close()
+
+
+def _refused(port: int) -> bool:
+    """Whether a new connection to ``port`` is refused (no listener left)."""
+    import socket
+
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
 def _spawn_serve(*args: str, faults: str | None = None) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -452,10 +485,9 @@ class TestServeDurability:
                 proc.kill()
                 proc.wait(timeout=120)
 
-        # Graceful shutdown compacted the log and closed cleanly; everything
-        # is recoverable from the file alone.
+        # Graceful shutdown closed cleanly; everything is recoverable from
+        # the file alone.
         with LedgerStore(ledger_path) as store:
-            assert store.stats()["wal"] == 0
             assert store.session_names() == ["acme"]
             assert store.spent("acme")["edges"] == pytest.approx(
                 report["edges"]["spent"]
@@ -539,11 +571,12 @@ class TestServeDurability:
 
         from repro.resilience.faults import FaultPlan, FaultRule
         from repro.service import ServiceClient
+        from repro.service.http import _readable
 
-        # Every charge sleeps 2 s, so a worker stopped with a charge in
-        # flight is still draining when the idle connection's next request
-        # arrives.
-        delay = FaultRule("wal.intent_commit", "delay", value=2.0)
+        # A worker's second charge sleeps 3 s inside its transaction, so a
+        # worker stopped with that charge in flight is still draining when
+        # the idle connection's next request arrives.
+        delay = FaultRule("wal.intent_commit", "delay", value=3.0, after=2)
         proc = _spawn_serve(
             "--port", "0", "--ledger", ledger_path, "--workers", "2",
             faults=FaultPlan(rules=[delay]).to_env(),
@@ -575,11 +608,20 @@ class TestServeDurability:
 
             in_flight = threading.Thread(target=charge)
             in_flight.start()
-            time.sleep(0.5)
+            # The delay fires inside the charge's transaction, so the charge
+            # is in it once the worker holds the ledger's write lock.
+            _wait_until(lambda: _write_locked(ledger_path), "the charge to start")
             proc.send_signal(signal.SIGTERM)
-            time.sleep(0.5)
-            # The worker is draining the charge.  A repeat on the idle
-            # connection would be a cache hit, which writes an audit row.
+            # stop_serving() shuts the idle connection's read side, so its
+            # handler reads EOF and closes it; the charge is still in flight.
+            idle = client._local.connection.sock
+            _wait_until(lambda: _readable(idle), "the idle connection to close")
+            assert in_flight.is_alive()
+            # No listener is left once the other worker has stopped too, so
+            # the next call cannot be served on a fresh connection either.
+            _wait_until(lambda: _refused(port), "every worker to stop listening")
+            # A repeat on the idle connection would be a cache hit, which
+            # writes an audit row.
             with pytest.raises(OSError):
                 client.measure("acme", "node-count", 0.25)
             in_flight.join(timeout=60)

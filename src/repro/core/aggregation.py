@@ -21,6 +21,7 @@ generalise directly to weighted datasets, are also provided.
 from __future__ import annotations
 
 import decimal
+import math
 import numbers
 from typing import Any, Callable, Iterator, Sequence
 
@@ -272,7 +273,7 @@ class NoisyCountResult:
 
 
 def noisy_sum(
-    dataset: WeightedDataset,
+    dataset: WeightedDataset | ExactAnswer,
     epsilon: float,
     value_selector: Callable[[Any], float] = lambda record: 1.0,
     clamp: float = 1.0,
@@ -282,18 +283,23 @@ def noisy_sum(
 
     A unit change in the weight of any record changes the true sum by at most
     ``clamp``, so Laplace noise of scale ``clamp/ε`` provides ε-differential
-    privacy with respect to ``‖A − A'‖``.
+    privacy with respect to ``‖A − A'‖``.  The sum is ``math.fsum``'s, which
+    does not depend on the order of the terms, so ``Q(A)`` held as an
+    :class:`ExactAnswer` releases the same value as the dataset it was made of.
     """
     epsilon = validate_epsilon(epsilon)
     clamp = float(clamp)
     if clamp <= 0:
         raise ValueError("clamp must be positive")
     noise = noise if noise is not None else LaplaceNoise()
-    total = 0.0
-    for record, weight in dataset.items():
-        value = float(value_selector(record))
-        value = max(-clamp, min(clamp, value))
-        total += weight * value
+    if isinstance(dataset, ExactAnswer):
+        items = zip(dataset.records, dataset.weights.tolist())
+    else:
+        items = dataset.items()
+    total = math.fsum(
+        weight * max(-clamp, min(clamp, float(value_selector(record))))
+        for record, weight in items
+    )
     return total + noise.sample(epsilon / clamp)
 
 

@@ -177,8 +177,7 @@ class PrivacySession:
 
         For a plan that is re-measured (a hosted query, a per-ε sweep); the
         measurement service holds every query it hosts.  Returns
-        ``queryable``.  ``noisy_sum`` does not go through :meth:`measure` and
-        evaluates its plan on every call.
+        ``queryable``.  ``noisy_sum`` reads the held answer the same way.
         """
         if queryable.session is not self:
             raise PlanError("cannot hold a queryable from a different privacy session")
@@ -501,7 +500,9 @@ class Queryable:
 
         Priced and charged exactly like a one-element :meth:`~PrivacySession
         .measure` batch (a partition part through its group's
-        max-accounting), behind the same pre-charge deadline check.
+        max-accounting), behind the same pre-charge deadline check; a plan
+        under :meth:`~PrivacySession.hold` is evaluated once, as for
+        :meth:`~PrivacySession.measure`.
         """
         from .measurement import as_request, charge_requests
 
@@ -510,7 +511,7 @@ class Queryable:
         with self._session.measure_lock:
             check_deadline("measurement admission (pre-charge)")
             charge_requests(self._session, [request], label)
-            exact = self._session.executor.evaluate(self._plan)
+            exact = self._session._exact_outputs([self._plan])[0]
             return noisy_sum(
                 exact, request.epsilon, value_selector, clamp=clamp, noise=self._session.noise
             )

@@ -501,8 +501,10 @@ def _classify_blocking(call: ast.Call, bindings: dict[str, str]) -> str | None:
     if attr in ("recv", "recv_bytes", "send", "send_bytes"):
         if any(token in receiver for token in _PIPE_RECEIVERS):
             return f"pipe {attr}()"
-    if attr in ("request", "getresponse") and "conn" in receiver:
-        return f"http {attr}()"  # an http.client connection round trip
+    if attr in ("request", "getresponse", "read_reply") and "conn" in receiver:
+        return f"http {attr}()"  # a client connection's round trip
+    if attr == "sendall" and any(token in receiver for token in ("conn", "sock")):
+        return "socket sendall()"
     if attr == "join" and not _has_timeout(call):
         if any(token in receiver for token in _PROC_RECEIVERS):
             return "join() without timeout"

@@ -21,8 +21,9 @@ layer, built on the thread-safe budget accounting of :mod:`repro.core.budget`:
 :mod:`repro.service.core`
     The :class:`MeasurementService` facade tying the three together.
 :mod:`repro.service.http`
-    A stdlib HTTP/JSON transport (``repro serve``) and the matching
-    :class:`ServiceClient`.
+    The HTTP/JSON transport (``repro serve``): a keep-alive loop of its own
+    over :mod:`socketserver` threads, no HTTP framework, and the matching
+    :class:`ServiceClient`, one plain socket per calling thread.
 :mod:`repro.service.workers`
     Fork-based multi-process serving (``repro serve --workers N``) sharing
     one durable ledger file (:mod:`repro.persistence`) across workers.

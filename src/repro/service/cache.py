@@ -31,10 +31,11 @@ replays for free only while fewer than ``max_entries`` newer releases have
 been made.  ε is not renewable, so that window must not quietly shrink as
 the server gets faster, and it must outlast the client's 60 s default
 timeout, after which a client gives up and may retry.  The default of
-131 072 is about 110 s of fresh releases at ≈ 1 170 per second — the rate
-one process serves hosted queries at over keep-alive connections (65 536,
-the former default, was ≈ 56 s of it, and 4 096 before that under 5 s) —
-and, at the ≈ 0.7 KB a small hosted answer retains, about 90 MB when full.
+131 072 is about 62 s of fresh releases at ≈ 2 100 per second — the rate
+one process serves hosted queries at over keep-alive connections — just
+over that timeout, and, at the ≈ 0.7 KB a small hosted answer retains,
+about 90 MB when full.  A faster server shrinks the window below the
+timeout: re-size it with the next serving gain.
 The exact answers the sessions hold are *not* in this cache: they are never
 released, only noised.
 

@@ -1,10 +1,17 @@
 """Stdlib HTTP/JSON transport for the measurement service, plus a client.
 
-No third-party dependencies: the server is a
-:class:`http.server.ThreadingHTTPServer` (one handler thread per connection —
-exactly what the batching scheduler wants, since concurrent handler threads
-submitting against one session are fused into one executor pass), and
-:class:`ServiceClient` speaks the same JSON over :mod:`http.client`.
+No third-party dependencies, and no HTTP framework either: the server is a
+:class:`socketserver.ThreadingTCPServer` whose one handler thread per
+connection (exactly what the batching scheduler wants, since concurrent
+handler threads submitting against one session are fused into one executor
+pass) runs a keep-alive loop of its own — read a request line, headers and a
+``Content-Length`` body, route, write the status, headers and body in one
+write.  :class:`ServiceClient` speaks the same JSON over one plain socket
+per calling thread: one ``sendall`` per request, and a buffered read of the
+status line, headers and ``Content-Length`` body.  Both ends parse only the
+slice of HTTP/1.1 the service uses, within :mod:`http.server`'s limits
+(64 KiB per line, 100 headers), and ``http.client``, ``urllib`` and
+``curl`` talk to the server as they would to any HTTP/1.1 one.
 
 Connections are HTTP/1.1 keep-alive: a client holds one persistent
 connection per calling thread, so an analyst's requests after the first pay
@@ -41,14 +48,17 @@ second charge.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
+import re
 import select
 import socket
+import socketserver
+import sys
 import threading
+import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any
 
 from ..exceptions import (
@@ -149,54 +159,149 @@ def _status_for(exc: BaseException) -> int:
     return 500
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests onto the server's :class:`MeasurementService`."""
+# http.server's limits: bytes in one request or header line, and headers.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+# What http.client refuses to send: a byte outside printable ASCII in the
+# request target, and a header name or value that could end its line.
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]")
+_HEADER_NAME = re.compile(r"[^:\s][^:\r\n]*")
+_LINE_BREAK = re.compile(r"[\r\n]")
 
-    protocol_version = "HTTP/1.1"
-    # A reply is two writes (headers, then body); with Nagle's algorithm the
-    # second waits for the client's delayed ACK of the first.
+
+class _HeaderError(ConnectionError):
+    """A header block that cannot be read.
+
+    ``status`` is what a server answers it with, or ``None`` when the stream
+    ended inside the block and there is nobody left to answer.
+    """
+
+    def __init__(self, status: int | None, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def _read_headers(reader: Any) -> dict[str, str]:
+    """Read a header block through its blank line, keyed by lower-cased name.
+
+    A repeated header keeps its first value.  Raises :class:`_HeaderError`
+    for a line over ``_MAX_LINE``, a malformed line, more than
+    ``_MAX_HEADERS`` headers or the end of the stream.
+    """
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _HeaderError(431, f"header line longer than {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise _HeaderError(None, "the connection closed inside a header block")
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not name or not colon or name != name.strip():
+            raise _HeaderError(400, f"bad header line {line[:80]!r}")
+        headers.setdefault(name.lower(), value.strip())
+    raise _HeaderError(431, f"more than {_MAX_HEADERS} headers")
+
+
+class _Connection(socketserver.StreamRequestHandler):
+    """One client connection: read a request, route it, reply, repeat.
+
+    Speaks the slice of HTTP/1.1 the service needs: a request line, headers
+    keyed by lower-cased name and a ``Content-Length`` body in; a status
+    line, ``Content-Type``, ``Content-Length`` (and ``Connection: close``
+    when the connection ends) and a JSON body out, in one write.  HTTP/1.1
+    connections stay open until the client sends ``Connection: close``;
+    HTTP/1.0 ones close after the reply.  A request the loop cannot read
+    (line too long, too many headers, unknown method) is answered with a
+    JSON error and the connection closed.
+    """
+
+    # A reply is one write; Nagle's algorithm would still hold it back
+    # while the previous reply's ACK is outstanding.
     disable_nagle_algorithm = True
     server: "ServiceHTTPServer"
 
-    # ------------------------------------------------------------------
     def setup(self) -> None:
         super().setup()
         self.server._track(self.connection)
 
-    def parse_request(self) -> bool:
-        self._body_read = False
-        if self.server._stopping:
-            # Data that reached a connection after stop() shut its read side
-            # is still readable: drop it rather than serve it.
-            self.close_connection = True
-            return False
-        if not super().parse_request():
-            return False
-        self.server._count_request()
-        return True
+    def handle(self) -> None:
+        while self._serve_one():
+            pass
 
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:  # pragma: no cover - debugging aid
-            super().log_message(format, *args)
+    def _serve_one(self) -> bool:
+        """Answer one request; whether the connection stays open."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line or self.server._stopping:
+            # EOF; or data that reached a connection after stop() shut its
+            # read side, which is still readable: drop it rather than serve.
+            return False
+        self._body_read = False
+        self.headers: dict[str, str] = {}
+        self.request_line = line.rstrip(b"\r\n").decode("latin-1")
+        if len(line) > _MAX_LINE:
+            return self._refuse(414, "request line longer than 65536 bytes")
+        words = self.request_line.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            return self._refuse(400, f"bad request line {self.request_line[:80]!r}")
+        method, self.path, version = words
+        try:
+            self.headers = _read_headers(self.rfile)
+        except _HeaderError as exc:
+            if exc.status is None:  # the client went away mid-request
+                return False
+            return self._refuse(exc.status, str(exc))
+        self.server._count_request()
+        self.keep_alive = version == "HTTP/1.1" and "close" not in (
+            self.headers.get("connection", "").lower()
+        )
+        route = _ROUTES.get(method)
+        if route is None:
+            return self._refuse(501, f"unsupported method {method!r}")
+        expect = self.headers.get("expect", "").lower()
+        if version == "HTTP/1.1" and expect == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        route(self)
+        return self.keep_alive
+
+    def _refuse(self, status: int, message: str) -> bool:
+        """Answer a request the loop cannot serve, and end the connection."""
+        self.keep_alive = False
+        self._send({"error": message, "type": "ServiceError"}, status)
+        return False
 
     def _reply(self, payload: dict[str, Any], status: int = 200) -> None:
         # Fault point: a "fail" here drops the connection before any bytes
         # of the response are written — the client sees a connection error
         # even though the service-side work (and any budget charge) is done.
         inject("http.write")
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
         if not self._body_read and (
-            self.headers.get("Content-Length", "0") != "0"
-            or "Transfer-Encoding" in self.headers
+            self.headers.get("content-length", "0") != "0"
+            or "transfer-encoding" in self.headers
         ):
             # The request body is still in the socket, where it would be
             # parsed as the next request line: end the connection instead.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            self.keep_alive = False
+        self._send(payload, status)
+
+    def _send(self, payload: dict[str, Any], status: int) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("" if self.keep_alive else "Connection: close\r\n")
+            + "\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
+        if self.server.verbose:  # pragma: no cover - debugging aid
+            when = time.strftime("%d/%b/%Y %H:%M:%S")
+            sys.stderr.write(
+                f'{self.client_address[0]} - - [{when}] "{self.request_line}" '
+                f"{status} {len(body)}\n"
+            )
 
     def _error(self, exc: BaseException) -> None:
         payload: dict[str, Any] = {"error": str(exc), "type": type(exc).__name__}
@@ -219,8 +324,8 @@ class _Handler(BaseHTTPRequestHandler):
         # Fault point: a request lost mid-read (client vanished, socket
         # reset) before the service layer ever sees it.
         inject("http.read")
-        raw = self.headers.get("Content-Length") or "0"
-        if not raw.isdecimal() or "Transfer-Encoding" in self.headers:
+        raw = self.headers.get("content-length") or "0"
+        if not raw.isdecimal() or "transfer-encoding" in self.headers:
             raise PlanError("a request body needs a plain Content-Length header")
         body = self.rfile.read(int(raw))
         self._body_read = True
@@ -233,7 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _deadline(self) -> Deadline | None:
         """The request's :class:`Deadline`, from ``X-Repro-Deadline-Ms``."""
-        raw = self.headers.get(DEADLINE_HEADER)
+        raw = self.headers.get(DEADLINE_HEADER.lower())
         if raw is None:
             return None
         try:
@@ -249,7 +354,7 @@ class _Handler(BaseHTTPRequestHandler):
         return tuple(part for part in self.path.split("?", 1)[0].split("/") if part)
 
     # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
+    def do_GET(self) -> None:  # noqa: N802 - named after the HTTP method
         service = self.server.service
         route = self._route()
         try:
@@ -273,7 +378,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - every error becomes JSON
             self._error(exc)
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming convention
+    def do_POST(self) -> None:  # noqa: N802 - named after the HTTP method
         service = self.server.service
         route = self._route()
         try:
@@ -340,7 +445,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - every error becomes JSON
             self._error(exc)
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server naming convention
+    def do_DELETE(self) -> None:  # noqa: N802 - named after the HTTP method
         service = self.server.service
         route = self._route()
         try:
@@ -353,16 +458,25 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(exc)
 
 
-class ServiceHTTPServer(ThreadingHTTPServer):
+_ROUTES = {
+    "GET": _Connection.do_GET,
+    "POST": _Connection.do_POST,
+    "DELETE": _Connection.do_DELETE,
+}
+
+
+class ServiceHTTPServer(socketserver.ThreadingTCPServer):
     """A threading HTTP server bound to one :class:`MeasurementService`.
 
-    ``listen_socket`` adopts an already-bound, already-listening socket
-    instead of binding a fresh one — the multi-process server
+    One thread per connection, running :class:`_Connection`'s keep-alive
+    loop.  ``listen_socket`` adopts an already-bound, already-listening
+    socket instead of binding a fresh one — the multi-process server
     (:mod:`repro.service.workers`) binds once in the parent and hands each
     forked worker the shared socket, so the kernel load-balances accepted
     connections across workers.
     """
 
+    allow_reuse_address = True
     daemon_threads = True
 
     def __init__(
@@ -374,12 +488,12 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         listen_socket=None,
     ) -> None:
         if listen_socket is not None:
-            super().__init__(address, _Handler, bind_and_activate=False)
+            super().__init__(address, _Connection, bind_and_activate=False)
             self.socket.close()
             self.socket = listen_socket
             self.server_address = listen_socket.getsockname()
         else:
-            super().__init__(address, _Handler)
+            super().__init__(address, _Connection)
         self.service = service
         self.verbose = verbose
         self.measure_timeout = measure_timeout
@@ -525,6 +639,45 @@ def _readable(sock: socket.socket) -> bool:
     return bool(poller.poll(0))
 
 
+class _ClientConnection:
+    """One client socket and the buffered reader its replies are read from."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, address: tuple[str, int], timeout: float) -> None:
+        self.sock = socket.create_connection(address, timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def read_reply(self) -> tuple[int, bool, bytes]:
+        """The status, whether the server closes after it, and the body."""
+        line = self.reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("the server closed the connection without replying")
+        words = line.split(None, 2)
+        if len(words) < 2 or not words[0].startswith(b"HTTP/") or not (
+            len(words[1]) == 3 and words[1].isdigit()
+        ):
+            raise ConnectionError(f"malformed HTTP status line {line[:80]!r}")
+        headers = _read_headers(self.reader)
+        will_close = words[0] == b"HTTP/1.0" or "close" in (
+            headers.get("connection", "").lower()
+        )
+        length = headers.get("content-length", "")
+        if not length.isdecimal():
+            raise ConnectionError(f"reply without a valid Content-Length: {length!r}")
+        data = self.reader.read(int(length))
+        if len(data) < int(length):
+            raise ConnectionError(
+                f"reply cut short: {len(data)} of {int(length)} body bytes"
+            )
+        return int(words[1]), will_close, data
+
+
 class ServiceClient:
     """Python client for the measurement service's HTTP/JSON API.
 
@@ -532,13 +685,17 @@ class ServiceClient:
     :class:`ServiceOverloadedError` (retry with backoff), a 403 becomes
     :class:`BudgetExceededError` with the requested/remaining amounts, other
     service failures raise :class:`ServiceError`.  A failed connection raises
-    an :class:`OSError` subclass.
+    an :class:`OSError` subclass; a reply cut short or malformed raises
+    :class:`ConnectionError`.  A session name that cannot go into a request
+    line as it is (a space, a control or a non-ASCII character) raises
+    :class:`ValueError` before anything is sent, as ``http.client`` does.
 
-    Each calling thread keeps one persistent connection, so a client shared
-    by N threads still sends N requests at once.  A request is never re-sent:
-    any error on a connection closes it and re-raises.  An idle connection
-    the server has since closed is noticed before anything is written to it
-    and replaced by a fresh one.
+    Each calling thread keeps one persistent connection — a socket and the
+    buffered reader its replies are read from — so a client shared by N
+    threads still sends N requests at once.  A request is never re-sent: any
+    error on a connection closes it and re-raises.  An idle connection the
+    server has since closed is noticed before anything is written to it and
+    replaced by a fresh one.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
@@ -547,7 +704,8 @@ class ServiceClient:
         parts = urllib.parse.urlsplit(self.base_url)
         if parts.scheme != "http":
             raise ValueError(f"ServiceClient needs an http:// URL, got {base_url!r}")
-        self._host, self._port, self._prefix = parts.hostname, parts.port, parts.path
+        self._address = (parts.hostname, parts.port or 80)
+        self._host, self._prefix = parts.netloc, parts.path
         self._local = threading.local()
 
     def close(self) -> None:
@@ -557,17 +715,16 @@ class ServiceClient:
         if connection is not None:
             connection.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _ClientConnection:
         connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout
-            )
-            self._local.connection = connection
-        elif connection.sock is not None and _readable(connection.sock):
+        if connection is not None and _readable(connection.sock):
             # An idle connection has nothing to read unless the server has
             # closed it: reconnect before writing anything.
-            connection.close()
+            self.close()
+            connection = None
+        if connection is None:
+            connection = _ClientConnection(self._address, self.timeout)
+            self._local.connection = connection
         return connection
 
     # ------------------------------------------------------------------
@@ -578,33 +735,36 @@ class ServiceClient:
         payload: dict[str, Any] | None = None,
         headers: dict[str, str] | None = None,
     ) -> dict[str, Any]:
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
-        connection = self._connection()
-        try:
-            connection.request(
-                method,
-                self._prefix + path,
-                body=body,
-                headers={"Content-Type": "application/json", **(headers or {})},
+        target = self._prefix + path
+        if _BAD_TARGET.search(target):
+            raise ValueError(f"not printable ASCII without spaces: {target!r}")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+        for name, value in (headers or {}).items():
+            if not _HEADER_NAME.fullmatch(name) or _LINE_BREAK.search(value):
+                raise ValueError(f"invalid header {name!r}: {value!r}")
+            head += f"{name}: {value}\r\n"
+        body = b""
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            head += (
+                f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
             )
-            response = connection.getresponse()
-            data = response.read()
-        except BaseException as exc:
+        try:
+            connection = self._connection()
+            connection.sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+            status, will_close, data = connection.read_reply()
+        except BaseException:
             self.close()
-            if isinstance(exc, http.client.HTTPException) and not isinstance(
-                exc, OSError
-            ):
-                raise ConnectionError(f"malformed HTTP response: {exc!r}") from exc
             raise
-        if response.will_close:
+        if will_close:
             self.close()
-        if response.status < 400:
+        if status < 400:
             return json.loads(data.decode("utf-8"))
         try:
             error = json.loads(data.decode("utf-8"))
         except Exception:  # noqa: BLE001 - malformed error body
-            error = {"error": f"HTTP {response.status}", "type": "ServiceError"}
-        raise self._exception_for(response.status, error)
+            error = {"error": f"HTTP {status}", "type": "ServiceError"}
+        raise self._exception_for(status, error)
 
     @staticmethod
     def _exception_for(status: int, error: dict[str, Any]) -> ReproError:

@@ -1,8 +1,8 @@
 """Clean twin of ``bad_blocking.py``.
 
-The sleep and the HTTP reply either happen outside the lock or under a lock
-declared ``io-ok`` (blocking by design, like the WAL mutex).  Expected
-findings: none.
+The sleep, the HTTP reply and the socket round trip either happen outside
+the lock or under a lock declared ``io-ok`` (blocking by design, like the
+WAL mutex).  Expected findings: none.
 """
 
 import http.client
@@ -28,3 +28,11 @@ def reply_outside_lock(connection: http.client.HTTPConnection):
     with io_lock:
         pass
     return response
+
+
+def round_trip_outside_lock(connection, request: bytes):
+    connection.sock.sendall(request)
+    reply = connection.read_reply()
+    with io_lock:
+        pass
+    return reply

@@ -55,8 +55,9 @@ def test_order_clean_twin_is_clean():
 
 def test_blocking_fixture_detects_direct_and_transitive_sleep():
     found = _rules("bad_blocking")
-    # The third is an http.client reply awaited under the lock.
-    assert [rule for rule, _ in found] == ["R009", "R009", "R009"]
+    # The third is an http.client reply awaited under the lock; the last two
+    # are a socket client's request sent and reply read under it.
+    assert [rule for rule, _ in found] == ["R009"] * 5
 
 
 def test_blocking_clean_twin_is_clean():
@@ -68,7 +69,7 @@ def test_whole_fixture_directory_counts():
     by_rule: dict[str, int] = {}
     for issue in issues:
         by_rule[issue.rule] = by_rule.get(issue.rule, 0) + 1
-    assert by_rule == {"R007": 1, "R008": 3, "R009": 3}
+    assert by_rule == {"R007": 1, "R008": 3, "R009": 5}
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Tests for the privacy taint analysis (rule R010).
 
-The fixture pair in ``tests/lint_fixtures/flow`` plants four distinct
-taint-to-sink paths (log, exception message, pickle, HTTP response body),
-each laundered through renames or helper calls so the name-based R004
-cannot see them; the assertions are exact line sets, so any false
-negative fails the build.  The clean twin releases the same values
-through the sanctioned channels and must stay silent.
+The fixture pair ``bad_taint`` / ``good_taint`` in
+``tests/lint_fixtures/flow`` plants four distinct taint-to-sink paths (log,
+exception message, pickle, HTTP response body), each laundered through
+renames or helper calls so the name-based R004 cannot see them; the
+assertions are exact line sets, so any false negative fails the build.  The
+clean twin releases the same values through the sanctioned channels and must
+stay silent.  ``bad_reply`` / ``good_reply`` do the same for the transport's
+one-write reply.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ def test_taint_fixture_catches_all_four_planted_leaks():
 
 def test_taint_clean_twin_is_clean():
     assert _lines("good_taint") == []
+
+
+def test_a_protected_value_in_the_one_write_reply_is_caught():
+    # The transport's reply: status line, headers and JSON body in one
+    # self.wfile.write, the payload handed in through a helper method.
+    assert _lines("bad_reply") == [("R010", 25)]
+    assert _lines("good_reply") == []
 
 
 def test_repro_package_has_no_taint_findings():

@@ -5,7 +5,10 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import random
+import socket
 import threading
+import urllib.request
 
 import pytest
 
@@ -16,7 +19,9 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.resilience.faults import FaultPlan, FaultRule, active_plan
-from repro.service import ServiceClient, serve
+from repro.service import MeasurementService, ServiceClient, serve
+from repro.service.http import answer_to_json
+from repro.service.registry import default_query_builders
 
 EDGES = [[i, i + 1] for i in range(30)] + [[0, 2], [1, 3]]
 
@@ -331,3 +336,238 @@ def test_one_client_shared_by_four_threads(server):
     expected = sum(0.001 * (1 + i) for i in range(threads * per_thread))
     assert _spent(shared, "shared") == pytest.approx(expected)
     shared.close()
+
+
+# ----------------------------------------------------------------------
+# Protocol conformance: the server parses HTTP itself, so stdlib clients
+# and raw sockets drive it here
+# ----------------------------------------------------------------------
+def _socket(server):
+    return socket.create_connection(server.server_address[:2], timeout=30.0)
+
+
+def _read_reply(reader):
+    """``(status, headers, JSON body)`` of one reply, read with the stdlib."""
+    status = int(reader.readline().split()[1])
+    headers = http.client.parse_headers(reader)
+    body = reader.read(int(headers["Content-Length"]))
+    return status, headers, json.loads(body)
+
+
+def _closed(reader):
+    """Whether the server has closed the connection (EOF after every reply)."""
+    return reader.read() == b""
+
+
+def test_an_http_1_0_request_is_answered_and_the_connection_closed(server):
+    with _socket(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+        status, headers, body = _read_reply(reader)
+        assert (status, body["status"]) == (200, "ok")
+        assert headers["Connection"] == "close"
+        assert _closed(reader)
+
+
+def test_connection_close_is_honoured(server):
+    raw = _raw_connection(server)
+    raw.request("GET", "/healthz", headers={"Connection": "close"})
+    response = raw.getresponse()
+    assert json.loads(response.read())["status"] == "ok"
+    assert response.will_close
+    raw.close()
+    with _socket(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        assert _read_reply(reader)[0] == 200
+        assert _closed(reader)
+
+
+def test_expect_100_continue_gets_continue_then_the_reply(client, server):
+    client.create_session("expect", EDGES, seed=0)
+    body = json.dumps({"query": "node-count", "epsilon": 0.1}).encode()
+    with _socket(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(
+            b"POST /v1/sessions/expect/measure HTTP/1.1\r\n"
+            b"Expect: 100-continue\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+        )
+        assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert reader.readline() == b"\r\n"
+        sock.sendall(body)
+        status, _, reply = _read_reply(reader)
+    assert status == 200 and reply["charged"] == {"edges": pytest.approx(0.1)}
+
+
+def test_header_names_are_case_insensitive(client, server):
+    client.create_session("mixedcase", EDGES, seed=0)
+    body = json.dumps({"query": "node-count", "epsilon": 0.1}).encode()
+    with _socket(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(
+            b"POST /v1/sessions/mixedcase/measure HTTP/1.1\r\n"
+            b"cOnTeNt-LeNgTh: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        status, headers, reply = _read_reply(reader)
+        assert status == 200 and reply["epsilon"] == 0.1
+        assert "Connection" not in headers  # the body was read: kept open
+        # The deadline header is found whatever its case.
+        sock.sendall(
+            b"POST /v1/sessions/mixedcase/measure HTTP/1.1\r\n"
+            b"x-REPRO-deadline-MS: soon\r\n"
+            b"CONTENT-LENGTH: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        status, _, reply = _read_reply(reader)
+    assert status == 400 and "X-Repro-Deadline-Ms" in reply["error"]
+
+
+def test_pipelined_requests_are_answered_in_order(client, server):
+    client.create_session("pipelined", EDGES, seed=0)
+    body = json.dumps({"query": "node-count", "epsilon": 0.1}).encode()
+    with _socket(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(
+            b"POST /v1/sessions/pipelined/measure HTTP/1.1\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+            + b"GET /v1/sessions/pipelined/budget HTTP/1.1\r\n\r\n"
+        )
+        first = _read_reply(reader)
+        second = _read_reply(reader)
+    assert first[0] == 200 and first[2]["query"] == "node-count"
+    assert second[0] == 200
+    assert second[2]["budget"]["edges"]["spent"] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "request_bytes, statuses",
+    [
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", (400, 414)),
+        (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-Filler-%d: 1\r\n" % i for i in range(101))
+            + b"\r\n",
+            (431,),
+        ),
+        (b"PATCH /healthz HTTP/1.1\r\n\r\n", (501,)),
+        (
+            b"POST /v1/sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+            (400,),
+        ),
+    ],
+    ids=["long-request-line", "too-many-headers", "unknown-method", "chunked"],
+)
+def test_a_request_the_server_cannot_serve_gets_an_error_then_close(
+    server, request_bytes, statuses
+):
+    with _socket(server) as sock, sock.makefile("rb") as reader:
+        sock.sendall(request_bytes)
+        status, headers, body = _read_reply(reader)
+        assert status in statuses and body["error"]
+        assert headers["Connection"] == "close"
+        assert _closed(reader)
+
+
+def test_urllib_posts_a_measurement(client, server):
+    client.create_session("urllib", EDGES, seed=0)
+    request = urllib.request.Request(
+        f"{server.url}/v1/sessions/urllib/measure",
+        data=json.dumps({"query": "node-count", "epsilon": 0.1}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=30.0) as response:
+        reply = json.loads(response.read())
+    assert reply["charged"] == {"edges": pytest.approx(0.1)}
+    assert reply["values"] == client.measure("urllib", "node-count", 0.1)["values"]
+
+
+def test_a_reply_cut_short_raises_connection_error_and_is_not_retried():
+    listener = socket.create_server(("127.0.0.1", 0))
+    requests: list[bytes] = []
+
+    def serve_one_short_reply() -> None:
+        connection, _ = listener.accept()
+        with connection:
+            requests.append(connection.recv(65536))
+            connection.sendall(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + b'{"status": '
+            )
+
+    thread = threading.Thread(target=serve_one_short_reply)
+    thread.start()
+    client = ServiceClient("http://127.0.0.1:%d" % listener.getsockname()[1])
+    try:
+        with pytest.raises(ConnectionError, match="cut short"):
+            client.health()
+        thread.join(timeout=30.0)
+        # A retry would be a second connection: nothing is waiting to be
+        # accepted, and exactly one request arrived.
+        listener.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            listener.accept()
+        assert len(requests) == 1 and requests[0].startswith(b"GET /healthz ")
+        assert client._local.connection is None
+    finally:
+        client.close()
+        listener.close()
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "a\r\nb",
+        "a b",
+        "x HTTP/1.1\r\nContent-Length: 0\r\n\r\nDELETE /v1/sessions/victim",
+        "tab\there",
+        "caf\u00e9",
+    ],
+    ids=["crlf", "space", "smuggled-request", "tab", "non-ascii"],
+)
+def test_a_name_that_cannot_go_on_the_wire_is_refused_before_sending(name):
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.2)
+    port = listener.getsockname()[1]
+    client = ServiceClient("http://127.0.0.1:%d" % port, timeout=1.0)
+    try:
+        with pytest.raises(ValueError):
+            client.measure(name, "node-count", 0.1)
+        with pytest.raises(ValueError):
+            client.budget(name)
+        with pytest.raises(ValueError):
+            client._request("GET", "/healthz", headers={"X-A": "1\r\nX-B: 2"})
+        # Nothing connected, so nothing was sent.
+        with pytest.raises(socket.timeout):
+            listener.accept()
+    finally:
+        client.close()
+        listener.close()
+
+
+# ----------------------------------------------------------------------
+# The wire changes nothing a measurement releases
+# ----------------------------------------------------------------------
+def test_served_answers_equal_the_in_process_service():
+    queries = sorted(default_query_builders())
+    assert len(queries) == 9
+    rnd = random.Random(40)
+    sequence: list[tuple[str, float]] = []
+    for _ in range(40):
+        if sequence and rnd.random() < 0.3:
+            sequence.append(rnd.choice(sequence))
+        else:
+            sequence.append((rnd.choice(queries), round(rnd.uniform(0.05, 0.5), 3)))
+    assert len(set(sequence)) < len(sequence)  # the sequence has repeats
+
+    served = serve(port=0, workers=2)
+    served.serve_in_background()
+    twin = MeasurementService(workers=2)
+    client = ServiceClient(served.url, timeout=60.0)
+    try:
+        client.create_session("twin", EDGES, seed=11)
+        twin.create_session("twin", [tuple(edge) for edge in EDGES], seed=11)
+        keys = ("values", "charged", "cached", "total")
+        for query, epsilon in sequence:
+            reply = client.measure("twin", query, epsilon)
+            answer = answer_to_json(twin.measure("twin", query, epsilon))
+            local = json.loads(json.dumps(answer))
+            assert {key: reply[key] for key in keys} == {key: local[key] for key in keys}
+    finally:
+        client.close()
+        served.stop()
+        twin.shutdown()

@@ -203,6 +203,27 @@ class TestMixedBatches:
         query.noisy_count(0.1)
         assert session.holds_exact(query)
 
+    def test_noisy_sum_on_a_held_plan_evaluates_it_once(self):
+        # Weights that are not dyadic: a plain left-to-right sum would round
+        # differently in the held answer's order and the dataset's.
+        weighted = WeightedDataset({edge: 1.0 / (1 + edge[0] % 7) for edge in EDGES})
+        released = []
+        for hold in (False, True):
+            session = PrivacySession(seed=5, executor=SpyExecutor)
+            edges = session.protect("edges", weighted, total_epsilon=100.0)
+            query = edges.select(lambda e: e[0])
+            if hold:
+                session.hold(query)
+            released.append(
+                [query.noisy_sum(eps, lambda node: node % 3 - 1.0) for eps in (0.5, 0.25)]
+            )
+            calls = 1 if hold else 2
+            assert len(session.executor.batches) == calls
+            assert session.exact_stats() == {
+                "held": int(hold), "computed": int(hold), "reused": int(hold)
+            }
+        assert released[0] == released[1]
+
     def test_a_plan_measured_before_it_was_held_is_computed_at_the_next_one(self):
         session, edges = self._protected()
         query = edges.select(lambda e: e[0])

@@ -75,7 +75,7 @@ from .triangles import (
 )
 
 #: The named graph analyses, name -> (description, builder over the protected
-#: edges queryable): what ``repro explain`` and ``repro lint --plans`` list and
+#: edges queryable): what ``repro explain`` and a bare ``repro lint`` list and
 #: what every hosted session of ``repro serve`` answers.
 NAMED_QUERIES = {
     "degree-ccdf": ("degree CCDF (Section 3.1)", degree_ccdf_query),

@@ -29,10 +29,9 @@ The introspection half of the query API is also exposed::
 so is the static analyzer (see README "Static analysis & privacy
 invariants")::
 
-    python -m repro lint                        # AST rules over src/repro
-    python -m repro lint path/to/code --strict  # any finding fails
-    python -m repro lint --plans                # verify every named query plan
-    python -m repro lint --baseline lint-baseline.json --write-baseline
+    python -m repro lint                # every checker over src/repro + named plans
+    python -m repro lint path/to/code   # every checker over that path
+    python -m repro locks               # the lock hierarchy and order graph
 
 as well as the concurrent measurement service (see README "Serving
 measurements")::
@@ -107,7 +106,7 @@ def _run_explain(
 
 
 def _lint_plans() -> int:
-    """Statically verify every named query plan (``repro lint --plans``).
+    """Statically verify every named query plan (bare ``repro lint``).
 
     For each query in :data:`repro.analyses.NAMED_QUERIES`: derive the
     stability bounds (every node must declare a stability constant) and
@@ -158,125 +157,51 @@ def _lint_target(query: str | None) -> tuple["Path", "Path"] | None:
 
 
 def _run_lint(args: argparse.Namespace) -> int:
-    """Run the privacy-invariant AST linter (``repro lint``).
+    """Run every static checker (``repro lint [PATH]``).
 
-    With no path argument, lints the installed ``repro`` package itself —
-    the repo's own release-path invariants.  ``--concurrency`` adds the
-    interprocedural lock-order/deadlock analysis (R007–R009) and ``--flow``
-    the privacy taint analysis (R010).
-
-    Exit codes (the contract CI relies on):
-
-    * ``0`` — clean: nothing to report beyond the baseline, and the
-      baseline (if given) is still accurate.
-    * ``1`` — findings: a new error-severity finding (any finding with
-      ``--strict``), a plan verification failure, **or** a stale baseline —
-      every grandfathered entry that no longer occurs must be removed with
-      ``--write-baseline`` so it cannot mask a future regression.
-    * ``2`` — usage: bad path, unreadable baseline, missing
-      ``--baseline`` for ``--write-baseline``.
+    The rules (R001, R005), the lock-order analysis (R008, R009) and the
+    taint analysis (R010) run over PATH, by default the installed
+    ``repro`` package — and then, with no PATH, every named query plan is
+    verified too.  Exit codes: ``0`` clean, ``1`` any finding or failed
+    plan, ``2`` a path that does not exist or cannot be linted.
     """
-    from pathlib import Path
-
-    from .lint import Baseline, DEFAULT_RULES, LintError, format_issues, lint_paths
+    from .lint import LintError, format_issues, lint_tree
 
     resolved = _lint_target(args.query)
     if resolved is None:
         print(f"lint: path {args.query!r} does not exist", file=sys.stderr)
         return 2
     target, root = resolved
-
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if args.write_baseline and baseline_path is None:
-        print("lint: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
     try:
-        if baseline_path is not None and not args.write_baseline:
-            if not baseline_path.exists():
-                print(
-                    f"lint: baseline {str(baseline_path)!r} does not exist "
-                    "(use --write-baseline to create it)",
-                    file=sys.stderr,
-                )
-                return 2
-            baseline = Baseline.load(baseline_path)
-
-        # Collect pre-baseline so staleness is detectable; filter below.
-        issues = lint_paths([target], DEFAULT_RULES, root=root, baseline=None)
-        model = None
-        if args.concurrency or args.flow:
-            from .lint.engine import ModuleSource, iter_python_files
-            from .lint.model import RepoModel
-
-            modules = []
-            for path in iter_python_files([target]):
-                try:
-                    modules.append(ModuleSource.load(path, root))
-                except SyntaxError:
-                    continue  # already an E001 from lint_paths
-            model = RepoModel(modules)
-        if args.concurrency:
-            from .lint.concurrency import analyze_concurrency
-
-            issues.extend(analyze_concurrency([target], root, model=model))
-        if args.flow:
-            from .lint.flow import analyze_flow
-
-            issues.extend(analyze_flow([target], root, model=model))
+        issues = lint_tree([target], root)
     except LintError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
-    issues.sort(key=lambda issue: (issue.path, issue.line, issue.col, issue.rule))
-
-    if args.write_baseline:
-        changed = Baseline().save(baseline_path, issues)
-        if changed:
-            print(f"wrote {len(issues)} issue(s) to baseline {baseline_path}")
-        else:
-            print(f"baseline {baseline_path} already up to date")
-        return 0
-
-    stale: list[tuple[str, str, str]] = []
-    if baseline is not None:
-        stale = baseline.stale_entries(issues)
-        issues = [issue for issue in issues if not baseline.contains(issue)]
-
-    errors = sum(1 for issue in issues if issue.severity == "error")
     if issues:
         print(format_issues(issues))
-    for rule, rel, text in stale:
-        print(
-            f"lint: baseline entry no longer occurs: {rule} {rel}: {text.strip()}"
-        )
-    if stale:
-        print(
-            f"lint: baseline {baseline_path} is stale "
-            f"({len(stale)} fixed entr{'y' if len(stale) == 1 else 'ies'}); "
-            "refresh it with --write-baseline"
-        )
     plan_errors = 0
-    if args.plans:
+    if args.query is None:
         if issues:
             print()
         plan_errors = _lint_plans()
-    if not issues and not plan_errors and not stale:
-        checked = str(target)
-        print(f"lint: {checked}: clean")
-    if plan_errors or errors or stale:
-        return 1
-    return 1 if (args.strict and issues) else 0
+    if not issues and not plan_errors:
+        print(f"lint: {target}: clean")
+    return 1 if issues or plan_errors else 0
 
 
 def _run_locks(args: argparse.Namespace) -> int:
     """Print the declared lock hierarchy and observed lock-order graph.
 
-    ``repro locks`` runs the same static concurrency analysis as
-    ``repro lint --concurrency`` but renders the full picture — every
-    declared lock with its level and flags, every observed may-hold edge,
-    and whether the graph is a DAG.  Exit 1 if a cycle (R007) exists.
+    ``repro locks`` runs the concurrency analysis ``repro lint`` runs but
+    renders the full picture — every declared lock with its level and
+    flags, every observed may-hold edge, and whether the graph is a DAG.
+    Exit 1 if the graph has a cycle (a potential deadlock).
     """
-    from .lint.concurrency import build_concurrency_analysis, render_lock_report
+    from .lint.concurrency import (
+        build_concurrency_analysis,
+        lock_cycles,
+        render_lock_report,
+    )
 
     resolved = _lint_target(args.query)
     if resolved is None:
@@ -285,7 +210,7 @@ def _run_locks(args: argparse.Namespace) -> int:
     target, root = resolved
     analysis = build_concurrency_analysis([target], root)
     print(render_lock_report(analysis))
-    return 1 if any(issue.rule == "R007" for issue in analysis.issues) else 0
+    return 1 if lock_cycles(analysis) else 0
 
 
 def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
@@ -551,42 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
             "for 'explain': annotate every node with its static stability "
             "bound and append the shard-portability check"
         ),
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="for 'lint': exit non-zero on any finding, warnings included",
-    )
-    parser.add_argument(
-        "--plans",
-        action="store_true",
-        help="for 'lint': also statically verify every named query plan",
-    )
-    parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help=(
-            "for 'lint': run the interprocedural lock-order/deadlock "
-            "analysis (rules R007-R009)"
-        ),
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "for 'lint': run the interprocedural privacy taint analysis "
-            "(rule R010)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="for 'lint': JSON baseline file; recorded issues are not reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="for 'lint': record the current findings into --baseline and exit 0",
     )
     parser.add_argument(
         "--edges", type=int, default=2000, help="for 'synth': edges of the input graph"

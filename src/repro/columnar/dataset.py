@@ -385,7 +385,7 @@ class ColumnarDataset:
         # norm is shown for interactive use only, never logged on release.
         layout = "opaque" if self.arity is None else f"arity={self.arity}"
         return (
-            f"ColumnarDataset(rows={len(self)}, {layout}, "  # lint: disable=R004
+            f"ColumnarDataset(rows={len(self)}, {layout}, "
             f"norm={self.total_weight():.6g})"
         )
 

@@ -79,7 +79,7 @@ class Interner:
         # .parallel runs N chains in threads) cannot assign one code to two
         # atoms.  Reads of existing codes stay lock-free: the dict is
         # append-only, so a hit is always a committed, final value.
-        self._lock = ordered_lock("columnar.interner", 75)  # lock-order: 75
+        self._lock = ordered_lock("columnar.interner", 75)
 
     def __len__(self) -> int:
         return len(self._atoms)

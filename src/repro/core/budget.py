@@ -58,11 +58,11 @@ def _budget_lock():
     """Per-scope budget lock; every PrivacyBudget instance is a peer.
 
     Sibling budgets are acquired together at one level by the sorted
-    ``ExitStack`` discipline of :meth:`BudgetLedger.charge` (rule R002
-    checks the sort order statically; ``peers`` licenses the same-level
-    stack).
+    ``ExitStack`` discipline of :meth:`BudgetLedger.charge` (``peers``
+    licenses the same-level stack; R008 flags a peer acquired in a loop
+    that does not iterate ``sorted(...)``).
     """
-    return ordered_rlock("core.budget", 60, peers=True)  # lock-order: 60 peers
+    return ordered_rlock("core.budget", 60, peers=True)
 
 
 @dataclass
@@ -183,7 +183,7 @@ class BudgetLedger:
 
     def __init__(self) -> None:
         self._budgets: dict[str, PrivacyBudget] = {}
-        self._lock = ordered_rlock("core.ledger", 50)  # lock-order: 50
+        self._lock = ordered_rlock("core.ledger", 50)
 
     def register(self, name: str, total_epsilon: float) -> PrivacyBudget:
         """Create (or idempotently fetch) the budget for a protected source.

@@ -79,7 +79,7 @@ class WeightedDataset:
                 weight = float(weight)
                 if not math.isfinite(weight):
                     # The record and its weight are protected data; naming
-                    # them in the exception would leak them into logs (R004).
+                    # them in the exception would leak them into logs (R010).
                     raise ValueError("dataset weights must be finite floats")
                 accumulated[record] = accumulated.get(record, 0.0) + weight
         self._tolerance = float(tolerance)
@@ -312,11 +312,11 @@ class WeightedDataset:
         # protected records/weights for interactive use; nothing in the
         # release path ever logs a dataset repr.
         preview = ", ".join(
-            f"{record!r}: {weight:.4g}"  # lint: disable=R004
+            f"{record!r}: {weight:.4g}"
             for record, weight in list(self._weights.items())[:6]
         )
         suffix = ", ..." if len(self._weights) > 6 else ""
         return (
-            f"WeightedDataset({{{preview}{suffix}}}, "  # lint: disable=R004
+            f"WeightedDataset({{{preview}{suffix}}}, "
             f"records={len(self._weights)}, norm={self._norm:.6g})"
         )

@@ -117,7 +117,7 @@ class PrivacySession:
         # the executor's memo tables are not thread-safe, so concurrent
         # measurements of one session take turns.  Re-entrant because a
         # locked caller (the measurement service) may itself call measure().
-        self._measure_lock = ordered_rlock("core.measure", 40, io_ok=True)  # lock-order: 40 io-ok
+        self._measure_lock = ordered_rlock("core.measure", 40, io_ok=True)
         # Held plan -> its exact output, release-ready, once first measured
         # (see hold()).  Keyed by the plan object: plans hash by identity, and
         # the key keeps a held plan alive as long as the session.  Written

@@ -1,30 +1,30 @@
 """Static analysis for privacy invariants.
 
-Two analyzers live here:
+``repro lint`` runs every checker here over one parse of the tree
+(:func:`lint_tree`); each guards one invariant:
 
+* :mod:`repro.lint.rules` — per-module AST rules: seeded RNG on release
+  paths (R001), no lambdas handed to plan builders (R005).
+* :mod:`repro.lint.concurrency` — the interprocedural lock-order analysis
+  (R008, R009): every lock is declared by its ``ordered_lock`` /
+  ``ordered_rlock`` call, the may-hold graph is built across function calls,
+  and hierarchy violations — a ``peers`` lock taken in a loop not over
+  ``sorted(...)`` and every deadlock cycle included — and blocking calls
+  under non-``io-ok`` locks are reported.  ``repro locks`` prints the
+  hierarchy and graph.  :mod:`repro.sanitize` enforces the same hierarchy at
+  runtime when ``REPRO_SANITIZE=1``.
+* :mod:`repro.lint.flow` — the interprocedural privacy taint analysis
+  (R010): values derived from protected records/weights are tracked through
+  assignments and calls until they die in a sanctioned release
+  (``NoisyCountResult``) or reach a sink (logs, ``print``, exception
+  messages, HTTP response bodies, pickled payloads).
 * :mod:`repro.lint.plans` — checks a charge computed outside the budget
   machinery (a partition group's max-accounting, a hand-built figure)
   against the per-source stability bound of a
   :class:`~repro.core.plan.Plan` DAG — the same fold,
   :func:`repro.core.plan.stability_bounds`, that prices every measurement —
   and detects unportable closures before the shard codec hits them at
-  runtime.
-* :mod:`repro.lint.rules` + :mod:`repro.lint.engine` — an AST linter over
-  the source tree enforcing the repo-wide privacy/concurrency invariants
-  (rules R001–R006; run it with ``repro lint``).
-* :mod:`repro.lint.concurrency` — the interprocedural lock-order analysis
-  (rules R007–R009): every lock is assigned a level in the declared
-  hierarchy via ``# lock-order:`` annotations, the may-hold graph is built
-  across function calls, and cycles (potential deadlocks), hierarchy
-  violations and blocking calls under non-``io-ok`` locks are reported.
-  ``repro lint --concurrency`` runs it; ``repro locks`` prints the
-  hierarchy and graph.  :mod:`repro.sanitize` enforces the same hierarchy
-  at runtime when ``REPRO_SANITIZE=1``.
-* :mod:`repro.lint.flow` — the interprocedural privacy taint analysis
-  (rule R010): values derived from protected records/weights are tracked
-  through assignments and calls until they die in a sanctioned release
-  (``NoisyCountResult``) or reach a sink (logs, exception messages, HTTP
-  response bodies, pickled payloads).  ``repro lint --flow`` runs it.
+  runtime.  ``repro lint`` with no path verifies every named query plan.
 
 :mod:`repro.lint.portability` is the shared portability analysis: the shard
 codec (:mod:`repro.shard.plan`) delegates to it, so the static checker and
@@ -32,23 +32,28 @@ the runtime wire format can never disagree about what crosses a process
 boundary.
 """
 
+from pathlib import Path
+from typing import Iterable
+
 from .concurrency import (
     ConcurrencyAnalysis,
-    analyze_concurrency,
     build_concurrency_analysis,
     find_cycles,
     render_lock_report,
 )
 from .engine import (
-    Baseline,
     LintError,
     LintIssue,
     ModuleSource,
     Rule,
+    check_rules,
     format_issues,
     lint_paths,
+    load_modules,
+    sort_issues,
 )
 from .flow import analyze_flow
+from .model import RepoModel
 from .plans import (
     PlanIssue,
     StabilityReport,
@@ -65,7 +70,6 @@ from .portability import (
 from .rules import DEFAULT_RULES, RELEASE_PACKAGES
 
 __all__ = [
-    "Baseline",
     "ConcurrencyAnalysis",
     "DEFAULT_RULES",
     "LintError",
@@ -76,7 +80,6 @@ __all__ = [
     "Rule",
     "StabilityReport",
     "UnportablePlanError",
-    "analyze_concurrency",
     "analyze_flow",
     "build_concurrency_analysis",
     "check_portability",
@@ -84,9 +87,20 @@ __all__ = [
     "format_bounds",
     "format_issues",
     "lint_paths",
+    "lint_tree",
     "render_lock_report",
     "plan_portability_issues",
     "portability_error",
     "verify_epsilon",
     "verify_plan",
 ]
+
+
+def lint_tree(paths: Iterable[Path], root: Path) -> list[LintIssue]:
+    """Every finding of every checker (R001, R005, R008–R010, E001), one parse."""
+    modules, issues = load_modules(paths, root)
+    model = RepoModel(modules)
+    issues += check_rules(modules, DEFAULT_RULES)
+    issues += build_concurrency_analysis(paths, root, model=model).issues
+    issues += analyze_flow(paths, root, model=model)
+    return sort_issues(issues)

@@ -1,12 +1,12 @@
-"""Static lock-order, deadlock and blocking-under-lock analysis (R007–R009).
+"""Static lock-order and blocking-under-lock analysis (R008, R009).
 
 This is the whole-repo half of the lock-hierarchy contract whose runtime
 half lives in :mod:`repro.sanitize`:
 
 * every lock is *declared* — created through ``ordered_lock`` /
-  ``ordered_rlock`` (or, for bootstrap locks, a raw ``threading``
-  primitive) with a ``# lock-order: <level> [flags]`` comment at the
-  definition site;
+  ``ordered_rlock``, whose literal name, level and ``peers`` / ``io_ok``
+  keywords are the declaration, or, for a bootstrap lock, a raw
+  ``threading`` primitive with a ``# lock-order:`` comment;
 * every *acquisition* (``with`` items, ``ExitStack.enter_context``,
   explicit ``.acquire()``) is resolved back to its declaration through the
   :class:`~repro.lint.model.RepoModel` type/alias machinery;
@@ -16,26 +16,26 @@ half lives in :mod:`repro.sanitize`:
 
 Findings:
 
-* **R007 deadlock-cycle** — a cycle in the observed lock-order graph
-  (lock B acquired while A is held *and* somewhere else A while B is
-  held).  Cycles are potential deadlocks regardless of annotations.
 * **R008 lock-hierarchy** — an acquisition that contradicts the declared
   levels (must be strictly increasing inward, with carve-outs for
-  re-entrant re-acquisition and declared same-level ``peers``), a lock
-  with a missing/ill-formed/contradictory ``# lock-order`` annotation, or
-  a lock-like acquisition the analyzer cannot resolve (add an inline
+  re-entrant re-acquisition and declared same-level ``peers``), a
+  ``peers`` lock held past a loop (``ExitStack.enter_context``,
+  ``acquire()``) whose iterable is not ``sorted(...)`` — sibling budgets
+  taken in two orders deadlock — an undeclared or ill-declared lock, or a
+  lock-like acquisition the analyzer cannot resolve (add an inline
   ``# lock: <key>`` comment to resolve ambiguity).
 * **R009 blocking-under-lock** — a blocking operation (sleep, sqlite I/O,
   pipe/socket I/O, an HTTP round trip, pool dispatch, ``wait()`` without
   timeout, process join) performed, directly or via calls, while holding a lock that is
   not declared ``io-ok``.
 
-The annotation grammar, checked at definition sites::
+A cycle in the may-hold graph (a potential deadlock) always contains an edge
+against the declared levels, so it is an R008 finding too; ``repro locks``
+prints the cycles themselves (:func:`lock_cycles`).
+
+The raw-lock annotation grammar::
 
     # lock-order: <level> [<name.with.dot>] [io-ok] [peers] [reentrant]
-
-The explicit dotted name is only needed for raw (non-factory) locks; the
-factory's first argument is the name otherwise, and the two must agree.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .engine import Baseline, LintIssue, ModuleSource, iter_python_files
+from .engine import LintIssue, ModuleSource, load_modules, sort_issues, unsuppressed
 from .model import FunctionInfo, RepoModel, TypeEnv, dotted_name
 
 __all__ = [
     "ConcurrencyAnalysis",
     "LockDecl",
-    "analyze_concurrency",
     "build_concurrency_analysis",
     "find_cycles",
+    "lock_cycles",
     "render_lock_report",
 ]
 
@@ -215,17 +215,7 @@ class _DeclCollector:
 
     # -- helpers --------------------------------------------------------
     def _issue(self, module: ModuleSource, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        self.issues.append(
-            LintIssue(
-                rule="R008",
-                path=module.relpath,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                text=module.source_line(line),
-            )
-        )
+        self.issues.append(LintIssue.at("R008", module, node, message))
 
     def _target_site(
         self, module: ModuleSource, stmt: ast.Assign | ast.AnnAssign
@@ -301,50 +291,6 @@ class _DeclCollector:
             return
         peers = _const_value(args.get("peers")) is True
         io_ok = _const_value(args.get("io_ok")) is True
-        parsed = _parse_order_comment(module.source_line(call.lineno))
-        if parsed is None:
-            self._issue(
-                module,
-                call,
-                f"lock {name!r} is created without a '# lock-order: {level}' "
-                f"comment on the definition line (the comment is the "
-                f"reviewed source of truth for the hierarchy)",
-            )
-        elif parsed.error is not None:
-            self._issue(module, call, f"bad lock-order annotation: {parsed.error}")
-        else:
-            if parsed.level != level:
-                self._issue(
-                    module,
-                    call,
-                    f"lock-order comment says level {parsed.level} but the "
-                    f"factory declares {name!r} at level {level}",
-                )
-            if parsed.name is not None and parsed.name != name:
-                self._issue(
-                    module,
-                    call,
-                    f"lock-order comment names {parsed.name!r} but the "
-                    f"factory declares {name!r}",
-                )
-            comment_flags = {
-                "peers": "peers" in parsed.flags,
-                "io-ok": "io-ok" in parsed.flags,
-            }
-            if comment_flags["peers"] != peers or comment_flags["io-ok"] != io_ok:
-                self._issue(
-                    module,
-                    call,
-                    f"lock-order comment flags {sorted(parsed.flags)} do not "
-                    f"match the factory keywords (peers={peers}, io_ok={io_ok})",
-                )
-            if "reentrant" in parsed.flags and kind != "RLock":
-                self._issue(
-                    module,
-                    call,
-                    "lock-order comment says reentrant but the lock is a "
-                    "plain ordered_lock (use ordered_rlock)",
-                )
         self._register(
             module,
             call,
@@ -469,6 +415,8 @@ class _FunctionAnalysis:
     calls: set[str] = field(default_factory=set)
     acq: set[str] = field(default_factory=set)  #: transitive acquisition keys
     block: set[str] = field(default_factory=set)  #: transitive blocking ops
+    #: ``peers`` locks held past a loop that does not iterate ``sorted(...)``.
+    unsorted: list[tuple[ast.AST, LockDecl]] = field(default_factory=list)
 
 
 def _has_timeout(call: ast.Call) -> bool:
@@ -591,6 +539,24 @@ class _Walker:
             _Event(kind="acquire", held=tuple(held), node=node, decl=decl)
         )
 
+    def _check_sorted(self, decl: LockDecl, node: ast.AST) -> None:
+        """Note a ``peers`` lock held past a loop not over ``sorted(...)``.
+
+        Peers share one level, so only a common order (the sorted-name
+        ``ExitStack`` of ``BudgetLedger.charge``) keeps two threads from
+        taking the same siblings in opposite orders.
+        """
+        if not decl.peers:
+            return
+        for ancestor in self.module.ancestors(node):
+            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                return
+            if isinstance(ancestor, (ast.For, ast.AsyncFor)):
+                loop = ancestor.iter
+                if not isinstance(loop, ast.Call) or dotted_name(loop.func) != "sorted":
+                    self.analysis.unsorted.append((node, decl))
+                return
+
     def _handle_call(self, call: ast.Call, held: list[LockDecl]) -> None:
         func = call.func
         # ExitStack.enter_context(<lock>) acquires for the rest of the block.
@@ -599,6 +565,7 @@ class _Walker:
                 decl = self._resolve_lock(call.args[0])
                 if isinstance(decl, LockDecl):
                     self._record_acquire(decl, held, call.args[0])
+                    self._check_sorted(decl, call)
                     held.append(decl)
                     return
         # Explicit lock.acquire()/lock.release().
@@ -607,6 +574,7 @@ class _Walker:
             if isinstance(decl, LockDecl):
                 if func.attr == "acquire":
                     self._record_acquire(decl, held, call)
+                    self._check_sorted(decl, call)
                     held.append(decl)
                 else:
                     for index in range(len(held) - 1, -1, -1):
@@ -759,7 +727,7 @@ class ConcurrencyAnalysis:
 
     model: RepoModel
     registry: StaticLockRegistry
-    issues: list[LintIssue]  #: post-suppression, pre-baseline
+    issues: list[LintIssue]  #: suppression comments applied
     edges: dict[str, dict[str, str]]  #: held key -> acquired key -> first site
 
 
@@ -792,15 +760,9 @@ def _order_violation(
 def build_concurrency_analysis(
     paths: Iterable[Path], root: Path, model: RepoModel | None = None
 ) -> ConcurrencyAnalysis:
-    """Run the R007–R009 analysis; suppression comments are honoured."""
+    """Run the R008/R009 analysis; suppression comments are honoured."""
     if model is None:
-        modules = []
-        for path in iter_python_files(paths):
-            try:
-                modules.append(ModuleSource.load(path, root))
-            except SyntaxError:
-                continue  # lint_paths reports E001 for unparseable files
-        model = RepoModel(modules)
+        model = RepoModel(load_modules(paths, root)[0])
     registry = StaticLockRegistry()
     collector = _DeclCollector(model, registry)
     collector.collect()
@@ -813,20 +775,17 @@ def build_concurrency_analysis(
         if (module.relpath, line) in unresolved_sites:
             return
         unresolved_sites.add((module.relpath, line))
-        issues.append(
-            LintIssue(
-                rule="R008",
-                path=module.relpath,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=(
-                    f"cannot resolve lock-like acquisition {name!r} to a "
-                    f"declared lock; declare it via ordered_lock() or add an "
-                    f"inline '# lock: <key>' comment"
-                ),
-                text=module.source_line(line),
-            )
+        emit(
+            module,
+            node,
+            "R008",
+            f"cannot resolve lock-like acquisition {name!r} to a declared "
+            f"lock; declare it via ordered_lock() or add an inline "
+            f"'# lock: <key>' comment",
         )
+
+    def emit(module: ModuleSource, node: ast.AST, rule: str, message: str) -> None:
+        issues.append(LintIssue.at(rule, module, node, message))
 
     analyses: dict[str, _FunctionAnalysis] = {}
     for functions in (model.functions, model.methods):
@@ -861,21 +820,16 @@ def build_concurrency_analysis(
             return
         edges.setdefault(held.key, {}).setdefault(acquired_key, site)
 
-    def emit(module: ModuleSource, node: ast.AST, rule: str, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        issues.append(
-            LintIssue(
-                rule=rule,
-                path=module.relpath,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                text=module.source_line(line),
-            )
-        )
-
     for analysis in analyses.values():
         module = analysis.info.module
+        for node, decl in analysis.unsorted:
+            emit(
+                module,
+                node,
+                "R008",
+                f"peer lock {decl.key!r} acquired in a loop that does not "
+                f"iterate sorted(...); siblings taken in two orders can deadlock",
+            )
         for event in analysis.events:
             if not event.held:
                 continue
@@ -929,59 +883,30 @@ def build_concurrency_analysis(
                         f"while holding lock(s) [{names}] not declared io-ok",
                     )
 
-    # R007: cycles in the observed lock-order graph.
-    adjacency = {held: set(targets) for held, targets in edges.items()}
-    for cycle in find_cycles(adjacency):
-        if len(cycle) == 1:
-            decl = registry.decls.get(cycle[0])
-            if decl is not None and (decl.reentrant or decl.peers):
-                continue
-        sites = []
-        ring = [*cycle, cycle[0]]
-        for source, target in zip(ring, ring[1:]):
-            site = edges.get(source, {}).get(target)
-            if site is not None:
-                sites.append(f"{source}->{target} at {site}")
-        anchor = edges.get(cycle[0], {})
-        first_site = next(iter(anchor.values()), "")
-        path_str, _, line_str = first_site.rpartition(":")
-        issues.append(
-            LintIssue(
-                rule="R007",
-                path=path_str or (registry.decls[cycle[0]].path if cycle[0] in registry.decls else ""),
-                line=int(line_str) if line_str.isdigit() else 1,
-                col=1,
-                message=(
-                    f"potential deadlock: lock-order cycle "
-                    f"{' -> '.join(ring)} ({'; '.join(sites)})"
-                ),
-            )
-        )
-
-    module_by_path = {module.relpath: module for module in model.modules}
-    surviving = []
-    for issue in issues:
-        module = module_by_path.get(issue.path)
-        if module is not None and module.suppressed(issue.line, issue.rule):
-            continue
-        surviving.append(issue)
-    surviving.sort(key=lambda issue: (issue.path, issue.line, issue.col, issue.rule))
     return ConcurrencyAnalysis(
-        model=model, registry=registry, issues=surviving, edges=edges
+        model=model,
+        registry=registry,
+        issues=sort_issues(unsuppressed(issues, model.modules)),
+        edges=edges,
     )
 
 
-def analyze_concurrency(
-    paths: Iterable[Path],
-    root: Path,
-    baseline: Baseline | None = None,
-    model: RepoModel | None = None,
-) -> list[LintIssue]:
-    """The R007–R009 issues for ``paths`` (suppressions + baseline applied)."""
-    analysis = build_concurrency_analysis(paths, root, model=model)
-    if baseline is None:
-        return analysis.issues
-    return [issue for issue in analysis.issues if not baseline.contains(issue)]
+def lock_cycles(analysis: ConcurrencyAnalysis) -> list[list[str]]:
+    """Cycles of the observed order graph: potential deadlocks.
+
+    A self-loop of a re-entrant or ``peers`` lock is not one.  Every cycle
+    also holds an edge against the declared levels, an R008 finding.
+    """
+    edges = {held: set(targets) for held, targets in analysis.edges.items()}
+    return [
+        cycle
+        for cycle in find_cycles(edges)
+        if len(cycle) > 1
+        or not (
+            (decl := analysis.registry.decls.get(cycle[0])) is not None
+            and (decl.reentrant or decl.peers)
+        )
+    ]
 
 
 def render_lock_report(analysis: ConcurrencyAnalysis) -> str:
@@ -1020,18 +945,7 @@ def render_lock_report(analysis: ConcurrencyAnalysis) -> str:
                 f"  {source}@{source_level} -> {target}@{target_level}"
                 f"  [{site}]"
             )
-    cycles = find_cycles(
-        {held: set(targets) for held, targets in analysis.edges.items()}
-    )
-    cycles = [
-        cycle
-        for cycle in cycles
-        if len(cycle) > 1
-        or not (
-            (decl := analysis.registry.decls.get(cycle[0])) is not None
-            and (decl.reentrant or decl.peers)
-        )
-    ]
+    cycles = lock_cycles(analysis)
     lines.append("")
     if cycles:
         lines.append(f"CYCLES ({len(cycles)}) — potential deadlocks:")

@@ -1,4 +1,4 @@
-"""AST lint engine: module loading, suppression, baselines, reporting.
+"""AST lint engine: module loading, suppression, reporting.
 
 The engine is deliberately small: a :class:`ModuleSource` parses one file
 and precomputes what every rule needs (AST, parent links, per-line
@@ -7,42 +7,38 @@ and :func:`lint_paths` drives the two over a file tree.  Rules themselves
 live in :mod:`repro.lint.rules`.
 
 Suppression: a finding is silenced by a comment on the flagged line —
-``# lint: disable=R004`` (comma-separate several codes, or use ``all``).
+``# lint: disable=R010`` (comma-separate several codes, or use ``all``).
 Suppressions are per-line and per-rule so they double as documentation of
 the sanctioned exception.
-
-Baselines: ``repro lint --write-baseline`` records current findings keyed
-by ``(rule, path, stripped source line)`` — not line numbers, so unrelated
-edits don't invalidate the baseline — and ``--baseline FILE`` filters them
-out of later runs, letting a new rule land strict while grandfathering
-known debt.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 __all__ = [
-    "Baseline",
     "LintError",
     "LintIssue",
     "ModuleSource",
     "Rule",
+    "check_rules",
     "format_issues",
     "iter_python_files",
     "lint_paths",
+    "load_modules",
+    "sort_issues",
+    "unsuppressed",
 ]
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 
 class LintError(Exception):
-    """The linter itself could not run (unreadable file, bad baseline)."""
+    """The linter itself could not run (an unreadable or non-python path)."""
 
 
 @dataclass(frozen=True)
@@ -54,14 +50,22 @@ class LintIssue:
     line: int
     col: int
     message: str
-    severity: str = "error"  #: "error" | "warning"
-    text: str = ""  #: stripped source line, used for baseline matching
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def baseline_key(self) -> tuple[str, str, str]:
-        return (self.rule, self.path, self.text)
+    @classmethod
+    def at(
+        cls, rule: str, module: "ModuleSource", node: ast.AST, message: str
+    ) -> "LintIssue":
+        """The finding ``rule`` at ``node`` of ``module``."""
+        return cls(
+            rule=rule,
+            path=module.relpath,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0) + 1,
+            message=message,
+        )
 
 
 class ModuleSource:
@@ -133,81 +137,8 @@ class Rule:
     def check(self, module: ModuleSource) -> Iterator[LintIssue]:
         raise NotImplementedError
 
-    def issue(
-        self,
-        module: ModuleSource,
-        node: ast.AST,
-        message: str,
-        severity: str = "error",
-    ) -> LintIssue:
-        line = getattr(node, "lineno", 1)
-        return LintIssue(
-            rule=self.code,
-            path=module.relpath,
-            line=line,
-            col=getattr(node, "col_offset", 0) + 1,
-            message=message,
-            severity=severity,
-            text=module.source_line(line),
-        )
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings, matched by (rule, path, source-line text)."""
-
-    entries: set[tuple[str, str, str]] = field(default_factory=set)
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            entries = {
-                (entry["rule"], entry["path"], entry["text"]) for entry in raw["issues"]
-            }
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise LintError(f"cannot load baseline {path}: {exc}") from exc
-        return cls(entries)
-
-    def save(self, path: Path, issues: Iterable[LintIssue]) -> bool:
-        """Write the baseline for ``issues``; returns True if the file changed.
-
-        The payload is stable-sorted, and an up-to-date file is left
-        untouched — so re-running ``--write-baseline`` never churns
-        timestamps or version control.
-        """
-        payload = {
-            "issues": sorted(
-                (
-                    {"rule": rule, "path": rel, "text": text}
-                    for rule, rel, text in {issue.baseline_key() for issue in issues}
-                ),
-                key=lambda entry: (entry["path"], entry["rule"], entry["text"]),
-            )
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-        try:
-            if path.read_text(encoding="utf-8") == text:
-                return False
-        except OSError:
-            pass
-        path.write_text(text, encoding="utf-8")
-        return True
-
-    def contains(self, issue: LintIssue) -> bool:
-        return issue.baseline_key() in self.entries
-
-    def stale_entries(
-        self, issues: Iterable[LintIssue]
-    ) -> list[tuple[str, str, str]]:
-        """Baseline entries that no current (pre-baseline) issue matches.
-
-        A non-empty result means grandfathered findings have been fixed and
-        the baseline should be refreshed with ``--write-baseline`` so it
-        cannot mask a future regression at the same site.
-        """
-        current = {issue.baseline_key() for issue in issues}
-        return sorted(self.entries - current)
+    def issue(self, module: ModuleSource, node: ast.AST, message: str) -> LintIssue:
+        return LintIssue.at(self.code, module, node, message)
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -227,44 +158,73 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def lint_paths(
-    paths: Iterable[Path],
-    rules: Iterable[Rule],
-    root: Path,
-    baseline: Baseline | None = None,
-) -> list[LintIssue]:
-    """Run every rule over every file; returns surviving issues, sorted.
-
-    Per-line suppression comments and baseline entries are applied here so
-    individual rules stay oblivious to both.  A file that fails to parse
-    yields a single ``E001`` issue rather than aborting the run.
-    """
-    rules = list(rules)
+def load_modules(
+    paths: Iterable[Path], root: Path
+) -> tuple[list[ModuleSource], list[LintIssue]]:
+    """Parse every file once; a file that fails to parse is an ``E001`` issue."""
+    modules: list[ModuleSource] = []
     issues: list[LintIssue] = []
     for path in iter_python_files(paths):
         try:
-            module = ModuleSource.load(path, root)
+            modules.append(ModuleSource.load(path, root))
         except SyntaxError as exc:
-            relpath = path.as_posix()
             issues.append(
                 LintIssue(
                     rule="E001",
-                    path=relpath,
+                    path=path.as_posix(),
                     line=exc.lineno or 1,
                     col=(exc.offset or 0) + 1,
                     message=f"syntax error: {exc.msg}",
                 )
             )
-            continue
-        for rule in rules:
-            for issue in rule.check(module):
-                if module.suppressed(issue.line, issue.rule):
-                    continue
-                if baseline is not None and baseline.contains(issue):
-                    continue
-                issues.append(issue)
-    issues.sort(key=lambda issue: (issue.path, issue.line, issue.col, issue.rule))
-    return issues
+    return modules, issues
+
+
+def unsuppressed(
+    issues: Iterable[LintIssue], modules: Iterable[ModuleSource]
+) -> list[LintIssue]:
+    """``issues`` minus those a ``# lint: disable=`` comment silences."""
+    by_path = {module.relpath: module for module in modules}
+    return [
+        issue
+        for issue in issues
+        if issue.path not in by_path
+        or not by_path[issue.path].suppressed(issue.line, issue.rule)
+    ]
+
+
+def sort_issues(issues: Iterable[LintIssue]) -> list[LintIssue]:
+    """Deterministic report order: path, then line, column and rule."""
+    return sorted(
+        issues, key=lambda issue: (issue.path, issue.line, issue.col, issue.rule)
+    )
+
+
+def check_rules(
+    modules: Iterable[ModuleSource], rules: Iterable[Rule]
+) -> list[LintIssue]:
+    """Every rule over every module, suppression comments applied."""
+    rules = list(rules)
+    return [
+        issue
+        for module in modules
+        for rule in rules
+        for issue in rule.check(module)
+        if not module.suppressed(issue.line, issue.rule)
+    ]
+
+
+def lint_paths(
+    paths: Iterable[Path], rules: Iterable[Rule], root: Path
+) -> list[LintIssue]:
+    """Run every rule over every file; returns surviving issues, sorted.
+
+    Per-line suppression comments are applied here so individual rules stay
+    oblivious to them.  A file that fails to parse yields a single ``E001``
+    issue rather than aborting the run.
+    """
+    modules, issues = load_modules(paths, root)
+    return sort_issues([*issues, *check_rules(modules, rules)])
 
 
 def format_issues(issues: Iterable[LintIssue]) -> str:

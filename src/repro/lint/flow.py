@@ -1,23 +1,26 @@
 """Interprocedural privacy taint analysis (R010).
 
-R004 pattern-matches *names*: a weight-ish identifier inside a log call.
-This pass tracks *values*.  A taint origin is protected data — the record
-keys and weight values held by ``WeightedDataset`` (``core/dataset.py``),
-``ColumnarDataset`` and the ``ColumnBackedDataset`` its ``to_weighted`` returns
-(``columnar/dataset.py``), the exact answers a session holds, ``ExactAnswer``
-(``core/aggregation.py``), and the ``repr`` tokens of protected atoms an
-``Interner`` memoises (``columnar/interning.py``) — and taint propagates
-through assignments, arithmetic, f-strings, containers and calls until it
-either dies in a **sanctioned release** or reaches a **sink**:
+This pass tracks *values*, not names.  A taint origin is protected data —
+the record keys and weight values held by ``WeightedDataset``
+(``core/dataset.py``), ``ColumnarDataset`` and the ``ColumnBackedDataset``
+its ``to_weighted`` returns (``columnar/dataset.py``), the exact answers a
+session holds, ``ExactAnswer`` (``core/aggregation.py``), and the ``repr``
+tokens of protected atoms an ``Interner`` memoises
+(``columnar/interning.py``) — and taint propagates through assignments,
+arithmetic, f-strings, containers and calls until it either dies in a
+**sanctioned release** or reaches a **sink**:
 
-* logging / ``print`` (the R004 sinks, now reached through any number of
-  intermediate variables);
+* logging / ``print``, reached through any number of intermediate
+  variables;
 * exception messages (``raise E(tainted)``) — tracebacks end up in logs
   and HTTP 500 bodies;
 * HTTP response bodies (``wfile.write``-ish receivers in
   ``service/http.py``);
 * pickled payloads (``pickle.dumps``/``dump`` — ``shard/plan.py`` sends
   these across process boundaries).
+
+A protected type's constructor arguments named like its protected
+attributes (``weights``, ``columns``, ``records``) are protected too.
 
 Sanctioned releases kill taint: ``NoisyCountResult`` (the Laplace release
 object), ``noisy_sum`` (the noise mechanism itself), ``from_released``
@@ -31,7 +34,7 @@ into a sink inside it — so ``self._reply(payload)`` is flagged at the
 call site when ``payload`` is tainted and ``_reply`` writes its argument
 to the response stream.  Unresolvable calls propagate taint through their
 result conservatively but are never sinks themselves.  Findings are
-limited to the release packages, matching R001/R004.
+limited to the release packages, matching R001.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .engine import Baseline, LintIssue, ModuleSource, iter_python_files
+from .engine import LintIssue, ModuleSource, load_modules, sort_issues, unsuppressed
 from .model import (
     FunctionInfo,
     RepoModel,
@@ -49,7 +52,7 @@ from .model import (
     annotation_identifiers,
     dotted_name,
 )
-from .rules import RELEASE_PACKAGES
+from .rules import in_release_package
 
 __all__ = ["analyze_flow"]
 
@@ -99,10 +102,6 @@ _LOG_METHODS = frozenset(
 _SRC = "SRC"
 
 
-def _in_release_package(parts: tuple[str, ...]) -> bool:
-    return any(part in RELEASE_PACKAGES for part in parts[:-1])
-
-
 @dataclass
 class _Summary:
     """What one function does with taint, for its callers."""
@@ -138,6 +137,11 @@ class _FunctionTaint:
             name: frozenset({f"P{index}"})
             for index, name in enumerate(info.param_names)
         }
+        # A protected type's constructor receives its protected data.
+        constructs = info.cls is not None and info.cls.name in _SOURCE_TYPES
+        if constructs and info.name == "__init__":
+            for name in _SOURCE_ATTRS.intersection(info.param_names):
+                self.state[name] = self.state[name] | {_SRC}
         # A parameter annotated with a protected type is a source even when
         # the class body itself is outside the analyzed path set (partial
         # runs, fixtures): seed the type environment so receiver checks hit.
@@ -381,20 +385,11 @@ class _FunctionTaint:
 
 
 def analyze_flow(
-    paths: Iterable[Path],
-    root: Path,
-    baseline: Baseline | None = None,
-    model: RepoModel | None = None,
+    paths: Iterable[Path], root: Path, model: RepoModel | None = None
 ) -> list[LintIssue]:
-    """The R010 issues for ``paths`` (suppressions + baseline applied)."""
+    """The R010 issues for ``paths`` (suppression comments applied)."""
     if model is None:
-        modules = []
-        for path in iter_python_files(paths):
-            try:
-                modules.append(ModuleSource.load(path, root))
-            except SyntaxError:
-                continue  # lint_paths reports E001 for unparseable files
-        model = RepoModel(modules)
+        model = RepoModel(load_modules(paths, root)[0])
 
     functions: list[FunctionInfo] = []
     seen: set[str] = set()
@@ -409,17 +404,7 @@ def analyze_flow(
     issues: list[LintIssue] = []
 
     def emit(module: ModuleSource, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        issues.append(
-            LintIssue(
-                rule="R010",
-                path=module.relpath,
-                line=line,
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                text=module.source_line(line),
-            )
-        )
+        issues.append(LintIssue.at("R010", module, node, message))
 
     # Fixpoint: summaries grow monotonically; issues are collected fresh on
     # each round and the final round's set is reported.
@@ -431,7 +416,7 @@ def analyze_flow(
                 model,
                 info,
                 summaries,
-                sink_here=_in_release_package(info.module.parts),
+                sink_here=in_release_package(info.module.parts),
                 emit=emit,
             ).run()
         if all(
@@ -439,19 +424,8 @@ def analyze_flow(
         ):
             break
 
-    module_by_path = {module.relpath: module for module in model.modules}
-    surviving = []
-    seen_sites: set[tuple[str, int, str]] = set()
+    # One finding per site and message: a later fixpoint round may re-emit it.
+    distinct: dict[tuple[str, int, str], LintIssue] = {}
     for issue in issues:
-        module = module_by_path.get(issue.path)
-        if module is not None and module.suppressed(issue.line, issue.rule):
-            continue
-        if baseline is not None and baseline.contains(issue):
-            continue
-        site = (issue.path, issue.line, issue.message)
-        if site in seen_sites:
-            continue
-        seen_sites.add(site)
-        surviving.append(issue)
-    surviving.sort(key=lambda issue: (issue.path, issue.line, issue.col, issue.rule))
-    return surviving
+        distinct.setdefault((issue.path, issue.line, issue.message), issue)
+    return sort_issues(unsuppressed(distinct.values(), model.modules))

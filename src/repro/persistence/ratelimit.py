@@ -84,7 +84,7 @@ class RateLimiter:
         self.burst = float(burst) if burst is not None else max(1.0, 2.0 * rate)
         self._clock = clock
         self._seed = int(seed)
-        self._lock = ordered_lock("persistence.ratelimit", 24)  # lock-order: 24
+        self._lock = ordered_lock("persistence.ratelimit", 24)
         self._buckets: dict[str, TokenBucket] = {}
         self._admitted = 0
         self._limited = 0
@@ -138,7 +138,7 @@ class LoadShedder:
         if max_total < 1:
             raise ValueError("max_total must be a positive integer")
         self.max_total = max_total
-        self._lock = ordered_lock("persistence.shedder", 26)  # lock-order: 26
+        self._lock = ordered_lock("persistence.shedder", 26)
         self._pending = 0
         self._shed = 0
 

@@ -141,7 +141,7 @@ class LedgerStore:
         self.path = path
         # Invoked inside a charge's transaction, before its check (tests).
         self.fault_after_intent: Callable[[], None] | None = None
-        self._mutex = ordered_rlock("persistence.wal", 70, io_ok=True)  # lock-order: 70 io-ok
+        self._mutex = ordered_rlock("persistence.wal", 70, io_ok=True)
         self._closed = False
         # One connection, shared across threads under ``_mutex``; explicit
         # transaction control (isolation_level=None) because a charge needs

@@ -148,7 +148,7 @@ class FaultPlan:
         self._rules = {}
         for rule in rules:
             self.add(rule)
-        self._lock = ordered_lock("resilience.faults", 90)  # lock-order: 90
+        self._lock = ordered_lock("resilience.faults", 90)
         self._hits = {}
         self._fired = {}
 

@@ -49,7 +49,7 @@ class RetryBudget:
         self.capacity = float(capacity)
         self.deposit = float(deposit)
         self._tokens = float(capacity)
-        self._lock = ordered_lock("resilience.retry_budget", 85)  # lock-order: 85
+        self._lock = ordered_lock("resilience.retry_budget", 85)
 
     def record_attempt(self):
         with self._lock:
@@ -159,7 +159,7 @@ class CircuitBreaker:
         self.reset_after = float(reset_after)
         self.name = name
         self._clock = clock
-        self._lock = ordered_lock("resilience.breaker", 20)  # lock-order: 20
+        self._lock = ordered_lock("resilience.breaker", 20)
         self._failures = 0
         self._opened_at = None
         self._probing = False

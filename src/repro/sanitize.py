@@ -2,9 +2,9 @@
 
 The repository declares a total lock hierarchy: every lock is created
 through :func:`ordered_lock` / :func:`ordered_rlock` with a unique name and
-an integer *level*, and the matching ``# lock-order: <level>`` comment at
-the definition site is what :mod:`repro.lint.concurrency` verifies
-statically.  This module is the *empirical* half of that contract: with
+an integer *level*.  That factory call is the declaration
+:mod:`repro.lint.concurrency` reads to verify the hierarchy statically.
+This module is the *empirical* half of that contract: with
 ``REPRO_SANITIZE=1`` in the environment (or after :func:`enable`), every
 lock the factories hand out is wrapped so each acquisition is checked
 against a thread-local stack of currently-held locks:
@@ -16,7 +16,8 @@ against a thread-local stack of currently-held locks:
 * acquiring another instance of the **same** lock at the **same** level is
   fine when the lock is declared ``peers`` — the sorted-name ``ExitStack``
   discipline of ``BudgetLedger.charge`` acquires many sibling budget locks
-  at one level (rule R002 checks the sort order statically);
+  at one level (R008 checks statically that the loop iterates
+  ``sorted(...)``);
 * anything else raises :class:`LockOrderViolation` immediately, naming the
   offending acquisition and the held stack — so a divergence between the
   declared static hierarchy and actual runtime behaviour fails the test
@@ -241,8 +242,8 @@ def ordered_lock(
     """A ``threading.Lock`` declared at ``level`` in the lock hierarchy.
 
     With the sanitizer disabled this *is* a plain ``threading.Lock``.  The
-    call site must carry the matching ``# lock-order: <level>`` comment;
-    :mod:`repro.lint.concurrency` cross-checks the two.
+    name, level and flags must be literals: :mod:`repro.lint.concurrency`
+    reads the hierarchy off this call.
     """
     spec = _declare(
         LockSpec(name=name, level=int(level), peers=peers, io_ok=io_ok)

@@ -63,7 +63,7 @@ class AnswerCache:
     def __init__(self, max_entries: int = 131072) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be a positive integer")
-        self._lock = ordered_lock("service.cache", 18)  # lock-order: 18
+        self._lock = ordered_lock("service.cache", 18)
         self._answers: OrderedDict[
             tuple[str, "Plan", float], "NoisyCountResult"
         ] = OrderedDict()

@@ -497,7 +497,7 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         self.service = service
         self.verbose = verbose
         self.measure_timeout = measure_timeout
-        self._connections_lock = ordered_lock("service.http", 8)  # lock-order: 8
+        self._connections_lock = ordered_lock("service.http", 8)
         self._open: set[socket.socket] = set()
         self._closed_all = threading.Event()  # set by the last close after stop()
         self._accepted = 0

@@ -116,7 +116,7 @@ class HostedSession:
         # close/re-create by a sibling worker evicts this replica instead of
         # letting it serve a stale dataset.
         self.generation: str | None = None
-        self._lock = ordered_rlock("service.session", 14)  # lock-order: 14
+        self._lock = ordered_rlock("service.session", 14)
         self._queries: dict[str, Queryable] = {}
 
     # ------------------------------------------------------------------
@@ -210,7 +210,7 @@ class SessionRegistry:
         on_restore: Callable[[HostedSession], None] | None = None,
         on_evict: Callable[[str], None] | None = None,
     ) -> None:
-        self._lock = ordered_rlock("service.registry", 10, io_ok=True)  # lock-order: 10 io-ok
+        self._lock = ordered_rlock("service.registry", 10, io_ok=True)
         self._store = store
         self._on_restore = on_restore
         self._on_evict = on_evict

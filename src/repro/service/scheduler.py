@@ -143,7 +143,7 @@ class BatchingScheduler:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )
-        self._lock = ordered_lock("service.scheduler", 16)  # lock-order: 16
+        self._lock = ordered_lock("service.scheduler", 16)
         self._queues: dict[str, list[_PendingRequest]] = {}
         self._draining: set[str] = set()
         self._max_pending = max_pending

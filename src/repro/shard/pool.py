@@ -211,7 +211,7 @@ class ProcessPool:
         self._closed = False
         # Serialises concurrent shutdown() callers: the teardown runs once,
         # later callers block until it finishes, then return.
-        self._shutdown_lock = ordered_lock("shard.pool.shutdown", 30, io_ok=True)  # lock-order: 30 io-ok
+        self._shutdown_lock = ordered_lock("shard.pool.shutdown", 30, io_ok=True)
         # Start the parent's resource tracker *before* any worker exists.
         # A fork child created while the tracker is still unlaunched lazily
         # starts its own private tracker on first shared-memory attach; that

@@ -1,7 +1,7 @@
-"""R007 fixture: two functions acquire the same locks in opposite orders.
+"""Deadlock fixture: two functions acquire the same locks in opposite orders.
 
-Expected findings: exactly one R007 cycle (cyc.a -> cyc.b -> cyc.a) and
-exactly one R008 hierarchy violation (the inverted edge in ``backward``).
+Expected findings: exactly one R008 hierarchy violation (the inverted edge
+in ``backward``); ``repro locks`` reports the cycle cyc.a -> cyc.b -> cyc.a.
 """
 
 import threading
@@ -12,11 +12,11 @@ lock_b = threading.Lock()  # lock-order: 20 cyc.b
 
 def forward():
     with lock_a:
-        with lock_b:  # lint: disable=R002
+        with lock_b:
             pass
 
 
 def backward():
     with lock_b:
-        with lock_a:  # lint: disable=R002
+        with lock_a:
             pass

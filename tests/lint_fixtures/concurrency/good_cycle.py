@@ -11,11 +11,11 @@ lock_b = threading.Lock()  # lock-order: 20 goodcyc.b
 
 def forward():
     with lock_a:
-        with lock_b:  # lint: disable=R002
+        with lock_b:
             pass
 
 
 def also_forward():
     with lock_a:
-        with lock_b:  # lint: disable=R002
+        with lock_b:
             pass

@@ -2,7 +2,7 @@
 
 Every sink here receives a value derived from protected records/weights
 with no sanctioned release in between — and none of the variable names
-mention "weight", so the name-based R004 cannot see any of them.
+mention "weight", so no name-matching rule could see any of them.
 
 Expected findings: exactly four R010 —
 * ``log_value``: the weight reaches ``log.info`` via a rename and a

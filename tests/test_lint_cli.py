@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -11,20 +12,19 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
 def test_lint_default_target_is_clean(capsys):
+    # A bare `repro lint` runs every checker (R001-R010) over the package
+    # and verifies every named plan.
     assert main(["lint"]) == 0
     out = capsys.readouterr().out
     assert "clean" in out
-
-
-def test_lint_strict_is_clean_too(capsys):
-    assert main(["lint", "--strict"]) == 0
+    assert "plan tbd" in out
 
 
 def test_lint_bad_file_fails_with_findings(capsys):
-    assert main(["lint", str(FIXTURES / "core" / "bad_imports.py")]) == 1
+    assert main(["lint", str(FIXTURES / "analyses" / "bad_lambda.py")]) == 1
     out = capsys.readouterr().out
-    assert "R006" in out
-    assert "bad_imports.py" in out
+    assert "R005" in out
+    assert "bad_lambda.py" in out
 
 
 def test_lint_file_inside_repro_keeps_release_gating(tmp_path, capsys):
@@ -40,9 +40,13 @@ def test_lint_file_inside_repro_keeps_release_gating(tmp_path, capsys):
 def test_lint_directory_target(capsys):
     assert main(["lint", str(FIXTURES)]) == 1
     out = capsys.readouterr().out
-    # Findings from several packages, deterministically ordered.
-    for rule in ("R001", "R002", "R003", "R004", "R005", "R006", "E001"):
+    # Findings of every checker, from several packages; a path argument
+    # skips the named-plan verification.
+    for rule in (
+        "R001", "R005", "R008", "R009", "R010", "E001",
+    ):
         assert rule in out
+    assert "plan tbd" not in out
 
 
 def test_lint_missing_path_is_a_usage_error(capsys):
@@ -51,38 +55,13 @@ def test_lint_missing_path_is_a_usage_error(capsys):
 
 
 def test_lint_plans_verifies_named_queries(capsys):
-    assert main(["lint", "--plans"]) == 0
+    assert main(["lint"]) == 0
     out = capsys.readouterr().out
     assert "plan tbd" in out
     assert "edges<=9" in out
     assert "plan sbd" in out
     assert "edges<=12" in out
     assert "FAIL" not in out
-
-
-def test_lint_baseline_roundtrip(tmp_path, capsys):
-    target = str(FIXTURES / "core" / "bad_imports.py")
-    baseline = tmp_path / "baseline.json"
-
-    assert main(["lint", target, "--baseline", str(baseline), "--write-baseline"]) == 0
-    recorded = json.loads(baseline.read_text(encoding="utf-8"))
-    assert {entry["rule"] for entry in recorded["issues"]} == {"R006"}
-
-    capsys.readouterr()
-    assert main(["lint", target, "--baseline", str(baseline)]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_lint_missing_baseline_is_a_usage_error(tmp_path, capsys):
-    target = str(FIXTURES / "core" / "bad_imports.py")
-    code = main(["lint", target, "--baseline", str(tmp_path / "nope.json")])
-    assert code == 2
-    assert "does not exist" in capsys.readouterr().err
-
-
-def test_write_baseline_requires_baseline_path(capsys):
-    assert main(["lint", "--write-baseline"]) == 2
-    assert "--baseline" in capsys.readouterr().err
 
 
 def test_explain_verify_prints_static_verification(capsys):
@@ -99,36 +78,34 @@ def test_explain_without_verify_is_unchanged(capsys):
 
 
 # ----------------------------------------------------------------------
-# --concurrency / --flow / locks (PR 10)
+# One command: no checker is behind a flag
 # ----------------------------------------------------------------------
-def test_lint_concurrency_flag_default_target_is_clean(capsys):
-    assert main(["lint", "--concurrency"]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_lint_flow_flag_default_target_is_clean(capsys):
-    assert main(["lint", "--flow"]) == 0
-    assert "clean" in capsys.readouterr().out
-
-
-def test_lint_concurrency_flag_reports_fixture_findings(capsys):
-    assert main(["lint", str(FIXTURES / "concurrency"), "--concurrency"]) == 1
+def test_lint_reports_concurrency_fixture_findings(capsys):
+    assert main(["lint", str(FIXTURES / "concurrency")]) == 1
     out = capsys.readouterr().out
-    for rule in ("R007", "R008", "R009"):
+    for rule in ("R008", "R009"):
         assert rule in out
 
 
-def test_lint_flow_flag_reports_fixture_findings(capsys):
-    assert main(["lint", str(FIXTURES / "flow"), "--flow"]) == 1
+def test_lint_reports_flow_fixture_findings(capsys):
+    assert main(["lint", str(FIXTURES / "flow")]) == 1
     out = capsys.readouterr().out
     assert "R010" in out
     assert "bad_taint.py" in out
 
 
-def test_lint_without_flags_skips_new_analyzers(capsys):
-    # The fixture leaks are invisible to the base rule set: the flags are
-    # genuine opt-ins, so pre-existing workflows keep their behaviour.
-    assert main(["lint", str(FIXTURES / "flow")]) == 0
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--strict", "--concurrency", "--flow", "--plans",
+        "--baseline=b.json", "--write-baseline",
+    ],
+)
+def test_removed_lint_flags_are_usage_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_locks_prints_hierarchy_and_dag(capsys):
@@ -149,45 +126,3 @@ def test_locks_exits_nonzero_on_cycle(capsys):
 def test_locks_missing_path_is_a_usage_error(capsys):
     assert main(["locks", str(FIXTURES / "nope")]) == 2
     assert "does not exist" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Baseline ergonomics (PR 10)
-# ----------------------------------------------------------------------
-def test_write_baseline_does_not_rewrite_unchanged_file(tmp_path, capsys):
-    import os
-
-    target = str(FIXTURES / "core" / "bad_imports.py")
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", target, "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert "wrote" in capsys.readouterr().out
-
-    sentinel = 946684800  # 2000-01-01; proves no second write happened
-    os.utime(baseline, (sentinel, sentinel))
-    assert main(["lint", target, "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert "already up to date" in capsys.readouterr().out
-    assert baseline.stat().st_mtime == sentinel
-
-
-def test_baseline_is_stable_sorted(tmp_path):
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(FIXTURES), "--baseline", str(baseline), "--write-baseline"]) == 0
-    entries = json.loads(baseline.read_text(encoding="utf-8"))["issues"]
-    keys = [(entry["path"], entry["rule"], entry["text"]) for entry in entries]
-    assert keys == sorted(keys)
-
-
-def test_stale_baseline_fails_with_distinct_message(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    bad = str(FIXTURES / "core" / "bad_imports.py")
-    good = str(FIXTURES / "core" / "good_imports.py")
-    assert main(["lint", bad, "--baseline", str(baseline), "--write-baseline"]) == 0
-    capsys.readouterr()
-
-    # The grandfathered findings are gone: that is not "clean", it is a
-    # stale baseline that could mask a future regression.
-    assert main(["lint", good, "--baseline", str(baseline)]) == 1
-    out = capsys.readouterr().out
-    assert "stale" in out
-    assert "--write-baseline" in out
-    assert "clean" not in out

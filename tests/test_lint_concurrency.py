@@ -1,4 +1,4 @@
-"""Tests for the static lock-order analysis (rules R007–R009).
+"""Tests for the static lock-order analysis (rules R008, R009).
 
 The fixture pairs in ``tests/lint_fixtures/concurrency`` are
 known-violation files with clean twins; the assertions here are exact
@@ -14,19 +14,14 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.lint import (
-    analyze_concurrency,
-    build_concurrency_analysis,
-    find_cycles,
-    render_lock_report,
-)
+from repro.lint import build_concurrency_analysis, find_cycles, render_lock_report
 
 FIXTURES = Path(__file__).parent / "lint_fixtures" / "concurrency"
 REPRO = Path(__file__).parent.parent / "src" / "repro"
 
 
 def _rules(name: str) -> list[tuple[str, int]]:
-    issues = analyze_concurrency([FIXTURES / f"{name}.py"], FIXTURES)
+    issues = build_concurrency_analysis([FIXTURES / f"{name}.py"], FIXTURES).issues
     return [(issue.rule, issue.line) for issue in issues]
 
 
@@ -35,7 +30,8 @@ def _rules(name: str) -> list[tuple[str, int]]:
 # ----------------------------------------------------------------------
 def test_cycle_fixture_detects_planted_deadlock():
     found = _rules("bad_cycle")
-    assert [rule for rule, _ in found] == ["R007", "R008"]
+    # The cycle's inverted edge, in ``backward``; `repro locks` names the cycle.
+    assert [rule for rule, _ in found] == ["R008"]
 
 
 def test_cycle_clean_twin_is_clean():
@@ -43,10 +39,9 @@ def test_cycle_clean_twin_is_clean():
 
 
 def test_order_fixture_detects_inversion_and_undeclared_lock():
-    found = _rules("bad_order")
-    assert [rule for rule, _ in found] == ["R008", "R008"]
-    # One finding is the unannotated declaration, one the inversion site.
-    assert {line for _, line in found} == {13, 18}
+    # The unannotated declaration, the inversion site, and the peer lock
+    # entered in a loop over unsorted names.
+    assert _rules("bad_order") == [("R008", 17), ("R008", 22), ("R008", 36)]
 
 
 def test_order_clean_twin_is_clean():
@@ -65,18 +60,18 @@ def test_blocking_clean_twin_is_clean():
 
 
 def test_whole_fixture_directory_counts():
-    issues = analyze_concurrency([FIXTURES], FIXTURES)
+    issues = build_concurrency_analysis([FIXTURES], FIXTURES).issues
     by_rule: dict[str, int] = {}
     for issue in issues:
         by_rule[issue.rule] = by_rule.get(issue.rule, 0) + 1
-    assert by_rule == {"R007": 1, "R008": 3, "R009": 5}
+    assert by_rule == {"R008": 4, "R009": 5}
 
 
 # ----------------------------------------------------------------------
 # The repo itself must be clean, and its hierarchy a DAG
 # ----------------------------------------------------------------------
 def test_repro_package_has_no_concurrency_findings():
-    assert analyze_concurrency([REPRO], REPRO) == []
+    assert build_concurrency_analysis([REPRO], REPRO).issues == []
 
 
 def test_repro_lock_report_is_a_dag():

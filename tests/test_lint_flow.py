@@ -3,11 +3,12 @@
 The fixture pair ``bad_taint`` / ``good_taint`` in
 ``tests/lint_fixtures/flow`` plants four distinct taint-to-sink paths (log,
 exception message, pickle, HTTP response body), each laundered through
-renames or helper calls so the name-based R004 cannot see them; the
-assertions are exact line sets, so any false negative fails the build.  The
-clean twin releases the same values through the sanctioned channels and must
-stay silent.  ``bad_reply`` / ``good_reply`` do the same for the transport's
-one-write reply.
+renames or helper calls; the assertions are exact line sets, so any false
+negative fails the build.  The clean twin releases the same values through
+the sanctioned channels and must stay silent.  ``bad_reply`` /
+``good_reply`` do the same for the transport's one-write reply,
+``core/bad_weight_leak`` for weights printed, logged or raised, and
+``dataflow/bad_output`` for the dataflow engine's release path.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ FIXTURES = Path(__file__).parent / "lint_fixtures" / "flow"
 REPRO = Path(__file__).parent.parent / "src" / "repro"
 
 
-def _lines(name: str) -> list[tuple[str, int]]:
-    issues = analyze_flow([FIXTURES / "service" / f"{name}.py"], FIXTURES)
+def _lines(name: str, package: str = "service") -> list[tuple[str, int]]:
+    issues = analyze_flow([FIXTURES / package / f"{name}.py"], FIXTURES)
     return [(issue.rule, issue.line) for issue in issues]
 
 
@@ -43,6 +44,35 @@ def test_a_protected_value_in_the_one_write_reply_is_caught():
     # self.wfile.write, the payload handed in through a helper method.
     assert _lines("bad_reply") == [("R010", 25)]
     assert _lines("good_reply") == []
+
+
+def test_weights_printed_logged_or_raised_are_caught():
+    # print, a logger, an f-string exception, and a copy into a local
+    # whose name says nothing about weights before it is logged.
+    assert _lines("bad_weight_leak", "core") == [
+        ("R010", 18), ("R010", 22), ("R010", 26), ("R010", 31),
+    ]
+    assert _lines("good_weight_leak", "core") == []
+
+
+def test_dataflow_is_a_release_package():
+    assert _lines("bad_output", "dataflow") == [("R010", 20)]
+    assert _lines("good_output", "dataflow") == []
+
+
+def test_a_protected_constructor_argument_is_protected(tmp_path):
+    assert _analyze(
+        tmp_path,
+        """
+        class WeightedDataset:
+            def __init__(self, weights, tolerance):
+                for record, weight in weights.items():
+                    if weight != weight:
+                        raise ValueError(f"bad weight {weight} for {record!r}")
+                if tolerance < 0:
+                    raise ValueError(f"bad tolerance {tolerance}")
+        """,
+    ) == [6]
 
 
 def test_repro_package_has_no_taint_findings():

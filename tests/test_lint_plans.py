@@ -217,7 +217,7 @@ def test_explain_without_verify_is_unchanged():
 
 
 # ---------------------------------------------------------------------------
-# the repo's own code is lint-clean (what CI's --strict run enforces)
+# the repo's own code is lint-clean (what CI's `repro lint` run enforces)
 # ---------------------------------------------------------------------------
 
 

@@ -1,9 +1,9 @@
-"""Fixture-driven tests for the AST lint rules (R001–R006).
+"""Fixture-driven tests for the per-module lint rules (R001, R005).
 
 Every rule has a fixture with *known* violations and a known-clean twin;
 the assertions pin the exact rule codes and counts, so a rule that stops
 firing (a false negative) or starts over-firing (a false positive) fails
-here before it reaches CI's repo-wide ``repro lint --strict`` run.
+here before it reaches CI's repo-wide ``repro lint`` run.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, DEFAULT_RULES, LintError, format_issues, lint_paths
+from repro.lint import DEFAULT_RULES, LintError, format_issues, lint_paths
 from repro.lint.engine import iter_python_files
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
-def run_lint(relative: str, baseline=None):
-    return lint_paths(
-        [FIXTURES / relative], DEFAULT_RULES, root=FIXTURES, baseline=baseline
-    )
+def run_lint(relative: str):
+    return lint_paths([FIXTURES / relative], DEFAULT_RULES, root=FIXTURES)
 
 
 def rule_counts(relative: str) -> Counter:
@@ -36,20 +34,12 @@ def rule_counts(relative: str) -> Counter:
 
 BAD_FIXTURES = [
     ("core/bad_rng.py", "R001", 7),
-    ("service/bad_locks.py", "R002", 3),
-    ("service/bad_budget.py", "R003", 3),
-    ("core/bad_weight_leak.py", "R004", 3),
     ("analyses/bad_lambda.py", "R005", 6),
-    ("core/bad_imports.py", "R006", 4),
 ]
 
 CLEAN_FIXTURES = [
     "core/good_rng.py",
-    "service/good_locks.py",
-    "service/good_budget.py",
-    "core/good_weight_leak.py",
     "analyses/good_specs.py",
-    "core/good_imports.py",
 ]
 
 
@@ -67,7 +57,7 @@ def test_clean_twin_is_clean(relative):
 
 
 # ---------------------------------------------------------------------------
-# release-package gating: R001/R004 fire only inside release packages
+# release-package gating: R001 fires only inside release packages
 # ---------------------------------------------------------------------------
 
 
@@ -85,7 +75,7 @@ def test_release_rules_gated_by_package(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# suppression comments, baselines, syntax errors, file discovery
+# suppression comments, syntax errors, file discovery
 # ---------------------------------------------------------------------------
 
 
@@ -113,25 +103,6 @@ def test_syntax_error_is_a_finding_not_a_crash():
     assert "syntax error" in issues[0].message
 
 
-def test_baseline_roundtrip_filters_known_issues(tmp_path):
-    issues = run_lint("core/bad_rng.py")
-    assert issues
-    baseline_path = tmp_path / "baseline.json"
-    Baseline().save(baseline_path, issues)
-    baseline = Baseline.load(baseline_path)
-    assert run_lint("core/bad_rng.py", baseline=baseline) == []
-    # Baselines match on source text, not line numbers: other files with
-    # different violations are still reported.
-    assert run_lint("core/bad_imports.py", baseline=baseline) != []
-
-
-def test_baseline_load_rejects_garbage(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text("not json", encoding="utf-8")
-    with pytest.raises(LintError):
-        Baseline.load(bad)
-
-
 def test_iter_python_files_rejects_non_python(tmp_path):
     with pytest.raises(LintError):
         list(iter_python_files([FIXTURES / "README.md"]))
@@ -142,11 +113,7 @@ def test_full_fixture_tree_totals():
     counts = Counter(issue.rule for issue in issues)
     assert counts == {
         "R001": 7,
-        "R002": 3,
-        "R003": 3,
-        "R004": 3,
         "R005": 6,
-        "R006": 4,
         "E001": 1,
     }
     # Deterministic ordering: path, then line, then column.

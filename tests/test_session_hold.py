@@ -311,7 +311,7 @@ def test_retained_state_is_bounded_by_the_answer_not_by_the_intermediates():
     assert type(answer.records) is tuple and answer.records == tuple(released)
     assert answer.weights.shape == (len(released),)
     assert answer.weights.dtype == np.float64
-    assert repr(answer) == f"<ExactAnswer records={len(released)}>"  # R004: a count
+    assert repr(answer) == f"<ExactAnswer records={len(released)}>"  # R010: a count
 
     retained = _deep_size([answer.records, answer.weights], set())
     per_record = 8 + 8 + 64 + 3 * 32  # weight, tuple slot, a 3-tuple and its ints

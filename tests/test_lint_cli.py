@@ -78,16 +78,49 @@ def test_explain_without_verify_is_unchanged(capsys):
 
 
 # ----------------------------------------------------------------------
-# One command: no checker is behind a flag
+# One command: no checker is behind a flag.  The lock-order and taint
+# analyses once ran only under ``--concurrency`` / ``--flow``; the tests
+# named after those flags now pin that a bare ``repro lint`` runs them.
 # ----------------------------------------------------------------------
-def test_lint_reports_concurrency_fixture_findings(capsys):
+def _spy(monkeypatch, name: str) -> list[int]:
+    """Count the findings of ``repro.lint.<name>`` on each call of it."""
+    import repro.lint
+
+    real = getattr(repro.lint, name)
+    counts: list[int] = []
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        issues = getattr(result, "issues", result)
+        counts.append(len(issues))
+        return result
+
+    monkeypatch.setattr(repro.lint, name, spy)
+    return counts
+
+
+def test_lint_concurrency_flag_default_target_is_clean(monkeypatch, capsys):
+    counts = _spy(monkeypatch, "build_concurrency_analysis")
+    assert main(["lint"]) == 0
+    assert "clean" in capsys.readouterr().out
+    assert counts == [0]
+
+
+def test_lint_flow_flag_default_target_is_clean(monkeypatch, capsys):
+    counts = _spy(monkeypatch, "analyze_flow")
+    assert main(["lint"]) == 0
+    assert "clean" in capsys.readouterr().out
+    assert counts == [0]
+
+
+def test_lint_concurrency_flag_reports_fixture_findings(capsys):
     assert main(["lint", str(FIXTURES / "concurrency")]) == 1
     out = capsys.readouterr().out
     for rule in ("R008", "R009"):
         assert rule in out
 
 
-def test_lint_reports_flow_fixture_findings(capsys):
+def test_lint_flow_flag_reports_fixture_findings(capsys):
     assert main(["lint", str(FIXTURES / "flow")]) == 1
     out = capsys.readouterr().out
     assert "R010" in out

@@ -48,6 +48,41 @@ def test_order_clean_twin_is_clean():
     assert _rules("good_order") == []
 
 
+_PEER_LOOP = """\
+from repro.sanitize import ordered_lock
+
+
+class Budget:
+    def __init__(self):
+        self.lock = ordered_lock("peerloop.budget", 20, peers=True)
+
+
+def charge(budgets):
+    for budget in {iterable}:
+        budget.lock.acquire()
+    for budget in budgets.values():
+        budget.lock.release()
+"""
+
+
+def _peer_loop_rules(tmp_path: Path, iterable: str) -> list[tuple[str, int]]:
+    module = tmp_path / "case.py"
+    module.write_text(_PEER_LOOP.format(iterable=iterable), encoding="utf-8")
+    issues = build_concurrency_analysis([module], tmp_path).issues
+    return [(issue.rule, issue.line) for issue in issues]
+
+
+def test_peer_locks_acquired_in_an_unsorted_loop_are_caught(tmp_path):
+    # An explicit acquire() over dict values: the lock resolves through its
+    # ordered_lock declaration, not through a ``*_lock`` name.
+    assert _peer_loop_rules(tmp_path, "budgets.values()") == [("R008", 11)]
+
+
+def test_peer_locks_acquired_in_a_sorted_loop_are_clean(tmp_path):
+    iterable = "sorted(budgets.values(), key=id)"
+    assert _peer_loop_rules(tmp_path, iterable) == []
+
+
 def test_blocking_fixture_detects_direct_and_transitive_sleep():
     found = _rules("bad_blocking")
     # The third is an http.client reply awaited under the lock; the last two

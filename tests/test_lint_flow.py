@@ -52,6 +52,9 @@ def test_weights_printed_logged_or_raised_are_caught():
     assert _lines("bad_weight_leak", "core") == [
         ("R010", 18), ("R010", 22), ("R010", 26), ("R010", 31),
     ]
+
+
+def test_weight_leak_clean_twin_is_clean():
     assert _lines("good_weight_leak", "core") == []
 
 

@@ -419,6 +419,13 @@ class _FunctionAnalysis:
     unsorted: list[tuple[ast.AST, LockDecl]] = field(default_factory=list)
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_sorted(iterable: ast.expr) -> bool:
+    return isinstance(iterable, ast.Call) and dotted_name(iterable.func) == "sorted"
+
+
 def _has_timeout(call: ast.Call) -> bool:
     if call.args:
         return True
@@ -483,6 +490,8 @@ class _Walker:
         self.env = TypeEnv(model, analysis.info)
         self.bindings = model.bindings[id(self.module)]
         self.on_unresolved = on_unresolved
+        #: Every ``peers`` acquisition so far, for the sorted-loop check.
+        self.peer_acquires: list[tuple[ast.AST, LockDecl]] = []
 
     def run(self) -> None:
         held: list[LockDecl] = []
@@ -508,7 +517,31 @@ class _Walker:
                 self._visit_stmt(child, held)
             del held[base:]  # releases scoped locks and enter_context ones
             return
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._visit_loop(stmt, [stmt.iter], held)
+            return
         self._visit_children(stmt, held)
+
+    def _visit_loop(
+        self, loop: ast.AST, iters: list[ast.expr], held: list[LockDecl]
+    ) -> None:
+        """Walk a loop; note ``peers`` locks it leaves held unless it is sorted.
+
+        Peers share one level, so only a common order (the sorted-name
+        ``ExitStack`` of ``BudgetLedger.charge``) keeps two threads from
+        taking the same siblings in opposite orders.  A lock taken and
+        released within one iteration is never held beside a sibling.
+        """
+        before = list(held)
+        start = len(self.peer_acquires)
+        self._visit_children(loop, held)
+        if all(_is_sorted(iterable) for iterable in iters):
+            return
+        flagged = {id(node) for node, _ in self.analysis.unsorted}
+        for node, decl in self.peer_acquires[start:]:
+            if held.count(decl) > before.count(decl) and id(node) not in flagged:
+                self.analysis.unsorted.append((node, decl))
+                flagged.add(id(node))
 
     def _visit_children(self, node: ast.AST, held: list[LockDecl]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -521,6 +554,9 @@ class _Walker:
 
     def _scan_expr(self, expr: ast.AST | None, held: list[LockDecl]) -> None:
         if expr is None or isinstance(expr, ast.Lambda):
+            return
+        if isinstance(expr, _COMPREHENSIONS):
+            self._visit_loop(expr, [gen.iter for gen in expr.generators], held)
             return
         if isinstance(expr, ast.Call):
             self._handle_call(expr, held)
@@ -539,24 +575,6 @@ class _Walker:
             _Event(kind="acquire", held=tuple(held), node=node, decl=decl)
         )
 
-    def _check_sorted(self, decl: LockDecl, node: ast.AST) -> None:
-        """Note a ``peers`` lock held past a loop not over ``sorted(...)``.
-
-        Peers share one level, so only a common order (the sorted-name
-        ``ExitStack`` of ``BudgetLedger.charge``) keeps two threads from
-        taking the same siblings in opposite orders.
-        """
-        if not decl.peers:
-            return
-        for ancestor in self.module.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return
-            if isinstance(ancestor, (ast.For, ast.AsyncFor)):
-                loop = ancestor.iter
-                if not isinstance(loop, ast.Call) or dotted_name(loop.func) != "sorted":
-                    self.analysis.unsorted.append((node, decl))
-                return
-
     def _handle_call(self, call: ast.Call, held: list[LockDecl]) -> None:
         func = call.func
         # ExitStack.enter_context(<lock>) acquires for the rest of the block.
@@ -565,7 +583,7 @@ class _Walker:
                 decl = self._resolve_lock(call.args[0])
                 if isinstance(decl, LockDecl):
                     self._record_acquire(decl, held, call.args[0])
-                    self._check_sorted(decl, call)
+                    self._note_peer(decl, call)
                     held.append(decl)
                     return
         # Explicit lock.acquire()/lock.release().
@@ -574,7 +592,7 @@ class _Walker:
             if isinstance(decl, LockDecl):
                 if func.attr == "acquire":
                     self._record_acquire(decl, held, call)
-                    self._check_sorted(decl, call)
+                    self._note_peer(decl, call)
                     held.append(decl)
                 else:
                     for index in range(len(held) - 1, -1, -1):
@@ -602,6 +620,10 @@ class _Walker:
                     callee_short=resolved.short,
                 )
             )
+
+    def _note_peer(self, decl: LockDecl, node: ast.AST) -> None:
+        if decl.peers:
+            self.peer_acquires.append((node, decl))
 
     # -- lock resolution ------------------------------------------------
     def _resolve_lock(self, expr: ast.AST, lockish_only: bool = False):

@@ -5,7 +5,7 @@ Usage (from the repository root)::
     python tests/mutations/run.py                         # every checker and mutation
     python tests/mutations/run.py --checkers lint,locks   # the static columns only
     python tests/mutations/run.py --only ledger-charge-unsorted --checkers lint
-    python tests/mutations/run.py --checkers lint,locks --jobs 2 --check   # CI
+    python tests/mutations/run.py --checkers lint --jobs 2 --check   # CI
     python tests/mutations/run.py --records out.jsonl --write-matrix
     python tests/mutations/run.py --markdown              # README's table
 
@@ -14,7 +14,9 @@ must occur exactly once in its file, or the run stops before any checker
 starts.  The working tree's files (tracked plus untracked-but-not-ignored)
 are copied once under ``$TMPDIR``; each mutation then gets its own copy of
 that snapshot with the substitution applied, and each selected checker runs
-there:
+there.  The unmutated tree always runs first, as the control: a checker
+that already fails on it would be credited with every catch, so the run
+exits 1 instead.  The checkers:
 
 ``lint``
     ``python -m repro lint``, split into one column per rule code that
@@ -317,8 +319,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--only", nargs="*", default=None, help="mutation names")
     parser.add_argument("--jobs", type=int, default=1, help="mutations run at once")
     parser.add_argument("--records", default=None, help="append JSON lines here")
-    parser.add_argument("--unmutated", action="store_true",
-                        help="also run the checkers on the unmutated tree")
     parser.add_argument("--write-matrix", action="store_true")
     parser.add_argument("--check", action="store_true")
     parser.add_argument("--markdown", action="store_true")
@@ -342,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         mutation for mutation in MUTATIONS
         if args.only is None or mutation.name in args.only
     ]
-    targets: list[Mutation | None] = [None] if args.unmutated else []
-    targets += selected
+    targets: list[Mutation | None] = [None, *selected]
 
     records: list[dict] = []
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:

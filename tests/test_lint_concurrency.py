@@ -49,6 +49,8 @@ def test_order_clean_twin_is_clean():
 
 
 _PEER_LOOP = """\
+from contextlib import ExitStack
+
 from repro.sanitize import ordered_lock
 
 
@@ -58,16 +60,19 @@ class Budget:
 
 
 def charge(budgets):
+{body}
+"""
+#: Every peer lock is still held when the first loop ends.
+_HELD_PAST_LOOP = """\
     for budget in {iterable}:
         budget.lock.acquire()
     for budget in budgets.values():
-        budget.lock.release()
-"""
+        budget.lock.release()"""
 
 
-def _peer_loop_rules(tmp_path: Path, iterable: str) -> list[tuple[str, int]]:
+def _peer_loop_rules(tmp_path: Path, body: str) -> list[tuple[str, int]]:
     module = tmp_path / "case.py"
-    module.write_text(_PEER_LOOP.format(iterable=iterable), encoding="utf-8")
+    module.write_text(_PEER_LOOP.format(body=body), encoding="utf-8")
     issues = build_concurrency_analysis([module], tmp_path).issues
     return [(issue.rule, issue.line) for issue in issues]
 
@@ -75,12 +80,34 @@ def _peer_loop_rules(tmp_path: Path, iterable: str) -> list[tuple[str, int]]:
 def test_peer_locks_acquired_in_an_unsorted_loop_are_caught(tmp_path):
     # An explicit acquire() over dict values: the lock resolves through its
     # ordered_lock declaration, not through a ``*_lock`` name.
-    assert _peer_loop_rules(tmp_path, "budgets.values()") == [("R008", 11)]
+    body = _HELD_PAST_LOOP.format(iterable="budgets.values()")
+    assert _peer_loop_rules(tmp_path, body) == [("R008", 13)]
 
 
 def test_peer_locks_acquired_in_a_sorted_loop_are_clean(tmp_path):
-    iterable = "sorted(budgets.values(), key=id)"
-    assert _peer_loop_rules(tmp_path, iterable) == []
+    body = _HELD_PAST_LOOP.format(iterable="sorted(budgets.values(), key=id)")
+    assert _peer_loop_rules(tmp_path, body) == []
+
+
+def test_peer_lock_released_within_each_iteration_is_clean(tmp_path):
+    # One sibling at a time is never held beside another: no order to get wrong.
+    body = """\
+    for budget in budgets.values():
+        budget.lock.acquire()
+        try:
+            pass
+        finally:
+            budget.lock.release()"""
+    assert _peer_loop_rules(tmp_path, body) == []
+
+
+def test_peer_locks_entered_in_an_unsorted_comprehension_are_caught(tmp_path):
+    body = """\
+    with ExitStack() as stack:
+        [stack.enter_context(budget.lock) for budget in budgets.values()]"""
+    assert _peer_loop_rules(tmp_path, body) == [("R008", 13)]
+    sorted_body = body.replace("budgets.values()", "sorted(budgets.values(), key=id)")
+    assert _peer_loop_rules(tmp_path, sorted_body) == []
 
 
 def test_blocking_fixture_detects_direct_and_transitive_sleep():

@@ -36,7 +36,7 @@ invariants")::
 as well as the concurrent measurement service (see README "Serving
 measurements")::
 
-    python -m repro serve --port 8080 --serve-workers 8
+    python -m repro serve --port 8080 --max-pending 256
     python -m repro serve --ledger ledger.db --workers 4 --rate 50
     python -m repro serve --ledger ledger.db --deadline-ms 2000 --breaker-threshold 5
 
@@ -303,9 +303,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     Serves the HTTP/JSON API of :mod:`repro.service.http` until interrupted.
     Sessions are created by clients (:class:`repro.service.ServiceClient` or
-    plain ``curl``); concurrent measurements against one session are fused
-    into single batched executor passes, and repeated identical measurements
-    are answered from the released-answer cache at zero additional budget.
+    plain ``curl``); each connection's thread runs the measurements it
+    reads, concurrent ones against one session are fused into one ledger
+    charge, and repeated identical measurements are answered from the
+    released-answer cache at zero additional budget.
 
     ``--ledger FILE`` makes the service durable (budgets, sessions, audit
     log, and released answers survive crashes and restarts) and enables
@@ -324,7 +325,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             args.port,
             args.workers,
             service_kwargs={
-                "workers": args.serve_workers,
                 "max_pending": args.max_pending,
                 "default_executor": args.executor,
                 "ledger_path": args.ledger,
@@ -342,7 +342,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     server = serve(
         host=args.host,
         port=args.port,
-        workers=args.serve_workers,
         max_pending=args.max_pending,
         executor=args.executor,
         verbose=args.verbose,
@@ -356,8 +355,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     durable = f", ledger={args.ledger}" if args.ledger else ""
     print(
         f"repro serve — listening on {server.url} "
-        f"(workers={args.serve_workers or 4}, max_pending={args.max_pending}, "
-        f"executor={args.executor}{durable})"
+        f"(max_pending={args.max_pending}, executor={args.executor}{durable})"
     )
 
     # Not an Exception: socketserver swallows those when one is raised while
@@ -512,12 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--port", type=int, default=8080, help="for 'serve': TCP port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=None,
-        help="for 'serve': scheduler worker threads (default scales with cores, 2-8)",
     )
     parser.add_argument(
         "--max-pending",

@@ -346,25 +346,6 @@ class LedgerStore:
             for record, value in json.loads(row["payload"])
         ]
 
-    def releases_for(self, scope: str) -> list[tuple[str, float, list[tuple[Any, float]]]]:
-        """Every persisted release of one scope (cache warming on restart)."""
-        with self._mutex:
-            rows = self._conn.execute(
-                "SELECT query, epsilon, payload FROM releases WHERE scope = ?",
-                (scope,),
-            ).fetchall()
-        return [
-            (
-                row["query"],
-                float(row["epsilon"]),
-                [
-                    (decode_record(record), float(value))
-                    for record, value in json.loads(row["payload"])
-                ],
-            )
-            for row in rows
-        ]
-
     def drop_releases(self, scope: str) -> None:
         """Delete one scope's persisted releases (its session was closed)."""
         with self._mutex:

@@ -45,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..exceptions import ChaosInvariantError, ReproError
@@ -91,6 +92,30 @@ _INPROCESS_POINTS = {
 #: Per-operation liveness bound (invariant 3): generous enough for a cold
 #: sharded pool boot under injected delays, far below a real deadlock.
 _LIVENESS_TIMEOUT = 60.0
+
+
+def _measure_live(service, *args, **kwargs):
+    """``service.measure(*args, **kwargs)``, or :class:`TimeoutError` once it
+    has run for ``_LIVENESS_TIMEOUT`` seconds.
+
+    A measurement runs on the thread that asks for it, so the harness asks
+    on a thread of its own and keeps the clock.  A stuck call is left
+    running.
+    """
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-chaos")
+    try:
+        return pool.submit(service.measure, *args, **kwargs).result(
+            timeout=_LIVENESS_TIMEOUT
+        )
+    finally:
+        pool.shutdown(wait=False)
+
+
+def _stuck(what: str) -> str:
+    return (
+        f"liveness: {what} did not resolve within {_LIVENESS_TIMEOUT:g}s — "
+        f"stuck scheduler or pool"
+    )
 
 
 @dataclass
@@ -251,7 +276,6 @@ def _run_inprocess(
             os.environ[ENV_VAR] = worker_plan.to_env()
         ledger = os.path.join(tmpdir, "chaos-ledger.db")
         service = MeasurementService(
-            workers=2,
             ledger_path=ledger,
             breaker_threshold=3,
             breaker_reset=0.2,
@@ -281,20 +305,14 @@ def _run_inprocess(
             report.ops += 1
             with active_plan(plan):
                 try:
-                    answer = service.measure(
-                        "chaos",
-                        query,
-                        epsilon,
-                        timeout=_LIVENESS_TIMEOUT,
-                        deadline=deadline,
+                    answer = _measure_live(
+                        service, "chaos", query, epsilon, deadline=deadline
                     )
                 except TimeoutError:
                     report.failed += 1
                     accounting.record_failure(query, epsilon)
                     report.violations.append(
-                        f"liveness: step {step} ({query}, ε={epsilon}) did not "
-                        f"resolve within {_LIVENESS_TIMEOUT:g}s — stuck "
-                        f"scheduler or pool"
+                        _stuck(f"step {step} ({query}, ε={epsilon})")
                     )
                     break
                 except ReproError as exc:
@@ -345,17 +363,21 @@ def _run_inprocess(
         service = None
 
         # Reopen: the ledger must hold every committed charge and nothing
-        # else, and warm the answer cache from persisted releases.
-        reopened = MeasurementService(workers=2, ledger_path=ledger)
+        # else, and replay every acknowledged answer from its durable release.
+        reopened = MeasurementService(ledger_path=ledger)
         service = reopened
         budget = reopened.session("chaos").budget_report()
         accounting.check_bounds(
             _spent_by_source(budget), report, "after ledger reopen"
         )
         for (query, epsilon), values in accounting.answers.items():
-            answer = reopened.measure(
-                "chaos", query, epsilon, timeout=_LIVENESS_TIMEOUT
-            )
+            try:
+                answer = _measure_live(reopened, "chaos", query, epsilon)
+            except TimeoutError:
+                report.violations.append(
+                    _stuck(f"the replay of ({query}, ε={epsilon}) after reopen")
+                )
+                break
             if list(answer.result.items()) != values:
                 report.violations.append(
                     f"replay: ({query}, ε={epsilon}) not bit-identical after "

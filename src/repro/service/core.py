@@ -28,10 +28,11 @@ __all__ = ["MeasurementService"]
 class MeasurementService:
     """A concurrent, multi-tenant wPINQ measurement service.
 
+    A measurement runs on the thread that asks for it (see
+    :mod:`repro.service.scheduler`).
+
     Parameters
     ----------
-    workers:
-        Worker threads draining fused batches (cross-session parallelism).
     max_pending:
         Backpressure bound: per-session pending-request limit beyond which
         submissions raise :class:`~repro.exceptions.ServiceOverloadedError`.
@@ -62,7 +63,6 @@ class MeasurementService:
 
     def __init__(
         self,
-        workers: int | None = None,
         max_pending: int = 128,
         default_executor: str = "eager",
         ledger_path: str | None = None,
@@ -92,7 +92,6 @@ class MeasurementService:
         self.cache = AnswerCache()
         self.registry = SessionRegistry(
             store=self.store,
-            on_restore=self._warm_session,
             # A stale in-memory replica (its persisted definition was closed
             # or replaced by a sibling worker) must take its cached answers
             # with it, or the old dataset's releases would replay against
@@ -102,7 +101,6 @@ class MeasurementService:
         self.scheduler = BatchingScheduler(
             self.registry,
             cache=self.cache,
-            workers=workers,
             max_pending=max_pending,
             store=self.store,
             rate_limiter=rate_limiter,
@@ -113,26 +111,10 @@ class MeasurementService:
         self._default_executor = default_executor
         self.deadline_ms = deadline_ms
         if self.store is not None:
-            # Warm boot: re-materialise every persisted session (each one's
-            # durable ledger recovers its committed spend) and, through
-            # _warm_session, refill the answer cache from persisted releases.
+            # Warm boot: re-materialise every persisted session, each one's
+            # durable ledger recovering its committed spend.  Released
+            # answers stay on disk until a replay asks for one.
             self.registry.load_persisted()
-
-    def _warm_session(self, hosted: HostedSession) -> None:
-        """Refill the answer cache from the durable released-answer store."""
-        if self.store is None:
-            return
-        from ..core.aggregation import NoisyCountResult
-
-        hosted_queries = set(hosted.query_names())
-        for query, epsilon, values in self.store.releases_for(hosted.name):
-            if query not in hosted_queries:
-                continue
-            plan = hosted.queryable(query).plan
-            result = NoisyCountResult.from_released(
-                values, epsilon, plan=plan, query_name=query
-            )
-            self.cache.put(hosted.name, plan, epsilon, result)
 
     # ------------------------------------------------------------------
     # Tenant/session management
@@ -195,7 +177,7 @@ class MeasurementService:
         epsilon: float,
         deadline: "Deadline | None" = None,
     ) -> Future:
-        """Enqueue a measurement; resolves to a
+        """Run a measurement on this thread; the future holds its
         :class:`~repro.service.scheduler.MeasurementAnswer`.
 
         ``deadline`` defaults to the service-wide ``deadline_ms`` (when
@@ -213,13 +195,10 @@ class MeasurementService:
         session: str,
         query: str,
         epsilon: float,
-        timeout: float | None = None,
         deadline: "Deadline | None" = None,
     ) -> MeasurementAnswer:
-        """Blocking measurement against a hosted session."""
-        return self.submit(session, query, epsilon, deadline=deadline).result(
-            timeout=timeout
-        )
+        """One measurement against a hosted session (the answer or its error)."""
+        return self.submit(session, query, epsilon, deadline=deadline).result()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -236,13 +215,14 @@ class MeasurementService:
             stats["store"] = self.store.stats()
         return stats
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Drain the scheduler's worker pool, then close the store.
+    def shutdown(self) -> None:
+        """Refuse new measurements, finish the started ones, close the store.
 
-        With ``wait=True`` (the default, and what ``repro serve`` uses on
-        SIGINT/SIGTERM) every queued batch drains before the durable ledger
-        closes, so every charge that started is committed or rolled back.
+        Every batch that started finishes and every queued request runs
+        before the durable ledger closes, so every charge that started is
+        committed or rolled back (what ``repro serve`` does on SIGINT and
+        SIGTERM).
         """
-        self.scheduler.shutdown(wait=wait)
+        self.scheduler.shutdown()
         if self.store is not None:
             self.store.close()

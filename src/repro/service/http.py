@@ -2,11 +2,11 @@
 
 No third-party dependencies, and no HTTP framework either: the server is a
 :class:`socketserver.ThreadingTCPServer` whose one handler thread per
-connection (exactly what the batching scheduler wants, since concurrent
-handler threads submitting against one session are fused into one executor
-pass) runs a keep-alive loop of its own — read a request line, headers and a
-``Content-Length`` body, route, write the status, headers and body in one
-write.  :class:`ServiceClient` speaks the same JSON over one plain socket
+connection (which also runs the measurements it reads, and fuses them with
+concurrent ones against the same session into one charge) runs a keep-alive
+loop of its own — read a request line, headers and a ``Content-Length``
+body, route, write the status, headers and body in one write.
+:class:`ServiceClient` speaks the same JSON over one plain socket
 per calling thread: one ``sendall`` per request, and a buffered read of the
 status line, headers and ``Content-Length`` body.  Both ends parse only the
 slice of HTTP/1.1 the service uses, within :mod:`http.server`'s limits
@@ -407,38 +407,9 @@ class _Connection(socketserver.StreamRequestHandler):
                     epsilon = payload["epsilon"]
                 except KeyError as exc:
                     raise PlanError(f"missing required field {exc.args[0]!r}") from exc
-                deadline = self._deadline()
-                wait = self.server.measure_timeout
-                if deadline is not None:
-                    remaining = deadline.remaining()
-                    wait = remaining if wait is None else min(wait, remaining)
-                try:
-                    answer = service.measure(
-                        route[2], query, epsilon, timeout=wait, deadline=deadline
-                    )
-                except TimeoutError as exc:
-                    if deadline is not None and deadline.expired():
-                        # The client's own deadline ran out while the
-                        # measurement was in flight.  Whether ε was charged
-                        # depends on how far the request got; if it was, the
-                        # released answer is cached and an identical retry
-                        # collects it free of charge.
-                        raise DeadlineExceededError(
-                            f"deadline expired after {wait:g}s while the "
-                            f"measurement was in flight; retry the identical "
-                            f"request to collect its released answer without "
-                            f"additional charge"
-                        ) from exc
-                    # The measurement is still executing (and will charge the
-                    # budget when it completes): answer retryable-503, not
-                    # 500 — retrying the identical request collects the
-                    # released answer from the cache at no additional charge.
-                    raise ServiceOverloadedError(
-                        f"measurement did not complete within "
-                        f"{self.server.measure_timeout:g}s and is still "
-                        f"executing; retry the identical request to collect "
-                        f"its released answer without additional charge"
-                    ) from exc
+                answer = service.measure(
+                    route[2], query, epsilon, deadline=self._deadline()
+                )
                 self._reply(answer_to_json(answer))
             else:
                 self._reply({"error": "not found", "type": "ServiceError"}, 404)
@@ -484,7 +455,6 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         address: tuple[str, int],
         service: MeasurementService,
         verbose: bool = False,
-        measure_timeout: float | None = 300.0,
         listen_socket=None,
     ) -> None:
         if listen_socket is not None:
@@ -496,7 +466,6 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
             super().__init__(address, _Connection)
         self.service = service
         self.verbose = verbose
-        self.measure_timeout = measure_timeout
         self._connections_lock = ordered_lock("service.http", 8)
         self._open: set[socket.socket] = set()
         self._closed_all = threading.Event()  # set by the last close after stop()
@@ -550,7 +519,7 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         return thread
 
     def stop(self) -> None:
-        """Shut the listener, the open connections and the worker pool down."""
+        """Shut the listener, the open connections and the service down."""
         self.shutdown()
         self.stop_serving()
 
@@ -586,7 +555,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     service: MeasurementService | None = None,
-    workers: int | None = None,
     max_pending: int = 128,
     executor: str = "eager",
     verbose: bool = False,
@@ -612,7 +580,6 @@ def serve(
     """
     if service is None:
         service = MeasurementService(
-            workers=workers,
             max_pending=max_pending,
             default_executor=executor,
             ledger_path=ledger,

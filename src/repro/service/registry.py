@@ -196,9 +196,7 @@ class SessionRegistry:
     their name, session definitions and the audit log are persisted, and a
     session created by a previous incarnation (or a sibling worker process)
     is re-materialised on demand with its committed ε spend intact.
-    ``on_restore`` is invoked for each re-materialised session — the service
-    uses it to warm the answer cache from the store's released answers —
-    and ``on_evict`` with the session name whenever a stale in-memory
+    ``on_evict`` is invoked with the session name whenever a stale in-memory
     replica is dropped (its persisted definition was closed or replaced by
     a sibling worker); the service uses it to evict the scope's cached
     answers.
@@ -207,12 +205,10 @@ class SessionRegistry:
     def __init__(
         self,
         store: "LedgerStore | None" = None,
-        on_restore: Callable[[HostedSession], None] | None = None,
         on_evict: Callable[[str], None] | None = None,
     ) -> None:
         self._lock = ordered_rlock("service.registry", 10, io_ok=True)
         self._store = store
-        self._on_restore = on_restore
         self._on_evict = on_evict
         self._sessions: dict[str, HostedSession] = {}
         # Names being built by an in-flight create(): reserved up front so a
@@ -528,8 +524,6 @@ class SessionRegistry:
         self._wire_degrade(name, session)
         self._sessions[name] = hosted
         self.record(name, "restore-session", source=source)
-        if self._on_restore is not None:
-            self._on_restore(hosted)
         return hosted
 
     # ------------------------------------------------------------------

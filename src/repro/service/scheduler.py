@@ -1,22 +1,22 @@
-"""Request scheduling: fuse concurrent measurements into one executor pass.
+"""Request scheduling: fuse concurrent same-session measurements into one charge.
 
-N clients measuring the same hosted session at (nearly) the same moment
-should not cost N plan walks: :meth:`PrivacySession.measure` already charges
-a whole batch atomically and evaluates shared sub-plans once, so the
-scheduler's job is to *build* those batches out of concurrent traffic.
+A fused batch is one :meth:`PrivacySession.measure` call, so it is charged
+atomically, and on a durable ledger it is one transaction however many
+requests it carries.  The scheduler's job is to *build* those batches out of
+concurrent traffic, and it does so with flat combining on the calling thread:
 
-The mechanics are a per-session pending queue drained by a worker pool:
-
-* :meth:`BatchingScheduler.submit` enqueues a request and returns a
-  :class:`~concurrent.futures.Future`; at most one drain task per session is
-  in flight, so while one fused batch executes, newly arriving requests pile
-  up and form the next batch — the classic group-commit pattern, which makes
-  batch sizes adapt to load with no tuning;
+* :meth:`BatchingScheduler.submit` admits a request, enqueues it on its
+  session's queue, and takes that session's combine lock.  Under the lock it
+  swaps out the whole queue and runs it as one batch.  A thread whose
+  request an earlier lock holder already ran finds its future resolved, so
+  while one batch runs, newly arriving requests pile up and form the next —
+  the group-commit pattern, with batch sizes that follow the load, no tuning
+  and no thread of the scheduler's own;
 * identical requests (same plan identity, same ε) inside a batch collapse to
   a single measurement whose released answer every requester receives —
   combined with the :class:`~repro.service.cache.AnswerCache` consulted both
-  on submit and again at drain time, a repeated question is answered once,
-  charged once, and replayed for free thereafter;
+  on submit and again when the batch runs, a repeated question is answered
+  once, charged once, and replayed for free thereafter;
 * each session's queue is bounded (``max_pending``): a full queue rejects new
   submissions with :class:`~repro.exceptions.ServiceOverloadedError` instead
   of queueing without limit (backpressure);
@@ -25,16 +25,14 @@ The mechanics are a per-session pending queue drained by a worker pool:
   individually — only the unaffordable measurements fail, innocent co-batched
   requests still succeed.
 
-Distinct sessions drain on distinct workers and never contend: the worker
-pool size (``workers``) caps cross-tenant parallelism.
+Distinct sessions have distinct combine locks and never contend.
 """
 
 from __future__ import annotations
 
-import os
 import sqlite3
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -85,14 +83,28 @@ class _PendingRequest:
     deadline: Deadline | None = field(default=None)
 
 
+class _Combiner:
+    """One session name's pending requests and the lock its batches run under.
+
+    Keyed by session *name*, never by replica, and never dropped: an evicted
+    replica and its re-materialised successor share the lock, so their
+    batches never run at once.
+    """
+
+    def __init__(self) -> None:
+        self.lock = ordered_lock("service.combine", 9, io_ok=True)
+        self.pending: list[_PendingRequest] = []
+        self.held = False
+
+
 class BatchingScheduler:
-    """Fuses concurrent same-session measurements into batched executor passes."""
+    """Runs measurements on their callers' threads, fusing concurrent
+    same-session ones into one charge."""
 
     def __init__(
         self,
         registry: SessionRegistry,
         cache: AnswerCache | None = None,
-        workers: int | None = None,
         max_pending: int = 128,
         store: "LedgerStore | None" = None,
         rate_limiter: "RateLimiter | None" = None,
@@ -133,19 +145,9 @@ class BatchingScheduler:
                 if retry_policy is not None
                 else RetryPolicy(retries=2, base_delay=0.02, max_delay=0.5, seed=0)
             )
-        # Scale the drain pool with the machine rather than a flat 4: each
-        # worker drains a different session's queue (batching is per-session),
-        # and the columnar kernels release the GIL, so more cores really do
-        # mean more concurrent drains.  Bounded at 8 — drains are short-lived,
-        # and a wide pool mostly adds idle threads on big hosts.
-        if workers is None:
-            workers = max(2, min(8, os.cpu_count() or 1))
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-service"
-        )
         self._lock = ordered_lock("service.scheduler", 16)
-        self._queues: dict[str, list[_PendingRequest]] = {}
-        self._draining: set[str] = set()
+        self._combiners: dict[str, _Combiner] = {}
+        self._closed = False
         self._max_pending = max_pending
         self._requests = 0
         self._batches = 0
@@ -174,9 +176,18 @@ class BatchingScheduler:
             stats["ledger_breaker"] = self._ledger_breaker.stats()
         return stats
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting drain tasks and (optionally) wait for them."""
-        self._pool.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """Refuse new requests, run every queued one and wait out every batch.
+
+        Each session's queue is run on this thread under its combine lock,
+        which also waits for a batch another thread is running.  A session
+        still inside :meth:`hold_batches` keeps its queue for the holder.
+        """
+        with self._lock:
+            self._closed = True
+            combiners = list(self._combiners.items())
+        for session_name, combiner in combiners:
+            self._combine(session_name, combiner)
 
     # ------------------------------------------------------------------
     def submit(
@@ -186,14 +197,19 @@ class BatchingScheduler:
         epsilon: float,
         deadline: Deadline | None = None,
     ) -> Future:
-        """Enqueue one measurement; the future resolves to a
-        :class:`MeasurementAnswer` (or raises the measurement's error).
+        """Run one measurement on this thread; the returned future holds its
+        :class:`MeasurementAnswer` (or the measurement's error).
+
+        The future is resolved when ``submit`` returns, unless
+        :meth:`hold_batches` holds the session: then the request only
+        enqueues, and the holder runs it.
 
         Raises :class:`~repro.exceptions.ServiceError` for unknown
         sessions/queries, :class:`~repro.exceptions.RateLimitedError` when
         the tenant exceeds its token bucket, and
         :class:`~repro.exceptions.ServiceOverloadedError` immediately when
-        the global pending bound or the session's pending queue is full.
+        the global pending bound or the session's pending queue is full, or
+        once :meth:`shutdown` has begun.
         The session name is validated *before* rate-limit admission so
         garbage names never allocate per-tenant token buckets (which are
         only reclaimed when a real session closes).
@@ -202,7 +218,7 @@ class BatchingScheduler:
         :class:`~repro.exceptions.DeadlineExceededError` — before any rate
         token, queue slot, or ε is consumed.  A still-live deadline rides
         with the request: it is re-checked (pre-charge) when its batch
-        drains, and bounds the executor's pool task timeouts.  When the
+        runs, and bounds the executor's pool task timeouts.  When the
         ledger circuit breaker is open, submissions fail fast with
         :class:`~repro.exceptions.CircuitOpenError` rather than queueing
         writes behind a broken store.
@@ -253,7 +269,12 @@ class BatchingScheduler:
         pending = _PendingRequest(query, float(epsilon), queryable, future, deadline)
         try:
             with self._lock:
-                queue = self._queues.setdefault(session_name, [])
+                if self._closed:
+                    raise ServiceOverloadedError(
+                        "the service is shutting down; retry later"
+                    )
+                combiner = self._combiner_locked(session_name)
+                queue = combiner.pending
                 if len(queue) >= self._max_pending:
                     raise ServiceOverloadedError(
                         f"session {session_name!r} has {len(queue)} pending "
@@ -261,16 +282,12 @@ class BatchingScheduler:
                     )
                 queue.append(pending)
                 self._requests += 1
-                start_drain = session_name not in self._draining
-                if start_drain:
-                    self._draining.add(session_name)
         except BaseException as exc:
             # The request never enqueued: resolve its future so the shedder's
             # done-callback releases the admission slot it was counted for.
             future.set_exception(exc)
             raise
-        if start_drain:
-            self._pool.submit(self._drain, session_name)
+        self._combine(session_name, combiner)
         return future
 
     def _cached_answer(
@@ -298,55 +315,51 @@ class BatchingScheduler:
         self._cache.put(session_name, queryable.plan, epsilon, result)
         return self._cache.get(session_name, queryable.plan, epsilon)
 
-    def measure(
-        self,
-        session_name: str,
-        query: str,
-        epsilon: float,
-        deadline: Deadline | None = None,
-    ) -> MeasurementAnswer:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(session_name, query, epsilon, deadline=deadline).result()
-
     @contextmanager
     def hold_batches(self, session_name: str) -> Iterator[None]:
-        """Delay draining one idle session so queued requests fuse.
+        """Hold one idle session's batches so queued requests fuse.
 
         A deterministic testing/benchmark hook: while the context is held,
-        submissions against ``session_name`` enqueue without starting a drain
-        task; on exit everything queued drains as one fused batch.  Only
-        meaningful for a session with no drain in flight.
+        submissions against ``session_name`` only enqueue; on exit everything
+        queued runs as one fused batch on the holder's thread.  Only
+        meaningful for a session with no batch running.
         """
         with self._lock:
-            was_draining = session_name in self._draining
-            self._draining.add(session_name)
+            combiner = self._combiner_locked(session_name)
+            combiner.held = True
         try:
             yield
         finally:
-            start = False
             with self._lock:
-                if not was_draining:
-                    if self._queues.get(session_name):
-                        start = True  # hand the held slot to a real drain task
-                    else:
-                        self._draining.discard(session_name)
-            if start:
-                self._pool.submit(self._drain, session_name)
+                combiner.held = False
+            self._combine(session_name, combiner)
 
     # ------------------------------------------------------------------
-    def _drain(self, session_name: str) -> None:
-        """Worker loop: keep executing this session's fused batches until the
-        queue is empty, then release the drain slot."""
-        while True:
+    def _combiner_locked(self, session_name: str) -> _Combiner:
+        """The session name's combiner, created on first use (lock held)."""
+        combiner = self._combiners.get(session_name)
+        if combiner is None:
+            combiner = self._combiners[session_name] = _Combiner()
+        return combiner
+
+    def _combine(self, session_name: str, combiner: _Combiner) -> None:
+        """Run everything the session has queued as one batch, on this thread.
+
+        The combine lock runs one session's batches one at a time.  Finding
+        the queue empty means an earlier holder ran this thread's request.
+        """
+        with combiner.lock:
             with self._lock:
-                batch = self._queues.get(session_name, [])
-                if not batch:
-                    self._draining.discard(session_name)
+                if combiner.held:
                     return
-                self._queues[session_name] = []
+                batch, combiner.pending = combiner.pending, []
+            if not batch:
+                return
             try:
                 self._run_batch(session_name, batch)
             except BaseException as exc:  # pragma: no cover - defensive
+                # Other threads' requests are in this batch, and their
+                # submitters will find the queue empty: each needs an outcome.
                 for item in batch:
                     if not item.future.done():
                         item.future.set_exception(exc)
@@ -360,10 +373,10 @@ class BatchingScheduler:
         groups: dict[tuple[int, float], list[_PendingRequest]] = {}
         for item in batch:
             if item.deadline is not None and item.deadline.expired():
-                # Shed pre-charge: the request waited out its deadline in the
-                # queue.  Nothing was charged, so the refusal is free — and a
-                # retry of the same (query, ε) may still hit the cache if a
-                # co-batched twin goes on to release it.
+                # Shed pre-charge: the request waited out its deadline behind
+                # a running batch.  Nothing was charged, so the refusal is
+                # free — and a retry of the same (query, ε) may still hit the
+                # cache if a co-batched twin goes on to release it.
                 self._registry.record(
                     session_name,
                     "deadline-shed",
@@ -461,8 +474,8 @@ class BatchingScheduler:
 
         The deadline scope makes the request deadline visible to the
         pre-charge check in ``PrivacySession.measure`` and to the sharded
-        executor's pool task timeouts (the drain thread evaluates
-        synchronously, so the context variable propagates).  Retry-safe
+        executor's pool task timeouts (the batch is evaluated on this
+        thread, so the context variable propagates).  Retry-safe
         ledger failures — those that strike before the charge's transaction
         commits, so it rolls back with nothing charged — are retried with
         seeded backoff; every ledger failure charges the circuit breaker.

@@ -84,6 +84,13 @@ MUTATIONS: tuple[Mutation, ...] = (
         'ordered_rlock("service.session", 9)',
     ),
     Mutation(
+        "combine-lock-above-registry",
+        "lock-order",
+        "src/repro/service/scheduler.py",
+        'ordered_lock("service.combine", 9, io_ok=True)',
+        'ordered_lock("service.combine", 12, io_ok=True)',
+    ),
+    Mutation(
         "store-mutex-below-measure",
         "lock-order",
         "src/repro/persistence/wal.py",
@@ -137,6 +144,13 @@ MUTATIONS: tuple[Mutation, ...] = (
         "src/repro/service/registry.py",
         'ordered_rlock("service.registry", 10, io_ok=True)',
         'ordered_rlock("service.registry", 10)',
+    ),
+    Mutation(
+        "combine-lock-not-io-ok",
+        "blocking-under-lock",
+        "src/repro/service/scheduler.py",
+        'ordered_lock("service.combine", 9, io_ok=True)',
+        'ordered_lock("service.combine", 9)',
     ),
     Mutation(
         "rate-limiter-sleeps-under-lock",

@@ -64,6 +64,23 @@ class TestInProcessChaos:
         assert "sharded" in report.mode
 
 
+    def test_an_operation_past_the_liveness_bound_is_a_violation(self, monkeypatch):
+        """The harness keeps the liveness clock itself: a charge delayed past
+        it is reported as stuck, and the campaign stops there."""
+        from repro.resilience import chaos
+        from repro.resilience.faults import FaultPlan, FaultRule
+
+        delay = FaultRule("wal.intent_commit", "delay", value=1.0, limit=1)
+        monkeypatch.setattr(chaos, "_LIVENESS_TIMEOUT", 0.2)
+        monkeypatch.setattr(
+            chaos, "_random_plan", lambda rng, plan_seed: FaultPlan(rules=[delay])
+        )
+        report = run_chaos(seed=3, steps=5)
+        assert report.ops == 1
+        (violation,) = report.violations
+        assert violation.startswith("liveness: step 0") and "stuck" in violation
+
+
 class TestSubprocessChaos:
     def test_kill_cycles_over_a_worker_fleet_hold_all_invariants(self):
         report = run_chaos(seed=11, steps=16, workers=2)

@@ -52,6 +52,13 @@ class TestParser:
             parser.parse_args(["serve", "--ledger", "ledger.db", "--snapshot-every", "8"])
         assert refused.value.code == 2
 
+    def test_serve_workers_flag_is_gone(self):
+        # A measurement runs on the connection's thread: no pool to size.
+        parser = build_parser()
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args(["serve", "--serve-workers", "8"])
+        assert refused.value.code == 2
+
     def test_executor_choices_are_the_five_executors(self, capsys):
         from repro.core.executor import EXECUTORS
 

@@ -108,6 +108,29 @@ class TestIncrementalMetropolisHastings:
         final = engine.source_dataset("histogram")
         assert final["a"] > final["c"]
 
+    def test_same_integer_seed_accepts_the_same_sequence(self, histogram_problem):
+        """An integer ``rng`` seeds the accept draws: two chains given the
+        same one agree step by step, and a different one does not."""
+        from repro.inference import RecordReplacementWalk
+
+        _, _, measurement = histogram_problem
+
+        def accepts(seed):
+            initial = {"a": 0.0, "b": 0.0, "c": 10.0}
+            engine = DataflowEngine.from_plans([measurement.plan])
+            engine.initialize({"histogram": WeightedDataset(initial)})
+            tracker = ScoreTracker(engine, [measurement], pow_=1.0)
+            walk = RecordReplacementWalk(initial, domain=["a", "b", "c"], rng=1)
+            sampler = IncrementalMetropolisHastings(
+                engine, tracker, walk.proposal_for_engine("histogram"), rng=seed
+            )
+            return [sampler.step() for _ in range(200)]
+
+        first = accepts(2)
+        assert 0 < sum(first) < len(first)
+        assert accepts(2) == first
+        assert accepts(3) != first
+
     def test_rejected_moves_are_rolled_back(self, histogram_problem):
         _, _, measurement = histogram_problem
         engine = DataflowEngine.from_plans([measurement.plan])

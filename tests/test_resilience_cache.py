@@ -73,7 +73,7 @@ class TestReplayRacingEviction:
         closed mid-stream: every successful answer is the single released
         object, every failure is a clean ServiceError, and exactly one
         measure was ever charged."""
-        service = MeasurementService(workers=4)
+        service = MeasurementService()
         try:
             service.create_session("race", EDGES, total_epsilon=5.0, seed=0)
             first = service.measure("race", "node-count", 0.1)
@@ -122,7 +122,7 @@ class TestReplayRacingEviction:
     def test_recreated_session_never_replays_the_old_scope(self):
         """drop_scope correctness: a same-name session created after a close
         must re-measure (fresh charge), never see the dead scope's answers."""
-        service = MeasurementService(workers=2)
+        service = MeasurementService()
         try:
             service.create_session("reborn", EDGES, total_epsilon=1.0, seed=0)
             old = service.measure("reborn", "node-count", 0.1)

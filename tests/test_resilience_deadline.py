@@ -77,7 +77,7 @@ class TestSessionDeadlines:
 
 class TestServiceDeadlines:
     def test_expired_deadline_refused_at_admission_without_charge(self):
-        service = MeasurementService(workers=2)
+        service = MeasurementService()
         try:
             service.create_session("dl", EDGES, total_epsilon=1.0, seed=0)
             with pytest.raises(DeadlineExceededError):
@@ -93,7 +93,7 @@ class TestServiceDeadlines:
             service.shutdown()
 
     def test_service_wide_default_deadline_applies(self):
-        service = MeasurementService(workers=2, deadline_ms=0.0)
+        service = MeasurementService(deadline_ms=0.0)
         try:
             service.create_session("dl", EDGES, total_epsilon=1.0, seed=0)
             with pytest.raises(DeadlineExceededError):
@@ -108,7 +108,7 @@ class TestServiceDeadlines:
     def test_expired_request_replays_from_cache_without_second_charge(self):
         """Budget safety: once charged, the answer is cached, so a client whose
         deadline expired retries the identical request for free."""
-        service = MeasurementService(workers=2)
+        service = MeasurementService()
         try:
             service.create_session("dl", EDGES, total_epsilon=1.0, seed=0)
             first = service.measure("dl", "node-count", 0.1)
@@ -126,7 +126,7 @@ class TestServiceDeadlines:
 
 @pytest.fixture(scope="module")
 def server():
-    server = serve(port=0, workers=2)
+    server = serve(port=0)
     server.serve_in_background()
     yield server
     server.stop()

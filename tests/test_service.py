@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -23,7 +24,7 @@ EDGES = [(i, i + 1) for i in range(40)] + [(0, 2), (1, 3), (2, 4), (5, 7)]
 
 @pytest.fixture()
 def service():
-    svc = MeasurementService(workers=4, max_pending=64)
+    svc = MeasurementService(max_pending=64)
     yield svc
     svc.shutdown()
 
@@ -237,7 +238,7 @@ class TestFusion:
             ("degree-sequence", 0.2),
         ]
 
-        sequential = MeasurementService(workers=1)
+        sequential = MeasurementService()
         try:
             sequential.create_session("demo", EDGES, seed=42)
             expected = [
@@ -247,7 +248,7 @@ class TestFusion:
         finally:
             sequential.shutdown()
 
-        fused = MeasurementService(workers=4)
+        fused = MeasurementService()
         try:
             fused.create_session("demo", EDGES, seed=42)
             futures = TestFusion._forced_batch(
@@ -263,7 +264,7 @@ class TestFusion:
     def test_budget_refusal_only_fails_the_offending_request(self, service):
         """A fused batch whose total cost is unaffordable retries its
         requests individually: innocent co-batched measurements succeed."""
-        probe = MeasurementService(workers=1)
+        probe = MeasurementService()
         try:
             probe.create_session("probe", EDGES, seed=0)
             cost_nc = probe.session("probe").queryable("node-count").privacy_cost(0.1)
@@ -288,11 +289,70 @@ class TestFusion:
 
 
 # ----------------------------------------------------------------------
+# Where a measurement runs
+# ----------------------------------------------------------------------
+class TestCallerThread:
+    def test_a_measure_runs_on_the_thread_that_submitted_it(
+        self, service, monkeypatch
+    ):
+        from repro.core.queryable import PrivacySession
+
+        service.create_session("demo", EDGES, seed=0)
+        ran_on = []
+        measure = PrivacySession.measure
+
+        def spy(session, *specs, **kwargs):
+            ran_on.append(threading.get_ident())
+            return measure(session, *specs, **kwargs)
+
+        monkeypatch.setattr(PrivacySession, "measure", spy)
+        future = service.submit("demo", "node-count", 0.1)
+        assert future.done()
+        assert ran_on == [threading.get_ident()]
+        assert not future.result().cached
+
+    def test_racing_submitters_each_return_with_their_answer(self, service):
+        """Whichever thread runs a batch, every submitter's own request is
+        answered by the time its submit returns, and charged exactly once."""
+        service.create_session("demo", EDGES, seed=0)
+        threads, per_thread = 8, 25
+        unresolved, charged = [], []
+        barrier = threading.Barrier(threads, timeout=30)
+
+        def work(index):
+            barrier.wait()
+            for step in range(per_thread):
+                epsilon = 0.001 * (1 + index * per_thread + step)
+                future = service.submit("demo", "node-count", epsilon)
+                if future.done():
+                    charged.append(sum(future.result().charged.values()))
+                else:
+                    unresolved.append(epsilon)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert unresolved == []
+        assert len(charged) == threads * per_thread
+        spent = service.budget_report("demo")["edges"]["spent"]
+        assert spent == pytest.approx(sum(charged))
+        assert service.stats()["requests"] == threads * per_thread
+
+
+# ----------------------------------------------------------------------
 # Backpressure
 # ----------------------------------------------------------------------
 class TestBackpressure:
     def test_full_queue_rejects_new_submissions(self):
-        service = MeasurementService(workers=2, max_pending=2)
+        service = MeasurementService(max_pending=2)
         try:
             service.create_session("demo", EDGES, seed=0)
             futures = []
@@ -320,7 +380,7 @@ class TestConcurrentServing:
         """N threads hammer shared and distinct sessions with interleaved
         measurements: no budget overspends, accounting stays exact, and
         repeated questions are answered from the cache without new charges."""
-        service = MeasurementService(workers=8, max_pending=1024)
+        service = MeasurementService(max_pending=1024)
         threads = 12
         per_thread = 10
         epsilon = 0.01
@@ -344,7 +404,7 @@ class TestConcurrentServing:
                         eps = epsilon * (1 + index * per_thread + step)
                         for name in ("shared-a", "shared-b", f"own-{index}"):
                             try:
-                                service.measure(name, "node-count", eps, timeout=60)
+                                service.measure(name, "node-count", eps)
                             except BudgetExceededError:
                                 pass
                 except BaseException as exc:  # pragma: no cover

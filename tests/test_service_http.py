@@ -28,7 +28,7 @@ EDGES = [[i, i + 1] for i in range(30)] + [[0, 2], [1, 3]]
 
 @pytest.fixture(scope="module")
 def server():
-    server = serve(port=0, workers=4)
+    server = serve(port=0)
     server.serve_in_background()
     yield server
     server.stop()
@@ -235,7 +235,7 @@ def test_write_fault_drops_the_connection_and_the_next_call_reconnects(server, c
 
 
 def test_stop_ends_idle_connections_and_serves_nothing_more():
-    server = serve(port=0, workers=2)
+    server = serve(port=0)
     server.serve_in_background()
     client = ServiceClient(server.url, timeout=30.0)
     client.create_session("stopped", EDGES, seed=0)
@@ -554,9 +554,9 @@ def test_served_answers_equal_the_in_process_service():
             sequence.append((rnd.choice(queries), round(rnd.uniform(0.05, 0.5), 3)))
     assert len(set(sequence)) < len(sequence)  # the sequence has repeats
 
-    served = serve(port=0, workers=2)
+    served = serve(port=0)
     served.serve_in_background()
-    twin = MeasurementService(workers=2)
+    twin = MeasurementService()
     client = ServiceClient(served.url, timeout=60.0)
     try:
         client.create_session("twin", EDGES, seed=11)

@@ -39,7 +39,6 @@ def ledger_path(tmp_path):
 
 
 def _service(ledger_path, **kwargs):
-    kwargs.setdefault("workers", 2)
     return MeasurementService(ledger_path=ledger_path, **kwargs)
 
 
@@ -63,6 +62,29 @@ class TestServiceRestart:
             assert replay.cached
             assert dict(replay.result.items()) == dict(first.result.items())
             assert restarted.budget_report("acme") == report
+        finally:
+            restarted.shutdown()
+
+    def test_replay_after_reopen_reads_the_durable_release(self, ledger_path):
+        """Boot leaves the answer cache empty; the first replay of a release
+        made before the restart reads it from the store: free, cached, and
+        the same floats to the bit."""
+        service = _service(ledger_path)
+        service.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
+        first = service.measure("acme", "degree-ccdf", 0.25)
+        service.shutdown()
+
+        restarted = _service(ledger_path)
+        try:
+            spent = restarted.budget_report("acme")["edges"]["spent"]
+            assert len(restarted.cache) == 0
+            replay = restarted.measure("acme", "degree-ccdf", 0.25)
+            assert replay.cached and replay.charged == {}
+            assert [(r, v.hex()) for r, v in replay.result.items()] == [
+                (r, v.hex()) for r, v in first.result.items()
+            ]
+            assert restarted.budget_report("acme")["edges"]["spent"] == spent
+            assert len(restarted.cache) == 1
         finally:
             restarted.shutdown()
 

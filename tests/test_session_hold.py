@@ -327,7 +327,7 @@ def test_retained_state_is_bounded_by_the_answer_not_by_the_intermediates():
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def service():
-    svc = MeasurementService(workers=2)
+    svc = MeasurementService()
     yield svc
     svc.shutdown()
 
@@ -418,8 +418,8 @@ def test_evicted_durable_replica_takes_its_exact_answers_with_it(tmp_path):
     and with it every exact answer it held — is dropped, so the new records
     are what gets measured."""
     path = str(tmp_path / "ledger.db")
-    a = MeasurementService(workers=2, ledger_path=path)
-    b = MeasurementService(workers=2, ledger_path=path)
+    a = MeasurementService(ledger_path=path)
+    b = MeasurementService(ledger_path=path)
     try:
         a.create_session("acme", EDGES, seed=7)
         old = b.measure("acme", "node-count", 50.0)  # b builds a replica and computes

@@ -110,12 +110,17 @@ def sorted_runs(
     lexicographic order, where each run of equal rows starts in it, and the
     words sorted.
 
-    ``fits_rows`` (from :func:`pack_rows`) promises one word with ``word × rows
-    + row`` in ``[0, 2⁶³)``.  Those keys are all distinct, so *any* sort of
-    them is the stable order of ``word`` and ``divmod`` returns both answers:
-    NumPy's vectorised sort instead of a merge sort per word and a gather.
+    One word that is already non-decreasing — a consolidated dataset's rows,
+    packed under any :func:`pack_rows` plan — is its own stable order, so
+    nothing is sorted.  Otherwise ``fits_rows`` (from :func:`pack_rows`)
+    promises one word with ``word × rows + row`` in ``[0, 2⁶³)``.  Those keys
+    are all distinct, so *any* sort of them is the stable order of ``word`` and
+    ``divmod`` returns both answers: NumPy's vectorised sort instead of a
+    merge sort per word and a gather.
     """
-    if fits_rows:
+    if len(words) == 1 and not (words[0][1:] < words[0][:-1]).any():
+        order = np.arange(words[0].shape[0])
+    elif fits_rows:
         count = words[0].shape[0]
         word, order = np.divmod(np.sort(words[0] * count + np.arange(count)), count)
         words = [word]
@@ -137,7 +142,9 @@ def row_groups(
     ``group_index[i]`` numbers the group of sorted row ``i`` and
     ``representatives`` holds the sorted-row position of each group's first
     row, so ``column[order[representatives]]`` is one row per group.  Zero
-    rows give three empty arrays.
+    rows give three empty arrays.  When every row is distinct, sorted row
+    ``i`` is group ``i``: ``group_index`` and ``representatives`` are then the
+    same ``arange``, and callers compare group and row counts to tell.
 
     Rows are packed into one ``int64`` word each (:func:`pack_rows`), whose
     stable order *is* that permutation; only ranges that overflow a word —
@@ -151,6 +158,8 @@ def row_groups(
         return (np.empty(0, dtype=np.int64),) * 3
     (words,), fits_rows = pack_rows(columns)
     order, starts, _ = sorted_runs(words, fits_rows)
+    if starts.shape[0] == count:
+        return order, starts, starts
     sizes = np.diff(starts, append=count)
     return order, np.repeat(np.arange(starts.shape[0]), sizes), starts
 
@@ -165,15 +174,19 @@ def consolidate(
 
     The row order of the result is the lexicographic code order and a merged
     row adds its duplicates in input order (:func:`row_groups` sorts stably):
-    both deterministic for a fixed interner state.  ``assume_unique`` skips
-    the sort/merge when the caller guarantees rows are already distinct.
+    both deterministic for a fixed interner state.  Rows already in that
+    order are not re-sorted, and when every row is distinct there is nothing
+    to add — a group of one would sum to ``0.0 + w``, which is ``w`` for every
+    weight the tolerance keeps — so no ``bincount`` runs.  ``assume_unique``
+    skips the sort/merge when the caller guarantees rows are already distinct.
     """
     if not assume_unique:
         order, group_index, representatives = row_groups(columns)
-        weights = np.bincount(group_index, weights=np.asarray(weights)[order])
-        rows = order[representatives]
-        columns = [column[rows] for column in columns]
-    # After the merge: the bincount of zero rows is an empty *int64* array.
+        weights = np.asarray(weights)[order]
+        if representatives.shape[0] < order.shape[0]:
+            weights = np.bincount(group_index, weights=weights)
+            order = order[representatives]
+        columns = [column[order] for column in columns]
     weights = np.asarray(weights, dtype=np.float64)
     keep = np.abs(weights) > tolerance
     if not keep.all():

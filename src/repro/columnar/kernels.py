@@ -23,6 +23,13 @@ The join kernel is the reason this backend exists: the per-key Cartesian
 pairing, the ``‖A_k‖ + ‖B_k‖`` denominators and the output weights are all
 computed with array operations, so the length-two-path self-join at the heart
 of the paper's subgraph queries runs at NumPy speed.
+
+The binary set operators align rows on the same packed words.  ``Union``,
+``Concat`` and ``Except`` keep every row of either side, so they merge the two
+in one sort (:func:`_merge_sides`); ``Intersect`` keeps only the rows both
+sides hold and one side's negative rows, so it probes one side's words in the
+other's and merges just those.  The shared merge sorts nothing that is
+already in order and sums nothing that is already distinct.
 """
 
 from __future__ import annotations
@@ -387,6 +394,29 @@ def _side_key_codes(dataset: ColumnarDataset, key: Callable[[Any], Any]) -> np.n
     return global_interner().codes([key(record) for record in dataset.records()])
 
 
+def _joint_words(
+    left_columns: Sequence[np.ndarray], right_columns: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One ``int64`` word per row of each of two aligned, non-empty column
+    tuples, equal and ordered alike exactly when the rows are, plus
+    :func:`sorted_runs`' ``fits_rows``.
+
+    The sides share one :func:`pack_rows` plan, so their words compare
+    directly; only a range too wide for one word has :func:`row_groups` number
+    the distinct rows of the two sides together.
+    """
+    (left_words, right_words), fits_rows = pack_rows(left_columns, right_columns)
+    if len(left_words) == 1:
+        return left_words[0], right_words[0], fits_rows
+    order, group, _ = row_groups(
+        [np.concatenate(pair) for pair in zip(left_words, right_words)]
+    )
+    codes = np.empty_like(group)
+    codes[order] = group
+    count = left_words[0].shape[0]
+    return codes[:count], codes[count:], False
+
+
 def _key_codes(
     left: ColumnarDataset,
     right: ColumnarDataset,
@@ -398,9 +428,7 @@ def _key_codes(
 
     A *composite* key — ``Permute`` specs of one width on both sides — packs
     its field columns with minima and spans taken over *both* sides
-    (:func:`pack_rows`), so the sides' words compare directly and no key tuple
-    is ever built; only a range too wide for one word has :func:`row_groups`
-    number the distinct key rows of the two sides together.  Such words mean
+    (:func:`_joint_words`), so no key tuple is ever built.  Such words mean
     nothing outside this call, so a ``Permute`` facing any other key is called
     per record like a plain function, both sides starting from interner codes
     as a ``Field`` column pick does.
@@ -414,15 +442,7 @@ def _key_codes(
     ):
         left_columns = (_side_key_codes(left, left_key),)
         right_columns = (_side_key_codes(right, right_key),)
-    (left_words, right_words), fits_rows = pack_rows(left_columns, right_columns)
-    if len(left_words) == 1:
-        return left_words[0], right_words[0], fits_rows
-    order, group, _ = row_groups(
-        [np.concatenate(pair) for pair in zip(left_words, right_words)]
-    )
-    codes = np.empty_like(group)
-    codes[order] = group
-    return codes[: len(left)], codes[len(left) :], False
+    return _joint_words(left_columns, right_columns)
 
 
 def join(
@@ -523,15 +543,49 @@ def union(left: ColumnarDataset, right: ColumnarDataset) -> ColumnarDataset:
 
 
 def intersect(left: ColumnarDataset, right: ColumnarDataset) -> ColumnarDataset:
-    """``Intersect(A, B)(x) = min(A(x), B(x))`` (see ``xf.intersect``)."""
-    columns, left_weights, right_weights, arity = _merge_sides(left, right)
-    return ColumnarDataset(
-        columns,
-        np.minimum(left_weights, right_weights),
-        arity,
-        left.tolerance,
-        assume_unique=True,
+    """``Intersect(A, B)(x) = min(A(x), B(x))`` (see ``xf.intersect``).
+
+    Only a row both sides hold (``min(a, b)``) or a one-sided negative row
+    (``min(w, 0) = w``) can be kept, so no union is built: both sides are
+    packed under one plan (:func:`_joint_words`), the right side's words are
+    sorted — a consolidated right side's already are — and the left side's
+    are probed with one ``searchsorted``.  Only the kept rows are then merged
+    into code order, the order the union's rows would have had.
+    """
+    left, right = _aligned(left, right)
+    left_rows, right_rows = _shared_rows(left, right)
+    left_weights = np.minimum(left.weights, 0.0)
+    left_weights[left_rows] = np.minimum(
+        left.weights[left_rows], right.weights[right_rows]
     )
+    right_weights = np.minimum(right.weights, 0.0)
+    right_weights[right_rows] = 0.0  # kept once, on the left
+    left_keep, right_keep = left_weights != 0.0, right_weights != 0.0
+    return ColumnarDataset(
+        tuple(
+            np.concatenate([lcol[left_keep], rcol[right_keep]])
+            for lcol, rcol in zip(left.columns, right.columns)
+        ),
+        np.concatenate([left_weights[left_keep], right_weights[right_keep]]),
+        left.arity,
+        left.tolerance,
+    )
+
+
+def _shared_rows(
+    left: ColumnarDataset, right: ColumnarDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row pairs ``(i, j)`` at which two aligned datasets hold the same
+    row, ``i`` ascending (rows are unique within a side, so each ``i`` has at
+    most one ``j``)."""
+    if left.is_empty() or right.is_empty():
+        return (np.empty(0, dtype=np.int64),) * 2
+    left_words, right_words, fits_rows = _joint_words(left.columns, right.columns)
+    right_order, _, (right_words,) = sorted_runs([right_words], fits_rows)
+    position = np.searchsorted(right_words, left_words)
+    position[position == right_words.shape[0]] = 0
+    left_rows = np.flatnonzero(right_words[position] == left_words)
+    return left_rows, right_order[position[left_rows]]
 
 
 def concat(left: ColumnarDataset, right: ColumnarDataset) -> ColumnarDataset:

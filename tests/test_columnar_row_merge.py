@@ -1,11 +1,14 @@
-"""The row-merge primitive and the join built on it, against the code they
-replaced.
+"""The row-merge primitive and the join and intersect built on it, against
+the code they replaced.
 
 ``row_groups`` packs the columns of a row into ``int64`` words and sorts
-those; the join sorts each side's key words once.  Both must be *exactly* what
-``np.lexsort`` and the ``argsort`` / ``np.unique`` / ``np.intersect1d`` join
-tail gave — same permutation, same groups, same pair order — because every
-float sum downstream adds its terms in that order.  The references below are
+those — unless they are already in order — and ``consolidate`` adds nothing
+when every row is distinct; the join sorts each side's key words once; the
+intersect probes one side's words in the other's instead of merging the two.
+All must be *exactly* what ``np.lexsort``, the ``argsort`` / ``np.unique`` /
+``np.intersect1d`` join tail and the union-then-``min`` intersect gave — same
+permutation, same groups, same pair order, same rows — because every float
+sum downstream adds its terms in that order.  The references below are
 in-test copies of the replaced code; the last test pins released values
 recorded before the replacement.
 """
@@ -22,8 +25,9 @@ from hypothesis import given, settings, strategies as st
 from repro import analyses
 from repro.analyses import protect_graph
 from repro.columnar import ColumnarDataset, Field, JoinFields, Permute, kernels
-from repro.columnar.dataset import packing_plan, row_groups
+from repro.columnar.dataset import consolidate, packing_plan, row_groups
 from repro.columnar.interning import Interner, global_interner, use_interner
+from repro.core.dataset import DEFAULT_TOLERANCE
 from repro.core.queryable import PrivacySession
 from repro.graph.generators import social_graph
 from repro.shard.executor import ShardedExecutor
@@ -48,12 +52,20 @@ POOLS = {
 }
 
 
+class Presorted(list):
+    """Pools whose drawn rows are handed over already in code order."""
+
+
 def draw_columns(pools: list[str], rows: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    return [
+    columns = [
         np.array(POOLS[pool], dtype=np.int64)[rng.integers(len(POOLS[pool]), size=rows)]
         for pool in pools
     ]
+    if isinstance(pools, Presorted):
+        order = np.lexsort(columns[::-1])
+        columns = [column[order] for column in columns]
+    return columns
 
 
 def regime(columns: list[np.ndarray]) -> str:
@@ -156,6 +168,29 @@ def reference_join(left, right, left_key, right_key, selector):
     return reference_consolidate(columns, weights, left.tolerance)
 
 
+def reference_intersect(left, right):
+    """``kernels.intersect`` as it was: both sides' weights over the union of
+    their rows (one ``bincount`` per side), then ``min``; returns the kept
+    columns, weights and arity."""
+    if left.arity != right.arity:  # the alignment, unchanged
+        if left.is_empty():
+            left = ColumnarDataset.empty(left.tolerance, right.arity)
+        elif right.is_empty():
+            right = ColumnarDataset.empty(right.tolerance, left.arity)
+        else:
+            left, right = left.as_opaque(), right.as_opaque()
+    columns = [np.concatenate(pair) for pair in zip(left.columns, right.columns)]
+    order, group, representatives = reference_row_groups(columns)
+    stacked = np.concatenate([left.weights, right.weights])[order]
+    from_left = order < len(left)
+    left_weights = np.bincount(group, weights=np.where(from_left, stacked, 0.0))
+    right_weights = np.bincount(group, weights=np.where(from_left, 0.0, stacked))
+    weights = np.minimum(left_weights, right_weights)
+    keep = np.abs(weights) > left.tolerance
+    rows = order[representatives][keep]
+    return [column[rows] for column in columns], weights[keep], left.arity
+
+
 def assert_same_rows(dataset: ColumnarDataset, columns, weights):
     assert len(dataset.columns) == len(columns)
     for ours, theirs in zip(dataset.columns, columns):
@@ -196,6 +231,9 @@ def test_row_groups_is_the_lexsort_with_its_groups(pools, rows, seed):
         (["worker", "small", "worker", "worker", "small"], 400, "several words"),
         (["near_2_62", "negative", "constant", "both_ends", "worker", "small"], 57, "several words"),
         (["worker"], 1, "word and row"),
+        (Presorted(["small", "small", "small"]), 400, "word and row"),
+        (Presorted(["worker", "small", "negative"]), 400, "word only"),
+        (Presorted(["worker", "small", "worker", "worker", "small"]), 400, "several words"),
     ],
 )
 def test_every_regime_runs_and_matches(pools, rows, expected):
@@ -227,6 +265,50 @@ def test_zero_rows_give_three_empty_arrays():
 
 def test_one_row_is_one_group():
     assert_row_groups_match([np.array([-1], dtype=np.int64), np.array([1 << 62])])
+
+
+def distinct_rows(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """The first row of each group, in code order."""
+    order, _, representatives = reference_row_groups(columns)
+    return [column[order[representatives]] for column in columns]
+
+
+def assert_consolidate_matches(columns, weights):
+    ours = consolidate(columns, weights, DEFAULT_TOLERANCE)
+    expected = reference_consolidate(columns, weights, DEFAULT_TOLERANCE)
+    assert [column.tolist() for column in ours[0]] == [column.tolist() for column in expected[0]]
+    assert ours[1].tolist() == expected[1].tolist()  # ==, not approx
+
+
+@given(
+    pools=st.lists(st.sampled_from(sorted(POOLS)), min_size=1, max_size=4),
+    rows=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["sorted", "sorted distinct", "distinct"]),
+)
+@settings(deadline=None, max_examples=200)
+def test_presorted_and_distinct_rows_merge_as_the_lexsort(pools, rows, seed, shape):
+    """Rows already in code order are not re-sorted and distinct rows skip the
+    sums; duplicates of sorted rows are still added in input order."""
+    columns = draw_columns(Presorted(pools), rows, seed)
+    if shape != "sorted":
+        columns = distinct_rows(columns)
+    if shape == "distinct":  # distinct, in no particular order
+        shuffle = np.random.default_rng(seed).permutation(columns[0].shape[0])
+        columns = [column[shuffle] for column in columns]
+    assert_row_groups_match(columns)
+    rng = np.random.default_rng(seed + 1)
+    # Weights whose sum depends on the order they are added in.
+    weights = rng.choice([1e16, -1e16, 1.0, 0.1, -0.3, 3.0], size=columns[0].shape[0])
+    assert_consolidate_matches(columns, weights)
+
+
+def test_sorted_duplicates_are_added_in_input_order():
+    column = np.array([0, 0, 0, 4], dtype=np.int64)
+    for weights, total in (([1e16, -1e16, 1.0, 2.0], 1.0), ([1e16, 1.0, -1e16, 2.0], 0.0)):
+        _, summed = consolidate([column], np.array(weights), DEFAULT_TOLERANCE)
+        assert summed.tolist() == ([total, 2.0] if total else [2.0])
+        assert_consolidate_matches([column], np.array(weights))
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +424,86 @@ def test_join_edge_shapes():
 
 
 # ----------------------------------------------------------------------
-# (c) pinned releases
+# (c) intersect
+# ----------------------------------------------------------------------
+INTERSECT_POOLS = ["small", "negative", "worker"]
+#: Records of two layouts that can still share rows once both are opaque.
+MIXED_RECORDS = [0, 1, "a", (0, 1), (1, 1)]
+PAIR_RECORDS = [(0, 1), (1, 1), (1, 0), (2, 1)]
+
+
+@st.composite
+def intersect_sides(draw):
+    """Two datasets over one candidate row pool, so that they share rows:
+    consolidated (hence presorted) or ``Permute``-d out of order, possibly
+    empty, with weights of both signs; code-level rows whose pools may force
+    several words, or records of two layouts that align as opaque codes."""
+    rng = np.random.default_rng(draw(st.integers(0, 10**6)))
+    weights = lambda rows: rng.choice([-2.0, -0.3, 0.1, 0.7, 1.0, 3.0], size=rows)
+    if draw(st.booleans()):
+        pools = draw(st.lists(st.sampled_from(INTERSECT_POOLS), min_size=1, max_size=3))
+        candidates = draw_columns(pools, 30, int(rng.integers(2**32)))
+
+        def side():
+            pick = rng.integers(30, size=draw(st.integers(0, 40)))
+            dataset = ColumnarDataset(
+                [column[pick] for column in candidates], weights(pick.shape[0]), len(pools)
+            )
+            if draw(st.booleans()):
+                dataset = kernels.select(dataset, Permute(*draw(st.permutations(range(len(pools))))))
+            return dataset
+
+        return side(), side()
+
+    def side(pool):
+        records = [pool[i] for i in rng.integers(len(pool), size=draw(st.integers(0, 12)))]
+        dataset = ColumnarDataset.from_pairs(records, weights(len(records)))
+        if dataset.arity == 2 and draw(st.booleans()):
+            dataset = kernels.select(dataset, Permute(1, 0))
+        return dataset
+
+    return side(MIXED_RECORDS), side(PAIR_RECORDS)
+
+
+def assert_intersect_matches(left, right):
+    for first, second in ((left, right), (right, left)):
+        ours = kernels.intersect(first, second)
+        columns, weights, arity = reference_intersect(first, second)
+        assert ours.arity == arity
+        assert_same_rows(ours, columns, weights)
+
+
+@given(sides=intersect_sides())
+@settings(deadline=None, max_examples=300)
+def test_intersect_is_the_replaced_union_then_min(sides):
+    assert_intersect_matches(*sides)
+
+
+def test_intersect_edge_shapes():
+    two = lambda rows: ColumnarDataset(
+        [np.array([r[0] for r in rows]), np.array([r[1] for r in rows])],
+        np.array([r[2] for r in rows], dtype=np.float64),
+        2,
+    )
+    mixed = [3, worker_code(1, 0), worker_code(2, 1)]
+    wide = two([(mixed[i % 3], mixed[i % 2], 0.5 - i % 4) for i in range(12)])
+    # Two wide columns do not fit one word: the sides' rows are numbered together.
+    assert regime([np.concatenate([wide.columns[i]] * 2) for i in (0, 1)]) == "several words"
+    negative = two([(0, 1, -1.0), (1, 0, 2.0), (2, 2, -0.5)])
+    empty = ColumnarDataset.empty(arity=2)
+    for left, right in [
+        (wide, wide),
+        (wide, kernels.select(wide, Permute(1, 0))),
+        (negative, empty),  # the negative rows, min(w, 0) = w, and nothing else
+        (empty, empty),
+        (negative, kernels.select(negative, Permute(1, 0))),
+    ]:
+        assert_intersect_matches(left, right)
+    assert kernels.intersect(negative, empty).weights.tolist() == [-1.0, -0.5]
+
+
+# ----------------------------------------------------------------------
+# (d) pinned releases
 # ----------------------------------------------------------------------
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "analyst_batch_releases.json").read_text()

@@ -15,6 +15,7 @@ the same "calibrate data, not noise" trade the graph queries make.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from math import comb
 from typing import Any, Iterable, Sequence
@@ -60,11 +61,13 @@ def itemsets_query(baskets: Queryable, size: int) -> Queryable:
     """
     if size < 1:
         raise ValueError("itemset size must be at least 1")
+    return baskets.select_many(partial(_subsets, size))
 
-    def subsets(basket: Sequence[Any]):
-        return [tuple(subset) for subset in combinations(basket, size)]
 
-    return baskets.select_many(subsets)
+def _subsets(size: int, basket: Sequence[Any]) -> list[tuple[Any, ...]]:
+    """Every size-``size`` subset of ``basket`` (a module-level function, so
+    the plan pickles)."""
+    return [tuple(subset) for subset in combinations(basket, size)]
 
 
 def itemset_weight_contribution(basket_size: int, itemset_size: int) -> float:

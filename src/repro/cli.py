@@ -218,8 +218,8 @@ def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
 
     Generates an Erdős–Rényi graph, measures TbI, seeds a degree-matched
     graph, and fits it with MCMC on the chosen scoring backend — optionally
-    with batched proposal evaluation (``--batch``) and multi-chain search
-    (``--chains``, on several cores with ``--processes``).
+    with multi-chain search (``--chains``, on several cores with
+    ``--processes``).
     """
     import numpy as np
 
@@ -248,12 +248,7 @@ def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
         rng=config.seed,
         backend=args.backend,
     )
-    result = synthesizer.run(
-        steps,
-        chains=args.chains,
-        proposal_batch=args.batch or None,
-        processes=args.processes,
-    )
+    result = synthesizer.run(steps, chains=args.chains, processes=args.processes)
     if synthesizer.last_parallel_result is not None:
         rows = [
             (
@@ -285,8 +280,7 @@ def _run_synth(args: argparse.Namespace, config: ExperimentConfig) -> int:
             rows,
             title=(
                 f"Synthesis — backend={args.backend}, edges={edges_count}, "
-                f"chains={args.chains}, batch={args.batch or 'off'}, "
-                f"processes={args.processes or 'off'}"
+                f"chains={args.chains}, processes={args.processes or 'off'}"
             ),
         )
     )
@@ -492,12 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
             "for 'synth': run the --chains chains in N worker processes "
             "(the same chains as in-process, on more than one core)"
         ),
-    )
-    parser.add_argument(
-        "--batch",
-        type=int,
-        default=0,
-        help="for 'synth': proposals scored per fused batch (0 = sequential)",
     )
     parser.add_argument(
         "--backend",

@@ -13,18 +13,10 @@ arrays — and recompute only the affected parts, exactly like their dataflow
 counterparts but with the cross products, scalings and merges done as array
 operations.
 
-Two delivery modes share one operator graph:
-
-* **deltas** (:meth:`DeltaNode.on_delta`) — committed updates that fold into
-  operator state and propagate downstream, the ordinary MCMC push;
-* **probes** (:meth:`DeltaNode.on_probe`) — *what-if* updates used by batched
-  proposal evaluation: ``K`` candidate deltas are stacked into one
-  :class:`Probe` carrying a candidate-id vector, flow through the graph in a
-  single fused pass without mutating any state, and per-candidate overlays
-  (reset by :meth:`DeltaNode.begin_batch`) keep candidates independent.  A
-  node that cannot answer a probe on its fast path raises
-  :class:`ProbeFallback`, and the caller falls back to sequential
-  push/score/rollback for that batch.
+A delta (:meth:`DeltaNode.on_delta`) is a committed update: it folds into
+operator state and propagates downstream, and it is the only way anything
+moves through the graph.  An MCMC step pushes the proposal's delta and, on
+reject, pushes it back negated.
 
 The scoring half (per-measurement bin vectors and L1 residuals) lives in
 :mod:`repro.inference.columnar_scoring`; this module is measurement-agnostic.
@@ -32,7 +24,7 @@ The scoring half (per-measurement bin vectors and L1 residuals) lives in
 
 from __future__ import annotations
 
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -43,11 +35,9 @@ from ..exceptions import DataflowError
 from . import kernels
 from .dataset import ColumnarDataset
 from .interning import global_interner
-from .specs import Constant, ExplodeFields, Field, FieldIs, FieldsDiffer, JoinFields, Permute
+from .specs import ExplodeFields, Field, FieldIs, FieldsDiffer, JoinFields
 
 __all__ = [
-    "Probe",
-    "ProbeFallback",
     "DeltaNode",
     "SourceDeltaNode",
     "NODE_FOR_OP",
@@ -57,25 +47,6 @@ __all__ = [
 #: Relative tolerance deciding a join key's normaliser is unchanged (mirrors
 #: :attr:`repro.dataflow.operators.JoinNode._NORM_TOLERANCE`).
 NORM_TOLERANCE = 1e-9
-
-
-class Probe(NamedTuple):
-    """A stacked batch of candidate deltas flowing through the graph.
-
-    Rows need not be unique: probe semantics are additive, and consumers
-    accumulate per ``(candidate, row)``.  ``cands`` aligns a candidate index
-    with every row.
-    """
-
-    columns: tuple[np.ndarray, ...]
-    weights: np.ndarray
-    cands: np.ndarray
-    arity: int | None
-
-
-class ProbeFallback(Exception):
-    """Raised when a probe leaves a node's fast path (e.g. a join delta that
-    changes a key's normaliser); the batch must be scored sequentially."""
 
 
 # ----------------------------------------------------------------------
@@ -114,36 +85,6 @@ def _encode_records(records: Sequence[Any]) -> tuple[tuple[np.ndarray, ...], int
     return (interner.codes(list(records)),), None
 
 
-def _probe_records(probe: Probe) -> list[Any]:
-    return _decode_rows(probe.columns, probe.arity)
-
-
-def _probe_from_records(
-    records: Sequence[Any], weights: np.ndarray, cands: np.ndarray
-) -> Probe:
-    columns, arity = _encode_records(records)
-    return Probe(columns, np.asarray(weights, dtype=np.float64), cands, arity)
-
-
-def _probe_as_opaque(probe: Probe) -> Probe:
-    if probe.arity is None:
-        return probe
-    codes = global_interner().codes(_probe_records(probe))
-    return Probe((codes,), probe.weights, probe.cands, None)
-
-
-def _prune_probe(probe: Probe) -> Probe:
-    keep = np.abs(probe.weights) > DEFAULT_TOLERANCE
-    if keep.all():
-        return probe
-    return Probe(
-        tuple(column[keep] for column in probe.columns),
-        probe.weights[keep],
-        probe.cands[keep],
-        probe.arity,
-    )
-
-
 # ----------------------------------------------------------------------
 # Node base classes
 # ----------------------------------------------------------------------
@@ -167,20 +108,6 @@ class DeltaNode:
     def on_delta(self, delta: ColumnarDataset, port: int = 0) -> None:
         raise NotImplementedError
 
-    # -- what-if probes --------------------------------------------------
-    def emit_probe(self, probe: Probe) -> None:
-        probe = _prune_probe(probe)
-        if probe.weights.shape[0] == 0:
-            return
-        for consumer, port in self._consumers:
-            consumer.on_probe(probe, port)
-
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        raise ProbeFallback(f"{self.name} does not support probes")
-
-    def begin_batch(self) -> None:
-        """Reset any per-batch probe overlay (called before every batch)."""
-
     # -- introspection ---------------------------------------------------
     def state_entries(self) -> int:
         """Weighted entries held by this node's state (the memory proxy)."""
@@ -200,9 +127,6 @@ class SourceDeltaNode(DeltaNode):
     def on_delta(self, delta: ColumnarDataset, port: int = 0) -> None:
         self.emit(delta)
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        self.emit_probe(probe)
-
 
 # ----------------------------------------------------------------------
 # Linear (stateless) operators: kernels apply directly to the delta
@@ -216,33 +140,6 @@ class SelectDeltaNode(DeltaNode):
 
     def on_delta(self, delta: ColumnarDataset, port: int = 0) -> None:
         self.emit(kernels.select(delta, self._mapper))
-
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        mapper = self._mapper
-        if probe.arity is not None:
-            arity = probe.arity
-            if isinstance(mapper, Permute) and all(i < arity for i in mapper.indices):
-                columns = tuple(probe.columns[i] for i in mapper.indices)
-                self.emit_probe(
-                    Probe(columns, probe.weights, probe.cands, len(mapper.indices))
-                )
-                return
-            if isinstance(mapper, Field) and mapper.index < arity:
-                self.emit_probe(
-                    Probe((probe.columns[mapper.index],), probe.weights, probe.cands, None)
-                )
-                return
-        if isinstance(mapper, Constant):
-            present = np.unique(probe.cands)
-            sums = np.bincount(
-                probe.cands, weights=probe.weights, minlength=int(present[-1]) + 1
-            )[present]
-            code = global_interner().code(mapper.value)
-            column = np.full(present.shape[0], code, dtype=np.int64)
-            self.emit_probe(Probe((column,), sums, present, None))
-            return
-        mapped = [mapper(record) for record in _probe_records(probe)]
-        self.emit_probe(_probe_from_records(mapped, probe.weights, probe.cands))
 
 
 class WhereDeltaNode(DeltaNode):
@@ -284,17 +181,6 @@ class WhereDeltaNode(DeltaNode):
                 delta.arity,
                 delta.tolerance,
                 assume_unique=True,
-            )
-        )
-
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        mask = self._mask(probe.columns, probe.arity)
-        self.emit_probe(
-            Probe(
-                tuple(column[mask] for column in probe.columns),
-                probe.weights[mask],
-                probe.cands[mask],
-                probe.arity,
             )
         )
 
@@ -347,21 +233,6 @@ class SelectManyDeltaNode(DeltaNode):
             )
         )
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        if isinstance(self._mapper, ExplodeFields) and probe.arity is not None:
-            width = probe.arity
-            scale = 1.0 / max(1.0, float(width))
-            codes = np.concatenate(probe.columns)
-            weights = np.tile(probe.weights * scale, width)
-            cands = np.tile(probe.cands, width)
-            self.emit_probe(Probe((codes,), weights, cands, None))
-            return
-        records, weights, rows = self._expand(probe.columns, probe.weights, probe.arity)
-        cands = probe.cands[np.asarray(rows, dtype=np.intp)]
-        self.emit_probe(
-            _probe_from_records(records, np.asarray(weights, dtype=np.float64), cands)
-        )
-
     def state_entries(self) -> int:
         return sum(len(outputs) for outputs in self._normalized.values())
 
@@ -376,9 +247,6 @@ class DownScaleDeltaNode(DeltaNode):
     def on_delta(self, delta: ColumnarDataset, port: int = 0) -> None:
         self.emit(kernels.down_scale(delta, self._factor))
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        self.emit_probe(probe._replace(weights=probe.weights * self._factor))
-
 
 class ConcatDeltaNode(DeltaNode):
     """Incremental ``Concat``: deltas from either port pass straight through."""
@@ -388,9 +256,6 @@ class ConcatDeltaNode(DeltaNode):
 
     def on_delta(self, delta: ColumnarDataset, port: int = 0) -> None:
         self.emit(delta)
-
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        self.emit_probe(probe)
 
 
 class ExceptDeltaNode(DeltaNode):
@@ -412,12 +277,6 @@ class ExceptDeltaNode(DeltaNode):
                     assume_unique=True,
                 )
             )
-
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        if port == 0:
-            self.emit_probe(probe)
-        else:
-            self.emit_probe(probe._replace(weights=-probe.weights))
 
 
 # ----------------------------------------------------------------------
@@ -456,18 +315,6 @@ class _LayoutStateNode(DeltaNode):
             self._convert_state_opaque(old)
         return delta.as_opaque()
 
-    def _adopt_probe(self, probe: Probe) -> Probe:
-        if self._arity is self._UNSET:
-            self._arity = probe.arity
-            return probe
-        if probe.arity == self._arity:
-            return probe
-        if self._arity is not None:
-            old = self._arity
-            self._arity = None
-            self._convert_state_opaque(old)
-        return _probe_as_opaque(probe)
-
 
 class DistinctDeltaNode(_LayoutStateNode):
     """Incremental ``Distinct``: re-cap only rows whose weight changed."""
@@ -476,7 +323,6 @@ class DistinctDeltaNode(_LayoutStateNode):
         super().__init__(name)
         self._cap = float(cap)
         self._weights: dict[tuple[int, ...], float] = {}
-        self._probe_pending: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def _convert_state_opaque(self, old_arity: int | None) -> None:
         self._weights = {
@@ -505,26 +351,6 @@ class DistinctDeltaNode(_LayoutStateNode):
             )
         )
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        probe = self._adopt_probe(probe)
-        cap = self._cap
-        out = np.empty(probe.weights.shape[0], dtype=np.float64)
-        cands = probe.cands.tolist()
-        for index, (key, change) in enumerate(
-            zip(_row_keys(probe.columns), probe.weights.tolist())
-        ):
-            overlay_key = (cands[index], key)
-            pending = self._probe_pending.get(overlay_key, 0.0)
-            base = self._weights.get(key, 0.0)
-            before = base + pending
-            after = before + change
-            self._probe_pending[overlay_key] = pending + change
-            out[index] = min(after, cap) - min(before, cap)
-        self.emit_probe(Probe(probe.columns, out, probe.cands, probe.arity))
-
-    def begin_batch(self) -> None:
-        self._probe_pending = {}
-
     def state_entries(self) -> int:
         return len(self._weights)
 
@@ -537,7 +363,6 @@ class UnionDeltaNode(_LayoutStateNode):
     def __init__(self, name: str = "union") -> None:
         super().__init__(name)
         self._weights: dict[tuple[int, ...], list[float]] = {}
-        self._probe_pending: dict[tuple[int, tuple[int, ...]], list[float]] = {}
 
     def _convert_state_opaque(self, old_arity: int | None) -> None:
         self._weights = {
@@ -571,29 +396,6 @@ class UnionDeltaNode(_LayoutStateNode):
             )
         )
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        probe = self._adopt_probe(probe)
-        combiner = self.combiner
-        out = np.empty(probe.weights.shape[0], dtype=np.float64)
-        cands = probe.cands.tolist()
-        for index, (key, change) in enumerate(
-            zip(_row_keys(probe.columns), probe.weights.tolist())
-        ):
-            overlay_key = (cands[index], key)
-            pending = self._probe_pending.get(overlay_key)
-            if pending is None:
-                pending = [0.0, 0.0]
-                self._probe_pending[overlay_key] = pending
-            pair = self._weights.get(key, (0.0, 0.0))
-            before = combiner(pair[0] + pending[0], pair[1] + pending[1])
-            pending[port] += change
-            after = combiner(pair[0] + pending[0], pair[1] + pending[1])
-            out[index] = after - before
-        self.emit_probe(Probe(probe.columns, out, probe.cands, probe.arity))
-
-    def begin_batch(self) -> None:
-        self._probe_pending = {}
-
     def state_entries(self) -> int:
         return 2 * len(self._weights)
 
@@ -614,7 +416,6 @@ class ShaveDeltaNode(_LayoutStateNode):
         super().__init__(name)
         self._slice_weights = slice_weights
         self._weights: dict[tuple[int, ...], float] = {}
-        self._probe_pending: dict[tuple[int, tuple[int, ...]], float] = {}
 
     def _convert_state_opaque(self, old_arity: int | None) -> None:
         self._weights = {
@@ -678,29 +479,6 @@ class ShaveDeltaNode(_LayoutStateNode):
             )
         )
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        probe = self._adopt_probe(probe)
-        cands = probe.cands.tolist()
-
-        def read(key: tuple[int, ...], row: int) -> float:
-            overlay_key = (cands[row], key)
-            return self._weights.get(key, 0.0) + self._probe_pending.get(overlay_key, 0.0)
-
-        def write(key: tuple[int, ...], row: int, value: float) -> None:
-            overlay_key = (cands[row], key)
-            self._probe_pending[overlay_key] = value - self._weights.get(key, 0.0)
-
-        records, weights, rows = self._diff(
-            _row_keys(probe.columns), probe.weights.tolist(), probe.arity, read, write
-        )
-        out_cands = probe.cands[np.asarray(rows, dtype=np.intp)]
-        self.emit_probe(
-            _probe_from_records(records, np.asarray(weights, dtype=np.float64), out_cands)
-        )
-
-    def begin_batch(self) -> None:
-        self._probe_pending = {}
-
     def state_entries(self) -> int:
         return len(self._weights)
 
@@ -724,7 +502,6 @@ class GroupByDeltaNode(DeltaNode):
         self._key = key
         self._reducer = reducer
         self._groups: dict[Any, dict[Any, float]] = {}
-        self._probe_pending: dict[tuple[int, Any], dict[Any, float]] = {}
 
     def _output_of(self, key: Any, part: dict[Any, float]) -> dict[Any, float]:
         part = {
@@ -771,45 +548,6 @@ class GroupByDeltaNode(DeltaNode):
             )
         )
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        by_group: dict[tuple[int, Any], dict[Any, float]] = {}
-        for record, weight, cand in zip(
-            _probe_records(probe), probe.weights.tolist(), probe.cands.tolist()
-        ):
-            group = by_group.setdefault((cand, self._key(record)), {})
-            group[record] = group.get(record, 0.0) + weight
-        out_records: list[Any] = []
-        out_weights: list[float] = []
-        out_cands: list[int] = []
-        for (cand, key), key_delta in by_group.items():
-            pending = self._probe_pending.setdefault((cand, key), {})
-            base = dict(self._groups.get(key, {}))
-            for record, change in pending.items():
-                base[record] = base.get(record, 0.0) + change
-            before = self._output_of(key, base)
-            for record, change in key_delta.items():
-                pending[record] = pending.get(record, 0.0) + change
-                base[record] = base.get(record, 0.0) + change
-            after = self._output_of(key, base)
-            for record, weight in after.items():
-                out_records.append(record)
-                out_weights.append(weight - before.pop(record, 0.0))
-                out_cands.append(cand)
-            for record, weight in before.items():
-                out_records.append(record)
-                out_weights.append(-weight)
-                out_cands.append(cand)
-        self.emit_probe(
-            _probe_from_records(
-                out_records,
-                np.asarray(out_weights, dtype=np.float64),
-                np.asarray(out_cands, dtype=np.int64),
-            )
-        )
-
-    def begin_batch(self) -> None:
-        self._probe_pending = {}
-
     def state_entries(self) -> int:
         return sum(len(part) for part in self._groups.values())
 
@@ -849,10 +587,6 @@ class _Part:
             self.index[row_key] = position
         return position
 
-    def weight_of(self, row_key: tuple[int, ...]) -> float:
-        position = self.index.get(row_key)
-        return float(self.weights[position]) if position is not None else 0.0
-
     def add(self, position: int, change: float) -> None:
         old = float(self.weights[position])
         new = old + change
@@ -891,8 +625,6 @@ class JoinDeltaNode(DeltaNode):
         self._selector = result_selector
         self._sides: tuple[dict[int, _Part], dict[int, _Part]] = ({}, {})
         self._arities: list[Any] = [self._UNSET, self._UNSET]
-        # Per (cand, key): pending probe rows per port, as row_key -> delta.
-        self._probe_pending: dict[tuple[int, int], tuple[dict, dict]] = {}
 
     # -- layout ----------------------------------------------------------
     def _side_to_opaque(self, port: int) -> None:
@@ -1147,169 +879,6 @@ class JoinDeltaNode(DeltaNode):
                 )
             )
 
-    # -- probes ----------------------------------------------------------
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        current = self._arities[port]
-        if current is self._UNSET:
-            raise ProbeFallback("join side has no committed state to probe against")
-        if probe.arity != current:
-            if current is None:
-                probe = _probe_as_opaque(probe)
-            else:
-                raise ProbeFallback("probe layout differs from join state layout")
-        key_codes = self._key_codes(probe.columns, probe.arity, port)
-        row_keys = _row_keys(probe.columns)
-        side = self._sides[port]
-        other = self._sides[1 - port]
-        count = probe.weights.shape[0]
-
-        order = np.lexsort((key_codes, probe.cands))
-        sorted_cands = probe.cands[order]
-        sorted_keys = key_codes[order]
-        sorted_weights = probe.weights[order]
-        sorted_columns = tuple(column[order] for column in probe.columns)
-        boundaries = np.flatnonzero(
-            np.concatenate(
-                (
-                    [True],
-                    (sorted_cands[1:] != sorted_cands[:-1])
-                    | (sorted_keys[1:] != sorted_keys[:-1]),
-                )
-            )
-        )
-        ends = np.append(boundaries[1:], count)
-
-        # Validate the norm-preserving fast path per (candidate, key) group
-        # and register pending rows, mirroring the sequential conditions.
-        extra_records: list[Any] = []
-        extra_weights: list[float] = []
-        extra_cands: list[int] = []
-        for start, end in zip(boundaries, ends):
-            cand = int(sorted_cands[start])
-            key_code = int(sorted_keys[start])
-            part = side.get(key_code)
-            if part is not None and part.negatives:
-                raise ProbeFallback("join part holds negative weights")
-            group_net = float(sorted_weights[start:end].sum())
-            if abs(group_net) > NORM_TOLERANCE:
-                raise ProbeFallback("probe changes a join key's normaliser")
-            pending = self._probe_pending.get((cand, key_code))
-            own_pending = pending[port] if pending else {}
-            other_pending = pending[1 - port] if pending else {}
-            for position in range(start, end):
-                row = int(order[position])
-                row_key = row_keys[row]
-                old = (
-                    (part.weight_of(row_key) if part else 0.0)
-                    + own_pending.get(row_key, 0.0)
-                )
-                if old + float(sorted_weights[position]) < -NORM_TOLERANCE:
-                    raise ProbeFallback("probe drives a join weight negative")
-            # Cross against the other side's pending rows of the same
-            # candidate (the delta-x-delta term of a self-join).
-            if other_pending:
-                own_part_norm = part.norm if part else 0.0
-                other_part = other.get(key_code)
-                denominator = own_part_norm + (other_part.norm if other_part else 0.0)
-                if denominator > 0.0:
-                    for position in range(start, end):
-                        row = int(order[position])
-                        change = float(sorted_weights[position])
-                        for other_key, other_change in other_pending.items():
-                            weight = change * other_change / denominator
-                            if weight == 0.0:
-                                continue
-                            mine = _decode_key(row_keys[row], probe.arity)
-                            theirs = _decode_key(other_key, self._arities[1 - port])
-                            if port == 0:
-                                extra_records.append(self._selector(mine, theirs))
-                            else:
-                                extra_records.append(self._selector(theirs, mine))
-                            extra_weights.append(weight)
-                            extra_cands.append(cand)
-            if pending is None:
-                pending = ({}, {})
-                self._probe_pending[(cand, key_code)] = pending
-            own_pending = pending[port]
-            for position in range(start, end):
-                row = int(order[position])
-                row_key = row_keys[row]
-                own_pending[row_key] = own_pending.get(row_key, 0.0) + float(
-                    sorted_weights[position]
-                )
-
-        # Fused cross against the other side's committed state: one pass of
-        # repeat/tile indexing over all (candidate, key) groups at once.
-        unique_keys = np.unique(sorted_keys)
-        other_parts = [other.get(int(key)) for key in unique_keys.tolist()]
-        sizes = np.empty(unique_keys.shape[0], dtype=np.int64)
-        denominators = np.empty(unique_keys.shape[0], dtype=np.float64)
-        for index, (key, other_part) in enumerate(
-            zip(unique_keys.tolist(), other_parts)
-        ):
-            own = side.get(int(key))
-            denominator = (own.norm if own else 0.0) + (
-                other_part.norm if other_part else 0.0
-            )
-            usable = other_part is not None and other_part.size and denominator > 0.0
-            sizes[index] = other_part.size if usable else 0
-            denominators[index] = denominator if usable else 1.0
-        key_slot = np.searchsorted(unique_keys, sorted_keys)
-        row_sizes = sizes[key_slot]
-        total = int(row_sizes.sum())
-        if total:
-            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            other_columns_list: list[list[np.ndarray]] = []
-            other_weights_list: list[np.ndarray] = []
-            other_width = 1 if self._arities[1 - port] is None else self._arities[1 - port]
-            for other_part, size in zip(other_parts, sizes.tolist()):
-                if size:
-                    columns, weights = other_part.view()
-                    other_columns_list.append(columns)
-                    other_weights_list.append(weights)
-            other_columns = [
-                np.concatenate([group[index] for group in other_columns_list])
-                for index in range(other_width)
-            ]
-            other_weights = np.concatenate(other_weights_list)
-            # Re-map each key's offset into the concatenated arrays.
-            compact_offsets = np.concatenate(
-                ([0], np.cumsum(sizes[sizes > 0])[:-1])
-            )
-            full_offsets = np.zeros_like(offsets)
-            full_offsets[sizes > 0] = compact_offsets
-            rep = np.repeat(np.arange(count), row_sizes)
-            local = np.arange(total) - np.repeat(
-                np.concatenate(([0], np.cumsum(row_sizes)[:-1])), row_sizes
-            )
-            other_index = full_offsets[key_slot][rep] + local
-            pair_weights = (
-                sorted_weights[rep]
-                * other_weights[other_index]
-                / denominators[key_slot][rep]
-            )
-            out_cands = sorted_cands[rep]
-            if port == 0:
-                columns, arity = self._emit_pairs(
-                    sorted_columns, other_columns, rep, other_index, pair_weights
-                )
-            else:
-                columns, arity = self._emit_pairs(
-                    other_columns, sorted_columns, other_index, rep, pair_weights
-                )
-            self.emit_probe(Probe(columns, pair_weights, out_cands, arity))
-        if extra_records:
-            self.emit_probe(
-                _probe_from_records(
-                    extra_records,
-                    np.asarray(extra_weights, dtype=np.float64),
-                    np.asarray(extra_cands, dtype=np.int64),
-                )
-            )
-
-    def begin_batch(self) -> None:
-        self._probe_pending = {}
-
     def state_entries(self) -> int:
         return sum(
             part.size for parts in self._sides for part in parts.values()
@@ -1397,20 +966,6 @@ class IncrementalGraph:
         if source is None:
             return
         source.on_delta(delta, 0)
-
-    def probe(self, probes: Sequence[tuple[str, Probe]]) -> None:
-        """Propagate a batch of candidate probes (state is never mutated).
-
-        Raises :class:`ProbeFallback` when any node cannot answer on its fast
-        path; per-batch overlays are reset on entry, so a failed batch leaves
-        no residue.
-        """
-        for node in self._all_nodes:
-            node.begin_batch()
-        for source_name, probe in probes:
-            source = self._sources.get(source_name)
-            if source is not None:
-                source.on_probe(probe, 0)
 
     # -- introspection ---------------------------------------------------
     def state_entry_count(self) -> int:

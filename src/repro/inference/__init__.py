@@ -15,9 +15,10 @@ backends drive the chain (selected via
 * ``"incremental"`` — incremental columnar scoring: Section 4.3 asymptotics
   *and* array kernels.  Deltas propagate as code/weight arrays through the
   stateful operator DAG of :mod:`repro.columnar.incremental`, per-measurement
-  bin vectors keep ``‖Q(A) − m‖₁`` maintained in O(touched bins), and
-  ``run(..., proposal_batch=k)`` scores K candidate swaps in one fused
-  kernel pass.
+  bin vectors keep ``‖Q(A) − m‖₁`` maintained in O(touched bins).
+
+Every backend runs the same step: ``engine.begin()``, one ``push`` per
+source, ``tracker.log_score()``, then ``commit()`` or ``rollback()``.
 
 ``GraphSynthesizer.run(chains=N)`` (or :func:`repro.inference.parallel
 .run_chains`) runs N independent chains with spawned RNG streams — in turn,
@@ -25,7 +26,6 @@ or in ``processes=N`` worker processes — and adopts the best-scoring graph.
 """
 
 from .mcmc import (
-    BatchProposal,
     IncrementalMetropolisHastings,
     MCMCResult,
     MCMCStepRecord,
@@ -53,7 +53,6 @@ __all__ = [
     "IncrementalMetropolisHastings",
     "MCMCResult",
     "MCMCStepRecord",
-    "BatchProposal",
     "EdgeSwapWalk",
     "RecordReplacementWalk",
     "edge_swap_delta",

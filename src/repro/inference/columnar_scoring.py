@@ -14,9 +14,7 @@ Two columnar scoring engines share the mutable array-backed source state:
   small code/weight arrays touching only the changed intermediate data
   (Section 4.3), and per-measurement **bin vectors** hold ``Q(A)`` at the
   released records so the L1 residual ``‖Q(A) − m‖₁`` updates in O(touched
-  bins) per step instead of being recomputed.  It also answers *batched*
-  proposal evaluation (:meth:`IncrementalColumnarScoreEngine.score_candidates`)
-  by stacking K candidate deltas into one fused probe pass.
+  bins) per step instead of being recomputed.
 
 Both engines play both roles of the
 :class:`~repro.inference.mcmc.IncrementalMetropolisHastings` pair: they are
@@ -30,19 +28,13 @@ and the dict-based dataflow engine.
 from __future__ import annotations
 
 import copy
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from ..columnar.dataset import ColumnarDataset, encode_query_rows
 from ..columnar.executor import VectorizedExecutor
-from ..columnar.incremental import (
-    DeltaNode,
-    IncrementalGraph,
-    Probe,
-    ProbeFallback,
-    _row_keys,
-)
+from ..columnar.incremental import DeltaNode, IncrementalGraph, _row_keys
 from ..columnar.interning import global_interner
 from ..core.aggregation import NoisyCountResult
 from ..core.dataset import WeightedDataset
@@ -320,29 +312,6 @@ class _ColumnarEngineBase:
         for source, delta in reversed(pushed):
             self.push(source, negate(delta))
 
-    # ------------------------------------------------------------------
-    def score_candidates(
-        self, deltas: Sequence[Mapping[str, Mapping[Any, float]]]
-    ) -> np.ndarray:
-        """Log score each candidate delta would reach, from the current state.
-
-        The base implementation evaluates sequentially: apply, score, roll
-        back.  The incremental engine overrides this with a fused probe pass.
-        """
-        return self._score_sequentially(deltas)
-
-    def _score_sequentially(
-        self, deltas: Sequence[Mapping[str, Mapping[Any, float]]]
-    ) -> np.ndarray:
-        scores = np.empty(len(deltas), dtype=np.float64)
-        for index, candidate in enumerate(deltas):
-            self.begin()
-            for source, delta in candidate.items():
-                self.push(source, delta)
-            scores[index] = self.log_score()
-            self.rollback()
-        return scores
-
 
 class ColumnarScoreEngine(_ColumnarEngineBase):
     """Engine + tracker pair scoring measurements via full vectorized passes.
@@ -431,10 +400,7 @@ class MeasurementSink(DeltaNode):
 
     ``bins`` is the cached ``Q(A)`` weight vector over the measurement's
     released records; absorbed deltas update only the touched bins and fold
-    the change of ``|Q(A)(r) − m(r)|`` into the running ``residual``.  Probes
-    accumulate per-candidate bin changes in a per-batch overlay instead, so
-    batched proposal evaluation reads every candidate's residual delta
-    without mutating anything.
+    the change of ``|Q(A)(r) − m(r)|`` into the running ``residual``.
     """
 
     def __init__(self, measurement: NoisyCountResult) -> None:
@@ -462,7 +428,6 @@ class MeasurementSink(DeltaNode):
                     # key; fall back to record-object matching for this sink.
                     self._ambiguous = True
                 self._index[key] = position
-        self._probe_pending: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     def _positions(self, delta_keys: list[tuple[int, ...]], records: Any) -> list:
@@ -483,32 +448,6 @@ class MeasurementSink(DeltaNode):
             target = float(self.targets[position])
             self.residual += abs(new - target) - abs(old - target)
 
-    def on_probe(self, probe: Probe, port: int = 0) -> None:
-        if self._ambiguous:
-            raise ProbeFallback("sink requires record-object matching")
-        index = self._index
-        pending = self._probe_pending
-        for key, change, cand in zip(
-            _row_keys(probe.columns), probe.weights.tolist(), probe.cands.tolist()
-        ):
-            position = index.get(key)
-            if position is None:
-                continue
-            overlay_key = (cand, position)
-            pending[overlay_key] = pending.get(overlay_key, 0.0) + change
-
-    def begin_batch(self) -> None:
-        self._probe_pending = {}
-
-    def probe_residual_deltas(self, count: int) -> np.ndarray:
-        """Per-candidate change of ``‖Q(A) − m‖₁`` implied by the last batch."""
-        deltas = np.zeros(count, dtype=np.float64)
-        for (cand, position), change in self._probe_pending.items():
-            old = float(self.bins[position])
-            target = float(self.targets[position])
-            deltas[cand] += abs(old + change - target) - abs(old - target)
-        return deltas
-
     # ------------------------------------------------------------------
     def resynchronize(self, output: ColumnarDataset) -> None:
         """Reset bins and residual from a freshly evaluated output."""
@@ -527,9 +466,6 @@ class IncrementalColumnarScoreEngine(_ColumnarEngineBase):
     ``push`` encodes the delta through the cached record→row map, folds it
     into the mutable source vectors and propagates it as delta arrays, after
     which ``log_score()`` is a constant-time read of the maintained residuals.
-    :meth:`score_candidates` stacks K candidate deltas into one fused probe
-    pass (falling back to sequential apply/score/rollback when a probe leaves
-    the fast path).
     """
 
     def __init__(
@@ -595,57 +531,3 @@ class IncrementalColumnarScoreEngine(_ColumnarEngineBase):
         )
         for sink, slot in zip(self._sinks, self._plan_slots):
             sink.resynchronize(outputs[slot])
-
-    # ------------------------------------------------------------------
-    # Batched proposal evaluation
-    # ------------------------------------------------------------------
-    def score_candidates(
-        self, deltas: Sequence[Mapping[str, Mapping[Any, float]]]
-    ) -> np.ndarray:
-        """Score K candidate deltas in one fused probe pass.
-
-        Every candidate is evaluated against the *current* state; nothing is
-        mutated.  When any node in the DAG cannot answer on its probe fast
-        path (e.g. a delta that changes a join key's normaliser), the whole
-        batch falls back to sequential apply/score/rollback.
-        """
-        count = len(deltas)
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        try:
-            probes = self._build_probes(deltas)
-            self._graph.probe(probes)
-        except ProbeFallback:
-            return self._score_sequentially(deltas)
-        residual_deltas = np.zeros(count, dtype=np.float64)
-        for measurement, sink in zip(self.measurements, self._sinks):
-            residual_deltas += measurement.epsilon * sink.probe_residual_deltas(count)
-        return self.log_score() - self.pow * residual_deltas
-
-    def _build_probes(
-        self, deltas: Sequence[Mapping[str, Mapping[Any, float]]]
-    ) -> list[tuple[str, Probe]]:
-        per_source: dict[str, tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]] = {}
-        for cand, candidate in enumerate(deltas):
-            for source, delta in candidate.items():
-                target, rows, changes = self._encode_delta(source, delta)
-                stacks = per_source.setdefault(source, ([], [], []))
-                stacks[0].append(rows)
-                stacks[1].append(changes)
-                stacks[2].append(np.full(rows.shape[0], cand, dtype=np.int64))
-        probes: list[tuple[str, Probe]] = []
-        for source, (rows_list, change_list, cand_list) in per_source.items():
-            target = self._sources[source]
-            rows = np.concatenate(rows_list)
-            probes.append(
-                (
-                    source,
-                    Probe(
-                        target.codes_for_rows(rows),
-                        np.concatenate(change_list),
-                        np.concatenate(cand_list),
-                        target.arity,
-                    ),
-                )
-            )
-        return probes

@@ -31,25 +31,9 @@ from .scoring import ScoreTracker
 __all__ = [
     "MCMCStepRecord",
     "MCMCResult",
-    "BatchProposal",
     "MetropolisHastings",
     "IncrementalMetropolisHastings",
 ]
-
-
-@dataclass
-class BatchProposal:
-    """One candidate move of a proposal batch.
-
-    ``revalidate`` (optional) reports whether the candidate is still
-    applicable after earlier candidates of the same batch were accepted — an
-    edge swap, for instance, requires both of its edges to still exist.
-    """
-
-    deltas: dict[str, Delta]
-    on_accept: Callable[[], None]
-    on_reject: Callable[[], None]
-    revalidate: Callable[[], bool] | None = None
 
 
 @dataclass
@@ -177,17 +161,6 @@ class IncrementalMetropolisHastings:
     engine's business: :class:`~repro.dataflow.engine.DataflowEngine` restores
     the cells the push overwrote from its undo log (no second propagation),
     the columnar score engines push the negated delta.
-
-    ``propose_batch`` (optional) enables batched proposal evaluation:
-    ``propose_batch(rng, k)`` returns ``k`` candidates (each a
-    :class:`BatchProposal` or ``None`` for an invalid sample) that
-    :meth:`step_batch` scores in one call — engines exposing
-    ``score_candidates`` (the incremental columnar backend) evaluate all of
-    them in a single fused kernel pass — and then consumes sequentially with
-    the ordinary Metropolis test.  Candidates are scored against the state the
-    batch started from; once one is accepted the remaining candidates are
-    *stale*, so each is revalidated and re-scored individually against the
-    updated state before its own accept/reject decision.
     """
 
     def __init__(
@@ -196,19 +169,14 @@ class IncrementalMetropolisHastings:
         tracker: ScoreTracker,
         propose: Callable[[np.random.Generator], tuple[dict[str, Delta], Callable[[], None], Callable[[], None]] | None],
         rng: np.random.Generator | int | None = None,
-        propose_batch: Callable[[np.random.Generator, int], list[BatchProposal | None]] | None = None,
     ) -> None:
         self.engine = engine
         self.tracker = tracker
         self._propose = propose
-        self._propose_batch = propose_batch
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         self.current_log_score = tracker.log_score()
         self.accepted = 0
         self.steps = 0
-        #: Moving-average acceptance rate above which :meth:`run` prefers
-        #: sequential steps over fused batches (see ``run``'s batching note).
-        self.batch_acceptance_threshold = 0.2
 
     def step(self) -> bool:
         """Propose, apply, and accept or roll back one move."""
@@ -219,162 +187,48 @@ class IncrementalMetropolisHastings:
             # pair cannot be swapped); count it as a rejected step.
             return False
         deltas, on_accept, on_reject = proposal
-        candidate_score = self._apply(deltas)
-        if _accept(candidate_score - self.current_log_score, self._rng):
-            self.engine.commit()
-            self.current_log_score = candidate_score
-            self.accepted += 1
-            on_accept()
-            return True
-        self.engine.rollback()
-        on_reject()
-        return False
-
-    def _apply(self, deltas: dict[str, Delta]) -> float:
-        """Open a step, push ``deltas`` and return the log score they reach.
-
-        The caller closes the step with ``engine.commit()`` or ``rollback()``.
-        """
         engine = self.engine
         engine.begin()
         for source, delta in deltas.items():
             engine.push(source, delta)
-        return self.tracker.log_score()
-
-    # ------------------------------------------------------------------
-    # Batched proposal evaluation
-    # ------------------------------------------------------------------
-    def _score_candidates(self, deltas: list[dict[str, Delta]]) -> np.ndarray:
-        """Candidate log scores against the current state, state unchanged.
-
-        Engines that implement ``score_candidates`` (the incremental columnar
-        backend) answer in one fused pass; any other engine/tracker pair is
-        driven through the same apply/score/rollback sequence as :meth:`step`.
-        """
-        scorer = getattr(self.engine, "score_candidates", None)
-        if scorer is not None:
-            return np.asarray(scorer(deltas), dtype=np.float64)
-        scores = np.empty(len(deltas), dtype=np.float64)
-        for index, candidate in enumerate(deltas):
-            scores[index] = self._apply(candidate)
-            self.engine.rollback()
-        return scores
-
-    def step_batch(self, count: int) -> int:
-        """Evaluate one batch of ``count`` proposals; returns accepts.
-
-        Candidates are scored together against the entry state and consumed in
-        order with the usual Metropolis rule.  After an acceptance the
-        remaining scores are stale: survivors are revalidated (a candidate may
-        no longer be a legal move) and the still-legal ones are *re-scored in
-        one fused pass* against the updated state, repeating until the batch
-        is exhausted.  The chain law therefore matches the sequential sampler
-        — every decision uses a score taken from the state it is applied to —
-        at a cost of one fused evaluation per in-batch acceptance.
-        """
-        if self._propose_batch is None:
-            raise ValueError("no propose_batch generator was configured")
-        candidates = self._propose_batch(self._rng, count)
-        accepted_before = self.accepted
-        pending: list[BatchProposal] = []
-        for candidate in candidates:
-            if candidate is None:
-                # The walk had nothing valid to propose; a rejected step.
-                self.steps += 1
-            else:
-                pending.append(candidate)
-        while pending:
-            scores = self._score_candidates(
-                [candidate.deltas for candidate in pending]
-            )
-            accepted_at = None
-            for position, (candidate, score) in enumerate(zip(pending, scores)):
-                self.steps += 1
-                if _accept(float(score) - self.current_log_score, self._rng):
-                    for source, delta in candidate.deltas.items():
-                        self.engine.push(source, delta)
-                    self.current_log_score = float(score)
-                    self.accepted += 1
-                    candidate.on_accept()
-                    accepted_at = position
-                    break
-                candidate.on_reject()
-            if accepted_at is None:
-                break
-            survivors: list[BatchProposal] = []
-            for candidate in pending[accepted_at + 1 :]:
-                if candidate.revalidate is not None and not candidate.revalidate():
-                    # No longer a legal move from the current state: a
-                    # rejected step, with the protocol's pairing kept — every
-                    # consumed candidate sees exactly one callback.
-                    self.steps += 1
-                    candidate.on_reject()
-                    continue
-                survivors.append(candidate)
-            pending = survivors
-        return self.accepted - accepted_before
+        candidate_score = self.tracker.log_score()
+        if _accept(candidate_score - self.current_log_score, self._rng):
+            engine.commit()
+            self.current_log_score = candidate_score
+            self.accepted += 1
+            on_accept()
+            return True
+        engine.rollback()
+        on_reject()
+        return False
 
     def run(
         self,
         steps: int,
         record_every: int | None = None,
         metrics: dict[str, Callable[[], float]] | None = None,
-        proposal_batch: int | None = None,
     ) -> MCMCResult:
         """Run ``steps`` proposals, optionally recording a trajectory.
 
         ``metrics`` callables take no arguments: they are expected to close
         over whatever public state (e.g. the synthetic graph) they report on.
-        ``proposal_batch=k`` (with a configured batch generator) evaluates
-        proposals in batches of ``k``; trajectory records then land on batch
-        boundaries.
         """
         trajectory: list[MCMCStepRecord] = []
         accepted_at_start = self.accepted
         started = time.perf_counter()
-
-        def record(index: int) -> None:
-            snapshot = {name: float(fn()) for name, fn in (metrics or {}).items()}
-            trajectory.append(
-                MCMCStepRecord(
-                    step=index,
-                    log_score=self.current_log_score,
-                    accepted_so_far=self.accepted,
-                    metrics=snapshot,
+        for index in range(1, steps + 1):
+            self.step()
+            if record_every and (index % record_every == 0 or index == steps):
+                trajectory.append(
+                    MCMCStepRecord(
+                        step=index,
+                        log_score=self.current_log_score,
+                        accepted_so_far=self.accepted,
+                        metrics={
+                            name: float(fn()) for name, fn in (metrics or {}).items()
+                        },
+                    )
                 )
-            )
-
-        if proposal_batch and proposal_batch > 1 and self._propose_batch is not None:
-            # Fused batch scoring amortises per-evaluation overhead across K
-            # candidates, but every in-batch acceptance staleness-forces a
-            # re-scoring pass of the survivors — so batching only pays off
-            # while the acceptance rate is low (sharp posteriors, converged
-            # chains).  Track a moving acceptance estimate and fall back to
-            # sequential steps for accept-heavy stretches.
-            done = 0
-            recorded_upto = 0
-            acceptance = 1.0  # assume hot until the chain proves otherwise
-            while done < steps:
-                chunk = min(proposal_batch, steps - done)
-                accepted_before = self.accepted
-                if acceptance > self.batch_acceptance_threshold:
-                    for _ in range(chunk):
-                        self.step()
-                else:
-                    self.step_batch(chunk)
-                chunk_rate = (self.accepted - accepted_before) / chunk
-                acceptance = 0.7 * acceptance + 0.3 * chunk_rate
-                done += chunk
-                if record_every and (
-                    done - recorded_upto >= record_every or done == steps
-                ):
-                    record(done)
-                    recorded_upto = done
-        else:
-            for index in range(1, steps + 1):
-                self.step()
-                if record_every and (index % record_every == 0 or index == steps):
-                    record(index)
         elapsed = time.perf_counter() - started
         return MCMCResult(
             steps=steps,

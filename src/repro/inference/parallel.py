@@ -96,7 +96,6 @@ def run_chains(
     source_name: str = "edges",
     record_every: int | None = None,
     metrics: dict[str, Callable[[], float]] | None = None,
-    proposal_batch: int | None = None,
     processes: int | None = None,
     start_method: str | None = None,
 ) -> ParallelSynthesisResult:
@@ -104,8 +103,7 @@ def run_chains(
 
     Each chain builds its own :class:`~repro.inference.synthesizer
     .GraphSynthesizer` (own engine, own copy of the seed graph) with a
-    spawned RNG stream and runs ``steps`` proposals — batched by
-    ``proposal_batch`` where the backend supports it.  Chains run in turn.
+    spawned RNG stream and runs ``steps`` proposals.  Chains run in turn.
 
     ``processes=N`` moves whole chains into N worker *processes* (a
     :class:`~repro.shard.pool.ProcessPool`), so N chains use N cores.
@@ -141,7 +139,6 @@ def run_chains(
             generators=generators,
             source_name=source_name,
             record_every=record_every,
-            proposal_batch=proposal_batch,
             processes=processes,
             start_method=start_method,
         )
@@ -155,12 +152,7 @@ def run_chains(
             source_name=source_name,
             backend=backend,
         )
-        result = synthesizer.run(
-            steps,
-            record_every=record_every,
-            metrics=metrics,
-            proposal_batch=proposal_batch,
-        )
+        result = synthesizer.run(steps, record_every=record_every, metrics=metrics)
         return ChainOutcome(
             index=index,
             result=result,
@@ -184,7 +176,6 @@ def _run_chains_processes(
     generators: list[np.random.Generator],
     source_name: str,
     record_every: int | None,
-    proposal_batch: int | None,
     processes: int,
     start_method: str | None,
 ) -> ParallelSynthesisResult:
@@ -206,7 +197,6 @@ def _run_chains_processes(
                 "backend": backend,
                 "source_name": source_name,
                 "record_every": record_every,
-                "proposal_batch": proposal_batch,
                 "rng": generators[index],
             },
         )

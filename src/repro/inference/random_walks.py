@@ -72,31 +72,6 @@ class EdgeSwapWalk:
         delta = edge_swap_delta(a, b, c, d)
         return delta, a, b, c, d
 
-    def propose_batch(self, count: int) -> list[tuple[Delta, Any, Any, Any, Any] | None]:
-        """Sample ``count`` candidate swaps (invalid samples stay ``None``).
-
-        All candidates are drawn against the *current* graph; consumers that
-        accept one mid-batch must revalidate the rest (see
-        :meth:`batch_proposals_for_engine`).
-        """
-        return [self.propose() for _ in range(count)]
-
-    def _engine_proposal(self, source_name: str, proposal):
-        delta, a, b, c, d = proposal
-
-        def on_accept() -> None:
-            self.graph.swap_edges(a, b, c, d)
-            self._replace_edge((a, b), (a, d))
-            self._replace_edge((c, d), (c, b))
-
-        def on_reject() -> None:
-            return None
-
-        def revalidate() -> bool:
-            return self.graph.can_swap(a, b, c, d)
-
-        return {source_name: delta}, on_accept, on_reject, revalidate
-
     def proposal_for_engine(self, source_name: str = "edges"):
         """Adapt :meth:`propose` to the incremental MCMC proposal protocol.
 
@@ -112,40 +87,17 @@ class EdgeSwapWalk:
             proposal = self.propose()
             if proposal is None:
                 return None
-            deltas, on_accept, on_reject, _ = self._engine_proposal(
-                source_name, proposal
-            )
-            return deltas, on_accept, on_reject
+            delta, a, b, c, d = proposal
 
-        return generate
+            def on_accept() -> None:
+                self.graph.swap_edges(a, b, c, d)
+                self._replace_edge((a, b), (a, d))
+                self._replace_edge((c, d), (c, b))
 
-    def batch_proposals_for_engine(self, source_name: str = "edges"):
-        """Adapt :meth:`propose_batch` to the batched MCMC proposal protocol.
+            def on_reject() -> None:
+                return None
 
-        Returns ``generate(rng, count) -> list[BatchProposal | None]`` for
-        :meth:`~repro.inference.mcmc.IncrementalMetropolisHastings.step_batch`.
-        Each candidate's ``revalidate`` re-checks
-        :meth:`~repro.graph.graph.Graph.can_swap` — both original edges must
-        still exist and the replacement edges must still be absent — so
-        candidates invalidated by an earlier in-batch acceptance count as
-        rejected steps instead of corrupting the graph.
-        """
-        from .mcmc import BatchProposal
-
-        def generate(rng: np.random.Generator, count: int):
-            del rng  # the walk keeps its own generator for reproducibility
-            batch: list[BatchProposal | None] = []
-            for proposal in self.propose_batch(count):
-                if proposal is None:
-                    batch.append(None)
-                    continue
-                deltas, on_accept, on_reject, revalidate = self._engine_proposal(
-                    source_name, proposal
-                )
-                batch.append(
-                    BatchProposal(deltas, on_accept, on_reject, revalidate)
-                )
-            return batch
+            return {source_name: delta}, on_accept, on_reject
 
         return generate
 

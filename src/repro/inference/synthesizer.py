@@ -12,6 +12,10 @@
    rolls back each proposal according to
    ``exp(−pow · Σ_i ε_i ‖Q_i(A) − m_i‖₁)``.
 
+Each proposal is scored one way on every backend: ``engine.begin()``, one
+``push`` of the swap's delta, ``tracker.log_score()``, then ``commit()`` or
+``rollback()``.  The backends differ only in how the engine holds ``Q(A)``.
+
 The protected graph is never consulted here: everything is driven by the
 released noisy measurements, which is the whole point of the workflow.
 """
@@ -75,8 +79,7 @@ class GraphSynthesizer:
     * ``"incremental"`` — incremental *columnar* scoring
       (:class:`~repro.inference.columnar_scoring
       .IncrementalColumnarScoreEngine`): Section 4.3 asymptotics with array
-      kernels, per-measurement cached bin vectors, and fused batched proposal
-      evaluation (``run(..., proposal_batch=k)``).  A reject pushes the
+      kernels and per-measurement cached bin vectors.  A reject pushes the
       negated delta, i.e. costs a second propagation.
 
     ``run(chains=N)`` hands the work to the multi-chain driver
@@ -138,7 +141,6 @@ class GraphSynthesizer:
             tracker=self.tracker,
             propose=self.walk.proposal_for_engine(source_name),
             rng=self._rng,
-            propose_batch=self.walk.batch_proposals_for_engine(source_name),
         )
         #: Per-chain results of the last ``run(chains=N)`` call (None before).
         self.last_parallel_result = None
@@ -175,7 +177,6 @@ class GraphSynthesizer:
         steps: int,
         record_every: int | None = None,
         metrics: dict[str, Callable[[], float]] | None = None,
-        proposal_batch: int | None = None,
         chains: int = 1,
         processes: int | None = None,
     ) -> MCMCResult:
@@ -185,13 +186,11 @@ class GraphSynthesizer:
         and assortativity — the two quantities Figures 3 and 4 plot — plus any
         additional metrics supplied by the caller.
 
-        ``proposal_batch=k`` scores proposals in batches of ``k`` (one fused
-        kernel pass on the incremental backend).  ``chains=N`` runs N
-        independent chains from the current graph, one after the other,
-        through :func:`repro.inference.parallel.run_chains`, adopts the
-        best-scoring chain into this synthesizer, stores the full per-chain
-        report on :attr:`last_parallel_result`, and returns the best chain's
-        result.  ``processes=N`` moves those chains into worker processes
+        ``chains=N`` runs N independent chains from the current graph, one
+        after the other, through :func:`repro.inference.parallel.run_chains`,
+        adopts the best-scoring chain into this synthesizer, stores the full
+        per-chain report on :attr:`last_parallel_result`, and returns the best
+        chain's result.  ``processes=N`` moves those chains into worker processes
         (the one way to use more than one core); the winning chain comes
         back as a graph, from which a fresh synthesizer is rebuilt and
         adopted.
@@ -210,7 +209,6 @@ class GraphSynthesizer:
                 source_name=self.source_name,
                 record_every=record_every,
                 metrics=metrics,
-                proposal_batch=proposal_batch,
                 processes=processes,
             )
             self.last_parallel_result = outcome
@@ -238,12 +236,7 @@ class GraphSynthesizer:
         }
         if metrics:
             combined.update(metrics)
-        return self.sampler.run(
-            steps,
-            record_every=record_every,
-            metrics=combined,
-            proposal_batch=proposal_batch,
-        )
+        return self.sampler.run(steps, record_every=record_every, metrics=combined)
 
     def _adopt(self, other: "GraphSynthesizer") -> None:
         """Take over another synthesizer's state (the winning chain's)."""
@@ -288,7 +281,6 @@ def synthesize_graph(
     record_every: int | None = None,
     rng: np.random.Generator | int | None = None,
     backend: str = DEFAULT_BACKEND,
-    proposal_batch: int | None = None,
     chains: int = 1,
 ) -> SynthesisOutcome:
     """The full workflow of Section 5.1 in one call.
@@ -314,9 +306,8 @@ def synthesize_graph(
         engine), ``"vectorized"`` (full-pass columnar kernels) or
         ``"incremental"`` (incremental columnar scoring); see
         :class:`GraphSynthesizer`.
-    proposal_batch, chains:
-        Batched proposal evaluation and multi-chain synthesis, forwarded to
-        :meth:`GraphSynthesizer.run`.
+    chains:
+        Multi-chain synthesis, forwarded to :meth:`GraphSynthesizer.run`.
     """
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
@@ -335,12 +326,7 @@ def synthesize_graph(
     synthesizer = GraphSynthesizer(
         fit_measurements, seed_graph, pow_=pow_, rng=rng, backend=backend
     )
-    result = synthesizer.run(
-        mcmc_steps,
-        record_every=record_every,
-        proposal_batch=proposal_batch,
-        chains=chains,
-    )
+    result = synthesizer.run(mcmc_steps, record_every=record_every, chains=chains)
 
     privacy_cost = {
         name: session.spent_budget(name) - spent_before.get(name, 0.0)

@@ -4,7 +4,7 @@
 (:func:`lint_tree`); each guards one invariant:
 
 * :mod:`repro.lint.rules` — per-module AST rules: seeded RNG on release
-  paths (R001), no lambdas handed to plan builders (R005).
+  paths (R001), no lambdas or closures handed to plan builders (R005).
 * :mod:`repro.lint.concurrency` — the interprocedural lock-order analysis
   (R008, R009): every lock is declared by its ``ordered_lock`` /
   ``ordered_rlock`` call, the may-hold graph is built across function calls,

@@ -181,14 +181,21 @@ class ModuleLevelSpecRule(Rule):
                 continue
             for argument in [*node.args, *[kw.value for kw in node.keywords]]:
                 if isinstance(argument, ast.Lambda):
-                    yield self.issue(
-                        module,
-                        argument,
-                        f"lambda passed to {builder}(); lambdas break "
-                        f"PortablePlan and are opaque to the vectorized "
-                        f"backend — use a spec from repro.columnar.specs or "
-                        f"a module-level function",
-                    )
+                    kind = "lambda"
+                elif isinstance(argument, ast.Name) and argument.id in _local_functions(
+                    module, node
+                ):
+                    kind = f"closure {argument.id!r}"
+                else:
+                    continue
+                yield self.issue(
+                    module,
+                    argument,
+                    f"{kind} passed to {builder}(); lambdas and closures break "
+                    f"PortablePlan and are opaque to the vectorized "
+                    f"backend — use a spec from repro.columnar.specs or "
+                    f"a module-level function",
+                )
 
     def _builder_name(self, node: ast.Call) -> str | None:
         if isinstance(node.func, ast.Attribute) and node.func.attr in self._PLAN_METHODS:
@@ -197,6 +204,33 @@ class ModuleLevelSpecRule(Rule):
         if dotted is not None and dotted.rsplit(".", 1)[-1] in self._PLAN_CTORS:
             return dotted.rsplit(".", 1)[-1]
         return None
+
+
+def _local_functions(module: ModuleSource, node: ast.AST) -> set[str]:
+    """Names bound to a function by a ``def`` or ``name = lambda ...`` in a
+    function enclosing ``node`` — each a closure, not a module-level function."""
+    names: set[str] = set()
+    for scope in module.ancestors(node):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        pending = list(scope.body)
+        while pending:
+            statement = pending.pop()
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(statement.name)
+                continue
+            if isinstance(statement, ast.ClassDef):
+                continue
+            if isinstance(statement, ast.Assign) and isinstance(
+                statement.value, ast.Lambda
+            ):
+                names.update(
+                    target.id
+                    for target in statement.targets
+                    if isinstance(target, ast.Name)
+                )
+            pending.extend(ast.iter_child_nodes(statement))
+    return names
 
 
 #: The rule set ``repro lint`` runs by default.

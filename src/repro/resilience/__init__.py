@@ -21,7 +21,7 @@ from .faults import (
     install_from_env,
     parse_plan,
 )
-from .policy import CircuitBreaker, RetryBudget, RetryPolicy, seeded_jitter
+from .policy import CircuitBreaker, RetryPolicy, seeded_jitter
 
 __all__ = [
     "ChaosReport",
@@ -41,7 +41,6 @@ __all__ = [
     "deadline_scope",
     "check_deadline",
     "CircuitBreaker",
-    "RetryBudget",
     "RetryPolicy",
     "seeded_jitter",
 ]

@@ -6,12 +6,9 @@ clients retrying the same failure desynchronise (thundering-herd fix) while a
 replay with the same seed reproduces the exact sleep schedule —
 ``PYTHONHASHSEED``-independent, thread-interleaving-independent.
 
-:class:`RetryBudget` caps retry *amplification*: retries withdraw from a
-token bucket that only first-attempts refill, so when a backend is hard-down
-the retry rate decays to a trickle instead of multiplying the overload.
-:class:`CircuitBreaker` is the fail-fast complement — after ``threshold``
-consecutive failures it refuses work outright for ``reset_after`` seconds,
-then lets a single half-open probe through.
+:class:`CircuitBreaker` is the fail-fast complement to retrying — after
+``threshold`` consecutive failures it refuses work outright for
+``reset_after`` seconds, then lets a single half-open probe through.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from ..sanitize import ordered_lock
 
 __all__ = [
     "seeded_jitter",
-    "RetryBudget",
     "RetryPolicy",
     "CircuitBreaker",
 ]
@@ -37,37 +33,6 @@ def seeded_jitter(seed, *key):
     return int.from_bytes(digest, "big") / float(1 << 64)
 
 
-class RetryBudget:
-    """Token bucket limiting how many retries recent first-attempts earn.
-
-    Each first attempt deposits ``deposit`` tokens (capped at ``capacity``);
-    each retry withdraws one.  An empty bucket means the failure rate has
-    outrun the request rate and further retries would only amplify load.
-    """
-
-    def __init__(self, capacity=10.0, deposit=0.1):
-        self.capacity = float(capacity)
-        self.deposit = float(deposit)
-        self._tokens = float(capacity)
-        self._lock = ordered_lock("resilience.retry_budget", 85)
-
-    def record_attempt(self):
-        with self._lock:
-            self._tokens = min(self.capacity, self._tokens + self.deposit)
-
-    def try_withdraw(self):
-        with self._lock:
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return True
-            return False
-
-    @property
-    def tokens(self):
-        with self._lock:
-            return self._tokens
-
-
 def _default_retryable(exc):
     return bool(getattr(exc, "retryable", False))
 
@@ -77,8 +42,8 @@ class RetryPolicy:
 
     ``call(fn)`` runs ``fn`` up to ``1 + retries`` times.  A failure is
     retried only if ``retryable(exc)`` holds (default: the exception's own
-    ``retryable`` flag), the optional :class:`RetryBudget` grants a token,
-    and the context deadline (if any) leaves room for the backoff sleep.
+    ``retryable`` flag) and the context deadline (if any) leaves room for the
+    backoff sleep.
     Sleep before attempt ``n`` (1-based retry index) is::
 
         min(max_delay, base_delay * multiplier**(n-1)) * (1 - jitter/2 + jitter*u)
@@ -94,7 +59,6 @@ class RetryPolicy:
         multiplier=2.0,
         jitter=0.5,
         seed=0,
-        budget=None,
         sleep=time.sleep,
     ):
         if retries < 0:
@@ -105,7 +69,6 @@ class RetryPolicy:
         self.multiplier = float(multiplier)
         self.jitter = float(jitter)
         self.seed = int(seed)
-        self.budget = budget
         self._sleep = sleep
 
     def backoff(self, attempt, key=""):
@@ -120,8 +83,6 @@ class RetryPolicy:
         from .deadline import current_deadline
 
         is_retryable = _default_retryable if retryable is None else retryable
-        if self.budget is not None:
-            self.budget.record_attempt()
         attempt = 0
         while True:
             try:
@@ -129,8 +90,6 @@ class RetryPolicy:
             except Exception as exc:
                 attempt += 1
                 if attempt > self.retries or not is_retryable(exc):
-                    raise
-                if self.budget is not None and not self.budget.try_withdraw():
                     raise
                 delay = self.backoff(attempt, key=key)
                 deadline = current_deadline()

@@ -9,7 +9,7 @@ This module is the hosting side of that picture:
   .PrivacySession` (one tenant / protected dataset), the queries it exposes by
   name, and a per-session lock guarding the hosted-query table;
 * a :class:`SessionRegistry` maps tenant-chosen names to hosted sessions and
-  keeps an append-only audit log of every privacy-relevant event (session
+  keeps an audit log of every privacy-relevant event (session
   creation, measurements with their per-source charges, cache hits, refusals).
 
 Hosting queries *by name* is deliberate: the trusted curator decides which
@@ -36,6 +36,7 @@ import sqlite3
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
@@ -48,11 +49,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..persistence.wal import LedgerStore
 
 __all__ = [
+    "AUDIT_LOG_LIMIT",
     "AuditEvent",
     "HostedSession",
     "SessionRegistry",
     "default_query_builders",
 ]
+
+
+#: Events the in-memory audit log keeps: the oldest go first, so a long-lived
+#: server's log stays bounded.  A durable registry keeps every event.
+AUDIT_LOG_LIMIT = 65_536
 
 
 def default_query_builders() -> dict[str, Callable[[Queryable], Queryable]]:
@@ -216,12 +223,17 @@ class SessionRegistry:
         # session (dataset protection + nine query plans) only to discard it.
         self._reserved: set[str] = set()
         # The in-memory audit log, one row per event in the durable store's
-        # form — (timestamp, session, action, detail as JSON, worker), the
-        # sequence number being the row's position + 1 — and decoded on read
-        # like the store's rows.  Every request adds a row for good, and the
-        # JSON text of a ``detail`` is about a quarter the size of the dict,
-        # lists and floats it is made of.
-        self._audit: list[tuple[float, str, str, str, int]] = []
+        # form — (timestamp, session, action, detail as JSON, worker) — and
+        # decoded on read like the store's rows.  It keeps the newest
+        # AUDIT_LOG_LIMIT events; `_audit_count` counts every event ever
+        # recorded, so the last row's sequence number is the count and the
+        # numbers stay monotonic after the oldest rows are dropped.  The JSON
+        # text of a ``detail`` is about a quarter the size of the dict, lists
+        # and floats it is made of.
+        self._audit: deque[tuple[float, str, str, str, int]] = deque(
+            maxlen=AUDIT_LOG_LIMIT
+        )
+        self._audit_count = 0
 
     @property
     def store(self) -> "LedgerStore | None":
@@ -532,9 +544,10 @@ class SessionRegistry:
 
         With a durable store the sequence number and timestamp are allocated
         by the store's append, so events are totally ordered across restarts
-        and across worker processes; in-memory mode numbers events by their
-        position in the log and keeps each ``detail`` as the store would, as
-        JSON text, so :meth:`audit` returns what a durable registry returns.
+        and across worker processes; in-memory mode numbers events in the
+        order they are recorded, keeps the newest :data:`AUDIT_LOG_LIMIT` and
+        keeps each ``detail`` as the store would, as JSON text, so
+        :meth:`audit` returns what a durable registry returns.
         """
         worker = os.getpid()
         if self._store is not None:
@@ -546,7 +559,8 @@ class SessionRegistry:
             with self._lock:
                 timestamp = time.time()
                 self._audit.append((timestamp, session, action, encoded, worker))
-                sequence = len(self._audit)
+                self._audit_count += 1
+                sequence = self._audit_count
         return AuditEvent(
             sequence=sequence,
             timestamp=timestamp,
@@ -572,9 +586,10 @@ class SessionRegistry:
         else:
             with self._lock:
                 log = list(self._audit)
+                first = self._audit_count - len(log) + 1
             rows = (
-                (position, *row)
-                for position, row in enumerate(log, 1)
+                (sequence, *row)
+                for sequence, row in enumerate(log, first)
                 if session is None or row[1] == session
             )
         return [

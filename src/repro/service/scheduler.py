@@ -111,7 +111,6 @@ class BatchingScheduler:
         shedder: "LoadShedder | None" = None,
         breaker_threshold: int | None = None,
         breaker_reset: float = 5.0,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be a positive integer")
@@ -140,10 +139,8 @@ class BatchingScheduler:
                 reset_after=breaker_reset,
                 name="ledger",
             )
-            self._ledger_retry = (
-                retry_policy
-                if retry_policy is not None
-                else RetryPolicy(retries=2, base_delay=0.02, max_delay=0.5, seed=0)
+            self._ledger_retry = RetryPolicy(
+                retries=2, base_delay=0.02, max_delay=0.5, seed=0
             )
         self._lock = ordered_lock("service.scheduler", 16)
         self._combiners: dict[str, _Combiner] = {}

@@ -48,7 +48,6 @@ def run_chain(
     backend: str,
     source_name: str,
     record_every: int | None,
-    proposal_batch: int | None,
     rng: np.random.Generator,
 ) -> dict:
     """Run one full synthesis chain inside a pool worker.
@@ -69,11 +68,7 @@ def run_chain(
         source_name=source_name,
         backend=backend,
     )
-    result = synthesizer.run(
-        steps,
-        record_every=record_every,
-        proposal_batch=proposal_batch,
-    )
+    result = synthesizer.run(steps, record_every=record_every)
     return {
         "index": index,
         "result": result,

@@ -364,9 +364,9 @@ MUTATIONS: tuple[Mutation, ...] = (
         "mcmc-chain-unseeded",
         "unseeded-rng",
         "src/repro/inference/mcmc.py",
-        "        self._propose_batch = propose_batch\n"
+        "        self._propose = propose\n"
         "        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)\n",
-        "        self._propose_batch = propose_batch\n"
+        "        self._propose = propose\n"
         "        self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng()\n",
     ),
     # ------------------------------------------------------------------

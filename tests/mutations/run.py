@@ -93,6 +93,8 @@ COMMANDS = {
             "tests",
             *[f"--ignore={suite}" for suite in LINT_SUITES],
             "--deselect=tests/test_lint_plans.py::test_repro_package_is_lint_clean",
+            # A mutated tree is stale against the corpus by construction.
+            "--deselect=tests/test_mutation_corpus.py::test_corpus_applies_to_the_tree",
         ],
         {},
         1200,

@@ -59,6 +59,13 @@ class TestParser:
             parser.parse_args(["serve", "--serve-workers", "8"])
         assert refused.value.code == 2
 
+    def test_synth_batch_flag_is_gone(self):
+        # Every MCMC step is push, score, commit or roll back: no fused batch.
+        parser = build_parser()
+        with pytest.raises(SystemExit) as refused:
+            parser.parse_args(["synth", "--batch", "4"])
+        assert refused.value.code == 2
+
     def test_executor_choices_are_the_five_executors(self, capsys):
         from repro.core.executor import EXECUTORS
 

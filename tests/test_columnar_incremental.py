@@ -11,11 +11,7 @@ from repro.analyses import (
     triangles_by_intersect_query,
 )
 from repro.columnar.dataset import ColumnarDataset
-from repro.columnar.incremental import (
-    DeltaNode,
-    IncrementalGraph,
-    ProbeFallback,
-)
+from repro.columnar.incremental import DeltaNode, IncrementalGraph
 from repro.columnar.interning import global_interner
 from repro.core import PrivacySession, WeightedDataset
 from repro.core.executor import EagerExecutor
@@ -259,82 +255,6 @@ class TestIncrementalColumnarScoreEngine:
 
         with pytest.raises(ReproError):
             engine.push("nope", {(1, 2): 1.0})
-
-
-class TestBatchedScoring:
-    def _candidates(self, seed_graph, count=6, rng=99):
-        walk = EdgeSwapWalk(seed_graph.copy(), rng=rng)
-        candidates = []
-        while len(candidates) < count:
-            proposal = walk.propose()
-            if proposal is None:
-                continue
-            candidates.append({"edges": proposal[0]})
-        return candidates
-
-    def test_fused_probe_matches_sequential(self, fitted):
-        measurements, seed_graph = fitted
-        engine = IncrementalColumnarScoreEngine(
-            measurements, {"edges": initial_edges(seed_graph)}, pow_=50.0
-        )
-        candidates = self._candidates(seed_graph)
-        sequential = engine._score_sequentially(candidates)
-
-        def no_fallback(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("fused probe fell back to sequential scoring")
-
-        engine._score_sequentially = no_fallback
-        fused = engine.score_candidates(candidates)
-        np.testing.assert_allclose(fused, sequential, atol=1e-8)
-
-    def test_probes_leave_state_untouched(self, fitted):
-        measurements, seed_graph = fitted
-        engine = IncrementalColumnarScoreEngine(
-            measurements, {"edges": initial_edges(seed_graph)}, pow_=50.0
-        )
-        before = engine.log_score()
-        engine.score_candidates(self._candidates(seed_graph))
-        assert engine.log_score() == before
-        fresh = IncrementalColumnarScoreEngine(
-            measurements, {"edges": initial_edges(seed_graph)}, pow_=50.0
-        )
-        assert engine.log_score() == pytest.approx(fresh.log_score(), abs=1e-8)
-
-    def test_norm_changing_candidates_fall_back_correctly(self, fitted):
-        measurements, seed_graph = fitted
-        engine = IncrementalColumnarScoreEngine(
-            measurements, {"edges": initial_edges(seed_graph)}, pow_=50.0
-        )
-        (a, b) = seed_graph.edge_list()[0]
-        # Adding an edge without removing one changes the join normalisers:
-        # the probe fast path must refuse and the fallback must still answer.
-        candidates = [
-            {"edges": {(a, b): 1.0, (b, a): 1.0}},
-            {"edges": {(a, b): -1.0, (b, a): -1.0}},
-        ]
-        scores = engine.score_candidates(candidates)
-        for candidate, score in zip(candidates, scores):
-            engine.push("edges", candidate["edges"])
-            assert engine.log_score() == pytest.approx(score, abs=1e-8)
-            engine.push(
-                "edges",
-                {record: -change for record, change in candidate["edges"].items()},
-            )
-
-    def test_full_pass_engine_scores_candidates_generically(self, fitted):
-        measurements, seed_graph = fitted
-        engine = ColumnarScoreEngine(
-            measurements, {"edges": initial_edges(seed_graph)}, pow_=50.0
-        )
-        incremental = IncrementalColumnarScoreEngine(
-            measurements, {"edges": initial_edges(seed_graph)}, pow_=50.0
-        )
-        candidates = self._candidates(seed_graph, count=4)
-        np.testing.assert_allclose(
-            engine.score_candidates(candidates),
-            incremental.score_candidates(candidates),
-            atol=1e-8,
-        )
 
 
 class TestSatellites:

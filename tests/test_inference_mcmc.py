@@ -157,12 +157,9 @@ class TestIncrementalMetropolisHastings:
         assert result.steps == 10
         assert result.accepted == 0
 
-    @pytest.mark.parametrize("proposal_batch", [None, 4])
-    def test_second_run_reports_its_own_accepts(self, histogram_problem, proposal_batch):
+    def test_second_run_reports_its_own_accepts(self, histogram_problem):
         """Regression: run() paired this call's steps with cumulative accepts,
         so a second call could report an acceptance rate above 1."""
-        from repro.inference import BatchProposal
-
         _, _, measurement = histogram_problem
         engine = DataflowEngine.from_plans([measurement.plan])
         engine.initialize({"histogram": WeightedDataset({"a": 0.0, "c": 100.0})})
@@ -172,14 +169,9 @@ class TestIncrementalMetropolisHastings:
         def propose(rng):
             return delta, (lambda: None), (lambda: None)
 
-        def propose_batch(rng, count):
-            return [BatchProposal(delta, lambda: None, lambda: None) for _ in range(count)]
-
-        sampler = IncrementalMetropolisHastings(
-            engine, tracker, propose, rng=1, propose_batch=propose_batch
-        )
-        first = sampler.run(40, proposal_batch=proposal_batch)
-        second = sampler.run(10, record_every=10, proposal_batch=proposal_batch)
+        sampler = IncrementalMetropolisHastings(engine, tracker, propose, rng=1)
+        first = sampler.run(40)
+        second = sampler.run(10, record_every=10)
         assert (first.steps, first.accepted) == (40, 40)
         assert (second.steps, second.accepted) == (10, 10)
         assert second.acceptance_rate == 1.0

@@ -1,4 +1,4 @@
-"""Tests for batched proposal evaluation and the multi-chain driver."""
+"""Tests for the multi-chain driver."""
 
 from __future__ import annotations
 
@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 
 from repro.analyses import protect_graph, triangles_by_intersect_query
-from repro.core import PrivacySession, WeightedDataset
+from repro.core import PrivacySession
 from repro.graph.generators import erdos_renyi
 from repro.inference import GraphSynthesizer, synthesize_graph
-from repro.inference.columnar_scoring import IncrementalColumnarScoreEngine
 from repro.inference.parallel import (
     ParallelSynthesisResult,
     run_chains,
     spawn_generators,
 )
-from repro.inference.random_walks import EdgeSwapWalk
 from repro.inference.seed import seed_graph_from_edges
 
 
@@ -31,89 +29,6 @@ def fitted():
     )
     seed_graph, _ = seed_graph_from_edges(edges, 0.3, rng=np.random.default_rng(10))
     return measurements, seed_graph
-
-
-class TestEdgeSwapBatching:
-    def test_propose_batch_sizes_and_validity(self):
-        graph = erdos_renyi(20, 40, rng=1)
-        walk = EdgeSwapWalk(graph, rng=2)
-        batch = walk.propose_batch(12)
-        assert len(batch) == 12
-        for proposal in batch:
-            if proposal is None:
-                continue
-            delta, a, b, c, d = proposal
-            assert graph.can_swap(a, b, c, d)
-            assert sum(delta.values()) == pytest.approx(0.0)
-
-    def test_batch_proposal_revalidation(self):
-        graph = erdos_renyi(20, 40, rng=1)
-        walk = EdgeSwapWalk(graph, rng=2)
-        generate = walk.batch_proposals_for_engine("edges")
-        batch = [c for c in generate(None, 30) if c is not None]
-        assert batch, "expected at least one valid candidate"
-        first = batch[0]
-        assert first.revalidate()
-        first.on_accept()  # committing the swap can invalidate later twins
-        assert not first.revalidate()  # the original edges are gone now
-
-
-class TestBatchedRun:
-    def test_batched_run_consistency(self, fitted):
-        measurements, seed_graph = fitted
-        synthesizer = GraphSynthesizer(
-            measurements, seed_graph, pow_=50.0, rng=5, backend="incremental"
-        )
-        # Force the batched path regardless of the chain's acceptance rate.
-        synthesizer.sampler.batch_acceptance_threshold = 1.1
-        result = synthesizer.run(120, proposal_batch=8)
-        assert result.steps == 120
-        # The walk's edge list, the graph and the engine's source must agree.
-        assert sorted(
-            tuple(sorted(edge)) for edge in synthesizer.walk._edges
-        ) == sorted(tuple(sorted(edge)) for edge in synthesizer.graph.edge_list())
-        fresh = IncrementalColumnarScoreEngine(
-            measurements,
-            {
-                "edges": WeightedDataset.from_records(
-                    synthesizer.graph.to_edge_records(symmetric=True)
-                )
-            },
-            pow_=50.0,
-        )
-        assert synthesizer.log_score == pytest.approx(fresh.log_score(), abs=1e-6)
-
-    def test_batched_run_preserves_degree_sequence(self, fitted):
-        measurements, seed_graph = fitted
-        synthesizer = GraphSynthesizer(
-            measurements, seed_graph, pow_=50.0, rng=5, backend="incremental"
-        )
-        synthesizer.sampler.batch_acceptance_threshold = 1.1
-        synthesizer.run(80, proposal_batch=16)
-        assert sorted(synthesizer.graph.degrees().values()) == sorted(
-            seed_graph.degrees().values()
-        )
-
-    def test_batched_run_on_dataflow_backend(self, fitted):
-        """Backends without fused probes use generic apply/score/rollback."""
-        measurements, seed_graph = fitted
-        synthesizer = GraphSynthesizer(
-            measurements, seed_graph, pow_=50.0, rng=5, backend="dataflow"
-        )
-        synthesizer.sampler.batch_acceptance_threshold = 1.1
-        result = synthesizer.run(40, proposal_batch=4)
-        assert result.steps == 40
-        assert np.isfinite(synthesizer.log_score)
-
-    def test_trajectory_recorded_on_batch_boundaries(self, fitted):
-        measurements, seed_graph = fitted
-        synthesizer = GraphSynthesizer(
-            measurements, seed_graph, pow_=50.0, rng=5, backend="incremental"
-        )
-        result = synthesizer.run(64, record_every=20, proposal_batch=8)
-        assert result.trajectory
-        assert result.trajectory[-1].step == 64
-        assert all(record.step % 8 == 0 for record in result.trajectory)
 
 
 class TestSpawnGenerators:
@@ -165,7 +80,7 @@ class TestRunChains:
         synthesizer = GraphSynthesizer(
             measurements, seed_graph, pow_=50.0, rng=4, backend="incremental"
         )
-        result = synthesizer.run(60, chains=3, proposal_batch=8)
+        result = synthesizer.run(60, chains=3)
         report = synthesizer.last_parallel_result
         assert report is not None and len(report.chains) == 3
         assert synthesizer.log_score == report.best.log_score
@@ -207,7 +122,6 @@ class TestCLI:
                 "--edges", "60",
                 "--steps", "0.02",
                 "--chains", "2",
-                "--batch", "4",
                 "--backend", "incremental",
                 "--seed", "1",
             ]

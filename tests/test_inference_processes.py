@@ -45,7 +45,6 @@ class TestBitIdentity:
             pow_=1.0,
             backend="incremental",
             rng=7,
-            proposal_batch=8,
         )
         threads = run_chains(measurements, seed_graph, **kwargs)
         procs = run_chains(
@@ -71,7 +70,7 @@ class TestBitIdentity:
         synthesizer = GraphSynthesizer(
             measurements, seed_graph, pow_=1.0, rng=5, backend="incremental"
         )
-        result = synthesizer.run(120, chains=2, processes=1, proposal_batch=8)
+        result = synthesizer.run(120, chains=2, processes=1)
         outcome = synthesizer.last_parallel_result
         best = outcome.best
         assert best.synthesizer is None

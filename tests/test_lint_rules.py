@@ -35,11 +35,13 @@ def rule_counts(relative: str) -> Counter:
 BAD_FIXTURES = [
     ("core/bad_rng.py", "R001", 7),
     ("analyses/bad_lambda.py", "R005", 6),
+    ("analyses/bad_closure.py", "R005", 3),
 ]
 
 CLEAN_FIXTURES = [
     "core/good_rng.py",
     "analyses/good_specs.py",
+    "analyses/good_closure.py",
 ]
 
 
@@ -113,7 +115,7 @@ def test_full_fixture_tree_totals():
     counts = Counter(issue.rule for issue in issues)
     assert counts == {
         "R001": 7,
-        "R005": 6,
+        "R005": 9,
         "E001": 1,
     }
     # Deterministic ordering: path, then line, then column.

@@ -1,4 +1,4 @@
-"""Retry backoff, retry budgets, and the circuit breaker state machine."""
+"""Retry backoff and the circuit breaker state machine."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.exceptions import CircuitOpenError, PersistenceError, PlanError
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.resilience.policy import (
     CircuitBreaker,
-    RetryBudget,
     RetryPolicy,
     seeded_jitter,
 )
@@ -34,17 +33,6 @@ class TestSeededJitter:
     def test_key_and_seed_sensitivity(self):
         assert seeded_jitter(1, "a", 1) != seeded_jitter(2, "a", 1)
         assert seeded_jitter(1, "a", 1) != seeded_jitter(1, "b", 1)
-
-
-class TestRetryBudget:
-    def test_retries_drain_and_first_attempts_refill(self):
-        budget = RetryBudget(capacity=2.0, deposit=0.5)
-        assert budget.try_withdraw() and budget.try_withdraw()
-        assert not budget.try_withdraw()
-        budget.record_attempt()  # +0.5 — still below one token
-        assert not budget.try_withdraw()
-        budget.record_attempt()
-        assert budget.try_withdraw()
 
 
 class TestRetryPolicy:
@@ -98,22 +86,6 @@ class TestRetryPolicy:
         with pytest.raises(PersistenceError):
             policy.call(always_down)
         assert len(calls) == 3
-
-    def test_empty_budget_blocks_retries(self):
-        budget = RetryBudget(capacity=1.0, deposit=0.0)
-        assert budget.try_withdraw()
-        policy = RetryPolicy(
-            retries=5, base_delay=0.0, budget=budget, sleep=lambda _s: None
-        )
-        calls = []
-
-        def always_down():
-            calls.append(True)
-            raise PersistenceError("down")
-
-        with pytest.raises(PersistenceError):
-            policy.call(always_down)
-        assert len(calls) == 1
 
     def test_deadline_too_close_for_backoff_raises(self):
         policy = RetryPolicy(

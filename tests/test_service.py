@@ -61,6 +61,19 @@ class TestSessionRegistry:
         measured = [e for e in service.audit("demo") if e.action == "measure"][0]
         assert measured.detail["charged"] == {"edges": pytest.approx(0.1)}
 
+    def test_in_memory_audit_log_keeps_the_newest_events(self, monkeypatch):
+        from repro.service import registry as registry_module
+
+        monkeypatch.setattr(registry_module, "AUDIT_LOG_LIMIT", 3)
+        registry = SessionRegistry()
+        for index in range(5):
+            registry.record(f"s{index % 2}", "note", index=index)
+        events = registry.audit()
+        assert [event.sequence for event in events] == [3, 4, 5]
+        assert [event.detail["index"] for event in events] == [2, 3, 4]
+        assert [event.sequence for event in registry.audit("s0")] == [3, 5]
+        assert registry.record("s1", "note").sequence == 6
+
     def test_custom_queries(self, service):
         registry: SessionRegistry = service.registry
         hosted = registry.create(

@@ -298,15 +298,15 @@ def _run_serve(args: argparse.Namespace) -> int:
     Serves the HTTP/JSON API of :mod:`repro.service.http` until interrupted.
     Sessions are created by clients (:class:`repro.service.ServiceClient` or
     plain ``curl``); each connection's thread runs the measurements it
-    reads, concurrent ones against one session are fused into one ledger
-    charge, and repeated identical measurements are answered from the
-    released-answer cache at zero additional budget.
+    reads, each one its own ledger charge under its session's lock, and
+    repeated identical measurements are answered from the released-answer
+    cache at zero additional budget.
 
     ``--ledger FILE`` makes the service durable (budgets, sessions, audit
     log, and released answers survive crashes and restarts) and enables
     ``--workers N`` multi-process serving over one shared ledger.  SIGINT
-    and SIGTERM shut down gracefully: stop accepting, drain queued batches,
-    close the sqlite connection.
+    and SIGTERM shut down gracefully: stop accepting, finish the admitted
+    requests, close the sqlite connection.
     """
     import signal
     import threading

@@ -3,18 +3,18 @@
 A :class:`Deadline` is an absolute point on the monotonic clock, carried from
 the HTTP header (``X-Repro-Deadline-Ms``) through scheduler admission,
 executor evaluation, and pool task timeouts via a :mod:`contextvars` context
-variable — a fused batch runs on one of its requesters' threads, and
+variable — a request's measure runs on the thread that submitted it, and
 ``session.measure`` evaluates on that same thread, so the scope set around
 the measure call is visible everywhere below it.
 
 Budget-safety contract: deadlines are only *enforced* before the atomic
-budget charge (scheduler admission, shedding when the request's batch
-starts, and the pre-charge check in ``PrivacySession.measure``).  A request
-whose deadline passes while it waits behind a running batch is refused,
-uncharged, when that batch ends.  Once a charge commits, evaluation runs
-to completion and the answer is cached and durably released, so a client
-whose deadline expired mid-flight retries for free — the answer cache serves
-it without a second charge.
+budget charge (scheduler admission, shedding when the request gets its
+session's lock, and the pre-charge check in ``PrivacySession.measure``).  A
+request whose deadline passes while it waits behind a running measure is
+refused, uncharged, when that measure ends.  Once a charge commits,
+evaluation runs to completion and the answer is cached and durably
+released, so a client whose deadline expired mid-flight retries for free —
+the answer cache serves it without a second charge.
 """
 
 from __future__ import annotations

@@ -10,10 +10,9 @@ layer, built on the thread-safe budget accounting of :mod:`repro.core.budget`:
     tenant/dataset) with per-session locks, curated named queries, and an
     append-only audit log.
 :mod:`repro.service.scheduler`
-    Group-commit request scheduling: concurrent measurements against one
-    session fuse into a single batched executor pass (N clients ≈ one plan
-    walk), with bounded queues for backpressure and per-request isolation of
-    budget refusals.
+    Request scheduling: each measurement runs on its caller's thread as one
+    charge under its session's lock, with a bound on the requests waiting
+    per session for backpressure.
 :mod:`repro.service.cache`
     Answer reuse keyed by (plan identity, ε): a repeated identical
     measurement replays the previously released noisy answer at zero

@@ -40,7 +40,7 @@ The exact answers the sessions hold are *not* in this cache: they are never
 released, only noised.
 
 Only answers actually *released* may be reused: entries are inserted by the
-scheduler after the ledger accepted the batch charge, never speculatively.
+scheduler after the ledger accepted the charge, never speculatively.
 """
 
 from __future__ import annotations

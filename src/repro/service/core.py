@@ -1,16 +1,15 @@
 """The measurement service facade: registry + scheduler + answer cache.
 
 :class:`MeasurementService` is the transport-independent heart of
-``repro serve``: it hosts named tenant sessions, admits measurement requests
-through the thread-safe budget ledger, fuses concurrent same-session requests
-into batched executor passes, and replays previously released answers for
-free.  The HTTP layer (:mod:`repro.service.http`) is a thin JSON shim over
-this object; tests and embedded use drive it directly.
+``repro serve``: it hosts named tenant sessions, runs each measurement
+request as one charge through the thread-safe budget ledger, and replays
+previously released answers for free.  The HTTP layer
+(:mod:`repro.service.http`) is a thin JSON shim over this object; tests and
+embedded use drive it directly.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,8 +33,9 @@ class MeasurementService:
     Parameters
     ----------
     max_pending:
-        Backpressure bound: per-session pending-request limit beyond which
-        submissions raise :class:`~repro.exceptions.ServiceOverloadedError`.
+        Backpressure bound: how many requests may wait on or run under one
+        session's lock; one more raises
+        :class:`~repro.exceptions.ServiceOverloadedError`.
     default_executor:
         Execution backend given to sessions created without an explicit one.
     ledger_path:
@@ -170,15 +170,14 @@ class MeasurementService:
     # ------------------------------------------------------------------
     # Measurements
     # ------------------------------------------------------------------
-    def submit(
+    def measure(
         self,
         session: str,
         query: str,
         epsilon: float,
         deadline: "Deadline | None" = None,
-    ) -> Future:
-        """Run a measurement on this thread; the future holds its
-        :class:`~repro.service.scheduler.MeasurementAnswer`.
+    ) -> MeasurementAnswer:
+        """One measurement against a hosted session, run on this thread.
 
         ``deadline`` defaults to the service-wide ``deadline_ms`` (when
         configured); pass an explicit :class:`~repro.resilience.deadline
@@ -189,16 +188,6 @@ class MeasurementService:
 
             deadline = Deadline.after(self.deadline_ms / 1000.0)
         return self.scheduler.submit(session, query, epsilon, deadline=deadline)
-
-    def measure(
-        self,
-        session: str,
-        query: str,
-        epsilon: float,
-        deadline: "Deadline | None" = None,
-    ) -> MeasurementAnswer:
-        """One measurement against a hosted session (the answer or its error)."""
-        return self.submit(session, query, epsilon, deadline=deadline).result()
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -216,12 +205,11 @@ class MeasurementService:
         return stats
 
     def shutdown(self) -> None:
-        """Refuse new measurements, finish the started ones, close the store.
+        """Refuse new measurements, finish the admitted ones, close the store.
 
-        Every batch that started finishes and every queued request runs
-        before the durable ledger closes, so every charge that started is
-        committed or rolled back (what ``repro serve`` does on SIGINT and
-        SIGTERM).
+        Every request admitted before the call finishes before the durable
+        ledger closes, so every charge that started is committed or rolled
+        back (what ``repro serve`` does on SIGINT and SIGTERM).
         """
         self.scheduler.shutdown()
         if self.store is not None:

@@ -2,10 +2,10 @@
 
 No third-party dependencies, and no HTTP framework either: the server is a
 :class:`socketserver.ThreadingTCPServer` whose one handler thread per
-connection (which also runs the measurements it reads, and fuses them with
-concurrent ones against the same session into one charge) runs a keep-alive
-loop of its own — read a request line, headers and a ``Content-Length``
-body, route, write the status, headers and body in one write.
+connection (which also runs the measurements it reads, one charge each)
+runs a keep-alive loop of its own — read a request line, headers and a
+``Content-Length`` body, route, write the status, headers and body in one
+write.
 :class:`ServiceClient` speaks the same JSON over one plain socket
 per calling thread: one ``sendall`` per request, and a buffered read of the
 status line, headers and ``Content-Length`` body.  Both ends parse only the
@@ -111,7 +111,6 @@ def answer_to_json(answer: MeasurementAnswer) -> dict[str, Any]:
         "query": answer.query,
         "epsilon": answer.epsilon,
         "cached": answer.cached,
-        "batch_size": answer.batch_size,
         "charged": answer.charged,
         "values": [[record, value] for record, value in answer.result.items()],
         "total": answer.result.total(),

@@ -15,8 +15,7 @@ This module is the hosting side of that picture:
 Hosting queries *by name* is deliberate: the trusted curator decides which
 plans exist, analysts only pick one and an ε, so nothing executable ever
 crosses the service boundary — and because each named query is built exactly
-once, its plan object is a stable identity for the answer-reuse cache and for
-shared-sub-plan fusion across concurrent clients.
+once, its plan object is a stable identity for the answer-reuse cache.
 
 It is also why a hosted query's exact answer is computed once:
 :meth:`HostedSession.register_query` puts every hosted plan under

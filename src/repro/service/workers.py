@@ -101,8 +101,8 @@ def _worker_main(listen_socket: socket.socket, service_kwargs: dict[str, Any],
             # Orderly: the accept loop ran on this thread and has unwound (or
             # never started, so there is nothing for ``server.stop()`` to wait
             # for).  End the open keep-alive connections, so no request is
-            # served from here on, then drain queued batches and close the
-            # sqlite connection.
+            # served from here on, then finish the admitted requests and close
+            # the sqlite connection.
             if server is not None:
                 server.stop_serving()
             elif service is not None:

@@ -2,7 +2,7 @@
 
 Each record is one plausible bug, written as an exact text substitution in
 one file of the repository: ``old`` must occur exactly once in ``file`` and is
-replaced by ``new``.  ``category`` is one of :data:`CATEGORIES`, the eight
+replaced by ``new``.  ``category`` is one of :data:`CATEGORIES`, the nine
 invariant families the checkers claim to guard.  ``run.py`` applies one
 record at a time to a scratch copy of the tree and runs every checker on it.
 """
@@ -20,6 +20,7 @@ CATEGORIES = (
     "weight-leak",
     "undercharged-epsilon",
     "lambda-in-plan",
+    "ledger-retry",
 )
 
 
@@ -544,5 +545,27 @@ MUTATIONS: tuple[Mutation, ...] = (
         "src/repro/analyses/common.py",
         "    return edges.group_by(key=Field(0), reducer=GroupSize(bucket))\n",
         "    return edges.group_by(key=lambda edge: edge[0], reducer=GroupSize(bucket))\n",
+    ),
+    # ------------------------------------------------------------------
+    # ledger-retry: a failed charge retried after it may have committed, or
+    # a transient one never retried
+    # ------------------------------------------------------------------
+    Mutation(
+        "ledger-retry-after-commit",
+        "ledger-retry",
+        "src/repro/service/scheduler.py",
+        '            "wal.pre_commit",\n'
+        "        )\n",
+        '            "wal.pre_commit",\n'
+        '            "wal.post_commit",\n'
+        "        )\n",
+    ),
+    Mutation(
+        "ledger-retry-never",
+        "ledger-retry",
+        "src/repro/service/scheduler.py",
+        "        if isinstance(exc, sqlite3.OperationalError):\n"
+        "            return True\n",
+        "        return False\n",
     ),
 )

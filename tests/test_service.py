@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.analyses import NAMED_QUERIES
 from repro.exceptions import (
     BudgetExceededError,
+    DeadlineExceededError,
     ServiceError,
     ServiceOverloadedError,
 )
@@ -210,95 +212,133 @@ class TestRetainedPerRequest:
         assert 0 < retained / 2000 <= 1300
 
 
+class _BlockedMeasure:
+    """Holds every ``PrivacySession.measure`` until :meth:`release`.
+
+    ``entered`` is set once the first measure has started, so a test knows
+    that request holds its session's lock.
+    """
+
+    def __init__(self, monkeypatch):
+        from repro.core.queryable import PrivacySession
+
+        self.entered = threading.Event()
+        self._released = threading.Event()
+        measure = PrivacySession.measure
+
+        def blocked(session, *specs, **kwargs):
+            self.entered.set()
+            assert self._released.wait(timeout=30)
+            return measure(session, *specs, **kwargs)
+
+        monkeypatch.setattr(PrivacySession, "measure", blocked)
+
+    def release(self):
+        self._released.set()
+
+
+def _in_thread(call, *args, **kwargs):
+    """Start ``call`` on a thread; the returned function joins it and returns
+    what the call returned or the exception it raised."""
+    outcome: list = []
+
+    def run():
+        try:
+            outcome.append(call(*args, **kwargs))
+        except BaseException as exc:  # noqa: BLE001 - the test inspects it
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def finish():
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        return outcome[0]
+
+    return finish
+
+
+def _wait_until(predicate, what, timeout=30.0):
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+def _requests_reached_the_lock(service, count):
+    return lambda: service.stats()["requests"] >= count
+
+
 class TestFusion:
-    def _forced_batch(self, service, session_name, requests):
-        """Submit ``requests`` while draining is held, so they all land in
-        one fused drain batch."""
-        futures = []
-        with service.scheduler.hold_batches(session_name):
-            for query, epsilon in requests:
-                futures.append(service.submit(session_name, query, epsilon))
-        return futures
+    """Concurrent requests on one session: identical (query, ε) requests are
+    charged once, through the cache under the session lock; any other
+    request is charged, refused or shed on its own."""
 
-    def test_concurrent_requests_fuse_into_one_batch(self, service):
-        service.create_session("demo", EDGES, seed=0)
-        requests = [("node-count", 0.1), ("degree-ccdf", 0.1), ("wedges", 0.1)]
-        futures = self._forced_batch(service, "demo", requests)
-        answers = [future.result(timeout=30) for future in futures]
-        assert all(not answer.cached for answer in answers)
-        # All three executed in one fused executor pass.
-        assert {answer.batch_size for answer in answers} == {3}
-        assert service.stats()["largest_batch"] >= 3
-
-    def test_identical_concurrent_requests_collapse_to_one_charge(self, service):
+    def test_identical_concurrent_requests_collapse_to_one_charge(
+        self, service, monkeypatch
+    ):
         service.create_session("demo", EDGES, total_epsilon=1.0, seed=0)
-        futures = self._forced_batch(
-            service, "demo", [("node-count", 0.1)] * 4
-        )
-        answers = [future.result(timeout=30) for future in futures]
-        results = {id(answer.result) for answer in answers}
-        assert len(results) == 1  # everyone got the single released answer
+        cost = service.session("demo").queryable("node-count").privacy_cost(0.1)
+        blocked = _BlockedMeasure(monkeypatch)
+        started = [_in_thread(service.measure, "demo", "node-count", 0.1) for _ in range(4)]
+        assert blocked.entered.wait(timeout=30)
+        _wait_until(_requests_reached_the_lock(service, 4), "4 requests at the lock")
+        blocked.release()
+        answers = [finish() for finish in started]
+        assert not any(isinstance(answer, BaseException) for answer in answers)
+        assert len({id(answer.result) for answer in answers}) == 1
         assert sum(bool(answer.charged) for answer in answers) == 1
-        assert service.budget_report("demo")["edges"]["spent"] == pytest.approx(0.1)
-
-    def test_fused_equals_sequential_under_fixed_seed(self):
-        """A fused batch releases bit-identical noisy values to sequential
-        execution of the same requests, in submission order, under one seed."""
-        requests = [
-            ("node-count", 0.1),
-            ("degree-ccdf", 0.15),
-            ("wedges", 0.1),
-            ("degree-sequence", 0.2),
-        ]
-
-        sequential = MeasurementService()
-        try:
-            sequential.create_session("demo", EDGES, seed=42)
-            expected = [
-                dict(sequential.measure("demo", query, epsilon).result.items())
-                for query, epsilon in requests
-            ]
-        finally:
-            sequential.shutdown()
-
-        fused = MeasurementService()
-        try:
-            fused.create_session("demo", EDGES, seed=42)
-            futures = TestFusion._forced_batch(
-                self, fused, "demo", requests
-            )
-            got = [dict(f.result(timeout=30).result.items()) for f in futures]
-            assert any(f.result().batch_size > 1 for f in futures)
-        finally:
-            fused.shutdown()
-
-        assert got == expected
-
-    def test_budget_refusal_only_fails_the_offending_request(self, service):
-        """A fused batch whose total cost is unaffordable retries its
-        requests individually: innocent co-batched measurements succeed."""
-        probe = MeasurementService()
-        try:
-            probe.create_session("probe", EDGES, seed=0)
-            cost_nc = probe.session("probe").queryable("node-count").privacy_cost(0.1)
-            cost_dc = probe.session("probe").queryable("degree-ccdf").privacy_cost(0.2)
-        finally:
-            probe.shutdown()
-        # node-count alone fits; adding degree-ccdf overruns the total.
-        total = cost_nc["edges"] + cost_dc["edges"] / 2.0
-
-        service.create_session("demo", EDGES, total_epsilon=total, seed=0)
-        futures = self._forced_batch(
-            service, "demo", [("node-count", 0.1), ("degree-ccdf", 0.2)]
-        )
-        ok = futures[0].result(timeout=30)
-        assert ok.charged == {"edges": pytest.approx(cost_nc["edges"])}
-        with pytest.raises(BudgetExceededError):
-            futures[1].result(timeout=30)
-        refused = [e.action for e in service.audit("demo")]
-        assert "refused" in refused
+        assert sum(answer.cached for answer in answers) == 3
         spent = service.budget_report("demo")["edges"]["spent"]
-        assert spent == pytest.approx(cost_nc["edges"])
+        assert spent == pytest.approx(cost["edges"])
+        assert service.stats()["batches"] == 1
+
+    def test_budget_refusal_only_fails_the_offending_request(
+        self, service, monkeypatch
+    ):
+        """A request waiting behind another is charged, or refused, alone:
+        the unaffordable one fails and the affordable one still succeeds."""
+        probe = service.create_session("probe", EDGES, seed=0)
+        cost_nc = probe.queryable("node-count").privacy_cost(0.1)["edges"]
+        cost_dc = probe.queryable("degree-ccdf").privacy_cost(0.2)["edges"]
+        # node-count alone fits; adding degree-ccdf overruns the total.
+        service.create_session("demo", EDGES, total_epsilon=cost_nc + cost_dc / 2, seed=0)
+        blocked = _BlockedMeasure(monkeypatch)
+        first = _in_thread(service.measure, "demo", "node-count", 0.1)
+        assert blocked.entered.wait(timeout=30)
+        second = _in_thread(service.measure, "demo", "degree-ccdf", 0.2)
+        _wait_until(_requests_reached_the_lock(service, 2), "2 requests at the lock")
+        blocked.release()
+        assert first().charged == {"edges": pytest.approx(cost_nc)}
+        assert isinstance(second(), BudgetExceededError)
+        actions = [event.action for event in service.audit("demo")]
+        assert actions == ["create-session", "measure", "refused"]
+        spent = service.budget_report("demo")["edges"]["spent"]
+        assert spent == pytest.approx(cost_nc)
+
+    def test_a_deadline_that_expires_at_the_lock_is_shed_uncharged(
+        self, service, monkeypatch
+    ):
+        from repro.resilience.deadline import Deadline
+
+        service.create_session("demo", EDGES, seed=0)
+        cost = service.session("demo").queryable("node-count").privacy_cost(0.1)
+        blocked = _BlockedMeasure(monkeypatch)
+        first = _in_thread(service.measure, "demo", "node-count", 0.1)
+        assert blocked.entered.wait(timeout=30)
+        deadline = Deadline.after(0.05)
+        late = _in_thread(service.measure, "demo", "node-count", 0.2, deadline=deadline)
+        _wait_until(_requests_reached_the_lock(service, 2), "2 requests at the lock")
+        _wait_until(deadline.expired, "the waiting request's deadline")
+        blocked.release()
+        assert not first().cached
+        assert isinstance(late(), DeadlineExceededError)
+        actions = [event.action for event in service.audit("demo")]
+        assert actions == ["create-session", "measure", "deadline-shed"]
+        spent = service.budget_report("demo")["edges"]["spent"]
+        assert spent == pytest.approx(cost["edges"])
+        assert service.stats()["batches"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -319,28 +359,24 @@ class TestCallerThread:
             return measure(session, *specs, **kwargs)
 
         monkeypatch.setattr(PrivacySession, "measure", spy)
-        future = service.submit("demo", "node-count", 0.1)
-        assert future.done()
+        answer = service.scheduler.submit("demo", "node-count", 0.1)
         assert ran_on == [threading.get_ident()]
-        assert not future.result().cached
+        assert not answer.cached
 
     def test_racing_submitters_each_return_with_their_answer(self, service):
-        """Whichever thread runs a batch, every submitter's own request is
-        answered by the time its submit returns, and charged exactly once."""
+        """Every submitter's own request is answered by the time its submit
+        returns, and charged exactly once."""
         service.create_session("demo", EDGES, seed=0)
         threads, per_thread = 8, 25
-        unresolved, charged = [], []
+        charged = []
         barrier = threading.Barrier(threads, timeout=30)
 
         def work(index):
             barrier.wait()
             for step in range(per_thread):
                 epsilon = 0.001 * (1 + index * per_thread + step)
-                future = service.submit("demo", "node-count", epsilon)
-                if future.done():
-                    charged.append(sum(future.result().charged.values()))
-                else:
-                    unresolved.append(epsilon)
+                answer = service.scheduler.submit("demo", "node-count", epsilon)
+                charged.append(sum(answer.charged.values()))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -353,36 +389,128 @@ class TestCallerThread:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in pool)
-        assert unresolved == []
         assert len(charged) == threads * per_thread
         spent = service.budget_report("demo")["edges"]["spent"]
         assert spent == pytest.approx(sum(charged))
-        assert service.stats()["requests"] == threads * per_thread
+        stats = service.stats()
+        assert stats["requests"] == stats["batches"] == threads * per_thread
 
 
 # ----------------------------------------------------------------------
-# Backpressure
+# Backpressure, load shedding and shutdown
 # ----------------------------------------------------------------------
 class TestBackpressure:
-    def test_full_queue_rejects_new_submissions(self):
+    def test_full_queue_rejects_new_submissions(self, monkeypatch):
         service = MeasurementService(max_pending=2)
         try:
             service.create_session("demo", EDGES, seed=0)
-            futures = []
-            with service.scheduler.hold_batches("demo"):
-                with pytest.raises(ServiceOverloadedError):
-                    # Distinct epsilons so nothing is served from the cache;
-                    # draining is held, so the queue must overflow exactly at
-                    # max_pending submissions.
-                    for index in range(6):
-                        futures.append(
-                            service.submit("demo", "node-count", 0.01 + index * 0.001)
-                        )
-            assert len(futures) == 2  # max_pending accepted, the third refused
-            for future in futures:
-                future.result(timeout=30)
+            blocked = _BlockedMeasure(monkeypatch)
+            # Distinct epsilons so nothing is served from the cache.
+            first = _in_thread(service.measure, "demo", "node-count", 0.01)
+            assert blocked.entered.wait(timeout=30)
+            second = _in_thread(service.measure, "demo", "node-count", 0.02)
+            _wait_until(_requests_reached_the_lock(service, 2), "2 requests at the lock")
+            with pytest.raises(ServiceOverloadedError, match="limit 2"):
+                service.measure("demo", "node-count", 0.03)
+            blocked.release()
+            for finish in (first, second):
+                answer = finish()
+                assert answer.charged and not answer.cached
+            assert service.stats()["requests"] == 2
         finally:
             service.shutdown()
+
+    def test_shedder_slots_are_released_on_every_exit_path(self, monkeypatch):
+        from repro.exceptions import InvalidEpsilonError
+        from repro.resilience.deadline import Deadline
+
+        service = MeasurementService(max_total_pending=8)
+        try:
+            hosted = service.create_session("demo", EDGES, total_epsilon=0.5, seed=0)
+            query = hosted.queryable("node-count")
+
+            def pending():
+                return service.stats()["load_shedding"]["pending"]
+
+            service.measure("demo", "node-count", 0.1)  # success
+            assert pending() == 0
+            assert service.measure("demo", "node-count", 0.1).cached  # cache hit
+            assert pending() == 0
+            with pytest.raises(BudgetExceededError):
+                service.measure("demo", "node-count", 5.0)
+            assert pending() == 0
+            with pytest.raises(InvalidEpsilonError):
+                service.measure("demo", "node-count", -1.0)  # a plan error
+            assert pending() == 0
+
+            blocked = _BlockedMeasure(monkeypatch)
+            first = _in_thread(service.measure, "demo", "node-count", 0.2)
+            assert blocked.entered.wait(timeout=30)
+            deadline = Deadline.after(0.05)
+            shed = _in_thread(service.measure, "demo", "node-count", 0.3, deadline=deadline)
+            _wait_until(lambda: pending() == 2, "two requests holding slots")
+            _wait_until(deadline.expired, "the waiting request's deadline")
+            blocked.release()
+            assert not first().cached
+            assert isinstance(shed(), DeadlineExceededError)  # deadline shed
+            assert pending() == 0
+            assert service.stats()["load_shedding"]["shed"] == 0
+            spent = service.budget_report("demo")["edges"]["spent"]
+            charged = [query.privacy_cost(epsilon)["edges"] for epsilon in (0.1, 0.2)]
+            assert spent == pytest.approx(sum(charged))
+        finally:
+            service.shutdown()
+
+    def test_a_request_admitted_before_shutdown_finishes_before_the_store_closes(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.resilience.deadline import Deadline
+
+        ledger = str(tmp_path / "ledger.db")
+        service = MeasurementService(ledger_path=ledger)
+        service.create_session("demo", EDGES, seed=0)
+        events = []
+        put_release, close = service.store.put_release, service.store.close
+        monkeypatch.setattr(
+            service.store, "put_release",
+            lambda *args: (events.append("released"), put_release(*args))[1],
+        )
+        monkeypatch.setattr(
+            service.store, "close", lambda: (events.append("closed"), close())[1]
+        )
+        blocked = _BlockedMeasure(monkeypatch)
+        admitted = _in_thread(service.measure, "demo", "node-count", 0.1)
+        assert blocked.entered.wait(timeout=30)
+        stopping = threading.Thread(target=service.shutdown)
+        stopping.start()
+
+        def refused_as_closed():
+            # An already-expired deadline is refused after the closed check,
+            # so this probe never waits on the lock and never charges.
+            try:
+                service.measure("demo", "node-count", 0.2, deadline=Deadline.after(0))
+            except ServiceOverloadedError:
+                return True
+            except DeadlineExceededError:
+                return False
+
+        _wait_until(refused_as_closed, "shutdown to close admission")
+        stopping.join(timeout=0.1)
+        assert stopping.is_alive()  # waiting for the admitted request
+        blocked.release()
+        answer = admitted()
+        stopping.join(timeout=30)
+        assert not stopping.is_alive()
+        assert events == ["released", "closed"]
+        assert answer.charged and not answer.cached
+
+        reopened = MeasurementService(ledger_path=ledger)
+        try:
+            spent = reopened.budget_report("demo")["edges"]["spent"]
+            assert spent == pytest.approx(sum(answer.charged.values()))
+            assert reopened.measure("demo", "node-count", 0.1).cached
+        finally:
+            reopened.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ import time
 import pytest
 
 from repro.exceptions import (
+    FaultInjectedError,
     InvalidEpsilonError,
     RateLimitedError,
     ServiceError,
@@ -413,6 +414,52 @@ class TestAdmissionControl:
             assert service.stats()["load_shedding"]["shed"] >= 1
         finally:
             service.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Which ledger failures the scheduler retries
+# ----------------------------------------------------------------------
+class TestLedgerRetry:
+    """A charge that failed before its transaction committed is retried; one
+    that failed after the commit is not, or it would be charged twice."""
+
+    def _measure_under(self, ledger_path, faults):
+        from repro.resilience.faults import active_plan, parse_plan
+
+        service = _service(ledger_path)
+        try:
+            hosted = service.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
+            cost = hosted.queryable("node-count").privacy_cost(0.1)["edges"]
+            plan = parse_plan(faults)
+            outcome = None
+            with active_plan(plan):
+                try:
+                    outcome = service.measure("acme", "node-count", 0.1)
+                except FaultInjectedError as exc:
+                    outcome = exc
+            spent = service.budget_report("acme")["edges"]["spent"]
+            return outcome, spent, cost, plan.stats()["hits"]
+        finally:
+            service.shutdown()
+
+    def test_a_failure_before_the_commit_is_retried_and_charged_once(
+        self, ledger_path
+    ):
+        answer, spent, cost, hits = self._measure_under(
+            ledger_path, "wal.pre_commit:fail@limit=1"
+        )
+        assert answer.charged == {"edges": pytest.approx(cost)}
+        assert hits["wal.pre_commit"] == 2  # the failed attempt and its retry
+        assert spent == pytest.approx(cost)
+
+    def test_a_failure_after_the_commit_is_not_retried(self, ledger_path):
+        error, spent, cost, hits = self._measure_under(
+            ledger_path, "wal.post_commit:fail@limit=1"
+        )
+        assert isinstance(error, FaultInjectedError)
+        assert error.point == "wal.post_commit"
+        assert hits["wal.post_commit"] == 1  # one attempt, no retry
+        assert spent == pytest.approx(cost)  # charged once, not twice
 
 
 # ----------------------------------------------------------------------

@@ -41,8 +41,8 @@ The package is organised as follows:
     render, claims), read by ``repro <experiment>`` and the paper suite.
 ``repro.service``
     The interactive measurement service: multi-tenant session hosting,
-    group-commit request batching, answer replay, an HTTP/JSON transport
-    (``repro serve``) and fork-based multi-process workers.
+    one charge per request on the connection's thread, answer replay and
+    an HTTP/JSON transport (``repro serve``), one process per ledger file.
 ``repro.persistence``
     Durability under the service: a sqlite ledger store whose budgets are
     a table (a charge is one transaction) with exact crash recovery, the

@@ -37,19 +37,20 @@ as well as the concurrent measurement service (see README "Serving
 measurements")::
 
     python -m repro serve --port 8080 --max-pending 256
-    python -m repro serve --ledger ledger.db --workers 4 --rate 50
+    python -m repro serve --ledger ledger.db --rate 50
     python -m repro serve --ledger ledger.db --deadline-ms 2000 --breaker-threshold 5
 
 and the randomized chaos harness (see README "Failure model & degraded
 modes")::
 
     python -m repro chaos --seed 1234 --steps 50
-    python -m repro chaos --seed 1234 --steps 50 --workers 2   # kill-cycles
+    python -m repro chaos --seed 1234 --steps 50 --kill-cycles
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -59,6 +60,16 @@ from .experiments import EXPERIMENTS, ExperimentConfig, default_config, format_t
 from .inference.synthesizer import DEFAULT_BACKEND, SCORING_BACKENDS
 
 __all__ = ["main", "build_parser"]
+
+
+class _ShutdownRequested(BaseException):
+    """Raised by ``repro serve``'s SIGTERM/SIGINT handler to unwind the server.
+
+    Not an :class:`Exception`, for the reason ``KeyboardInterrupt`` is not:
+    the signal may land while the accept loop is handing a connection to its
+    thread, and ``socketserver`` reports and swallows every ``Exception``
+    raised there — the server would go on serving.
+    """
 
 
 def _run_explain(
@@ -303,36 +314,34 @@ def _run_serve(args: argparse.Namespace) -> int:
     cache at zero additional budget.
 
     ``--ledger FILE`` makes the service durable (budgets, sessions, audit
-    log, and released answers survive crashes and restarts) and enables
-    ``--workers N`` multi-process serving over one shared ledger.  SIGINT
-    and SIGTERM shut down gracefully: stop accepting, finish the admitted
-    requests, close the sqlite connection.
+    log, and released answers survive crashes and restarts); one process
+    serves one ledger file, and a second ``repro serve`` on a file another
+    one serves exits 2.  SIGINT and SIGTERM shut down gracefully: stop
+    accepting, finish the admitted requests, close the sqlite connection.
     """
     import signal
     import threading
 
-    if args.workers and args.workers > 1:
-        from .service.workers import run_workers
-
-        return run_workers(
-            args.host,
-            args.port,
-            args.workers,
-            service_kwargs={
-                "max_pending": args.max_pending,
-                "default_executor": args.executor,
-                "ledger_path": args.ledger,
-                "rate_limit": args.rate,
-                "rate_burst": args.burst,
-                "max_total_pending": args.max_total_pending,
-                "deadline_ms": args.deadline_ms,
-                "breaker_threshold": args.breaker_threshold,
-            },
-            verbose=args.verbose,
-        )
-
     from .service import serve
 
+    if args.ledger and not _claim_ledger(args.ledger):
+        print(f"repro serve: {args.ledger} is served by another process", file=sys.stderr)
+        return 2
+
+    def _handle(signum: int, frame: object) -> None:
+        raise _ShutdownRequested()
+
+    # Signals are delivered to the main thread only; when embedded in a
+    # non-main thread (tests), fall back to KeyboardInterrupt handling.  The
+    # stop signals stay blocked (pending, not lost) until the server exists
+    # and its banner is out, so a stop sent straight after the banner
+    # unwinds serve_forever (exit 0) instead of killing the process.
+    stops = (signal.SIGTERM, signal.SIGINT)
+    main = threading.current_thread() is threading.main_thread()
+    if main:
+        signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+        for stop in stops:
+            signal.signal(stop, _handle)
     server = serve(
         host=args.host,
         port=args.port,
@@ -346,51 +355,63 @@ def _run_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         breaker_threshold=args.breaker_threshold,
     )
-    durable = f", ledger={args.ledger}" if args.ledger else ""
-    print(
-        f"repro serve — listening on {server.url} "
-        f"(max_pending={args.max_pending}, executor={args.executor}{durable})"
-    )
-
-    # Not an Exception: socketserver swallows those when one is raised while
-    # the accept loop hands a connection to its thread (see service/workers.py).
-    class _ShutdownRequested(BaseException):
-        pass
-
-    def _handle(signum: int, frame: object) -> None:
-        raise _ShutdownRequested()
-
-    # Signals are delivered to the main thread only; when embedded in a
-    # non-main thread (tests), fall back to KeyboardInterrupt handling.
-    if threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGTERM, _handle)
-        signal.signal(signal.SIGINT, _handle)
     try:
+        durable = f", ledger={args.ledger}" if args.ledger else ""
+        # Flushed: a pipe is block-buffered, and the caller reads the port
+        # off this line while serve_forever never returns.
+        print(
+            f"repro serve — listening on {server.url} "
+            f"(max_pending={args.max_pending}, executor={args.executor}{durable})",
+            flush=True,
+        )
+        if main:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, stops)
         server.serve_forever()
     except (_ShutdownRequested, KeyboardInterrupt):
         pass
     finally:
-        # stop() drains the scheduler and closes the sqlite connection
+        # The accept loop ran on this thread and has unwound, or never
+        # started.  Drain the scheduler and close the sqlite connection
         # before the process exits.
-        server.stop()
+        server.stop_serving()
     return 0
+
+
+def _claim_ledger(path: str) -> bool:
+    """Take the lock that lets one ``repro serve`` process serve ``path``.
+
+    An exclusive ``flock`` on the sidecar file ``<path>.lock``, held until
+    the process exits (SIGKILL included).  Two servers on one file would
+    keep budgets exact, but a session closed and re-created in one would be
+    answered from the other's stale replica: the released answers it stores
+    for the old records are replayed to the new ones as cache hits.
+    """
+    import fcntl
+
+    descriptor = os.open(path + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(descriptor)
+        return False
+    return True  # the descriptor stays open, and locked, for the process's life
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
     """Run the randomized fault-injection harness (``repro chaos``).
 
     ``--steps N`` randomized fault schedules against a durable service;
-    ``--workers 2`` (or more) switches to real ``repro serve`` subprocesses
-    with SIGKILL cycles between restarts.  Exits non-zero when any of the
-    four resilience invariants is violated (see README "Failure model &
-    degraded modes").
+    ``--kill-cycles`` switches to a real ``repro serve --ledger`` subprocess,
+    SIGKILLed and restarted between fault cycles.  Exits non-zero when any
+    of the four resilience invariants is violated (see README "Failure
+    model & degraded modes").
     """
     from .resilience.chaos import run_chaos
 
     report = run_chaos(
         seed=args.seed if args.seed is not None else 0,
         steps=int(args.steps) if args.steps is not None else 50,
-        workers=args.workers,
+        kill_cycles=args.kill_cycles,
         executor=args.executor,
         verbose=args.verbose,
     )
@@ -520,12 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
+        "--kill-cycles",
+        action="store_true",
         help=(
-            "for 'serve': forked HTTP worker processes sharing one socket "
-            "and one --ledger file (default 1 = single process)"
+            "for 'chaos': drive a 'repro serve --ledger' subprocess, "
+            "SIGKILLed and restarted between fault cycles"
         ),
     )
     parser.add_argument(

@@ -91,7 +91,7 @@ class SessionExistsError(ServiceError):
     """Raised when creating a session under a name that is already taken.
 
     Either the name is live in this registry or a durable session row exists
-    under it (possibly written by a sibling worker).  The HTTP layer maps this
+    under it (possibly written before a restart).  The HTTP layer maps this
     to status 409; the request is not retryable verbatim — pick another name
     or attach to the existing session.
     """

@@ -3,14 +3,13 @@
 In wPINQ the budget ledger *is* the privacy guarantee: every released
 measurement is sound only if cumulative ε spend is tracked for the lifetime
 of the protected data.  This package makes that tracking survive process
-death, and provides the admission controls a durable multi-process service
-needs:
+death, and provides the admission controls a durable service needs:
 
 :mod:`repro.persistence.wal`
     :class:`LedgerStore` — a WAL-mode sqlite file holding the budgets table
     (a charge is one write transaction), the append-only audit log, released
-    answers, and hosted-session definitions.  Safe to share between worker
-    processes (serialized write transactions).
+    answers, and hosted-session definitions.  Charges stay exact across
+    connections (serialized write transactions).
 :mod:`repro.persistence.ledger`
     :class:`DurableLedger` — the drop-in
     :class:`~repro.core.budget.BudgetLedger` that charges through the store,

@@ -13,10 +13,10 @@ gives three guarantees on top of the base class:
   restart) resumes from the exact committed pre-crash spend: no released ε is
   ever forgotten.
 * **Cross-process exactness** — the affordability check of a charge runs
-  inside that transaction against the table, so workers in different
-  processes sharing one ledger file can never jointly overspend a budget;
-  :meth:`spent`, :meth:`remaining` and :meth:`report` read the table, so
-  they include every sibling's charges.
+  inside that transaction against the table, so even two processes pointed
+  at one ledger file can never jointly overspend a budget; :meth:`spent`,
+  :meth:`remaining` and :meth:`report` read the table, so they include
+  every connection's charges.
 
 A source's in-memory :class:`~repro.core.budget.PrivacyBudget` keeps its
 total and this process's charge history.
@@ -37,8 +37,7 @@ class DurableLedger(BudgetLedger):
     Parameters
     ----------
     store:
-        The durable store (one sqlite file, possibly shared with other
-        worker processes).
+        The durable store (one sqlite file).
     scope:
         The namespace of this ledger's budgets inside the store — the hosted
         session name in the measurement service, so distinct tenants' budgets
@@ -86,7 +85,7 @@ class DurableLedger(BudgetLedger):
         """Charge every source in the store's one transaction, or none.
 
         The store checks affordability against the table, so a refusal is
-        exact even when a sibling worker spent since this process last read
+        exact even when another connection spent since this one last read
         it; :class:`BudgetExceededError` then propagates with nothing
         charged.  On success each budget records the charge in its history.
         """

@@ -6,8 +6,8 @@ admitted; these two admission controls decide what gets admitted at all:
 
 * :class:`TokenBucket` / :class:`RateLimiter` — a classic token bucket per
   tenant session: sustained request rate is capped at ``rate`` per second
-  with bursts up to ``burst``, so one chatty tenant cannot starve the worker
-  pool that every tenant shares.  Refusals raise
+  with bursts up to ``burst``, so one chatty tenant cannot starve the
+  server that every tenant shares.  Refusals raise
   :class:`~repro.exceptions.RateLimitedError` (HTTP 429) carrying a
   ``retry_after`` hint — the time until the bucket holds a token again.
 * :class:`LoadShedder` — a global bound on pending work across *all*
@@ -132,7 +132,7 @@ class RateLimiter:
 
 
 class LoadShedder:
-    """Global pending-work bound across every session of one worker."""
+    """Global pending-work bound across every session of one service."""
 
     def __init__(self, max_total: int) -> None:
         if max_total < 1:

@@ -1,12 +1,12 @@
 """The durable store: a WAL-mode sqlite file behind the privacy ledger.
 
 One :class:`LedgerStore` owns one sqlite connection to the service's ledger
-file.  Several stores — in other threads, or in other *processes* (the
-multi-worker server of :mod:`repro.service.workers`) — may point at the same
-file: sqlite's WAL journal plus ``BEGIN IMMEDIATE`` write transactions give a
-single serialized writer, which is exactly the concurrency model the privacy
-ledger needs, since the affordability check and the debit of a charge must be
-atomic against every other worker's charges.
+file, and one service process serves a file.  Should several stores point at
+the same file anyway — in other threads, or in other processes — sqlite's WAL
+journal plus ``BEGIN IMMEDIATE`` write transactions give a single serialized
+writer, which is exactly the concurrency model the privacy ledger needs,
+since the affordability check and the debit of a charge must be atomic
+against every other connection's charges: spend stays exact.
 
 Tables
 ------
@@ -14,15 +14,15 @@ Tables
     One row per ``(scope, source)``: its ``total`` and committed ``spent`` ε.
 ``audit``
     The append-only audit log.  ``seq`` is allocated by sqlite, so events are
-    totally ordered across restarts and across worker processes.
+    totally ordered across restarts.
 ``releases``
     Released noisy answers keyed ``(scope, query, ε)`` — the durable half of
-    the answer cache, making retries idempotent across restarts and workers.
+    the answer cache, making retries idempotent across restarts.
 ``sessions``
     Hosted-session definitions (records, total ε, seed, executor, source) so
-    a restarted or sibling worker can re-materialise a tenant's session.
-    Each definition's ``generation`` stamp also has a column of its own, so
-    a lookup compares one value without decoding the records.
+    a restarted service can re-materialise a tenant's session.  A file
+    written by an older version may also carry a ``generation`` column;
+    nothing reads or writes it.
 ``incarnations``
     A monotonic per-scope counter advanced on every re-materialisation: each
     incarnation of a seeded session derives a distinct noise stream, so no
@@ -88,8 +88,7 @@ CREATE TABLE IF NOT EXISTS releases (
 CREATE TABLE IF NOT EXISTS sessions (
     name TEXT PRIMARY KEY,
     created_at REAL NOT NULL,
-    payload TEXT NOT NULL,
-    generation TEXT NOT NULL DEFAULT ''
+    payload TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS incarnations (
     scope TEXT PRIMARY KEY,
@@ -127,7 +126,7 @@ class LedgerStore:
         an in-memory store would silently defeat the durability guarantee;
         use the plain in-memory service instead.
     timeout:
-        Seconds a write transaction waits for another worker's writer lock.
+        Seconds a write transaction waits for another connection's writer lock.
     """
 
     def __init__(self, path: str | os.PathLike, timeout: float = 30.0) -> None:
@@ -162,11 +161,11 @@ class LedgerStore:
     # Lifecycle
     # ------------------------------------------------------------------
     def _enter_wal_mode(self, timeout: float) -> None:
-        """``PRAGMA journal_mode=WAL``, waiting out a sibling's open.
+        """``PRAGMA journal_mode=WAL``, waiting out another connection's open.
 
         Turning a new file into a WAL database takes an exclusive lock that
         sqlite does not wait for (the connection's busy timeout does not
-        apply to it), so two workers opening one fresh ledger at the same
+        apply to it), so two stores opening one fresh ledger at the same
         moment would have one of them fail with "database is locked".
         """
         deadline = time.monotonic() + timeout
@@ -209,7 +208,7 @@ class LedgerStore:
 
         Returns ``(total, spent)`` from the durable state — ``spent`` is
         non-zero when the pair was already registered by a previous
-        incarnation (or another worker), which is exactly the crash-recovery
+        incarnation (or another connection), which is exactly the crash-recovery
         path: the in-memory budget adopts the recovered spend.  A conflicting
         ``total`` raises :class:`InvalidEpsilonError`, mirroring
         :meth:`repro.core.budget.BudgetLedger.register`.
@@ -240,7 +239,7 @@ class LedgerStore:
         One write transaction, described in the module docstring.  A source
         never registered is charged against a total of ∞.  Returns the
         per-source ``spent`` totals *after* the charge (which include spends
-        committed by other workers); raises :class:`BudgetExceededError`,
+        committed by other connections); raises :class:`BudgetExceededError`,
         with nothing written, when any source cannot afford its cost.
         ``description`` is for the caller's history; the audit log is its
         durable record.
@@ -357,21 +356,20 @@ class LedgerStore:
     def put_session(self, name: str, payload: dict[str, Any]) -> None:
         """Persist a hosted session's definition (records, ε total, seed...).
 
-        A plain INSERT, so two workers racing to create the same session name
+        A plain INSERT, so two stores racing to create the same session name
         collide here (sqlite3.IntegrityError) and exactly one wins.
         """
         with self._mutex:
             self._conn.execute(
-                "INSERT INTO sessions (name, created_at, payload, generation) "
-                "VALUES (?, ?, ?, ?)",
-                (name, time.time(), json.dumps(payload), payload.get("generation") or ""),
+                "INSERT INTO sessions (name, created_at, payload) VALUES (?, ?, ?)",
+                (name, time.time(), json.dumps(payload)),
             )
 
     def next_incarnation(self, scope: str) -> int:
         """Durably allocate the next incarnation number for ``scope`` (≥ 1).
 
         Every re-materialisation of a persisted session — after a restart, or
-        on a sibling worker process — gets a distinct number, from which the
+        by another store on the same file — gets a distinct number, from which the
         registry derives a distinct Laplace noise stream.  Restoring the raw
         seed instead would reset the creator's stream to its initial state
         and re-draw noise values already released for earlier measurements —
@@ -405,18 +403,6 @@ class LedgerStore:
             ).fetchone()
         return None if row is None else json.loads(row["payload"])
 
-    def session_generation(self, name: str) -> str | None:
-        """A persisted session's ``generation`` stamp, or ``None`` if absent.
-
-        One column, so a lookup never decodes the session's records; a
-        definition stored without a stamp reads ``""``.
-        """
-        with self._mutex:
-            row = self._conn.execute(
-                "SELECT generation FROM sessions WHERE name = ?", (name,)
-            ).fetchone()
-        return None if row is None else row["generation"]
-
     def session_names(self) -> list[str]:
         """Every persisted session name."""
         with self._mutex:
@@ -449,26 +435,15 @@ class LedgerStore:
     def _migrate(self) -> None:
         """Bring a ledger file written by an older version to this schema.
 
-        Checked under the write lock: the workers of a fleet opening one such
-        file race to migrate it, and the first to take the lock does it.
+        Checked under the write lock, so of two stores opening one such file
+        at once the first to take the lock migrates it.
 
-        * ``sessions.generation`` is added, backfilled from each payload.
-        * The budget log (``wal`` plus its newest ``snapshots`` row) is folded
-          into ``budgets`` and dropped.  Old files hold spent ε, so they
-          must never just be ignored.
+        The budget log (``wal`` plus its newest ``snapshots`` row) is folded
+        into ``budgets`` and dropped.  Old files hold spent ε, so they must
+        never just be ignored.
         """
         self._conn.execute("BEGIN IMMEDIATE")
         try:
-            columns = [row["name"] for row in self._conn.execute("PRAGMA table_info(sessions)")]
-            if "generation" not in columns:
-                self._conn.execute(
-                    "ALTER TABLE sessions ADD COLUMN generation TEXT NOT NULL DEFAULT ''"
-                )
-                for row in self._conn.execute("SELECT name, payload FROM sessions").fetchall():
-                    self._conn.execute(
-                        "UPDATE sessions SET generation = ? WHERE name = ?",
-                        (json.loads(row["payload"]).get("generation") or "", row["name"]),
-                    )
             if self._conn.execute(
                 "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'wal'"
             ).fetchone():

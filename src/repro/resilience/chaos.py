@@ -19,17 +19,17 @@ checks the four resilience invariants after every run:
 
 Two modes:
 
-* **in-process** (``workers <= 1``): a :class:`MeasurementService` is driven
+* **in-process** (the default): a :class:`MeasurementService` is driven
   directly, one fresh random :class:`~repro.resilience.faults.FaultPlan` per
   step (``fail``/``delay`` only — never ``kill``, which would take the test
   process with it, and never ``fail`` on ``shm.unlink``, which orphans a
   segment *by construction*).
-* **subprocess kill-cycles** (``workers >= 2``): ``repro serve --workers N
-  --ledger`` is spawned with a randomized ``REPRO_FAULTS`` schedule that may
-  include ``kill`` actions inside the ledger's charge transaction; the
-  harness measures over HTTP, SIGKILLs the whole process group between
-  cycles, restarts on the same ledger, and verifies the same invariants at
-  the end.
+* **subprocess kill-cycles** (``kill_cycles=True``): one ``repro serve
+  --ledger`` process is spawned with a randomized ``REPRO_FAULTS`` schedule
+  that may include ``kill`` actions inside the ledger's charge transaction;
+  the harness measures over HTTP, SIGKILLs the server between cycles,
+  restarts it on the same ledger, and verifies the same invariants at the
+  end.
 
 Shell entry point: ``python -m repro chaos --seed 1234 --steps 50``
 (non-zero exit status when any invariant is violated).
@@ -421,9 +421,7 @@ def _run_inprocess(
 # ----------------------------------------------------------------------
 # Subprocess kill-cycle mode
 # ----------------------------------------------------------------------
-def _spawn_serve(
-    ledger: str, workers: int, faults: str | None
-) -> tuple[subprocess.Popen, str]:
+def _spawn_serve(ledger: str, faults: str | None) -> tuple[subprocess.Popen, str]:
     """Start ``repro serve`` in its own process group; returns (proc, url)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -448,8 +446,6 @@ def _spawn_serve(
             "0",
             "--ledger",
             ledger,
-            "--workers",
-            str(workers),
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
@@ -466,7 +462,7 @@ def _spawn_serve(
 
 
 def _kill_group(proc: subprocess.Popen) -> None:
-    """SIGKILL the serve process and every forked worker in its group."""
+    """SIGKILL the serve process and anything it started in its group."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
@@ -507,15 +503,11 @@ def _subprocess_faults(rng: random.Random, cycle_seed: int) -> str:
     return FaultPlan(seed=cycle_seed, rules=rules).to_env()
 
 
-def _run_subprocess(
-    seed: int, steps: int, workers: int, verbose: bool
-) -> ChaosReport:
+def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
     from ..service.http import ServiceClient
     from ..service.registry import default_query_builders
 
-    report = ChaosReport(
-        seed=seed, steps=steps, mode=f"subprocess[workers={workers}]"
-    )
+    report = ChaosReport(seed=seed, steps=steps, mode="subprocess[kill-cycles]")
     rng = random.Random(seed)
     shm_before = _shm_segments()
     tmpdir = tempfile.mkdtemp(prefix="repro-chaos-")
@@ -542,7 +534,7 @@ def _run_subprocess(
         done = 0
         for cycle in range(cycles):
             faults = _subprocess_faults(rng, cycle_seed=seed * 7919 + cycle)
-            proc, url = _spawn_serve(ledger, workers, faults)
+            proc, url = _spawn_serve(ledger, faults)
             if cycle > 0:
                 report.restarts += 1
             client = ServiceClient(url, timeout=_LIVENESS_TIMEOUT)
@@ -572,7 +564,7 @@ def _run_subprocess(
                     try:
                         payload = client.measure("chaos", query, epsilon)
                     except connection_errors:
-                        # The serve fleet died (kill schedule fired) or the
+                        # The server died (kill schedule fired) or the
                         # response was dropped after the work was done: the
                         # outcome of this attempt is unknown — bound it as a
                         # possible single charge and move to the next cycle.
@@ -618,68 +610,45 @@ def _run_subprocess(
                         report.acked += 1
                     accounting.record_ack(query, epsilon, payload["charged"])
                     break
-                # A kept connection keeps its worker: each op opens a fresh
-                # one, so the kernel spreads ops across the fleet and a
-                # release is replayed, and a session rebuilt, by a sibling.
-                client.close()
                 if verbose and done % 10 == 0:
                     print(
                         f"chaos cycle {cycle}: {done}/{steps} ops",
                         file=sys.stderr,
                     )
+            client.close()
             _kill_group(proc)
             proc = None
 
         # Final incarnation, faults off: replay + accounting verification.
-        proc, url = _spawn_serve(ledger, workers, faults=None)
+        proc, url = _spawn_serve(ledger, faults=None)
         report.restarts += 1
         client = ServiceClient(url, timeout=_LIVENESS_TIMEOUT)
         budget = client.budget("chaos")
         accounting.check_bounds(
             _spent_by_source(budget), report, "after kill-cycle recovery"
         )
-        # Replay every acknowledged answer, one connection each, in passes
-        # until every worker has answered some replay: workers come up one
-        # by one, and the kernel picks which one accepts a connection.
-        answered_by: set[int] = set()
-        passes = 0
-        violations_before = len(report.violations)
-        deadline = time.monotonic() + _LIVENESS_TIMEOUT
-        while accounting.answers and len(report.violations) == violations_before:
-            passes += 1
-            for (query, epsilon), values in accounting.answers.items():
-                payload = client.measure("chaos", query, epsilon)
-                # Same connection, so same worker as the replay.
-                answered_by.add(client.stats()["http"]["pid"])
-                client.close()
-                if payload["values"] != values:
-                    report.violations.append(
-                        f"replay: ({query}, ε={epsilon}) not bit-identical "
-                        f"after crash recovery"
-                    )
-                if payload["charged"]:
-                    report.violations.append(
-                        f"phantom ε: replay of ({query}, ε={epsilon}) charged "
-                        f"again after crash recovery"
-                    )
-            if len(answered_by) == workers or time.monotonic() > deadline:
-                break
+        for (query, epsilon), values in accounting.answers.items():
+            payload = client.measure("chaos", query, epsilon)
+            if payload["values"] != values:
+                report.violations.append(
+                    f"replay: ({query}, ε={epsilon}) not bit-identical "
+                    f"after crash recovery"
+                )
+            if payload["charged"]:
+                report.violations.append(
+                    f"phantom ε: replay of ({query}, ε={epsilon}) charged "
+                    f"again after crash recovery"
+                )
         report.notes.append(
-            f"{len(accounting.answers)} answers replayed after recovery in "
-            f"{passes} pass(es), by {len(answered_by)} of {workers} workers"
+            f"{len(accounting.answers)} answers replayed after recovery"
         )
-        replays_held = len(report.violations) == violations_before
-        if passes and replays_held and len(answered_by) < workers:
-            report.violations.append(
-                f"coverage: only {len(answered_by)} of {workers} workers "
-                f"answered a replay within {_LIVENESS_TIMEOUT:g}s"
-            )
         budget_after = client.budget("chaos")
         if _spent_by_source(budget_after) != _spent_by_source(budget):
             report.violations.append(
                 "phantom ε: replaying acknowledged answers changed the "
                 "durable spend"
             )
+        client.close()
         # Graceful shutdown this time: SIGTERM drains and closes the ledger.
         try:
             os.killpg(proc.pid, signal.SIGTERM)
@@ -712,20 +681,20 @@ def _run_subprocess(
 def run_chaos(
     seed: int = 0,
     steps: int = 50,
-    workers: int = 1,
+    kill_cycles: bool = False,
     executor: str = "eager",
     verbose: bool = False,
 ) -> ChaosReport:
     """Run one chaos campaign and return its :class:`ChaosReport`.
 
-    ``workers >= 2`` selects the subprocess kill-cycle mode (a real
-    ``repro serve --workers N`` fleet, SIGKILLed between cycles); otherwise
+    ``kill_cycles`` selects the subprocess kill-cycle mode (a real
+    ``repro serve --ledger`` process, SIGKILLed between cycles); otherwise
     the service is driven in-process with per-step fault schedules.
     ``executor`` applies to the in-process session (``"sharded"`` exercises
     the pool/shm fault points and the inline degrade path).
     """
     if steps < 1:
         raise ValueError("chaos needs at least 1 step")
-    if workers >= 2:
-        return _run_subprocess(seed, steps, workers, verbose)
+    if kill_cycles:
+        return _run_subprocess(seed, steps, verbose)
     return _run_inprocess(seed, steps, executor, verbose)

@@ -23,14 +23,13 @@ layer, built on the thread-safe budget accounting of :mod:`repro.core.budget`:
     The HTTP/JSON transport (``repro serve``): a keep-alive loop of its own
     over :mod:`socketserver` threads, no HTTP framework, and the matching
     :class:`ServiceClient`, one plain socket per calling thread.
-:mod:`repro.service.workers`
-    Fork-based multi-process serving (``repro serve --workers N``) sharing
-    one durable ledger file (:mod:`repro.persistence`) across workers.
 
 With a durable ledger (``repro serve --ledger FILE``) the service is
 restart-safe: budgets, sessions, audit events, and released answers are
 committed to sqlite before they are acknowledged and recovered exactly on
-the next boot — see README "Durability & operations".
+the next boot — see README "Durability & operations".  One process serves
+one ledger file (``repro serve`` locks it); it scales by threads, one per
+connection.
 """
 
 from .cache import AnswerCache
@@ -38,7 +37,6 @@ from .core import MeasurementService
 from .http import ServiceClient, ServiceHTTPServer, serve
 from .registry import AuditEvent, HostedSession, SessionRegistry, default_query_builders
 from .scheduler import BatchingScheduler, MeasurementAnswer
-from .workers import run_workers
 
 __all__ = [
     "AnswerCache",
@@ -51,6 +49,5 @@ __all__ = [
     "ServiceHTTPServer",
     "SessionRegistry",
     "default_query_builders",
-    "run_workers",
     "serve",
 ]

@@ -43,9 +43,14 @@ class MeasurementService:
         When given, the service becomes restart-safe: budgets charge through
         a :class:`~repro.persistence.ledger.DurableLedger` over the store's
         budgets table,
-        sessions / audit events / released answers persist, everything
-        recorded before a crash is recovered on the next open, and several
-        worker *processes* may share the file (``repro serve --workers N``).
+        sessions / audit events / released answers persist, and everything
+        recorded before a crash is recovered on the next open.  One service
+        serves a file (``repro serve --ledger`` refuses a file another
+        server holds).  A second service on it still charges exactly, but
+        keeps its own session replicas: after one closes a session and
+        re-creates it over other records, the other goes on measuring the
+        old records and stores those answers, which the new session then
+        replays as cache hits.
     rate_limit / rate_burst:
         Per-tenant token-bucket admission: sustained requests/second and
         burst capacity per session (None disables rate limiting).
@@ -90,14 +95,7 @@ class MeasurementService:
             shedder = LoadShedder(max_total_pending)
         self._rate_limiter = rate_limiter
         self.cache = AnswerCache()
-        self.registry = SessionRegistry(
-            store=self.store,
-            # A stale in-memory replica (its persisted definition was closed
-            # or replaced by a sibling worker) must take its cached answers
-            # with it, or the old dataset's releases would replay against
-            # the new same-name session.
-            on_evict=self.cache.drop_scope,
-        )
+        self.registry = SessionRegistry(store=self.store)
         self.scheduler = BatchingScheduler(
             self.registry,
             cache=self.cache,

@@ -49,7 +49,6 @@ second charge.
 from __future__ import annotations
 
 import json
-import os
 import re
 import select
 import socket
@@ -439,11 +438,7 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
     """A threading HTTP server bound to one :class:`MeasurementService`.
 
     One thread per connection, running :class:`_Connection`'s keep-alive
-    loop.  ``listen_socket`` adopts an already-bound, already-listening
-    socket instead of binding a fresh one — the multi-process server
-    (:mod:`repro.service.workers`) binds once in the parent and hands each
-    forked worker the shared socket, so the kernel load-balances accepted
-    connections across workers.
+    loop.
     """
 
     allow_reuse_address = True
@@ -454,15 +449,8 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         address: tuple[str, int],
         service: MeasurementService,
         verbose: bool = False,
-        listen_socket=None,
     ) -> None:
-        if listen_socket is not None:
-            super().__init__(address, _Connection, bind_and_activate=False)
-            self.socket.close()
-            self.socket = listen_socket
-            self.server_address = listen_socket.getsockname()
-        else:
-            super().__init__(address, _Connection)
+        super().__init__(address, _Connection)
         self.service = service
         self.verbose = verbose
         self._connections_lock = ordered_lock("service.http", 8)
@@ -493,14 +481,9 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
             self._handled += 1
 
     def http_stats(self) -> dict[str, int]:
-        """Connections accepted and requests handled since the server started.
-
-        ``pid`` names the process the counts belong to: each worker of a
-        ``repro serve --workers N`` fleet keeps its own.
-        """
+        """Connections accepted and requests handled since the server started."""
         with self._connections_lock:
             return {
-                "pid": os.getpid(),
                 "connections": self._accepted,
                 "requests": self._handled,
             }
@@ -529,8 +512,9 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         closes, a reply in flight is still written, and no further request
         is served.  Then the listener closes and the service drains.
         Returns when every connection is closed, or after a few seconds if
-        a client is not reading its reply.  A forked worker, whose accept
-        loop unwinds on a signal, calls this directly.
+        a client is not reading its reply.  ``repro serve``, whose accept
+        loop runs on the calling thread and unwinds on a signal (or never
+        started, so ``shutdown()`` would wait forever), calls this directly.
         """
         with self._connections_lock:
             self._stopping = True
@@ -564,7 +548,6 @@ def serve(
     deadline_ms: float | None = None,
     breaker_threshold: int | None = None,
     breaker_reset: float = 5.0,
-    listen_socket=None,
 ) -> ServiceHTTPServer:
     """Build a :class:`ServiceHTTPServer` (not yet serving).
 
@@ -589,9 +572,7 @@ def serve(
             breaker_threshold=breaker_threshold,
             breaker_reset=breaker_reset,
         )
-    return ServiceHTTPServer(
-        (host, port), service, verbose=verbose, listen_socket=listen_socket
-    )
+    return ServiceHTTPServer((host, port), service, verbose=verbose)
 
 
 def _readable(sock: socket.socket) -> bool:

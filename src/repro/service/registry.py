@@ -24,7 +24,7 @@ first measurement of a query evaluates its plan and every later one — at
 whatever ε, on whatever executor the session was created with — costs a
 charge, the noise draws and a reply.  The retained answers are one released
 answer's worth of memory per measured query and go when the session is
-closed (or its stale replica evicted) and the ``PrivacySession`` with it.
+closed and the ``PrivacySession`` with it.
 """
 
 from __future__ import annotations
@@ -78,9 +78,8 @@ class AuditEvent:
 
     ``sequence`` is monotonic and — when the registry is backed by a durable
     store — allocated by the store itself, so events are totally ordered
-    across process restarts and across concurrent worker processes sharing
-    one ledger file; ``worker`` (the recording process id) disambiguates
-    which worker emitted each event when logs are read back merged.
+    across process restarts; ``worker`` is the recording process id, which
+    tells the incarnations of a ledger file apart in its merged log.
     """
 
     sequence: int
@@ -115,13 +114,6 @@ class HostedSession:
         self.session = session
         self.source = source
         self.created_at = time.time()
-        # Identity of the *persisted* definition this hosted session was
-        # built from (set by the registry).  None for in-memory registries
-        # and for unserialisable (ephemeral) sessions; when set, the
-        # registry re-validates it against the store on every lookup so a
-        # close/re-create by a sibling worker evicts this replica instead of
-        # letting it serve a stale dataset.
-        self.generation: str | None = None
         self._lock = ordered_rlock("service.session", 14)
         self._queries: dict[str, Queryable] = {}
 
@@ -197,25 +189,22 @@ class SessionRegistry:
     locks, so measurements against different sessions never contend here.
 
     With a durable ``store`` (:class:`~repro.persistence.wal.LedgerStore`)
-    the registry becomes restart- and multi-worker-safe: sessions charge
-    through a :class:`~repro.persistence.ledger.DurableLedger` scoped to
-    their name, session definitions and the audit log are persisted, and a
-    session created by a previous incarnation (or a sibling worker process)
-    is re-materialised on demand with its committed ε spend intact.
-    ``on_evict`` is invoked with the session name whenever a stale in-memory
-    replica is dropped (its persisted definition was closed or replaced by
-    a sibling worker); the service uses it to evict the scope's cached
-    answers.
+    the registry becomes restart-safe: sessions charge through a
+    :class:`~repro.persistence.ledger.DurableLedger` scoped to their name,
+    session definitions and the audit log are persisted, and a session
+    created by a previous incarnation is re-materialised on demand with its
+    committed ε spend intact.  One process serves a ledger file: the
+    in-memory table is not re-checked against the store once a session is
+    in it, so a second process on the same file still charges exactly but
+    never sees this one's closes: its replica of a closed session goes on
+    measuring the old records, and a re-created session replays the
+    answers it stores as cache hits (``repro serve --ledger`` refuses a
+    file another server holds).
     """
 
-    def __init__(
-        self,
-        store: "LedgerStore | None" = None,
-        on_evict: Callable[[str], None] | None = None,
-    ) -> None:
+    def __init__(self, store: "LedgerStore | None" = None) -> None:
         self._lock = ordered_rlock("service.registry", 10, io_ok=True)
         self._store = store
-        self._on_evict = on_evict
         self._sessions: dict[str, HostedSession] = {}
         # Names being built by an in-flight create(): reserved up front so a
         # racing duplicate create fails fast instead of building a whole
@@ -261,29 +250,16 @@ class SessionRegistry:
 
         With a durable store the session charges through a
         :class:`~repro.persistence.ledger.DurableLedger` scoped to ``name``,
-        and its definition is persisted so restarts and sibling workers can
-        re-materialise it — except when custom ``queries`` builders, a
-        callable ``executor``, or a Generator seed make the definition
-        unserialisable, in which case budgets and audit are still durable but
-        the session itself dies with the process.
+        and its definition is persisted so a restart can re-materialise it —
+        except when custom ``queries`` builders, a callable ``executor``, or
+        a Generator seed make the definition unserialisable, in which case
+        budgets and audit are still durable but the session itself dies with
+        the process.
         """
         with self._lock:
-            hosted = self._sessions.get(name)
-            stamp = None if self._store is None else self._store.session_generation(name)
-            if (
-                hosted is not None
-                and hosted.generation is not None
-                and stamp != hosted.generation
-            ):
-                # Stale replica: a sibling worker closed (or replaced) this
-                # session after we materialised it.  Drop it so the durable
-                # store alone decides whether the name is taken.
-                self._sessions.pop(name, None)
-                if self._on_evict is not None:
-                    self._on_evict(name)
             if name in self._sessions or name in self._reserved:
                 raise SessionExistsError(f"a session named {name!r} already exists")
-            if stamp is not None:
+            if self._store is not None and self._store.get_session(name) is not None:
                 raise SessionExistsError(
                     f"a session named {name!r} already exists (persisted)"
                 )
@@ -321,38 +297,19 @@ class SessionRegistry:
     def get(self, name: str) -> HostedSession:
         """The hosted session registered under ``name``.
 
-        With a durable store the in-memory table is only a *replica*: a miss
-        falls back to the persisted session definitions (a session created
-        before a restart — or by a sibling worker process — is
-        re-materialised on first use, with its committed ε spend recovered
-        by the durable ledger), and a hit is re-validated against the
-        persisted definition's generation stamp, so a session a sibling
-        worker closed (or closed and re-created over different records) is
-        evicted and its cached answers dropped instead of being served
-        stale.
+        With a durable store a miss falls back to the persisted session
+        definitions: a session created before a restart is re-materialised
+        on first use, with its committed ε spend recovered by the durable
+        ledger.  A hit touches no storage.
         """
         with self._lock:
             hosted = self._sessions.get(name)
-            if self._store is None or (
-                hosted is not None and hosted.generation is None
-            ):
-                # In-memory registry, or an ephemeral (never-persisted)
-                # session: the local table is authoritative.
-                if hosted is not None:
-                    return hosted
-                raise ServiceError(f"no session named {name!r}")
             if hosted is not None:
-                if self._store.session_generation(name) == hosted.generation:
-                    return hosted
-                # Stale replica: a sibling worker closed this session, or
-                # re-created it under a new definition.  Drop the replica
-                # and its cached answers before answering.
-                self._sessions.pop(name, None)
-                if self._on_evict is not None:
-                    self._on_evict(name)
-            payload = self._store.get_session(name)
-            if payload is not None:
-                return self._materialize_locked(name, payload)
+                return hosted
+            if self._store is not None:
+                payload = self._store.get_session(name)
+                if payload is not None:
+                    return self._materialize_locked(name, payload)
             raise ServiceError(f"no session named {name!r}")
 
     def names(self) -> list[str]:
@@ -389,7 +346,7 @@ class SessionRegistry:
         with self._lock:
             known = name in self._sessions
             if self._store is not None and not known:
-                known = self._store.session_generation(name) is not None
+                known = self._store.get_session(name) is not None
             if not known:
                 raise ServiceError(f"no session named {name!r}")
             self._sessions.pop(name, None)
@@ -419,7 +376,7 @@ class SessionRegistry:
             try:
                 summaries.append(self.get(name).describe())
             except ServiceError:
-                # Closed by a sibling worker between names() and get().
+                # Closed between names() and get().
                 continue
         return summaries
 
@@ -449,9 +406,6 @@ class SessionRegistry:
         from ..persistence.wal import encode_record
 
         dataset = hosted.session.dataset(hosted.source)
-        # A fresh generation stamp per persisted definition: lookups compare
-        # it against the store so sibling workers notice a close/re-create.
-        generation = uuid.uuid4().hex
         payload = {
             "records": [
                 [encode_record(record), weight] for record, weight in dataset.items()
@@ -460,16 +414,17 @@ class SessionRegistry:
             "seed": seed,
             "executor": executor,
             "source": hosted.source,
-            "generation": generation,
+            # Tells this definition apart from any later one under the same
+            # name (a close and re-create over other records).
+            "generation": uuid.uuid4().hex,
         }
         try:
             self._store.put_session(hosted.name, payload)
         except sqlite3.IntegrityError as exc:
             raise SessionExistsError(
                 f"a session named {hosted.name!r} already exists (created "
-                f"concurrently by another worker)"
+                f"concurrently by another process on this ledger)"
             ) from exc
-        hosted.generation = generation
 
     def _wire_degrade(self, name: str, session: PrivacySession) -> None:
         """Route the executor's degraded-mode notifications into the audit log.
@@ -500,8 +455,7 @@ class SessionRegistry:
         cancel the noise exactly.  Instead a fresh stream is derived from
         the seed plus a durably monotonic incarnation number — still
         deterministic per incarnation, but distinct from the creator's
-        stream and from every other incarnation's (including sibling forked
-        workers rebuilding the same session).
+        stream and from every other incarnation's.
         """
         from ..persistence.wal import decode_record
 
@@ -529,7 +483,6 @@ class SessionRegistry:
             source, records, total_epsilon=float(payload.get("total_epsilon", float("inf")))
         )
         hosted = HostedSession(name, session, source)
-        hosted.generation = payload.get("generation")
         for query_name, builder in default_query_builders().items():
             hosted.register_query(query_name, builder(protected))
         self._wire_degrade(name, session)
@@ -542,8 +495,8 @@ class SessionRegistry:
         """Append one event to the audit log (thread-safe, monotonic order).
 
         With a durable store the sequence number and timestamp are allocated
-        by the store's append, so events are totally ordered across restarts
-        and across worker processes; in-memory mode numbers events in the
+        by the store's append, so events are totally ordered across restarts;
+        in-memory mode numbers events in the
         order they are recorded, keeps the newest :data:`AUDIT_LOG_LIMIT` and
         keeps each ``detail`` as the store would, as JSON text, so
         :meth:`audit` returns what a durable registry returns.
@@ -573,8 +526,7 @@ class SessionRegistry:
         """The audit log, optionally filtered to one session's events.
 
         Store-backed registries read the merged durable log, so events from
-        previous incarnations and sibling workers are included, in global
-        sequence order.
+        previous incarnations are included, in global sequence order.
         """
         if self._store is not None:
             rows = (

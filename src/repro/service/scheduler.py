@@ -253,8 +253,8 @@ class BatchingScheduler:
                 )
                 self._cache.put(session_name, queryable.plan, epsilon, result)
                 if self._store is not None:
-                    # Durable copy, so the free replay survives restarts and
-                    # reaches sibling workers; written only after the charge.
+                    # Durable copy, so the free replay survives restarts;
+                    # written only after the charge.
                     self._store.put_release(
                         session_name, query, epsilon, list(result.items())
                     )
@@ -270,7 +270,7 @@ class BatchingScheduler:
     ) -> MeasurementAnswer | None:
         """A released answer replayed for free, recorded as a cache hit: from
         the in-memory cache, or from the durable store (a release before a
-        restart, or by a sibling worker), rehydrated so repeats stay off disk.
+        restart), rehydrated so repeats stay off disk.
         """
         result = self._cache.get(session_name, queryable.plan, epsilon)
         if result is None and self._store is not None:

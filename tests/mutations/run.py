@@ -163,8 +163,8 @@ def _run_once(checker: str, workdir: Path) -> tuple[bool, object, str]:
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), **extra_env}
     if checker != "sanitizer":
         env.pop("REPRO_SANITIZE", None)
-    # Its own process group: a mutation that breaks a fleet's shutdown leaves
-    # serve workers behind, and they die with the group.
+    # Its own process group: a mutation that breaks a server's shutdown
+    # leaves `repro serve` subprocesses behind, and they die with the group.
     with subprocess.Popen(
         command, cwd=workdir, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True, start_new_session=True,

@@ -59,6 +59,15 @@ class TestParser:
             parser.parse_args(["serve", "--serve-workers", "8"])
         assert refused.value.code == 2
 
+    def test_workers_flag_is_gone(self):
+        # One process serves one ledger file; chaos kills and restarts it.
+        parser = build_parser()
+        for argv in (["serve", "--workers", "2"], ["chaos", "--workers", "2"]):
+            with pytest.raises(SystemExit) as refused:
+                parser.parse_args(argv)
+            assert refused.value.code == 2, argv
+        assert parser.parse_args(["chaos", "--kill-cycles"]).kill_cycles
+
     def test_synth_batch_flag_is_gone(self):
         # Every MCMC step is push, score, commit or roll back: no fused batch.
         parser = build_parser()

@@ -179,7 +179,7 @@ class TestCrossConnection:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
     def test_siblings_opening_one_new_file_together_all_succeed(self, tmp_path):
-        # A fleet's workers all open the fresh ledger at the same moment, and
+        # Two processes may open one fresh ledger at the same moment, and
         # sqlite does not wait for the lock that the switch to WAL needs: one
         # of them used to fail with "database is locked".  Forked openers in
         # a child interpreter, released together, a dozen fresh files.
@@ -251,7 +251,7 @@ class TestDurableLedger:
         with LedgerStore(path) as mine, LedgerStore(path) as sibling:
             ledger = DurableLedger(mine, "acme")
             ledger.register("edges", 1.0)
-            # A sibling worker spends concurrently; my in-memory replica is
+            # Another connection spends concurrently; my in-memory replica is
             # stale, so the pre-check passes but the durable check refuses.
             sibling.register("acme", "edges", 1.0)
             sibling.charge("acme", {"edges": 0.9})

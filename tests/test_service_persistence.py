@@ -1,10 +1,10 @@
-"""Tests for the durable measurement service: restarts, workers, admission.
+"""Tests for the durable measurement service: restarts, admission, shutdown.
 
 Exercises :class:`~repro.service.core.MeasurementService` with a ledger file:
 sessions, budgets, released answers and the audit log all survive a restart;
 the audit sequence is totally ordered across restarts; rate limiting and load
 shedding refuse correctly; and ``repro serve --ledger`` shuts down gracefully
-on SIGTERM (subprocess test, including the ``--workers N`` fork path).
+on SIGTERM and recovers its spend after SIGKILL (subprocess tests).
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ class TestServiceRestart:
         service.shutdown()
 
     def test_cross_worker_session_visibility(self, ledger_path):
-        """Two services on one file model two worker processes."""
+        """Two services on one file: charges and releases are shared through
+        the store, so spend stays exact."""
         a = _service(ledger_path)
         b = _service(ledger_path)
         try:
@@ -177,8 +178,8 @@ class TestServiceRestart:
     def test_rematerialized_sessions_never_share_noise_draws(self, ledger_path):
         """A restored seeded session must not resume the creator's stream.
 
-        If re-materialisation reused the raw seed, a restart (or a sibling
-        worker) would re-draw noise values already released for earlier
+        If re-materialisation reused the raw seed, a restart (or a second
+        store on the file) would re-draw noise values already released for earlier
         measurements, and an analyst could difference two releases sharing
         a draw to cancel the noise exactly.  Every incarnation must draw
         from its own stream.
@@ -188,8 +189,8 @@ class TestServiceRestart:
         with LedgerStore(ledger_path) as store:
             creator = SessionRegistry(store=store)
             creator.create("acme", EDGES, total_epsilon=1.0, seed=7)
-            # Fresh registries over the same file model sibling workers (a
-            # restarted process takes exactly the same code path).
+            # Fresh registries over the same file take a restarted
+            # process's code path.
             incarnation_a = SessionRegistry(store=store).get("acme")
             incarnation_b = SessionRegistry(store=store).get("acme")
             draws = {
@@ -200,47 +201,11 @@ class TestServiceRestart:
             # Each re-materialisation advanced the durable counter.
             assert store.next_incarnation("acme") == 3
 
-    def test_sibling_detects_close_and_recreate(self, ledger_path):
-        """A close (or close + re-create) must invalidate sibling replicas.
-
-        Without generation validation a sibling worker keeps its in-memory
-        session and cached answers: after close + re-create with different
-        records it would keep serving the *old* dataset and replay the old
-        answers at zero charge against the new session of the same name.
-        """
-        a = _service(ledger_path)
-        b = _service(ledger_path)
-        try:
-            a.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
-            first = b.measure("acme", "node-count", 0.25)  # b builds a replica
-            assert not first.cached
-
-            a.close_session("acme")
-            with pytest.raises(ServiceError, match="no session"):
-                b.measure("acme", "node-count", 0.25)
-            assert "acme" not in [s["name"] for s in b.sessions()]
-
-            a.create_session(
-                "acme", [(i, i + 1) for i in range(5)], total_epsilon=1.0, seed=7
-            )
-            answer = b.measure("acme", "node-count", 0.25)
-            # The re-created session is measured fresh — the old replica's
-            # cached answers were evicted, not replayed for free...
-            assert not answer.cached
-            assert answer.charged
-            # ...and b now hosts the new 5-edge dataset, not the old replica.
-            assert len(b.session("acme").session.dataset("edges")) == 5
-            # Spent ε resumed across the close: 0.25 before + 0.25 after.
-            assert b.budget_report("acme")["edges"]["spent"] == pytest.approx(0.5)
-        finally:
-            a.shutdown()
-            b.shutdown()
-
     def test_ledger_without_generation_column_still_evicts(self, ledger_path):
         """A ledger file written before ``sessions`` had a ``generation``
-        column gains it on open, backfilled from each payload, and a sibling
-        still keeps its replica while the definition stands and evicts it
-        after a close and re-create."""
+        column (the column is gone again) serves its session from the file.
+        A close evicts the replica and its cached answers, and the re-created
+        definition gets a ``generation`` stamp of its own in its payload."""
         legacy = sqlite3.connect(ledger_path)
         legacy.execute(
             "CREATE TABLE sessions (name TEXT PRIMARY KEY, "
@@ -259,59 +224,36 @@ class TestServiceRestart:
         )
         legacy.commit()
         legacy.close()
-        with LedgerStore(ledger_path) as store:
-            assert store.session_generation("acme") == "stamped-before-the-column"
-            assert store.session_generation("nobody") is None
 
-        a = _service(ledger_path)
-        b = _service(ledger_path)
+        service = _service(ledger_path)
         try:
-            replica = b.session("acme")
-            assert not b.measure("acme", "node-count", 0.25).cached
-            assert b.session("acme") is replica
+            replica = service.session("acme")
+            assert not service.measure("acme", "node-count", 0.25).cached
+            assert service.session("acme") is replica
+            assert service.measure("acme", "node-count", 0.25).cached
 
-            a.close_session("acme")
+            service.close_session("acme")
             with pytest.raises(ServiceError, match="no session"):
-                b.measure("acme", "node-count", 0.25)
-            a.create_session(
+                service.measure("acme", "node-count", 0.25)
+            service.create_session(
                 "acme", [(i, i + 1) for i in range(5)], total_epsilon=1.0, seed=7
             )
-            answer = b.measure("acme", "node-count", 0.25)
+            answer = service.measure("acme", "node-count", 0.25)
             assert not answer.cached
             assert answer.charged
-            assert len(b.session("acme").session.dataset("edges")) == 5
+            assert len(service.session("acme").session.dataset("edges")) == 5
         finally:
-            a.shutdown()
-            b.shutdown()
-
-    def test_recreate_on_sibling_after_remote_close(self, ledger_path):
-        """A close on one worker must not block re-creation on a sibling.
-
-        The sibling's in-memory replica is stale after the remote close;
-        create() must validate it against the store (exactly like get())
-        instead of refusing the name as already taken.
-        """
-        a = _service(ledger_path)
-        b = _service(ledger_path)
+            service.shutdown()
+        check = sqlite3.connect(ledger_path)
         try:
-            a.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
-            b.measure("acme", "node-count", 0.25)  # b builds a replica
-            a.close_session("acme")
-            # The re-create lands on b, whose replica is now stale.
-            b.create_session(
-                "acme", [(i, i + 1) for i in range(5)], total_epsilon=1.0, seed=7
-            )
-            assert len(b.session("acme").session.dataset("edges")) == 5
-            answer = b.measure("acme", "node-count", 0.25)
-            assert not answer.cached
-            assert b.budget_report("acme")["edges"]["spent"] == pytest.approx(0.5)
+            [(text,)] = check.execute("SELECT payload FROM sessions").fetchall()
         finally:
-            a.shutdown()
-            b.shutdown()
+            check.close()
+        assert json.loads(text)["generation"] not in ("", "stamped-before-the-column")
 
 
 # ----------------------------------------------------------------------
-# Audit ordering (satellite: total order across restarts and workers)
+# Audit ordering (total order across restarts)
 # ----------------------------------------------------------------------
 class TestDurableAudit:
     def test_sequence_is_total_across_restarts(self, ledger_path):
@@ -463,7 +405,7 @@ class TestLedgerRetry:
 
 
 # ----------------------------------------------------------------------
-# repro serve --ledger: graceful shutdown and multi-process workers
+# repro serve --ledger: graceful shutdown and SIGKILL recovery
 # ----------------------------------------------------------------------
 def _wait_for_server(client, proc, deadline=180.0):
     end = time.monotonic() + deadline
@@ -513,6 +455,8 @@ def _refused(port: int) -> bool:
 def _spawn_serve(*args: str, faults: str | None = None) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    # Stdout is a pipe: the server must flush its banner itself.
+    env.pop("PYTHONUNBUFFERED", None)
     if faults is not None:
         env["REPRO_FAULTS"] = faults
     return subprocess.Popen(
@@ -594,60 +538,20 @@ class TestServeDurability:
                 restarted.kill()
                 restarted.wait(timeout=120)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-    def test_multi_worker_fleet_shares_ledger(self, ledger_path):
-        from repro.service import ServiceClient
-
-        proc = _spawn_serve(
-            "--port", "0", "--ledger", ledger_path, "--workers", "2"
-        )
-        try:
-            port = self._port_of(proc)
-            client = ServiceClient(f"http://127.0.0.1:{port}")
-            _wait_for_server(client, proc)
-            client.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
-            first = client.measure("acme", "node-count", 0.25)
-            # Repeats until both workers have answered one: all must replay
-            # the persisted release identically with no additional charge.
-            # A client keeps its connection, and so its worker: each repeat
-            # opens a fresh one, and asks that worker for its pid.
-            answered_by = set()
-            for _ in range(50):
-                fresh = ServiceClient(f"http://127.0.0.1:{port}")
-                try:
-                    replay = fresh.measure("acme", "node-count", 0.25)
-                    answered_by.add(fresh.stats()["http"]["pid"])
-                finally:
-                    fresh.close()
-                assert replay["cached"]
-                assert replay["values"] == first["values"]
-                if len(answered_by) == 2:
-                    break
-            assert len(answered_by) == 2
-            assert client.budget("acme")["edges"]["spent"] == pytest.approx(0.25)
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=120) == 0
-        finally:
-            if proc.poll() is None:  # pragma: no cover
-                proc.kill()
-                proc.wait(timeout=120)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-    def test_fleet_stop_serves_nothing_on_an_idle_connection(self, ledger_path):
+    def test_stop_serves_nothing_on_an_idle_connection(self, ledger_path):
         import http.client
-        import json
         import threading
 
         from repro.resilience.faults import FaultPlan, FaultRule
         from repro.service import ServiceClient
         from repro.service.http import _readable
 
-        # A worker's second charge sleeps 3 s inside its transaction, so a
-        # worker stopped with that charge in flight is still draining when
-        # the idle connection's next request arrives.
+        # The second charge sleeps 3 s inside its transaction, so a server
+        # stopped with that charge in flight is still draining when the idle
+        # connection's next request arrives.
         delay = FaultRule("wal.intent_commit", "delay", value=3.0, after=2)
         proc = _spawn_serve(
-            "--port", "0", "--ledger", ledger_path, "--workers", "2",
+            "--port", "0", "--ledger", ledger_path,
             faults=FaultPlan(rules=[delay]).to_env(),
         )
         try:
@@ -657,16 +561,8 @@ class TestServeDurability:
             client.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
             client.measure("acme", "node-count", 0.25)
             rows = len(client.audit("acme"))
-            pid = client.stats()["http"]["pid"]
-            # A second connection to the client's worker carries the charge.
-            for _ in range(50):
-                busy = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
-                busy.request("GET", "/v1/stats")
-                if json.loads(busy.getresponse().read())["http"]["pid"] == pid:
-                    break
-                busy.close()
-            else:  # pragma: no cover
-                pytest.fail("no second connection reached the client's worker")
+            # A second connection carries the charge.
+            busy = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
             replies = []
 
             def charge():
@@ -678,17 +574,17 @@ class TestServeDurability:
             in_flight = threading.Thread(target=charge)
             in_flight.start()
             # The delay fires inside the charge's transaction, so the charge
-            # is in it once the worker holds the ledger's write lock.
+            # is in it once the server holds the ledger's write lock.
             _wait_until(lambda: _write_locked(ledger_path), "the charge to start")
             proc.send_signal(signal.SIGTERM)
-            # stop_serving() shuts the idle connection's read side, so its
-            # handler reads EOF and closes it; the charge is still in flight.
+            # stop() shuts the idle connection's read side, so its handler
+            # reads EOF and closes it; the charge is still in flight.
             idle = client._local.connection.sock
             _wait_until(lambda: _readable(idle), "the idle connection to close")
             assert in_flight.is_alive()
-            # No listener is left once the other worker has stopped too, so
-            # the next call cannot be served on a fresh connection either.
-            _wait_until(lambda: _refused(port), "every worker to stop listening")
+            # No listener is left, so the next call cannot be served on a
+            # fresh connection either.
+            _wait_until(lambda: _refused(port), "the server to stop listening")
             # A repeat on the idle connection would be a cache hit, which
             # writes an audit row.
             with pytest.raises(OSError):
@@ -706,14 +602,10 @@ class TestServeDurability:
         with LedgerStore(ledger_path) as store:
             assert len(list(store.audit_rows("acme"))) == rows + 1
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-    def test_fleet_stopped_while_workers_start_exits_cleanly(self, ledger_path):
-        # SIGTERM straight after the banner: the workers are still importing
-        # and opening the ledger.  They must unwind (exit 0), not die of the
-        # signal's default action and fail the fleet.
-        proc = _spawn_serve(
-            "--port", "0", "--ledger", ledger_path, "--workers", "2"
-        )
+    def test_stopped_straight_after_the_banner_exits_cleanly(self, ledger_path):
+        # SIGTERM as soon as the banner is read: the stop must unwind the
+        # server (exit 0), not kill it by the signal's default action.
+        proc = _spawn_serve("--port", "0", "--ledger", ledger_path)
         try:
             self._port_of(proc)
             proc.send_signal(signal.SIGTERM)
@@ -723,6 +615,28 @@ class TestServeDurability:
                 proc.kill()
                 proc.wait(timeout=120)
 
+    def test_second_server_on_one_ledger_is_refused(self, ledger_path):
+        first = _spawn_serve("--port", "0", "--ledger", ledger_path)
+        try:
+            self._port_of(first)
+            second = _spawn_serve("--port", "0", "--ledger", ledger_path)
+            out, _ = second.communicate(timeout=120)
+            assert second.returncode == 2
+            assert "served by another process" in out
+            # The lock dies with its holder, SIGKILL included.
+            first.kill()
+            first.wait(timeout=120)
+            restarted = _spawn_serve("--port", "0", "--ledger", ledger_path)
+            try:
+                self._port_of(restarted)
+            finally:
+                restarted.send_signal(signal.SIGTERM)
+                assert restarted.wait(timeout=120) == 0
+        finally:
+            if first.poll() is None:  # pragma: no cover
+                first.kill()
+                first.wait(timeout=120)
+
     def test_shutdown_signal_is_not_swallowed_by_the_accept_loop(self):
         # socketserver reports and swallows any Exception raised while the
         # accept loop hands a connection to its thread; a shutdown request
@@ -731,7 +645,7 @@ class TestServeDurability:
         import threading
 
         from repro.service.http import ServiceHTTPServer
-        from repro.service.workers import _ShutdownRequested
+        from repro.cli import _ShutdownRequested
 
         def interrupted(request, client_address):
             raise _ShutdownRequested()
@@ -749,9 +663,3 @@ class TestServeDurability:
         finally:
             watchdog.cancel()
             server.stop()
-
-    def test_workers_without_ledger_is_refused(self, tmp_path):
-        proc = _spawn_serve("--port", "0", "--workers", "2")
-        out, _ = proc.communicate(timeout=120)
-        assert proc.returncode != 0
-        assert "requires --ledger" in out

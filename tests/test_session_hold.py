@@ -414,27 +414,25 @@ class TestServiceHolds:
 
 
 def test_evicted_durable_replica_takes_its_exact_answers_with_it(tmp_path):
-    """Close + re-create by a sibling worker: the stale replica's session —
+    """Close + re-create on a durable service: the closed session's replica —
     and with it every exact answer it held — is dropped, so the new records
     are what gets measured."""
-    path = str(tmp_path / "ledger.db")
-    a = MeasurementService(ledger_path=path)
-    b = MeasurementService(ledger_path=path)
+    service = MeasurementService(ledger_path=str(tmp_path / "ledger.db"))
     try:
-        a.create_session("acme", EDGES, seed=7)
-        old = b.measure("acme", "node-count", 50.0)  # b builds a replica and computes
-        assert b.stats()["exact"]["computed"] == 1
-        stale = b.session("acme").session
+        service.create_session("acme", EDGES, seed=7)
+        old = service.measure("acme", "node-count", 50.0)  # computes the answer
+        assert service.stats()["exact"]["computed"] == 1
+        stale = service.session("acme").session
 
-        a.close_session("acme")
-        a.create_session("acme", EDGES[:5], seed=7)
-        new = b.measure("acme", "node-count", 40.0)
-        assert b.session("acme").session is not stale
-        assert b.stats()["exact"]["computed"] == 1  # the new replica's own
+        service.close_session("acme")
+        assert service.stats()["exact"] == {"held": 0, "computed": 0, "reused": 0}
+        service.create_session("acme", EDGES[:5], seed=7)
+        new = service.measure("acme", "node-count", 40.0)
+        assert service.session("acme").session is not stale
+        assert service.stats()["exact"]["computed"] == 1  # the new replica's own
         # 41 nodes before, 6 now; Laplace(1/40) does not bridge that.
         ((_, before),) = old.result.items()
         ((_, after),) = new.result.items()
         assert after < before / 3
     finally:
-        a.shutdown()
-        b.shutdown()
+        service.shutdown()

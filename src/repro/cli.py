@@ -50,7 +50,6 @@ modes")::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -314,19 +313,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     cache at zero additional budget.
 
     ``--ledger FILE`` makes the service durable (budgets, sessions, audit
-    log, and released answers survive crashes and restarts); one process
-    serves one ledger file, and a second ``repro serve`` on a file another
-    one serves exits 2.  SIGINT and SIGTERM shut down gracefully: stop
+    log, and released answers survive crashes and restarts); the ledger
+    store holds its file, so a second ``repro serve`` on a file another
+    process serves exits 2.  SIGINT and SIGTERM shut down gracefully: stop
     accepting, finish the admitted requests, close the sqlite connection.
     """
     import signal
     import threading
 
+    from .exceptions import PersistenceError
     from .service import serve
-
-    if args.ledger and not _claim_ledger(args.ledger):
-        print(f"repro serve: {args.ledger} is served by another process", file=sys.stderr)
-        return 2
 
     def _handle(signum: int, frame: object) -> None:
         raise _ShutdownRequested()
@@ -342,19 +338,23 @@ def _run_serve(args: argparse.Namespace) -> int:
         signal.pthread_sigmask(signal.SIG_BLOCK, stops)
         for stop in stops:
             signal.signal(stop, _handle)
-    server = serve(
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        executor=args.executor,
-        verbose=args.verbose,
-        ledger=args.ledger,
-        rate_limit=args.rate,
-        rate_burst=args.burst,
-        max_total_pending=args.max_total_pending,
-        deadline_ms=args.deadline_ms,
-        breaker_threshold=args.breaker_threshold,
-    )
+    try:
+        server = serve(
+            host=args.host,
+            port=args.port,
+            max_pending=args.max_pending,
+            executor=args.executor,
+            verbose=args.verbose,
+            ledger=args.ledger,
+            rate_limit=args.rate,
+            rate_burst=args.burst,
+            max_total_pending=args.max_total_pending,
+            deadline_ms=args.deadline_ms,
+            breaker_threshold=args.breaker_threshold,
+        )
+    except PersistenceError:
+        print(f"repro serve: {args.ledger} is served by another process", file=sys.stderr)
+        return 2
     try:
         durable = f", ledger={args.ledger}" if args.ledger else ""
         # Flushed: a pipe is block-buffered, and the caller reads the port
@@ -375,26 +375,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         # before the process exits.
         server.stop_serving()
     return 0
-
-
-def _claim_ledger(path: str) -> bool:
-    """Take the lock that lets one ``repro serve`` process serve ``path``.
-
-    An exclusive ``flock`` on the sidecar file ``<path>.lock``, held until
-    the process exits (SIGKILL included).  Two servers on one file would
-    keep budgets exact, but a session closed and re-created in one would be
-    answered from the other's stale replica: the released answers it stores
-    for the old records are replayed to the new ones as cache hits.
-    """
-    import fcntl
-
-    descriptor = os.open(path + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        os.close(descriptor)
-        return False
-    return True  # the descriptor stays open, and locked, for the process's life
 
 
 def _run_chaos(args: argparse.Namespace) -> int:

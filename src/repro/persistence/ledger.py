@@ -3,7 +3,7 @@
 ``DurableLedger`` is a drop-in replacement for the in-memory ledger that a
 :class:`~repro.core.queryable.PrivacySession` charges against.  Its budgets
 live in the store's ``budgets`` table (:mod:`repro.persistence.wal`), which
-gives three guarantees on top of the base class:
+gives two guarantees on top of the base class:
 
 * **Durability** — a charge is the store's one write transaction, and it
   returns only once the debit is committed, so nothing is acknowledged that
@@ -12,14 +12,11 @@ gives three guarantees on top of the base class:
   store, so re-opening a ledger (or re-creating a hosted session after a
   restart) resumes from the exact committed pre-crash spend: no released ε is
   ever forgotten.
-* **Cross-process exactness** — the affordability check of a charge runs
-  inside that transaction against the table, so even two processes pointed
-  at one ledger file can never jointly overspend a budget; :meth:`spent`,
-  :meth:`remaining` and :meth:`report` read the table, so they include
-  every connection's charges.
 
-A source's in-memory :class:`~repro.core.budget.PrivacyBudget` keeps its
-total and this process's charge history.
+The affordability check of a charge runs inside that transaction against
+the table, and :meth:`spent`, :meth:`remaining` and :meth:`report` read the
+table.  A source's in-memory :class:`~repro.core.budget.PrivacyBudget`
+keeps its total and this process's charge history.
 """
 
 from __future__ import annotations
@@ -84,10 +81,9 @@ class DurableLedger(BudgetLedger):
     def charge(self, costs: dict[str, float], description: str = "") -> None:
         """Charge every source in the store's one transaction, or none.
 
-        The store checks affordability against the table, so a refusal is
-        exact even when another connection spent since this one last read
-        it; :class:`BudgetExceededError` then propagates with nothing
-        charged.  On success each budget records the charge in its history.
+        The store checks affordability against the table;
+        :class:`BudgetExceededError` then propagates with nothing charged.
+        On success each budget records the charge in its history.
         """
         validated = {name: validate_epsilon(cost) for name, cost in costs.items()}
         budgets = {name: self.budget_for(name) for name in validated}

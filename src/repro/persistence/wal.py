@@ -1,12 +1,13 @@
 """The durable store: a WAL-mode sqlite file behind the privacy ledger.
 
-One :class:`LedgerStore` owns one sqlite connection to the service's ledger
-file, and one service process serves a file.  Should several stores point at
-the same file anyway — in other threads, or in other processes — sqlite's WAL
-journal plus ``BEGIN IMMEDIATE`` write transactions give a single serialized
-writer, which is exactly the concurrency model the privacy ledger needs,
-since the affordability check and the debit of a charge must be atomic
-against every other connection's charges: spend stays exact.
+One :class:`LedgerStore` owns one ledger file.  It takes an exclusive
+``flock`` on the sidecar file ``<path>.lock`` before sqlite connects, and
+keeps it until :meth:`LedgerStore.close` (or the process's death, SIGKILL
+included, when the kernel drops it).  A second opener of a held file — in
+this process or another — is refused with
+:class:`~repro.exceptions.PersistenceError`, so the store is the database's
+only client and its one connection, serialized under one mutex, sees every
+write there is.
 
 Tables
 ------
@@ -37,9 +38,9 @@ registered gets a row at total ∞) and ``COMMIT`` — or ``ROLLBACK`` and raise
 noisy answer only after the commit returns, so a crash anywhere before it
 leaves a ledger that neither charged nor released anything.  Each
 ``spent`` is the sum of its committed charges added one IEEE addition at a
-time, in commit order.  ``fault_after_intent`` is a test hook invoked inside
-the transaction, before the affordability check, so crash-recovery tests can
-kill the process with the write lock held.
+time, in commit order.  The ``wal.intent_commit`` fault point sits inside
+the transaction, before the affordability check, so crash-recovery tests
+can kill the process with the write lock held.
 
 A file written by an older version kept the budgets as a log of charge
 transactions plus snapshots; it is folded into ``budgets`` once, on open.
@@ -47,13 +48,14 @@ transactions plus snapshots; it is folded into ``budgets`` once, on open.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import sqlite3
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from ..exceptions import BudgetExceededError, InvalidEpsilonError
+from ..exceptions import BudgetExceededError, InvalidEpsilonError, PersistenceError
 from ..resilience.faults import inject
 from ..sanitize import ordered_rlock
 
@@ -124,9 +126,10 @@ class LedgerStore:
     path:
         The sqlite file (created if missing).  ``":memory:"`` is rejected —
         an in-memory store would silently defeat the durability guarantee;
-        use the plain in-memory service instead.
+        use the plain in-memory service instead.  A file another open store
+        holds is refused with :class:`~repro.exceptions.PersistenceError`.
     timeout:
-        Seconds a write transaction waits for another connection's writer lock.
+        Seconds a statement waits for sqlite's write lock.
     """
 
     def __init__(self, path: str | os.PathLike, timeout: float = 30.0) -> None:
@@ -138,52 +141,42 @@ class LedgerStore:
                 "path for ephemeral serving)"
             )
         self.path = path
-        # Invoked inside a charge's transaction, before its check (tests).
-        self.fault_after_intent: Callable[[], None] | None = None
+        self._lock_fd = _hold(path)
         self._mutex = ordered_rlock("persistence.wal", 70, io_ok=True)
         self._closed = False
-        # One connection, shared across threads under ``_mutex``; explicit
-        # transaction control (isolation_level=None) because a charge needs
-        # precisely-placed BEGIN IMMEDIATE/COMMIT boundaries.
-        self._conn = sqlite3.connect(
-            path, timeout=timeout, isolation_level=None, check_same_thread=False
-        )
-        self._conn.row_factory = sqlite3.Row
-        self._enter_wal_mode(timeout)
-        # FULL makes a COMMIT an fsync barrier: a charge acknowledged to the
-        # caller is on disk even across power loss.
-        self._conn.execute("PRAGMA synchronous=FULL")
-        with self._mutex:
-            self._conn.executescript(_SCHEMA)
-            self._migrate()
+        try:
+            # One connection, shared across threads under ``_mutex``; explicit
+            # transaction control (isolation_level=None) because a charge
+            # needs precisely-placed BEGIN IMMEDIATE/COMMIT boundaries.
+            self._conn = sqlite3.connect(
+                path, timeout=timeout, isolation_level=None, check_same_thread=False
+            )
+        except BaseException:
+            os.close(self._lock_fd)
+            raise
+        try:
+            self._conn.row_factory = sqlite3.Row
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            # FULL makes a COMMIT an fsync barrier: a charge acknowledged to
+            # the caller is on disk even across power loss.
+            self._conn.execute("PRAGMA synchronous=FULL")
+            with self._mutex:
+                self._conn.executescript(_SCHEMA)
+                self._migrate()
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _enter_wal_mode(self, timeout: float) -> None:
-        """``PRAGMA journal_mode=WAL``, waiting out another connection's open.
-
-        Turning a new file into a WAL database takes an exclusive lock that
-        sqlite does not wait for (the connection's busy timeout does not
-        apply to it), so two stores opening one fresh ledger at the same
-        moment would have one of them fail with "database is locked".
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                return
-            except sqlite3.OperationalError as exc:
-                if "locked" not in str(exc) or time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.01)
-
     def close(self) -> None:
-        """Close the connection (idempotent)."""
+        """Close the connection and release the file (idempotent)."""
         with self._mutex:
             if not self._closed:
                 self._closed = True
                 self._conn.close()
+                os.close(self._lock_fd)
 
     def __enter__(self) -> "LedgerStore":
         return self
@@ -208,8 +201,8 @@ class LedgerStore:
 
         Returns ``(total, spent)`` from the durable state — ``spent`` is
         non-zero when the pair was already registered by a previous
-        incarnation (or another connection), which is exactly the crash-recovery
-        path: the in-memory budget adopts the recovered spend.  A conflicting
+        incarnation, which is exactly the crash-recovery path: the in-memory
+        budget adopts the recovered spend.  A conflicting
         ``total`` raises :class:`InvalidEpsilonError`, mirroring
         :meth:`repro.core.budget.BudgetLedger.register`.
         """
@@ -238,17 +231,15 @@ class LedgerStore:
 
         One write transaction, described in the module docstring.  A source
         never registered is charged against a total of ∞.  Returns the
-        per-source ``spent`` totals *after* the charge (which include spends
-        committed by other connections); raises :class:`BudgetExceededError`,
-        with nothing written, when any source cannot afford its cost.
+        per-source ``spent`` totals *after* the charge; raises
+        :class:`BudgetExceededError`, with nothing written, when any source
+        cannot afford its cost.
         ``description`` is for the caller's history; the audit log is its
         durable record.
         """
         with self._mutex:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                if self.fault_after_intent is not None:
-                    self.fault_after_intent()
                 inject("wal.intent_commit")
                 current = self._budgets(scope)
                 spent_after: dict[str, float] = {}
@@ -354,11 +345,7 @@ class LedgerStore:
     # Hosted sessions
     # ------------------------------------------------------------------
     def put_session(self, name: str, payload: dict[str, Any]) -> None:
-        """Persist a hosted session's definition (records, ε total, seed...).
-
-        A plain INSERT, so two stores racing to create the same session name
-        collide here (sqlite3.IntegrityError) and exactly one wins.
-        """
+        """Persist a hosted session's definition (records, ε total, seed...)."""
         with self._mutex:
             self._conn.execute(
                 "INSERT INTO sessions (name, created_at, payload) VALUES (?, ?, ?)",
@@ -369,13 +356,13 @@ class LedgerStore:
         """Durably allocate the next incarnation number for ``scope`` (≥ 1).
 
         Every re-materialisation of a persisted session — after a restart, or
-        by another store on the same file — gets a distinct number, from which the
-        registry derives a distinct Laplace noise stream.  Restoring the raw
-        seed instead would reset the creator's stream to its initial state
-        and re-draw noise values already released for earlier measurements —
-        two releases sharing a noise draw can be differenced to cancel the
-        noise exactly, breaking the ε-DP guarantee the durable ledger exists
-        to preserve.
+        by another registry over this store — gets a distinct number, from
+        which the registry derives a distinct Laplace noise stream.
+        Restoring the raw seed instead would reset the creator's stream to
+        its initial state and re-draw noise values already released for
+        earlier measurements — two releases sharing a noise draw can be
+        differenced to cancel the noise exactly, breaking the ε-DP guarantee
+        the durable ledger exists to preserve.
         """
         with self._mutex:
             self._conn.execute("BEGIN IMMEDIATE")
@@ -434,9 +421,6 @@ class LedgerStore:
     # ------------------------------------------------------------------
     def _migrate(self) -> None:
         """Bring a ledger file written by an older version to this schema.
-
-        Checked under the write lock, so of two stores opening one such file
-        at once the first to take the lock migrates it.
 
         The budget log (``wal`` plus its newest ``snapshots`` row) is folded
         into ``budgets`` and dropped.  Old files hold spent ε, so they must
@@ -497,3 +481,17 @@ class LedgerStore:
             self._conn.execute("ROLLBACK")
         except sqlite3.OperationalError:  # pragma: no cover - no txn active
             pass
+
+
+def _hold(path: str) -> int:
+    """Take the exclusive ``flock`` on ``<path>.lock``, or refuse the file.
+
+    Returns the descriptor that holds the lock; closing it releases the lock.
+    """
+    descriptor = os.open(path + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(descriptor)
+        raise PersistenceError(f"ledger {path} is held by another open store") from None
+    return descriptor

@@ -26,10 +26,12 @@ Two modes:
   segment *by construction*).
 * **subprocess kill-cycles** (``kill_cycles=True``): one ``repro serve
   --ledger`` process is spawned with a randomized ``REPRO_FAULTS`` schedule
-  that may include ``kill`` actions inside the ledger's charge transaction;
-  the harness measures over HTTP, SIGKILLs the server between cycles,
-  restarts it on the same ledger, and verifies the same invariants at the
-  end.
+  that may include a ``kill`` inside the ledger's charge transaction;
+  the harness measures over HTTP, every op at a fresh ε so that it reaches
+  the charge, SIGKILLs the server between cycles, restarts it on the same
+  ledger, and verifies the same invariants at the end.  A scheduled kill
+  that never fired is a violation too: a cycle that did not crash proves
+  nothing about recovery.
 
 Shell entry point: ``python -m repro chaos --seed 1234 --steps 50``
 (non-zero exit status when any invariant is violated).
@@ -44,6 +46,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -131,6 +134,8 @@ class ChaosReport:
     refused: int = 0
     cached_hits: int = 0
     restarts: int = 0
+    kills_scheduled: int = 0
+    kills_fired: int = 0
     violations: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -150,6 +155,10 @@ class ChaosReport:
             f"refused={self.refused} cached={self.cached_hits} "
             f"restarts={self.restarts}"
         ]
+        if self.kills_scheduled:
+            lines.append(
+                f"  kills: scheduled={self.kills_scheduled} fired={self.kills_fired}"
+            )
         lines.extend(f"  note: {note}" for note in self.notes)
         if self.violations:
             lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
@@ -421,6 +430,32 @@ def _run_inprocess(
 # ----------------------------------------------------------------------
 # Subprocess kill-cycle mode
 # ----------------------------------------------------------------------
+def _read_banner(proc: subprocess.Popen, timeout: float) -> str:
+    """The ``repro serve`` banner line of ``proc``'s stdout, read against a deadline.
+
+    Lines ahead of it (runtime warnings) are skipped.  Raises
+    :class:`RuntimeError` when the server exits first or prints no banner
+    within ``timeout`` seconds; the caller then stops the server, which ends
+    the reader thread.
+    """
+    found: list[str] = []
+
+    def scan() -> None:
+        for line in iter(proc.stdout.readline, ""):
+            if "listening on" in line:
+                found.append(line)
+                return
+
+    reader = threading.Thread(target=scan, name="repro-banner", daemon=True)
+    reader.start()
+    reader.join(timeout)
+    if found:
+        return found[0]
+    if reader.is_alive():
+        raise RuntimeError(f"repro serve printed no banner within {timeout:g}s")
+    raise RuntimeError(f"repro serve exited ({proc.poll()}) before printing its banner")
+
+
 def _spawn_serve(ledger: str, faults: str | None) -> tuple[subprocess.Popen, str]:
     """Start ``repro serve`` in its own process group; returns (proc, url)."""
     env = dict(os.environ)
@@ -437,26 +472,18 @@ def _spawn_serve(ledger: str, faults: str | None) -> tuple[subprocess.Popen, str
     else:
         env.pop(ENV_VAR, None)
     proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--port",
-            "0",
-            "--ledger",
-            ledger,
-        ],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--ledger", ledger],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
         env=env,
         start_new_session=True,
     )
-    assert proc.stdout is not None
-    line = proc.stdout.readline()
-    if "http://" not in line:
-        raise RuntimeError(f"repro serve failed to start: {line!r}")
+    try:
+        line = _read_banner(proc, _LIVENESS_TIMEOUT)
+    except RuntimeError:
+        _kill_group(proc)
+        raise
     url = "http://" + line.split("http://", 1)[1].split()[0].rstrip("/),")
     return proc, url
 
@@ -473,23 +500,26 @@ def _kill_group(proc: subprocess.Popen) -> None:
         pass
 
 
-def _subprocess_faults(rng: random.Random, cycle_seed: int) -> str:
-    """A randomized ``REPRO_FAULTS`` value for one serve incarnation.
+def _subprocess_faults(rng: random.Random, cycle_seed: int, ops: int) -> FaultPlan:
+    """A randomized fault schedule for one serve incarnation of ``ops`` ops.
 
     May include a ``kill`` inside the ledger's charge transaction — the
     sharpest crash-consistency probe there is — plus transient ledger
-    failures and a dropped HTTP response (charge committed, ack lost)."""
+    failures and a dropped HTTP response (charge committed, ack lost).
+    Every op is charged and passes both charge points (a ``fail`` fires at
+    most every other hit, so the scheduler's retry gets through), so a kill
+    by the ``ops``-th hit fires.  A plan holds one rule per point: the
+    ``fail`` takes the point the kill left.
+    """
     rules = []
-    if rng.random() < 0.5:
-        point = rng.choice(["wal.intent_commit", "wal.pre_commit"])
-        rules.append(
-            FaultRule(point, "kill", after=rng.randint(4, 10), every=1, limit=1)
-        )
+    points = ["wal.intent_commit", "wal.pre_commit"]
+    rng.shuffle(points)
+    if ops >= 1 and rng.random() < 0.5:
+        rules.append(FaultRule(points.pop(), "kill", after=rng.randint(1, ops), limit=1))
     if rng.random() < 0.6:
-        point = rng.choice(["wal.intent_commit", "wal.pre_commit"])
         rules.append(
             FaultRule(
-                point, "fail", after=rng.randint(1, 3), every=rng.randint(2, 4),
+                points.pop(), "fail", after=rng.randint(1, 3), every=rng.randint(2, 4),
                 limit=rng.randint(1, 3),
             )
         )
@@ -500,7 +530,7 @@ def _subprocess_faults(rng: random.Random, cycle_seed: int) -> str:
                 every=rng.randint(3, 5), limit=rng.randint(1, 2),
             )
         )
-    return FaultPlan(seed=cycle_seed, rules=rules).to_env()
+    return FaultPlan(seed=cycle_seed, rules=rules)
 
 
 def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
@@ -532,9 +562,17 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
     try:
         edges = [list(edge) for edge in _chaos_edges()]
         done = 0
-        for cycle in range(cycles):
-            faults = _subprocess_faults(rng, cycle_seed=seed * 7919 + cycle)
-            proc, url = _spawn_serve(ledger, faults)
+        cycle = 0
+        # A cycle cut short by its kill leaves its ops to the next one, so the
+        # run restarts until every op is done.
+        while done < steps:
+            budget = min(steps, (cycle + 1) * per_cycle) - done
+            plan = _subprocess_faults(rng, seed * 7919 + cycle, budget)
+            kill = next(
+                (rule for rule in plan.rules.values() if rule.action == "kill"), None
+            )
+            report.kills_scheduled += kill is not None
+            proc, url = _spawn_serve(ledger, plan.to_env())
             if cycle > 0:
                 report.restarts += 1
             client = ServiceClient(url, timeout=_LIVENESS_TIMEOUT)
@@ -556,9 +594,10 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
             server_alive = True
             while server_alive and done < min(steps, (cycle + 1) * per_cycle):
                 query = rng.choice(_QUERIES)
-                epsilon = rng.choice(_EPSILONS)
                 report.ops += 1
                 done += 1
+                # Fresh for the whole run: the op is charged, not replayed.
+                epsilon = done / 1000
                 start = time.monotonic()
                 while True:
                     try:
@@ -616,8 +655,17 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
                         file=sys.stderr,
                     )
             client.close()
+            if kill is not None:
+                if proc.poll() == -signal.SIGKILL:
+                    report.kills_fired += 1
+                else:
+                    report.violations.append(
+                        f"kill: cycle {cycle}'s {kill.spec()} never fired in "
+                        f"{budget} ops"
+                    )
             _kill_group(proc)
             proc = None
+            cycle += 1
 
         # Final incarnation, faults off: replay + accounting verification.
         proc, url = _spawn_serve(ledger, faults=None)

@@ -28,7 +28,7 @@ With a durable ledger (``repro serve --ledger FILE``) the service is
 restart-safe: budgets, sessions, audit events, and released answers are
 committed to sqlite before they are acknowledged and recovered exactly on
 the next boot — see README "Durability & operations".  One process serves
-one ledger file (``repro serve`` locks it); it scales by threads, one per
+one ledger file (its store locks it); it scales by threads, one per
 connection.
 """
 

@@ -44,13 +44,9 @@ class MeasurementService:
         a :class:`~repro.persistence.ledger.DurableLedger` over the store's
         budgets table,
         sessions / audit events / released answers persist, and everything
-        recorded before a crash is recovered on the next open.  One service
-        serves a file (``repro serve --ledger`` refuses a file another
-        server holds).  A second service on it still charges exactly, but
-        keeps its own session replicas: after one closes a session and
-        re-creates it over other records, the other goes on measuring the
-        old records and stores those answers, which the new session then
-        replays as cache hits.
+        recorded before a crash is recovered on the next open.  The service
+        holds the file until :meth:`shutdown`: a second opener is refused
+        with :class:`~repro.exceptions.PersistenceError`.
     rate_limit / rate_burst:
         Per-tenant token-bucket admission: sustained requests/second and
         burst capacity per session (None disables rate limiting).
@@ -78,11 +74,6 @@ class MeasurementService:
         breaker_threshold: int | None = None,
         breaker_reset: float = 5.0,
     ) -> None:
-        self.store = None
-        if ledger_path is not None:
-            from ..persistence.wal import LedgerStore
-
-            self.store = LedgerStore(ledger_path)
         rate_limiter = None
         if rate_limit is not None:
             from ..persistence.ratelimit import RateLimiter
@@ -95,24 +86,30 @@ class MeasurementService:
             shedder = LoadShedder(max_total_pending)
         self._rate_limiter = rate_limiter
         self.cache = AnswerCache()
-        self.registry = SessionRegistry(store=self.store)
-        self.scheduler = BatchingScheduler(
-            self.registry,
-            cache=self.cache,
-            max_pending=max_pending,
-            store=self.store,
-            rate_limiter=rate_limiter,
-            shedder=shedder,
-            breaker_threshold=breaker_threshold,
-            breaker_reset=breaker_reset,
-        )
+        self.store = None
+        if ledger_path is not None:
+            from ..persistence.wal import LedgerStore
+
+            self.store = LedgerStore(ledger_path)
+        try:
+            self.registry = SessionRegistry(store=self.store)
+            self.scheduler = BatchingScheduler(
+                self.registry,
+                cache=self.cache,
+                max_pending=max_pending,
+                store=self.store,
+                rate_limiter=rate_limiter,
+                shedder=shedder,
+                breaker_threshold=breaker_threshold,
+                breaker_reset=breaker_reset,
+            )
+        except BaseException:
+            # A service that was never built must not keep its file held.
+            if self.store is not None:
+                self.store.close()
+            raise
         self._default_executor = default_executor
         self.deadline_ms = deadline_ms
-        if self.store is not None:
-            # Warm boot: re-materialise every persisted session, each one's
-            # durable ledger recovering its committed spend.  Released
-            # answers stay on disk until a replay asks for one.
-            self.registry.load_persisted()
 
     # ------------------------------------------------------------------
     # Tenant/session management

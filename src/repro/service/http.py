@@ -558,21 +558,27 @@ def serve(
     ``deadline_ms`` applies a default end-to-end deadline to measurements
     arriving without an ``X-Repro-Deadline-Ms`` header, and
     ``breaker_threshold``/``breaker_reset`` tune the durable-ledger circuit
-    breaker.
+    breaker.  A ledger another store holds is refused with
+    :class:`~repro.exceptions.PersistenceError`.
     """
-    if service is None:
-        service = MeasurementService(
-            max_pending=max_pending,
-            default_executor=executor,
-            ledger_path=ledger,
-            rate_limit=rate_limit,
-            rate_burst=rate_burst,
-            max_total_pending=max_total_pending,
-            deadline_ms=deadline_ms,
-            breaker_threshold=breaker_threshold,
-            breaker_reset=breaker_reset,
-        )
-    return ServiceHTTPServer((host, port), service, verbose=verbose)
+    if service is not None:
+        return ServiceHTTPServer((host, port), service, verbose=verbose)
+    service = MeasurementService(
+        max_pending=max_pending,
+        default_executor=executor,
+        ledger_path=ledger,
+        rate_limit=rate_limit,
+        rate_burst=rate_burst,
+        max_total_pending=max_total_pending,
+        deadline_ms=deadline_ms,
+        breaker_threshold=breaker_threshold,
+        breaker_reset=breaker_reset,
+    )
+    try:
+        return ServiceHTTPServer((host, port), service, verbose=verbose)
+    except BaseException:
+        service.shutdown()  # releases the ledger file when the port is taken
+        raise
 
 
 def _readable(sock: socket.socket) -> bool:

@@ -6,8 +6,8 @@ them while the ledger enforces sequential composition (Sections 2.1–2.3).
 This module is the hosting side of that picture:
 
 * a :class:`HostedSession` wraps one :class:`~repro.core.queryable
-  .PrivacySession` (one tenant / protected dataset), the queries it exposes by
-  name, and a per-session lock guarding the hosted-query table;
+  .PrivacySession` (one tenant / protected dataset) and the queries it
+  exposes by name;
 * a :class:`SessionRegistry` maps tenant-chosen names to hosted sessions and
   keeps an audit log of every privacy-relevant event (session
   creation, measurements with their per-source charges, cache hits, refusals).
@@ -18,7 +18,7 @@ crosses the service boundary — and because each named query is built exactly
 once, its plan object is a stable identity for the answer-reuse cache.
 
 It is also why a hosted query's exact answer is computed once:
-:meth:`HostedSession.register_query` puts every hosted plan under
+:class:`HostedSession` puts every hosted plan under
 :meth:`PrivacySession.hold <repro.core.queryable.PrivacySession.hold>`, so the
 first measurement of a query evaluates its plan and every later one — at
 whatever ε, on whatever executor the session was created with — costs a
@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
-import threading
 import time
 import uuid
 from collections import deque
@@ -42,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 from ..core.dataset import WeightedDataset
 from ..core.queryable import PrivacySession, Queryable
 from ..exceptions import ServiceError, SessionExistsError
-from ..sanitize import ordered_rlock
+from ..sanitize import ordered_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..persistence.wal import LedgerStore
@@ -104,65 +102,50 @@ class AuditEvent:
 class HostedSession:
     """One tenant's privacy session plus its named, measurable queries.
 
-    The hosted-query table is guarded by a per-session lock; the measurement
-    pipeline itself is serialised by the session's own
+    The hosted-query table is built here, before the registry publishes the
+    session, and never written again, so reading it takes no lock; the
+    measurement pipeline itself is serialised by the session's own
     :attr:`~repro.core.queryable.PrivacySession.measure_lock`.
     """
 
-    def __init__(self, name: str, session: PrivacySession, source: str) -> None:
+    def __init__(
+        self,
+        name: str,
+        session: PrivacySession,
+        source: str,
+        queries: Mapping[str, Queryable],
+    ) -> None:
         self.name = name
         self.session = session
         self.source = source
         self.created_at = time.time()
-        self._lock = ordered_rlock("service.session", 14)
-        self._queries: dict[str, Queryable] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def lock(self) -> threading.RLock:
-        """The lock guarding this session's hosted-query table."""
-        return self._lock
-
-    def register_query(self, name: str, queryable: Queryable) -> None:
-        """Expose ``queryable`` to clients under ``name``.
-
-        The session holds the query's plan from here on: its exact answer is
-        computed by the first measurement that asks for it (never here) and
-        reused by all the others.
-        """
-        if queryable.session is not self.session:
-            raise ServiceError(
-                f"query {name!r} belongs to a different privacy session"
-            )
-        with self._lock:
-            if name in self._queries:
-                raise ServiceError(
-                    f"session {self.name!r} already hosts a query named {name!r}"
-                )
-            self._queries[name] = self.session.hold(queryable)
+        # The session holds every hosted plan: its exact answer is computed
+        # by the first measurement that asks for it (never here) and reused
+        # by all the others.
+        self._queries = {
+            query: session.hold(queryable) for query, queryable in queries.items()
+        }
 
     def queryable(self, name: str) -> Queryable:
         """The hosted query registered under ``name``."""
-        with self._lock:
-            try:
-                return self._queries[name]
-            except KeyError as exc:
-                raise ServiceError(
-                    f"session {self.name!r} hosts no query named {name!r}; "
-                    f"available: {sorted(self._queries)}"
-                ) from exc
+        try:
+            return self._queries[name]
+        except KeyError as exc:
+            raise ServiceError(
+                f"session {self.name!r} hosts no query named {name!r}; "
+                f"available: {sorted(self._queries)}"
+            ) from exc
 
     def query_names(self) -> list[str]:
         """The names of every hosted query."""
-        with self._lock:
-            return sorted(self._queries)
+        return sorted(self._queries)
 
     def computed_queries(self) -> list[str]:
         """The hosted queries whose exact answer has been computed (names only)."""
-        with self._lock:
-            queries = sorted(self._queries.items())
         return [
-            name for name, queryable in queries if self.session.holds_exact(queryable)
+            name
+            for name, queryable in sorted(self._queries.items())
+            if self.session.holds_exact(queryable)
         ]
 
     def budget_report(self) -> dict[str, dict[str, float]]:
@@ -184,31 +167,30 @@ class HostedSession:
 class SessionRegistry:
     """Thread-safe mapping of tenant names to hosted sessions, with auditing.
 
-    All mutating operations (create/close) and the audit log are guarded by
-    one registry lock; per-session state is guarded by the session's own
+    One registry lock guards the session table, the names reserved by
+    in-flight creates and closes, and the in-memory audit log — dictionary
+    and deque operations only: no session is built and no storage is
+    touched under it.  Per-session state is guarded by the session's own
     locks, so measurements against different sessions never contend here.
 
     With a durable ``store`` (:class:`~repro.persistence.wal.LedgerStore`)
-    the registry becomes restart-safe: sessions charge through a
+    the registry is restart-safe: sessions charge through a
     :class:`~repro.persistence.ledger.DurableLedger` scoped to their name,
-    session definitions and the audit log are persisted, and a session
-    created by a previous incarnation is re-materialised on demand with its
-    committed ε spend intact.  One process serves a ledger file: the
-    in-memory table is not re-checked against the store once a session is
-    in it, so a second process on the same file still charges exactly but
-    never sees this one's closes: its replica of a closed session goes on
-    measuring the old records, and a re-created session replays the
-    answers it stores as cache hits (``repro serve --ledger`` refuses a
-    file another server holds).
+    session definitions and the audit log are persisted, and every session a
+    previous incarnation persisted is re-materialised when the registry is
+    built, with its committed ε spend intact.  From then on the in-memory
+    table is the truth: the store holds its file exclusively, so no other
+    opener can add or drop a session behind it.
     """
 
     def __init__(self, store: "LedgerStore | None" = None) -> None:
-        self._lock = ordered_rlock("service.registry", 10, io_ok=True)
+        self._lock = ordered_lock("service.registry", 10)
         self._store = store
         self._sessions: dict[str, HostedSession] = {}
-        # Names being built by an in-flight create(): reserved up front so a
-        # racing duplicate create fails fast instead of building a whole
-        # session (dataset protection + nine query plans) only to discard it.
+        # Names being built by an in-flight create() or dropped from the
+        # store by an in-flight close(): reserved up front so a racing
+        # duplicate create fails fast instead of building a whole session
+        # (dataset protection + nine query plans) only to discard it.
         self._reserved: set[str] = set()
         # The in-memory audit log, one row per event in the durable store's
         # form — (timestamp, session, action, detail as JSON, worker) — and
@@ -222,11 +204,13 @@ class SessionRegistry:
             maxlen=AUDIT_LOG_LIMIT
         )
         self._audit_count = 0
-
-    @property
-    def store(self) -> "LedgerStore | None":
-        """The durable store backing this registry (None when in-memory)."""
-        return self._store
+        if store is not None:
+            # Warm boot: re-materialise every persisted session, each one's
+            # durable ledger recovering its committed spend.  Released
+            # answers stay on disk until a replay asks for one.
+            for name in store.session_names():
+                payload = store.get_session(name)
+                self._sessions[name] = self._materialize(name, payload)
 
     # ------------------------------------------------------------------
     def create(
@@ -259,22 +243,21 @@ class SessionRegistry:
         with self._lock:
             if name in self._sessions or name in self._reserved:
                 raise SessionExistsError(f"a session named {name!r} already exists")
-            if self._store is not None and self._store.get_session(name) is not None:
-                raise SessionExistsError(
-                    f"a session named {name!r} already exists (persisted)"
-                )
             self._reserved.add(name)
         try:
             session = PrivacySession(
                 seed=seed, executor=executor, ledger=self._durable_ledger(name)
             )
             protected = session.protect(source, records, total_epsilon=total_epsilon)
-            hosted = HostedSession(name, session, source)
             builders = (
                 dict(queries) if queries is not None else default_query_builders()
             )
-            for query_name, builder in builders.items():
-                hosted.register_query(query_name, builder(protected))
+            hosted = HostedSession(
+                name,
+                session,
+                source,
+                {query: builder(protected) for query, builder in builders.items()},
+            )
             self._wire_degrade(name, session)
             self._persist(hosted, total_epsilon, seed, executor, queries)
         except BaseException:
@@ -295,44 +278,17 @@ class SessionRegistry:
         return hosted
 
     def get(self, name: str) -> HostedSession:
-        """The hosted session registered under ``name``.
-
-        With a durable store a miss falls back to the persisted session
-        definitions: a session created before a restart is re-materialised
-        on first use, with its committed ε spend recovered by the durable
-        ledger.  A hit touches no storage.
-        """
+        """The hosted session registered under ``name``."""
         with self._lock:
             hosted = self._sessions.get(name)
-            if hosted is not None:
-                return hosted
-            if self._store is not None:
-                payload = self._store.get_session(name)
-                if payload is not None:
-                    return self._materialize_locked(name, payload)
+        if hosted is None:
             raise ServiceError(f"no session named {name!r}")
+        return hosted
 
     def names(self) -> list[str]:
-        """Every hosted session name (in memory or persisted)."""
+        """Every hosted session name."""
         with self._lock:
-            names = set(self._sessions)
-        if self._store is not None:
-            names.update(self._store.session_names())
-        return sorted(names)
-
-    def load_persisted(self) -> list[str]:
-        """Materialise every persisted session (warm boot after a restart)."""
-        if self._store is None:
-            return []
-        restored = []
-        for name in self._store.session_names():
-            with self._lock:
-                if name not in self._sessions:
-                    payload = self._store.get_session(name)
-                    if payload is not None:
-                        self._materialize_locked(name, payload)
-                        restored.append(name)
-        return restored
+            return sorted(self._sessions)
 
     def close(self, name: str) -> None:
         """Drop a hosted session (its in-memory datasets are released).
@@ -341,18 +297,20 @@ class SessionRegistry:
         are deleted, but the scope's *budget records are kept*: spent ε is a
         property of the underlying protected data, so re-creating a session
         under the same name resumes its committed spend instead of silently
-        resetting the privacy guarantee.
+        resetting the privacy guarantee.  The name stays reserved until the
+        store has forgotten the old definition.
         """
         with self._lock:
-            known = name in self._sessions
-            if self._store is not None and not known:
-                known = self._store.get_session(name) is not None
-            if not known:
+            if self._sessions.pop(name, None) is None:
                 raise ServiceError(f"no session named {name!r}")
-            self._sessions.pop(name, None)
-        if self._store is not None:
-            self._store.drop_session(name)
-            self._store.drop_releases(name)
+            self._reserved.add(name)
+        try:
+            if self._store is not None:
+                self._store.drop_session(name)
+                self._store.drop_releases(name)
+        finally:
+            with self._lock:
+                self._reserved.discard(name)
         self.record(name, "close-session")
 
     def exact_stats(self) -> dict[str, int]:
@@ -418,13 +376,7 @@ class SessionRegistry:
             # name (a close and re-create over other records).
             "generation": uuid.uuid4().hex,
         }
-        try:
-            self._store.put_session(hosted.name, payload)
-        except sqlite3.IntegrityError as exc:
-            raise SessionExistsError(
-                f"a session named {hosted.name!r} already exists (created "
-                f"concurrently by another process on this ledger)"
-            ) from exc
+        self._store.put_session(hosted.name, payload)
 
     def _wire_degrade(self, name: str, session: PrivacySession) -> None:
         """Route the executor's degraded-mode notifications into the audit log.
@@ -442,8 +394,8 @@ class SessionRegistry:
 
         executor.on_degrade = record_degrade
 
-    def _materialize_locked(self, name: str, payload: dict[str, Any]) -> HostedSession:
-        """Rebuild a persisted session (registry lock held).
+    def _materialize(self, name: str, payload: dict[str, Any]) -> HostedSession:
+        """Rebuild a persisted session (while the registry is being built).
 
         The durable ledger recovers the scope's committed spend during
         ``protect``; the restored session serves the default named queries
@@ -482,11 +434,14 @@ class SessionRegistry:
         protected = session.protect(
             source, records, total_epsilon=float(payload.get("total_epsilon", float("inf")))
         )
-        hosted = HostedSession(name, session, source)
-        for query_name, builder in default_query_builders().items():
-            hosted.register_query(query_name, builder(protected))
+        builders = default_query_builders()
+        hosted = HostedSession(
+            name,
+            session,
+            source,
+            {query: builder(protected) for query, builder in builders.items()},
+        )
         self._wire_degrade(name, session)
-        self._sessions[name] = hosted
         self.record(name, "restore-session", source=source)
         return hosted
 

@@ -71,18 +71,11 @@ MUTATIONS: tuple[Mutation, ...] = (
         "            stats = {\n",
     ),
     Mutation(
-        "measure-lock-below-session",
+        "measure-lock-below-combine",
         "lock-order",
         "src/repro/core/queryable.py",
         'ordered_rlock("core.measure", 40, io_ok=True)',
-        'ordered_rlock("core.measure", 12, io_ok=True)',
-    ),
-    Mutation(
-        "session-lock-below-registry",
-        "lock-order",
-        "src/repro/service/registry.py",
-        'ordered_rlock("service.session", 14)',
-        'ordered_rlock("service.session", 9)',
+        'ordered_rlock("core.measure", 8, io_ok=True)',
     ),
     Mutation(
         "combine-lock-above-registry",
@@ -140,11 +133,18 @@ MUTATIONS: tuple[Mutation, ...] = (
         'ordered_lock("shard.pool.shutdown", 30)',
     ),
     Mutation(
-        "registry-lock-not-io-ok",
+        "registry-miss-reads-store-under-lock",
         "blocking-under-lock",
         "src/repro/service/registry.py",
-        'ordered_rlock("service.registry", 10, io_ok=True)',
-        'ordered_rlock("service.registry", 10)',
+        "        with self._lock:\n"
+        "            hosted = self._sessions.get(name)\n",
+        "        with self._lock:\n"
+        "            hosted = self._sessions.get(name)\n"
+        "            if hosted is None and self._store is not None:\n"
+        "                payload = self._store.get_session(name)\n"
+        "                if payload is not None:\n"
+        "                    hosted = self._materialize(name, payload)\n"
+        "                    self._sessions[name] = hosted\n",
     ),
     Mutation(
         "combine-lock-not-io-ok",
@@ -225,15 +225,6 @@ MUTATIONS: tuple[Mutation, ...] = (
         "        if True:\n"
         "            existing = self._budgets.get(name)\n",
     ),
-    Mutation(
-        "hosted-query-registration-without-lock",
-        "dropped-budget-lock",
-        "src/repro/service/registry.py",
-        "        with self._lock:\n"
-        "            if name in self._queries:\n",
-        "        if True:\n"
-        "            if name in self._queries:\n",
-    ),
     # ------------------------------------------------------------------
     # check-then-act: affordability decided outside the charge's critical section
     # ------------------------------------------------------------------
@@ -295,28 +286,9 @@ MUTATIONS: tuple[Mutation, ...] = (
         "src/repro/persistence/wal.py",
         'self._conn.execute("BEGIN IMMEDIATE")\n'
         "            try:\n"
-        "                if self.fault_after_intent is not None:\n",
+        '                inject("wal.intent_commit")\n',
         'self._conn.execute("BEGIN")\n'
         "            try:\n"
-        "                if self.fault_after_intent is not None:\n",
-    ),
-    Mutation(
-        "store-reads-spend-before-transaction",
-        "check-then-act",
-        "src/repro/persistence/wal.py",
-        "        with self._mutex:\n"
-        '            self._conn.execute("BEGIN IMMEDIATE")\n'
-        "            try:\n"
-        "                if self.fault_after_intent is not None:\n"
-        "                    self.fault_after_intent()\n"
-        '                inject("wal.intent_commit")\n'
-        "                current = self._budgets(scope)\n",
-        "        with self._mutex:\n"
-        "            current = self._budgets(scope)\n"
-        '            self._conn.execute("BEGIN IMMEDIATE")\n'
-        "            try:\n"
-        "                if self.fault_after_intent is not None:\n"
-        "                    self.fault_after_intent()\n"
         '                inject("wal.intent_commit")\n',
     ),
     # ------------------------------------------------------------------

@@ -90,3 +90,30 @@ class TestSubprocessChaos:
         report.raise_if_violated()
         assert report.ops == 16
         assert report.mode == "subprocess[kill-cycles]"
+        # Every op is a fresh ε, so each one is charged, not replayed.
+        assert report.cached_hits == 0
+        assert report.kills_fired == report.kills_scheduled
+
+    def test_a_server_without_a_banner_fails_instead_of_hanging(self):
+        import subprocess
+        import sys
+
+        from repro.resilience.chaos import _read_banner
+
+        silent = subprocess.Popen(
+            [sys.executable, "-c", "import time; print('warming up', flush=True); time.sleep(60)"],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            with pytest.raises(RuntimeError, match="no banner within 0.5s"):
+                _read_banner(silent, timeout=0.5)
+        finally:
+            silent.kill()
+            silent.wait(timeout=30)
+        exited = subprocess.Popen(
+            [sys.executable, "-c", "pass"], stdout=subprocess.PIPE, text=True
+        )
+        with pytest.raises(RuntimeError, match="exited"):
+            _read_banner(exited, timeout=60.0)
+        exited.wait(timeout=30)

@@ -43,28 +43,30 @@ def test_sigkill_between_intent_and_commit_drops_the_charge(tmp_path):
     """A charge whose transaction never committed is not recovered.
 
     The child durably commits one charge of 0.3, then starts a second charge
-    of 0.4 with ``fault_after_intent`` set to SIGKILL itself — the process
-    dies inside the charge's transaction, holding the write lock.  Recovery
-    must read spent == 0.3 exactly: the 0.4 was never acknowledged, so no
-    answer for it was ever released.
+    of 0.4 under a ``wal.intent_commit`` kill fault — the process dies
+    inside the charge's transaction, holding the write lock.  Recovery must
+    read spent == 0.3 exactly: the 0.4 was never acknowledged, so no answer
+    for it was ever released.
     """
     path = tmp_path / "ledger.db"
     child = _run_child(
         """
-        import os, signal, sys
+        import sys
         from repro.persistence import LedgerStore
+        from repro.resilience.faults import activate, parse_plan
 
         store = LedgerStore(sys.argv[1])
         store.register("acme", "edges", 2.0)
         store.charge("acme", {"edges": 0.3}, "committed")
-        store.fault_after_intent = lambda: os.kill(os.getpid(), signal.SIGKILL)
+        activate(parse_plan("wal.intent_commit:kill"))
         store.charge("acme", {"edges": 0.4}, "never committed")
-        raise SystemExit("unreachable: the fault hook killed the process")
+        raise SystemExit("unreachable: the kill fault ended the process")
         """,
         str(path),
     )
     assert child.returncode == -signal.SIGKILL, child.stderr
 
+    # The kernel released the dead child's hold on the file: it reopens.
     with LedgerStore(path) as store:
         assert store.spent("acme") == {"edges": 0.3}
     # A second recovery reads the same spend...

@@ -1,9 +1,9 @@
 """Unit and property tests for the durable sqlite-backed privacy ledger.
 
-Covers the store primitives (register / charge / refusal), the
-cross-connection visibility that makes multi-process serving sound, the
-thread-storm no-overspend guarantee, the one-time migration of a ledger file
-written in the older log format, and a hypothesis property proving that the
+Covers the store primitives (register / charge / refusal), the file lock
+that makes one store the ledger file's only client, the thread-storm
+no-overspend guarantee, the one-time migration of a ledger file written in
+the older log format, and a hypothesis property proving that the
 ``budgets`` table is exactly a plain-Python model and an in-memory
 :class:`~repro.core.budget.BudgetLedger` driven by the same charge sequence.
 """
@@ -11,11 +11,7 @@ written in the older log format, and a hypothesis property proving that the
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import subprocess
-import sys
-import textwrap
 import threading
 
 import pytest
@@ -23,12 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.budget import BudgetLedger
-from repro.exceptions import BudgetExceededError, InvalidEpsilonError
+from repro.exceptions import (
+    BudgetExceededError,
+    FaultInjectedError,
+    InvalidEpsilonError,
+    PersistenceError,
+)
 from repro.persistence import DurableLedger, LedgerStore
 from repro.persistence.wal import decode_record, encode_record
-
-
-_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+from repro.resilience.faults import active_plan, parse_plan
 
 
 @pytest.fixture()
@@ -109,6 +108,7 @@ class TestLedgerStore:
         store.register("acme", "edges", float("inf"))
         store.charge("acme", {"edges": 123.0})
         assert store.spent("acme") == {"edges": 123.0}
+        store.close()
         with LedgerStore(store.path) as reopened:
             assert reopened.load_state() == {"acme": {"edges": (float("inf"), 123.0)}}
 
@@ -123,31 +123,6 @@ class TestLedgerStore:
             total, spent = reopened.register("acme", "edges", 2.0)
             assert (total, spent) == (2.0, 0.75)
 
-
-# ----------------------------------------------------------------------
-# Cross-connection visibility (the multi-process model, in one process)
-# ----------------------------------------------------------------------
-class TestCrossConnection:
-    def test_sibling_store_sees_committed_charges(self, tmp_path):
-        path = tmp_path / "ledger.db"
-        with LedgerStore(path) as a, LedgerStore(path) as b:
-            a.register("acme", "edges", 2.0)
-            a.charge("acme", {"edges": 0.5})
-            assert b.spent("acme") == {"edges": 0.5}
-            b.charge("acme", {"edges": 0.5})
-            assert a.spent("acme") == {"edges": 1.0}
-
-    def test_siblings_cannot_jointly_overspend(self, tmp_path):
-        path = tmp_path / "ledger.db"
-        with LedgerStore(path) as a, LedgerStore(path) as b:
-            a.register("acme", "edges", 1.0)
-            b.register("acme", "edges", 1.0)
-            a.charge("acme", {"edges": 0.75})
-            # b's affordability check runs against the durable state, which
-            # already includes a's charge.
-            with pytest.raises(BudgetExceededError):
-                b.charge("acme", {"edges": 0.75})
-            assert a.spent("acme") == {"edges": 0.75}
 
     def test_thread_storm_never_overspends(self, tmp_path):
         store = LedgerStore(tmp_path / "ledger.db")
@@ -177,47 +152,24 @@ class TestCrossConnection:
             assert reopened.spent("acme")["edges"] == pytest.approx(1.0)
 
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="requires os.fork")
-    def test_siblings_opening_one_new_file_together_all_succeed(self, tmp_path):
-        # Two processes may open one fresh ledger at the same moment, and
-        # sqlite does not wait for the lock that the switch to WAL needs: one
-        # of them used to fail with "database is locked".  Forked openers in
-        # a child interpreter, released together, a dozen fresh files.
-        script = """
-            import multiprocessing, os, sys, time
-            from repro.persistence import LedgerStore
+# ----------------------------------------------------------------------
+# One store per file
+# ----------------------------------------------------------------------
+class TestFileLock:
+    def test_a_second_store_on_a_held_file_is_refused(self, store):
+        with pytest.raises(PersistenceError, match="held by another open store"):
+            LedgerStore(store.path)
+        # The refusal touched nothing: the holder goes on charging.
+        store.register("acme", "edges", 1.0)
+        assert store.charge("acme", {"edges": 0.5}) == {"edges": 0.5}
 
-            def opener(path, start, outcomes):
-                while time.time() < start:
-                    pass
-                try:
-                    LedgerStore(path).close()
-                    outcomes.put("ok")
-                except Exception as exc:
-                    outcomes.put(repr(exc))
-
-            context = multiprocessing.get_context("fork")
-            for round_ in range(12):
-                path = os.path.join(sys.argv[1], f"ledger-{round_}.db")
-                outcomes, start = context.Queue(), time.time() + 0.05
-                openers = [
-                    context.Process(target=opener, args=(path, start, outcomes))
-                    for _ in range(3)
-                ]
-                for process in openers:
-                    process.start()
-                print([outcomes.get() for _ in openers])
-                for process in openers:
-                    process.join()
-            """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-        child = subprocess.run(
-            [sys.executable, "-c", textwrap.dedent(script), str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.splitlines() == [str(["ok"] * 3)] * 12
+    def test_a_store_that_fails_to_open_releases_the_file(self, tmp_path):
+        path = tmp_path / "ledger.db"
+        path.write_bytes(b"this is not a sqlite database, it is long enough " * 4)
+        with pytest.raises(sqlite3.DatabaseError):
+            LedgerStore(path)
+        path.unlink()
+        LedgerStore(path).close()
 
 
 # ----------------------------------------------------------------------
@@ -246,30 +198,27 @@ class TestDurableLedger:
                 ledger.charge({"edges": 1.5})
             ledger.charge({"edges": 1.25})
 
-    def test_durable_refusal_refreshes_memory(self, tmp_path):
-        path = tmp_path / "ledger.db"
-        with LedgerStore(path) as mine, LedgerStore(path) as sibling:
-            ledger = DurableLedger(mine, "acme")
-            ledger.register("edges", 1.0)
-            # Another connection spends concurrently; my in-memory replica is
-            # stale, so the pre-check passes but the durable check refuses.
-            sibling.register("acme", "edges", 1.0)
-            sibling.charge("acme", {"edges": 0.9})
-            with pytest.raises(BudgetExceededError):
-                ledger.charge({"edges": 0.5})
-            assert ledger.report()["edges"]["spent"] == pytest.approx(0.9)
+    def test_durable_refusal_refreshes_memory(self, store):
+        ledger = DurableLedger(store, "acme")
+        ledger.register("edges", 1.0)
+        # Another ledger over the same scope spends; my in-memory replica is
+        # stale, so the pre-check passes but the durable check refuses.
+        sibling = DurableLedger(store, "acme")
+        sibling.register("edges", 1.0)
+        sibling.charge({"edges": 0.9})
+        with pytest.raises(BudgetExceededError):
+            ledger.charge({"edges": 0.5})
+        assert ledger.report()["edges"]["spent"] == pytest.approx(0.9)
 
-    def test_report_sees_sibling_spends(self, tmp_path):
-        path = tmp_path / "ledger.db"
-        with LedgerStore(path) as mine, LedgerStore(path) as theirs:
-            a = DurableLedger(mine, "acme")
-            b = DurableLedger(theirs, "acme")
-            a.register("edges", 2.0)
-            b.register("edges", 2.0)
-            a.charge({"edges": 0.25})
-            b.charge({"edges": 0.5})
-            assert a.report()["edges"]["spent"] == pytest.approx(0.75)
-            assert b.report()["edges"]["spent"] == pytest.approx(0.75)
+    def test_report_sees_sibling_spends(self, store):
+        a = DurableLedger(store, "acme")
+        b = DurableLedger(store, "acme")
+        a.register("edges", 2.0)
+        b.register("edges", 2.0)
+        a.charge({"edges": 0.25})
+        b.charge({"edges": 0.5})
+        assert a.report()["edges"]["spent"] == pytest.approx(0.75)
+        assert b.report()["edges"]["spent"] == pytest.approx(0.75)
 
 
 # ----------------------------------------------------------------------
@@ -295,17 +244,12 @@ _SOURCES = ("edges", "nodes")
 
 _ledger_steps = st.lists(
     st.tuples(
-        st.sampled_from((0, 1)),  # which of the two stores on one file acts
         st.sampled_from(("charge", "crash", "reopen")),
         st.sampled_from(_SOURCES),
         st.floats(min_value=0.01, max_value=1.5, allow_nan=False),
     ),
     max_size=25,
 )
-
-
-def _crash_inside_the_charge() -> None:
-    raise RuntimeError("crash inside the charge transaction")
 
 
 def _hex(spent: dict[str, float]) -> dict[str, str]:
@@ -323,33 +267,30 @@ def _hex(spent: dict[str, float]) -> dict[str, str]:
 def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
     """The durable spends are exactly the acknowledged charges, added in order.
 
-    The same random charge sequence is applied to a plain BudgetLedger and,
-    each charge on either one, to two LedgerStores on one file, with crashes
-    inside the charge transaction (``fault_after_intent``) and reopens of
-    either store interleaved.  The stores must grant/refuse as the ledger
-    does; after every step each store's ``spent`` must equal, ``float.hex``
-    for ``float.hex``, a dict that adds each acknowledged charge in commit
-    order — and so must the ledger's, and a store reopened at the end.
+    The same random charge sequence is applied to a plain BudgetLedger and
+    to one LedgerStore, with crashes inside the charge transaction (a
+    ``wal.intent_commit`` fault) and reopens of the store interleaved.  The
+    store must grant/refuse as the ledger does; after every step its
+    ``spent`` must equal, ``float.hex`` for ``float.hex``, a dict that adds
+    each acknowledged charge in commit order — and so must the ledger's, and
+    a store reopened at the end.
     """
     path = tmp_path_factory.mktemp("ledger") / "ledger.db"
     memory = BudgetLedger()
     model = {source: 0.0 for source in _SOURCES}
-    stores = [LedgerStore(path) for _ in range(2)]
+    store = LedgerStore(path)
     try:
         for source, total in zip(_SOURCES, totals):
             memory.register(source, total)
-            for store in stores:
-                store.register("scope", source, total)
-        for which, action, source, amount in steps:
-            store = stores[which]
+            store.register("scope", source, total)
+        for action, source, amount in steps:
             if action == "reopen":
                 store.close()
-                store = stores[which] = LedgerStore(path)
+                store = LedgerStore(path)
             elif action == "crash":
-                store.fault_after_intent = _crash_inside_the_charge
-                with pytest.raises(RuntimeError):
-                    store.charge("scope", {source: amount})
-                store.fault_after_intent = None
+                with active_plan(parse_plan("wal.intent_commit:fail")):
+                    with pytest.raises(FaultInjectedError):
+                        store.charge("scope", {source: amount})
             else:
                 try:
                     memory.charge({source: amount})
@@ -364,11 +305,10 @@ def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
                 assert memory_granted == store_granted
                 if store_granted:
                     model[source] += amount
-            assert [_hex(store.spent("scope")) for store in stores] == [_hex(model)] * 2
+            assert _hex(store.spent("scope")) == _hex(model)
         assert _hex({source: memory.spent(source) for source in _SOURCES}) == _hex(model)
     finally:
-        for store in stores:
-            store.close()
+        store.close()
     with LedgerStore(path) as reopened:
         assert _hex(reopened.spent("scope")) == _hex(model)
 
@@ -483,41 +423,6 @@ class TestMigration:
         assert "wal" not in _tables(path) and "snapshots" not in _tables(path)
         with LedgerStore(path) as reopened:
             assert _hex_state(reopened.load_state()) == _MIGRATED
-
-    def test_two_stores_opening_one_old_file_migrate_it_once(self, tmp_path, monkeypatch):
-        folds = []
-        fold = LedgerStore._fold_log
-
-        def counted(self):
-            folds.append(self)
-            fold(self)
-
-        monkeypatch.setattr(LedgerStore, "_fold_log", counted)
-        for attempt in range(5):
-            path = tmp_path / f"ledger-{attempt}.db"
-            _old_ledger(path, _LOG_TAIL, _SNAPSHOT, wal_id=6)
-            start = threading.Barrier(2)
-            stores, errors = [], []
-
-            def open_store():
-                start.wait()
-                try:
-                    stores.append(LedgerStore(path))
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=open_store) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            try:
-                assert errors == []
-                assert len(folds) == attempt + 1
-                assert [_hex_state(store.load_state()) for store in stores] == [_MIGRATED] * 2
-            finally:
-                for store in stores:
-                    store.close()
 
     def test_migration_folds_interleaved_transactions(self, tmp_path):
         """Interleaved rows from two workers fold to the committed subset."""

@@ -16,27 +16,27 @@ Thread safety
 -------------
 The ledger is the one component of the platform that must never be wrong, and
 it is exercised from multiple threads (parallel MCMC chains, the concurrent
-measurement service of :mod:`repro.service`).  Both classes therefore make
-every check-then-act sequence atomic:
+measurement service of :mod:`repro.service`).  Every check-then-act sequence
+is therefore atomic under one lock:
 
-* :meth:`PrivacyBudget.charge` holds the budget's re-entrant lock across the
-  affordability check and the debit, so concurrent charges can never jointly
-  overspend ``total`` — one of two racing charges that together exceed the
-  remaining budget is guaranteed to raise :class:`BudgetExceededError`.
-* :meth:`BudgetLedger.charge` acquires the locks of *every* involved budget
-  (in sorted name order, so two multi-source charges can never deadlock)
-  before running its two-phase check-then-charge, making the multi-source
-  transaction atomic even against concurrent direct
-  :meth:`PrivacyBudget.charge` calls on the same budgets.
+* a :class:`BudgetLedger` has one re-entrant lock, and every budget it
+  creates shares it.  :meth:`BudgetLedger.charge` holds it across the
+  affordability checks of every involved source and the debits, so a
+  multi-source charge is all-or-nothing even against concurrent direct
+  :meth:`PrivacyBudget.charge` calls on the same budgets;
+* :meth:`PrivacyBudget.charge` holds the same lock across its own check and
+  debit, so concurrent charges can never jointly overspend ``total`` — one
+  of two racing charges that together exceed the remaining budget is
+  guaranteed to raise :class:`BudgetExceededError`.  A standalone budget,
+  made outside any ledger, has a lock of its own.
 
 All read accessors (``spent``, ``remaining``, ``history``, ``report``) take a
-consistent snapshot under the same locks.
+consistent snapshot under that lock.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from ..exceptions import BudgetExceededError, InvalidEpsilonError
@@ -54,15 +54,13 @@ class _Charge:
     description: str
 
 
-def _budget_lock():
-    """Per-scope budget lock; every PrivacyBudget instance is a peer.
+def _ledger_lock():
+    """A standalone budget's own instance of the ``core.ledger`` lock.
 
-    Sibling budgets are acquired together at one level by the sorted
-    ``ExitStack`` discipline of :meth:`BudgetLedger.charge` (``peers``
-    licenses the same-level stack; R008 flags a peer acquired in a loop
-    that does not iterate ``sorted(...)``).
+    A :class:`BudgetLedger` hands every budget it creates its own lock
+    instead.
     """
-    return ordered_rlock("core.budget", 60, peers=True)
+    return ordered_rlock("core.ledger", 50)
 
 
 @dataclass
@@ -77,30 +75,21 @@ class PrivacyBudget:
         the *synthetic* datasets MCMC manipulates, which are public).
 
     Instances are thread-safe: :meth:`charge` performs its affordability check
-    and debit atomically under a re-entrant lock, so no interleaving of
-    concurrent charges can spend more than ``total``.
+    and debit atomically under a re-entrant lock — its ledger's, when a
+    :class:`BudgetLedger` created it — so no interleaving of concurrent
+    charges can spend more than ``total``.
     """
 
     total: float
     _spent: float = field(default=0.0, init=False)
     _charges: list[_Charge] = field(default_factory=list, init=False)
     _lock: threading.RLock = field(
-        default_factory=_budget_lock, init=False, repr=False, compare=False
+        default_factory=_ledger_lock, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         if self.total != float("inf"):
             self.total = validate_epsilon(self.total)
-
-    @property
-    def lock(self) -> threading.RLock:
-        """The re-entrant lock guarding this budget's state.
-
-        Exposed so :class:`BudgetLedger` can hold it across a multi-source
-        two-phase charge; it is re-entrant, so holding it while calling
-        :meth:`charge` is safe.
-        """
-        return self._lock
 
     @property
     def spent(self) -> float:
@@ -149,12 +138,12 @@ class PrivacyBudget:
         """Adopt an authoritative externally-committed spent total.
 
         Used by :class:`~repro.persistence.ledger.DurableLedger` to make the
-        in-memory view track the durable store — which may include charges
-        committed by other worker processes, or spend recovered from a
-        previous incarnation.  Not part of the public API: callers must have
-        durably committed the spend they are syncing to.  Durable spend only
-        grows, so a total older than the one already adopted (two threads'
-        charges returning out of order) is ignored.
+        in-memory view track the durable store: the total after a charge it
+        committed, or spend recovered from a previous incarnation.  Not part
+        of the public API: callers must have durably committed the spend they
+        are syncing to.  Durable spend only grows, so a total older than the
+        one already adopted (two threads' charges returning out of order) is
+        ignored.
         """
         with self._lock:
             self._spent = max(self._spent, float(spent))
@@ -174,11 +163,12 @@ class BudgetLedger:
     simultaneously, and is charged atomically — either every source is charged
     or none is.
 
-    The ledger is thread-safe: registration is serialised, and
-    :meth:`charge` holds every involved budget's lock (in sorted name order)
-    across its check phase and its charge phase, so concurrent multi-source
-    charges — and concurrent direct :meth:`PrivacyBudget.charge` calls — can
-    never interleave into an overspend.
+    The ledger is thread-safe: it has one re-entrant lock, shared by every
+    budget it creates.  Registration is serialised under it, and
+    :meth:`charge` holds it across its check phase and its charge phase, so
+    concurrent multi-source charges — and concurrent direct
+    :meth:`PrivacyBudget.charge` calls — can never interleave into an
+    overspend.
     """
 
     def __init__(self) -> None:
@@ -207,6 +197,7 @@ class BudgetLedger:
                     )
                 return existing
             budget = PrivacyBudget(total_epsilon)
+            budget._lock = self._lock
             self._budgets[name] = budget
             return budget
 
@@ -223,16 +214,13 @@ class BudgetLedger:
     def charge(self, costs: dict[str, float], description: str = "") -> None:
         """Atomically charge each source its cost, or raise and charge nothing.
 
-        The two-phase check-then-charge runs with every involved budget's
-        lock held (acquired in sorted name order to rule out deadlock), so no
-        concurrent charge can slip between the affordability checks and the
-        debits.
+        The two-phase check-then-charge runs under the ledger's lock, which
+        every one of its budgets shares, so no concurrent charge can slip
+        between the affordability checks and the debits.
         """
         validated = {name: validate_epsilon(cost) for name, cost in costs.items()}
-        budgets = {name: self.budget_for(name) for name in validated}
-        with ExitStack() as stack:
-            for name in sorted(budgets):
-                stack.enter_context(budgets[name].lock)
+        with self._lock:
+            budgets = {name: self.budget_for(name) for name in validated}
             for name, cost in validated.items():
                 budget = budgets[name]
                 if not budget.can_afford(cost):
@@ -251,20 +239,15 @@ class BudgetLedger:
     def report(self) -> dict[str, dict[str, float]]:
         """Summary of every registered source (total / spent / remaining).
 
-        Every budget's lock is held for the read (sorted order, matching
-        :meth:`charge`), so the snapshot is consistent: a concurrent
-        multi-source charge is either fully visible or not at all.
+        Read under the ledger's lock, so the snapshot is consistent: a
+        concurrent multi-source charge is either fully visible or not at all.
         """
         with self._lock:
-            budgets = dict(self._budgets)
-        report: dict[str, dict[str, float]] = {}
-        with ExitStack() as stack:
-            for name in sorted(budgets):
-                stack.enter_context(budgets[name].lock)
-            for name, budget in budgets.items():
-                report[name] = {
+            return {
+                name: {
                     "total": budget.total,
                     "spent": budget.spent,
                     "remaining": budget.remaining,
                 }
-        return report
+                for name, budget in self._budgets.items()
+            }

@@ -37,8 +37,7 @@ the same :func:`charge_requests`.
 :attr:`~repro.core.queryable.PrivacySession.measure_lock` (taken by
 ``PrivacySession.measure``), so the whole pipeline — ledger charge, partition
 group commits, executor evaluation, noise draws — is atomic with respect to
-other threads measuring the same session; the measurement service
-(:mod:`repro.service`) builds its request fusion on exactly this guarantee.
+other threads measuring the same session.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@
 * :mod:`repro.lint.concurrency` — the interprocedural lock-order analysis
   (R008, R009): every lock is declared by its ``ordered_lock`` /
   ``ordered_rlock`` call, the may-hold graph is built across function calls,
-  and hierarchy violations — a ``peers`` lock taken in a loop not over
-  ``sorted(...)`` and every deadlock cycle included — and blocking calls
-  under non-``io-ok`` locks are reported.  ``repro locks`` prints the
+  and hierarchy violations (every deadlock cycle included) and blocking
+  calls under non-``io-ok`` locks are reported.  ``repro locks`` prints the
   hierarchy and graph.  :mod:`repro.sanitize` enforces the same hierarchy at
   runtime when ``REPRO_SANITIZE=1``.
 * :mod:`repro.lint.flow` — the interprocedural privacy taint analysis

@@ -4,8 +4,8 @@ This is the whole-repo half of the lock-hierarchy contract whose runtime
 half lives in :mod:`repro.sanitize`:
 
 * every lock is *declared* — created through ``ordered_lock`` /
-  ``ordered_rlock``, whose literal name, level and ``peers`` / ``io_ok``
-  keywords are the declaration, or, for a bootstrap lock, a raw
+  ``ordered_rlock``, whose literal name, level and ``io_ok`` keyword are
+  the declaration, or, for a bootstrap lock, a raw
   ``threading`` primitive with a ``# lock-order:`` comment;
 * every *acquisition* (``with`` items, ``ExitStack.enter_context``,
   explicit ``.acquire()``) is resolved back to its declaration through the
@@ -17,11 +17,8 @@ half lives in :mod:`repro.sanitize`:
 Findings:
 
 * **R008 lock-hierarchy** — an acquisition that contradicts the declared
-  levels (must be strictly increasing inward, with carve-outs for
-  re-entrant re-acquisition and declared same-level ``peers``), a
-  ``peers`` lock held past a loop (``ExitStack.enter_context``,
-  ``acquire()``) whose iterable is not ``sorted(...)`` — sibling budgets
-  taken in two orders deadlock — an undeclared or ill-declared lock, or a
+  levels (must be strictly increasing inward, with a carve-out for
+  re-entrant re-acquisition), an undeclared or ill-declared lock, or a
   lock-like acquisition the analyzer cannot resolve (add an inline
   ``# lock: <key>`` comment to resolve ambiguity).
 * **R009 blocking-under-lock** — a blocking operation (sleep, sqlite I/O,
@@ -35,7 +32,7 @@ prints the cycles themselves (:func:`lock_cycles`).
 
 The raw-lock annotation grammar::
 
-    # lock-order: <level> [<name.with.dot>] [io-ok] [peers] [reentrant]
+    # lock-order: <level> [<name.with.dot>] [io-ok] [reentrant]
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ __all__ = [
 
 _ORDER_RE = re.compile(r"#\s*lock-order:\s*([^#]*)")
 _INLINE_KEY_RE = re.compile(r"#\s*lock:\s*([A-Za-z0-9_.\-]+)")
-_FLAG_TOKENS = frozenset({"io-ok", "peers", "reentrant"})
+_FLAG_TOKENS = frozenset({"io-ok", "reentrant"})
 
 #: Canonical dotted calls that block (resolved through import bindings).
 _BLOCKING_CANONICAL = frozenset(
@@ -99,7 +96,6 @@ class LockDecl:
     key: str
     level: int
     reentrant: bool = False
-    peers: bool = False
     io_ok: bool = False
     path: str = ""
     line: int = 0
@@ -127,7 +123,6 @@ class StaticLockRegistry:
         if existing is not None and (
             existing.level != decl.level
             or existing.reentrant != decl.reentrant
-            or existing.peers != decl.peers
             or existing.io_ok != decl.io_ok
         ):
             return existing
@@ -172,7 +167,7 @@ def _parse_order_comment(line_text: str) -> _ParsedOrder | None:
         else:
             parsed.error = (
                 f"unknown lock-order token {token!r} "
-                f"(expected io-ok/peers/reentrant or a dotted lock name)"
+                f"(expected io-ok/reentrant or a dotted lock name)"
             )
             return parsed
     return parsed
@@ -289,7 +284,6 @@ class _DeclCollector:
                 "name and integer level so the hierarchy is statically known",
             )
             return
-        peers = _const_value(args.get("peers")) is True
         io_ok = _const_value(args.get("io_ok")) is True
         self._register(
             module,
@@ -298,7 +292,6 @@ class _DeclCollector:
                 key=name,
                 level=int(level),
                 reentrant=kind == "RLock",
-                peers=peers,
                 io_ok=io_ok,
                 path=module.relpath,
                 line=call.lineno,
@@ -332,7 +325,6 @@ class _DeclCollector:
                 key=key,
                 level=parsed.level or 0,
                 reentrant=kind == "RLock" or "reentrant" in parsed.flags,
-                peers="peers" in parsed.flags,
                 io_ok="io-ok" in parsed.flags,
                 path=module.relpath,
                 line=call.lineno,
@@ -415,15 +407,6 @@ class _FunctionAnalysis:
     calls: set[str] = field(default_factory=set)
     acq: set[str] = field(default_factory=set)  #: transitive acquisition keys
     block: set[str] = field(default_factory=set)  #: transitive blocking ops
-    #: ``peers`` locks held past a loop that does not iterate ``sorted(...)``.
-    unsorted: list[tuple[ast.AST, LockDecl]] = field(default_factory=list)
-
-
-_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
-def _is_sorted(iterable: ast.expr) -> bool:
-    return isinstance(iterable, ast.Call) and dotted_name(iterable.func) == "sorted"
 
 
 def _has_timeout(call: ast.Call) -> bool:
@@ -490,8 +473,6 @@ class _Walker:
         self.env = TypeEnv(model, analysis.info)
         self.bindings = model.bindings[id(self.module)]
         self.on_unresolved = on_unresolved
-        #: Every ``peers`` acquisition so far, for the sorted-loop check.
-        self.peer_acquires: list[tuple[ast.AST, LockDecl]] = []
 
     def run(self) -> None:
         held: list[LockDecl] = []
@@ -517,31 +498,7 @@ class _Walker:
                 self._visit_stmt(child, held)
             del held[base:]  # releases scoped locks and enter_context ones
             return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._visit_loop(stmt, [stmt.iter], held)
-            return
         self._visit_children(stmt, held)
-
-    def _visit_loop(
-        self, loop: ast.AST, iters: list[ast.expr], held: list[LockDecl]
-    ) -> None:
-        """Walk a loop; note ``peers`` locks it leaves held unless it is sorted.
-
-        Peers share one level, so only a common order (the sorted-name
-        ``ExitStack`` of ``BudgetLedger.charge``) keeps two threads from
-        taking the same siblings in opposite orders.  A lock taken and
-        released within one iteration is never held beside a sibling.
-        """
-        before = list(held)
-        start = len(self.peer_acquires)
-        self._visit_children(loop, held)
-        if all(_is_sorted(iterable) for iterable in iters):
-            return
-        flagged = {id(node) for node, _ in self.analysis.unsorted}
-        for node, decl in self.peer_acquires[start:]:
-            if held.count(decl) > before.count(decl) and id(node) not in flagged:
-                self.analysis.unsorted.append((node, decl))
-                flagged.add(id(node))
 
     def _visit_children(self, node: ast.AST, held: list[LockDecl]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -554,9 +511,6 @@ class _Walker:
 
     def _scan_expr(self, expr: ast.AST | None, held: list[LockDecl]) -> None:
         if expr is None or isinstance(expr, ast.Lambda):
-            return
-        if isinstance(expr, _COMPREHENSIONS):
-            self._visit_loop(expr, [gen.iter for gen in expr.generators], held)
             return
         if isinstance(expr, ast.Call):
             self._handle_call(expr, held)
@@ -583,7 +537,6 @@ class _Walker:
                 decl = self._resolve_lock(call.args[0])
                 if isinstance(decl, LockDecl):
                     self._record_acquire(decl, held, call.args[0])
-                    self._note_peer(decl, call)
                     held.append(decl)
                     return
         # Explicit lock.acquire()/lock.release().
@@ -592,7 +545,6 @@ class _Walker:
             if isinstance(decl, LockDecl):
                 if func.attr == "acquire":
                     self._record_acquire(decl, held, call)
-                    self._note_peer(decl, call)
                     held.append(decl)
                 else:
                     for index in range(len(held) - 1, -1, -1):
@@ -620,10 +572,6 @@ class _Walker:
                     callee_short=resolved.short,
                 )
             )
-
-    def _note_peer(self, decl: LockDecl, node: ast.AST) -> None:
-        if decl.peers:
-            self.peer_acquires.append((node, decl))
 
     # -- lock resolution ------------------------------------------------
     def _resolve_lock(self, expr: ast.AST, lockish_only: bool = False):
@@ -769,9 +717,6 @@ def _order_violation(
     ceiling = max(entry.level for entry in held)
     if decl.level > ceiling:
         return None
-    if decl.level == ceiling and decl.peers:
-        if all(entry.key == decl.key for entry in held if entry.level == ceiling):
-            return None
     chain = " -> ".join(f"{entry.key}@{entry.level}" for entry in held)
     return (
         f"lock {decl.key!r} (level {decl.level}) acquired while holding "
@@ -844,14 +789,6 @@ def build_concurrency_analysis(
 
     for analysis in analyses.values():
         module = analysis.info.module
-        for node, decl in analysis.unsorted:
-            emit(
-                module,
-                node,
-                "R008",
-                f"peer lock {decl.key!r} acquired in a loop that does not "
-                f"iterate sorted(...); siblings taken in two orders can deadlock",
-            )
         for event in analysis.events:
             if not event.held:
                 continue
@@ -916,7 +853,7 @@ def build_concurrency_analysis(
 def lock_cycles(analysis: ConcurrencyAnalysis) -> list[list[str]]:
     """Cycles of the observed order graph: potential deadlocks.
 
-    A self-loop of a re-entrant or ``peers`` lock is not one.  Every cycle
+    A self-loop of a re-entrant lock is not one.  Every cycle
     also holds an edge against the declared levels, an R008 finding.
     """
     edges = {held: set(targets) for held, targets in analysis.edges.items()}
@@ -926,7 +863,7 @@ def lock_cycles(analysis: ConcurrencyAnalysis) -> list[list[str]]:
         if len(cycle) > 1
         or not (
             (decl := analysis.registry.decls.get(cycle[0])) is not None
-            and (decl.reentrant or decl.peers)
+            and decl.reentrant
         )
     ]
 
@@ -944,7 +881,6 @@ def render_lock_report(analysis: ConcurrencyAnalysis) -> str:
             flag
             for flag, on in (
                 ("reentrant", decl.reentrant),
-                ("peers", decl.peers),
                 ("io-ok", decl.io_ok),
             )
             if on

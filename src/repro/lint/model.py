@@ -15,10 +15,7 @@ that makes those answers reliable for this codebase's idioms:
   acquisition through the public property resolves to the declared lock;
 * function parameter and return annotations, so ``registry.get(name)`` is
   known to produce a ``HostedSession`` and attribute chains like
-  ``hosted.session.measure_lock`` resolve end to end;
-* dict-comprehension value types, so ``budgets[name].lock`` (the sorted
-  ``ExitStack`` idiom of ``BudgetLedger.charge``) resolves through the
-  comprehension that built ``budgets``.
+  ``hosted.session.measure_lock`` resolve end to end.
 
 The model is deliberately *unsound where python is dynamic* — an unresolved
 call is simply skipped by the analyzers — but every lock-relevant idiom used
@@ -406,9 +403,6 @@ class TypeEnv:
             if base is not None and base.startswith("dict:"):
                 return base.split(":", 1)[1]
             return None
-        if isinstance(expr, ast.DictComp):
-            value = self.infer(expr.value)
-            return f"dict:{value}" if value is not None else None
         if isinstance(expr, ast.IfExp):
             return self.infer(expr.body) or self.infer(expr.orelse)
         if isinstance(expr, ast.Await):

@@ -16,19 +16,17 @@ death, and provides the admission controls a durable service needs:
     recovers spend on registration, and reads budgets from the durable
     table.
 :mod:`repro.persistence.ratelimit`
-    Per-tenant :class:`TokenBucket`/:class:`RateLimiter` admission control
-    and a global :class:`LoadShedder`, layered under the scheduler's
-    per-session backpressure.
+    Per-tenant :class:`TokenBucket`/:class:`RateLimiter` admission control,
+    layered under the scheduler's backpressure.
 """
 
 from .ledger import DurableLedger
-from .ratelimit import LoadShedder, RateLimiter, TokenBucket
+from .ratelimit import RateLimiter, TokenBucket
 from .wal import LedgerStore
 
 __all__ = [
     "DurableLedger",
     "LedgerStore",
-    "LoadShedder",
     "RateLimiter",
     "TokenBucket",
 ]

@@ -1,23 +1,14 @@
-"""Per-tenant token-bucket rate limiting and global load shedding.
+"""Per-tenant token-bucket rate limiting.
 
-Backpressure (the bounded per-session queues of
-:mod:`repro.service.scheduler`) protects the server once work has been
-admitted; these two admission controls decide what gets admitted at all:
-
-* :class:`TokenBucket` / :class:`RateLimiter` — a classic token bucket per
-  tenant session: sustained request rate is capped at ``rate`` per second
-  with bursts up to ``burst``, so one chatty tenant cannot starve the
-  server that every tenant shares.  Refusals raise
-  :class:`~repro.exceptions.RateLimitedError` (HTTP 429) carrying a
-  ``retry_after`` hint — the time until the bucket holds a token again.
-* :class:`LoadShedder` — a global bound on pending work across *all*
-  sessions.  Per-session queues bound each tenant individually; with
-  thousands of tenants the sum still grows without limit, so beyond
-  ``max_total`` pending requests new admissions are shed with
-  :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 503, retryable).
-
-Both are time-based on :func:`time.monotonic` and thread-safe; both keep
-counters for the stats endpoint.
+Backpressure (the bounded per-session waiters and the global pending bound
+of :mod:`repro.service.scheduler`) protects the server once work has been
+admitted; the token bucket decides what gets admitted at all:
+:class:`TokenBucket` / :class:`RateLimiter` cap one tenant session's
+sustained request rate at ``rate`` per second with bursts up to ``burst``,
+so one chatty tenant cannot starve the server that every tenant shares.
+Refusals raise :class:`~repro.exceptions.RateLimitedError` (HTTP 429)
+carrying a ``retry_after`` hint — the time until the bucket holds a token
+again.  Time is :func:`time.monotonic`; counters feed the stats endpoint.
 """
 
 from __future__ import annotations
@@ -25,11 +16,10 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from ..exceptions import RateLimitedError, ServiceOverloadedError
+from ..exceptions import RateLimitedError
 from ..resilience.policy import seeded_jitter
-from ..sanitize import ordered_lock
 
-__all__ = ["LoadShedder", "RateLimiter", "TokenBucket"]
+__all__ = ["RateLimiter", "TokenBucket"]
 
 #: Fractional spread applied to retry_after hints: each refusal's hint is
 #: scaled by a deterministic factor in [1, 1 + _JITTER), so clients refused
@@ -57,7 +47,8 @@ class TokenBucket:
         """Take ``tokens`` if available; returns 0.0 on success, else the
         seconds until enough tokens will have accrued (the retry-after hint).
 
-        Not synchronised — :class:`RateLimiter` serialises access.
+        Not synchronised: every call is made under the lock that serialises
+        its :class:`RateLimiter`.
         """
         now = self._clock()
         self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
@@ -69,7 +60,10 @@ class TokenBucket:
 
 
 class RateLimiter:
-    """Thread-safe map of tenant session name to its :class:`TokenBucket`."""
+    """Map of tenant session name to its :class:`TokenBucket`.
+
+    Not synchronised: the scheduler makes every call under ``service.state``.
+    """
 
     def __init__(
         self,
@@ -84,88 +78,44 @@ class RateLimiter:
         self.burst = float(burst) if burst is not None else max(1.0, 2.0 * rate)
         self._clock = clock
         self._seed = int(seed)
-        self._lock = ordered_lock("persistence.ratelimit", 24)
         self._buckets: dict[str, TokenBucket] = {}
         self._admitted = 0
         self._limited = 0
 
     def admit(self, session: str) -> None:
         """Admit one request for ``session`` or raise :class:`RateLimitedError`."""
-        with self._lock:
-            bucket = self._buckets.get(session)
-            if bucket is None:
-                bucket = TokenBucket(self.rate, self.burst, clock=self._clock)
-                self._buckets[session] = bucket
-            retry_after = bucket.try_acquire()
-            if retry_after > 0.0:
-                self._limited += 1
-                # Deterministic per-refusal jitter: a burst of clients all
-                # refused at once would otherwise share one retry_after and
-                # stampede back together.  Keyed on (session, refusal count)
-                # so a replay with the same seed reproduces the same hints.
-                retry_after *= 1.0 + _JITTER * seeded_jitter(
-                    self._seed, session, self._limited
-                )
-                raise RateLimitedError(
-                    f"session {session!r} exceeded its rate limit of "
-                    f"{self.rate:g} requests/s (burst {self.burst:g}); retry "
-                    f"in {retry_after:.3f}s",
-                    retry_after=retry_after,
-                )
-            self._admitted += 1
+        bucket = self._buckets.get(session)
+        if bucket is None:
+            bucket = TokenBucket(self.rate, self.burst, clock=self._clock)
+            self._buckets[session] = bucket
+        retry_after = bucket.try_acquire()
+        if retry_after > 0.0:
+            self._limited += 1
+            # Deterministic per-refusal jitter: a burst of clients all
+            # refused at once would otherwise share one retry_after and
+            # stampede back together.  Keyed on (session, refusal count)
+            # so a replay with the same seed reproduces the same hints.
+            retry_after *= 1.0 + _JITTER * seeded_jitter(
+                self._seed, session, self._limited
+            )
+            raise RateLimitedError(
+                f"session {session!r} exceeded its rate limit of "
+                f"{self.rate:g} requests/s (burst {self.burst:g}); retry "
+                f"in {retry_after:.3f}s",
+                retry_after=retry_after,
+            )
+        self._admitted += 1
 
     def forget(self, session: str) -> None:
         """Drop a closed session's bucket."""
-        with self._lock:
-            self._buckets.pop(session, None)
+        self._buckets.pop(session, None)
 
     def stats(self) -> dict[str, float]:
         """Admission counters for the stats endpoint."""
-        with self._lock:
-            return {
-                "rate": self.rate,
-                "burst": self.burst,
-                "admitted": self._admitted,
-                "limited": self._limited,
-                "sessions": len(self._buckets),
-            }
-
-
-class LoadShedder:
-    """Global pending-work bound across every session of one service."""
-
-    def __init__(self, max_total: int) -> None:
-        if max_total < 1:
-            raise ValueError("max_total must be a positive integer")
-        self.max_total = max_total
-        self._lock = ordered_lock("persistence.shedder", 26)
-        self._pending = 0
-        self._shed = 0
-
-    def admit(self) -> None:
-        """Count one pending request or shed it with
-        :class:`ServiceOverloadedError`; pair with :meth:`release`."""
-        with self._lock:
-            if self._pending >= self.max_total:
-                self._shed += 1
-                raise ServiceOverloadedError(
-                    f"service has {self._pending} pending measurements across "
-                    f"all sessions (limit {self.max_total}); shedding load — "
-                    f"retry with backoff"
-                )
-            self._pending += 1
-
-    def release(self) -> None:
-        """A previously admitted request finished (or failed)."""
-        with self._lock:
-            if self._pending > 0:
-                self._pending -= 1
-
-    def stats(self) -> dict[str, int]:
-        """Pending/shed counters for the stats endpoint."""
-        with self._lock:
-            return {
-                "pending": self._pending,
-                "shed": self._shed,
-                "max_total": self.max_total,
-            }
+        return {
+            "rate": self.rate,
+            "burst": self.burst,
+            "admitted": self._admitted,
+            "limited": self._limited,
+            "sessions": len(self._buckets),
+        }

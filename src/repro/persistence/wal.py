@@ -41,9 +41,6 @@ leaves a ledger that neither charged nor released anything.  Each
 time, in commit order.  The ``wal.intent_commit`` fault point sits inside
 the transaction, before the affordability check, so crash-recovery tests
 can kill the process with the write lock held.
-
-A file written by an older version kept the budgets as a log of charge
-transactions plus snapshots; it is folded into ``budgets`` once, on open.
 """
 
 from __future__ import annotations
@@ -156,13 +153,22 @@ class LedgerStore:
             raise
         try:
             self._conn.row_factory = sqlite3.Row
+            if self._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'wal'"
+            ).fetchone():
+                # Its budgets are a log this version does not read: refuse
+                # the file, untouched, rather than serve it without its spend.
+                raise PersistenceError(
+                    f"ledger {path} is in the older budget-log format (a "
+                    f"'wal' table of charge transactions), which this version "
+                    f"does not read"
+                )
             self._conn.execute("PRAGMA journal_mode=WAL")
             # FULL makes a COMMIT an fsync barrier: a charge acknowledged to
             # the caller is on disk even across power loss.
             self._conn.execute("PRAGMA synchronous=FULL")
             with self._mutex:
                 self._conn.executescript(_SCHEMA)
-                self._migrate()
         except BaseException:
             self.close()
             raise
@@ -417,64 +423,6 @@ class LedgerStore:
             }
         counts["path"] = self.path
         return counts
-
-    # ------------------------------------------------------------------
-    def _migrate(self) -> None:
-        """Bring a ledger file written by an older version to this schema.
-
-        The budget log (``wal`` plus its newest ``snapshots`` row) is folded
-        into ``budgets`` and dropped.  Old files hold spent ε, so they must
-        never just be ignored.
-        """
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            if self._conn.execute(
-                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'wal'"
-            ).fetchone():
-                self._fold_log()
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._rollback()
-            raise
-
-    def _fold_log(self) -> None:
-        """Move the older format's budget log into ``budgets``.
-
-        The newest snapshot row, then every log row in ``wal.id`` order: a
-        ``register`` row creates its budget, a ``commit`` row adds each of
-        its transaction's ``intent`` amounts to ``spent`` (a source never
-        registered gets a total of ∞), and an ``abort`` drops them.  Intents
-        never resolved are dropped: that version acknowledged a charge, and
-        released its answer, only after the commit row was on disk.  These
-        are the additions that version made when it read the log, in the
-        same order, so every ``spent`` keeps its bits.
-        """
-        budgets: dict[tuple[str, str], list[float]] = {}
-        snapshot = self._conn.execute(
-            "SELECT state FROM snapshots ORDER BY id DESC LIMIT 1"
-        ).fetchone()
-        if snapshot is not None:
-            for scope, sources in json.loads(snapshot["state"]).items():
-                for source, entry in sources.items():
-                    budgets[scope, source] = [float(entry["total"]), float(entry["spent"])]
-        pending: dict[str, list[sqlite3.Row]] = {}
-        for row in self._conn.execute("SELECT * FROM wal ORDER BY id").fetchall():
-            if row["kind"] == "register":
-                budgets.setdefault((row["scope"], row["source"]), [float(row["amount"]), 0.0])
-            elif row["kind"] == "intent":
-                pending.setdefault(row["txn"], []).append(row)
-            elif row["kind"] == "commit":
-                for intent in pending.pop(row["txn"], []):
-                    key = (intent["scope"], intent["source"])
-                    budgets.setdefault(key, [float("inf"), 0.0])[1] += float(intent["amount"])
-            elif row["kind"] == "abort":
-                pending.pop(row["txn"], None)
-        self._conn.executemany(
-            "INSERT INTO budgets (scope, source, total, spent) VALUES (?, ?, ?, ?)",
-            [(scope, source, total, spent) for (scope, source), (total, spent) in budgets.items()],
-        )
-        self._conn.execute("DROP TABLE wal")
-        self._conn.execute("DROP TABLE IF EXISTS snapshots")
 
     def _rollback(self) -> None:
         try:

@@ -33,6 +33,8 @@ Each entry is ``point:action[:value][@opt,opt...]`` with actions ``fail``
 Options: ``after=N`` (fire only from the N-th hit on, 1-based), ``every=N``
 (fire on every N-th hit), ``p=F`` (fire with probability ``F`` per hit,
 decided deterministically from the seed), ``limit=N`` (fire at most N times).
+A plan holds one rule per point: a second entry for a point is a
+``ValueError``, never a silent replacement of the first.
 """
 
 from __future__ import annotations
@@ -153,6 +155,12 @@ class FaultPlan:
         self._fired = {}
 
     def add(self, rule):
+        """Add ``rule``; a plan holds one rule per point, so a second is refused."""
+        if rule.point in self._rules:
+            raise ValueError(
+                f"fault plan already has a rule for {rule.point!r}; "
+                f"a point takes one rule"
+            )
         self._rules[rule.point] = rule
         return self
 

@@ -13,11 +13,6 @@ against a thread-local stack of currently-held locks:
   (that is the hierarchy working);
 * re-acquiring a lock already held by this thread is fine when the lock is
   **reentrant** (an ``RLock`` by construction);
-* acquiring another instance of the **same** lock at the **same** level is
-  fine when the lock is declared ``peers`` — the sorted-name ``ExitStack``
-  discipline of ``BudgetLedger.charge`` acquires many sibling budget locks
-  at one level (R008 checks statically that the loop iterates
-  ``sorted(...)``);
 * anything else raises :class:`LockOrderViolation` immediately, naming the
   offending acquisition and the held stack — so a divergence between the
   declared static hierarchy and actual runtime behaviour fails the test
@@ -59,9 +54,9 @@ class LockOrderViolation(RuntimeError):
 class LockSpec:
     """The declared identity of one lock in the hierarchy.
 
-    ``name`` is the hierarchy key (e.g. ``"core.budget"``), shared by every
-    instance of the lock (each ``PrivacyBudget`` has its own instance of the
-    ``core.budget`` lock).  ``io_ok`` is consumed by the *static* analyzer
+    ``name`` is the hierarchy key (e.g. ``"core.ledger"``), shared by every
+    instance of the lock (each ``BudgetLedger`` has its own instance of the
+    ``core.ledger`` lock).  ``io_ok`` is consumed by the *static* analyzer
     only (it licenses blocking calls under the lock, rule R009); it has no
     runtime effect.
     """
@@ -69,7 +64,6 @@ class LockSpec:
     name: str
     level: int
     reentrant: bool = False
-    peers: bool = False
     io_ok: bool = False
 
 
@@ -179,14 +173,6 @@ class _SanitizedLock:
         ceiling = max(entry.spec.level for entry in stack)
         if self.spec.level > ceiling:
             return
-        if self.spec.level == ceiling and self.spec.peers:
-            peers_only = all(
-                entry.spec.name == self.spec.name
-                for entry in stack
-                if entry.spec.level == ceiling
-            )
-            if peers_only:
-                return  # sibling instances at one level (sorted ExitStack)
         held = " -> ".join(
             f"{entry.spec.name}@{entry.spec.level}" for entry in stack
         )
@@ -232,40 +218,22 @@ class _SanitizedLock:
 # ---------------------------------------------------------------------------
 # The factories every repository lock is created through
 # ---------------------------------------------------------------------------
-def ordered_lock(
-    name: str,
-    level: int,
-    *,
-    peers: bool = False,
-    io_ok: bool = False,
-):
+def ordered_lock(name: str, level: int, *, io_ok: bool = False):
     """A ``threading.Lock`` declared at ``level`` in the lock hierarchy.
 
     With the sanitizer disabled this *is* a plain ``threading.Lock``.  The
     name, level and flags must be literals: :mod:`repro.lint.concurrency`
     reads the hierarchy off this call.
     """
-    spec = _declare(
-        LockSpec(name=name, level=int(level), peers=peers, io_ok=io_ok)
-    )
+    spec = _declare(LockSpec(name=name, level=int(level), io_ok=io_ok))
     if not is_enabled():
         return threading.Lock()
     return _SanitizedLock(spec, threading.Lock())
 
 
-def ordered_rlock(
-    name: str,
-    level: int,
-    *,
-    peers: bool = False,
-    io_ok: bool = False,
-):
+def ordered_rlock(name: str, level: int, *, io_ok: bool = False):
     """A re-entrant lock declared at ``level`` in the lock hierarchy."""
-    spec = _declare(
-        LockSpec(
-            name=name, level=int(level), reentrant=True, peers=peers, io_ok=io_ok
-        )
-    )
+    spec = _declare(LockSpec(name=name, level=int(level), reentrant=True, io_ok=io_ok))
     if not is_enabled():
         return threading.RLock()
     return _SanitizedLock(spec, threading.RLock())

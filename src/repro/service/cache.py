@@ -46,8 +46,6 @@ scheduler after the ledger accepted the charge, never speculatively.
 from __future__ import annotations
 
 from collections import OrderedDict
-
-from ..sanitize import ordered_lock
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,12 +56,14 @@ __all__ = ["AnswerCache"]
 
 
 class AnswerCache:
-    """Thread-safe LRU map of ``(session, plan identity, ε)`` to released answers."""
+    """LRU map of ``(session, plan identity, ε)`` to released answers.
+
+    Not synchronised: the scheduler makes every call under ``service.state``.
+    """
 
     def __init__(self, max_entries: int = 131072) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be a positive integer")
-        self._lock = ordered_lock("service.cache", 18)
         self._answers: OrderedDict[
             tuple[str, "Plan", float], "NoisyCountResult"
         ] = OrderedDict()
@@ -79,15 +79,14 @@ class AnswerCache:
         self, scope: str, plan: "Plan", epsilon: float
     ) -> "NoisyCountResult | None":
         """The previously released answer for this measurement, if any."""
-        with self._lock:
-            key = self._key(scope, plan, epsilon)
-            answer = self._answers.get(key)
-            if answer is None:
-                self._misses += 1
-                return None
-            self._answers.move_to_end(key)
-            self._hits += 1
-            return answer
+        key = self._key(scope, plan, epsilon)
+        answer = self._answers.get(key)
+        if answer is None:
+            self._misses += 1
+            return None
+        self._answers.move_to_end(key)
+        self._hits += 1
+        return answer
 
     def put(
         self, scope: str, plan: "Plan", epsilon: float, answer: "NoisyCountResult"
@@ -99,42 +98,30 @@ class AnswerCache:
         consistent released value.  The least-recently-used entry is evicted
         beyond ``max_entries``.
         """
-        with self._lock:
-            key = self._key(scope, plan, epsilon)
-            if key in self._answers:
-                return
-            self._answers[key] = answer
-            while len(self._answers) > self._max_entries:
-                self._answers.popitem(last=False)
-                self._evictions += 1
+        key = self._key(scope, plan, epsilon)
+        if key in self._answers:
+            return
+        self._answers[key] = answer
+        while len(self._answers) > self._max_entries:
+            self._answers.popitem(last=False)
+            self._evictions += 1
 
     def drop_scope(self, scope: str) -> int:
         """Evict every entry of one session (called when it closes)."""
-        with self._lock:
-            stale = [key for key in self._answers if key[0] == scope]
-            for key in stale:
-                del self._answers[key]
-            return len(stale)
+        stale = [key for key in self._answers if key[0] == scope]
+        for key in stale:
+            del self._answers[key]
+        return len(stale)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._answers)
+        return len(self._answers)
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/size/eviction counters (stats endpoint and tests)."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._answers),
-                "evictions": self._evictions,
-                "max_entries": self._max_entries,
-            }
-
-    def clear(self) -> None:
-        """Drop every cached answer (testing hook)."""
-        with self._lock:
-            self._answers.clear()
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
+        return {
+            "hits": self._hits,
+            "misses": self._misses,
+            "size": len(self._answers),
+            "evictions": self._evictions,
+            "max_entries": self._max_entries,
+        }

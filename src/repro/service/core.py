@@ -79,12 +79,6 @@ class MeasurementService:
             from ..persistence.ratelimit import RateLimiter
 
             rate_limiter = RateLimiter(rate_limit, rate_burst)
-        shedder = None
-        if max_total_pending is not None:
-            from ..persistence.ratelimit import LoadShedder
-
-            shedder = LoadShedder(max_total_pending)
-        self._rate_limiter = rate_limiter
         self.cache = AnswerCache()
         self.store = None
         if ledger_path is not None:
@@ -99,7 +93,7 @@ class MeasurementService:
                 max_pending=max_pending,
                 store=self.store,
                 rate_limiter=rate_limiter,
-                shedder=shedder,
+                max_total_pending=max_total_pending,
                 breaker_threshold=breaker_threshold,
                 breaker_reset=breaker_reset,
             )
@@ -142,9 +136,7 @@ class MeasurementService:
         re-creating the same name resumes its committed ε spend.
         """
         self.registry.close(name)
-        self.cache.drop_scope(name)
-        if self._rate_limiter is not None:
-            self._rate_limiter.forget(name)
+        self.scheduler.forget(name)
 
     def sessions(self) -> list[dict[str, Any]]:
         """JSON-friendly summaries of every hosted session."""

@@ -167,11 +167,14 @@ class HostedSession:
 class SessionRegistry:
     """Thread-safe mapping of tenant names to hosted sessions, with auditing.
 
-    One registry lock guards the session table, the names reserved by
-    in-flight creates and closes, and the in-memory audit log — dictionary
-    and deque operations only: no session is built and no storage is
-    touched under it.  Per-session state is guarded by the session's own
-    locks, so measurements against different sessions never contend here.
+    One lock, ``service.state``, guards the session table, the names
+    reserved by in-flight creates and closes and the in-memory audit log,
+    and the scheduler built over this registry guards its own tables with
+    it too (see :attr:`lock`) — dictionary and counter operations only: no
+    session is built, no plan evaluated and no storage touched under it.
+    Per-session state is guarded by the session's own locks, so
+    measurements against different sessions never wait on each other here
+    for longer than a table lookup.
 
     With a durable ``store`` (:class:`~repro.persistence.wal.LedgerStore`)
     the registry is restart-safe: sessions charge through a
@@ -184,7 +187,7 @@ class SessionRegistry:
     """
 
     def __init__(self, store: "LedgerStore | None" = None) -> None:
-        self._lock = ordered_lock("service.registry", 10)
+        self._lock = ordered_lock("service.state", 10)
         self._store = store
         self._sessions: dict[str, HostedSession] = {}
         # Names being built by an in-flight create() or dropped from the
@@ -211,6 +214,11 @@ class SessionRegistry:
             for name in store.session_names():
                 payload = store.get_session(name)
                 self._sessions[name] = self._materialize(name, payload)
+
+    @property
+    def lock(self):
+        """The ``service.state`` lock, shared with the scheduler's tables."""
+        return self._lock
 
     # ------------------------------------------------------------------
     def create(

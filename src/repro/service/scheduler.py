@@ -5,7 +5,10 @@ answer from the :class:`~repro.service.cache.AnswerCache` when there is one,
 and otherwise runs one :meth:`PrivacySession.measure` for it under its
 session name's lock.  The cache is consulted again under the lock, so
 concurrent identical (query, ε) requests are charged once and the others
-replay the first one's release.  Distinct sessions never contend.
+replay the first one's release.  Distinct sessions never contend beyond
+the registry's ``service.state`` lock, which guards the scheduler's tables
+(session-lock waiters, counters, the cache and the token buckets) for a
+lookup at a time.
 Batching pays inside one ``PrivacySession.measure(*requests)`` call, where
 the requests share subplans; the scheduler builds no batches across them.
 """
@@ -34,7 +37,7 @@ from ..sanitize import ordered_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.aggregation import NoisyCountResult
-    from ..persistence.ratelimit import LoadShedder, RateLimiter
+    from ..persistence.ratelimit import RateLimiter
     from ..persistence.wal import LedgerStore
 
 __all__ = ["BatchingScheduler", "MeasurementAnswer"]
@@ -65,7 +68,14 @@ class _Combiner:
 
 
 class BatchingScheduler:
-    """Runs each measurement on its caller's thread under its session's lock."""
+    """Runs each measurement on its caller's thread under its session's lock.
+
+    Its tables — the session-lock waiters, the counters, the answer cache
+    and the rate limiter's buckets — are guarded by the registry's
+    ``service.state`` lock.  ``max_total_pending`` bounds the requests
+    waiting on or running under every session's lock together; beyond it,
+    load is shed.
+    """
 
     def __init__(
         self,
@@ -74,19 +84,21 @@ class BatchingScheduler:
         max_pending: int = 128,
         store: "LedgerStore | None" = None,
         rate_limiter: "RateLimiter | None" = None,
-        shedder: "LoadShedder | None" = None,
+        max_total_pending: int | None = None,
         breaker_threshold: int | None = None,
         breaker_reset: float = 5.0,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be a positive integer")
+        if max_total_pending is not None and max_total_pending < 1:
+            raise ValueError("max_total_pending must be a positive integer")
         self._registry = registry
         self._cache = cache if cache is not None else AnswerCache()
         # Durable released answers: read after the in-memory cache misses,
         # written on every release.
         self._store = store
         self._rate_limiter = rate_limiter
-        self._shedder = shedder
+        self._max_total_pending = max_total_pending
         # Repeated ledger failures trip the breaker and later submissions
         # fail fast (503 + retry_after); transient ones in the retry-safe
         # window are retried with seeded backoff first.
@@ -96,7 +108,6 @@ class BatchingScheduler:
         self._ledger_retry = RetryPolicy(
             retries=2, base_delay=0.02, max_delay=0.5, seed=0
         )
-        self._lock = ordered_lock("service.scheduler", 16)
         self._combiners: dict[str, _Combiner] = {}
         self._closed = False
         # Requests past the closed check and not yet finished: shutdown
@@ -104,6 +115,10 @@ class BatchingScheduler:
         self._active = 0
         self._idle = threading.Event()
         self._max_pending = max_pending
+        # Requests waiting on or running under any session's lock, and the
+        # ones shed because there were max_total_pending of them.
+        self._pending = 0
+        self._shed = 0
         self._requests = 0
         self._batches = 0
 
@@ -111,23 +126,34 @@ class BatchingScheduler:
     def stats(self) -> dict[str, int]:
         """``requests`` that reached their session's lock and ``batches``
         (ledger-charged measure passes), plus cache and admission stats."""
-        with self._lock:
+        with self._registry.lock:
             stats = {
                 "requests": self._requests,
                 "batches": self._batches,
+                "cache": self._cache.stats(),
             }
-        stats["cache"] = self._cache.stats()
-        if self._rate_limiter is not None:
-            stats["rate_limit"] = self._rate_limiter.stats()
-        if self._shedder is not None:
-            stats["load_shedding"] = self._shedder.stats()
+            if self._rate_limiter is not None:
+                stats["rate_limit"] = self._rate_limiter.stats()
+            if self._max_total_pending is not None:
+                stats["load_shedding"] = {
+                    "pending": self._pending,
+                    "shed": self._shed,
+                    "max_total": self._max_total_pending,
+                }
         if self._ledger_breaker is not None:
             stats["ledger_breaker"] = self._ledger_breaker.stats()
         return stats
 
+    def forget(self, session_name: str) -> None:
+        """Drop a closed session's cached answers and token bucket."""
+        with self._registry.lock:
+            self._cache.drop_scope(session_name)
+            if self._rate_limiter is not None:
+                self._rate_limiter.forget(session_name)
+
     def shutdown(self) -> None:
         """Refuse new requests and wait until every admitted one finished."""
-        with self._lock:
+        with self._registry.lock:
             self._closed = True
             if not self._active:
                 self._idle.set()
@@ -153,7 +179,7 @@ class BatchingScheduler:
         :class:`~repro.exceptions.ServiceOverloadedError`.  A deadline that
         expires while the request waits for the lock refuses, uncharged.
         """
-        with self._lock:
+        with self._registry.lock:
             if self._closed:
                 raise ServiceOverloadedError(
                     "the service is shutting down; retry later"
@@ -162,7 +188,7 @@ class BatchingScheduler:
         try:
             return self._admit(session_name, query, epsilon, deadline)
         finally:
-            with self._lock:
+            with self._registry.lock:
                 self._active -= 1
                 if self._closed and not self._active:
                     self._idle.set()
@@ -188,25 +214,29 @@ class BatchingScheduler:
                 retry_after=breaker.retry_after(),
             )
         if self._rate_limiter is not None:
-            self._rate_limiter.admit(session_name)
+            with self._registry.lock:
+                self._rate_limiter.admit(session_name)
         answer = self._replay(session_name, query, epsilon, queryable)
         if answer is not None:
             return answer
-        if self._shedder is not None:
-            self._shedder.admit()
-        try:
-            return self._run(hosted, queryable, query, epsilon, deadline)
-        finally:
-            if self._shedder is not None:
-                self._shedder.release()
+        return self._run(hosted, queryable, query, epsilon, deadline)
 
     def _run(
         self, hosted: HostedSession, queryable, query: str, epsilon: float, deadline
     ) -> MeasurementAnswer:
         """Measure under the session name's lock; at most ``max_pending``
-        requests wait on or run under it."""
+        requests wait on or run under it, and ``max_total_pending`` under
+        every session's lock together."""
         session_name = hosted.name
-        with self._lock:
+        with self._registry.lock:
+            limit = self._max_total_pending
+            if limit is not None and self._pending >= limit:
+                self._shed += 1
+                raise ServiceOverloadedError(
+                    f"service has {self._pending} pending measurements across "
+                    f"all sessions (limit {limit}); shedding load — "
+                    f"retry with backoff"
+                )
             combiner = self._combiners.get(session_name)
             if combiner is None:
                 combiner = self._combiners[session_name] = _Combiner()
@@ -216,6 +246,7 @@ class BatchingScheduler:
                     f"measurements (limit {self._max_pending}); retry later"
                 )
             combiner.waiting += 1
+            self._pending += 1
             self._requests += 1
         try:
             with combiner.lock:
@@ -244,14 +275,14 @@ class BatchingScheduler:
                         reason=str(exc),
                     )
                     raise
-                with self._lock:
-                    self._batches += 1
                 charged, result = dict(released.charged), released[0]
                 self._registry.record(
                     session_name, "measure", queries=[query], epsilons=[epsilon],
                     charged=charged,
                 )
-                self._cache.put(session_name, queryable.plan, epsilon, result)
+                with self._registry.lock:
+                    self._batches += 1
+                    self._cache.put(session_name, queryable.plan, epsilon, result)
                 if self._store is not None:
                     # Durable copy, so the free replay survives restarts;
                     # written only after the charge.
@@ -262,8 +293,9 @@ class BatchingScheduler:
                     session_name, query, epsilon, result, charged, cached=False
                 )
         finally:
-            with self._lock:
+            with self._registry.lock:
                 combiner.waiting -= 1
+                self._pending -= 1
 
     def _replay(
         self, session_name: str, query: str, epsilon: float, queryable
@@ -272,7 +304,8 @@ class BatchingScheduler:
         the in-memory cache, or from the durable store (a release before a
         restart), rehydrated so repeats stay off disk.
         """
-        result = self._cache.get(session_name, queryable.plan, epsilon)
+        with self._registry.lock:
+            result = self._cache.get(session_name, queryable.plan, epsilon)
         if result is None and self._store is not None:
             values = self._store.get_release(session_name, query, epsilon)
             if values is not None:
@@ -281,8 +314,9 @@ class BatchingScheduler:
                 released = NoisyCountResult.from_released(
                     values, epsilon, plan=queryable.plan, query_name=query
                 )
-                self._cache.put(session_name, queryable.plan, epsilon, released)
-                result = self._cache.get(session_name, queryable.plan, epsilon)
+                with self._registry.lock:
+                    self._cache.put(session_name, queryable.plan, epsilon, released)
+                    result = self._cache.get(session_name, queryable.plan, epsilon)
         if result is None:
             return None
         self._registry.record(session_name, "cache-hit", query=query, epsilon=epsilon)

@@ -38,37 +38,15 @@ MUTATIONS: tuple[Mutation, ...] = (
     # lock-order: an acquisition that contradicts the declared hierarchy
     # ------------------------------------------------------------------
     Mutation(
-        "ledger-charge-unsorted",
-        "lock-order",
-        "src/repro/core/budget.py",
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n"
-        "            for name, cost in validated.items():\n"
-        "                budget = budgets[name]",
-        "            for name in budgets:\n"
-        "                stack.enter_context(budgets[name].lock)\n"
-        "            for name, cost in validated.items():\n"
-        "                budget = budgets[name]",
-    ),
-    Mutation(
-        "ledger-report-unsorted",
-        "lock-order",
-        "src/repro/core/budget.py",
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n"
-        "            for name, budget in budgets.items():",
-        "            for name in budgets:\n"
-        "                stack.enter_context(budgets[name].lock)\n"
-        "            for name, budget in budgets.items():",
-    ),
-    Mutation(
         "scheduler-stats-two-locks-wrong-order",
         "lock-order",
         "src/repro/service/scheduler.py",
-        "        with self._lock:\n"
-        "            stats = {\n",
-        "        with self._cache._lock, self._lock:\n"
-        "            stats = {\n",
+        "        if self._ledger_breaker is not None:\n"
+        '            stats["ledger_breaker"] = self._ledger_breaker.stats()\n',
+        "        if self._ledger_breaker is not None:\n"
+        "            with self._ledger_breaker._lock, self._registry.lock:\n"
+        '                stats["requests"] = self._requests\n'
+        '            stats["ledger_breaker"] = self._ledger_breaker.stats()\n',
     ),
     Mutation(
         "measure-lock-below-combine",
@@ -78,7 +56,7 @@ MUTATIONS: tuple[Mutation, ...] = (
         'ordered_rlock("core.measure", 8, io_ok=True)',
     ),
     Mutation(
-        "combine-lock-above-registry",
+        "combine-lock-above-state",
         "lock-order",
         "src/repro/service/scheduler.py",
         'ordered_lock("service.combine", 9, io_ok=True)',
@@ -157,11 +135,25 @@ MUTATIONS: tuple[Mutation, ...] = (
         "rate-limiter-sleeps-under-lock",
         "blocking-under-lock",
         "src/repro/persistence/ratelimit.py",
+        "        retry_after = bucket.try_acquire()\n",
+        "        retry_after = bucket.try_acquire()\n"
+        "        if 0.0 < retry_after < 0.005:\n"
+        "            time.sleep(retry_after)  # a short wait beats a refusal\n"
         "            retry_after = bucket.try_acquire()\n",
-        "            retry_after = bucket.try_acquire()\n"
-        "            if 0.0 < retry_after < 0.005:\n"
-        "                time.sleep(retry_after)  # a short wait beats a refusal\n"
-        "                retry_after = bucket.try_acquire()\n",
+    ),
+    Mutation(
+        "state-lock-held-across-measure",
+        "blocking-under-lock",
+        "src/repro/service/scheduler.py",
+        "                try:\n"
+        "                    released = self._measure(\n"
+        "                        hosted, [(queryable, epsilon, query)], deadline\n"
+        "                    )\n",
+        "                try:\n"
+        "                    with self._registry.lock:\n"
+        "                        released = self._measure(\n"
+        "                            hosted, [(queryable, epsilon, query)], deadline\n"
+        "                        )\n",
     ),
     # ------------------------------------------------------------------
     # dropped-budget-lock: budget state mutated without its lock
@@ -183,17 +175,13 @@ MUTATIONS: tuple[Mutation, ...] = (
         "        self._charges.append(_Charge(epsilon, description))\n",
     ),
     Mutation(
-        "ledger-charge-without-budget-locks",
+        "ledger-charge-without-lock",
         "dropped-budget-lock",
         "src/repro/core/budget.py",
-        "        with ExitStack() as stack:\n"
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n"
-        "            for name, cost in validated.items():\n"
-        "                budget = budgets[name]\n",
-        "        with ExitStack():\n"
-        "            for name, cost in validated.items():\n"
-        "                budget = budgets[name]\n",
+        "        with self._lock:\n"
+        "            budgets = {name: self.budget_for(name) for name in validated}\n",
+        "        if True:\n"
+        "            budgets = {name: self.budget_for(name) for name in validated}\n",
     ),
     Mutation(
         "sync-spent-without-lock",
@@ -247,35 +235,31 @@ MUTATIONS: tuple[Mutation, ...] = (
         "ledger-check-before-locking",
         "check-then-act",
         "src/repro/core/budget.py",
-        "        with ExitStack() as stack:\n"
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n"
+        "        with self._lock:\n"
+        "            budgets = {name: self.budget_for(name) for name in validated}\n"
         "            for name, cost in validated.items():\n"
         "                budget = budgets[name]\n"
         "                if not budget.can_afford(cost):\n"
         "                    raise BudgetExceededError(cost, budget.remaining, source=name)\n",
+        "        budgets = {name: self.budget_for(name) for name in validated}\n"
         "        for name, cost in validated.items():\n"
         "            budget = budgets[name]\n"
         "            if not budget.can_afford(cost):\n"
         "                raise BudgetExceededError(cost, budget.remaining, source=name)\n"
-        "        with ExitStack() as stack:\n"
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n",
+        "        with self._lock:\n",
     ),
     Mutation(
         "ledger-check-against-stale-snapshot",
         "check-then-act",
         "src/repro/core/budget.py",
-        "        with ExitStack() as stack:\n"
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n"
+        "        with self._lock:\n"
+        "            budgets = {name: self.budget_for(name) for name in validated}\n"
         "            for name, cost in validated.items():\n"
         "                budget = budgets[name]\n"
         "                if not budget.can_afford(cost):\n",
-        "        left = {name: budget.remaining for name, budget in budgets.items()}\n"
-        "        with ExitStack() as stack:\n"
-        "            for name in sorted(budgets):\n"
-        "                stack.enter_context(budgets[name].lock)\n"
+        "        left = {name: self.remaining(name) for name in validated}\n"
+        "        with self._lock:\n"
+        "            budgets = {name: self.budget_for(name) for name in validated}\n"
         "            for name, cost in validated.items():\n"
         "                budget = budgets[name]\n"
         "                if cost > left[name] + 1e-12:\n",

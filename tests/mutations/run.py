@@ -73,7 +73,8 @@ SANITIZER_SUITES = (
     "tests/test_service_persistence.py tests/test_persistence_wal.py "
     "tests/test_persistence_recovery.py tests/test_shard_pool.py "
     "tests/test_session_hold.py tests/test_columnar_release.py "
-    "tests/test_resilience_deadline.py tests/test_resilience_cache.py"
+    "tests/test_resilience_deadline.py tests/test_resilience_cache.py "
+    "tests/test_service_state_lock.py"
 ).split()
 #: Suites that lint the tree itself: their verdict is the ``lint`` column's.
 LINT_SUITES = (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -145,9 +146,39 @@ def test_locks_prints_hierarchy_and_dag(capsys):
     assert main(["locks"]) == 0
     out = capsys.readouterr().out
     assert "Lock hierarchy" in out
-    assert "core.budget" in out
-    assert "service.registry" in out
+    assert "core.ledger" in out
+    assert "service.state" in out
     assert "No cycles" in out
+
+
+def _readme_lock_table() -> set[tuple[int, str, str, tuple[str, ...]]]:
+    """(level, name, kind, flags) of each row of README's lock table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Concurrency model & lock order", 1)[1].split("\n## ", 1)[0]
+    rows = set()
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].isdigit():
+            rows.add((
+                int(cells[0]),
+                cells[1].strip("`"),
+                cells[2],
+                tuple(re.findall(r"`([^`]+)`", cells[3])),
+            ))
+    return rows
+
+
+def test_readme_lock_table_lists_exactly_the_declared_locks(capsys):
+    assert main(["locks"]) == 0
+    out = capsys.readouterr().out
+    table = out.split("\n\n", 1)[0].splitlines()[2:]  # past title and header
+    declared = set()
+    for line in table:
+        level, name, kind, *rest = line.split()
+        flags = tuple(token for token in rest if ".py:" not in token and "(" not in token)
+        declared.add((int(level), name, kind, flags))
+    assert f"({len(declared)} declared locks)" in out
+    assert _readme_lock_table() == declared
 
 
 def test_locks_exits_nonzero_on_cycle(capsys):

@@ -39,75 +39,12 @@ def test_cycle_clean_twin_is_clean():
 
 
 def test_order_fixture_detects_inversion_and_undeclared_lock():
-    # The unannotated declaration, the inversion site, and the peer lock
-    # entered in a loop over unsorted names.
-    assert _rules("bad_order") == [("R008", 17), ("R008", 22), ("R008", 36)]
+    # The unannotated declaration and the inversion site.
+    assert _rules("bad_order") == [("R008", 13), ("R008", 18)]
 
 
 def test_order_clean_twin_is_clean():
     assert _rules("good_order") == []
-
-
-_PEER_LOOP = """\
-from contextlib import ExitStack
-
-from repro.sanitize import ordered_lock
-
-
-class Budget:
-    def __init__(self):
-        self.lock = ordered_lock("peerloop.budget", 20, peers=True)
-
-
-def charge(budgets):
-{body}
-"""
-#: Every peer lock is still held when the first loop ends.
-_HELD_PAST_LOOP = """\
-    for budget in {iterable}:
-        budget.lock.acquire()
-    for budget in budgets.values():
-        budget.lock.release()"""
-
-
-def _peer_loop_rules(tmp_path: Path, body: str) -> list[tuple[str, int]]:
-    module = tmp_path / "case.py"
-    module.write_text(_PEER_LOOP.format(body=body), encoding="utf-8")
-    issues = build_concurrency_analysis([module], tmp_path).issues
-    return [(issue.rule, issue.line) for issue in issues]
-
-
-def test_peer_locks_acquired_in_an_unsorted_loop_are_caught(tmp_path):
-    # An explicit acquire() over dict values: the lock resolves through its
-    # ordered_lock declaration, not through a ``*_lock`` name.
-    body = _HELD_PAST_LOOP.format(iterable="budgets.values()")
-    assert _peer_loop_rules(tmp_path, body) == [("R008", 13)]
-
-
-def test_peer_locks_acquired_in_a_sorted_loop_are_clean(tmp_path):
-    body = _HELD_PAST_LOOP.format(iterable="sorted(budgets.values(), key=id)")
-    assert _peer_loop_rules(tmp_path, body) == []
-
-
-def test_peer_lock_released_within_each_iteration_is_clean(tmp_path):
-    # One sibling at a time is never held beside another: no order to get wrong.
-    body = """\
-    for budget in budgets.values():
-        budget.lock.acquire()
-        try:
-            pass
-        finally:
-            budget.lock.release()"""
-    assert _peer_loop_rules(tmp_path, body) == []
-
-
-def test_peer_locks_entered_in_an_unsorted_comprehension_are_caught(tmp_path):
-    body = """\
-    with ExitStack() as stack:
-        [stack.enter_context(budget.lock) for budget in budgets.values()]"""
-    assert _peer_loop_rules(tmp_path, body) == [("R008", 13)]
-    sorted_body = body.replace("budgets.values()", "sorted(budgets.values(), key=id)")
-    assert _peer_loop_rules(tmp_path, sorted_body) == []
 
 
 def test_blocking_fixture_detects_direct_and_transitive_sleep():
@@ -126,7 +63,7 @@ def test_whole_fixture_directory_counts():
     by_rule: dict[str, int] = {}
     for issue in issues:
         by_rule[issue.rule] = by_rule.get(issue.rule, 0) + 1
-    assert by_rule == {"R008": 4, "R009": 5}
+    assert by_rule == {"R008": 3, "R009": 5}
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +79,7 @@ def test_repro_lock_report_is_a_dag():
     assert "No cycles" in report
     # The load-bearing locks of the serving stack are all declared.
     for key in (
-        "service.registry",
-        "core.budget",
+        "service.state",
         "core.ledger",
         "persistence.wal",
         "shard.pool.shutdown",

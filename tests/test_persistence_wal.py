@@ -314,7 +314,7 @@ def test_replay_matches_in_memory_ledger(tmp_path_factory, totals, steps):
 
 
 # ----------------------------------------------------------------------
-# Migration from the older log format
+# A file in the older log format is refused
 # ----------------------------------------------------------------------
 # The tables that format kept the budgets in, as it created them.
 _LOG_SCHEMA = """
@@ -354,90 +354,32 @@ def _old_ledger(path, rows, snapshot=None, wal_id=0) -> None:
     conn.close()
 
 
-def _tables(path) -> set[str]:
+def _rows(path, table) -> list[tuple]:
     conn = sqlite3.connect(path)
     try:
-        return {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+        return [tuple(row) for row in conn.execute(f"SELECT * FROM {table} ORDER BY id")]
     finally:
         conn.close()
 
 
-_SNAPSHOT = {
-    "acme": {
-        "edges": {"total": 2.0, "spent": 0.1 + 0.2},
-        "nodes": {"total": 1.0, "spent": 0.1},
-    },
-    "beta": {"edges": {"total": float("inf"), "spent": 0.7}},
-}
-_LOG_TAIL = [
-    # Unresolved when the snapshot was taken, so kept below its wal_id.
-    (5, "t0", "intent", "acme", "edges", 0.1),
-    (7, "", "register", "beta", "nodes", 1.5),
-    (8, "t1", "intent", "acme", "edges", 0.2),
-    (9, "t1", "intent", "acme", "nodes", 0.05),
-    (10, "t1", "commit", "", "", 0.0),
-    (11, "t2", "intent", "acme", "edges", 5.0),
-    (12, "t2", "abort", "", "", 0.0),
-    (13, "t0", "commit", "", "", 0.0),
-    (14, "t3", "intent", "beta", "nodes", 0.7),  # never resolved: a crash
-    (15, "t4", "intent", "acme", "ghost", 0.25),  # a source never registered
-    (16, "t4", "commit", "", "", 0.0),
-    (17, "t5", "intent", "beta", "nodes", 0.3),
-    (18, "t6", "intent", "acme", "edges", 0.1),
-    (19, "t6", "commit", "", "", 0.0),
-    (20, "t5", "commit", "", "", 0.0),
-]
-# What the log format's own replay read from this file.  acme/edges depends
-# on the order of its additions: adding t0's 0.1 before t1's 0.2, or a
-# compensated sum, gives 0x1.6666666666667p-1.
-_MIGRATED = {
-    "acme": {
-        "edges": (2.0, "0x1.6666666666666p-1"),
-        "ghost": (float("inf"), "0x1.0000000000000p-2"),
-        "nodes": (1.0, "0x1.3333333333334p-3"),
-    },
-    "beta": {
-        "edges": (float("inf"), "0x1.6666666666666p-1"),
-        "nodes": (1.5, "0x1.3333333333333p-2"),
-    },
-}
-
-
-def _hex_state(state):
-    return {
-        scope: {source: (total, spent.hex()) for source, (total, spent) in sources.items()}
-        for scope, sources in state.items()
-    }
-
-
 class TestMigration:
-    def test_log_format_file_is_folded_into_budgets(self, tmp_path):
-        path = tmp_path / "ledger.db"
-        _old_ledger(path, _LOG_TAIL, _SNAPSHOT, wal_id=6)
-        with LedgerStore(path) as store:
-            assert _hex_state(store.load_state()) == _MIGRATED
-            # The recovered budgets are enforced: 2.0 - 0.7 = 1.3 is left.
-            with pytest.raises(BudgetExceededError):
-                store.charge("acme", {"edges": 1.5})
-            assert store.register("beta", "nodes", 1.5) == (1.5, 0.3)
-        assert "wal" not in _tables(path) and "snapshots" not in _tables(path)
-        with LedgerStore(path) as reopened:
-            assert _hex_state(reopened.load_state()) == _MIGRATED
-
-    def test_migration_folds_interleaved_transactions(self, tmp_path):
-        """Interleaved rows from two workers fold to the committed subset."""
+    def test_a_log_format_file_is_refused_untouched(self, tmp_path):
+        """The older format's spent ε is never silently dropped: the store
+        refuses the file, leaves its log as it was and releases the file."""
         path = tmp_path / "ledger.db"
         _old_ledger(
             path,
             [
-                (1, "", "register", "s", "edges", 10.0),
-                (2, "t1", "intent", "s", "edges", 1.0),
-                (3, "t2", "intent", "s", "edges", 2.0),
-                (4, "t2", "commit", "", "", 0.0),
-                (5, "t3", "intent", "s", "edges", 4.0),
-                (6, "t1", "abort", "", "", 0.0),
-                # t3 never resolves: the worker died between intent and commit.
+                (7, "", "register", "beta", "nodes", 1.5),
+                (8, "t1", "intent", "beta", "nodes", 0.7),
+                (9, "t1", "commit", "", "", 0.0),
             ],
+            {"beta": {"nodes": {"total": 1.5, "spent": 0.1}}},
+            wal_id=6,
         )
-        with LedgerStore(path) as store:
-            assert store.load_state() == {"s": {"edges": (10.0, 2.0)}}
+        log, snapshots = _rows(path, "wal"), _rows(path, "snapshots")
+        for _ in range(2):  # the first refusal released <path>.lock
+            with pytest.raises(PersistenceError, match="older budget-log format") as info:
+                LedgerStore(path)
+            assert str(path) in str(info.value)
+        assert _rows(path, "wal") == log and _rows(path, "snapshots") == snapshots

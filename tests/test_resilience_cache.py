@@ -1,7 +1,8 @@
-"""AnswerCache under concurrency: replays racing drop_scope across workers."""
+"""AnswerCache under concurrency: releases and replays racing session closes."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -30,41 +31,59 @@ class TestAnswerCacheUnits:
         assert cache.get("b", plan, 0.1) == "b-answer"
 
     def test_concurrent_puts_and_drops_never_corrupt(self):
-        cache = AnswerCache(max_entries=64)
-        plans = [object() for _ in range(8)]
-        stop = threading.Event()
-        errors: list[BaseException] = []
+        """Fresh releases, replays, LRU evictions and scope drops racing on
+        one service.  The cache keeps no lock of its own: the scheduler
+        touches it only under ``service.state``, so nothing raises, and a
+        replay returns the release it replays."""
+        service = MeasurementService()
+        service.cache._max_entries = 64  # evict while the writers run
+        try:
+            for scope in ("x", "y"):
+                service.create_session(scope, EDGES, seed=0)
+            stop = threading.Event()
+            errors: list[BaseException] = []
 
-        def writer(scope: str) -> None:
+            def writer(scope: str) -> None:
+                step = 0
+                try:
+                    while not stop.is_set():
+                        epsilon = 0.001 * (1 + step % 96)
+                        first = service.measure(scope, "node-count", epsilon)
+                        again = service.measure(scope, "node-count", epsilon)
+                        assert not again.cached or again.result is first.result
+                        step += 1
+                except BaseException as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            def dropper() -> None:
+                try:
+                    while not stop.is_set():
+                        service.scheduler.forget("x")
+                        service.scheduler.forget("y")
+                except BaseException as exc:  # pragma: no cover
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=writer, args=("x",)),
+                threading.Thread(target=writer, args=("y",)),
+                threading.Thread(target=dropper),
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
             try:
-                while not stop.is_set():
-                    for plan in plans:
-                        cache.put(scope, plan, 0.1, scope)
-                        got = cache.get(scope, plan, 0.1)
-                        assert got is None or got == scope
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
-        def dropper() -> None:
-            try:
-                while not stop.is_set():
-                    cache.drop_scope("x")
-                    cache.drop_scope("y")
-            except BaseException as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=writer, args=("x",)),
-            threading.Thread(target=writer, args=("y",)),
-            threading.Thread(target=dropper),
-        ]
-        for thread in threads:
-            thread.start()
-        threading.Event().wait(0.3)
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert not errors
+                for thread in threads:
+                    thread.start()
+                threading.Event().wait(0.3)
+            finally:
+                stop.set()
+                for thread in threads:
+                    thread.join(timeout=10)
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors
+            assert len(service.cache) <= 64
+        finally:
+            service.shutdown()
 
 
 class TestReplayRacingEviction:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -79,6 +80,23 @@ class TestFaultPlan:
         assert {
             point: rule.spec() for point, rule in parsed.rules.items()
         } == {point: rule.spec() for point, rule in plan.rules.items()}
+
+    def test_a_second_rule_for_one_point_is_refused(self):
+        text = "wal.pre_commit:kill@after=3;wal.pre_commit:fail@every=2"
+        with pytest.raises(ValueError, match="wal.pre_commit"):
+            parse_plan(text)
+        with pytest.raises(ValueError, match="wal.pre_commit"):
+            install_from_env({ENV_VAR: text})
+        assert current_plan() is None
+
+    def test_chaos_plans_draw_at_most_one_rule_per_point(self):
+        from repro.resilience.chaos import _random_plan, _subprocess_faults
+
+        for seed in range(200):
+            rng = random.Random(seed)
+            _random_plan(rng, seed)
+            for ops in (0, 1, 5):
+                _subprocess_faults(rng, seed, ops)
 
     def test_parse_rejects_malformed_entries(self):
         with pytest.raises(ValueError, match="malformed fault entry"):

@@ -72,21 +72,12 @@ def test_out_of_order_acquisition_raises(sanitized):
 
 
 def test_same_level_requires_peers_flag(sanitized):
-    first = ordered_lock("test.notpeers.a", 160)
-    second = ordered_lock("test.notpeers.b", 160)
+    # No lock kind licenses a same-level acquisition: there is no peers flag.
+    first = ordered_lock("test.samelevel.a", 160)
+    second = ordered_lock("test.samelevel.b", 160)
     with first:
         with pytest.raises(LockOrderViolation):
             second.acquire()
-
-
-def test_peer_instances_at_one_level_are_allowed(sanitized):
-    budgets = [ordered_rlock("test.peers", 170, peers=True) for _ in range(3)]
-    for lock in budgets:
-        lock.acquire()
-    assert [name for name, _ in held_locks()] == ["test.peers"] * 3
-    for lock in reversed(budgets):
-        lock.release()
-    assert held_locks() == []
 
 
 def test_reentrant_reacquisition_of_same_instance(sanitized):
@@ -120,16 +111,19 @@ def test_held_stack_is_thread_local(sanitized):
 
 def test_repo_hierarchy_is_declared_on_import(sanitized):
     # Constructing real components under the sanitizer exercises the real
-    # hierarchy: registry@10 materializes sessions, charges budgets@60,
-    # and none of it may violate the declared order.
-    from repro.core.budget import BudgetLedger
+    # hierarchy: a multi-source charge checks and debits every budget under
+    # the ledger's one lock, which its budgets share, and none of it may
+    # violate the declared order.
+    from repro.core.budget import BudgetLedger, PrivacyBudget
 
     ledger = BudgetLedger()
-    ledger.register("a", 1.0)
-    ledger.register("b", 1.0)
+    a = ledger.register("a", 1.0)
+    b = ledger.register("b", 1.0)
     ledger.charge({"a": 0.25, "b": 0.25}, "sanitized multi-source charge")
     assert ledger.spent("a") == pytest.approx(0.25)
+    assert a._lock is b._lock is ledger._lock
+    assert PrivacyBudget(1.0)._lock is not ledger._lock
     declared = declared_locks()
-    assert declared["core.budget"].peers is True
-    assert declared["core.ledger"].level < declared["core.budget"].level
+    assert declared["core.ledger"].reentrant
+    assert "core.budget" not in declared
     assert held_locks() == []

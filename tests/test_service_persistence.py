@@ -15,6 +15,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -334,20 +335,39 @@ class TestAdmissionControl:
         finally:
             service.shutdown()
 
-    def test_load_shedding_bounds_total_pending(self, ledger_path):
+    def test_load_shedding_bounds_total_pending(self, ledger_path, monkeypatch):
+        from repro.core.queryable import PrivacySession
+
+        entered, released = threading.Event(), threading.Event()
+        measure = PrivacySession.measure
+
+        def blocked(session, *specs, **kwargs):
+            entered.set()
+            assert released.wait(timeout=30)
+            return measure(session, *specs, **kwargs)
+
         service = _service(ledger_path, max_total_pending=1)
         try:
             service.create_session("acme", EDGES, total_epsilon=5.0, seed=7)
-            # Saturate: hold the single pending slot with an inflight future,
-            # by submitting from a paused scheduler state is racy — instead
-            # drive the shedder directly through its counters.
-            service.scheduler._shedder.admit()
+            service.create_session("beta", EDGES, total_epsilon=5.0, seed=7)
+            # Hold the single pending slot with a measure blocked under
+            # acme's lock: the bound is global, so beta is shed.
+            monkeypatch.setattr(PrivacySession, "measure", blocked)
+            holder = threading.Thread(
+                target=service.measure, args=("acme", "node-count", 0.1)
+            )
+            holder.start()
+            assert entered.wait(timeout=30)
             with pytest.raises(ServiceOverloadedError, match="shedding"):
-                service.measure("acme", "node-count", 0.1)
-            service.scheduler._shedder.release()
-            service.measure("acme", "node-count", 0.1)
-            assert service.stats()["load_shedding"]["shed"] >= 1
+                service.measure("beta", "node-count", 0.1)
+            released.set()
+            holder.join(timeout=30)
+            service.measure("beta", "node-count", 0.1)
+            assert service.stats()["load_shedding"] == {
+                "pending": 0, "shed": 1, "max_total": 1,
+            }
         finally:
+            released.set()
             service.shutdown()
 
 

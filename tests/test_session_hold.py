@@ -9,6 +9,7 @@ hosted query, so the same is asserted through ``MeasurementService``.
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +245,46 @@ class TestMixedBatches:
 # ----------------------------------------------------------------------
 # Refusals on a hit: nothing charged, nothing released, nothing drawn
 # ----------------------------------------------------------------------
+class TestOneMeasureAtATime:
+    def test_a_second_measure_waits_for_the_first_evaluation(self):
+        """A held plan's first evaluation runs under the session's measure
+        lock: a second thread measuring the plan meanwhile waits, then
+        reuses the answer instead of evaluating the plan again."""
+        session = PrivacySession(seed=5, executor=SpyExecutor)
+        edges = session.protect("edges", EDGES, total_epsilon=100.0)
+        entered, release = threading.Event(), threading.Event()
+
+        def gate(record):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=30)
+            return record
+
+        query = session.hold(edges.select(gate))
+        first = threading.Thread(target=query.noisy_count, args=(0.1,))
+        first.start()
+        assert entered.wait(timeout=30)
+        second_done = threading.Event()
+
+        def second():
+            query.noisy_count(0.2)
+            second_done.set()
+
+        waiting = threading.Thread(target=second)
+        waiting.start()
+        try:
+            # Bounded wait for a finish that must not come while the first
+            # measure evaluates.
+            assert not second_done.wait(timeout=0.5)
+        finally:
+            release.set()
+            first.join(timeout=30)
+            waiting.join(timeout=30)
+        assert second_done.is_set()
+        assert session.executor.batches == [[query.plan]]
+        assert session.exact_stats() == {"held": 1, "computed": 1, "reused": 1}
+
+
 class TestRefusalsOnAHit:
     def _measured_once(self, total_epsilon):
         session = PrivacySession(seed=9)

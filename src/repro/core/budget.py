@@ -131,29 +131,6 @@ class PrivacyBudget:
         with self._lock:
             return [(charge.epsilon, charge.description) for charge in self._charges]
 
-    # ------------------------------------------------------------------
-    # Hooks for the durable ledger (repro.persistence.ledger)
-    # ------------------------------------------------------------------
-    def _sync_spent(self, spent: float) -> None:
-        """Adopt an authoritative externally-committed spent total.
-
-        Used by :class:`~repro.persistence.ledger.DurableLedger` to make the
-        in-memory view track the durable store: the total after a charge it
-        committed, or spend recovered from a previous incarnation.  Not part
-        of the public API: callers must have durably committed the spend they
-        are syncing to.  Durable spend only grows, so a total older than the
-        one already adopted (two threads' charges returning out of order) is
-        ignored.
-        """
-        with self._lock:
-            self._spent = max(self._spent, float(spent))
-
-    def _record_charge(self, epsilon: float, description: str) -> None:
-        """Append a history entry without debiting (the debit came via
-        :meth:`_sync_spent` from the durable store)."""
-        with self._lock:
-            self._charges.append(_Charge(epsilon, description))
-
 
 class BudgetLedger:
     """Budget bookkeeping for several protected datasets at once.

@@ -124,6 +124,8 @@ class PrivacySession:
         # under the measure lock only; the counters are plain ints so that a
         # stats poll reads them without queueing behind an evaluation.
         self._held: dict[Plan, ExactAnswer | None] = {}
+        # Held plans compute_held computed that no measurement has read yet.
+        self._unmeasured: set[Plan] = set()
         self._held_reused = 0
 
     # ------------------------------------------------------------------
@@ -166,7 +168,7 @@ class PrivacySession:
         rebound (:meth:`protect` refuses), so ``Q(A)`` is a constant of the
         session and only the charge and the noise depend on ε.  Holding a
         plan makes :meth:`measure` keep its exact output the first time a
-        batch evaluates it — lazily, so a held plan nobody measures costs
+        batch evaluates it or :meth:`compute_held` asks — holding evaluates
         nothing — as one :class:`~repro.core.aggregation.ExactAnswer`: the
         records in noise-draw order and their weights, no intermediate
         result, no sub-plan.  Every later measurement of the plan, at any ε,
@@ -184,6 +186,23 @@ class PrivacySession:
         with self._measure_lock:
             self._held.setdefault(queryable.plan, None)
         return queryable
+
+    def compute_held(self, queryable: "Queryable") -> None:
+        """Compute a held plan's exact answer now, if not yet computed.
+
+        Charges nothing and draws no noise.  The service calls it before the
+        store transaction that charges and releases, so a refused first
+        measurement costs this evaluation; the next measurement counts as
+        the computing one, not as a reuse.
+        """
+        plan = queryable.plan
+        if self._held.get(plan, True) is not None:
+            return  # unheld, or computed for good: no lock needed to see it
+        with self._measure_lock:
+            if self._held[plan] is None:
+                (exact,) = self._executor.evaluate_many([plan])
+                self._held[plan] = ExactAnswer(exact)
+                self._unmeasured.add(plan)
 
     def holds_exact(self, queryable: "Queryable") -> bool:
         """Whether ``queryable`` is held and its exact output already computed."""
@@ -211,10 +230,13 @@ class PrivacySession:
         evaluated once — and a batch of nothing but hits never enters the
         executor (nor, on the sharded backend, its pool and breaker).
         """
-        held = self._held
-        # None marks a plan to evaluate: not held, or held and never measured.
+        held, unmeasured = self._held, self._unmeasured
+        # None marks a plan to evaluate: not held, or held and never computed.
         outputs: dict[Plan, Any] = {plan: held.get(plan) for plan in plans}
         self._held_reused += sum(outputs[plan] is not None for plan in plans)
+        if unmeasured:  # the first read of an answer compute_held made is no reuse
+            self._held_reused -= len(unmeasured.intersection(plans))
+            unmeasured.difference_update(plans)
         missing = [plan for plan, output in outputs.items() if output is None]
         if missing:
             for plan, exact in zip(missing, self._executor.evaluate_many(missing)):

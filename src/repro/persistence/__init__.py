@@ -7,14 +7,14 @@ death, and provides the admission controls a durable service needs:
 
 :mod:`repro.persistence.wal`
     :class:`LedgerStore` — a WAL-mode sqlite file holding the budgets table
-    (a charge is one write transaction), the append-only audit log, released
-    answers, and hosted-session definitions.  A store holds its file
+    (a fresh release's charge, release row and audit row are one write
+    transaction), the append-only audit log, released answers, and
+    hosted-session definitions.  A store holds its file
     exclusively: a second opener is refused.
 :mod:`repro.persistence.ledger`
     :class:`DurableLedger` — the drop-in
-    :class:`~repro.core.budget.BudgetLedger` that charges through the store,
-    recovers spend on registration, and reads budgets from the durable
-    table.
+    :class:`~repro.core.budget.BudgetLedger` that charges through the store
+    and reads every spend from the durable table.
 :mod:`repro.persistence.ratelimit`
     Per-tenant :class:`TokenBucket`/:class:`RateLimiter` admission control,
     layered under the scheduler's backpressure.

@@ -2,21 +2,19 @@
 
 ``DurableLedger`` is a drop-in replacement for the in-memory ledger that a
 :class:`~repro.core.queryable.PrivacySession` charges against.  Its budgets
-live in the store's ``budgets`` table (:mod:`repro.persistence.wal`), which
-gives two guarantees on top of the base class:
+live in the store's ``budgets`` table (:mod:`repro.persistence.wal`) and
+nowhere else, which gives two guarantees on top of the base class:
 
-* **Durability** — a charge is the store's one write transaction, and it
-  returns only once the debit is committed, so nothing is acknowledged that
-  is not on disk.
-* **Crash recovery** — :meth:`register` adopts the spend recovered from the
-  store, so re-opening a ledger (or re-creating a hosted session after a
-  restart) resumes from the exact committed pre-crash spend: no released ε is
-  ever forgotten.
+* **Durability** — a charge is a store write, in its own transaction or in
+  the caller's (:meth:`~repro.persistence.wal.LedgerStore.transaction`), so
+  nothing is acknowledged before the debit is committed.
+* **Crash recovery** — every read of spend reads the store, so re-opening
+  a ledger (or re-creating a hosted session after a restart) resumes from
+  the exact committed pre-crash spend: no released ε is ever forgotten.
 
-The affordability check of a charge runs inside that transaction against
-the table, and :meth:`spent`, :meth:`remaining` and :meth:`report` read the
-table.  A source's in-memory :class:`~repro.core.budget.PrivacyBudget`
-keeps its total and this process's charge history.
+A charge's affordability check runs against the table, and :meth:`spent`,
+:meth:`remaining` and :meth:`report` read it.  A source's in-memory
+:class:`~repro.core.budget.PrivacyBudget` holds only its total.
 """
 
 from __future__ import annotations
@@ -58,39 +56,21 @@ class DurableLedger(BudgetLedger):
 
     # ------------------------------------------------------------------
     def register(self, name: str, total_epsilon: float) -> PrivacyBudget:
-        """Register a source durably, adopting any recovered spend.
-
-        The durable registration happens first (it also rejects a total that
-        conflicts with a previous incarnation's), then the in-memory budget
-        is created and synced to the recovered spent ε — which is non-zero
-        exactly when this (scope, source) pair spent budget before a restart.
-        """
+        """Register a source durably (refusing a total that conflicts with a
+        previous incarnation's, whose spend stays in the table), then in
+        memory."""
         if total_epsilon != float("inf"):
             total_epsilon = validate_epsilon(total_epsilon)
-        total, recovered_spent = self._store.register(
-            self._scope, name, total_epsilon
-        )
-        budget = super().register(name, total)
-        if recovered_spent > budget.spent:
-            budget._sync_spent(recovered_spent)
-            budget._record_charge(
-                recovered_spent, "(recovered from durable ledger)"
-            )
-        return budget
+        total, _ = self._store.register(self._scope, name, total_epsilon)
+        return super().register(name, total)
 
     def charge(self, costs: dict[str, float], description: str = "") -> None:
-        """Charge every source in the store's one transaction, or none.
-
-        The store checks affordability against the table;
-        :class:`BudgetExceededError` then propagates with nothing charged.
-        On success each budget records the charge in its history.
-        """
-        validated = {name: validate_epsilon(cost) for name, cost in costs.items()}
-        budgets = {name: self.budget_for(name) for name in validated}
-        spent_after = self._store.charge(self._scope, validated, description)
-        for name, cost in validated.items():
-            budgets[name]._sync_spent(spent_after[name])
-            budgets[name]._record_charge(cost, description)
+        """Charge every source in the store, all or none, taking no lock of
+        this ledger; :class:`BudgetExceededError` propagates with nothing
+        charged.  The audit log, not ``description``, records the charge."""
+        self._store.charge(
+            self._scope, {name: validate_epsilon(cost) for name, cost in costs.items()}
+        )
 
     def spent(self, name: str) -> float:
         """Durable ε consumed so far by the named source."""

@@ -30,17 +30,18 @@ Tables
     two released measurements can ever share Laplace draws (sharing a draw
     would let an analyst difference two releases and cancel the noise).
 
-A charge (:meth:`LedgerStore.charge`) is one ``BEGIN IMMEDIATE``
-transaction: read the involved ``budgets`` rows, check each source's
-affordability, then set ``spent = spent + ?`` per source (a source never
-registered gets a row at total ∞) and ``COMMIT`` — or ``ROLLBACK`` and raise
-:class:`BudgetExceededError`.  The caller releases the
-noisy answer only after the commit returns, so a crash anywhere before it
-leaves a ledger that neither charged nor released anything.  Each
-``spent`` is the sum of its committed charges added one IEEE addition at a
-time, in commit order.  The ``wal.intent_commit`` fault point sits inside
-the transaction, before the affordability check, so crash-recovery tests
-can kill the process with the write lock held.
+Atomic writes run in a re-entrant :meth:`LedgerStore.transaction`, one
+``BEGIN IMMEDIATE`` … ``COMMIT`` that rolls back on any exception; ``charge``,
+``put_release`` and ``append_audit`` join an open one.  The service opens one
+per fresh measurement, so the ``budgets`` debit, the noise draw, the
+``releases`` row and the ``measure`` audit row commit together: a crash
+before the commit charges and releases nothing, one after it leaves a
+release any retry replays for free.  A charge reads the involved ``budgets``
+rows, checks each source (one never registered gets a row at total ∞) and
+sets ``spent = spent + ?``, or raises :class:`BudgetExceededError`; each
+``spent`` is its committed charges added one IEEE addition at a time.  The
+``wal.intent_commit`` fault point sits inside the charge, before its check;
+``wal.pre_commit`` / ``wal.post_commit`` just before / after the ``COMMIT``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import json
 import os
 import sqlite3
 import time
+from contextlib import contextmanager
 from typing import Any, Iterator
 
 from ..exceptions import BudgetExceededError, InvalidEpsilonError, PersistenceError
@@ -207,8 +209,8 @@ class LedgerStore:
 
         Returns ``(total, spent)`` from the durable state — ``spent`` is
         non-zero when the pair was already registered by a previous
-        incarnation, which is exactly the crash-recovery path: the in-memory
-        budget adopts the recovered spend.  A conflicting
+        incarnation (the crash-recovery path), and it stays in the table,
+        where every reader of spend reads it.  A conflicting
         ``total`` raises :class:`InvalidEpsilonError`, mirroring
         :meth:`repro.core.budget.BudgetLedger.register`.
         """
@@ -230,43 +232,48 @@ class LedgerStore:
             )
         return row["total"], row["spent"]
 
-    def charge(
-        self, scope: str, costs: dict[str, float], description: str = ""
-    ) -> dict[str, float]:
-        """Durably charge every source of ``scope``, or charge nothing.
-
-        One write transaction, described in the module docstring.  A source
-        never registered is charged against a total of ∞.  Returns the
-        per-source ``spent`` totals *after* the charge; raises
-        :class:`BudgetExceededError`, with nothing written, when any source
-        cannot afford its cost.
-        ``description`` is for the caller's history; the audit log is its
-        durable record.
-        """
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE`` … ``COMMIT`` under the store mutex, rolled
+        back on any exception; a nested scope joins the open one."""
         with self._mutex:
+            if self._conn.in_transaction:
+                yield
+                return
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                inject("wal.intent_commit")
-                current = self._budgets(scope)
-                spent_after: dict[str, float] = {}
-                for source, amount in sorted(costs.items()):
-                    total, spent = current.get(source, (float("inf"), 0.0))
-                    if amount > total - spent + _SLACK:
-                        raise BudgetExceededError(amount, total - spent, source=source)
-                    spent_after[source] = spent + amount
-                for source, amount in sorted(costs.items()):
-                    self._conn.execute(
-                        "INSERT INTO budgets (scope, source, total, spent) "
-                        "VALUES (?, ?, ?, ?) "
-                        "ON CONFLICT (scope, source) DO UPDATE SET spent = spent + ?",
-                        (scope, source, float("inf"), amount, amount),
-                    )
+                yield
                 inject("wal.pre_commit")
                 self._conn.execute("COMMIT")
-                inject("wal.post_commit")
             except BaseException:
                 self._rollback()
                 raise
+            inject("wal.post_commit")
+
+    def charge(self, scope: str, costs: dict[str, float]) -> dict[str, float]:
+        """Durably charge every source of ``scope``, or charge nothing.
+
+        In the caller's :meth:`transaction`, or one of its own.  Returns the
+        per-source ``spent`` totals *after* the charge; raises
+        :class:`BudgetExceededError`, with nothing written, when any source
+        cannot afford its cost.
+        """
+        with self.transaction():
+            inject("wal.intent_commit")
+            current = self._budgets(scope)
+            spent_after: dict[str, float] = {}
+            for source, amount in sorted(costs.items()):
+                total, spent = current.get(source, (float("inf"), 0.0))
+                if amount > total - spent + _SLACK:
+                    raise BudgetExceededError(amount, total - spent, source=source)
+                spent_after[source] = spent + amount
+            for source, amount in sorted(costs.items()):
+                self._conn.execute(
+                    "INSERT INTO budgets (scope, source, total, spent) "
+                    "VALUES (?, ?, ?, ?) "
+                    "ON CONFLICT (scope, source) DO UPDATE SET spent = spent + ?",
+                    (scope, source, float("inf"), amount, amount),
+                )
         return spent_after
 
     def spent(self, scope: str) -> dict[str, float]:
@@ -371,22 +378,12 @@ class LedgerStore:
         the durable ledger exists to preserve.
         """
         with self._mutex:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                row = self._conn.execute(
-                    "SELECT count FROM incarnations WHERE scope = ?", (scope,)
-                ).fetchone()
-                count = (int(row["count"]) if row is not None else 0) + 1
-                self._conn.execute(
-                    "INSERT INTO incarnations (scope, count) VALUES (?, ?) "
-                    "ON CONFLICT(scope) DO UPDATE SET count = excluded.count",
-                    (scope, count),
-                )
-                self._conn.execute("COMMIT")
-                return count
-            except BaseException:
-                self._rollback()
-                raise
+            (row,) = self._conn.execute(
+                "INSERT INTO incarnations (scope, count) VALUES (?, 1) "
+                "ON CONFLICT(scope) DO UPDATE SET count = count + 1 RETURNING count",
+                (scope,),
+            ).fetchall()
+        return int(row["count"])
 
     def get_session(self, name: str) -> dict[str, Any] | None:
         """One persisted session definition, if present."""

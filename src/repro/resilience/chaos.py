@@ -8,7 +8,9 @@ checks the four resilience invariants after every run:
    spend of every protected source lies in
    ``[Σ acknowledged charges, Σ acknowledged + Σ failed-attempt charges]``:
    every answer the client acknowledged is durably paid for, and no failed
-   attempt can have charged more than once.
+   attempt can have charged more than once.  The kill-cycle leg checks it
+   exactly: once every failed ``(query, ε)`` is measured again, the spend is
+   the unit costs of the distinct keys holding a release, each paid once.
 2. **No orphaned shared memory** — the set of ``/dev/shm`` segments after
    shutdown equals the set before the run started.
 3. **No stuck scheduler or pool** — every operation completes (successfully
@@ -26,12 +28,12 @@ Two modes:
   segment *by construction*).
 * **subprocess kill-cycles** (``kill_cycles=True``): one ``repro serve
   --ledger`` process is spawned with a randomized ``REPRO_FAULTS`` schedule
-  that may include a ``kill`` inside the ledger's charge transaction;
-  the harness measures over HTTP, every op at a fresh ε so that it reaches
-  the charge, SIGKILLs the server between cycles, restarts it on the same
-  ledger, and verifies the same invariants at the end.  A scheduled kill
-  that never fired is a violation too: a cycle that did not crash proves
-  nothing about recovery.
+  that may include a ``kill`` inside a release's store transaction or just
+  after its commit; the harness measures over HTTP, every op at a fresh ε
+  so that it reaches the charge, SIGKILLs the server between cycles,
+  restarts it on the same ledger, and verifies the same invariants at the
+  end.  A scheduled kill that never fired is a violation too: a cycle that
+  did not crash proves nothing about recovery.
 
 Shell entry point: ``python -m repro chaos --seed 1234 --steps 50``
 (non-zero exit status when any invariant is violated).
@@ -216,6 +218,7 @@ class _Accounting:
         self.charged_lower: dict[str, float] = {}
         self.failed_slack: dict[str, float] = {}
         self.answers: dict[tuple[str, float], list] = {}
+        self.failed: set[tuple[str, float]] = set()
 
     def _add(self, bucket: dict[str, float], query: str, epsilon: float) -> None:
         for source, unit in self._unit_costs[query].items():
@@ -228,6 +231,23 @@ class _Accounting:
     def record_failure(self, query: str, epsilon: float) -> None:
         """A failed (or unknown-outcome) attempt: at most one durable charge."""
         self._add(self.failed_slack, query, epsilon)
+        self.failed.add((query, epsilon))
+
+    def check_exact(
+        self, spent: dict[str, float], released: set, report: ChaosReport, where: str
+    ) -> None:
+        """Durable spend is each released ``(query, ε)`` key's cost, once."""
+        expected: dict[str, float] = {}
+        for query, epsilon in released:
+            self._add(expected, query, epsilon)
+        for source in sorted(set(spent) | set(expected)):
+            actual, want = spent.get(source, 0.0), expected.get(source, 0.0)
+            if abs(actual - want) > 1e-6:
+                report.violations.append(
+                    f"{'phantom' if actual > want else 'lost'} ε ({where}): "
+                    f"source {source!r} durably spent {actual:.6f}, but the "
+                    f"{len(released)} released (query, ε) keys cost {want:.6f}"
+                )
 
     def check_bounds(
         self, spent: dict[str, float], report: ChaosReport, where: str
@@ -503,16 +523,18 @@ def _kill_group(proc: subprocess.Popen) -> None:
 def _subprocess_faults(rng: random.Random, cycle_seed: int, ops: int) -> FaultPlan:
     """A randomized fault schedule for one serve incarnation of ``ops`` ops.
 
-    May include a ``kill`` inside the ledger's charge transaction — the
-    sharpest crash-consistency probe there is — plus transient ledger
-    failures and a dropped HTTP response (charge committed, ack lost).
-    Every op is charged and passes both charge points (a ``fail`` fires at
+    May include a ``kill`` inside a release's store transaction or just
+    after its commit — the sharpest crash-consistency probes there are —
+    plus transient ledger failures (a ``fail`` after the commit reaches the
+    client, which leaves a release it never saw) and a dropped HTTP
+    response (release committed, ack lost).  Every op is charged and passes
+    each of the three points once (a ``fail`` before the commit fires at
     most every other hit, so the scheduler's retry gets through), so a kill
     by the ``ops``-th hit fires.  A plan holds one rule per point: the
-    ``fail`` takes the point the kill left.
+    ``fail`` takes a point the kill left.
     """
     rules = []
-    points = ["wal.intent_commit", "wal.pre_commit"]
+    points = ["wal.intent_commit", "wal.pre_commit", "wal.post_commit"]
     rng.shuffle(points)
     if ops >= 1 and rng.random() < 0.5:
         rules.append(FaultRule(points.pop(), "kill", after=rng.randint(1, ops), limit=1))
@@ -672,9 +694,6 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
         report.restarts += 1
         client = ServiceClient(url, timeout=_LIVENESS_TIMEOUT)
         budget = client.budget("chaos")
-        accounting.check_bounds(
-            _spent_by_source(budget), report, "after kill-cycle recovery"
-        )
         for (query, epsilon), values in accounting.answers.items():
             payload = client.measure("chaos", query, epsilon)
             if payload["values"] != values:
@@ -696,6 +715,17 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
                 "phantom ε: replaying acknowledged answers changed the "
                 "durable spend"
             )
+        # A failed key holds a release or nothing: measured again, it
+        # replays the one or pays for its first, so afterwards every key
+        # holds one release, paid for once.
+        for query, epsilon in sorted(accounting.failed - accounting.answers.keys()):
+            client.measure("chaos", query, epsilon)
+        accounting.check_exact(
+            _spent_by_source(client.budget("chaos")),
+            accounting.failed | accounting.answers.keys(),
+            report,
+            "after kill-cycle recovery",
+        )
         client.close()
         # Graceful shutdown this time: SIGTERM drains and closes the ledger.
         try:

@@ -8,13 +8,16 @@ concurrent identical (query, ε) requests are charged once and the others
 replay the first one's release.  Distinct sessions never contend beyond
 the registry's ``service.state`` lock, which guards the scheduler's tables
 (session-lock waiters, counters, the cache and the token buckets) for a
-lookup at a time.
+lookup at a time.  A durable fresh measurement is one store transaction
+(:meth:`_measure`); a failure before its commit charges nothing, and one
+after it leaves a release that any retry replays for free.
 Batching pays inside one ``PrivacySession.measure(*requests)`` call, where
 the requests share subplans; the scheduler builds no batches across them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sqlite3
 import sys
 import threading
@@ -216,7 +219,7 @@ class BatchingScheduler:
         if self._rate_limiter is not None:
             with self._registry.lock:
                 self._rate_limiter.admit(session_name)
-        answer = self._replay(session_name, query, epsilon, queryable)
+        answer = self._replay(session_name, query, epsilon, queryable, False)
         if answer is not None:
             return answer
         return self._run(hosted, queryable, query, epsilon, deadline)
@@ -262,12 +265,12 @@ class BatchingScheduler:
                     )
                 # An identical request that held the lock first has released
                 # the answer: replay it for free.
-                answer = self._replay(session_name, query, epsilon, queryable)
+                answer = self._replay(session_name, query, epsilon, queryable, True)
                 if answer is not None:
                     return answer
                 try:
                     released = self._measure(
-                        hosted, [(queryable, epsilon, query)], deadline
+                        hosted, queryable, query, epsilon, deadline
                     )
                 except BudgetExceededError as exc:
                     self._registry.record(
@@ -275,22 +278,12 @@ class BatchingScheduler:
                         reason=str(exc),
                     )
                     raise
-                charged, result = dict(released.charged), released[0]
-                self._registry.record(
-                    session_name, "measure", queries=[query], epsilons=[epsilon],
-                    charged=charged,
-                )
+                result = released[0]
                 with self._registry.lock:
                     self._batches += 1
                     self._cache.put(session_name, queryable.plan, epsilon, result)
-                if self._store is not None:
-                    # Durable copy, so the free replay survives restarts;
-                    # written only after the charge.
-                    self._store.put_release(
-                        session_name, query, epsilon, list(result.items())
-                    )
                 return MeasurementAnswer(
-                    session_name, query, epsilon, result, charged, cached=False
+                    session_name, query, epsilon, result, released.charged, cached=False
                 )
         finally:
             with self._registry.lock:
@@ -298,15 +291,16 @@ class BatchingScheduler:
                 self._pending -= 1
 
     def _replay(
-        self, session_name: str, query: str, epsilon: float, queryable
+        self, session_name: str, query: str, epsilon: float, queryable, durable: bool
     ) -> MeasurementAnswer | None:
         """A released answer replayed for free, recorded as a cache hit: from
-        the in-memory cache, or from the durable store (a release before a
-        restart), rehydrated so repeats stay off disk.
+        the in-memory cache, or, when ``durable`` (under the session's lock:
+        a fresh request reads the store once), from the store, rehydrated so
+        repeats stay off disk.
         """
         with self._registry.lock:
             result = self._cache.get(session_name, queryable.plan, epsilon)
-        if result is None and self._store is not None:
+        if result is None and durable and self._store is not None:
             values = self._store.get_release(session_name, query, epsilon)
             if values is not None:
                 from ..core.aggregation import NoisyCountResult
@@ -323,18 +317,35 @@ class BatchingScheduler:
         return MeasurementAnswer(session_name, query, epsilon, result, {}, cached=True)
 
     # ------------------------------------------------------------------
-    def _measure(self, hosted: HostedSession, specs: list, deadline: Deadline | None):
-        """One ledger-charged executor pass, under the resilience policies.
+    def _measure(self, hosted: HostedSession, queryable, query, epsilon, deadline):
+        """One ledger-charged measurement, under the resilience policies.
 
-        The deadline scope reaches the pre-charge check in
-        ``PrivacySession.measure`` and the sharded executor's pool task
-        timeouts.  Retry-safe ledger failures are retried with seeded
-        backoff; every ledger failure charges the circuit breaker.
+        The held plan is evaluated first, outside any transaction; then the
+        charge, the noise, the ``measure`` audit row and the ``releases`` row
+        commit in one store transaction (in memory: none).  The deadline
+        scope reaches the pre-charge check in ``PrivacySession.measure`` and
+        the sharded executor's pool task timeouts.  Retry-safe ledger
+        failures are retried with seeded backoff; every ledger failure
+        charges the circuit breaker.
         """
+        session, name = hosted.session, hosted.name
+        begin = contextlib.nullcontext if self._store is None else self._transaction
+
         def attempt():
-            return hosted.session.measure(*specs)
+            with begin(session):
+                released = session.measure((queryable, epsilon, query))
+                self._registry.record(
+                    name, "measure", queries=[query], epsilons=[epsilon],
+                    charged=dict(released.charged),
+                )
+                if self._store is not None:
+                    self._store.put_release(
+                        name, query, epsilon, list(released[0].items())
+                    )
+            return released
 
         with deadline_scope(deadline):
+            session.compute_held(queryable)
             breaker = self._ledger_breaker
             if breaker is None:
                 return attempt()
@@ -356,6 +367,13 @@ class BatchingScheduler:
             breaker.record_success()
             return result
 
+    @contextlib.contextmanager
+    def _transaction(self, session):
+        """One release's store transaction, entered under the measure lock
+        (the level below the store's mutex) that the measure re-enters."""
+        with session.measure_lock, self._store.transaction():
+            yield
+
     @staticmethod
     def _is_ledger_failure(exc: BaseException) -> bool:
         if isinstance(exc, (sqlite3.Error, PersistenceError)):
@@ -364,14 +382,13 @@ class BatchingScheduler:
 
     @staticmethod
     def _ledger_retryable(exc: BaseException) -> bool:
-        """Whether retrying a failed charge is double-charge-safe.
+        """Whether retrying a failed release is double-charge-safe.
 
-        Safe while the failure strikes *before* the charge's transaction
-        commits (busy/locked sqlite writers; injected faults up to
+        Safe while the failure strikes *before* its transaction commits
+        (busy/locked sqlite writers; injected faults up to
         ``wal.pre_commit``): it rolls back with nothing charged.  After the
-        commit (``wal.post_commit``) the ledger already charged, so a retry
-        would charge twice: the error propagates, as a crash in that window
-        leaves the ε spent but unreleased.
+        commit (``wal.post_commit``) the error propagates, and a retry
+        replays the committed release for free.
         """
         if isinstance(exc, sqlite3.OperationalError):
             return True

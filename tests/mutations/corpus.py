@@ -147,12 +147,12 @@ MUTATIONS: tuple[Mutation, ...] = (
         "src/repro/service/scheduler.py",
         "                try:\n"
         "                    released = self._measure(\n"
-        "                        hosted, [(queryable, epsilon, query)], deadline\n"
+        "                        hosted, queryable, query, epsilon, deadline\n"
         "                    )\n",
         "                try:\n"
         "                    with self._registry.lock:\n"
         "                        released = self._measure(\n"
-        "                            hosted, [(queryable, epsilon, query)], deadline\n"
+        "                            hosted, queryable, query, epsilon, deadline\n"
         "                        )\n",
     ),
     # ------------------------------------------------------------------
@@ -182,14 +182,6 @@ MUTATIONS: tuple[Mutation, ...] = (
         "            budgets = {name: self.budget_for(name) for name in validated}\n",
         "        if True:\n"
         "            budgets = {name: self.budget_for(name) for name in validated}\n",
-    ),
-    Mutation(
-        "sync-spent-without-lock",
-        "dropped-budget-lock",
-        "src/repro/core/budget.py",
-        "        with self._lock:\n"
-        "            self._spent = max(self._spent, float(spent))\n",
-        "        self._spent = max(self._spent, float(spent))\n",
     ),
     Mutation(
         "measure-without-session-lock",
@@ -270,10 +262,10 @@ MUTATIONS: tuple[Mutation, ...] = (
         "src/repro/persistence/wal.py",
         'self._conn.execute("BEGIN IMMEDIATE")\n'
         "            try:\n"
-        '                inject("wal.intent_commit")\n',
+        "                yield\n",
         'self._conn.execute("BEGIN")\n'
         "            try:\n"
-        '                inject("wal.intent_commit")\n',
+        "                yield\n",
     ),
     # ------------------------------------------------------------------
     # unseeded-rng: a draw that is not a function of the session seed

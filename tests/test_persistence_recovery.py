@@ -57,9 +57,9 @@ def test_sigkill_between_intent_and_commit_drops_the_charge(tmp_path):
 
         store = LedgerStore(sys.argv[1])
         store.register("acme", "edges", 2.0)
-        store.charge("acme", {"edges": 0.3}, "committed")
+        store.charge("acme", {"edges": 0.3})  # committed
         activate(parse_plan("wal.intent_commit:kill"))
-        store.charge("acme", {"edges": 0.4}, "never committed")
+        store.charge("acme", {"edges": 0.4})  # never committed
         raise SystemExit("unreachable: the kill fault ended the process")
         """,
         str(path),

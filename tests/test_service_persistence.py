@@ -416,6 +416,106 @@ class TestLedgerRetry:
         assert hits["wal.post_commit"] == 1  # one attempt, no retry
         assert spent == pytest.approx(cost)  # charged once, not twice
 
+    def test_a_release_committed_before_a_failure_replays_for_free(
+        self, ledger_path
+    ):
+        # The failure after the commit reaches the caller, but the release
+        # committed with the charge: measuring again replays it.
+        from repro.resilience.faults import active_plan, parse_plan
+
+        service = _service(ledger_path)
+        try:
+            hosted = service.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
+            cost = hosted.queryable("node-count").privacy_cost(0.1)["edges"]
+            with active_plan(parse_plan("wal.post_commit:fail@limit=1")):
+                with pytest.raises(FaultInjectedError):
+                    service.measure("acme", "node-count", 0.1)
+                retry = service.measure("acme", "node-count", 0.1)
+            assert retry.cached is True
+            assert retry.charged == {}
+            assert service.budget_report("acme")["edges"]["spent"] == pytest.approx(cost)
+        finally:
+            service.shutdown()
+
+
+# ----------------------------------------------------------------------
+# What one request writes, read off the statements sqlite runs
+# ----------------------------------------------------------------------
+def _commits(statements: list[str]) -> list[list[str]]:
+    """``statements`` grouped by the transaction each ran in: an explicit
+    ``BEGIN`` … ``COMMIT`` (or ``ROLLBACK``), or one autocommitted write.
+    Reads outside a transaction are left out."""
+    commits, open_transaction = [], None
+    for statement in statements:
+        verb = statement.split()[0].upper()
+        if verb == "BEGIN":
+            open_transaction = [statement]
+        elif open_transaction is not None:
+            open_transaction.append(statement)
+            if verb in ("COMMIT", "ROLLBACK"):
+                commits.append(open_transaction)
+                open_transaction = None
+        elif verb in ("INSERT", "UPDATE", "DELETE"):
+            commits.append([statement])
+    assert open_transaction is None, "a transaction was left open"
+    return commits
+
+
+class TestOneTransactionPerRequest:
+    def _traced(self, service, *args):
+        statements: list[str] = []
+        service.store._conn.set_trace_callback(statements.append)
+        try:
+            answer = service.measure(*args)
+        finally:
+            service.store._conn.set_trace_callback(None)
+        return answer, _commits(statements)
+
+    def test_a_fresh_measure_commits_once_and_a_replay_writes_its_audit_row(
+        self, ledger_path
+    ):
+        service = _service(ledger_path)
+        try:
+            service.create_session("acme", EDGES, total_epsilon=1.0, seed=7)
+            fresh, commits = self._traced(service, "acme", "node-count", 0.1)
+            assert not fresh.cached
+            (transaction,) = commits
+            assert transaction[0] == "BEGIN IMMEDIATE"
+            assert transaction[-1] == "COMMIT"
+            writes = [s.split("(")[0].split() for s in transaction[1:-1]]
+            writes = [" ".join(words[:3]) for words in writes if words[0] != "SELECT"]
+            assert writes == [
+                "INSERT INTO budgets", "INSERT INTO audit", "INSERT OR IGNORE",
+            ]
+            assert "INTO releases" in transaction[-2]
+
+            replay, commits = self._traced(service, "acme", "node-count", 0.1)
+            assert replay.cached
+            ((audit,),) = commits
+            assert audit.startswith("INSERT INTO audit")
+        finally:
+            service.shutdown()
+
+    def test_a_refused_measure_commits_only_its_audit_row(self, ledger_path):
+        from repro.exceptions import BudgetExceededError
+
+        service = _service(ledger_path)
+        try:
+            service.create_session("acme", EDGES, total_epsilon=0.15, seed=7)
+            service.measure("acme", "node-count", 0.1)
+            statements: list[str] = []
+            service.store._conn.set_trace_callback(statements.append)
+            with pytest.raises(BudgetExceededError):
+                service.measure("acme", "node-count", 0.09)
+            service.store._conn.set_trace_callback(None)
+            rolled_back, (audit,) = _commits(statements)
+            assert rolled_back[0] == "BEGIN IMMEDIATE"
+            assert rolled_back[-1] == "ROLLBACK"
+            assert audit.startswith("INSERT INTO audit")
+            assert service.budget_report("acme")["edges"]["spent"] == pytest.approx(0.1)
+        finally:
+            service.shutdown()
+
 
 # ----------------------------------------------------------------------
 # repro serve --ledger: graceful shutdown and SIGKILL recovery
@@ -650,22 +750,13 @@ class TestServeDurability:
                 first.kill()
                 first.wait(timeout=120)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "ROADMAP item 4: the charge, the release row and the audit row "
-            "are three transactions, so a crash between the first two loses "
-            "the release and the retry pays again"
-        ),
-    )
     def test_a_kill_after_the_charge_commits_does_not_charge_the_retry(
         self, ledger_path
     ):
         from repro.service import ServiceClient
 
-        # The first charge's commit is on disk when the process dies; its
-        # release row is not.
+        # The charge, the release row and the audit row commit together, so
+        # the commit is on disk with its release when the process dies.
         proc = _spawn_serve(
             "--port", "0", "--ledger", ledger_path,
             faults="wal.post_commit:kill@after=1,limit=1",
@@ -694,8 +785,11 @@ class TestServeDurability:
             if restarted.poll() is None:  # pragma: no cover
                 restarted.kill()
                 restarted.wait(timeout=120)
-        # One release, so one charge of node-count's ε; today it reads 1.0.
+        # One release, so one charge of node-count's ε, and the retry
+        # replays it for free.
         assert spent == pytest.approx(0.5), f"retry charged {retry['charged']}"
+        assert retry["cached"] is True
+        assert retry["charged"] == {}
 
     def test_shutdown_signal_is_not_swallowed_by_the_accept_loop(self):
         # socketserver reports and swallows any Exception raised while the

@@ -7,7 +7,7 @@ would queue behind that work; a global lock around admission measured about
 4x worse for light tenants while one tenant's first measure evaluated a
 large plan.  Each test blocks one tenant inside that work on an event and
 shows another tenant's fresh measure and replay, ``stats()`` and
-``sessions()`` all complete meanwhile.
+``sessions()`` all complete meanwhile, with and without a durable ledger.
 """
 
 from __future__ import annotations
@@ -70,9 +70,15 @@ def _another_tenant_is_served(service: MeasurementService) -> None:
     assert "light" in [summary["name"] for summary in service.sessions()]
 
 
-@pytest.fixture
-def service():
-    service = MeasurementService()
+@pytest.fixture(params=["memory", "durable"])
+def service(request, tmp_path):
+    # Durable, a fresh measure of one tenant commits a store transaction
+    # while the other tenant's first evaluation is still running: no plan
+    # is evaluated inside that transaction.
+    if request.param == "durable":
+        service = MeasurementService(ledger_path=str(tmp_path / "ledger.db"))
+    else:
+        service = MeasurementService()
     service.create_session("light", EDGES, total_epsilon=10.0, seed=0)
     yield service
     service.shutdown()

@@ -204,6 +204,25 @@ class TestMixedBatches:
         query.noisy_count(0.1)
         assert session.holds_exact(query)
 
+    def test_compute_held_evaluates_once_and_charges_nothing(self):
+        released = []
+        for compute_first in (False, True):
+            session, edges = self._protected()
+            query = session.hold(edges.select(lambda e: e[0]))
+            if compute_first:
+                state = session.noise.rng.bit_generator.state
+                session.compute_held(query)
+                session.compute_held(query)
+                session.compute_held(edges.select(lambda e: e[1]))  # not held
+                assert session.executor.batches == [[query.plan]]
+                assert session.spent_budget("edges") == 0.0
+                assert session.noise.rng.bit_generator.state == state
+            released.append([list(query.noisy_count(eps).items()) for eps in (0.1, 0.2)])
+            assert session.executor.batches == [[query.plan]]
+            # The first measurement counts as the one that computed the answer.
+            assert session.exact_stats() == {"held": 1, "computed": 1, "reused": 1}
+        assert released[0] == released[1]
+
     def test_noisy_sum_on_a_held_plan_evaluates_it_once(self):
         # Weights that are not dyadic: a plain left-to-right sum would round
         # differently in the held answer's order and the dataset's.

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..exceptions import BudgetExceededError, InvalidEpsilonError
 from ..sanitize import ordered_rlock
@@ -204,6 +205,10 @@ class BudgetLedger:
                     raise BudgetExceededError(cost, budget.remaining, source=name)
             for name, cost in validated.items():
                 budgets[name].charge(cost, description)
+
+    def after_commit(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the charges so far are final: here, at once."""
+        callback()
 
     def spent(self, name: str) -> float:
         """ε consumed so far by the named source."""

@@ -43,6 +43,7 @@ other threads measuring the same session.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from ..exceptions import PlanError
@@ -164,39 +165,35 @@ def charge_requests(
     from .partition import PartQueryable
 
     costs: dict[str, float] = {}
-    group_requests: dict[int, list[tuple[Any, float]]] = {}
-    groups: dict[int, Any] = {}
+    group_requests: dict[Any, list[tuple[Any, float]]] = {}
 
     for request in requests:
         queryable = request.queryable
         if isinstance(queryable, PartQueryable):
-            group = queryable.partition_group
-            groups[id(group)] = group
-            group_requests.setdefault(id(group), []).append(
+            group_requests.setdefault(queryable.partition_group, []).append(
                 (queryable.plan, request.epsilon)
             )
         else:
             for name, bound in stability_bounds(queryable.plan).items():
                 costs[name] = costs.get(name, 0.0) + bound * request.epsilon
 
-    group_pending: dict[int, dict[Any, float]] = {}
-    group_costs: dict[int, dict[str, float]] = {}
-    for group_id, measured in group_requests.items():
-        group = groups[group_id]
+    commits = []
+    for group, measured in group_requests.items():
         direct, pending, increase_costs = group.pending_batch(measured)
-        group_pending[group_id] = pending
         # Direct uses reach sources without passing through this group's
         # partition nodes and compose sequentially, like any other request.
-        group_costs[group_id] = group._merge_costs(direct, increase_costs)
-        for name, cost in group_costs[group_id].items():
+        group_costs = group._merge_costs(direct, increase_costs)
+        commits.append(partial(group.commit_pending, pending, group_costs))
+        for name, cost in group_costs.items():
             costs[name] = costs.get(name, 0.0) + cost
 
     costs = {name: cost for name, cost in costs.items() if cost > 0.0}
     if costs:
         session.ledger.charge(costs, description=description)
-    # Only commit part totals once the ledger accepted the charge.
-    for group_id, pending in group_pending.items():
-        groups[group_id].commit_pending(pending, group_costs[group_id])
+    # Part totals move only once the charge is final: a durable transaction
+    # that rolls back must leave them as they were.
+    for commit in commits:
+        session.ledger.after_commit(commit)
     return costs
 
 

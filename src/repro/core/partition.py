@@ -93,19 +93,12 @@ class PartitionGroup:
     of that amount.
     """
 
-    def __init__(self, session, parent_plan: Plan) -> None:
-        self._session = session
-        self._parent_plan = parent_plan
+    def __init__(self, parent_plan: Plan) -> None:
         self._parent_bounds = dict(stability_bounds(parent_plan))
         self._part_epsilon: dict[Any, float] = {}
         self._charged: dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def parent_multiplicities(self) -> dict[str, float]:
-        """Per-source stability bounds of the partitioned parent query."""
-        return dict(self._parent_bounds)
-
     def part_epsilon(self, part_key: Any) -> float:
         """Cumulative ε accumulated on one part so far."""
         return self._part_epsilon.get(part_key, 0.0)
@@ -129,8 +122,8 @@ class PartitionGroup:
         summed ``ε × direct bound`` charges, the part-ε totals the batch would
         leave behind, and the per-source charge for the resulting increase of
         the group maximum.  Nothing is committed; the caller charges the
-        ledger atomically and then hands ``pending_part_epsilon`` (plus the
-        total charged) to :meth:`commit_pending`.
+        ledger atomically and, once it commits, hands ``pending_part_epsilon``
+        (plus the total charged) to :meth:`commit_pending`.
         """
         direct_total: Counter = Counter()
         pending = dict(self._part_epsilon)
@@ -155,7 +148,7 @@ class PartitionGroup:
     ) -> None:
         """Record a batch's part-ε totals and charged amounts.
 
-        Called only after the session ledger accepted the (atomic) charge.
+        Called once the ledger's charge commits (``BudgetLedger.after_commit``).
         """
         self._part_epsilon = pending
         for name, cost in costs.items():
@@ -222,7 +215,7 @@ class Partition:
         if len(set(part_keys)) != len(part_keys):
             raise PlanError("partition() part keys must be distinct")
         self._session = parent.session
-        self._group = PartitionGroup(parent.session, parent.plan)
+        self._group = PartitionGroup(parent.plan)
         self._parts: dict[Any, PartQueryable] = {}
         for part_key in part_keys:
             plan = PartitionPlan(parent.plan, key, part_key, self._group)

@@ -19,6 +19,8 @@ A charge's affordability check runs against the table, and :meth:`spent`,
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..core.budget import BudgetLedger, PrivacyBudget
 from ..core.laplace import validate_epsilon
 from .wal import LedgerStore
@@ -44,16 +46,6 @@ class DurableLedger(BudgetLedger):
         self._store = store
         self._scope = scope
 
-    @property
-    def store(self) -> LedgerStore:
-        """The durable store this ledger writes through."""
-        return self._store
-
-    @property
-    def scope(self) -> str:
-        """This ledger's namespace inside the store."""
-        return self._scope
-
     # ------------------------------------------------------------------
     def register(self, name: str, total_epsilon: float) -> PrivacyBudget:
         """Register a source durably (refusing a total that conflicts with a
@@ -66,11 +58,16 @@ class DurableLedger(BudgetLedger):
 
     def charge(self, costs: dict[str, float], description: str = "") -> None:
         """Charge every source in the store, all or none, taking no lock of
-        this ledger; :class:`BudgetExceededError` propagates with nothing
-        charged.  The audit log, not ``description``, records the charge."""
+        this ledger; :class:`BudgetExceededError` (:class:`InvalidEpsilonError`
+        for a source never registered) propagates with nothing charged.  The
+        audit log, not ``description``, records the charge."""
         self._store.charge(
             self._scope, {name: validate_epsilon(cost) for name, cost in costs.items()}
         )
+
+    def after_commit(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the store's open transaction commits."""
+        self._store.after_commit(callback)
 
     def spent(self, name: str) -> float:
         """Durable ε consumed so far by the named source."""

@@ -37,8 +37,8 @@ per fresh measurement, so the ``budgets`` debit, the noise draw, the
 ``releases`` row and the ``measure`` audit row commit together: a crash
 before the commit charges and releases nothing, one after it leaves a
 release any retry replays for free.  A charge reads the involved ``budgets``
-rows, checks each source (one never registered gets a row at total ∞) and
-sets ``spent = spent + ?``, or raises :class:`BudgetExceededError`; each
+rows, checks each source (one never registered is refused) and sets
+``spent = spent + ?``, or raises :class:`BudgetExceededError`; each
 ``spent`` is its committed charges added one IEEE addition at a time.  The
 ``wal.intent_commit`` fault point sits inside the charge, before its check;
 ``wal.pre_commit`` / ``wal.post_commit`` just before / after the ``COMMIT``.
@@ -52,7 +52,7 @@ import os
 import sqlite3
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..exceptions import BudgetExceededError, InvalidEpsilonError, PersistenceError
 from ..resilience.faults import inject
@@ -143,6 +143,7 @@ class LedgerStore:
         self._lock_fd = _hold(path)
         self._mutex = ordered_rlock("persistence.wal", 70, io_ok=True)
         self._closed = False
+        self._on_commit: list[Callable[[], None]] = []
         try:
             # One connection, shared across threads under ``_mutex``; explicit
             # transaction control (isolation_level=None) because a charge
@@ -246,33 +247,45 @@ class LedgerStore:
                 inject("wal.pre_commit")
                 self._conn.execute("COMMIT")
             except BaseException:
+                self._on_commit.clear()
                 self._rollback()
                 raise
+            while self._on_commit:
+                self._on_commit.pop(0)()
             inject("wal.post_commit")
+
+    def after_commit(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the open transaction commits (at once if
+        none is open; a rollback drops it), under the mutex: it takes no lock."""
+        with self._mutex:
+            if self._conn.in_transaction:
+                self._on_commit.append(callback)
+                return
+        callback()
 
     def charge(self, scope: str, costs: dict[str, float]) -> dict[str, float]:
         """Durably charge every source of ``scope``, or charge nothing.
 
         In the caller's :meth:`transaction`, or one of its own.  Returns the
-        per-source ``spent`` totals *after* the charge; raises
-        :class:`BudgetExceededError`, with nothing written, when any source
-        cannot afford its cost.
+        per-source ``spent`` totals *after* the charge; raises, with nothing
+        written, :class:`BudgetExceededError` when any source cannot afford
+        its cost (:class:`InvalidEpsilonError` for one never registered).
         """
         with self.transaction():
             inject("wal.intent_commit")
             current = self._budgets(scope)
             spent_after: dict[str, float] = {}
             for source, amount in sorted(costs.items()):
-                total, spent = current.get(source, (float("inf"), 0.0))
+                if source not in current:
+                    raise InvalidEpsilonError(f"no budget registered for source {source!r}")
+                total, spent = current[source]
                 if amount > total - spent + _SLACK:
                     raise BudgetExceededError(amount, total - spent, source=source)
                 spent_after[source] = spent + amount
             for source, amount in sorted(costs.items()):
                 self._conn.execute(
-                    "INSERT INTO budgets (scope, source, total, spent) "
-                    "VALUES (?, ?, ?, ?) "
-                    "ON CONFLICT (scope, source) DO UPDATE SET spent = spent + ?",
-                    (scope, source, float("inf"), amount, amount),
+                    "UPDATE budgets SET spent = spent + ? WHERE scope = ? AND source = ?",
+                    (amount, scope, source),
                 )
         return spent_after
 
@@ -378,11 +391,13 @@ class LedgerStore:
         the durable ledger exists to preserve.
         """
         with self._mutex:
-            (row,) = self._conn.execute(
+            self._conn.execute(
                 "INSERT INTO incarnations (scope, count) VALUES (?, 1) "
-                "ON CONFLICT(scope) DO UPDATE SET count = count + 1 RETURNING count",
-                (scope,),
-            ).fetchall()
+                "ON CONFLICT(scope) DO UPDATE SET count = count + 1", (scope,)
+            )
+            row = self._conn.execute(
+                "SELECT count FROM incarnations WHERE scope = ?", (scope,)
+            ).fetchone()
         return int(row["count"])
 
     def get_session(self, name: str) -> dict[str, Any] | None:

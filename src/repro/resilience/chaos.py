@@ -4,13 +4,11 @@
 under a *different* randomized (but seed-deterministic) fault schedule, and
 checks the four resilience invariants after every run:
 
-1. **No lost or phantom ε** — after the final ledger reopen, the durable
-   spend of every protected source lies in
-   ``[Σ acknowledged charges, Σ acknowledged + Σ failed-attempt charges]``:
-   every answer the client acknowledged is durably paid for, and no failed
-   attempt can have charged more than once.  The kill-cycle leg checks it
-   exactly: once every failed ``(query, ε)`` is measured again, the spend is
-   the unit costs of the distinct keys holding a release, each paid once.
+1. **No lost or phantom ε** — after the final ledger reopen, once every
+   failed ``(query, ε)`` is measured again, the durable spend of every
+   protected source is exactly the unit costs of the distinct keys holding a
+   release, each paid once: every acknowledged answer is paid for, and no
+   failed attempt charged without leaving a release its retry replays.
 2. **No orphaned shared memory** — the set of ``/dev/shm`` segments after
    shutdown equals the set before the run started.
 3. **No stuck scheduler or pool** — every operation completes (successfully
@@ -65,8 +63,8 @@ _QUERIES = ("node-count", "degree-ccdf", "wedges")
 _EPSILONS = (0.05, 0.1, 0.2)
 
 #: Error codes that are raised *before* admission ever reaches the budget
-#: ledger — they cannot possibly have charged, so they add no accounting
-#: slack to the phantom-ε upper bound.
+#: ledger — they cannot possibly have charged, so their keys need no
+#: re-measure before the exact accounting check.
 _NO_CHARGE_CODES = {
     "circuit_open",
     "rate_limited",
@@ -167,7 +165,7 @@ class ChaosReport:
             lines.extend(f"  - {violation}" for violation in self.violations)
         else:
             lines.append(
-                "all invariants held: ledger bounds, shm cleanliness, "
+                "all invariants held: exact ledger spend, shm cleanliness, "
                 "liveness, bit-identical replay"
             )
         return "\n".join(lines)
@@ -211,35 +209,25 @@ def _chaos_edges(nodes: int = 40) -> list[tuple[int, int]]:
 
 
 class _Accounting:
-    """Tracks the ε-accounting bounds and acknowledged answers of a run."""
+    """The acknowledged answers and failed keys of a run, and the exact
+    ε-accounting check over them."""
 
     def __init__(self, unit_costs: dict[str, dict[str, float]]) -> None:
         self._unit_costs = unit_costs
-        self.charged_lower: dict[str, float] = {}
-        self.failed_slack: dict[str, float] = {}
         self.answers: dict[tuple[str, float], list] = {}
         self.failed: set[tuple[str, float]] = set()
 
-    def _add(self, bucket: dict[str, float], query: str, epsilon: float) -> None:
-        for source, unit in self._unit_costs[query].items():
-            bucket[source] = bucket.get(source, 0.0) + unit * epsilon
-
-    def record_ack(self, query: str, epsilon: float, charged: bool) -> None:
-        if charged:
-            self._add(self.charged_lower, query, epsilon)
-
-    def record_failure(self, query: str, epsilon: float) -> None:
-        """A failed (or unknown-outcome) attempt: at most one durable charge."""
-        self._add(self.failed_slack, query, epsilon)
-        self.failed.add((query, epsilon))
-
     def check_exact(
-        self, spent: dict[str, float], released: set, report: ChaosReport, where: str
+        self, spent: dict[str, float], report: ChaosReport, where: str
     ) -> None:
-        """Durable spend is each released ``(query, ε)`` key's cost, once."""
+        """Durable spend is each released ``(query, ε)`` key's cost, once:
+        call it after every failed key has been measured again, so that
+        every acknowledged or failed key holds one release."""
+        released = self.failed | self.answers.keys()
         expected: dict[str, float] = {}
         for query, epsilon in released:
-            self._add(expected, query, epsilon)
+            for source, unit in self._unit_costs[query].items():
+                expected[source] = expected.get(source, 0.0) + unit * epsilon
         for source in sorted(set(spent) | set(expected)):
             actual, want = spent.get(source, 0.0), expected.get(source, 0.0)
             if abs(actual - want) > 1e-6:
@@ -247,26 +235,6 @@ class _Accounting:
                     f"{'phantom' if actual > want else 'lost'} ε ({where}): "
                     f"source {source!r} durably spent {actual:.6f}, but the "
                     f"{len(released)} released (query, ε) keys cost {want:.6f}"
-                )
-
-    def check_bounds(
-        self, spent: dict[str, float], report: ChaosReport, where: str
-    ) -> None:
-        sources = set(spent) | set(self.charged_lower) | set(self.failed_slack)
-        for source in sorted(sources):
-            lower = self.charged_lower.get(source, 0.0)
-            upper = lower + self.failed_slack.get(source, 0.0)
-            actual = spent.get(source, 0.0)
-            if actual < lower - 1e-6:
-                report.violations.append(
-                    f"lost ε ({where}): source {source!r} durably spent "
-                    f"{actual:.6f} < acknowledged charges {lower:.6f}"
-                )
-            if actual > upper + 1e-6:
-                report.violations.append(
-                    f"phantom ε ({where}): source {source!r} durably spent "
-                    f"{actual:.6f} > acknowledged {lower:.6f} + "
-                    f"failed-attempt slack {upper - lower:.6f}"
                 )
 
 
@@ -339,7 +307,7 @@ def _run_inprocess(
                     )
                 except TimeoutError:
                     report.failed += 1
-                    accounting.record_failure(query, epsilon)
+                    accounting.failed.add((query, epsilon))
                     report.violations.append(
                         _stuck(f"step {step} ({query}, ε={epsilon})")
                     )
@@ -355,7 +323,7 @@ def _run_inprocess(
                             )
                     else:
                         report.failed += 1
-                        accounting.record_failure(query, epsilon)
+                        accounting.failed.add((query, epsilon))
                     continue
             if deadline is not None:
                 report.violations.append(
@@ -379,7 +347,6 @@ def _run_inprocess(
             else:
                 accounting.answers[key] = values
                 report.acked += 1
-            accounting.record_ack(query, epsilon, answer.charged)
             if verbose:
                 print(
                     f"chaos step {step}: {query} ε={epsilon} "
@@ -391,14 +358,11 @@ def _run_inprocess(
         service.shutdown()
         service = None
 
-        # Reopen: the ledger must hold every committed charge and nothing
-        # else, and replay every acknowledged answer from its durable release.
+        # Reopen: the ledger must replay every acknowledged answer from its
+        # durable release, and hold every committed charge and nothing else.
         reopened = MeasurementService(ledger_path=ledger)
         service = reopened
         budget = reopened.session("chaos").budget_report()
-        accounting.check_bounds(
-            _spent_by_source(budget), report, "after ledger reopen"
-        )
         for (query, epsilon), values in accounting.answers.items():
             try:
                 answer = _measure_live(reopened, "chaos", query, epsilon)
@@ -423,6 +387,15 @@ def _run_inprocess(
                 "phantom ε: replaying acknowledged answers changed the "
                 "durable spend"
             )
+        # A failed key holds a release or nothing: measured again, it
+        # replays the one or pays for its first.
+        for query, epsilon in sorted(accounting.failed - accounting.answers.keys()):
+            _measure_live(reopened, "chaos", query, epsilon)
+        accounting.check_exact(
+            _spent_by_source(reopened.session("chaos").budget_report()),
+            report,
+            "after ledger reopen",
+        )
         reopened.shutdown()
         service = None
     finally:
@@ -627,10 +600,10 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
                     except connection_errors:
                         # The server died (kill schedule fired) or the
                         # response was dropped after the work was done: the
-                        # outcome of this attempt is unknown — bound it as a
-                        # possible single charge and move to the next cycle.
+                        # outcome of this attempt is unknown — the final
+                        # incarnation measures it again — so move on.
                         report.failed += 1
-                        accounting.record_failure(query, epsilon)
+                        accounting.failed.add((query, epsilon))
                         if proc.poll() is not None:
                             server_alive = False
                             break
@@ -650,7 +623,7 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
                             report.refused += 1
                         else:
                             report.failed += 1
-                            accounting.record_failure(query, epsilon)
+                            accounting.failed.add((query, epsilon))
                         break
                     key = (query, epsilon)
                     values = payload["values"]
@@ -669,7 +642,6 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
                     else:
                         accounting.answers[key] = values
                         report.acked += 1
-                    accounting.record_ack(query, epsilon, payload["charged"])
                     break
                 if verbose and done % 10 == 0:
                     print(
@@ -722,7 +694,6 @@ def _run_subprocess(seed: int, steps: int, verbose: bool) -> ChaosReport:
             client.measure("chaos", query, epsilon)
         accounting.check_exact(
             _spent_by_source(client.budget("chaos")),
-            accounting.failed | accounting.answers.keys(),
             report,
             "after kill-cycle recovery",
         )

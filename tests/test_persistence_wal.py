@@ -71,6 +71,16 @@ class TestLedgerStore:
         # The charge's transaction was rolled back, not left open.
         assert not store._conn.in_transaction
 
+    def test_an_unregistered_source_is_refused_and_writes_nothing(self, store):
+        # Like BudgetLedger.charge: a misspelled source is an error, not a
+        # new budget at total ∞.
+        ledger = DurableLedger(store, "acme")
+        ledger.register("edges", 1.0)
+        with pytest.raises(InvalidEpsilonError, match="no budget registered"):
+            ledger.charge({"edges": 0.25, "egdes": 0.25})
+        assert store.load_state() == {"acme": {"edges": (1.0, 0.0)}}
+        assert not store._conn.in_transaction
+
     def test_a_charge_is_one_write_transaction(self, store):
         # Read off the statements sqlite runs: a granted charge and a refused
         # one each begin exactly one transaction, through DurableLedger too.

@@ -437,6 +437,41 @@ class TestLedgerRetry:
         finally:
             service.shutdown()
 
+    def test_a_rolled_back_part_leaves_parallel_composition_exact(
+        self, ledger_path
+    ):
+        # Two hosted parts of one partition compose in parallel: spend is the
+        # maximum over the parts.  The first part's failed attempt rolls back
+        # its charge, so it must not raise the group's maximum either, or the
+        # sibling would be priced against ε the store never kept.
+        from repro.resilience.faults import active_plan, parse_plan
+
+        partitions = {}
+
+        def part(key):
+            def build(edges):
+                if "p" not in partitions:
+                    partitions["p"] = edges.partition(lambda e: e[0] % 2, [0, 1])
+                return partitions["p"][key]
+
+            return build
+
+        service = _service(ledger_path)
+        try:
+            service.create_session(
+                "acme", EDGES, total_epsilon=1.0, seed=7,
+                queries={"even": part(0), "odd": part(1)},
+            )
+            with active_plan(parse_plan("wal.pre_commit:fail@limit=1")):
+                first = service.measure("acme", "even", 0.1)
+            assert first.charged == {"edges": pytest.approx(0.1)}
+            sibling = service.measure("acme", "odd", 0.2)
+            assert sibling.charged == {"edges": pytest.approx(0.1)}
+            assert service.budget_report("acme")["edges"]["spent"] == pytest.approx(0.2)
+            assert partitions["p"].group.charged() == {"edges": pytest.approx(0.2)}
+        finally:
+            service.shutdown()
+
 
 # ----------------------------------------------------------------------
 # What one request writes, read off the statements sqlite runs
@@ -485,7 +520,7 @@ class TestOneTransactionPerRequest:
             writes = [s.split("(")[0].split() for s in transaction[1:-1]]
             writes = [" ".join(words[:3]) for words in writes if words[0] != "SELECT"]
             assert writes == [
-                "INSERT INTO budgets", "INSERT INTO audit", "INSERT OR IGNORE",
+                "UPDATE budgets SET", "INSERT INTO audit", "INSERT OR IGNORE",
             ]
             assert "INTO releases" in transaction[-2]
 

@@ -371,7 +371,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         # The accept loop ran on this thread and has unwound, or never
-        # started.  Drain the scheduler and close the sqlite connection
+        # started.  Drain the service and close the sqlite connection
         # before the process exits.
         server.stop_serving()
     return 0

@@ -157,7 +157,6 @@ class DataflowEngine:
         if source is None:
             raise DataflowError(f"no source named {source_name!r} in this engine")
         delta = dict(delta)
-        prune(delta)
         if delta:
             source.on_delta(delta, 0)
 

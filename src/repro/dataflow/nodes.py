@@ -80,9 +80,11 @@ class Node:
 class SourceNode(Node):
     """Entry point of the graph; one per protected/synthetic source.
 
-    The engine pushes deltas into sources; the node keeps the accumulated
-    dataset (useful for debugging and for re-synchronisation checks) and
-    forwards the delta unchanged.
+    The engine pushes deltas into sources, unpruned.  The node keeps each
+    record's exact accumulated weight and forwards the change in its
+    *visible* weight — the weight when it exceeds the tolerance, else 0 —
+    as :class:`WeightedDataset` prunes the summed weight: two pushes below
+    the tolerance that add up past it make the record appear downstream.
     """
 
     def __init__(self, name: str) -> None:
@@ -90,7 +92,27 @@ class SourceNode(Node):
         self.weights: dict[Any, float] = {}
 
     def on_delta(self, delta: Delta, port: int = 0) -> None:
-        apply_delta(self.weights, delta, undo=self.undo.cells)
+        weights, cells = self.weights, self.undo.cells
+        for record, change in delta.items():
+            prior = weights.get(record)
+            if cells is not None:
+                cells.append((weights, record, prior))
+            if prior is None:
+                # Was invisible, so the visible change is the change itself
+                # (pruned by emit when it stays below the tolerance).
+                if change:
+                    weights[record] = change
+                continue
+            updated = prior + change
+            if updated:
+                weights[record] = updated
+            else:
+                del weights[record]
+            if abs(prior) > DEFAULT_TOLERANCE:
+                if abs(updated) <= DEFAULT_TOLERANCE:
+                    delta[record] = -prior
+            else:
+                delta[record] = updated if abs(updated) > DEFAULT_TOLERANCE else 0.0
         self.emit(delta)
 
     def current(self) -> WeightedDataset:

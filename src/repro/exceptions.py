@@ -153,7 +153,7 @@ class DeadlineExceededError(ServiceError):
     """Raised when a request's end-to-end deadline expired before completion.
 
     Deadlines are enforced *before* any privacy budget is charged: an expired
-    deadline at scheduler admission or just before the atomic charge consumes
+    deadline at service admission or just before the atomic charge consumes
     no epsilon.  Once a charge has committed, the answer is always released
     and cached, so retrying an expired request is budget-free — the retry is
     served from the answer cache without a second charge.  The HTTP layer

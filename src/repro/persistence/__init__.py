@@ -3,7 +3,7 @@
 In wPINQ the budget ledger *is* the privacy guarantee: every released
 measurement is sound only if cumulative ε spend is tracked for the lifetime
 of the protected data.  This package makes that tracking survive process
-death, and provides the admission controls a durable service needs:
+death:
 
 :mod:`repro.persistence.wal`
     :class:`LedgerStore` — a WAL-mode sqlite file holding the budgets table
@@ -15,18 +15,12 @@ death, and provides the admission controls a durable service needs:
     :class:`DurableLedger` — the drop-in
     :class:`~repro.core.budget.BudgetLedger` that charges through the store
     and reads every spend from the durable table.
-:mod:`repro.persistence.ratelimit`
-    Per-tenant :class:`TokenBucket`/:class:`RateLimiter` admission control,
-    layered under the scheduler's backpressure.
 """
 
 from .ledger import DurableLedger
-from .ratelimit import RateLimiter, TokenBucket
 from .wal import LedgerStore
 
 __all__ = [
     "DurableLedger",
     "LedgerStore",
-    "RateLimiter",
-    "TokenBucket",
 ]

@@ -11,7 +11,7 @@ checks the four resilience invariants after every run:
    failed attempt charged without leaving a release its retry replays.
 2. **No orphaned shared memory** — the set of ``/dev/shm`` segments after
    shutdown equals the set before the run started.
-3. **No stuck scheduler or pool** — every operation completes (successfully
+3. **No stuck service or pool** — every operation completes (successfully
    or with an error) within a liveness bound.
 4. **Bit-identical replay** — after reopening the ledger, every acknowledged
    ``(query, ε)`` measurement replays the exact released values from the
@@ -117,7 +117,7 @@ def _measure_live(service, *args, **kwargs):
 def _stuck(what: str) -> str:
     return (
         f"liveness: {what} did not resolve within {_LIVENESS_TIMEOUT:g}s — "
-        f"stuck scheduler or pool"
+        f"stuck service or pool"
     )
 
 
@@ -502,7 +502,7 @@ def _subprocess_faults(rng: random.Random, cycle_seed: int, ops: int) -> FaultPl
     client, which leaves a release it never saw) and a dropped HTTP
     response (release committed, ack lost).  Every op is charged and passes
     each of the three points once (a ``fail`` before the commit fires at
-    most every other hit, so the scheduler's retry gets through), so a kill
+    most every other hit, so the service's retry gets through), so a kill
     by the ``ops``-th hit fires.  A plan holds one rule per point: the
     ``fail`` takes a point the kill left.
     """

@@ -1,14 +1,14 @@
 """End-to-end request deadlines.
 
 A :class:`Deadline` is an absolute point on the monotonic clock, carried from
-the HTTP header (``X-Repro-Deadline-Ms``) through scheduler admission,
+the HTTP header (``X-Repro-Deadline-Ms``) through service admission,
 executor evaluation, and pool task timeouts via a :mod:`contextvars` context
 variable — a request's measure runs on the thread that submitted it, and
 ``session.measure`` evaluates on that same thread, so the scope set around
 the measure call is visible everywhere below it.
 
 Budget-safety contract: deadlines are only *enforced* before the atomic
-budget charge (scheduler admission, shedding when the request gets its
+budget charge (service admission, shedding when the request gets its
 session's lock, and the pre-charge check in ``PrivacySession.measure``).  A
 request whose deadline passes while it waits behind a running measure is
 refused, uncharged, when that measure ends.  Once a charge commits,

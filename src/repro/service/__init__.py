@@ -9,16 +9,17 @@ layer, built on the thread-safe budget accounting of :mod:`repro.core.budget`:
     Named :class:`~repro.core.queryable.PrivacySession` hosting (one per
     tenant/dataset) with per-session locks, curated named queries, and an
     append-only audit log.
-:mod:`repro.service.scheduler`
-    Request scheduling: each measurement runs on its caller's thread as one
-    charge under its session's lock, with a bound on the requests waiting
-    per session for backpressure.
+:mod:`repro.service.core`
+    The :class:`MeasurementService`: each measurement runs on its caller's
+    thread as one charge under its session's lock, after admission and a
+    replay check, with a bound on the requests waiting per session for
+    backpressure.
 :mod:`repro.service.cache`
     Answer reuse keyed by (plan identity, ε): a repeated identical
     measurement replays the previously released noisy answer at zero
     additional budget, which also makes the service idempotent under retries.
-:mod:`repro.service.core`
-    The :class:`MeasurementService` facade tying the three together.
+:mod:`repro.service.ratelimit`
+    The per-tenant token-bucket :class:`RateLimiter` (``repro serve --rate``).
 :mod:`repro.service.http`
     The HTTP/JSON transport (``repro serve``): a keep-alive loop of its own
     over :mod:`socketserver` threads, no HTTP framework, and the matching
@@ -33,18 +34,18 @@ connection.
 """
 
 from .cache import AnswerCache
-from .core import MeasurementService
+from .core import MeasurementAnswer, MeasurementService
 from .http import ServiceClient, ServiceHTTPServer, serve
+from .ratelimit import RateLimiter
 from .registry import AuditEvent, HostedSession, SessionRegistry, default_query_builders
-from .scheduler import BatchingScheduler, MeasurementAnswer
 
 __all__ = [
     "AnswerCache",
     "AuditEvent",
-    "BatchingScheduler",
     "HostedSession",
     "MeasurementAnswer",
     "MeasurementService",
+    "RateLimiter",
     "ServiceClient",
     "ServiceHTTPServer",
     "SessionRegistry",

@@ -40,7 +40,7 @@ The exact answers the sessions hold are *not* in this cache: they are never
 released, only noised.
 
 Only answers actually *released* may be reused: entries are inserted by the
-scheduler after the ledger accepted the charge, never speculatively.
+service after the ledger accepted the charge, never speculatively.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ __all__ = ["AnswerCache"]
 class AnswerCache:
     """LRU map of ``(session, plan identity, ε)`` to released answers.
 
-    Not synchronised: the scheduler makes every call under ``service.state``.
+    Not synchronised: the service makes every call under ``service.state``.
     """
 
     def __init__(self, max_entries: int = 131072) -> None:

@@ -32,7 +32,7 @@ Endpoints (all JSON)::
     GET    /v1/sessions/NAME/audit       that session's audit events
     POST   /v1/sessions/NAME/measure     {query, epsilon} -> released values
     GET    /v1/audit                     the full audit log
-    GET    /v1/stats                     scheduler, cache, exact-answer and
+    GET    /v1/stats                     request, cache, exact-answer and
                                          connection counters
 
 Records travel as JSON arrays and are converted to tuples on the way in
@@ -76,8 +76,7 @@ from ..exceptions import (
 from ..resilience.deadline import Deadline
 from ..resilience.faults import inject
 from ..sanitize import ordered_lock
-from .core import MeasurementService
-from .scheduler import MeasurementAnswer
+from .core import MeasurementAnswer, MeasurementService
 
 __all__ = ["ServiceClient", "ServiceHTTPServer", "answer_to_json", "serve"]
 
@@ -104,7 +103,7 @@ def records_from_json(records: Any) -> list[Any]:
 
 
 def answer_to_json(answer: MeasurementAnswer) -> dict[str, Any]:
-    """Render a scheduler answer as the measure endpoint's JSON body."""
+    """Render a service answer as the measure endpoint's JSON body."""
     return {
         "session": answer.session,
         "query": answer.query,

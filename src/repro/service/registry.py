@@ -169,7 +169,7 @@ class SessionRegistry:
 
     One lock, ``service.state``, guards the session table, the names
     reserved by in-flight creates and closes and the in-memory audit log,
-    and the scheduler built over this registry guards its own tables with
+    and the service built over this registry guards its own tables with
     it too (see :attr:`lock`) — dictionary and counter operations only: no
     session is built, no plan evaluated and no storage touched under it.
     Per-session state is guarded by the session's own locks, so
@@ -217,7 +217,7 @@ class SessionRegistry:
 
     @property
     def lock(self):
-        """The ``service.state`` lock, shared with the scheduler's tables."""
+        """The ``service.state`` lock, shared with the service's tables."""
         return self._lock
 
     # ------------------------------------------------------------------

@@ -38,13 +38,13 @@ MUTATIONS: tuple[Mutation, ...] = (
     # lock-order: an acquisition that contradicts the declared hierarchy
     # ------------------------------------------------------------------
     Mutation(
-        "scheduler-stats-two-locks-wrong-order",
+        "service-stats-two-locks-wrong-order",
         "lock-order",
-        "src/repro/service/scheduler.py",
+        "src/repro/service/core.py",
         "        if self._ledger_breaker is not None:\n"
         '            stats["ledger_breaker"] = self._ledger_breaker.stats()\n',
         "        if self._ledger_breaker is not None:\n"
-        "            with self._ledger_breaker._lock, self._registry.lock:\n"
+        "            with self._ledger_breaker._lock, self.registry.lock:\n"
         '                stats["requests"] = self._requests\n'
         '            stats["ledger_breaker"] = self._ledger_breaker.stats()\n',
     ),
@@ -58,7 +58,7 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation(
         "combine-lock-above-state",
         "lock-order",
-        "src/repro/service/scheduler.py",
+        "src/repro/service/core.py",
         'ordered_lock("service.combine", 9, io_ok=True)',
         'ordered_lock("service.combine", 12, io_ok=True)',
     ),
@@ -127,30 +127,30 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation(
         "combine-lock-not-io-ok",
         "blocking-under-lock",
-        "src/repro/service/scheduler.py",
+        "src/repro/service/core.py",
         'ordered_lock("service.combine", 9, io_ok=True)',
         'ordered_lock("service.combine", 9)',
     ),
     Mutation(
         "rate-limiter-sleeps-under-lock",
         "blocking-under-lock",
-        "src/repro/persistence/ratelimit.py",
-        "        retry_after = bucket.try_acquire()\n",
-        "        retry_after = bucket.try_acquire()\n"
-        "        if 0.0 < retry_after < 0.005:\n"
-        "            time.sleep(retry_after)  # a short wait beats a refusal\n"
-        "            retry_after = bucket.try_acquire()\n",
+        "src/repro/service/ratelimit.py",
+        "        if tokens >= 1.0:\n",
+        "        if 0.0 < 1.0 - tokens < 0.005 * self.rate:\n"
+        "            time.sleep((1.0 - tokens) / self.rate)  # a short wait beats a refusal\n"
+        "            tokens = 1.0\n"
+        "        if tokens >= 1.0:\n",
     ),
     Mutation(
         "state-lock-held-across-measure",
         "blocking-under-lock",
-        "src/repro/service/scheduler.py",
+        "src/repro/service/core.py",
         "                try:\n"
         "                    released = self._measure(\n"
         "                        hosted, queryable, query, epsilon, deadline\n"
         "                    )\n",
         "                try:\n"
-        "                    with self._registry.lock:\n"
+        "                    with self.registry.lock:\n"
         "                        released = self._measure(\n"
         "                            hosted, queryable, query, epsilon, deadline\n"
         "                        )\n",
@@ -501,7 +501,7 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation(
         "ledger-retry-after-commit",
         "ledger-retry",
-        "src/repro/service/scheduler.py",
+        "src/repro/service/core.py",
         '            "wal.pre_commit",\n'
         "        )\n",
         '            "wal.pre_commit",\n'
@@ -511,7 +511,7 @@ MUTATIONS: tuple[Mutation, ...] = (
     Mutation(
         "ledger-retry-never",
         "ledger-retry",
-        "src/repro/service/scheduler.py",
+        "src/repro/service/core.py",
         "        if isinstance(exc, sqlite3.OperationalError):\n"
         "            return True\n",
         "        return False\n",

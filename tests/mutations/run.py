@@ -32,7 +32,9 @@ exits 1 instead.  The checkers:
     ``python -m repro chaos --seed 1234 --steps 25``.
 
 A checker that fails, crashes or outlives its timeout has caught the
-mutation (a dynamic one only if it fails twice in a row).  One JSON record
+mutation (a dynamic one only if it fails twice in a row).  The two pytest
+columns also bound each test (``pertest_timeout.py``, 60 s): a test that
+deadlocks ends the run with a stack dump and exit status 1.  One JSON record
 per (mutation, checker) goes to ``--records`` in the per-claim shape
 ``name, value, threshold, pass, seconds`` — the claim is "this checker
 catches this mutation", so ``pass`` is the catch.  Records of a lint run
@@ -83,7 +85,12 @@ LINT_SUITES = (
     "tests/test_lint_flow.py",
     "tests/test_lint_rules.py",
 )
-PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+#: ``pertest_timeout`` (next to this file) bounds each test, so a mutation
+#: that deadlocks a test is caught in minutes, not at the column's timeout.
+PYTEST = [
+    sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+    "-p", "pertest_timeout",
+]
 COMMANDS = {
     "lint": ([sys.executable, "-m", "repro", "lint"], {}, 300),
     "locks": ([sys.executable, "-m", "repro", "locks"], {}, 300),
@@ -161,7 +168,10 @@ def _run(checker: str, workdir: Path) -> tuple[bool, object, str]:
 
 def _run_once(checker: str, workdir: Path) -> tuple[bool, object, str]:
     command, extra_env, timeout = COMMANDS[checker]
-    env = {**os.environ, "PYTHONPATH": str(workdir / "src"), **extra_env}
+    path = [workdir / "src"]
+    if "pertest_timeout" in command:
+        path.append(workdir / "tests" / "mutations")  # the per-test bound
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path)), **extra_env}
     if checker != "sanitizer":
         env.pop("REPRO_SANITIZE", None)
     # Its own process group: a mutation that breaks a server's shutdown

@@ -5,7 +5,7 @@ fault schedules and asserts, per run:
 
 * no lost or phantom epsilon after the ledger is reopened,
 * zero orphaned /dev/shm segments,
-* the scheduler and pool never wedge (liveness),
+* the service and pool never wedge (liveness),
 * every acknowledged answer replays bit-identically without a second charge.
 """
 

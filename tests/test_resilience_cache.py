@@ -32,7 +32,7 @@ class TestAnswerCacheUnits:
 
     def test_concurrent_puts_and_drops_never_corrupt(self):
         """Fresh releases, replays, LRU evictions and scope drops racing on
-        one service.  The cache keeps no lock of its own: the scheduler
+        one service.  The cache keeps no lock of its own: the service
         touches it only under ``service.state``, so nothing raises, and a
         replay returns the release it replays."""
         service = MeasurementService()
@@ -58,8 +58,9 @@ class TestAnswerCacheUnits:
             def dropper() -> None:
                 try:
                     while not stop.is_set():
-                        service.scheduler.forget("x")
-                        service.scheduler.forget("y")
+                        for scope in ("x", "y"):
+                            with service.registry.lock:
+                                service.cache.drop_scope(scope)
                 except BaseException as exc:  # pragma: no cover
                     errors.append(exc)
 
@@ -88,7 +89,7 @@ class TestAnswerCacheUnits:
 
 class TestReplayRacingEviction:
     def test_replays_racing_close_session_charge_exactly_once(self):
-        """Concurrent replays across scheduler workers while the session is
+        """Concurrent replays across request threads while the session is
         closed mid-stream: every successful answer is the single released
         object, every failure is a clean ServiceError, and exactly one
         measure was ever charged."""

@@ -132,7 +132,7 @@ class TestAnswerReuse:
         assert not answer.cached
 
     def test_cache_is_bounded_lru(self, service):
-        service.scheduler._cache._max_entries = 3  # shrink for the test
+        service.cache._max_entries = 3  # shrink for the test
         service.create_session("demo", EDGES, seed=0)
         for index in range(5):
             service.measure("demo", "node-count", 0.01 * (index + 1))
@@ -359,7 +359,7 @@ class TestCallerThread:
             return measure(session, *specs, **kwargs)
 
         monkeypatch.setattr(PrivacySession, "measure", spy)
-        answer = service.scheduler.submit("demo", "node-count", 0.1)
+        answer = service.measure("demo", "node-count", 0.1)
         assert ran_on == [threading.get_ident()]
         assert not answer.cached
 
@@ -375,7 +375,7 @@ class TestCallerThread:
             barrier.wait()
             for step in range(per_thread):
                 epsilon = 0.001 * (1 + index * per_thread + step)
-                answer = service.scheduler.submit("demo", "node-count", epsilon)
+                answer = service.measure("demo", "node-count", epsilon)
                 charged.append(sum(answer.charged.values()))
 
         interval = sys.getswitchinterval()
@@ -394,6 +394,20 @@ class TestCallerThread:
         assert spent == pytest.approx(sum(charged))
         stats = service.stats()
         assert stats["requests"] == stats["batches"] == threads * per_thread
+
+    def test_scheduler_is_gone(self, service):
+        # MeasurementService.measure is the request path itself, and the
+        # rate limiter is one class beside it.
+        import importlib.util
+
+        import repro.persistence
+        import repro.service
+
+        assert not hasattr(repro.service, "BatchingScheduler")
+        assert importlib.util.find_spec("repro.service.scheduler") is None
+        assert not hasattr(service, "scheduler")
+        assert not hasattr(repro.persistence, "RateLimiter")
+        assert not hasattr(repro.persistence, "TokenBucket")
 
 
 # ----------------------------------------------------------------------

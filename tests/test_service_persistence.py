@@ -152,7 +152,7 @@ class TestServiceRestart:
 
         from repro.service import serve
 
-        # The scheduler refuses max_pending=0 after the store has opened.
+        # The service refuses max_pending=0 after the store has opened.
         with pytest.raises(ValueError, match="max_pending"):
             _service(ledger_path, max_pending=0)
         # serve() opens the ledger, then finds its port taken.
@@ -372,7 +372,7 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
-# Which ledger failures the scheduler retries
+# Which ledger failures the service retries
 # ----------------------------------------------------------------------
 class TestLedgerRetry:
     """A charge that failed before its transaction committed is retried; one

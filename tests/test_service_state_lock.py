@@ -1,7 +1,7 @@
 """``service.state`` is held for table lookups only: never across a session
 build or a measure.
 
-One lock guards the registry's and the scheduler's tables.  Were it held
+One lock guards the registry's and the service's tables.  Were it held
 while a session is built or a plan evaluated, every other tenant's request
 would queue behind that work; a global lock around admission measured about
 4x worse for light tenants while one tenant's first measure evaluated a

@@ -62,7 +62,8 @@ def packing_plan(spans: Sequence[int], rows: int) -> tuple[list[list[int]], bool
 
     Returns each word's column indices, most significant first (a column
     joins the current word while the product of its spans stays below 2⁶³),
-    and whether a row number fits too: one word, its product × ``rows`` < 2⁶³.
+    and whether a row number fits too: one word whose product, shifted left
+    by the bits of ``rows - 1``, stays below 2⁶³.
     """
     words: list[list[int]] = []
     product = _WORD  # no word open yet: the first column starts one
@@ -73,7 +74,7 @@ def packing_plan(spans: Sequence[int], rows: int) -> tuple[list[list[int]], bool
         else:
             words.append([index])
             product = span
-    return words, len(words) == 1 and product * rows < _WORD
+    return words, len(words) == 1 and product << (rows - 1).bit_length() < _WORD
 
 
 def pack_rows(*sides: Sequence[np.ndarray]) -> tuple[list[list[np.ndarray]], bool]:
@@ -97,7 +98,8 @@ def pack_rows(*sides: Sequence[np.ndarray]) -> tuple[list[list[np.ndarray]], boo
         word = columns[first] - lows[first]
         for index in rest:
             word *= spans[index]
-            word += columns[index] - lows[index]
+            word += columns[index]
+            word -= lows[index]
         return word
 
     return [[pack(side, *indices) for indices in plan] for side in sides], fits_rows
@@ -105,31 +107,47 @@ def pack_rows(*sides: Sequence[np.ndarray]) -> tuple[list[list[np.ndarray]], boo
 
 def sorted_runs(
     words: Sequence[np.ndarray], fits_rows: bool
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray | None, np.ndarray | None, list[np.ndarray]]:
     """Sort rows held as ``int64`` words, most significant first: their stable
     lexicographic order, where each run of equal rows starts in it, and the
-    words sorted.
+    words sorted.  ``None`` stands for ``arange(rows)`` in either of the first
+    two — rows already in order, every row a run of its own — so no caller
+    gathers through an identity or counts runs of one.
 
     One word that is already non-decreasing — a consolidated dataset's rows,
     packed under any :func:`pack_rows` plan — is its own stable order, so
     nothing is sorted.  Otherwise ``fits_rows`` (from :func:`pack_rows`)
-    promises one word with ``word × rows + row`` in ``[0, 2⁶³)``.  Those keys
-    are all distinct, so *any* sort of them is the stable order of ``word`` and
-    ``divmod`` returns both answers: NumPy's vectorised sort instead of a
-    merge sort per word and a gather.
+    promises one word that keeps ``word << b | row`` in ``[0, 2⁶³)``, ``b``
+    the bits of the largest row number.  Those keys are all distinct, so
+    *any* sort of them is the stable order of ``word``: NumPy's vectorised
+    sort instead of a merge sort per word and a gather, and a mask and a
+    shift split the sorted keys.
     """
+    count = words[0].shape[0]
     if len(words) == 1 and not (words[0][1:] < words[0][:-1]).any():
-        order = np.arange(words[0].shape[0])
+        order = None
     elif fits_rows:
-        count = words[0].shape[0]
-        word, order = np.divmod(np.sort(words[0] * count + np.arange(count)), count)
-        words = [word]
+        shift = (count - 1).bit_length()
+        keys = words[0] << shift
+        keys |= np.arange(count)
+        keys = np.sort(keys)
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+        words = [keys]
     else:
         order = np.lexsort(words[::-1])
         words = [word[order] for word in words]
-    boundary = np.ones(order.shape[0], dtype=bool)
-    boundary[1:] = np.logical_or.reduce([word[1:] != word[:-1] for word in words])
-    return order, np.flatnonzero(boundary), words
+    boundary = np.ones(count, dtype=bool)
+    np.not_equal(words[0][1:], words[0][:-1], out=boundary[1:])
+    for word in words[1:]:
+        boundary[1:] |= word[1:] != word[:-1]
+    return order, None if boundary.all() else np.flatnonzero(boundary), words
+
+
+def run_index(starts: np.ndarray, count: int) -> np.ndarray:
+    """The run number of each of ``count`` sorted rows whose runs begin at
+    ``starts`` (:func:`sorted_runs`)."""
+    return np.repeat(np.arange(starts.shape[0]), np.diff(starts, append=count))
 
 
 def row_groups(
@@ -158,10 +176,12 @@ def row_groups(
         return (np.empty(0, dtype=np.int64),) * 3
     (words,), fits_rows = pack_rows(columns)
     order, starts, _ = sorted_runs(words, fits_rows)
-    if starts.shape[0] == count:
+    if order is None:
+        order = np.arange(count)
+    if starts is None:
+        starts = np.arange(count)
         return order, starts, starts
-    sizes = np.diff(starts, append=count)
-    return order, np.repeat(np.arange(starts.shape[0]), sizes), starts
+    return order, run_index(starts, count), starts
 
 
 def consolidate(
@@ -173,21 +193,26 @@ def consolidate(
     """Merge duplicate rows (summing weights) and drop sub-tolerance dust.
 
     The row order of the result is the lexicographic code order and a merged
-    row adds its duplicates in input order (:func:`row_groups` sorts stably):
-    both deterministic for a fixed interner state.  Rows already in that
-    order are not re-sorted, and when every row is distinct there is nothing
-    to add — a group of one would sum to ``0.0 + w``, which is ``w`` for every
-    weight the tolerance keeps — so no ``bincount`` runs.  ``assume_unique``
-    skips the sort/merge when the caller guarantees rows are already distinct.
+    row adds its duplicates in input order (:func:`sorted_runs` sorts
+    stably): both deterministic for a fixed interner state.  Rows already in
+    that order are neither re-sorted nor copied, and when every row is
+    distinct there is nothing to add — a group of one would sum to
+    ``0.0 + w``, which is ``w`` for every weight the tolerance keeps — so no
+    ``bincount`` runs.  ``assume_unique`` skips the sort/merge when the caller
+    guarantees rows are already distinct.
     """
-    if not assume_unique:
-        order, group_index, representatives = row_groups(columns)
-        weights = np.asarray(weights)[order]
-        if representatives.shape[0] < order.shape[0]:
-            weights = np.bincount(group_index, weights=weights)
-            order = order[representatives]
-        columns = [column[order] for column in columns]
     weights = np.asarray(weights, dtype=np.float64)
+    count = weights.shape[0]
+    if not assume_unique and count:
+        (words,), fits_rows = pack_rows(columns)
+        order, starts, _ = sorted_runs(words, fits_rows)
+        if order is not None:
+            weights = weights[order]
+        if starts is not None:
+            weights = np.bincount(run_index(starts, count), weights=weights)
+            order = starts if order is None else order[starts]
+        if order is not None:
+            columns = [column[order] for column in columns]
     keep = np.abs(weights) > tolerance
     if not keep.all():
         columns = [column[keep] for column in columns]
@@ -286,12 +311,15 @@ class ColumnarDataset:
     def from_weighted(
         cls, dataset: WeightedDataset, tolerance: float | None = None
     ) -> "ColumnarDataset":
-        """Encode a :class:`WeightedDataset` (records unique by construction)."""
-        records = list(dataset.records())
+        """Encode a :class:`WeightedDataset` (records unique by construction).
+
+        Records and weights are read off one copy of its mapping, in its
+        order, not looked up one record at a time.
+        """
+        weights_by_record = dataset.to_dict()
+        records = list(weights_by_record)
         weights = np.fromiter(
-            (dataset.weight(record) for record in records),
-            dtype=np.float64,
-            count=len(records),
+            weights_by_record.values(), dtype=np.float64, count=len(records)
         )
         return cls.from_pairs(
             records,

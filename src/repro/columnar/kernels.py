@@ -13,7 +13,7 @@ record function:
   :mod:`~repro.columnar.specs` spec and the dataset is decomposed into field
   columns — pure array work (``row_groups`` merges on one packed word per
   row, ``np.bincount`` group sums, fancy-indexed joins keyed on one field or
-  on several at once, one sort per side), no per-record Python;
+  on several at once, at most one sort per side), no per-record Python;
 * a **generic path** that materialises the record objects once and calls the
   user function per record (or per joined pair), matching what the eager
   backend would do while still vectorizing the weight arithmetic and the
@@ -22,7 +22,13 @@ record function:
 The join kernel is the reason this backend exists: the per-key Cartesian
 pairing, the ``‖A_k‖ + ‖B_k‖`` denominators and the output weights are all
 computed with array operations, so the length-two-path self-join at the heart
-of the paper's subgraph queries runs at NumPy speed.
+of the paper's subgraph queries runs at NumPy speed.  A selector that gives
+every pair a row of its own (it keeps every left field and every right field
+outside the key) has nothing to add, so its pairs come out in the left side's
+stored order: the path join and TbD's degree lookup then produce rows already
+in code order, which the consolidation checks and does not sort.  Pairs that
+can collide come out by ascending key, left-major, so their weights add in the
+order they always have.
 
 The binary set operators align rows on the same packed words.  ``Union``,
 ``Concat`` and ``Except`` keep every row of either side, so they merge the two
@@ -34,7 +40,7 @@ already in order and sums nothing that is already distinct.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -445,6 +451,126 @@ def _key_codes(
     return _joint_words(left_columns, right_columns)
 
 
+class _KeyRuns(NamedTuple):
+    """One join side's rows grouped by key word (:func:`_key_runs`)."""
+
+    order: np.ndarray | None  # stable order by key; None: the stored order is it
+    starts: np.ndarray | None  # each key's run's first row in it; None: one row each
+    counts: np.ndarray | None  # each run's length; None as for starts
+    keys: np.ndarray  # the distinct key words, ascending
+    norms: np.ndarray  # ‖A_k‖ per key
+
+    def start(self, hit: np.ndarray) -> np.ndarray:
+        """Where the runs of keys ``hit`` start in :attr:`order`."""
+        return hit if self.starts is None else self.starts[hit]
+
+    def count(self, hit: np.ndarray) -> np.ndarray | None:
+        """The lengths of the runs of keys ``hit`` (``None``: one row each)."""
+        return None if self.counts is None else self.counts[hit]
+
+
+def _key_runs(words: np.ndarray, fits_rows: bool, weights: np.ndarray) -> _KeyRuns:
+    """Sort one side's key words once and read the runs, keys and norms off
+    that order.  A norm adds its run's ``|w|`` with ``reduceat``, whose sums
+    :func:`join` has always released; when every run is one row the norms
+    are those rows' ``|w|`` as they stand."""
+    order, starts, (keys,) = sorted_runs([words], fits_rows)
+    if order is None:
+        magnitudes = np.abs(weights)
+    else:
+        magnitudes = weights[order]
+        np.abs(magnitudes, out=magnitudes)
+    if starts is None:
+        return _KeyRuns(order, None, None, keys, magnitudes)
+    return _KeyRuns(
+        order,
+        starts,
+        np.diff(starts, append=keys.shape[0]),
+        keys[starts],
+        np.add.reduceat(magnitudes, starts),
+    )
+
+
+def _field_join(
+    selector: Callable[[Any, Any], Any], left: ColumnarDataset, right: ColumnarDataset
+) -> bool:
+    """Whether ``selector`` is a :class:`JoinFields` over fields both sides
+    have, so the output columns are gathered from theirs."""
+    return (
+        isinstance(selector, JoinFields)
+        and left.decomposed
+        and right.decomposed
+        and all(
+            index < (left.arity if side == "l" else right.arity)
+            for side, index in selector.picks
+        )
+    )
+
+
+def _one_pair_per_row(
+    selector: JoinFields, left: ColumnarDataset, right: ColumnarDataset, right_key: Any
+) -> bool:
+    """Whether distinct ``(left row, right row)`` pairs give distinct output
+    rows: every left field is picked, and every right field outside a
+    ``Field`` / ``Permute`` right key (a partner's key fields are fixed by
+    its left row's key)."""
+    if isinstance(right_key, Field):
+        keyed = {right_key.index}
+    elif isinstance(right_key, Permute):
+        keyed = set(right_key.indices)
+    else:
+        return False
+    left_picks = {index for side, index in selector.picks if side == "l"}
+    right_picks = {index for side, index in selector.picks if side == "r"}
+    return left_picks >= set(range(left.arity)) and right_picks | keyed >= set(
+        range(right.arity)
+    )
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[u], starts[u] + 1, …, starts[u] + counts[u] − 1`` for every
+    unit ``u`` in turn (``counts`` positive): one running sum of steps."""
+    steps = np.ones(int(counts.sum()), dtype=np.int64)
+    jumps = starts.astype(np.int64)
+    jumps[1:] -= starts[:-1] + counts[:-1] - 1
+    steps[np.cumsum(counts) - counts] = jumps
+    return np.cumsum(steps, out=steps)
+
+
+def _pairs(
+    left_start: np.ndarray | None,
+    left_count: np.ndarray | None,
+    right_start: np.ndarray,
+    right_count: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Expand units — a block of ``left_count`` left positions from
+    ``left_start`` beside a block of ``right_count`` right positions — into
+    their pairs, left-major.  Returns each pair's left and right position and
+    each unit's pair count.  A count of ``None`` is one position per unit, a
+    ``left_start`` of ``None`` the units' own indices; a unit of one pair is
+    its pair, so with both counts ``None`` nothing is expanded.  Only units
+    with several rows on both sides divide by their fan-out."""
+    if left_count is None and right_count is None:
+        return left_start, right_start, None
+    if left_count is None:
+        if left_start is None:
+            left_start = np.arange(right_count.shape[0])
+        pairs = np.repeat(left_start, right_count), _ranges(right_start, right_count)
+        return (*pairs, right_count)
+    if right_count is None:
+        pairs = _ranges(left_start, left_count), np.repeat(right_start, left_count)
+        return (*pairs, left_count)
+    pair_counts = left_count * right_count
+    unit = np.repeat(np.arange(pair_counts.shape[0]), pair_counts)
+    local = np.arange(unit.shape[0]) - (np.cumsum(pair_counts) - pair_counts)[unit]
+    fanout = right_count[unit]
+    return (
+        left_start[unit] + local // fanout,
+        right_start[unit] + local % fanout,
+        pair_counts,
+    )
+
+
 def join(
     left: ColumnarDataset,
     right: ColumnarDataset,
@@ -456,65 +582,93 @@ def join(
 
     Per join key ``k`` every pair ``(a, b) ∈ A_k × B_k`` is emitted with
     weight ``A_k(a) · B_k(b) / (‖A_k‖ + ‖B_k‖)``.  Each side's key words
-    (:func:`_key_codes`) are sorted once: the per-key runs, the norms over
-    them and the match between the sides' distinct keys (one ``searchsorted``)
-    all read that order, and pairs come out by ascending key, left-major, a
-    key's rows in input order.  The pair index arrays and the output weights
-    are array operations; the output records are assembled by fancy-indexing
-    the field columns when the selector is a :class:`JoinFields` spec, and by
-    per-pair Python calls otherwise.
+    (:func:`_key_codes`) are sorted once — a side already in key order is
+    not — and the per-key runs, the norms over them and the match between the
+    sides' distinct keys (one ``searchsorted``) all read that
+    order.  The pair index arrays and the output weights are array
+    operations; the output records are assembled by fancy-indexing the field
+    columns when the selector is a :class:`JoinFields` spec, and by per-pair
+    Python calls otherwise.
+
+    A colliding output row adds its pairs' weights in the order the pairs
+    come out, so that order follows from what the selector can collide:
+
+    * a :class:`JoinFields` selector that keeps every left field and every
+      right field outside the key (:func:`_one_pair_per_row`) gives each pair
+      a row of its own, so nothing adds.  Pairs come out in the left side's
+      stored order, a left row's partners in key-run order; a left side in
+      code order then yields rows in code order, which the consolidation
+      checks and does not sort.  When every left row has exactly one partner
+      the left columns and weights are used as they stand;
+    * any other selector emits by ascending key, left-major, a key's rows in
+      input order, the order its sums have always been added in.
+
+    A run of one row is its own norm and its own pair: ``reduceat``,
+    ``repeat`` and the fan-out division run only over runs of several.
     """
     tolerance = left.tolerance
     if left.is_empty() or right.is_empty():
         return ColumnarDataset.empty(tolerance)
     left_words, right_words, fits_rows = _key_codes(left, right, left_key, right_key)
-    left_order, left_starts, (left_keys,) = sorted_runs([left_words], fits_rows)
-    right_order, right_starts, (right_keys,) = sorted_runs([right_words], fits_rows)
-    left_keys, right_keys = left_keys[left_starts], right_keys[right_starts]
-    left_counts = np.diff(left_starts, append=len(left))
-    right_counts = np.diff(right_starts, append=len(right))
-    right_hit = np.searchsorted(right_keys, left_keys)
-    right_hit[right_hit == right_keys.shape[0]] = 0
-    left_hit = np.flatnonzero(right_keys[right_hit] == left_keys)
+    lefts = _key_runs(left_words, fits_rows, left.weights)
+    rights = _key_runs(right_words, fits_rows, right.weights)
+    right_hit = np.searchsorted(rights.keys, lefts.keys)
+    right_hit[right_hit == rights.keys.shape[0]] = 0
+    left_hit = np.flatnonzero(rights.keys[right_hit] == lefts.keys)
     right_hit = right_hit[left_hit]
     if left_hit.size == 0:
         return ColumnarDataset.empty(tolerance)
-    left_norms = np.add.reduceat(np.abs(left.weights[left_order]), left_starts)
-    right_norms = np.add.reduceat(np.abs(right.weights[right_order]), right_starts)
-    denominators = left_norms[left_hit] + right_norms[right_hit]
+    denominators = lefts.norms[left_hit] + rights.norms[right_hit]
     feasible = denominators > 0
-    left_hit, right_hit = left_hit[feasible], right_hit[feasible]
-    denominators = denominators[feasible]
-    pair_counts = left_counts[left_hit] * right_counts[right_hit]
-    total = int(pair_counts.sum())
-    if total == 0:
-        return ColumnarDataset.empty(tolerance)
-    key_of_pair = np.repeat(np.arange(pair_counts.shape[0]), pair_counts)
-    offsets = np.concatenate(([0], np.cumsum(pair_counts)[:-1]))
-    local = np.arange(total) - offsets[key_of_pair]
-    fanout = right_counts[right_hit][key_of_pair]
-    left_rows = left_order[left_starts[left_hit][key_of_pair] + local // fanout]
-    right_rows = right_order[right_starts[right_hit][key_of_pair] + local % fanout]
-    weights = (
-        left.weights[left_rows]
-        * right.weights[right_rows]
-        / denominators[key_of_pair]
+    if not feasible.all():
+        left_hit, right_hit = left_hit[feasible], right_hit[feasible]
+        denominators = denominators[feasible]
+        if left_hit.size == 0:
+            return ColumnarDataset.empty(tolerance)
+    fields = _field_join(result_selector, left, right)
+    right_start, right_count = rights.start(right_hit), rights.count(right_hit)
+    if fields and _one_pair_per_row(result_selector, left, right, right_key):
+        # A unit per left row that has partners, in stored order: each row's
+        # slot among the matched keys, or -1.
+        slot = np.full(lefts.keys.shape[0], -1, dtype=np.int64)
+        slot[left_hit] = np.arange(left_hit.shape[0])
+        if lefts.counts is not None:
+            slot = np.repeat(slot, lefts.counts)
+        if lefts.order is not None:
+            sorted_slot, slot = slot, np.empty_like(slot)
+            slot[lefts.order] = sorted_slot
+        emitting = slot >= 0
+        left_sequence, left_start, left_count = None, None, None
+        if not emitting.all():
+            left_start = np.flatnonzero(emitting)
+            slot = slot[left_start]
+        right_start, denominators = right_start[slot], denominators[slot]
+        right_count = None if right_count is None else right_count[slot]
+    else:
+        left_sequence = lefts.order
+        left_start, left_count = lefts.start(left_hit), lefts.count(left_hit)
+    left_rows, right_rows, pair_counts = _pairs(
+        left_start, left_count, right_start, right_count
     )
-    if (
-        isinstance(result_selector, JoinFields)
-        and left.decomposed
-        and right.decomposed
-        and all(
-            index < (left.arity if side == "l" else right.arity)
-            for side, index in result_selector.picks
-        )
-    ):
-        columns = tuple(
-            left.columns[index][left_rows]
-            if side == "l"
-            else right.columns[index][right_rows]
-            for side, index in result_selector.picks
-        )
+    if left_sequence is not None:
+        left_rows = left_sequence[left_rows]
+    if rights.order is not None:
+        right_rows = rights.order[right_rows]
+    if pair_counts is not None:
+        denominators = np.repeat(denominators, pair_counts)
+    # (a · b) / d, worked in place on the gathered b (a · b = b · a exactly).
+    weights = right.weights[right_rows]
+    weights *= left.weights if left_rows is None else left.weights[left_rows]
+    weights /= denominators
+    if fields:
+
+        def picked(side: str, index: int) -> np.ndarray:
+            if side == "r":
+                return right.columns[index][right_rows]
+            column = left.columns[index]
+            return column if left_rows is None else column[left_rows]
+
+        columns = tuple(picked(*pick) for pick in result_selector.picks)
         return ColumnarDataset(
             columns, weights, len(result_selector.picks), tolerance
         )
@@ -585,7 +739,8 @@ def _shared_rows(
     position = np.searchsorted(right_words, left_words)
     position[position == right_words.shape[0]] = 0
     left_rows = np.flatnonzero(right_words[position] == left_words)
-    return left_rows, right_order[position[left_rows]]
+    right_rows = position[left_rows]
+    return left_rows, right_rows if right_order is None else right_order[right_rows]
 
 
 def concat(left: ColumnarDataset, right: ColumnarDataset) -> ColumnarDataset:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.columnar import ColumnarDataset, JoinFields, Permute, kernels
+from repro.columnar import ColumnarDataset, Field, JoinFields, Permute, kernels
 from repro.core import WeightedDataset
 from repro.core import transformations as xf
 
@@ -67,6 +67,13 @@ UNARY = {
     ),
 }
 
+def structural_join(left_key, right_key, selector):
+    return (
+        lambda a, b: kernels.join(a, b, left_key, right_key, selector),
+        lambda a, b: xf.join(a, b, left_key, right_key, selector),
+    )
+
+
 BINARY = {
     "union": (kernels.union, xf.union),
     "intersect": (kernels.intersect, xf.intersect),
@@ -76,7 +83,33 @@ BINARY = {
         lambda a, b: kernels.join(a, b, lambda x: hash(x) % 3, lambda x: hash(x) % 3),
         lambda a, b: xf.join(a, b, lambda x: hash(x) % 3, lambda x: hash(x) % 3),
     ),
+    # Structural keys over triples take the join's array path.  The first
+    # selector of each pair gives every pair a row of its own (pairs come out
+    # in left order); the second makes pairs collide (key-major sums).
+    "join-field-one-pair-per-row": structural_join(
+        Field(1), Field(1), JoinFields(("l", 0), ("l", 1), ("l", 2), ("r", 0), ("r", 2))
+    ),
+    "join-field-colliding": structural_join(
+        Field(1), Field(1), JoinFields(("l", 0), ("r", 0))
+    ),
+    "join-permute-one-pair-per-row": structural_join(
+        Permute(1, 2), Permute(2, 1), JoinFields(("l", 0), ("l", 1), ("l", 2), ("r", 0))
+    ),
+    "join-permute-colliding": structural_join(
+        Permute(1, 2), Permute(2, 1), JoinFields(("r", 0), ("l", 1))
+    ),
 }
+
+
+def triple_datasets():
+    """Datasets of ``(record, 0‥2, 0‥1)`` triples, so join keys collide."""
+    rows = st.tuples(records(), st.integers(0, 2), st.integers(0, 1))
+    return st.dictionaries(rows, weights(), max_size=8).map(WeightedDataset)
+
+
+def binary_inputs(name: str):
+    """What a binary kernel is drawn over: triples for a structural join."""
+    return triple_datasets() if name.startswith("join-") else weighted_datasets()
 
 
 # ----------------------------------------------------------------------
@@ -91,10 +124,11 @@ def test_unary_kernel_matches_eager(name, a):
 
 
 @pytest.mark.parametrize("name", sorted(BINARY))
-@given(a=weighted_datasets(), b=weighted_datasets())
+@given(data=st.data())
 @settings(deadline=None, max_examples=40)
-def test_binary_kernel_matches_eager(name, a, b):
+def test_binary_kernel_matches_eager(name, data):
     kernel, eager = BINARY[name]
+    a, b = data.draw(binary_inputs(name)), data.draw(binary_inputs(name))
     assert kernel(encode(a), encode(b)).to_weighted().distance(eager(a, b)) <= TOLERANCE
 
 
@@ -114,15 +148,11 @@ def test_unary_kernel_is_stable(name, a, a_prime):
 
 
 @pytest.mark.parametrize("name", sorted(BINARY))
-@given(
-    a=weighted_datasets(),
-    a_prime=weighted_datasets(),
-    b=weighted_datasets(),
-    b_prime=weighted_datasets(),
-)
+@given(data=st.data())
 @settings(deadline=None, max_examples=40)
-def test_binary_kernel_is_stable(name, a, a_prime, b, b_prime):
+def test_binary_kernel_is_stable(name, data):
     kernel, _ = BINARY[name]
+    a, a_prime, b, b_prime = (data.draw(binary_inputs(name)) for _ in range(4))
     distance_in = a.distance(a_prime) + b.distance(b_prime)
     distance_out = (
         kernel(encode(a), encode(b))

@@ -3,18 +3,20 @@ the code they replaced.
 
 ``row_groups`` packs the columns of a row into ``int64`` words and sorts
 those — unless they are already in order — and ``consolidate`` adds nothing
-when every row is distinct; the join sorts each side's key words once; the
+when every row is distinct; the join sorts each side's key words at most
+once and emits a selector's pairs in left order when no two can collide; the
 intersect probes one side's words in the other's instead of merging the two.
 All must be *exactly* what ``np.lexsort``, the ``argsort`` / ``np.unique`` /
 ``np.intersect1d`` join tail and the union-then-``min`` intersect gave — same
-permutation, same groups, same pair order, same rows — because every float
-sum downstream adds its terms in that order.  The references below are
+permutation, same groups, same order of colliding pairs, same rows — because
+every float sum downstream adds its terms in that order.  The references below are
 in-test copies of the replaced code; the last test pins released values
 recorded before the replacement.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,10 +26,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro import analyses
 from repro.analyses import protect_graph
-from repro.columnar import ColumnarDataset, Field, JoinFields, Permute, kernels
+from repro.columnar import (
+    ColumnarDataset,
+    Field,
+    FieldsDiffer,
+    GroupSize,
+    JoinFields,
+    Permute,
+    kernels,
+)
+from repro.columnar import dataset as dataset_module
 from repro.columnar.dataset import consolidate, packing_plan, row_groups
 from repro.columnar.interning import Interner, global_interner, use_interner
-from repro.core.dataset import DEFAULT_TOLERANCE
+from repro.core.dataset import DEFAULT_TOLERANCE, WeightedDataset
 from repro.core.queryable import PrivacySession
 from repro.graph.generators import social_graph
 from repro.shard.executor import ShardedExecutor
@@ -245,8 +256,9 @@ def test_every_regime_runs_and_matches(pools, rows, expected):
 
 def test_packing_plan_is_greedy_and_never_overflows():
     assert packing_plan([4, 5, 6], 10) == ([[0, 1, 2]], True)
-    assert packing_plan([4, 5, 6], WORD // 120) == ([[0, 1, 2]], True)
-    assert packing_plan([4, 5, 6], WORD // 120 + 1) == ([[0, 1, 2]], False)
+    # Row numbers below 2⁵⁶ take 56 bits, and 120 << 56 < 2⁶³ ≤ 120 << 57.
+    assert packing_plan([4, 5, 6], 1 << 56) == ([[0, 1, 2]], True)
+    assert packing_plan([4, 5, 6], (1 << 56) + 1) == ([[0, 1, 2]], False)
     assert packing_plan([1 << 62, 2], 1) == ([[0], [1]], False)  # 2⁶³ is too much
     assert packing_plan([1 << 62, 1, 1], 1) == ([[0, 1, 2]], True)
     wide = (1 << 40) + 3 * (1 << 32)
@@ -309,6 +321,15 @@ def test_sorted_duplicates_are_added_in_input_order():
         _, summed = consolidate([column], np.array(weights), DEFAULT_TOLERANCE)
         assert summed.tolist() == ([total, 2.0] if total else [2.0])
         assert_consolidate_matches([column], np.array(weights))
+
+
+def test_presorted_consolidate_gathers_nothing():
+    """Distinct rows already in code order come back as the very arrays."""
+    columns = [np.array([0, 0, 1, 3], dtype=np.int64), np.array([2, 5, 0, 1], dtype=np.int64)]
+    weights = np.array([1e16, 1.0, -1e16, 2.0])
+    merged, summed = consolidate(columns, weights, DEFAULT_TOLERANCE)
+    assert all(ours is theirs for ours, theirs in zip(merged, columns))
+    assert summed.tolist() == weights.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -423,6 +444,178 @@ def test_join_edge_shapes():
     assert regime([np.concatenate([wide.columns[i]] * 2) for i in (0, 1)]) == "several words"
 
 
+def rows_dataset(rows) -> ColumnarDataset:
+    """A consolidated (code-ordered) dataset of ``(fields…, weight)`` rows."""
+    *columns, weights = (np.array(column) for column in zip(*rows))
+    return ColumnarDataset(
+        [column.astype(np.int64) for column in columns], weights.astype(np.float64), len(columns)
+    )
+
+
+#: Weights whose sums depend on the order they are added in.
+ORDER_SENSITIVE = [1e16, -1e16, 1.0, 0.1, -0.3, 3.0, 2.5]
+
+
+def weighted_rows(fields, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return [(*row, float(rng.choice(ORDER_SENSITIVE))) for row in fields]
+
+
+#: A left side in code order keyed on its second field, so not in key order.
+UNSORTED_KEYS = rows_dataset(
+    weighted_rows([(a, b) for a in range(6) for b in range(6) if (a * 7 + b * 3) % 4], seed=0)
+)
+#: Rows ``(a, b, c)`` stored in ``c``-major order: neither in code order nor,
+#: for one ``a``, in key order on ``b``.
+OUT_OF_ORDER = kernels.select(
+    rows_dataset(
+        weighted_rows([(c, a, b) for c in range(3) for a in range(3) for b in range(6) if (a + b + c) % 3], seed=4)
+    ),
+    Permute(1, 2, 0),
+)
+#: One row per key on field 0; key 5 is missing, so some left rows go unmatched.
+ONE_PER_KEY = rows_dataset(weighted_rows([(k, 10 + k % 3) for k in range(5)], seed=2))
+#: One row per key on field 0 and several on field 1.
+SEVERAL_PER_KEY = rows_dataset(
+    weighted_rows([(k, c) for k in range(6) for c in range(k % 4 + 1)], seed=3)
+)
+
+
+@pytest.mark.parametrize(
+    "left, right, left_key, right_key, selector",
+    [
+        # One pair per row, left side in code order but not in key order.
+        pytest.param(
+            UNSORTED_KEYS, SEVERAL_PER_KEY, Field(1), Field(0),
+            JoinFields(("l", 0), ("l", 1), ("r", 1)), id="length-two-path-shape",
+        ),
+        pytest.param(
+            UNSORTED_KEYS, SEVERAL_PER_KEY, Field(1), Field(0),
+            JoinFields(("r", 1), ("l", 1), ("l", 0)), id="right-field-first",
+        ),
+        # One right row per key: the degree lookup.
+        pytest.param(
+            UNSORTED_KEYS, ONE_PER_KEY, Field(1), Field(0),
+            JoinFields(("l", 0), ("l", 1), ("r", 1)), id="one-right-row-some-left-unmatched",
+        ),
+        pytest.param(
+            SEVERAL_PER_KEY, ONE_PER_KEY, Field(0), Field(0),
+            JoinFields(("l", 0), ("l", 1), ("r", 1)), id="one-right-row-every-left-matched",
+        ),
+        # One row per key on both sides, on one field and on two.
+        pytest.param(
+            ONE_PER_KEY, ONE_PER_KEY, Field(0), Field(0),
+            JoinFields(("l", 0), ("l", 1), ("r", 1)), id="one-row-per-key-both-sides",
+        ),
+        pytest.param(
+            SEVERAL_PER_KEY, SEVERAL_PER_KEY, Permute(0, 1), Permute(0, 1),
+            JoinFields(("l", 0), ("l", 1)), id="composite-one-row-per-key",
+        ),
+        pytest.param(
+            UNSORTED_KEYS, UNSORTED_KEYS, Permute(1, 0), Permute(0, 1),
+            JoinFields(("l", 0), ("l", 1)), id="composite-reversed-one-row-per-key",
+        ),
+        # Every left field: a dropped right field outside the key collides,
+        # a dropped right key field does not.
+        pytest.param(
+            SEVERAL_PER_KEY, SEVERAL_PER_KEY, Field(1), Field(1),
+            JoinFields(("l", 0), ("l", 1), ("r", 1)), id="right-non-key-field-dropped",
+        ),
+        pytest.param(
+            SEVERAL_PER_KEY, SEVERAL_PER_KEY, Field(1), Field(1),
+            JoinFields(("l", 0), ("l", 1), ("r", 0)), id="right-key-field-dropped",
+        ),
+        # Colliding picks: sums stay key-major.  Pairs of two left rows
+        # collide only when the output drops the key, and add in another
+        # order than the left's only when, for one output row, stored order
+        # and key order disagree: the first two.
+        pytest.param(
+            OUT_OF_ORDER, SEVERAL_PER_KEY, Field(1), Field(1),
+            JoinFields(("l", 0), ("r", 0)), id="ends-left-out-of-order",
+        ),
+        pytest.param(
+            UNSORTED_KEYS, SEVERAL_PER_KEY, Field(1), Field(0),
+            JoinFields(("r", 1)), id="right-field-only",
+        ),
+        pytest.param(
+            OUT_OF_ORDER, SEVERAL_PER_KEY, Field(1), Field(0),
+            JoinFields(("l", 0), ("l", 1), ("r", 1)), id="left-field-dropped-out-of-order",
+        ),
+        pytest.param(
+            UNSORTED_KEYS, SEVERAL_PER_KEY, Field(1), Field(0),
+            JoinFields(("l", 0), ("r", 0)), id="ends",
+        ),
+        pytest.param(
+            UNSORTED_KEYS, ONE_PER_KEY, Field(1), Field(0),
+            JoinFields(("l", 0), ("r", 0)), id="ends-one-right-row",
+        ),
+        pytest.param(
+            UNSORTED_KEYS, SEVERAL_PER_KEY, Field(1), Field(0),
+            JoinFields(("l", 0), ("r", 1)), id="left-key-dropped",
+        ),
+        pytest.param(
+            SEVERAL_PER_KEY, UNSORTED_KEYS, Field(1), Field(1),
+            JoinFields(("l", 0), ("r", 0)), id="ends-right-keyed-on-second-field",
+        ),
+    ],
+)
+def test_join_branches_are_the_replaced_join(left, right, left_key, right_key, selector):
+    """Each order the join emits pairs in, against the five-sort join: same
+    rows, same weights to the bit."""
+    ours = kernels.join(left, right, left_key, right_key, selector)
+    expected = reference_join(left, right, left_key, right_key, selector)
+    assert expected is not None
+    assert_same_rows(ours, *expected)
+
+
+def test_left_order_joins_consolidate_without_a_sort(monkeypatch):
+    """The length-two-path join and the degree lookup emit their rows in
+    code order, so building their outputs sorts nothing.  Counted, not timed:
+    every ``np.sort`` / ``np.lexsort`` call made inside ``consolidate``."""
+    edges = ColumnarDataset.from_weighted(
+        WeightedDataset.from_records(social_graph(300, 4, rng=5).to_edge_records(symmetric=True))
+    )
+    paths = kernels.where(
+        kernels.join(edges, edges, Field(1), Field(0), JoinFields(("l", 0), ("l", 1), ("r", 1))),
+        FieldsDiffer(0, 2),
+    )
+    degrees = kernels.group_by(edges, Field(0), GroupSize())
+    joins = [
+        (edges, edges, JoinFields(("l", 0), ("l", 1), ("r", 1))),
+        (paths, degrees, JoinFields(("l", 0), ("l", 1), ("l", 2), ("r", 1))),
+    ]
+    sorts, inside = [], []
+    for name in ("sort", "lexsort"):
+        real = getattr(np, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            if inside:
+                sorts.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    real_consolidate = dataset_module.consolidate
+
+    def consolidate_counted(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_consolidate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dataset_module, "consolidate", consolidate_counted)
+    for left, right, selector in joins:
+        ours = kernels.join(left, right, Field(1), Field(0), selector)
+        assert len(ours) > len(left) / 2
+        assert sorts == []
+        expected = reference_join(left, right, Field(1), Field(0), selector)
+        assert_same_rows(ours, *expected)
+    # The count sees a sort where there is one: the same rows shuffled.
+    shuffle = np.random.default_rng(0).permutation(len(edges))
+    ColumnarDataset([column[shuffle] for column in edges.columns], edges.weights[shuffle], 2)
+    assert sorts
+
+
 # ----------------------------------------------------------------------
 # (c) intersect
 # ----------------------------------------------------------------------
@@ -524,9 +717,19 @@ def test_analyst_batch_releases_are_pinned_to_the_bit(executor):
     ``row_groups``, five-sort join).  A kernel change that reorders one float
     sum moves a last digit here.  Row order — hence summation order — follows
     interner code order, so the batch runs against a fresh interner."""
+    results = analyst_batch(social_graph(300, 4, rng=5), seed=7, executor=executor)
+    assert list(PINNED) == ["degree-ccdf", "wedges", "tbi", "jdd", "tbd"]
+    for name, result in zip(PINNED, results):
+        assert result == PINNED[name], name
+
+
+def analyst_batch(graph, seed, executor):
+    """The five ``analyst_batch`` releases at ε = 0.1 against a fresh
+    interner (row order, hence summation order, follows code order), each as
+    ``[repr(record), float.hex(value)]`` rows."""
     with use_interner(Interner()):
-        session = PrivacySession(seed=7, executor=executor)
-        protected = protect_graph(session, social_graph(300, 4, rng=5), total_epsilon=float("inf"))
+        session = PrivacySession(seed=seed, executor=executor)
+        protected = protect_graph(session, graph, total_epsilon=float("inf"))
         results = session.measure(
             (analyses.degree_ccdf_query(protected), 0.1, "degree-ccdf"),
             (analyses.wedges_query(protected), 0.1, "wedges"),
@@ -534,7 +737,17 @@ def test_analyst_batch_releases_are_pinned_to_the_bit(executor):
             (analyses.joint_degree_query(protected), 0.1, "jdd"),
             (analyses.triangles_by_degree_query(protected), 0.1, "tbd"),
         )
-    assert list(PINNED) == ["degree-ccdf", "wedges", "tbi", "jdd", "tbd"]
-    for name, result in zip(PINNED, results):
-        released = [[repr(record), value.hex()] for record, value in result.items()]
-        assert released == PINNED[name], name
+    return [[[repr(record), value.hex()] for record, value in result.items()] for result in results]
+
+
+def test_analyst_batch_at_full_shape_is_pinned_to_the_bit():
+    """The same five queries at the benchmark's own shape,
+    ``social_graph(1500, 4, rng=1)`` at seed 1 on the vectorized executor, so
+    the 225 k-row join, intersect and merge branches are held to the bit too.
+    The digest is the sha256 of the JSON of the five releases, recorded
+    before the join emitted pairs in left order (graph seeds 2–6 agreed
+    there as well)."""
+    results = analyst_batch(social_graph(1500, 4, rng=1), seed=1, executor="vectorized")
+    assert [len(result) for result in results] == [146, 1, 1, 1424, 1464]
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "20a2e98119795b6dd94045e14156ac2c4dddc424ee12fd5c09a845655cc4bbb9"

@@ -10,14 +10,18 @@ Definition 2 end to end::
 If any transformation were less stable than the constant its plan type
 declares (or the fold composed bounds incorrectly), hypothesis finds a
 counterexample here — this is the guarantee that makes every charge sound.
+Both plan suites run on the eager executor and on the vectorized one, whose
+kernels reach the same outputs by other means.
 The partition case checks the group's max-accounting against the parent
 plan's bound at the largest per-part ε.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.columnar.executor import VectorizedExecutor
 from repro.columnar.specs import Field, FieldsDiffer, JoinFields, Permute
 from repro.core import PrivacySession
 from repro.core.dataset import WeightedDataset
@@ -106,13 +110,20 @@ _WEIGHTS = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
 _DATASETS = st.dictionaries(_RECORDS, _WEIGHTS, max_size=8)
 
 
+#: The executors whose outputs the bounds are checked against: the eager
+#: reference and the columnar kernels, which compute the same outputs by other
+#: means (array joins, packed-word row merges).
+EXECUTORS = {"eager": EagerExecutor, "vectorized": VectorizedExecutor}
+
+
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
 @settings(max_examples=60, deadline=None)
 @given(
     op_names=st.lists(st.sampled_from(sorted(_OPS)), max_size=5),
     base=_DATASETS,
     perturbed=_DATASETS,
 )
-def test_static_bound_dominates_observed_stability(op_names, base, perturbed):
+def test_static_bound_dominates_observed_stability(executor, op_names, base, perturbed):
     plan = build_plan(op_names)
     bound = stability_bounds(plan)["edges"]
     session = PrivacySession()
@@ -123,8 +134,8 @@ def test_static_bound_dominates_observed_stability(op_names, base, perturbed):
     dataset_b = WeightedDataset(perturbed)
     input_distance = dataset_a.distance(dataset_b)
 
-    output_a = EagerExecutor({"edges": dataset_a}).evaluate(plan)
-    output_b = EagerExecutor({"edges": dataset_b}).evaluate(plan)
+    output_a = EXECUTORS[executor]({"edges": dataset_a}).evaluate(plan)
+    output_b = EXECUTORS[executor]({"edges": dataset_b}).evaluate(plan)
     output_distance = output_a.distance(output_b)
 
     assert output_distance <= bound * input_distance + 1e-6, (
@@ -134,9 +145,10 @@ def test_static_bound_dominates_observed_stability(op_names, base, perturbed):
     assert output_distance <= charged * input_distance + 1e-6
 
 
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
 @settings(max_examples=30, deadline=None)
 @given(base=_DATASETS, perturbed=_DATASETS)
-def test_paper_queries_respect_their_bounds(base, perturbed):
+def test_paper_queries_respect_their_bounds(executor, base, perturbed):
     # The real analyses (nested records, rotations, degree joins) get the
     # same treatment as the random plans above.
     from repro.analyses import triangles_by_intersect_query, wedges_query
@@ -148,8 +160,8 @@ def test_paper_queries_respect_their_bounds(base, perturbed):
         bound = stability_bounds(plan)["edges"]
         dataset_a = WeightedDataset(base)
         dataset_b = WeightedDataset(perturbed)
-        output_a = EagerExecutor({"edges": dataset_a}).evaluate(plan)
-        output_b = EagerExecutor({"edges": dataset_b}).evaluate(plan)
+        output_a = EXECUTORS[executor]({"edges": dataset_a}).evaluate(plan)
+        output_b = EXECUTORS[executor]({"edges": dataset_b}).evaluate(plan)
         assert (
             output_a.distance(output_b)
             <= bound * dataset_a.distance(dataset_b) + 1e-6
